@@ -44,11 +44,8 @@
 //! level-synchronous scheduler against the sequential oracle (bit-identical
 //! metrics and statistics asserted per cell) over grid and tri-grid
 //! substrates and writes host wall time, speedup, and the simulated round
-//! counts to `BENCH_sched.json`. Large cells (n >= 4096) additionally
-//! sweep the kernel worker-thread count (`SimConfig::threads`) for the
-//! level-synchronous runs, pinning thread-count determinism and recording
-//! parallel-round-execution scaling. Also not part of `all`; run it under
-//! `--release` (`--large` extends to n = 100,000 and threads 1/2/4/8).
+//! counts to `BENCH_sched.json`. Also not part of `all`; run it under
+//! `--release` (`--large` extends to n = 100,000).
 //!
 //! `dst` runs the deterministic-simulation-testing swarm (`crates/dst`):
 //! `--swarm <count> --seed <base>` checks `count` seeded scenarios against
@@ -265,22 +262,20 @@ fn main() {
 
     if which == "sched" {
         // CI-sized by default; --large extends to the n = 100k headline
-        // cell and sweeps kernel threads 1/2/4/8 at the large cells.
+        // cell.
         let ns: &[usize] = if large {
             &[64, 256, 1024, 4096, 10_000, 100_000]
         } else {
             &[64, 256, 4096]
         };
-        let threads: &[usize] = if large { &[1, 2, 4, 8] } else { &[1, 4] };
         println!("== sched: level-synchronous scheduler vs sequential oracle ==");
-        let rows = planar_bench::schedbench::sched_sweep(ns, threads);
+        let rows = planar_bench::schedbench::sched_sweep(ns);
         let data: Vec<Vec<String>> = rows
             .iter()
             .map(|r| {
                 vec![
                     r.family.to_string(),
                     r.n.to_string(),
-                    r.threads.to_string(),
                     format!("{:.4}", r.sequential_secs),
                     format!("{:.4}", r.level_sync_secs),
                     format!("{:.2}x", r.speedup),
@@ -297,7 +292,6 @@ fn main() {
                 &[
                     "family",
                     "n",
-                    "threads",
                     "seq(s)",
                     "lvl(s)",
                     "speedup",
@@ -312,13 +306,12 @@ fn main() {
         let path = std::path::Path::new("BENCH_sched.json");
         planar_bench::schedbench::write_json(path, &rows).expect("write BENCH_sched.json");
         println!("wrote {}", path.display());
-        // Regression gates (CI). Outputs are asserted bit-identical inside
-        // every cell; here we gate the timings.
+        // Regression gate (CI). Outputs are asserted bit-identical inside
+        // every cell; here we gate the timings: at the largest cell of each
+        // family, the level-synchronous scheduler must not be slower than
+        // the oracle.
         let largest = rows.iter().map(|r| r.n).max().unwrap_or(0);
-        // 1. At the largest cell of each family, the level-synchronous
-        //    scheduler (single-thread kernel) must not be slower than the
-        //    oracle.
-        for r in rows.iter().filter(|r| r.n == largest && r.threads == 1) {
+        for r in rows.iter().filter(|r| r.n == largest) {
             assert!(
                 r.speedup >= 1.0,
                 "level-sync regressed past sequential at {}/n={}: {:.2}x",
@@ -326,35 +319,6 @@ fn main() {
                 r.n,
                 r.speedup
             );
-        }
-        // 2. Parallel round execution must pay for itself where there is
-        //    hardware to pay with: on hosts with >= 4 cores, the best
-        //    multi-threaded row at the headline (--large, n ~ 100k) cell
-        //    must beat the single-thread batched row by >= 2x. Small
-        //    cells cannot amortize the fan-out, and on smaller hosts the
-        //    multi-threaded rows are still recorded (and their outputs
-        //    still asserted identical) but timesharing makes a wall-clock
-        //    gate meaningless — both cases skip the gate.
-        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-        if cores >= 4 && largest >= 50_000 && threads.iter().any(|&t| t >= 4) {
-            for family in ["grid", "tri-grid"] {
-                let at = |t: usize| {
-                    rows.iter()
-                        .find(|r| r.family == family && r.n == largest && r.threads == t)
-                        .map(|r| r.level_sync_secs)
-                };
-                let Some(base) = at(1) else { continue };
-                let best = rows
-                    .iter()
-                    .filter(|r| r.family == family && r.n == largest && r.threads >= 4)
-                    .map(|r| r.level_sync_secs)
-                    .fold(f64::INFINITY, f64::min);
-                assert!(
-                    best.is_finite() && base / best >= 2.0,
-                    "parallel rounds under 2x at {family}/n={largest}: \
-                     {base:.4}s (1 thread) vs {best:.4}s (best multi-threaded)"
-                );
-            }
         }
         return;
     }

@@ -17,16 +17,6 @@
 //! report identical [`Metrics`] on every case — the measurement doubles as
 //! a conformance check.
 //!
-//! Each row records the `threads` *requested* for the fast kernel: `1`
-//! pins the sequential round loop, and large substrates (n >= 50k) get an
-//! additional `threads = 4` row that requests workers the way a user
-//! would — through the `PLANAR_THREADS` environment variable — so the
-//! kernel's automatic engagement gating applies: the request is capped at
-//! the host's real cores and ignored when a round has too little work to
-//! amortize the fan-out (`effective_threads` records what actually ran).
-//! The conformance assert holds regardless of the thread count (parallel
-//! delivery is bit-deterministic by construction).
-//!
 //! Every row also records the memory the run costs: `kernel_bytes` is the
 //! fast kernel's retained arena (chain tables, bit-packed payload pool,
 //! scratch — exact, via [`Simulator::memory_bytes`]), reported per node in
@@ -54,7 +44,7 @@
 use std::time::Instant;
 
 use congest_sim::reference::run_reference;
-use congest_sim::{parallel_plan, pool, Metrics, NodeCtx, NodeProgram, SimConfig, Simulator};
+use congest_sim::{Metrics, NodeCtx, NodeProgram, SimConfig, Simulator};
 use planar_embedding::{embed_recursion_with_memory, EmbedderConfig};
 use planar_graph::{Graph, VertexId};
 use planar_lib::gen;
@@ -110,14 +100,6 @@ pub struct KernelBenchRow {
     pub messages: usize,
     /// Measured iterations per kernel (best-of is reported).
     pub iters: usize,
-    /// Worker threads *requested* for the fast kernel: `1` pins the
-    /// sequential loop; `> 1` requests workers via `PLANAR_THREADS`, i.e.
-    /// through the kernel's automatic core/work gating. The reference
-    /// kernel is always sequential.
-    pub threads: usize,
-    /// Worker threads the kernel's engagement plan actually granted
-    /// (request capped at the host's real cores; 1 = sequential).
-    pub effective_threads: usize,
     /// Fastest wall-clock run of the arc-indexed kernel, seconds.
     pub fast_secs: f64,
     /// Fastest wall-clock run of the seed reference kernel, seconds.
@@ -152,31 +134,6 @@ impl KernelBenchRow {
     }
 }
 
-/// Scoped `PLANAR_THREADS` override: sets the variable for the lifetime of
-/// the guard and restores the previous state on drop, so a multi-thread
-/// row's request cannot leak into the next row (or the caller's
-/// environment).
-struct ThreadsEnvGuard {
-    prev: Option<String>,
-}
-
-impl ThreadsEnvGuard {
-    fn request(threads: usize) -> Self {
-        let prev = std::env::var(pool::THREADS_ENV).ok();
-        std::env::set_var(pool::THREADS_ENV, threads.to_string());
-        ThreadsEnvGuard { prev }
-    }
-}
-
-impl Drop for ThreadsEnvGuard {
-    fn drop(&mut self) {
-        match &self.prev {
-            Some(v) => std::env::set_var(pool::THREADS_ENV, v),
-            None => std::env::remove_var(pool::THREADS_ENV),
-        }
-    }
-}
-
 fn timed(mut f: impl FnMut() -> Metrics) -> (f64, Metrics) {
     let t0 = Instant::now();
     let m = f();
@@ -190,22 +147,8 @@ fn timed(mut f: impl FnMut() -> Metrics) -> (f64, Metrics) {
 /// reference, …) and best-of-`iters` is reported for each, so machine
 /// drift and allocator/cache state affect both measurements symmetrically
 /// instead of biasing whichever kernel runs last.
-pub fn measure(family: &'static str, g: &Graph, iters: usize, threads: usize) -> KernelBenchRow {
-    // `threads = 1` pins the sequential loop. A multi-thread request goes
-    // through `PLANAR_THREADS` (scoped to this row) with `threads: None`,
-    // so the kernel's automatic gating — core cap, per-round work floor —
-    // decides what actually engages, exactly as it would for a user.
-    let _env = (threads > 1).then(|| ThreadsEnvGuard::request(threads));
-    let cfg = SimConfig {
-        threads: if threads > 1 { None } else { Some(1) },
-        ..SimConfig::default()
-    };
-    let effective_threads = parallel_plan(
-        cfg.threads,
-        pool::kernel_threads(cfg.threads),
-        pool::available_cores(),
-    )
-    .threads;
+pub fn measure(family: &'static str, g: &Graph, iters: usize) -> KernelBenchRow {
+    let cfg = SimConfig::default();
     // A repeat caller holds one Simulator; buffer capacity carries over.
     let mut sim: Simulator<u32> = Simulator::new();
     let mut run_fast = || {
@@ -247,8 +190,6 @@ pub fn measure(family: &'static str, g: &Graph, iters: usize, threads: usize) ->
         rounds: fast_m.rounds,
         messages: fast_m.messages,
         iters,
-        threads,
-        effective_threads,
         fast_secs,
         reference_secs,
         kernel_bytes: sim.memory_bytes(),
@@ -268,10 +209,6 @@ fn iters_for(n: usize) -> usize {
     }
 }
 
-/// Vertex count at which the sweep adds a parallel fast-kernel row on top
-/// of the sequential one (small floods cannot amortize the fan-out).
-const PAR_ROW_MIN_N: usize = 50_000;
-
 /// Seed of the random-maximal-planar substrate (fixed: rows must be
 /// reproducible run to run).
 const RMP_SEED: u64 = 7;
@@ -279,13 +216,6 @@ const RMP_SEED: u64 = 7;
 /// Runs the flood benchmark over grid, triangulated-grid, and
 /// random-maximal-planar substrates at (approximately) each requested
 /// vertex count, printing one line per case.
-///
-/// Every substrate gets a sequential (`threads = 1`) row; substrates with
-/// n >= 50k additionally get a `threads = 4` row timing the parallel round
-/// execution path against the same sequential reference baseline (the
-/// conformance assert inside [`measure`] doubles as the outputs-identical
-/// check). `iters` is decided once per substrate, so the sequential and
-/// parallel rows of a cell are directly comparable.
 pub fn kernel_bench(sizes: &[usize]) -> Vec<KernelBenchRow> {
     let mut rows = Vec::new();
     for &n in sizes {
@@ -295,32 +225,22 @@ pub fn kernel_bench(sizes: &[usize]) -> Vec<KernelBenchRow> {
             ("tri-grid", gen::triangulated_grid(side, side)),
             ("rmp", gen::random_maximal_planar(n, RMP_SEED)),
         ] {
-            let iters = iters_for(g.vertex_count());
-            let threads: &[usize] = if g.vertex_count() >= PAR_ROW_MIN_N {
-                &[1, 4]
-            } else {
-                &[1]
-            };
-            for &t in threads {
-                let row = measure(family, &g, iters, t);
-                println!(
-                    "flood/{:<9} n={:<7} t={}/{}  rounds={:<4} msgs={:<8} fast={:>10.6}s ref={:>10.6}s  {:>8.0} vs {:>8.0} msg/s  speedup {:.2}x  {:>5.1} B/node  rss={}",
-                    row.family,
-                    row.n,
-                    row.threads,
-                    row.effective_threads,
-                    row.rounds,
-                    row.messages,
-                    row.fast_secs,
-                    row.reference_secs,
-                    row.fast_mps(),
-                    row.reference_mps(),
-                    row.speedup(),
-                    row.bytes_per_node(),
-                    mem::fmt_bytes(row.peak_rss_bytes),
-                );
-                rows.push(row);
-            }
+            let row = measure(family, &g, iters_for(g.vertex_count()));
+            println!(
+                "flood/{:<9} n={:<7} rounds={:<4} msgs={:<8} fast={:>10.6}s ref={:>10.6}s  {:>8.0} vs {:>8.0} msg/s  speedup {:.2}x  {:>5.1} B/node  rss={}",
+                row.family,
+                row.n,
+                row.rounds,
+                row.messages,
+                row.fast_secs,
+                row.reference_secs,
+                row.fast_mps(),
+                row.reference_mps(),
+                row.speedup(),
+                row.bytes_per_node(),
+                mem::fmt_bytes(row.peak_rss_bytes),
+            );
+            rows.push(row);
         }
     }
     rows
@@ -423,8 +343,7 @@ pub fn to_json(rows: &[KernelBenchRow], embeds: &[EmbedMemRow]) -> String {
         s.push_str(&format!(
             concat!(
                 "    {{\"family\": \"{}\", \"n\": {}, \"edges\": {}, ",
-                "\"rounds\": {}, \"messages\": {}, \"iters\": {}, \"threads\": {}, ",
-                "\"effective_threads\": {}, ",
+                "\"rounds\": {}, \"messages\": {}, \"iters\": {}, ",
                 "\"fast_secs\": {:.9}, \"reference_secs\": {:.9}, ",
                 "\"fast_msgs_per_sec\": {:.1}, \"reference_msgs_per_sec\": {:.1}, ",
                 "\"speedup\": {:.3}, ",
@@ -437,8 +356,6 @@ pub fn to_json(rows: &[KernelBenchRow], embeds: &[EmbedMemRow]) -> String {
             r.rounds,
             r.messages,
             r.iters,
-            r.threads,
-            r.effective_threads,
             r.fast_secs,
             r.reference_secs,
             r.fast_mps(),
@@ -494,7 +411,7 @@ mod tests {
     #[test]
     fn flood_covers_graph_and_kernels_agree() {
         let g = gen::grid(8, 8);
-        let row = measure("grid", &g, 1, 1);
+        let row = measure("grid", &g, 1);
         assert_eq!(row.n, 64);
         // Every node fires its out-star exactly once.
         assert_eq!(row.messages, 2 * g.edge_count());
@@ -503,33 +420,12 @@ mod tests {
         assert_eq!(row.rounds, 15);
     }
 
-    /// A parallel row reproduces the sequential row's conformance-checked
-    /// metrics exactly (the assert inside `measure` compares against the
-    /// always-sequential reference kernel, so this is the outputs-identical
-    /// guarantee for the `threads > 1` rows of `BENCH_kernel.json`) — and
-    /// its `PLANAR_THREADS` request is gated by the kernel's engagement
-    /// plan, never exceeding the host's real cores.
-    #[test]
-    fn parallel_row_matches_sequential_metrics() {
-        let g = gen::grid(8, 8);
-        let seq = measure("grid", &g, 1, 1);
-        let par = measure("grid", &g, 1, 4);
-        assert_eq!(par.threads, 4);
-        assert!(
-            par.effective_threads <= pool::available_cores().max(1),
-            "auto request must be core-capped, got {} on {} cores",
-            par.effective_threads,
-            pool::available_cores()
-        );
-        assert_eq!((par.rounds, par.messages), (seq.rounds, seq.messages));
-    }
-
     /// Rows carry live memory accounting: a non-trivial kernel arena and
     /// (on Linux) a peak-RSS probe.
     #[test]
     fn rows_report_memory() {
         let g = gen::grid(8, 8);
-        let row = measure("grid", &g, 1, 1);
+        let row = measure("grid", &g, 1);
         assert!(row.kernel_bytes > 0);
         assert!(row.bytes_per_node() > 0.0);
         if cfg!(target_os = "linux") {
@@ -552,13 +448,11 @@ mod tests {
     #[test]
     fn json_record_is_well_formed_enough() {
         let g = gen::grid(4, 4);
-        let rows = vec![measure("grid", &g, 1, 1)];
+        let rows = vec![measure("grid", &g, 1)];
         let embeds = vec![embed_mem(64)];
         let j = to_json(&rows, &embeds);
         assert!(j.contains("\"fast_msgs_per_sec\""));
         assert!(j.contains("\"reference_msgs_per_sec\""));
-        assert!(j.contains("\"threads\": 1"));
-        assert!(j.contains("\"effective_threads\""));
         assert!(j.contains("\"speedup\""));
         assert!(j.contains("\"bytes_per_node\""));
         assert!(j.contains("\"peak_rss_bytes\""));

@@ -2,52 +2,35 @@
 //!
 //! The experiment sweeps (seeds × graph families × sizes) are
 //! embarrassingly parallel: every trial builds its own `Graph` and runs its
-//! own simulation, sharing nothing. This module is a thin wrapper over the
-//! workspace's shared worker pool ([`congest_sim::pool`]) — one pool
-//! implementation, one thread-count knob — keeping the historical
-//! `PLANAR_BENCH_THREADS` override for sweeps while deferring to the
-//! shared `PLANAR_THREADS` knob otherwise. Results are collected **by
-//! trial index**, never by completion order, so the output of [`par_map`]
-//! is byte-identical to the sequential `map` no matter how the OS
-//! schedules the workers.
+//! own simulation, sharing nothing. [`par_map`] fans trials out over scoped
+//! `std::thread` workers and collects results **by trial index**, never by
+//! completion order, so its output is byte-identical to the sequential
+//! `map` no matter how the OS schedules the workers. Each trial's kernel
+//! steps its rounds on the worker's own thread.
 //!
 //! rayon would be the natural backend, but it cannot be vendored in this
 //! offline build environment (see `shims/README.md`); the semantics are
-//! the same as `par_iter().map().collect()`. Disabling the crate's
-//! `parallel` feature (or setting `PLANAR_BENCH_THREADS=1`) degrades to a
-//! plain sequential map, which is how the determinism conformance test
-//! cross-checks the two paths.
-//!
-//! # Composition with the kernel's parallel rounds
-//!
-//! Sweep workers are marked via the shared pool, so a kernel running
-//! *inside* a trial resolves an automatic thread count to 1 instead of
-//! oversubscribing the host with `threads × threads` workers — the outer
-//! sweep owns the cores (it parallelizes whole independent trials, the
-//! coarser grain). See [`congest_sim::pool`]'s module docs for the full
-//! rule; an explicit `SimConfig::threads` override remains absolute, which
-//! is what the thread-scaling benchmark uses (with its sweep kept
-//! sequential).
+//! the same as `par_iter().map().collect()`.
 
-use congest_sim::pool;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-/// Number of worker threads for bench sweeps: `PLANAR_BENCH_THREADS` if
-/// set (the historical bench-specific override), else the shared pool's
-/// resolution ([`pool::worker_threads`]: `PLANAR_THREADS`, else available
-/// parallelism, else 1). Always at least 1.
+/// Number of worker threads for bench sweeps: `PLANAR_THREADS` if set and
+/// parseable (clamped to >= 1), else the host's available parallelism,
+/// else 1.
 pub fn worker_threads() -> usize {
-    if let Ok(v) = std::env::var("PLANAR_BENCH_THREADS") {
-        if let Ok(n) = v.parse::<usize>() {
-            return n.max(1);
+    if let Ok(v) = std::env::var("PLANAR_THREADS") {
+        if let Ok(t) = v.trim().parse::<usize>() {
+            return t.max(1);
         }
     }
-    pool::worker_threads()
+    std::thread::available_parallelism().map_or(1, |p| p.get())
 }
 
-/// Applies `f` to every item, in parallel when the `parallel` feature is on,
-/// returning results in input order (deterministic regardless of scheduling).
-/// Workers are marked in the shared pool, so kernels inside `f` fall back
-/// to sequential rounds unless explicitly pinned (see the module docs).
+/// Applies `f` to every item on up to [`worker_threads`] scoped workers
+/// pulling from an atomic queue, returning results in input order. One
+/// worker (or at most one item) degrades to a plain sequential map on the
+/// calling thread.
 ///
 /// # Panics
 ///
@@ -58,12 +41,42 @@ where
     U: Send,
     F: Fn(T) -> U + Sync,
 {
-    let threads = if cfg!(feature = "parallel") {
-        worker_threads()
-    } else {
-        1
-    };
-    pool::par_map(threads, items, f)
+    let threads = worker_threads();
+    if threads <= 1 || items.len() <= 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let n = items.len();
+    // Hand each item an index so results land in their input slot.
+    let work: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let results: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+
+    std::thread::scope(|scope| {
+        for _ in 0..threads.min(n) {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let item = work[i]
+                    .lock()
+                    .expect("work slot poisoned")
+                    .take()
+                    .expect("each slot is claimed exactly once");
+                let out = f(item);
+                *results[i].lock().expect("result slot poisoned") = Some(out);
+            });
+        }
+    });
+
+    results
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("result slot poisoned")
+                .expect("every slot was filled")
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -89,30 +102,5 @@ mod tests {
     fn empty_and_single() {
         assert_eq!(par_map(Vec::<u32>::new(), |i| i), Vec::<u32>::new());
         assert_eq!(par_map(vec![7u32], |i| i + 1), vec![8]);
-    }
-
-    /// The oversubscription fix: a kernel asked for an automatic thread
-    /// count inside a sweep worker gets 1 (the sweep owns the cores); an
-    /// explicit pin stays absolute. When the sweep itself degrades to a
-    /// sequential map (single core, feature off), nothing is marked and
-    /// the automatic count resolves as usual.
-    #[test]
-    fn sweep_workers_suppress_nested_kernel_threads() {
-        let outside_pin = pool::kernel_threads(Some(3));
-        let resolved = par_map(vec![(); 4], |()| {
-            (
-                pool::in_worker(),
-                pool::kernel_threads(None),
-                pool::kernel_threads(Some(3)),
-            )
-        });
-        for &(marked, auto, pinned) in &resolved {
-            if marked {
-                assert_eq!(auto, 1, "automatic kernel threads must not oversubscribe");
-            } else {
-                assert_eq!(auto, pool::kernel_threads(None), "sequential fallback");
-            }
-            assert_eq!(pinned, outside_pin, "explicit kernel threads are absolute");
-        }
     }
 }

@@ -18,13 +18,6 @@
 //! count, and `stats.sequential_rounds`, the charged tally) is identical
 //! by construction — the sweep records it once per cell as a cross-check.
 //!
-//! Each row additionally carries a `threads` column: the kernel worker
-//! threads pinned (`SimConfig::threads`) for the level-synchronous run.
-//! The oracle always runs at 1 thread, so the thread sweep at large cells
-//! isolates the host-side effect of parallel round execution inside the
-//! batched kernel — with metrics/statistics still asserted bit-identical
-//! at every thread count (the kernel's determinism contract).
-//!
 //! [`embed_recursion`]: planar_embedding::embed_recursion
 //! [`Scheduler::Sequential`]: planar_embedding::Scheduler::Sequential
 //! [`Scheduler::LevelSync`]: planar_embedding::Scheduler::LevelSync
@@ -43,11 +36,6 @@ pub struct SchedRow {
     pub family: &'static str,
     /// Vertex count.
     pub n: usize,
-    /// Kernel worker threads pinned for the level-synchronous run
-    /// (`SimConfig::threads`). The sequential oracle always runs at 1
-    /// thread, so rows with `threads > 1` measure the parallel round
-    /// execution inside the batched kernel against the same baseline.
-    pub threads: usize,
     /// Timed iterations per scheduler (median is reported).
     pub iters: usize,
     /// Median wall time of the sequential (oracle) scheduler, seconds.
@@ -101,83 +89,51 @@ fn iters_for(n: usize) -> usize {
     }
 }
 
-/// Runs one timed cell at `threads = 1` (the historical shape).
+/// Runs one substrate cell: validates and times the sequential oracle and
+/// the level-synchronous scheduler.
 ///
 /// # Panics
 ///
-/// As [`sched_cell_threads`].
+/// Panics if either scheduler fails, or if their metrics/statistics
+/// differ (the conformance contract: a benchmark that compares divergent
+/// computations would be meaningless).
 pub fn sched_cell(family: &'static str, n: usize) -> SchedRow {
-    sched_cell_threads(family, n, &[1])
-        .pop()
-        .expect("one thread count yields one row")
-}
-
-/// Runs one substrate cell: the sequential oracle is validated and timed
-/// once (always at 1 kernel thread), then the level-synchronous scheduler
-/// is validated and timed at each requested kernel thread count, yielding
-/// one row per thread count. All rows of a cell share the oracle timing
-/// and iteration count, so `speedup` across rows isolates the effect of
-/// the parallel round execution inside the batched kernel.
-///
-/// # Panics
-///
-/// Panics if either scheduler fails, or if any level-synchronous run's
-/// metrics/statistics differ from the oracle's (the conformance contract
-/// — and, for `threads > 1`, the thread-count determinism contract: a
-/// benchmark that compares divergent computations would be meaningless).
-pub fn sched_cell_threads(family: &'static str, n: usize, threads: &[usize]) -> Vec<SchedRow> {
     let g = substrate(family, n);
-    let run = |scheduler: Scheduler, t: usize| -> (Metrics, RecursionStats) {
-        let mut cfg = config(scheduler);
-        cfg.sim.threads = Some(t);
-        embed_recursion(&g, &cfg).expect("sched cell must embed")
+    let run = |scheduler: Scheduler| -> (Metrics, RecursionStats) {
+        embed_recursion(&g, &config(scheduler)).expect("sched cell must embed")
     };
-    let (seq_metrics, seq_stats) = run(Scheduler::Sequential, 1);
+    let (seq_metrics, seq_stats) = run(Scheduler::Sequential);
+    let (lvl_metrics, lvl_stats) = run(Scheduler::LevelSync);
+    let identical = seq_metrics == lvl_metrics && seq_stats == lvl_stats;
+    assert!(identical, "sched cell {family}/n={n}: schedulers diverged");
     let iters = iters_for(n);
     let seq = bench(&format!("sched/{family}{n}/sequential"), iters, || {
-        run(Scheduler::Sequential, 1)
+        run(Scheduler::Sequential)
     });
-
-    let mut rows = Vec::new();
-    for &t in threads {
-        let (lvl_metrics, lvl_stats) = run(Scheduler::LevelSync, t);
-        let identical = seq_metrics == lvl_metrics && seq_stats == lvl_stats;
-        assert!(
-            identical,
-            "sched cell {family}/n={n}/threads={t}: schedulers diverged"
-        );
-        let lvl = bench(&format!("sched/{family}{n}/level-sync/t{t}"), iters, || {
-            run(Scheduler::LevelSync, t)
-        });
-        rows.push(SchedRow {
-            family,
-            n,
-            threads: t,
-            iters,
-            sequential_secs: seq.median_secs(),
-            level_sync_secs: lvl.median_secs(),
-            speedup: seq.median_secs() / lvl.median_secs(),
-            rounds: lvl_metrics.rounds,
-            sequential_rounds: lvl_stats.sequential_rounds,
-            outputs_identical: identical,
-            peak_rss_bytes: crate::mem::peak_rss_bytes(),
-        });
+    let lvl = bench(&format!("sched/{family}{n}/level-sync"), iters, || {
+        run(Scheduler::LevelSync)
+    });
+    SchedRow {
+        family,
+        n,
+        iters,
+        sequential_secs: seq.median_secs(),
+        level_sync_secs: lvl.median_secs(),
+        speedup: seq.median_secs() / lvl.median_secs(),
+        rounds: lvl_metrics.rounds,
+        sequential_rounds: lvl_stats.sequential_rounds,
+        outputs_identical: identical,
+        peak_rss_bytes: crate::mem::peak_rss_bytes(),
     }
-    rows
 }
 
 /// Runs the sweep (substrates × `sizes`), serially — timing cells must not
-/// contend for cores the way the audited/correctness sweeps may. Cells
-/// with `n >= 4096` run the level-synchronous scheduler at every thread
-/// count in `threads`; smaller cells stay at 1 (their kernel invocations
-/// are too small to amortize a fan-out, and the extra rows would only pad
-/// the record).
-pub fn sched_sweep(sizes: &[usize], threads: &[usize]) -> Vec<SchedRow> {
+/// contend for cores the way the audited/correctness sweeps may.
+pub fn sched_sweep(sizes: &[usize]) -> Vec<SchedRow> {
     let mut rows = Vec::new();
     for family in ["grid", "tri-grid"] {
         for &n in sizes {
-            let cell_threads: &[usize] = if n >= 4096 { threads } else { &[1] };
-            rows.extend(sched_cell_threads(family, n, cell_threads));
+            rows.push(sched_cell(family, n));
         }
     }
     rows
@@ -198,14 +154,13 @@ pub fn to_json(rows: &[SchedRow]) -> String {
     for (i, r) in rows.iter().enumerate() {
         s.push_str(&format!(
             concat!(
-                "    {{\"family\": \"{}\", \"n\": {}, \"threads\": {}, \"iters\": {}, ",
+                "    {{\"family\": \"{}\", \"n\": {}, \"iters\": {}, ",
                 "\"sequential_secs\": {:.6}, \"level_sync_secs\": {:.6}, ",
                 "\"speedup\": {:.3}, \"rounds\": {}, \"sequential_rounds\": {}, ",
                 "\"outputs_identical\": {}, \"peak_rss_bytes\": {}}}{}\n"
             ),
             r.family,
             r.n,
-            r.threads,
             r.iters,
             r.sequential_secs,
             r.level_sync_secs,
@@ -237,23 +192,10 @@ mod tests {
     #[test]
     fn cell_asserts_identity_and_times_both_schedulers() {
         let r = sched_cell("grid", 64);
-        assert_eq!((r.threads, r.iters), (1, 5));
+        assert_eq!(r.iters, 5);
         assert!(r.outputs_identical);
         assert!(r.sequential_secs > 0.0 && r.level_sync_secs > 0.0);
         assert!(r.rounds > 0 && r.sequential_rounds >= r.rounds);
-    }
-
-    /// A thread sweep shares the oracle timing across its rows, keeps the
-    /// per-row thread count, and asserts identity at every thread count.
-    #[test]
-    fn thread_sweep_shares_oracle_and_stays_identical() {
-        let rows = sched_cell_threads("grid", 64, &[1, 2]);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].threads, 1);
-        assert_eq!(rows[1].threads, 2);
-        assert_eq!(rows[0].sequential_secs, rows[1].sequential_secs);
-        assert_eq!(rows[0].rounds, rows[1].rounds);
-        assert!(rows.iter().all(|r| r.outputs_identical));
     }
 
     #[test]
@@ -261,7 +203,6 @@ mod tests {
         let rows = vec![sched_cell("tri-grid", 64)];
         let s = to_json(&rows);
         assert!(s.contains("\"benchmark\": \"scheduler\""));
-        assert!(s.contains("\"threads\": 1"));
         assert!(s.contains("\"outputs_identical\": true"));
         assert_eq!(s.matches('{').count(), s.matches('}').count());
     }

@@ -33,11 +33,6 @@
 //!   wrapper on top.
 //! * [`Metrics`] — rounds / messages / words / per-edge congestion (plus
 //!   fault counters), with sequential and parallel composition.
-//! * [`pool`] — the shared scoped-thread worker pool behind the kernel's
-//!   multi-core round execution ([`SimConfig::threads`] /
-//!   `PLANAR_THREADS`): static sharding and a deterministic replay keep
-//!   outcomes, metrics and trace streams bit-identical at every thread
-//!   count (see [`network`]'s module docs).
 //! * [`trace`] — opt-in round-level tracing ([`TraceSink`] on
 //!   [`SimConfig`], zero-cost when off) with typed per-message events, a
 //!   JSONL writer, and a [`TraceAuditor`] that independently recomputes a
@@ -70,7 +65,6 @@ pub mod faults;
 pub mod message;
 mod metrics;
 pub mod network;
-pub mod pool;
 pub mod protocols;
 pub mod reference;
 pub mod routing;
@@ -83,8 +77,8 @@ pub use faults::{
 pub use message::{word_bits, BitReader, BitSink, Words};
 pub use metrics::{Metrics, Phase, PhaseRounds};
 pub use network::{
-    parallel_plan, run, run_many, Instance, InstanceOutcome, MultiOutcome, NodeCtx, NodeProgram,
-    ParallelPlan, SimConfig, SimError, SimOutcome, Simulator, DEFAULT_BUDGET_WORDS,
+    run, run_many, Instance, InstanceOutcome, MultiOutcome, NodeCtx, NodeProgram, SimConfig,
+    SimError, SimOutcome, Simulator, DEFAULT_BUDGET_WORDS,
 };
 pub use session::{KernelCache, SimSession};
 pub use trace::{

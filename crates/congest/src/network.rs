@@ -56,42 +56,12 @@
 //! the kernel benchmark records the resulting speedup in
 //! `BENCH_kernel.json`.
 //!
-//! # Parallel round execution
+//! # One thread per run
 //!
-//! With [`SimConfig::threads`] > 1 (or `PLANAR_THREADS` set, see
-//! [`crate::pool`]), the inside of a round fans out over scoped worker
-//! threads in two phases whose composition is bit-identical to the
-//! sequential loop at every thread count:
-//!
-//! * **Phase A (parallel, pure compute).** The program table is cut into
-//!   contiguous per-worker shards — static sharding, no work stealing, so
-//!   shard ownership is a pure function of the layout. Each worker scans
-//!   the round's recipient list for nodes in its shard, assembles their
-//!   inboxes by *cloning* from the shared `cur` plane (left intact; the
-//!   sequential path drains it in place), steps `on_round` on its exclusive
-//!   `&mut` shard, and resolves every outgoing message to its arc id
-//!   (binary search over the CSR block — the same
-//!   `InvalidDestination`/`CrossInstanceSend` semantics as the sequential
-//!   slot stamp, which batched runs keep enforcing per send). Resolved
-//!   sends and per-recipient validation errors are buffered in per-worker
-//!   scratch; nothing is queued, counted, or traced yet.
-//! * **Phase B (sequential replay).** The main thread walks the recipient
-//!   list in its original order, emits each node's `Deliver` events from
-//!   the still-intact plane, and pushes every buffered send through the
-//!   *same* `queue_resolved` helper the sequential path uses — so budget
-//!   accounting, overflow choice, fault fates (keyed on the per-arc
-//!   attempt sequence, which only depends on send order within a single
-//!   sender), per-instance attribution, trace emission and error ordering
-//!   cannot drift between the paths. The plane is drained wholesale at
-//!   round end (`MailPlane::reset`).
-//!
-//! Recipients are unique per round and an arc has a single sender, so
-//! phase A's shards touch disjoint programs and read disjoint in-arcs; the
-//! replay then serializes all shared-state effects in canonical order.
-//! Determinism therefore survives any interleaving of phase A. The
-//! thread-count conformance suite (`crates/congest/tests/threads.rs`) pins
-//! states, metrics and full trace streams across thread counts 1/2/4/8 on
-//! both entry points, fault-free and under chaos.
+//! Every round steps on the calling thread. Host threads cannot change a
+//! round count, only wall time, and fanning a round's recipients out over
+//! worker threads did not pay for itself on the measured workloads
+//! (DESIGN.md §12). Independent runs are the unit of host parallelism.
 
 use std::error::Error;
 use std::fmt;
@@ -177,15 +147,10 @@ pub struct SimConfig {
     /// when off, both kernels run their exact pre-tracing instruction
     /// sequence — every emission site is behind a cached `is_on()` branch.
     pub trace: TraceHandle,
-    /// Worker threads for the fast kernel's parallel round execution (see
-    /// the module docs). `None` (default) resolves automatically: the
-    /// `PLANAR_THREADS` environment knob or the host's available
-    /// parallelism, falling back to 1 inside an already-parallel sweep
-    /// worker (the no-oversubscription rule, see [`crate::pool`]).
-    /// `Some(t)` pins the count unconditionally; `Some(1)` is the plain
-    /// sequential kernel. Outcomes, [`Metrics`], fault fates and
-    /// [`TraceEvent`] streams are bit-identical at every setting — only
-    /// wall time changes. The reference kernel ignores this field.
+    /// Ignored: both kernels step every round on the calling thread (see
+    /// the module docs). Kept only so existing callers still compile; it
+    /// will be removed at the next change to the repo benchmark, which
+    /// still reads it.
     pub threads: Option<usize>,
 }
 
@@ -469,14 +434,10 @@ pub struct MultiOutcome<P> {
 /// Chain-link / index sentinel of the struct-of-arrays mailbox layout.
 const NIL: u32 = u32::MAX;
 
-/// `MsgPool` payload locator layout (one `u64` per entry):
-/// bit 63 = packed flag; bits 48..63 = declared word count
-/// (`POOL_WORDS_MASK` = "oversized, ask the payload"); bits 0..48 = bit
-/// offset into the pool's [`BitSink`] (packed) or index into `native`.
+/// `MsgPool` payload locator flag (one `u64` per entry): bit 63 set =
+/// packed, the low bits are a bit offset into the pool's [`BitSink`];
+/// clear = the low bits index `native`.
 const POOL_PACKED: u64 = 1 << 63;
-const POOL_WORDS_SHIFT: u32 = 48;
-const POOL_WORDS_MASK: u64 = 0x7FFF;
-const POOL_PAYLOAD_MASK: u64 = (1 << POOL_WORDS_SHIFT) - 1;
 
 /// Per-round message arena: every queued message of one mailbox plane, in a
 /// single struct-of-arrays pool instead of one heap queue per arc.
@@ -493,10 +454,10 @@ const POOL_PAYLOAD_MASK: u64 = (1 << POOL_WORDS_SHIFT) - 1;
 struct MsgPool<M> {
     /// Next entry in the same arc's FIFO chain (`NIL` = tail).
     next: Vec<u32>,
-    /// Payload locator per entry (see the layout constants above).
+    /// Payload locator per entry (see `POOL_PACKED`).
     slot: Vec<u64>,
-    /// Natively stored payloads (packing declined). `Option` so the
-    /// sequential drain can move messages out without shifting.
+    /// Natively stored payloads (packing declined). `Option` so delivery
+    /// can move messages out without shifting.
     native: Vec<Option<M>>,
     /// B-bit packed payload words of all packed entries, in push order.
     bits: BitSink,
@@ -535,75 +496,31 @@ impl<M: Words> MsgPool<M> {
         );
         let e = self.next.len() as u32;
         self.next.push(NIL);
-        let w = msg.words();
         let mark = self.bits.len_bits();
-        if (w as u64) < POOL_WORDS_MASK
-            && mark as u64 <= POOL_PAYLOAD_MASK
-            && msg.pack(self.word_bits, &mut self.bits)
-        {
+        if msg.pack(self.word_bits, &mut self.bits) {
             debug_assert_eq!(
                 self.bits.len_bits() - mark,
-                w * self.word_bits as usize,
+                msg.words() * self.word_bits as usize,
                 "pack must emit exactly words()*B bits"
             );
-            self.slot
-                .push(POOL_PACKED | ((w as u64) << POOL_WORDS_SHIFT) | mark as u64);
+            self.slot.push(POOL_PACKED | mark as u64);
         } else {
             self.bits.truncate(mark); // discard a partial pack
-            let words_tag = (w as u64).min(POOL_WORDS_MASK);
-            self.slot
-                .push((words_tag << POOL_WORDS_SHIFT) | self.native.len() as u64);
+            self.slot.push(self.native.len() as u64);
             self.native.push(Some(msg));
         }
         e
     }
 
-    /// The declared word count of entry `e` (for trace emission without
-    /// materializing the payload).
-    fn words_of(&self, e: u32) -> usize {
-        let s = self.slot[e as usize];
-        let w = (s >> POOL_WORDS_SHIFT) & POOL_WORDS_MASK;
-        if w == POOL_WORDS_MASK && s & POOL_PACKED == 0 {
-            // Oversized native payload: the tag saturated, ask the message.
-            self.native[(s & POOL_PAYLOAD_MASK) as usize]
-                .as_ref()
-                .expect("oversized payload still present")
-                .words()
-        } else {
-            w as usize
-        }
-    }
-
-    /// Materializes entry `e` without consuming it (parallel workers clone
-    /// from the shared plane).
-    fn get(&self, e: u32) -> M
-    where
-        M: Clone,
-    {
-        let s = self.slot[e as usize];
-        if s & POOL_PACKED != 0 {
-            let w = ((s >> POOL_WORDS_SHIFT) & POOL_WORDS_MASK) as u32;
-            let mut r = self.bits.reader_at((s & POOL_PAYLOAD_MASK) as usize);
-            let m = M::unpack(self.word_bits, &mut r).expect("packed payload round-trips");
-            debug_assert_eq!(m.words(), w as usize);
-            m
-        } else {
-            self.native[(s & POOL_PAYLOAD_MASK) as usize]
-                .as_ref()
-                .expect("native payload present")
-                .clone()
-        }
-    }
-
-    /// Moves entry `e` out (sequential delivery drains in place; packed
-    /// entries decode, native entries move without a clone).
+    /// Moves entry `e` out (delivery drains in place; packed entries
+    /// decode, native entries move without a clone).
     fn take(&mut self, e: u32) -> M {
         let s = self.slot[e as usize];
         if s & POOL_PACKED != 0 {
-            let mut r = self.bits.reader_at((s & POOL_PAYLOAD_MASK) as usize);
+            let mut r = self.bits.reader_at((s & !POOL_PACKED) as usize);
             M::unpack(self.word_bits, &mut r).expect("packed payload round-trips")
         } else {
-            self.native[(s & POOL_PAYLOAD_MASK) as usize]
+            self.native[s as usize]
                 .take()
                 .expect("each queued message is taken exactly once")
         }
@@ -714,10 +631,8 @@ impl<M: Words> MailPlane<M> {
 
     /// Ends a round: clears every touched arc's chain head and drops the
     /// round's pool. `O(touched)`, never `O(arcs)`; retains every buffer's
-    /// capacity. After a sequential round the payloads are already taken
-    /// (delivery drains them into inboxes); after a parallel round they
-    /// are still in place (workers clone from the shared plane) and are
-    /// dropped with the pool here.
+    /// capacity. The payloads are already taken: delivery drains them into
+    /// inboxes.
     fn reset(&mut self) {
         for &a in &self.touched {
             let a = a as usize;
@@ -769,12 +684,12 @@ pub struct Simulator<M> {
     /// the start of the delivery round (after the max-rounds check) to
     /// match the reference kernel's observable error ordering.
     pending_overflow: Option<SimError>,
-    /// Sequential delivery scratch: one cache-sized block of inboxes at a
-    /// time, concatenated (see `deliver_sequential`).
-    seq_inbox: Vec<(VertexId, M)>,
-    /// Sequential delivery scratch: end offset of each block recipient's
-    /// slice in `seq_inbox`.
-    seq_bounds: Vec<u32>,
+    /// Delivery scratch: one cache-sized block of inboxes at a time,
+    /// concatenated (see `deliver`).
+    inbox_buf: Vec<(VertexId, M)>,
+    /// Delivery scratch: end offset of each block recipient's
+    /// slice in `inbox_buf`.
+    inbox_bounds: Vec<u32>,
     /// Whether this run has a non-empty fault plan. Cached so the round
     /// loop's fault hooks cost one predictable branch when faults are off.
     fault_mode: bool,
@@ -800,7 +715,8 @@ pub struct Simulator<M> {
     /// vertex (`u32::MAX` = inert bystander). Empty in plain runs — the
     /// flag that keeps every batching branch off the `run` hot path.
     inst_of: Vec<u32>,
-    /// Slot of each vertex within its instance's `members` (batched only).
+    /// Slot of each vertex within its instance's `members` (batched only):
+    /// where its program sits in the instance's `programs`.
     inst_slot: Vec<u32>,
     /// Per-instance metrics accumulated during a batched run.
     inst_metrics: Vec<Metrics>,
@@ -811,136 +727,14 @@ pub struct Simulator<M> {
     inst_tick: Vec<bool>,
     /// Scratch: which instances are live this round.
     inst_live: Vec<bool>,
-    /// Batched runs only: flat program-table index per vertex (`u32::MAX`
-    /// = bystander with no program). Member programs of all instances live
-    /// in one flat table, in merged-vertex order, so the parallel delivery
-    /// path can chunk them contiguously across workers.
-    flat_slot: Vec<u32>,
-    /// Per-worker scratch for the parallel delivery path (one entry per
-    /// worker, capacity retained across rounds and runs).
-    par_scratch: Vec<ParScratch<M>>,
 }
 
-/// Minimum recipients *per worker thread* in a round before an automatic
-/// thread count engages the parallel delivery path; below this, clone-inbox
-/// and fan-out overhead beat the win.
-const PAR_AUTO_MIN_RECIPIENTS_PER_THREAD: usize = 256;
-
-/// Recipients processed per block by the sequential delivery loop: all of a
+/// Recipients processed per block by the delivery loop: all of a
 /// block's inboxes are gathered from the `cur` plane first (a tight scan
 /// over the chain/pool arrays), then its programs step. 256 recipients ×
 /// a budget-bounded handful of small messages keeps the block's working
 /// set inside L2 while amortizing the gather/step mode switch.
-const SEQ_BLOCK: usize = 256;
-
-/// How a run schedules delivery: worker count plus the per-round recipient
-/// floor below which it steps sequentially anyway. Resolved once per run by
-/// [`parallel_plan`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ParallelPlan {
-    /// Worker threads phase A may fan out over (1 = always sequential).
-    pub threads: usize,
-    /// Minimum recipients in a round before the parallel path engages.
-    pub min_recipients: usize,
-}
-
-/// Decides the delivery schedule for one run.
-///
-/// * An **explicit** [`SimConfig::threads`] pin is absolute: the requested
-///   count runs with an engagement floor of 2, so the conformance suites
-///   can force the parallel machinery onto tiny graphs on any host.
-/// * An **automatic** count (`None`: `PLANAR_THREADS` or host parallelism,
-///   already resolved to `resolved` by [`crate::pool::kernel_threads`]) is
-///   capped at `cores` ([`crate::pool::available_cores`]) and engages only
-///   with [`PAR_AUTO_MIN_RECIPIENTS_PER_THREAD`] recipients of per-round
-///   work *per worker*. On a host without real parallelism the parallel
-///   path is pure overhead — phase A clones every inbox and phase B
-///   replays every send, all on one core — which is exactly the n≈100k
-///   `threads=4` regression BENCH_kernel.json recorded; auto mode now
-///   never selects it.
-///
-/// Outcomes are bit-identical either way; the plan only affects wall time.
-pub fn parallel_plan(explicit: Option<usize>, resolved: usize, cores: usize) -> ParallelPlan {
-    if explicit.is_some() {
-        return ParallelPlan {
-            threads: resolved,
-            min_recipients: 2,
-        };
-    }
-    let threads = resolved.min(cores.max(1));
-    if threads <= 1 {
-        ParallelPlan {
-            threads: 1,
-            min_recipients: usize::MAX,
-        }
-    } else {
-        ParallelPlan {
-            threads,
-            min_recipients: threads * PAR_AUTO_MIN_RECIPIENTS_PER_THREAD,
-        }
-    }
-}
-
-/// Per-worker scratch for one parallel delivery phase: everything a worker
-/// computes in phase A, replayed sequentially in phase B (see the module
-/// docs). Buffers are retained across rounds.
-struct ParScratch<M> {
-    /// Indices into the round's shared recipient list owned by this
-    /// worker's shard, in recipient-list order. Filled by the main thread
-    /// before fan-out, so a worker visits exactly its own recipients
-    /// instead of scanning (and re-deriving shard ownership for) the whole
-    /// list — the old `O(workers × recipients)` scan.
-    bucket: Vec<u32>,
-    /// One record per recipient this worker handled, in the order the
-    /// worker encountered them — i.e. recipient-list order restricted to
-    /// this worker's shard.
-    recs: Vec<ParRec>,
-    /// Resolved sends of all this worker's recipients, concatenated in
-    /// step order. `Option` so the replay can move each message out
-    /// without shifting the buffer.
-    resolved: Vec<Option<(u32, VertexId, M)>>,
-    /// Per-worker inbox assembled for one recipient at a time (the
-    /// parallel counterpart of `Simulator::inbox`).
-    inbox: Vec<(VertexId, M)>,
-    /// Replay cursor into `recs`.
-    rec_cursor: usize,
-}
-
-/// One recipient's phase-A outcome: where its resolved sends end in the
-/// worker's `resolved` buffer, and the validation error (if any) that
-/// sequential execution would have hit while recording its sends.
-struct ParRec {
-    /// Recipient's index in the round's shared recipient list.
-    r: u32,
-    /// End of this recipient's sends in `resolved` (starts where the
-    /// previous record ended).
-    resolved_end: u32,
-    /// Validation error to surface after this recipient's surviving sends
-    /// are queued — matching the sequential path, which queues a sender's
-    /// earlier messages before erroring on a later one.
-    err: Option<SimError>,
-}
-
-impl<M> ParScratch<M> {
-    fn new() -> Self {
-        ParScratch {
-            bucket: Vec::new(),
-            recs: Vec::new(),
-            resolved: Vec::new(),
-            inbox: Vec::new(),
-            rec_cursor: 0,
-        }
-    }
-
-    /// Clears logical state for a fresh delivery phase, keeping capacity.
-    fn begin(&mut self) {
-        self.bucket.clear();
-        self.recs.clear();
-        self.resolved.clear();
-        self.inbox.clear();
-        self.rec_cursor = 0;
-    }
-}
+const DELIVER_BLOCK: usize = 256;
 
 /// A message held back by a delay fault until `round`.
 struct DelayedMsg<M> {
@@ -966,8 +760,8 @@ impl<M: Words + Clone> Simulator<M> {
             sender_epoch: 0,
             recipient_round: Vec::new(),
             pending_overflow: None,
-            seq_inbox: Vec::new(),
-            seq_bounds: Vec::new(),
+            inbox_buf: Vec::new(),
+            inbox_bounds: Vec::new(),
             fault_mode: false,
             crashed_at: Vec::new(),
             att_words: Vec::new(),
@@ -981,8 +775,6 @@ impl<M: Words + Clone> Simulator<M> {
             inst_delayed: Vec::new(),
             inst_tick: Vec::new(),
             inst_live: Vec::new(),
-            flat_slot: Vec::new(),
-            par_scratch: Vec::new(),
         }
     }
 
@@ -1002,8 +794,8 @@ impl<M: Words + Clone> Simulator<M> {
         self.recipient_round.clear();
         self.recipient_round.resize(n, usize::MAX);
         self.pending_overflow = None;
-        self.seq_inbox.clear();
-        self.seq_bounds.clear();
+        self.inbox_buf.clear();
+        self.inbox_bounds.clear();
         self.delayed.clear();
         self.att_dirty.clear();
         // Leaving a previous batch's instance table in place would drag a
@@ -1015,10 +807,6 @@ impl<M: Words + Clone> Simulator<M> {
         self.inst_delayed.clear();
         self.inst_tick.clear();
         self.inst_live.clear();
-        self.flat_slot.clear();
-        for s in &mut self.par_scratch {
-            s.begin();
-        }
         self.fault_mode = !cfg.faults.is_empty();
         if self.fault_mode {
             self.crashed_at.clear();
@@ -1054,24 +842,13 @@ impl<M: Words + Clone> Simulator<M> {
             + self.crashed_at.capacity() * 8
             + self.ran_round.capacity() * 8
             + self.inst_of.capacity() * 4
-            + self.inst_slot.capacity() * 4
-            + self.flat_slot.capacity() * 4;
+            + self.inst_slot.capacity() * 4;
         let fault = self.att_words.capacity() * 8
             + self.att_seq.capacity() * 4
             + self.att_dirty.capacity() * 4
             + self.delayed.capacity() * std::mem::size_of::<DelayedMsg<M>>();
-        let scratch = self.seq_inbox.capacity() * std::mem::size_of::<(VertexId, M)>()
-            + self.seq_bounds.capacity() * 4
-            + self
-                .par_scratch
-                .iter()
-                .map(|s| {
-                    s.bucket.capacity() * 4
-                        + s.recs.capacity() * std::mem::size_of::<ParRec>()
-                        + s.resolved.capacity() * std::mem::size_of::<Option<(u32, VertexId, M)>>()
-                        + s.inbox.capacity() * std::mem::size_of::<(VertexId, M)>()
-                })
-                .sum::<usize>();
+        let scratch = self.inbox_buf.capacity() * std::mem::size_of::<(VertexId, M)>()
+            + self.inbox_bounds.capacity() * 4;
         self.cur.memory_bytes() + self.nxt.memory_bytes() + per_vertex + fault + scratch
     }
 
@@ -1142,10 +919,8 @@ impl<M: Words + Clone> Simulator<M> {
 
     /// Queues one validated message from `from` on arc `a` to `dest`: trace
     /// emission, budget accounting, overflow detection and (in fault mode)
-    /// fate resolution. The single queueing authority shared by the
-    /// sequential path ([`Simulator::record_sends`]) and the parallel
-    /// replay ([`Simulator::replay_shards`]) — bit-identical effects by
-    /// construction.
+    /// fate resolution. Called by [`Simulator::record_sends`] once the
+    /// destination is validated.
     #[allow(clippy::too_many_arguments)]
     fn queue_resolved(
         &mut self,
@@ -1357,213 +1132,8 @@ impl<M: Words + Clone> Simulator<M> {
         Ok(())
     }
 
-    /// One round of parallel delivery (see the module docs): phase A fans
-    /// recipient stepping out over `threads` workers on contiguous chunks
-    /// of `progs` (chunk size `ceil(len / threads)`, so a vertex's owner
-    /// is a pure function of the layout), phase B replays the buffered
-    /// sends sequentially in recipient order. `progs` is the flat program
-    /// table — `Vec<P>` indexed by vertex for solo runs, `Vec<Option<P>>`
-    /// indexed by `flat_slot` for batched runs — with `step` abstracting
-    /// the `on_round` dispatch between the two.
-    ///
-    /// Bit-identical to the sequential delivery loop at every thread
-    /// count; leaves `cur`'s queues intact for [`MailPlane::reset`].
-    #[allow(clippy::too_many_arguments)]
-    fn deliver_parallel<T, F>(
-        &mut self,
-        g: &Graph,
-        idx: &ArcIndex,
-        cfg: &SimConfig,
-        round: usize,
-        threads: usize,
-        progs: &mut [T],
-        step: &F,
-        metrics: &mut Metrics,
-    ) -> Result<(), SimError>
-    where
-        M: Send + Sync,
-        T: Send,
-        F: Fn(&mut T, &NodeCtx<'_>, &[(VertexId, M)]) -> Vec<(VertexId, M)> + Sync,
-    {
-        let chunk = progs.len().div_ceil(threads).max(1);
-        let shard_count = progs.len().div_ceil(chunk);
-        if self.par_scratch.len() < shard_count {
-            self.par_scratch.resize_with(shard_count, ParScratch::new);
-        }
-        // Bucket the recipient list by owning shard up front (one O(n)
-        // pass on the main thread), so each worker visits exactly its own
-        // recipients instead of every worker rescanning the full list.
-        for s in &mut self.par_scratch {
-            s.begin();
-        }
-        for (r, &v) in self.cur.recipients.iter().enumerate() {
-            let fi = if self.flat_slot.is_empty() {
-                v.index()
-            } else {
-                self.flat_slot[v.index()] as usize
-            };
-            self.par_scratch[fi / chunk].bucket.push(r as u32);
-        }
-
-        // Phase A: parallel, pure compute. Workers read the `cur` plane and
-        // the instance tables through shared references and mutate only
-        // their own program chunk and scratch.
-        {
-            let Simulator {
-                cur,
-                par_scratch,
-                inst_of,
-                flat_slot,
-                ..
-            } = &mut *self;
-            let cur = &*cur;
-            let inst_of = &*inst_of;
-            let flat_slot = &*flat_slot;
-            let mut shards: Vec<(&mut ParScratch<M>, &mut [T])> = par_scratch
-                .iter_mut()
-                .zip(progs.chunks_mut(chunk))
-                .collect();
-            crate::pool::fan_out_mut(&mut shards, |w, shard| {
-                let (scratch, slice) = shard;
-                let scratch: &mut ParScratch<M> = scratch;
-                let slice: &mut [T] = slice;
-                let lo = w * chunk;
-                for i in 0..scratch.bucket.len() {
-                    let r = scratch.bucket[i] as usize;
-                    let v = cur.recipients[r];
-                    let fi = if flat_slot.is_empty() {
-                        v.index()
-                    } else {
-                        flat_slot[v.index()] as usize
-                    };
-                    // Clone the inbox from the shared plane — same content
-                    // and order as the sequential path's draining takes
-                    // (in-arcs in slot order, chain order per arc).
-                    scratch.inbox.clear();
-                    for (_, a, from) in idx.out_arcs(v) {
-                        let b = idx.rev(a).index();
-                        let mut e = cur.head[b];
-                        while e != NIL {
-                            scratch.inbox.push((from, cur.pool.get(e)));
-                            e = cur.pool.next[e as usize];
-                        }
-                    }
-                    let ctx = NodeCtx {
-                        id: v,
-                        neighbors: g.neighbors(v),
-                        round,
-                    };
-                    let out = step(&mut slice[fi - lo], &ctx, &scratch.inbox);
-                    // Resolve each send to its arc id; same validation and
-                    // precedence as the sequential slot stamp. Sends before
-                    // a validation error are kept (the sequential path
-                    // queues them before erroring); anything after it is
-                    // discarded unobserved.
-                    let mut err = None;
-                    for (dest, msg) in out {
-                        match idx.arc(v, dest) {
-                            Some(a) => {
-                                if !inst_of.is_empty()
-                                    && inst_of[dest.index()] != inst_of[v.index()]
-                                {
-                                    err = Some(SimError::CrossInstanceSend {
-                                        from: v,
-                                        to: dest,
-                                        round,
-                                    });
-                                    break;
-                                }
-                                scratch.resolved.push(Some((a.index() as u32, dest, msg)));
-                            }
-                            None => {
-                                err = Some(SimError::InvalidDestination { from: v, to: dest });
-                                break;
-                            }
-                        }
-                    }
-                    scratch.recs.push(ParRec {
-                        r: r as u32,
-                        resolved_end: scratch.resolved.len() as u32,
-                        err,
-                    });
-                }
-            });
-        }
-
-        // Phase B: sequential replay in canonical recipient order.
-        let mut scratches = std::mem::take(&mut self.par_scratch);
-        let result = self.replay_shards(idx, cfg, round, chunk, &mut scratches, metrics);
-        self.par_scratch = scratches;
-        result
-    }
-
-    /// Phase B of [`Simulator::deliver_parallel`]: walks the recipient
-    /// list in its original order, emits each recipient's `Deliver` events
-    /// from the still-intact `cur` plane, then pushes its buffered sends
-    /// through [`Simulator::queue_resolved`] — the exact sequence of
-    /// shared-state effects (trace, budgets, fates, metrics, errors) the
-    /// sequential loop produces.
-    fn replay_shards(
-        &mut self,
-        idx: &ArcIndex,
-        cfg: &SimConfig,
-        round: usize,
-        chunk: usize,
-        scratches: &mut [ParScratch<M>],
-        metrics: &mut Metrics,
-    ) -> Result<(), SimError> {
-        let tracing = cfg.trace.is_on();
-        for r in 0..self.cur.recipients.len() {
-            let v = self.cur.recipients[r];
-            let fi = if self.flat_slot.is_empty() {
-                v.index()
-            } else {
-                self.flat_slot[v.index()] as usize
-            };
-            let w = fi / chunk;
-            let (start, end, err) = {
-                let scratch = &mut scratches[w];
-                let at = scratch.rec_cursor;
-                scratch.rec_cursor += 1;
-                let start = if at == 0 {
-                    0
-                } else {
-                    scratch.recs[at - 1].resolved_end as usize
-                };
-                let rec = &mut scratch.recs[at];
-                debug_assert_eq!(rec.r as usize, r, "shard replay out of sync");
-                (start, rec.resolved_end as usize, rec.err.take())
-            };
-            if tracing {
-                for (_, a, from) in idx.out_arcs(v) {
-                    let b = idx.rev(a).index();
-                    let mut e = self.cur.head[b];
-                    while e != NIL {
-                        cfg.trace.emit(TraceEvent::Deliver {
-                            round,
-                            from,
-                            to: v,
-                            words: self.cur.pool.words_of(e),
-                        });
-                        e = self.cur.pool.next[e as usize];
-                    }
-                }
-            }
-            for i in start..end {
-                let (a, dest, msg) = scratches[w].resolved[i]
-                    .take()
-                    .expect("each resolved send is replayed exactly once");
-                self.queue_resolved(cfg, v, a as usize, dest, round, msg, metrics)?;
-            }
-            if let Some(e) = err {
-                return Err(e);
-            }
-        }
-        Ok(())
-    }
-
-    /// One round of sequential delivery, blocked over cache-sized recipient
-    /// chunks ([`SEQ_BLOCK`]): for each block, first *gather* every
+    /// One round of delivery, blocked over cache-sized recipient
+    /// chunks ([`DELIVER_BLOCK`]): for each block, first *gather* every
     /// recipient's inbox out of the `cur` plane into one contiguous scratch
     /// buffer (a tight pass over the chain heads and the message pool —
     /// the cache-hostile part of the round), then *step* the block's
@@ -1571,29 +1141,29 @@ impl<M: Words + Clone> Simulator<M> {
     /// `nxt` plane, never `cur`, so gathering a block ahead of stepping it
     /// is invisible to programs; `Deliver` trace events are emitted at
     /// step time, so the event stream interleaves exactly like an
-    /// unblocked loop. `progs`/`step` abstract solo vs batched dispatch as
-    /// in [`Simulator::deliver_parallel`].
-    #[allow(clippy::too_many_arguments)]
-    fn deliver_sequential<T, F>(
+    /// unblocked loop. `step(instance, slot, ctx, inbox)` runs the
+    /// recipient's `on_round`: a plain run passes instance 0 and the
+    /// vertex index as the slot, a batched run the vertex's `inst_of` and
+    /// `inst_slot` entries.
+    fn deliver<F>(
         &mut self,
         g: &Graph,
         idx: &ArcIndex,
         cfg: &SimConfig,
         round: usize,
-        progs: &mut [T],
-        step: &F,
+        mut step: F,
         metrics: &mut Metrics,
     ) -> Result<(), SimError>
     where
-        F: Fn(&mut T, &NodeCtx<'_>, &[(VertexId, M)]) -> Vec<(VertexId, M)>,
+        F: FnMut(usize, usize, &NodeCtx<'_>, &[(VertexId, M)]) -> Vec<(VertexId, M)>,
     {
         let tracing = cfg.trace.is_on();
         let nrec = self.cur.recipients.len();
-        let mut inboxes = std::mem::take(&mut self.seq_inbox);
-        let mut bounds = std::mem::take(&mut self.seq_bounds);
+        let mut inboxes = std::mem::take(&mut self.inbox_buf);
+        let mut bounds = std::mem::take(&mut self.inbox_bounds);
         let mut result = Ok(());
-        'blocks: for lo in (0..nrec).step_by(SEQ_BLOCK) {
-            let hi = (lo + SEQ_BLOCK).min(nrec);
+        'blocks: for lo in (0..nrec).step_by(DELIVER_BLOCK) {
+            let hi = (lo + DELIVER_BLOCK).min(nrec);
             inboxes.clear();
             bounds.clear();
             for r in lo..hi {
@@ -1629,25 +1199,28 @@ impl<M: Words + Clone> Simulator<M> {
                         });
                     }
                 }
-                let fi = if self.flat_slot.is_empty() {
-                    v.index()
+                let (inst, slot) = if self.inst_of.is_empty() {
+                    (0, v.index())
                 } else {
-                    self.flat_slot[v.index()] as usize
+                    (
+                        self.inst_of[v.index()] as usize,
+                        self.inst_slot[v.index()] as usize,
+                    )
                 };
                 let ctx = NodeCtx {
                     id: v,
                     neighbors: g.neighbors(v),
                     round,
                 };
-                let out = step(&mut progs[fi], &ctx, inbox);
+                let out = step(inst, slot, &ctx, inbox);
                 if let Err(e) = self.record_sends(idx, cfg, v, round, out, metrics) {
                     result = Err(e);
                     break 'blocks;
                 }
             }
         }
-        self.seq_inbox = inboxes;
-        self.seq_bounds = bounds;
+        self.inbox_buf = inboxes;
+        self.inbox_bounds = bounds;
         result
     }
 
@@ -1662,15 +1235,12 @@ impl<M: Words + Clone> Simulator<M> {
     /// # Panics
     ///
     /// Panics if `programs.len() != g.vertex_count()`.
-    pub fn run<P: NodeProgram<Msg = M> + Send>(
+    pub fn run<P: NodeProgram<Msg = M>>(
         &mut self,
         g: &Graph,
         programs: Vec<P>,
         cfg: &SimConfig,
-    ) -> Result<SimOutcome<P>, SimError>
-    where
-        M: Send + Sync,
-    {
+    ) -> Result<SimOutcome<P>, SimError> {
         let idx = g.arc_index();
         self.run_with_index(g, &idx, programs, cfg)
     }
@@ -1687,16 +1257,13 @@ impl<M: Words + Clone> Simulator<M> {
     ///
     /// Panics if `programs.len() != g.vertex_count()` or if `idx` was not
     /// built from `g`.
-    pub fn run_with_index<P: NodeProgram<Msg = M> + Send>(
+    pub fn run_with_index<P: NodeProgram<Msg = M>>(
         &mut self,
         g: &Graph,
         idx: &ArcIndex,
         mut programs: Vec<P>,
         cfg: &SimConfig,
-    ) -> Result<SimOutcome<P>, SimError>
-    where
-        M: Send + Sync,
-    {
+    ) -> Result<SimOutcome<P>, SimError> {
         assert_eq!(
             programs.len(),
             g.vertex_count(),
@@ -1748,13 +1315,6 @@ impl<M: Words + Clone> Simulator<M> {
                 .iter()
                 .enumerate()
                 .any(|(i, p)| kernel.crashed_at[i] > 1 && p.wants_tick());
-
-        // Delivery schedule (see [`parallel_plan`]): resolved once per run.
-        let plan = parallel_plan(
-            cfg.threads,
-            crate::pool::kernel_threads(cfg.threads),
-            crate::pool::available_cores(),
-        );
 
         let mut round = 0usize;
         loop {
@@ -1840,30 +1400,14 @@ impl<M: Words + Clone> Simulator<M> {
 
             // Deliver and run recipients in first-delivery order (outcome
             // independent of this order; see module docs).
-            let step =
-                |p: &mut P, ctx: &NodeCtx<'_>, inbox: &[(VertexId, M)]| p.on_round(ctx, inbox);
-            if plan.threads > 1 && kernel.cur.recipients.len() >= plan.min_recipients {
-                kernel.deliver_parallel(
-                    g,
-                    idx,
-                    cfg,
-                    round,
-                    plan.threads,
-                    &mut programs,
-                    &step,
-                    &mut metrics,
-                )?;
-            } else {
-                kernel.deliver_sequential(
-                    g,
-                    idx,
-                    cfg,
-                    round,
-                    &mut programs,
-                    &step,
-                    &mut metrics,
-                )?;
-            }
+            kernel.deliver(
+                g,
+                idx,
+                cfg,
+                round,
+                |_, i, ctx, inbox| programs[i].on_round(ctx, inbox),
+                &mut metrics,
+            )?;
             if kernel.fault_mode {
                 // Timer ticks: live non-recipients that asked for empty-inbox
                 // wakeups (ascending vertex id, matching the reference).
@@ -1943,15 +1487,12 @@ impl<M: Words + Clone> Simulator<M> {
     /// # Panics
     ///
     /// Panics if instances overlap or name vertices outside `g`.
-    pub fn run_many<P: NodeProgram<Msg = M> + Send>(
+    pub fn run_many<P: NodeProgram<Msg = M>>(
         &mut self,
         g: &Graph,
         instances: Vec<Instance<P>>,
         cfg: &SimConfig,
-    ) -> Result<MultiOutcome<P>, SimError>
-    where
-        M: Send + Sync,
-    {
+    ) -> Result<MultiOutcome<P>, SimError> {
         let idx = g.arc_index();
         self.run_many_with_index(g, &idx, instances, cfg)
     }
@@ -1967,16 +1508,13 @@ impl<M: Words + Clone> Simulator<M> {
     ///
     /// Panics like [`Simulator::run_many`], or if `idx` was not built from
     /// `g`.
-    pub fn run_many_with_index<P: NodeProgram<Msg = M> + Send>(
+    pub fn run_many_with_index<P: NodeProgram<Msg = M>>(
         &mut self,
         g: &Graph,
         idx: &ArcIndex,
         mut instances: Vec<Instance<P>>,
         cfg: &SimConfig,
-    ) -> Result<MultiOutcome<P>, SimError>
-    where
-        M: Send + Sync,
-    {
+    ) -> Result<MultiOutcome<P>, SimError> {
         let n = g.vertex_count();
         assert_eq!(
             idx.arc_count(),
@@ -2006,27 +1544,6 @@ impl<M: Words + Clone> Simulator<M> {
         kernel.inst_delayed.resize(k, 0);
         kernel.inst_tick.resize(k, false);
         kernel.inst_live.resize(k, false);
-        // Flatten every instance's programs into one table in ascending
-        // vertex order, addressed through `flat_slot` (`u32::MAX` =
-        // bystander): the parallel delivery path chunks this table
-        // contiguously across workers, and a batched level's members are
-        // scattered across instances, so per-instance `Vec`s could not be
-        // sharded evenly. Programs are reclaimed per instance at the end.
-        let total: usize = instances.iter().map(|inst| inst.members.len()).sum();
-        kernel.flat_slot.resize(n, u32::MAX);
-        let mut flat: Vec<Option<P>> = Vec::with_capacity(total);
-        for v in 0..n {
-            if kernel.inst_of[v] != u32::MAX {
-                kernel.flat_slot[v] = flat.len() as u32;
-                flat.push(None);
-            }
-        }
-        for inst in instances.iter_mut() {
-            for (slot, p) in inst.programs.drain(..).enumerate() {
-                let v = inst.members[slot];
-                flat[kernel.flat_slot[v.index()] as usize] = Some(p);
-            }
-        }
         let tracing = cfg.trace.is_on();
         if tracing {
             cfg.trace.emit(TraceEvent::RunStart {
@@ -2052,9 +1569,9 @@ impl<M: Words + Clone> Simulator<M> {
         }
 
         // Init phase (round 0): only instance members run programs, in
-        // instance-major member order (same as before flattening).
-        for inst in instances.iter() {
-            for &v in &inst.members {
+        // instance-major member order.
+        for inst in instances.iter_mut() {
+            for (&v, program) in inst.members.iter().zip(&mut inst.programs) {
                 if kernel.fault_mode && kernel.crashed_at[v.index()] == 0 {
                     continue;
                 }
@@ -2063,33 +1580,21 @@ impl<M: Words + Clone> Simulator<M> {
                     neighbors: g.neighbors(v),
                     round: 0,
                 };
-                let out = flat[kernel.flat_slot[v.index()] as usize]
-                    .as_mut()
-                    .expect("member program")
-                    .init(&ctx);
+                let out = program.init(&ctx);
                 kernel.record_sends(idx, cfg, v, 0, out, &mut metrics)?;
             }
         }
         let mut tick_pending = false;
         if kernel.fault_mode {
             for (i, inst) in instances.iter().enumerate() {
-                kernel.inst_tick[i] = inst.members.iter().any(|&v| {
-                    kernel.crashed_at[v.index()] > 1
-                        && flat[kernel.flat_slot[v.index()] as usize]
-                            .as_ref()
-                            .expect("member program")
-                            .wants_tick()
-                });
+                kernel.inst_tick[i] = inst
+                    .members
+                    .iter()
+                    .zip(&inst.programs)
+                    .any(|(&v, p)| kernel.crashed_at[v.index()] > 1 && p.wants_tick());
                 tick_pending |= kernel.inst_tick[i];
             }
         }
-
-        // Delivery schedule, as in [`Simulator::run_with_index`].
-        let plan = parallel_plan(
-            cfg.threads,
-            crate::pool::kernel_threads(cfg.threads),
-            crate::pool::available_cores(),
-        );
 
         let mut round = 0usize;
         loop {
@@ -2190,23 +1695,14 @@ impl<M: Words + Clone> Simulator<M> {
             metrics.messages += kernel.cur.msg_count;
             metrics.words += round_words;
 
-            let step = |p: &mut Option<P>, ctx: &NodeCtx<'_>, inbox: &[(VertexId, M)]| {
-                p.as_mut().expect("member program").on_round(ctx, inbox)
-            };
-            if plan.threads > 1 && kernel.cur.recipients.len() >= plan.min_recipients {
-                kernel.deliver_parallel(
-                    g,
-                    idx,
-                    cfg,
-                    round,
-                    plan.threads,
-                    &mut flat,
-                    &step,
-                    &mut metrics,
-                )?;
-            } else {
-                kernel.deliver_sequential(g, idx, cfg, round, &mut flat, &step, &mut metrics)?;
-            }
+            kernel.deliver(
+                g,
+                idx,
+                cfg,
+                round,
+                |inst, slot, ctx, inbox| instances[inst].programs[slot].on_round(ctx, inbox),
+                &mut metrics,
+            )?;
             if kernel.fault_mode {
                 for &v in &kernel.cur.recipients {
                     kernel.ran_round[v.index()] = round;
@@ -2214,12 +1710,11 @@ impl<M: Words + Clone> Simulator<M> {
                 // Timer ticks, ascending vertex id within each instance
                 // (instances are independent, so inter-instance order
                 // cannot influence outcomes).
-                for inst in instances.iter() {
-                    for &v in &inst.members {
-                        let fi = kernel.flat_slot[v.index()] as usize;
+                for inst in instances.iter_mut() {
+                    for (&v, program) in inst.members.iter().zip(&mut inst.programs) {
                         if kernel.ran_round[v.index()] == round
                             || kernel.crashed_at[v.index()] <= round
-                            || !flat[fi].as_ref().expect("member program").wants_tick()
+                            || !program.wants_tick()
                         {
                             continue;
                         }
@@ -2228,22 +1723,16 @@ impl<M: Words + Clone> Simulator<M> {
                             neighbors: g.neighbors(v),
                             round,
                         };
-                        let out = flat[fi]
-                            .as_mut()
-                            .expect("member program")
-                            .on_round(&ctx, &[]);
+                        let out = program.on_round(&ctx, &[]);
                         kernel.record_sends(idx, cfg, v, round, out, &mut metrics)?;
                     }
                 }
                 tick_pending = false;
                 for (i, inst) in instances.iter().enumerate() {
-                    kernel.inst_tick[i] = inst.members.iter().any(|&v| {
-                        kernel.crashed_at[v.index()] > round + 1
-                            && flat[kernel.flat_slot[v.index()] as usize]
-                                .as_ref()
-                                .expect("member program")
-                                .wants_tick()
-                    });
+                    kernel.inst_tick[i] =
+                        inst.members.iter().zip(&inst.programs).any(|(&v, p)| {
+                            kernel.crashed_at[v.index()] > round + 1 && p.wants_tick()
+                        });
                     tick_pending |= kernel.inst_tick[i];
                 }
             }
@@ -2282,15 +1771,7 @@ impl<M: Words + Clone> Simulator<M> {
             .into_iter()
             .enumerate()
             .map(|(i, inst)| InstanceOutcome {
-                programs: inst
-                    .members
-                    .iter()
-                    .map(|&v| {
-                        flat[kernel.flat_slot[v.index()] as usize]
-                            .take()
-                            .expect("each member program is reclaimed exactly once")
-                    })
-                    .collect(),
+                programs: inst.programs,
                 members: inst.members,
                 metrics: kernel.inst_metrics[i],
             })
@@ -2320,14 +1801,11 @@ impl<M: Words + Clone> Default for Simulator<M> {
 /// # Panics
 ///
 /// Panics if `programs.len() != g.vertex_count()`.
-pub fn run<P: NodeProgram + Send>(
+pub fn run<P: NodeProgram>(
     g: &Graph,
     programs: Vec<P>,
     cfg: &SimConfig,
-) -> Result<SimOutcome<P>, SimError>
-where
-    P::Msg: Send + Sync,
-{
+) -> Result<SimOutcome<P>, SimError> {
     Simulator::new().run(g, programs, cfg)
 }
 
@@ -2341,14 +1819,11 @@ where
 /// # Panics
 ///
 /// Panics if instances overlap or name vertices outside `g`.
-pub fn run_many<P: NodeProgram + Send>(
+pub fn run_many<P: NodeProgram>(
     g: &Graph,
     instances: Vec<Instance<P>>,
     cfg: &SimConfig,
-) -> Result<MultiOutcome<P>, SimError>
-where
-    P::Msg: Send + Sync,
-{
+) -> Result<MultiOutcome<P>, SimError> {
     Simulator::new().run_many(g, instances, cfg)
 }
 
@@ -2624,42 +2099,5 @@ mod tests {
         }
         let msg = check_capacity(LIMIT, 2).unwrap_err().to_string();
         assert!(msg.contains("u32 index space"), "got: {msg}");
-    }
-
-    /// Engagement planning for the n≈100k regression: an automatically
-    /// resolved thread count never exceeds the host's real cores (a
-    /// single-core host always steps sequentially, whatever
-    /// `PLANAR_THREADS` says), while an explicit `SimConfig::threads` pin
-    /// stays absolute with the floor-2 engagement the conformance suites
-    /// rely on to force the parallel path onto tiny graphs.
-    #[test]
-    fn parallel_plan_gates_auto_threads_on_cores() {
-        // Auto on a single core: sequential, never engages.
-        let p = parallel_plan(None, 4, 1);
-        assert_eq!(
-            p,
-            ParallelPlan {
-                threads: 1,
-                min_recipients: usize::MAX
-            }
-        );
-        // Auto capped at the core count, engagement floor scales per worker.
-        let p = parallel_plan(None, 8, 2);
-        assert_eq!(p.threads, 2);
-        assert_eq!(p.min_recipients, 2 * PAR_AUTO_MIN_RECIPIENTS_PER_THREAD);
-        // Auto below the core count keeps the resolved request.
-        assert_eq!(parallel_plan(None, 2, 16).threads, 2);
-        // Resolved 1 (or degenerate cores=0) is sequential.
-        assert_eq!(parallel_plan(None, 1, 8).threads, 1);
-        assert_eq!(parallel_plan(None, 3, 0).threads, 1);
-        // Explicit pins ignore the core count entirely.
-        let p = parallel_plan(Some(4), 4, 1);
-        assert_eq!(
-            p,
-            ParallelPlan {
-                threads: 4,
-                min_recipients: 2
-            }
-        );
     }
 }

@@ -329,15 +329,12 @@ where
 /// # Panics
 ///
 /// Panics if `programs.len() != g.vertex_count()`.
-pub fn run_reliable<P: NodeProgram + Send>(
+pub fn run_reliable<P: NodeProgram>(
     g: &Graph,
     programs: Vec<P>,
     cfg: &SimConfig,
     rel: &ReliableConfig,
-) -> Result<SimOutcome<P>, SimError>
-where
-    P::Msg: Send + Sync,
-{
+) -> Result<SimOutcome<P>, SimError> {
     let out = run(g, wrap_programs(programs, rel), cfg)?;
     Ok(unwrap_reliable(out, cfg))
 }
@@ -443,15 +440,12 @@ pub fn unwrap_reliable_many<P: NodeProgram>(
 /// # Panics
 ///
 /// Panics if instances overlap or name vertices outside `g`.
-pub fn run_reliable_many<P: NodeProgram + Send>(
+pub fn run_reliable_many<P: NodeProgram>(
     g: &Graph,
     instances: Vec<Instance<P>>,
     cfg: &SimConfig,
     rel: &ReliableConfig,
-) -> Result<MultiOutcome<P>, SimError>
-where
-    P::Msg: Send + Sync,
-{
+) -> Result<MultiOutcome<P>, SimError> {
     let out = run_many(g, wrap_instances(instances, rel), cfg)?;
     Ok(unwrap_reliable_many(out, cfg))
 }

@@ -148,8 +148,8 @@ impl<'g> SimSession<'g> {
     /// Panics if `programs.len()` differs from the graph's vertex count.
     pub fn run<P>(&mut self, programs: Vec<P>, cfg: &SimConfig) -> Result<SimOutcome<P>, SimError>
     where
-        P: NodeProgram + Send,
-        P::Msg: Send + Sync + 'static,
+        P: NodeProgram,
+        P::Msg: 'static,
     {
         let SimSession { g, idx, cache } = self;
         sim_for::<P::Msg>(&mut cache.sims).run_with_index(g, idx, programs, cfg)
@@ -172,8 +172,8 @@ impl<'g> SimSession<'g> {
         cfg: &SimConfig,
     ) -> Result<MultiOutcome<P>, SimError>
     where
-        P: NodeProgram + Send,
-        P::Msg: Send + Sync + 'static,
+        P: NodeProgram,
+        P::Msg: 'static,
     {
         let SimSession { g, idx, cache } = self;
         sim_for::<P::Msg>(&mut cache.sims).run_many_with_index(g, idx, instances, cfg)

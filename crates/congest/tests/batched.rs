@@ -11,8 +11,8 @@
 use congest_sim::protocols::{run_reliable_many, Reliable, ReliableConfig};
 use congest_sim::reference::run_reference_many;
 use congest_sim::{
-    run, run_many, AuditSink, FaultPlan, Instance, MultiOutcome, NodeCtx, NodeProgram, SimConfig,
-    SimError, SimSession, TraceHandle,
+    run, run_many, AuditSink, FaultPlan, Instance, LinkDown, MultiOutcome, NodeCtx, NodeProgram,
+    SimConfig, SimError, SimSession, TraceHandle,
 };
 use planar_graph::{Graph, VertexId};
 
@@ -168,12 +168,28 @@ fn fault_plans() -> Vec<(&'static str, FaultPlan)> {
     let mut crashes = FaultPlan::default();
     crashes.crashes.push((VertexId(5), 3)); // path component
     crashes.crashes.push((VertexId(30), 0)); // star component
+    let mut outage = FaultPlan::default();
+    for (from, to) in [(0, 1), (1, 0)] {
+        outage.link_down.push(LinkDown {
+            from: VertexId(from),
+            to: VertexId(to),
+            start: 2,
+            end: 5,
+        }); // path component
+    }
     let mut everything = FaultPlan::uniform(13, 0.08, 0.05, 0.15, 2);
     everything.crashes.push((VertexId(14), 4)); // grid component
+    everything.link_down.push(LinkDown {
+        from: VertexId(1),
+        to: VertexId(2),
+        start: 1,
+        end: 3,
+    }); // path component
     vec![
         ("drops", drops),
         ("chaos", chaos),
         ("crashes", crashes),
+        ("outage", outage),
         ("everything", everything),
     ]
 }
@@ -187,8 +203,7 @@ fn run_many_pair<P>(
     cfg: &SimConfig,
 ) -> MultiOutcome<P>
 where
-    P: NodeProgram + Clone + PartialEq + std::fmt::Debug + Send,
-    P::Msg: Send + Sync,
+    P: NodeProgram + Clone + PartialEq + std::fmt::Debug,
 {
     let fast_audit = AuditSink::new();
     let mut fast_cfg = cfg.clone();
@@ -234,8 +249,7 @@ fn run_alone<P>(
     cfg: &SimConfig,
 ) -> (Vec<P>, congest_sim::Metrics)
 where
-    P: NodeProgram + Clone + PartialEq + std::fmt::Debug + Send,
-    P::Msg: Send + Sync,
+    P: NodeProgram + Clone + PartialEq + std::fmt::Debug,
 {
     let mut gated: Vec<Gated<P>> = (0..g.vertex_count()).map(|_| Gated(None)).collect();
     for (v, p) in programs {
@@ -304,33 +318,44 @@ fn batched_instances_match_individual_runs() {
     }
 }
 
-/// Same contract for the transcript workload (order witness), plus replay
-/// determinism of the batch itself.
+/// Same contract for the transcript workload (order witness), fault-free
+/// and under every fault plan, plus replay determinism of the batch
+/// itself.
 #[test]
 fn batched_transcripts_match_individual_runs_and_replay() {
     let (g, members) = components();
-    let cfg = SimConfig {
-        faults: FaultPlan::uniform(12, 0.1, 0.1, 0.2, 3),
-        ..SimConfig::default()
-    };
-    let mk = || {
-        members
-            .iter()
-            .map(|m| Instance::new(transcript_for(m)))
-            .collect::<Vec<_>>()
-    };
-    let batch = run_many_pair("transcript/chaos", &g, mk, &cfg);
-    let replay = run_many_pair("transcript/chaos/replay", &g, mk, &cfg);
-    assert_eq!(batch.metrics, replay.metrics, "batched replay diverged");
-    for (a, b) in batch.instances.iter().zip(&replay.instances) {
-        assert_eq!(a.programs, b.programs, "batched replay states diverged");
-        assert_eq!(a.metrics, b.metrics);
-    }
-    for (i, m) in members.iter().enumerate() {
-        let label = format!("transcript/chaos/instance{i}");
-        let (alone_states, alone_metrics) = run_alone(&label, &g, m, transcript_for(m), &cfg);
-        assert_eq!(batch.instances[i].programs, alone_states, "{label}");
-        assert_eq!(batch.instances[i].metrics, alone_metrics, "{label}");
+    let mut plans = vec![("fault_free", FaultPlan::default())];
+    plans.extend(fault_plans());
+    for (plan_name, plan) in plans {
+        let cfg = SimConfig {
+            faults: plan,
+            ..SimConfig::default()
+        };
+        let mk = || {
+            members
+                .iter()
+                .map(|m| Instance::new(transcript_for(m)))
+                .collect::<Vec<_>>()
+        };
+        let batch = run_many_pair(&format!("transcript/{plan_name}"), &g, mk, &cfg);
+        let replay = run_many_pair(&format!("transcript/{plan_name}/replay"), &g, mk, &cfg);
+        assert_eq!(
+            batch.metrics, replay.metrics,
+            "{plan_name}: replay diverged"
+        );
+        for (a, b) in batch.instances.iter().zip(&replay.instances) {
+            assert_eq!(
+                a.programs, b.programs,
+                "{plan_name}: replay states diverged"
+            );
+            assert_eq!(a.metrics, b.metrics);
+        }
+        for (i, m) in members.iter().enumerate() {
+            let label = format!("transcript/{plan_name}/instance{i}");
+            let (alone_states, alone_metrics) = run_alone(&label, &g, m, transcript_for(m), &cfg);
+            assert_eq!(batch.instances[i].programs, alone_states, "{label}");
+            assert_eq!(batch.instances[i].metrics, alone_metrics, "{label}");
+        }
     }
 }
 
@@ -358,7 +383,8 @@ fn single_instance_batch_degenerates_to_a_plain_run() {
 }
 
 /// The reliable wrapper composes with batching: wrapped batched runs match
-/// wrapped individual runs, per-instance retransmissions included.
+/// wrapped individual runs, per-instance retransmissions included, and the
+/// batch's metrics survive the trace auditor's recomputation.
 #[test]
 fn reliable_batches_match_individual_reliable_runs() {
     let (g, members) = components();
@@ -372,7 +398,17 @@ fn reliable_batches_match_individual_reliable_runs() {
         .iter()
         .map(|m| Instance::new(transcript_for(m)))
         .collect::<Vec<_>>();
-    let batch = run_reliable_many(&g, instances, &cfg, &rel).unwrap();
+    let audit = AuditSink::new();
+    let audited = SimConfig {
+        trace: TraceHandle::to(audit.clone()),
+        ..cfg.clone()
+    };
+    let batch = run_reliable_many(&g, instances, &audited, &rel).unwrap();
+    assert!(
+        audit.ok(),
+        "reliable batch trace audit failed: {:?}",
+        audit.report().mismatches
+    );
     let mut sum_retrans = 0usize;
     for (i, m) in members.iter().enumerate() {
         let label = format!("reliable/instance{i}");

@@ -11,8 +11,8 @@
 use congest_sim::protocols::{Reliable, ReliableConfig};
 use congest_sim::reference::run_reference;
 use congest_sim::{
-    run, AuditSink, FaultPlan, LinkDown, Metrics, NodeCtx, NodeProgram, SimConfig, SimError,
-    Simulator, TraceHandle,
+    run, AuditSink, FaultPlan, LinkDown, MemorySink, Metrics, NodeCtx, NodeProgram, SimConfig,
+    SimError, Simulator, TraceEvent, TraceHandle,
 };
 use planar_graph::{Graph, VertexId};
 
@@ -126,15 +126,12 @@ fn transcript_programs(g: &Graph) -> Vec<Transcript> {
         .collect()
 }
 
-fn run_pair<P: NodeProgram + Clone + PartialEq + std::fmt::Debug + Send>(
+fn run_pair<P: NodeProgram + Clone + PartialEq + std::fmt::Debug>(
     name: &str,
     g: &Graph,
     programs: Vec<P>,
     cfg: &SimConfig,
-) -> (Vec<P>, Metrics)
-where
-    P::Msg: Send + Sync,
-{
+) -> (Vec<P>, Metrics) {
     // Both kernels run under the trace auditor: every conformance workload
     // doubles as a check that the reported Metrics survive independent
     // recomputation from the event stream.
@@ -435,6 +432,34 @@ fn watchdog_matches_reference() {
     );
 }
 
+/// Node 0 of a grid sends to all its neighbors and then to a non-neighbor
+/// in round 2, while everyone else keeps traffic flowing: the sends queued
+/// before the bad one must still be recorded (and traced) before the error
+/// fires.
+#[derive(Clone, Debug)]
+struct BadSender;
+
+impl NodeProgram for BadSender {
+    type Msg = u32;
+
+    fn init(&mut self, ctx: &NodeCtx<'_>) -> Vec<(VertexId, u32)> {
+        ctx.neighbors.iter().map(|&w| (w, 1)).collect()
+    }
+
+    fn on_round(&mut self, ctx: &NodeCtx<'_>, _inbox: &[(VertexId, u32)]) -> Vec<(VertexId, u32)> {
+        if ctx.round == 2 && ctx.id == VertexId(0) {
+            let mut out: Vec<(VertexId, u32)> = ctx.neighbors.iter().map(|&w| (w, 9)).collect();
+            out.push((VertexId(u32::MAX - 1), 9));
+            return out;
+        }
+        if ctx.round < 4 {
+            ctx.neighbors.iter().map(|&w| (w, 2)).collect()
+        } else {
+            Vec::new()
+        }
+    }
+}
+
 /// Invalid destinations and the max-rounds guard error identically on both
 /// kernels.
 #[test]
@@ -460,6 +485,36 @@ fn error_surfaces_match_reference() {
         run(&g, vec![Wild; 4], &cfg).unwrap_err(),
         run_reference(&g, vec![Wild; 4], &cfg).unwrap_err(),
     );
+
+    // A mid-run bad send after valid ones: same error, and the same sends
+    // narrated up to it.
+    let g = grid(4, 4, false);
+    let fast_sink = MemorySink::unbounded();
+    let fast_cfg = SimConfig {
+        trace: TraceHandle::to(fast_sink.clone()),
+        ..SimConfig::default()
+    };
+    let slow_sink = MemorySink::unbounded();
+    let slow_cfg = SimConfig {
+        trace: TraceHandle::to(slow_sink.clone()),
+        ..SimConfig::default()
+    };
+    let fast = run(&g, vec![BadSender; 16], &fast_cfg).unwrap_err();
+    let slow = run_reference(&g, vec![BadSender; 16], &slow_cfg).unwrap_err();
+    assert_eq!(fast, slow);
+    assert!(matches!(fast, SimError::InvalidDestination { .. }));
+    let sends = |events: Vec<TraceEvent>| {
+        let mut s: Vec<String> = events
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::Send { .. }))
+            .map(congest_sim::trace::event_json)
+            .collect();
+        s.sort();
+        s
+    };
+    let fast_sends = sends(fast_sink.events());
+    assert!(fast_sends.iter().any(|e| e.contains("\"round\":2")));
+    assert_eq!(fast_sends, sends(slow_sink.events()));
 
     #[derive(Clone, Debug)]
     struct PingPong;

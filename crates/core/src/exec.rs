@@ -252,8 +252,8 @@ impl<'g> ExecutionContext<'g> {
     /// Propagates [`SimError`] exactly as [`congest_sim::run`] does.
     pub fn run_phase<P>(&mut self, programs: Vec<P>) -> Result<SimOutcome<P>, SimError>
     where
-        P: NodeProgram + Send,
-        P::Msg: Send + Sync + 'static,
+        P: NodeProgram,
+        P::Msg: 'static,
     {
         match &self.reliability {
             None => match self.kernel {
@@ -293,8 +293,7 @@ impl<'g> ExecutionContext<'g> {
         programs: Vec<P>,
     ) -> Result<SimOutcome<P>, SimError>
     where
-        P: NodeProgram + Send,
-        P::Msg: Send + Sync,
+        P: NodeProgram,
     {
         match (&self.reliability, self.kernel) {
             (None, Kernel::Fast) => run(g, programs, &self.sim),
@@ -329,8 +328,8 @@ impl<'g> ExecutionContext<'g> {
         instances: Vec<Instance<P>>,
     ) -> Result<MultiOutcome<P>, SimError>
     where
-        P: NodeProgram + Send,
-        P::Msg: Send + Sync + 'static,
+        P: NodeProgram,
+        P::Msg: 'static,
     {
         match &self.reliability {
             None => match self.kernel {

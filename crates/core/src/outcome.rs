@@ -2,8 +2,8 @@
 //! result into a small, comparable lattice of terminal classes.
 //!
 //! The DST harness (`crates/dst`) runs every generated scenario several
-//! times — primary run, kernel-flipped shadow, thread-flipped shadow,
-//! scheduler-flipped shadow — and has to answer two questions per pair:
+//! times — primary run, kernel-flipped shadow, scheduler-flipped shadow —
+//! and has to answer two questions per pair:
 //! *did the runs land in the same class?* and *is that class even allowed
 //! for this scenario?* Matching on [`EmbedError`]'s full structure in every
 //! caller would smear the classification rules across crates; this module
@@ -100,7 +100,7 @@ impl OutcomeClass {
 /// `(surviving_nodes, rounds_used, verified, cause discriminant name)`.
 /// `None` for every non-degraded result.
 ///
-/// Kernel- and thread-flipped shadow runs must agree on *all four* fields
+/// Kernel-flipped shadow runs must agree on *all four* fields
 /// (both kernels replay the identical fault schedule); scheduler-flipped
 /// runs compare everything except `rounds_used` — once a mid-run abort
 /// interleaves instances differently, the two schedulers legitimately

@@ -45,19 +45,6 @@ fn run_audited(
     chaos: bool,
     label: &str,
 ) -> Result<EmbeddingOutcome, EmbedError> {
-    run_audited_threads(g, scheduler, kernel, chaos, 1, label)
-}
-
-/// As [`run_audited`], with the kernel's worker-thread count pinned
-/// (`SimConfig::threads`; the reference kernel ignores it).
-fn run_audited_threads(
-    g: &Graph,
-    scheduler: Scheduler,
-    kernel: Kernel,
-    chaos: bool,
-    threads: usize,
-    label: &str,
-) -> Result<EmbeddingOutcome, EmbedError> {
     let audit = AuditSink::new();
     let cfg = Cfg {
         sim: SimConfig {
@@ -67,7 +54,6 @@ fn run_audited_threads(
                 FaultPlan::default()
             },
             trace: TraceHandle::to(audit.clone()),
-            threads: Some(threads),
             ..SimConfig::default()
         },
         reliability: chaos.then(ReliableConfig::default),
@@ -183,37 +169,6 @@ fn kernels_agree_per_scheduler() {
             let fast = run_audited(&g, scheduler, Kernel::Fast, false, &label);
             let refr = run_audited(&g, scheduler, Kernel::Reference, false, &label);
             assert_conformant(&label, fast, refr);
-        }
-    }
-}
-
-/// Orthogonal axis: the kernel's parallel round execution
-/// (`SimConfig::threads`) must be invisible to the full pipeline —
-/// rotation, metrics, statistics, and certification verdicts are
-/// bit-identical whether the level-sync batches step their nodes on one
-/// worker thread or several, fault-free and under chaos.
-#[test]
-fn level_sync_is_thread_count_invariant() {
-    for (name, g) in [
-        ("grid", gen::grid(5, 5)),
-        ("tri_grid", gen::triangulated_grid(4, 4)),
-        ("random_planar", gen::random_planar(24, 40, 9)),
-    ] {
-        for chaos in [false, true] {
-            for threads in [2, 4] {
-                let label = format!("{name}/chaos={chaos}/threads={threads}");
-                let one =
-                    run_audited_threads(&g, Scheduler::LevelSync, Kernel::Fast, chaos, 1, &label);
-                let par = run_audited_threads(
-                    &g,
-                    Scheduler::LevelSync,
-                    Kernel::Fast,
-                    chaos,
-                    threads,
-                    &label,
-                );
-                assert_conformant(&label, one, par);
-            }
         }
     }
 }

@@ -279,7 +279,6 @@ pub fn scenario_json(sc: &Scenario) -> Json {
         ),
         ("kernel", Json::Str(kernel_code(sc.kernel).into())),
         ("scheduler", Json::Str(scheduler_code(sc.scheduler).into())),
-        ("threads", Json::U64(sc.threads as u64)),
         ("certify", Json::Bool(sc.certify)),
         ("churn_deltas", Json::U64(sc.churn_deltas as u64)),
         ("churn_seed", Json::U64(sc.churn_seed)),

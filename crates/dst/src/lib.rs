@@ -3,9 +3,8 @@
 //! Deterministic simulation testing (DST) at swarm scale for the
 //! distributed planar embedder: a single `u64` seed determines a complete
 //! end-to-end scenario — graph family and size, fault-injection schedule,
-//! reliable-delivery wrapper, kernel, scheduler, thread count,
-//! certification — which is run with the trace auditor armed and
-//! shadow-checked against a stack of independent oracles (DESIGN.md §13):
+//! reliable-delivery wrapper, kernel, scheduler, certification — which is
+//! run with the trace auditor armed and shadow-checked against a stack of independent oracles (DESIGN.md §13):
 //!
 //! * the **terminal lattice** — fault-free scenarios must embed, faulty
 //!   ones may gracefully degrade but never fail with an internal error;
@@ -14,8 +13,8 @@
 //! * the **certification oracle** — in-run and independent fault-free
 //!   re-certification must accept every successful embedding;
 //! * **shadow bit-identity** — the same scenario re-run with the kernel
-//!   flipped, the thread count flipped, and the scheduler flipped must
-//!   agree (exactly, exactly, and up to the degraded round tally);
+//!   flipped and the scheduler flipped must agree (exactly, and up to the
+//!   degraded round tally);
 //! * the **churn oracle** — fault-free scenarios may draw a seeded churn
 //!   dimension: the graph is hosted as a tenant of the multi-tenant
 //!   embedding service (`planar-service`) and every delta's incremental
@@ -48,5 +47,5 @@ pub use minimize::{minimize, Minimized, DEFAULT_BUDGET};
 pub use oracle::{
     check_scenario, ChurnSummary, RunSummary, ScenarioReport, Violation, ViolationKind,
 };
-pub use scenario::{Scenario, MAX_N, MIN_N, THREAD_CHOICES};
+pub use scenario::{Scenario, MAX_N, MIN_N};
 pub use swarm::{run_artifact, run_one, run_swarm, SwarmOptions, SwarmReport, SwarmRun};

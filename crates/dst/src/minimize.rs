@@ -14,12 +14,12 @@
 //!    window, each per-link override; zero the duplicate, delay, and drop
 //!    rates;
 //! 3. **Drop configuration dimensions** — certification off, reliability
-//!    off, threads to 1, scheduler to its default, kernel to its default.
+//!    off, scheduler to its default, kernel to its default.
 //!
 //! After any candidate is adopted the list is rebuilt from the smaller
 //! scenario, so graph shrinking gets first refusal again. The process is
 //! deterministic and bounded by a run budget: each reproduction attempt is
-//! one full [`check_scenario`] (itself four embedder runs), so the budget
+//! one full [`check_scenario`] (itself three embedder runs), so the budget
 //! is counted in oracle calls, not embedder runs.
 
 use planar_embedding::{Kernel, Scheduler};
@@ -182,11 +182,6 @@ fn candidates(sc: &Scenario) -> Vec<(String, Scenario)> {
         let mut cand = sc.clone();
         cand.reliability = None;
         out.push(("reliability off".into(), cand));
-    }
-    if sc.threads != 1 {
-        let mut cand = sc.clone();
-        cand.threads = 1;
-        out.push((format!("threads {} -> 1", sc.threads), cand));
     }
     if sc.scheduler != Scheduler::default() {
         let mut cand = sc.clone();

@@ -1,7 +1,7 @@
 //! The oracle stack: everything one scenario run is checked against.
 //!
 //! A single [`check_scenario`] call runs the scenario's primary
-//! configuration plus three shadow configurations, each with the trace
+//! configuration plus two shadow configurations, each with the trace
 //! auditor armed, and cross-examines the results:
 //!
 //! 1. **Trace audit** — every run's kernel-reported [`Metrics`] must
@@ -18,8 +18,8 @@
 //!    iff requested and accepted, and an independent fault-free
 //!    re-certification of the rotation must accept
 //!    ([`ViolationKind::Certification`]).
-//! 5. **Shadow bit-identity** — the kernel-flipped and thread-flipped
-//!    shadows must agree *exactly* (rotation, metrics, stats,
+//! 5. **Shadow bit-identity** — the kernel-flipped shadow must agree
+//!    *exactly* (rotation, metrics, stats,
 //!    certification, full degraded fingerprint); the scheduler-flipped
 //!    shadow must agree exactly on success and on everything except
 //!    `rounds_used` when degraded ([`ViolationKind::Divergence`]). The
@@ -85,7 +85,7 @@ impl ViolationKind {
 pub struct Violation {
     /// Broken contract.
     pub kind: ViolationKind,
-    /// Shadow label (`"kernel-flip"`, `"thread-flip"`, `"scheduler-flip"`)
+    /// Shadow label (`"kernel-flip"` or `"scheduler-flip"`)
     /// or `None` for the primary run.
     pub shadow: Option<&'static str>,
     /// What exactly disagreed.
@@ -189,19 +189,18 @@ fn run_once(
     g: &Graph,
     kernel: Kernel,
     scheduler: Scheduler,
-    threads: usize,
 ) -> (
     Result<EmbeddingOutcome, EmbedError>,
     std::sync::Arc<AuditSink>,
 ) {
     let audit = AuditSink::new();
-    let mut cfg = sc.config(kernel, scheduler, threads);
+    let mut cfg = sc.config(kernel, scheduler);
     cfg.sim.trace = congest_sim::TraceHandle::to(audit.clone());
     (embed_distributed(g, &cfg), audit)
 }
 
 /// Compares two runs of the same scenario. `strict_rounds` is true for
-/// kernel/thread flips (full bit-identity) and false for scheduler flips
+/// kernel flips (full bit-identity) and false for scheduler flips
 /// (degraded runs legitimately charge different partial round tallies).
 /// Returns a description of the first disagreement.
 fn compare_runs(
@@ -254,7 +253,7 @@ fn compare_runs(
     }
 }
 
-/// Runs the full oracle stack over one scenario: primary + three shadows,
+/// Runs the full oracle stack over one scenario: primary + two shadows,
 /// audited, lattice-checked, centrally re-validated, re-certified, and
 /// cross-compared. Deterministic: the same scenario yields the same
 /// report, byte for byte.
@@ -263,7 +262,7 @@ pub fn check_scenario(sc: &Scenario) -> ScenarioReport {
     let n = g.vertex_count();
     let mut violations = Vec::new();
 
-    let (primary, audit) = run_once(sc, &g, sc.kernel, sc.scheduler, sc.threads);
+    let (primary, audit) = run_once(sc, &g, sc.kernel, sc.scheduler);
     audit_check(&audit, None, &mut violations);
 
     // Terminal lattice: the generator guarantees a connected planar input.
@@ -358,7 +357,7 @@ pub fn check_scenario(sc: &Scenario) -> ScenarioReport {
         }
     }
 
-    // Shadow runs. Kernel flip and thread flip demand full bit-identity
+    // Shadow runs. Kernel flip demands full bit-identity
     // (the PR 1/2 conformance contract: states, metrics, and errors equal;
     // fault schedules replay identically on both kernels). Scheduler flip
     // relaxes only the degraded round tally.
@@ -366,19 +365,17 @@ pub fn check_scenario(sc: &Scenario) -> ScenarioReport {
         Kernel::Fast => Kernel::Reference,
         Kernel::Reference => Kernel::Fast,
     };
-    let flip_threads = if sc.threads == 1 { 4 } else { 1 };
     let flip_sched = match sc.scheduler {
         Scheduler::LevelSync => Scheduler::Sequential,
         Scheduler::Sequential => Scheduler::LevelSync,
     };
-    let shadow_plan: [(&'static str, Kernel, Scheduler, usize, bool); 3] = [
-        ("kernel-flip", flip_kernel, sc.scheduler, sc.threads, true),
-        ("thread-flip", sc.kernel, sc.scheduler, flip_threads, true),
-        ("scheduler-flip", sc.kernel, flip_sched, sc.threads, false),
+    let shadow_plan: [(&'static str, Kernel, Scheduler, bool); 2] = [
+        ("kernel-flip", flip_kernel, sc.scheduler, true),
+        ("scheduler-flip", sc.kernel, flip_sched, false),
     ];
     let mut shadows = Vec::with_capacity(shadow_plan.len());
-    for (label, kernel, scheduler, threads, strict) in shadow_plan {
-        let (result, audit) = run_once(sc, &g, kernel, scheduler, threads);
+    for (label, kernel, scheduler, strict) in shadow_plan {
+        let (result, audit) = run_once(sc, &g, kernel, scheduler);
         audit_check(&audit, Some(label), &mut violations);
         if let Some(diff) = compare_runs(&primary, &result, strict) {
             violations.push(Violation {
@@ -422,7 +419,6 @@ fn check_churn(sc: &Scenario, g: &Graph, violations: &mut Vec<Violation>) -> Chu
         oracle: OracleMode::Always,
         ..ServiceConfig::default()
     };
-    cfg.sim.threads = Some(sc.threads);
     cfg.sim.trace = congest_sim::TraceHandle::to(audit.clone());
     let mut svc = ServiceState::new(cfg);
 

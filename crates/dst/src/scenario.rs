@@ -3,7 +3,7 @@
 //!
 //! A [`Scenario`] is the unit of deterministic simulation testing. Every
 //! dimension — graph family and size, fault plan, reliable-delivery
-//! wrapper, kernel, scheduler, thread count, certification — is drawn from
+//! wrapper, kernel, scheduler, certification — is drawn from
 //! sub-seeds derived with the workspace's audited mixer
 //! ([`congest_sim::mix_seed`]), so `Scenario::generate(seed)` is a pure
 //! function: the same seed reproduces the same scenario on any machine,
@@ -42,10 +42,6 @@ const DIM_EXEC: u64 = 6;
 const DIM_CHURN_DRAWS: u64 = 7;
 const DIM_CHURN_SEED: u64 = 8;
 
-/// Thread counts the scenario engine cycles through for the fast kernel's
-/// parallel round execution (`Some(t)` pins, bypassing host detection).
-pub const THREAD_CHOICES: [usize; 3] = [1, 2, 4];
-
 /// One fully-determined end-to-end run configuration.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Scenario {
@@ -67,8 +63,6 @@ pub struct Scenario {
     pub kernel: Kernel,
     /// How the driver walks the recursion.
     pub scheduler: Scheduler,
-    /// Pinned worker-thread count for the fast kernel.
-    pub threads: usize,
     /// Whether the run appends the distributed certification phase.
     pub certify: bool,
     /// Seeded churn deltas applied through the multi-tenant service after
@@ -129,7 +123,9 @@ impl Scenario {
         } else {
             Scheduler::Sequential
         };
-        let threads = THREAD_CHOICES[exec.gen_range(0usize..THREAD_CHOICES.len())];
+        // The retired kernel thread-count dimension: its draw is still
+        // consumed so every seed keeps the scenario it has always named.
+        exec.gen_range(0usize..3);
         let certify = exec.gen_range(0u32..100) < 50;
 
         // Churn is a fault-free-only dimension: the embedding service
@@ -154,7 +150,6 @@ impl Scenario {
             reliability,
             kernel,
             scheduler,
-            threads,
             certify,
             churn_deltas,
             churn_seed,
@@ -184,11 +179,10 @@ impl Scenario {
     /// the given execution overrides (the shadow oracles flip these).
     /// Framework invariant checking stays off — the DST oracles are the
     /// check, and they must observe the production code path.
-    pub fn config(&self, kernel: Kernel, scheduler: Scheduler, threads: usize) -> EmbedderConfig {
+    pub fn config(&self, kernel: Kernel, scheduler: Scheduler) -> EmbedderConfig {
         EmbedderConfig {
             sim: SimConfig {
                 faults: self.faults.clone(),
-                threads: Some(threads),
                 ..SimConfig::default()
             },
             check_invariants: false,
@@ -295,10 +289,6 @@ mod tests {
             sc.faults
                 .validate(g.vertex_count())
                 .unwrap_or_else(|e| panic!("seed {seed}: invalid plan: {e}"));
-            assert!(
-                THREAD_CHOICES.contains(&sc.threads),
-                "seed {seed}: bad thread count"
-            );
             assert!(sc.requested_n <= MAX_N.max(gen::FAMILIES.len()));
         }
     }
@@ -335,12 +325,6 @@ mod tests {
         assert!(scenarios
             .iter()
             .any(|s| !s.faults.link_overrides.is_empty()));
-        for t in THREAD_CHOICES {
-            assert!(
-                scenarios.iter().any(|s| s.threads == t),
-                "threads={t} never drawn"
-            );
-        }
     }
 
     #[test]

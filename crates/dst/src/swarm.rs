@@ -68,14 +68,13 @@ impl SwarmRun {
             )
         };
         format!(
-            "dst seed={:<6} {:<22} n={:<3} faults={} kernel={:<9} sched={:<10} t={} cert={} -> {:<19} {}",
+            "dst seed={:<6} {:<22} n={:<3} faults={} kernel={:<9} sched={:<10} cert={} -> {:<19} {}",
             self.seed,
             sc.family,
             self.report.n,
             u8::from(sc.faulty()),
             crate::artifact::kernel_code(sc.kernel),
             crate::artifact::scheduler_code(sc.scheduler),
-            sc.threads,
             u8::from(sc.certify),
             self.report.primary.class.code(),
             verdict,
@@ -157,7 +156,6 @@ impl SwarmReport {
                         "scheduler",
                         Json::Str(crate::artifact::scheduler_code(sc.scheduler).into()),
                     ),
-                    ("threads", Json::U64(sc.threads as u64)),
                     ("certify", Json::Bool(sc.certify)),
                     ("reliability", Json::Bool(sc.reliability.is_some())),
                     ("class", Json::Str(run.report.primary.class.code().into())),

@@ -16,7 +16,7 @@ fn opts() -> SwarmOptions {
 
 /// The headline robustness claim: every scenario in the block passes
 /// every oracle — trace audit, terminal lattice, centralized
-/// re-validation, certification, and all three shadow bit-identity
+/// re-validation, certification, and both shadow bit-identity
 /// checks.
 #[test]
 fn honest_swarm_has_zero_violations() {
