@@ -39,13 +39,13 @@
 //! and the per-round profile is written to `BENCH_trace.json`. Also not
 //! part of `all`.
 //!
-//! `sched` times the distributed pipeline (`embed_recursion`: setup +
-//! partition/merge recursion — the unit the scheduler controls) under the
-//! level-synchronous scheduler against the sequential oracle (bit-identical
-//! metrics and statistics asserted per cell) over grid and tri-grid
-//! substrates and writes host wall time, speedup, and the simulated round
-//! counts to `BENCH_sched.json`. Also not part of `all`; run it under
-//! `--release` (`--large` extends to n = 100,000).
+//! `sched` times the distributed pipeline (`embed_recursion_with_memory`:
+//! setup + partition/merge recursion — the unit the scheduler controls)
+//! under the level-synchronous scheduler against the sequential oracle
+//! (bit-identical metrics and statistics asserted per cell) over grid and
+//! tri-grid substrates and writes host wall time, speedup, and the
+//! simulated round counts to `BENCH_sched.json`. Also not part of `all`;
+//! run it under `--release` (`--large` extends to n = 100,000).
 //!
 //! `dst` runs the deterministic-simulation-testing swarm (`crates/dst`):
 //! `--swarm <count> --seed <base>` checks `count` seeded scenarios against

@@ -2,7 +2,7 @@
 //! the sequential oracle — the record behind `BENCH_sched.json`.
 //!
 //! For each substrate (`grid`, `tri-grid`) × size, one cell times
-//! [`embed_recursion`] — the distributed pipeline (setup + the
+//! [`embed_recursion_with_memory`] — the distributed pipeline (setup + the
 //! partition/merge recursion), the unit the scheduler actually controls —
 //! under [`Scheduler::Sequential`] (one full-graph kernel invocation per
 //! subproblem phase) and under [`Scheduler::LevelSync`] (all same-level
@@ -18,13 +18,13 @@
 //! count, and `stats.sequential_rounds`, the charged tally) is identical
 //! by construction — the sweep records it once per cell as a cross-check.
 //!
-//! [`embed_recursion`]: planar_embedding::embed_recursion
+//! [`embed_recursion_with_memory`]: planar_embedding::embed_recursion_with_memory
 //! [`Scheduler::Sequential`]: planar_embedding::Scheduler::Sequential
 //! [`Scheduler::LevelSync`]: planar_embedding::Scheduler::LevelSync
 //! [`SimSession`]: congest_sim::SimSession
 
 use congest_sim::Metrics;
-use planar_embedding::{embed_recursion, EmbedderConfig, RecursionStats, Scheduler};
+use planar_embedding::{embed_recursion_with_memory, EmbedderConfig, RecursionStats, Scheduler};
 use planar_lib::gen;
 
 use crate::timing::bench;
@@ -100,7 +100,9 @@ fn iters_for(n: usize) -> usize {
 pub fn sched_cell(family: &'static str, n: usize) -> SchedRow {
     let g = substrate(family, n);
     let run = |scheduler: Scheduler| -> (Metrics, RecursionStats) {
-        embed_recursion(&g, &config(scheduler)).expect("sched cell must embed")
+        let (metrics, stats, _kernel_bytes) =
+            embed_recursion_with_memory(&g, &config(scheduler)).expect("sched cell must embed");
+        (metrics, stats)
     };
     let (seq_metrics, seq_stats) = run(Scheduler::Sequential);
     let (lvl_metrics, lvl_stats) = run(Scheduler::LevelSync);
@@ -145,10 +147,11 @@ pub fn to_json(rows: &[SchedRow]) -> String {
     let mut s = String::from("{\n");
     s.push_str("  \"benchmark\": \"scheduler\",\n");
     s.push_str(
-        "  \"metric\": \"host wall time of the distributed pipeline (embed_recursion: \
-         setup + partition/merge recursion) under the level-synchronous scheduler vs \
-         the sequential oracle; metrics and statistics asserted bit-identical per \
-         cell; simulated rounds are scheduler-independent\",\n",
+        "  \"metric\": \"host wall time of the distributed pipeline \
+         (embed_recursion_with_memory: setup + partition/merge recursion) under \
+         the level-synchronous scheduler vs the sequential oracle; metrics and \
+         statistics asserted bit-identical per cell; simulated rounds are \
+         scheduler-independent\",\n",
     );
     s.push_str("  \"cells\": [\n");
     for (i, r) in rows.iter().enumerate() {

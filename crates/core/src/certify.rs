@@ -128,44 +128,7 @@ pub fn certify_surviving_embedding(
             rotation.vertex_count()
         )));
     }
-    let mut alive = vec![true; n];
-    for &v in crashed {
-        if v.index() < n {
-            alive[v.index()] = false;
-        }
-    }
-    let mut remap = vec![usize::MAX; n];
-    let mut survivors = Vec::new();
-    for v in 0..n {
-        if alive[v] {
-            remap[v] = survivors.len();
-            survivors.push(v);
-        }
-    }
-    let mut edges = Vec::new();
-    for v in g.vertices() {
-        if !alive[v.index()] {
-            continue;
-        }
-        for &w in g.neighbors(v) {
-            if alive[w.index()] && v.0 < w.0 {
-                edges.push((remap[v.index()] as u32, remap[w.index()] as u32));
-            }
-        }
-    }
-    let sub = Graph::from_edges(survivors.len(), edges).map_err(EmbedError::Graph)?;
-    let orders: Vec<Vec<VertexId>> = survivors
-        .iter()
-        .map(|&v| {
-            rotation
-                .order_at(VertexId::from_index(v))
-                .iter()
-                .filter(|w| alive[w.index()])
-                .map(|w| VertexId::from_index(remap[w.index()]))
-                .collect()
-        })
-        .collect();
-    let restricted = RotationSystem::new(&sub, orders).map_err(EmbedError::Graph)?;
+    let (sub, restricted) = crate::verify::surviving_subgraph(g, rotation, crashed)?;
     let clean = EmbedderConfig {
         sim: SimConfig {
             faults: congest_sim::FaultPlan::default(),

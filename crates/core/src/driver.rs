@@ -2,19 +2,28 @@
 //! setup, recursive partitioning, and level-by-level merging, with every
 //! phase's CONGEST cost measured or charged.
 //!
-//! Two schedulers drive the Section 4 recursion (selected by
-//! [`EmbedderConfig::scheduler`]):
+//! Two walkers, one arena, one epilogue. Every driver path runs the same
+//! prologue ([`run_recursion_retained`]: setup, the density guard, one
+//! walk of the Section 4 recursion, the coverage check) and the same
+//! epilogue ([`run_epilogue`]: output rotation, optional certification).
+//! The walk is picked by [`EmbedderConfig::scheduler`], and both walkers
+//! leave the same retained [`RecNode`] arena behind:
 //!
 //! * [`Scheduler::LevelSync`] (the default) is *level-synchronous*: it
 //!   collects every same-level subproblem and partitions all of them in
 //!   one batched kernel invocation ([`partition_level`]) over
 //!   vertex-disjoint instances, then runs all merges bottom-up. Host-side
 //!   cost per level is proportional to the level's total subproblem size.
-//! * [`Scheduler::Sequential`] is the original depth-first recursion, one
+//! * [`Scheduler::Sequential`] is the depth-first recursion, one
 //!   full-graph kernel run per subproblem phase — the conformance oracle.
+//!   Its code is the incremental rebuild walker (`crate::incremental`)
+//!   given no old arena, so nothing is adopted and every node is
+//!   partitioned and merged through the kernel.
 //!
-//! Both produce bit-identical rotations, metrics, statistics and
-//! certification verdicts (`tests/scheduler.rs`); the round tally composes
+//! [`RecursionStats`] is derived from the finished arena in one pass
+//! ([`recursion_stats`]), so the two walkers cannot disagree on it by
+//! construction. Rotations, metrics and certification verdicts are
+//! bit-identical too (`tests/scheduler.rs`): the round tally composes
 //! identically because charging is order-independent and batched
 //! per-instance metrics equal the one-at-a-time runs.
 //!
@@ -30,10 +39,11 @@
 use congest_sim::{Metrics, Phase, SimConfig, SimError};
 use planar_graph::{Graph, RotationSystem, VertexId};
 
+use crate::certify::{certify_embedding, Certification};
 use crate::error::{DegradedCause, EmbedError};
 use crate::exec::ExecutionContext;
 use crate::merge::merge_parts_ctx;
-use crate::partition::{partition_level, partition_subtree_ctx, Partition};
+use crate::partition::{partition_level, Partition};
 use crate::parts::{partition_is_safe, PartState};
 use crate::resilience::auto_watchdog;
 use crate::setup::run_setup_ctx;
@@ -101,7 +111,7 @@ pub struct EmbeddingOutcome {
     /// Distributed certification artifacts (certificates + per-node
     /// verdicts), present iff [`EmbedderConfig::certify`] was set. The
     /// run only succeeds if every node accepted.
-    pub certification: Option<crate::certify::Certification>,
+    pub certification: Option<Certification>,
 }
 
 /// Runs the distributed planar embedding algorithm of Theorem 1.1 on the
@@ -146,13 +156,15 @@ pub fn embed_distributed(g: &Graph, cfg: &EmbedderConfig) -> Result<EmbeddingOut
         hardened.sim.watchdog = Some(auto_watchdog(g.vertex_count()));
     }
     let mut ctx = ExecutionContext::new(g, &hardened);
-    let surviving_nodes = g.vertex_count() - cfg.sim.faults.crash_victims().len();
+    // A fault plan is graph-agnostic: victims outside `g` never crash.
+    let crashed = cfg.sim.faults.crash_victims();
+    let n = g.vertex_count();
+    let surviving_nodes = n - crashed.iter().filter(|v| v.index() < n).count();
     match embed_inner(g, &hardened, &mut ctx) {
         Ok(out) => {
             // Post-run self-verification: in fault mode a "successful" run
             // still only counts if the rotation restricted to the surviving
             // subgraph certifies as planar.
-            let crashed = cfg.sim.faults.crash_victims();
             match verify_surviving_embedding(g, &out.rotation, &crashed) {
                 // If any node actually crash-stopped mid-run, the result
                 // covers only the survivors — report it as a (verified)
@@ -226,135 +238,119 @@ pub fn embed_distributed(g: &Graph, cfg: &EmbedderConfig) -> Result<EmbeddingOut
     }
 }
 
-/// The distributed pipeline shared by [`embed_distributed`] and
-/// [`embed_recursion`]: setup, the density guard, and the scheduled
-/// partition/merge recursion. Returns the merged top-level part, the
-/// parallel-composed metrics (setup included), and the recursion
-/// statistics with `depth` stamped; the sequential-tally stamps are left
-/// to the caller, whose epilogue may still charge rounds.
-fn run_recursion(
-    g: &Graph,
-    cfg: &EmbedderConfig,
-    ctx: &mut ExecutionContext<'_>,
-) -> Result<(PartState, Metrics, RecursionStats), EmbedError> {
-    let n = g.vertex_count();
-    ctx.enter(Phase::Setup);
-    let (setup, setup_metrics) = run_setup_ctx(ctx)?;
-    ctx.charge(&setup_metrics);
-    // Cheap planarity guard; density violations abort before recursing.
-    if n >= 3 && g.edge_count() > 3 * n - 6 {
-        return Err(EmbedError::NonPlanar);
-    }
-
-    let mut stats = RecursionStats {
-        n,
-        bfs_depth: setup.tree.tree_depth() as usize,
-        safety_checked: cfg.check_invariants,
-        ..Default::default()
-    };
-    let mut metrics = setup_metrics;
-
-    let (part, rec_metrics) = match cfg.scheduler {
-        Scheduler::Sequential => {
-            solve_sequential(g, &setup.tree, setup.tree.root, 0, cfg, &mut stats, ctx)?
-        }
-        Scheduler::LevelSync => solve_level_sync(g, &setup.tree, cfg, &mut stats, ctx)?,
-    };
-    if part.len() != n {
-        // Message loss can leave the merged top-level part short of
-        // vertices with every phase reporting success; surface a typed
-        // failure so fault mode degrades to `PhaseIncomplete` instead of
-        // asserting (found by the DST swarm, `crates/dst`). A fault-free
-        // run can never trip this — there it is a genuine bug report.
-        return Err(EmbedError::Internal(format!(
-            "recursion merged only {} of {n} vertices",
-            part.len()
-        )));
-    }
-    metrics.add(rec_metrics);
-    stats.depth = stats.levels.len();
-    Ok((part, metrics, stats))
-}
-
-/// [`run_recursion`] with every intermediate artifact retained: the
-/// global BFS tree from setup and the full level-synchronous recursion
-/// arena, alongside the usual metrics and statistics. This is the driver
-/// entry point the incremental re-embedding path builds its resident
-/// state from (always [`Scheduler::LevelSync`] — the arena *is* the
-/// level-synchronous recursion).
+/// The prologue every driver path shares: setup, the density guard, one
+/// walk of the recursion by the configured [`Scheduler`], and the check
+/// that the top-level merge covers the graph. Returns the global BFS tree
+/// from setup, the retained recursion arena, the parallel-composed
+/// metrics (setup included), and the statistics derived from the arena;
+/// the sequential-tally stamps are left to the caller, whose epilogue may
+/// still charge rounds.
 pub(crate) fn run_recursion_retained(
     g: &Graph,
     cfg: &EmbedderConfig,
     ctx: &mut ExecutionContext<'_>,
 ) -> Result<(GlobalTree, Vec<RecNode>, Metrics, RecursionStats), EmbedError> {
-    let n = g.vertex_count();
     ctx.enter(Phase::Setup);
     let (setup, setup_metrics) = run_setup_ctx(ctx)?;
     ctx.charge(&setup_metrics);
+    density_guard(g)?;
+
+    let nodes = match cfg.scheduler {
+        Scheduler::LevelSync => solve_level_sync_retained(&setup.tree, cfg, ctx)?,
+        Scheduler::Sequential => crate::incremental::solve_depth_first(&setup.tree, cfg, ctx)?,
+    };
+    check_root_covers(&nodes, g.vertex_count())?;
+    let mut metrics = setup_metrics;
+    metrics.add(nodes[0].metrics);
+    let stats = recursion_stats(&setup.tree, &nodes, cfg);
+    Ok((setup.tree, nodes, metrics, stats))
+}
+
+/// The cheap planarity guard every path runs before recursing: a simple
+/// planar graph on `n >= 3` vertices has at most `3n - 6` edges.
+pub(crate) fn density_guard(g: &Graph) -> Result<(), EmbedError> {
+    let n = g.vertex_count();
     if n >= 3 && g.edge_count() > 3 * n - 6 {
         return Err(EmbedError::NonPlanar);
     }
+    Ok(())
+}
 
-    let mut stats = RecursionStats {
-        n,
-        bfs_depth: setup.tree.tree_depth() as usize,
-        safety_checked: cfg.check_invariants,
-        ..Default::default()
-    };
-    let mut metrics = setup_metrics;
-    let nodes = solve_level_sync_retained(g, &setup.tree, cfg, &mut stats, ctx)?;
-    let merged = nodes[0].part.as_ref().expect("root solved").len();
+/// Checks that the arena's top-level merged part holds all `n` vertices.
+/// Message loss can leave it short with every phase reporting success;
+/// surface a typed failure so fault mode degrades to `PhaseIncomplete`
+/// instead of asserting (found by the DST swarm, `crates/dst`). A
+/// fault-free run can never trip this — there it is a genuine bug report.
+pub(crate) fn check_root_covers(nodes: &[RecNode], n: usize) -> Result<(), EmbedError> {
+    let merged = nodes[0].part.as_ref().map_or(0, PartState::len);
     if merged != n {
         return Err(EmbedError::Internal(format!(
             "recursion merged only {merged} of {n} vertices"
         )));
     }
-    metrics.add(nodes[0].metrics);
-    stats.depth = stats.levels.len();
-    Ok((setup.tree, nodes, metrics, stats))
+    Ok(())
+}
+
+/// The epilogue every driver path shares. The output embedding is the
+/// content of the top-level merge (all edges embedded, no half-embedded
+/// edges left); see the module-level fidelity note: the rotation itself
+/// comes from the centralized solver. With [`EmbedderConfig::certify`]
+/// set, `certify` then supplies the distributed certification of that
+/// rotation — the O(1)-round proof-labeling verifier on the same
+/// simulated network (same fault plan, reliability, and kernel) — whose
+/// cost lands in the tally like any other phase, and which must accept.
+pub(crate) fn run_epilogue(
+    g: &Graph,
+    cfg: &EmbedderConfig,
+    ctx: &mut ExecutionContext<'_>,
+    certify: impl FnOnce(&RotationSystem) -> Result<Certification, EmbedError>,
+) -> Result<(RotationSystem, Option<Certification>), EmbedError> {
+    let rotation = planar_lib::embed(g)?;
+    debug_assert!(rotation.is_planar_embedding());
+    if !cfg.certify {
+        return Ok((rotation, None));
+    }
+    ctx.enter(Phase::Cert);
+    let cert = certify(&rotation)?;
+    ctx.charge(&cert.report.metrics);
+    if !cert.accepted() {
+        return Err(EmbedError::Internal(format!(
+            "distributed certification rejected the embedding: rejections {:?}, incomplete {:?}",
+            cert.report.rejections, cert.report.incomplete
+        )));
+    }
+    Ok((rotation, Some(cert)))
 }
 
 /// Runs only the distributed pipeline — setup plus the scheduled
 /// partition/merge recursion — skipping the centralized fidelity epilogue
-/// (see the module-level note) and certification. This is the unit the
-/// scheduler benchmark times: host wall time here is what
-/// [`EmbedderConfig::scheduler`] actually controls; timing
-/// [`embed_distributed`] instead would let the scheduler-independent
-/// centralized epilogue dominate at large `n`.
+/// (see the module-level note) and certification, and reports the bytes
+/// retained by the execution context's kernel arenas when the recursion
+/// finishes (the figure the bench harness's memory stage records as
+/// `kernel_bytes`). This is the unit the scheduler benchmark times: host
+/// wall time here is what [`EmbedderConfig::scheduler`] actually controls;
+/// timing [`embed_distributed`] instead would let the
+/// scheduler-independent centralized epilogue dominate at large `n`.
+///
+/// The byte count is kept out of [`RecursionStats`] on purpose: retained
+/// capacity is a host-side property of the arena, not part of the
+/// scheduler-conformance contract (the two schedulers retain different
+/// arenas while producing bit-identical stats).
 ///
 /// # Errors
 ///
 /// As [`embed_distributed`], minus certification failures (there is no
 /// certification phase). Fault plans are honored but failures surface as
 /// their raw typed errors, not as [`EmbedError::Degraded`] reports.
-pub fn embed_recursion(
-    g: &Graph,
-    cfg: &EmbedderConfig,
-) -> Result<(Metrics, RecursionStats), EmbedError> {
-    let mut ctx = ExecutionContext::new(g, cfg);
-    let (_part, metrics, mut stats) = run_recursion(g, cfg, &mut ctx)?;
-    stats.sequential_rounds = ctx.rounds_used();
-    stats.phase_rounds = ctx.phase_rounds();
-    Ok((metrics, stats))
-}
-
-/// [`embed_recursion`] plus the bytes retained by the execution context's
-/// kernel arenas when the recursion finishes — the figure the bench
-/// harness's memory stage records as `kernel_bytes`. Kept out of
-/// [`RecursionStats`] on purpose: retained capacity is a host-side
-/// property of the arena, not part of the scheduler-conformance contract
-/// (the two schedulers retain different arenas while producing
-/// bit-identical stats).
 pub fn embed_recursion_with_memory(
     g: &Graph,
     cfg: &EmbedderConfig,
 ) -> Result<(Metrics, RecursionStats, usize), EmbedError> {
     let mut ctx = ExecutionContext::new(g, cfg);
-    let (_part, metrics, mut stats) = run_recursion(g, cfg, &mut ctx)?;
+    let (_, _, metrics, mut stats) = run_recursion_retained(g, cfg, &mut ctx)?;
     stats.sequential_rounds = ctx.rounds_used();
     stats.phase_rounds = ctx.phase_rounds();
-    let kernel_bytes = ctx.memory_bytes();
-    Ok((metrics, stats, kernel_bytes))
+    Ok((metrics, stats, ctx.memory_bytes()))
 }
 
 fn embed_inner(
@@ -362,34 +358,12 @@ fn embed_inner(
     cfg: &EmbedderConfig,
     ctx: &mut ExecutionContext<'_>,
 ) -> Result<EmbeddingOutcome, EmbedError> {
-    let (_part, mut metrics, mut stats) = run_recursion(g, cfg, ctx)?;
-
-    // The output embedding: the content of the top-level merge (all edges
-    // embedded, no half-embedded edges left). See the module-level fidelity
-    // note: the rotation itself comes from the centralized solver.
-    let rotation = planar_lib::embed(g)?;
-    debug_assert!(rotation.is_planar_embedding());
-
-    // Optional distributed certification epilogue: the O(1)-round proof-
-    // labeling verifier runs on the same simulated network (same fault
-    // plan, reliability, and kernel), so its cost lands in the tally like
-    // any other phase.
-    let certification = if cfg.certify {
-        ctx.enter(Phase::Cert);
-        let cert = crate::certify::certify_embedding(g, &rotation, cfg)?;
-        ctx.charge(&cert.report.metrics);
+    let (_, _, mut metrics, mut stats) = run_recursion_retained(g, cfg, ctx)?;
+    let (rotation, certification) =
+        run_epilogue(g, cfg, ctx, |rotation| certify_embedding(g, rotation, cfg))?;
+    if let Some(cert) = &certification {
         metrics.add(cert.report.metrics);
-        if !cert.accepted() {
-            return Err(EmbedError::Internal(format!(
-                "distributed certification rejected the embedding: rejections {:?}, incomplete {:?}",
-                cert.report.rejections, cert.report.incomplete
-            )));
-        }
-        Some(cert)
-    } else {
-        None
-    };
-
+    }
     stats.sequential_rounds = ctx.rounds_used();
     stats.phase_rounds = ctx.phase_rounds();
     Ok(EmbeddingOutcome {
@@ -400,38 +374,10 @@ fn embed_inner(
     })
 }
 
-/// Records one subproblem's partition in the per-level statistics and
-/// validates Lemmas 4.1/4.2 — shared verbatim by both schedulers so their
-/// statistics agree field for field.
-fn note_partition(
-    g: &Graph,
-    tree: &GlobalTree,
-    size: usize,
-    level: usize,
-    partition: &Partition,
-    cfg: &EmbedderConfig,
-    stats: &mut RecursionStats,
-) -> Result<(), EmbedError> {
-    {
-        let lvl = &mut stats.levels[level];
-        lvl.problems += 1;
-        lvl.max_size = lvl.max_size.max(size);
-        lvl.rounds = lvl.rounds.max(partition.metrics.rounds);
-        for part in &partition.parts {
-            let ratio = part.members.len() as f64 / size as f64;
-            lvl.max_child_ratio = lvl.max_child_ratio.max(ratio);
-            lvl.max_part_depth = lvl
-                .max_part_depth
-                .max(tree.subtree_depth(part.root) as usize);
-        }
-    }
-    validate_partition(g, size, partition, cfg)
-}
-
 /// The Lemma 4.1/4.2 gate on one subproblem's partition, shared by both
-/// schedulers and the incremental rebuild: every hanging part must stay
-/// within the 2/3 ratio, and (under `check_invariants`) the partition
-/// must be safe in the Definition 3.1 sense.
+/// walkers: every hanging part must stay within the 2/3 ratio, and (under
+/// `check_invariants`) the partition must be safe in the Definition 3.1
+/// sense.
 pub(crate) fn validate_partition(
     g: &Graph,
     size: usize,
@@ -459,148 +405,68 @@ pub(crate) fn validate_partition(
     Ok(())
 }
 
-/// Records a size-1 subproblem (a recursion leaf) in the level statistics
-/// and returns its trivial solution.
-fn solve_leaf(root: VertexId, level: usize, stats: &mut RecursionStats) -> (PartState, Metrics) {
-    stats.levels[level].problems += 1;
-    stats.levels[level].max_size = stats.levels[level].max_size.max(1);
-    (PartState::new(vec![root]), Metrics::new())
-}
-
-/// Makes sure `stats.levels` reaches `level`.
-fn ensure_level(stats: &mut RecursionStats, level: usize) {
-    if stats.levels.len() <= level {
-        stats.levels.push(LevelStats {
-            level,
-            ..Default::default()
-        });
-    }
-}
-
-/// [`Scheduler::Sequential`]: recursively solves the subproblem rooted at
-/// `root`, one kernel invocation per phase; returns the merged part and
-/// the (parallel-composed) cost. The conformance oracle for
-/// [`solve_level_sync`].
-fn solve_sequential(
-    g: &Graph,
-    tree: &GlobalTree,
-    root: VertexId,
-    level: usize,
-    cfg: &EmbedderConfig,
-    stats: &mut RecursionStats,
-    ctx: &mut ExecutionContext<'_>,
-) -> Result<(PartState, Metrics), EmbedError> {
-    let size = tree.subtree_size[root.index()] as usize;
-    ensure_level(stats, level);
-    if size == 1 {
-        return Ok(solve_leaf(root, level, stats));
-    }
-
-    ctx.enter(Phase::Partition);
-    let partition = partition_subtree_ctx(ctx, tree, root)?;
-    ctx.charge(&partition.metrics);
-    note_partition(g, tree, size, level, &partition, cfg, stats)?;
-
-    // Recurse on all hanging parts; they are vertex-disjoint, so their costs
-    // compose in parallel.
-    let mut children_metrics = Metrics::new();
-    let mut hanging = Vec::with_capacity(partition.parts.len());
-    for sub in &partition.parts {
-        let (part, m) = solve_sequential(g, tree, sub.root, level + 1, cfg, stats, ctx)?;
-        children_metrics.join_parallel(m);
-        hanging.push(part);
-    }
-
-    ctx.enter(Phase::Merge);
-    let merged = merge_parts_ctx(ctx, partition.p0, hanging, cfg.check_invariants)?;
-    ctx.charge(&merged.metrics);
-    stats.merges.push(merged.stats);
-
-    let mut total = partition.metrics;
-    total.add(children_metrics);
-    total.add(merged.metrics);
-    stats.levels[level].rounds = stats.levels[level].rounds.max(total.rounds);
-    Ok((merged.part, total))
-}
-
-/// One subproblem of the level-synchronous recursion arena.
+/// One subproblem of the recursion arena.
 ///
 /// The arena is *retained*: after a run, every node still holds its
 /// partition, solved part, and merge statistics (nothing is `take()`n in
 /// the merge pass). That makes the arena a resumable artifact — the
 /// incremental re-embedding path (`crate::incremental`) re-runs only the
 /// merges of nodes whose subtree contains a delta endpoint and reuses
-/// every other node's retained state verbatim.
+/// every other node's retained state verbatim — and the single source of
+/// the run's [`RecursionStats`].
 pub(crate) struct RecNode {
     pub(crate) root: VertexId,
     pub(crate) level: usize,
     pub(crate) children: Vec<usize>,
-    /// `Some` for internal nodes after their level's batched partition.
+    /// `Some` for internal nodes once partitioned.
     pub(crate) partition: Option<Partition>,
     /// The solved part; set for leaves immediately, for internal nodes by
-    /// the bottom-up merge pass.
+    /// their merge.
     pub(crate) part: Option<PartState>,
     /// Parallel-composed cost of this subtree (partition + children in
-    /// parallel + merge) — identical to what [`solve_sequential`] returns.
+    /// parallel + merge); zero for leaves.
     pub(crate) metrics: Metrics,
-    /// The node's merge statistics, collected into `stats.merges` in DFS
-    /// post-order afterwards so the two schedulers' reports coincide.
+    /// The node's merge statistics (internal nodes only).
     pub(crate) merge_stats: Option<MergeStats>,
+}
+
+impl RecNode {
+    /// An unsolved node for the subproblem rooted at `root`.
+    pub(crate) fn new(root: VertexId, level: usize) -> Self {
+        RecNode {
+            root,
+            level,
+            children: Vec::new(),
+            partition: None,
+            part: None,
+            metrics: Metrics::new(),
+            merge_stats: None,
+        }
+    }
 }
 
 /// [`Scheduler::LevelSync`]: the level-synchronous recursion. Top-down,
 /// each level's subproblems are partitioned in *one* batched kernel
 /// invocation over vertex-disjoint instances; bottom-up, the merges run
-/// level by level. Same rotation, metrics, and statistics as
-/// [`solve_sequential`]: per-instance metrics are bit-identical to
-/// one-at-a-time runs, and all charges compose order-independently.
-fn solve_level_sync(
-    g: &Graph,
+/// level by level. Same arena as the depth-first walker: per-instance
+/// metrics are bit-identical to one-at-a-time runs, and all charges
+/// compose order-independently.
+fn solve_level_sync_retained(
     tree: &GlobalTree,
     cfg: &EmbedderConfig,
-    stats: &mut RecursionStats,
-    ctx: &mut ExecutionContext<'_>,
-) -> Result<(PartState, Metrics), EmbedError> {
-    let mut nodes = solve_level_sync_retained(g, tree, cfg, stats, ctx)?;
-    let root_metrics = nodes[0].metrics;
-    let part = nodes[0].part.take().expect("root solved");
-    Ok((part, root_metrics))
-}
-
-/// [`solve_level_sync`] with the recursion arena kept alive: identical
-/// execution, but instead of surrendering just the root part it returns
-/// the full arena — every node's partition, solved part, metrics, and
-/// merge statistics retained — for the incremental re-embedding path to
-/// resume from.
-pub(crate) fn solve_level_sync_retained(
-    g: &Graph,
-    tree: &GlobalTree,
-    cfg: &EmbedderConfig,
-    stats: &mut RecursionStats,
     ctx: &mut ExecutionContext<'_>,
 ) -> Result<Vec<RecNode>, EmbedError> {
-    let mut nodes: Vec<RecNode> = vec![RecNode {
-        root: tree.root,
-        level: 0,
-        children: Vec::new(),
-        partition: None,
-        part: None,
-        metrics: Metrics::new(),
-        merge_stats: None,
-    }];
+    let mut nodes = vec![RecNode::new(tree.root, 0)];
 
     // Top-down: partition every level in one batched kernel invocation.
     let mut frontier: Vec<usize> = vec![0];
     let mut level = 0usize;
     while !frontier.is_empty() {
-        ensure_level(stats, level);
         let mut internal: Vec<usize> = Vec::new();
         for &ni in &frontier {
             let root = nodes[ni].root;
             if tree.subtree_size[root.index()] as usize == 1 {
-                let (part, m) = solve_leaf(root, level, stats);
-                nodes[ni].part = Some(part);
-                nodes[ni].metrics = m;
+                nodes[ni].part = Some(PartState::new(vec![root]));
             } else {
                 internal.push(ni);
             }
@@ -613,18 +479,10 @@ pub(crate) fn solve_level_sync_retained(
             for (&ni, partition) in internal.iter().zip(partitions) {
                 ctx.charge(&partition.metrics);
                 let size = tree.subtree_size[nodes[ni].root.index()] as usize;
-                note_partition(g, tree, size, level, &partition, cfg, stats)?;
+                validate_partition(ctx.graph(), size, &partition, cfg)?;
                 for sub in &partition.parts {
                     let ci = nodes.len();
-                    nodes.push(RecNode {
-                        root: sub.root,
-                        level: level + 1,
-                        children: Vec::new(),
-                        partition: None,
-                        part: None,
-                        metrics: Metrics::new(),
-                        merge_stats: None,
-                    });
+                    nodes.push(RecNode::new(sub.root, level + 1));
                     nodes[ni].children.push(ci);
                     next_frontier.push(ci);
                 }
@@ -663,37 +521,54 @@ pub(crate) fn solve_level_sync_retained(
         let mut total = partition_metrics;
         total.add(children_metrics);
         total.add(merged.metrics);
-        let level = nodes[ni].level;
-        stats.levels[level].rounds = stats.levels[level].rounds.max(total.rounds);
         nodes[ni].part = Some(merged.part);
         nodes[ni].metrics = total;
     }
-
-    // Collect merge statistics in DFS post-order — the order the
-    // sequential scheduler pushes them in.
-    collect_merge_stats(&nodes, stats);
-
     Ok(nodes)
 }
 
-/// Pushes the arena's merge statistics into `stats.merges` in DFS
-/// post-order — the order the sequential scheduler pushes them in. The
-/// arena is read, not drained, so the pass can rerun after an incremental
-/// re-merge.
-pub(crate) fn collect_merge_stats(nodes: &[RecNode], stats: &mut RecursionStats) {
+/// Derives a run's [`RecursionStats`] from its finished arena in one DFS
+/// pass: per level, the subproblem count, the largest subproblem, the
+/// Lemma 4.2 part ratio and part depth, and the parallel round count (the
+/// largest subtree cost at that level); per merge, its statistics in DFS
+/// post-order — the order the depth-first walker finishes merges in.
+fn recursion_stats(tree: &GlobalTree, nodes: &[RecNode], cfg: &EmbedderConfig) -> RecursionStats {
+    let mut stats = RecursionStats {
+        n: tree.parent.len(),
+        bfs_depth: tree.tree_depth() as usize,
+        safety_checked: cfg.check_invariants,
+        ..Default::default()
+    };
     let mut stack: Vec<(usize, bool)> = vec![(0, false)];
     while let Some((ni, visited)) = stack.pop() {
+        let node = &nodes[ni];
         if visited {
-            if let Some(ms) = nodes[ni].merge_stats.clone() {
-                stats.merges.push(ms);
-            }
-        } else {
-            stack.push((ni, true));
-            for &ci in nodes[ni].children.iter().rev() {
-                stack.push((ci, false));
-            }
+            stats.merges.extend(node.merge_stats.clone());
+            continue;
+        }
+        stack.push((ni, true));
+        stack.extend(node.children.iter().rev().map(|&ci| (ci, false)));
+        if stats.levels.len() == node.level {
+            stats.levels.push(LevelStats {
+                level: node.level,
+                ..Default::default()
+            });
+        }
+        let lvl = &mut stats.levels[node.level];
+        let size = tree.subtree_size[node.root.index()] as usize;
+        lvl.problems += 1;
+        lvl.max_size = lvl.max_size.max(size);
+        lvl.rounds = lvl.rounds.max(node.metrics.rounds);
+        for part in node.partition.iter().flat_map(|p| &p.parts) {
+            let ratio = part.members.len() as f64 / size as f64;
+            lvl.max_child_ratio = lvl.max_child_ratio.max(ratio);
+            lvl.max_part_depth = lvl
+                .max_part_depth
+                .max(tree.subtree_depth(part.root) as usize);
         }
     }
+    stats.depth = stats.levels.len();
+    stats
 }
 
 #[cfg(test)]
@@ -777,9 +652,8 @@ mod tests {
         ] {
             let cfg = EmbedderConfig::default();
             let mut ctx = ExecutionContext::new(&g, &cfg);
-            let (setup, _) = run_setup_ctx(&mut ctx).unwrap();
-            let mut stats = RecursionStats::default();
-            let (part, _) = solve_level_sync(&g, &setup.tree, &cfg, &mut stats, &mut ctx).unwrap();
+            let (_, mut nodes, _, _) = run_recursion_retained(&g, &cfg, &mut ctx).unwrap();
+            let part = nodes[0].part.take().expect("root solved");
             // Full coverage, no half-embedded edges left at the top.
             assert_eq!(part.len(), g.vertex_count());
             for v in g.vertices() {
@@ -992,6 +866,44 @@ mod tests {
             Err(EmbedError::Degraded {
                 surviving_nodes, ..
             }) => assert_eq!(surviving_nodes, 15),
+            other => panic!("expected Degraded, got {other:?}"),
+        }
+    }
+
+    fn crash_plan(victims: impl IntoIterator<Item = u32>) -> EmbedderConfig {
+        let mut plan = FaultPlan {
+            seed: 11,
+            ..FaultPlan::default()
+        };
+        plan.crashes = victims.into_iter().map(|v| (VertexId(v), 0)).collect();
+        EmbedderConfig {
+            sim: SimConfig {
+                faults: plan,
+                ..SimConfig::default()
+            },
+            ..EmbedderConfig::default()
+        }
+    }
+
+    /// Regression: a fault plan is graph-agnostic, so crash victims
+    /// outside the graph never crash. Counting them used to underflow
+    /// `surviving_nodes` when they outnumbered the graph's vertices.
+    #[test]
+    fn out_of_range_crash_victims_do_not_underflow() {
+        let g = gen::path(3);
+        let out = embed_distributed(&g, &crash_plan(10..15)).unwrap();
+        assert!(out.rotation.is_planar_embedding());
+        assert_eq!(out.metrics.crashed_nodes, 0);
+    }
+
+    /// Regression: only in-range crash victims reduce `surviving_nodes`.
+    #[test]
+    fn out_of_range_crash_victims_are_not_counted() {
+        let g = gen::grid(3, 3);
+        match embed_distributed(&g, &crash_plan([0, 100])) {
+            Err(EmbedError::Degraded {
+                surviving_nodes, ..
+            }) => assert_eq!(surviving_nodes, 8),
             other => panic!("expected Degraded, got {other:?}"),
         }
     }

@@ -1,11 +1,11 @@
 //! Incremental re-embedding: resident embeddings that absorb deltas by
 //! re-running only the dirty region of the recursion.
 //!
-//! A [`ResidentEmbedding`] keeps everything one level-synchronous run
-//! produced: the global BFS tree, the *retained* recursion arena (every
-//! subproblem's partition, solved part, metrics, and merge statistics —
-//! see [`RecNode`]), the rotation system, and the certification
-//! artifacts, plus a warm [`KernelCache`] so successive kernel runs reuse
+//! A [`ResidentEmbedding`] keeps everything one full run produced: the
+//! global BFS tree, the *retained* recursion arena (every subproblem's
+//! partition, solved part, metrics, and merge statistics — see
+//! [`RecNode`]), the rotation system, and the certification artifacts,
+//! plus a warm [`KernelCache`] so successive kernel runs reuse
 //! their mailbox arenas. [`ResidentEmbedding::reembed`] then brings the
 //! resident state to a mutated graph at a fraction of a full run's cost:
 //!
@@ -30,13 +30,13 @@
 //!    tree) and re-runs just its merge; a tree-dirty node re-runs its
 //!    partition through [`ExecutionContext`] too. The dirty nodes form
 //!    the root-to-repair-site chains — `O(log n)` of the arena per delta.
-//! 3. **Epilogue**: the centralized fidelity stand-in
-//!    ([`planar_lib::embed`]) produces the rotation exactly as the full
-//!    driver does (see the fidelity note in `driver.rs`), and
-//!    certification splices the resident certificate set against a
-//!    scratch build ([`planar_cert::splice_certificates`], shift-aware on
-//!    departures) before one distributed re-verification — so only
-//!    changed certificates need re-distribution.
+//! 3. **Epilogue**: the driver's own epilogue — the centralized fidelity
+//!    stand-in ([`planar_lib::embed`], see the fidelity note in
+//!    `driver.rs`) produces the rotation, and certification splices the
+//!    resident certificate set against a scratch build
+//!    ([`planar_cert::splice_certificates`], shift-aware on departures)
+//!    before one distributed re-verification — so only changed
+//!    certificates need re-distribution.
 //!
 //! **Bit-identity contract**: the rotation system, the certification
 //! verdict, and the planarity outcome of `reembed` are bit-identical to a
@@ -70,7 +70,10 @@ use planar_cert::{
 use planar_graph::{Graph, RotationSystem, VertexId};
 
 use crate::certify::{certify_embedding, certify_with_certificates, Certification};
-use crate::driver::{run_recursion_retained, validate_partition, RecNode};
+use crate::driver::{
+    check_root_covers, density_guard, run_epilogue, run_recursion_retained, validate_partition,
+    RecNode,
+};
 use crate::error::EmbedError;
 use crate::exec::ExecutionContext;
 use crate::merge::merge_parts_ctx;
@@ -78,7 +81,6 @@ use crate::partition::{partition_subtree_ctx, Partition, SubProblem};
 use crate::parts::PartState;
 use crate::planner::{self, DeltaClass, PlanAction, RepairPlan};
 use crate::tree::GlobalTree;
-use crate::Scheduler;
 use crate::{EmbedderConfig, Kernel};
 
 /// Why a re-embedding took the full (non-incremental) path.
@@ -182,14 +184,13 @@ struct ReuseCounts {
     reused_merges: usize,
 }
 
-/// Staged results of the incremental rebuild, committed only after the
+/// Staged results of one build or re-embed, committed only after the
 /// epilogue accepts the mutated graph.
 struct Overlay {
+    tree: GlobalTree,
     nodes: Vec<RecNode>,
     rotation: RotationSystem,
     certification: Option<Certification>,
-    splice: Option<SpliceStats>,
-    counts: ReuseCounts,
 }
 
 /// A long-lived embedding of one graph, retaining every artifact needed
@@ -217,13 +218,11 @@ impl std::fmt::Debug for ResidentEmbedding {
 }
 
 impl ResidentEmbedding {
-    /// Builds the resident embedding of `graph` — a full level-synchronous
-    /// run with the recursion arena retained.
+    /// Builds the resident embedding of `graph` — a full run with the
+    /// recursion arena retained.
     ///
-    /// The configuration is normalized to the resident contract: the
-    /// scheduler is forced to [`Scheduler::LevelSync`] (the arena *is*
-    /// that recursion) and fault plans are rejected — a resident
-    /// embedding models a long-lived service tenant, not a chaos run.
+    /// Fault plans are rejected: a resident embedding models a long-lived
+    /// service tenant, not a chaos run.
     ///
     /// # Errors
     ///
@@ -235,18 +234,18 @@ impl ResidentEmbedding {
                 "resident embeddings require a fault-free configuration".into(),
             ));
         }
-        let mut cfg = cfg.clone();
-        cfg.scheduler = Scheduler::LevelSync;
-        let (tree, nodes, rotation, certification, rounds, cache) =
-            full_pass(&graph, &cfg, KernelCache::new()).map_err(|(e, _)| e)?;
+        let mut ctx = ExecutionContext::new(&graph, cfg);
+        let overlay = stage_full(&graph, cfg, &mut ctx)?;
+        let rounds = ctx.rounds_used();
+        let cache = Some(ctx.into_kernel_cache());
         let resident = ResidentEmbedding {
             graph,
-            cfg,
-            tree,
-            nodes,
-            rotation,
-            certification,
-            cache: Some(cache),
+            cfg: cfg.clone(),
+            tree: overlay.tree,
+            nodes: overlay.nodes,
+            rotation: overlay.rotation,
+            certification: overlay.certification,
+            cache,
         };
         let report = ReembedReport {
             path: ReembedPath::Full {
@@ -361,8 +360,11 @@ impl ResidentEmbedding {
         self.reembed_planned(new_graph, plan)
     }
 
-    /// Executes a planned delta: runs the staged repair or the full
-    /// fallback, and commits only on success.
+    /// Executes a planned delta: stages the repair or the full fallback
+    /// (a fresh run whose tree is rooted at the new election — the new
+    /// sticky root), and commits only on success. A rejected delta leaves
+    /// the resident state untouched on either path; the warm kernel cache
+    /// survives it.
     fn reembed_planned(
         &mut self,
         new_graph: Graph,
@@ -370,101 +372,41 @@ impl ResidentEmbedding {
     ) -> Result<ReembedReport, EmbedError> {
         let planned = plan.planned;
         let cache = self.cache.take().unwrap_or_default();
-        match plan.action {
-            PlanAction::Full(cause) => self.reembed_full(new_graph, cache, cause, planned),
+        let mut ctx = ExecutionContext::with_kernel_cache(&new_graph, &self.cfg, cache);
+        let staged = match plan.action {
+            PlanAction::Full(cause) => stage_full(&new_graph, &self.cfg, &mut ctx)
+                .map(|overlay| (overlay, ReembedPath::Full { cause })),
             PlanAction::Incremental(repair) => {
-                let (result, rounds, cache) = {
-                    let mut ctx = ExecutionContext::with_kernel_cache(&new_graph, &self.cfg, cache);
-                    let result = self.run_incremental(&new_graph, &repair, &mut ctx);
-                    let rounds = ctx.rounds_used();
-                    (result, rounds, ctx.into_kernel_cache())
-                };
-                match result {
-                    Ok(overlay) => {
-                        let Overlay {
-                            nodes,
-                            rotation,
-                            certification,
-                            splice,
-                            counts,
-                        } = *overlay;
-                        let repair = *repair;
-                        let dirty_region = repair.dirty_region();
-                        self.graph = new_graph;
-                        self.tree = repair.tree;
-                        self.nodes = nodes;
-                        self.rotation = rotation;
-                        self.certification = certification;
-                        self.cache = Some(cache);
-                        Ok(ReembedReport {
-                            path: ReembedPath::Incremental {
-                                class: repair.class,
-                                dirty_region,
-                                recomputed_partitions: counts.recomputed_partitions,
-                                reused_partitions: counts.reused_partitions,
-                                recomputed_merges: counts.recomputed_merges,
-                                reused_merges: counts.reused_merges,
-                                splice,
-                            },
-                            planned,
-                            rounds,
-                        })
-                    }
-                    Err(e) => {
-                        self.cache = Some(cache);
-                        Err(e)
-                    }
-                }
+                self.stage_incremental(&new_graph, *repair, &mut ctx)
             }
-        }
-    }
-
-    /// The full fallback: a retained re-run on `new_graph`, committing
-    /// only on success (a rejected delta leaves the resident state
-    /// untouched, exactly like the incremental path). The tree that comes
-    /// back is rooted at the fresh election — the new sticky root.
-    fn reembed_full(
-        &mut self,
-        new_graph: Graph,
-        cache: KernelCache,
-        cause: FullCause,
-        planned: DeltaClass,
-    ) -> Result<ReembedReport, EmbedError> {
-        match full_pass(&new_graph, &self.cfg, cache) {
-            Ok((tree, nodes, rotation, certification, rounds, cache)) => {
-                self.graph = new_graph;
-                self.tree = tree;
-                self.nodes = nodes;
-                self.rotation = rotation;
-                self.certification = certification;
-                self.cache = Some(cache);
-                Ok(ReembedReport {
-                    path: ReembedPath::Full { cause },
-                    planned,
-                    rounds,
-                })
-            }
-            Err((e, cache)) => {
-                self.cache = Some(cache);
-                Err(e)
-            }
-        }
+        };
+        let rounds = ctx.rounds_used();
+        self.cache = Some(ctx.into_kernel_cache());
+        let (overlay, path) = staged?;
+        self.graph = new_graph;
+        self.tree = overlay.tree;
+        self.nodes = overlay.nodes;
+        self.rotation = overlay.rotation;
+        self.certification = overlay.certification;
+        Ok(ReembedReport {
+            path,
+            planned,
+            rounds,
+        })
     }
 
     /// The staged incremental rebuild: density guard, dirty-region arena
-    /// rebuild with adoption, epilogue, certificate splice — all staged
-    /// into an [`Overlay`], never touching the resident state.
-    fn run_incremental(
+    /// rebuild with adoption, the shared epilogue with a certificate
+    /// splice — all staged into an [`Overlay`], never touching the
+    /// resident state.
+    fn stage_incremental(
         &self,
         new_graph: &Graph,
-        repair: &RepairPlan,
+        repair: RepairPlan,
         ctx: &mut ExecutionContext<'_>,
-    ) -> Result<Box<Overlay>, EmbedError> {
+    ) -> Result<(Overlay, ReembedPath), EmbedError> {
         let n = new_graph.vertex_count();
-        // The same density guard the full driver runs before recursing.
-        if n >= 3 && new_graph.edge_count() > 3 * n - 6 {
-            return Err(EmbedError::NonPlanar);
-        }
+        density_guard(new_graph)?;
 
         // Propagate dirt up the repaired tree: a subtree is dirty iff it
         // contains a dirty vertex, so marking parents in decreasing-depth
@@ -507,7 +449,7 @@ impl ResidentEmbedding {
             debug_assert!(prev.is_none(), "a vertex roots at most one subproblem");
         }
 
-        let mut rebuild = Rebuild {
+        let (nodes, counts) = Rebuild {
             old_nodes: &self.nodes,
             old_at,
             tree,
@@ -516,27 +458,15 @@ impl ResidentEmbedding {
             has_tree_dirty,
             nodes: Vec::with_capacity(self.nodes.len()),
             counts: ReuseCounts::default(),
-        };
-        let root_ni = rebuild.build(ctx, &self.cfg, tree.root, 0)?;
-        debug_assert_eq!(root_ni, 0);
-        let root_len = rebuild.nodes[0].part.as_ref().map_or(0, PartState::len);
-        if root_len != n {
-            return Err(EmbedError::Internal(format!(
-                "incremental recursion merged only {root_len} of {n} vertices"
-            )));
         }
-        let counts = rebuild.counts;
-        let nodes = rebuild.nodes;
+        .run(ctx, &self.cfg)?;
+        check_root_covers(&nodes, n)?;
 
-        // Centralized fidelity epilogue — the same call, on the same
-        // graph, as the full driver's (`driver.rs` fidelity note), so the
-        // resulting rotation is bit-identical by construction.
-        let rotation = planar_lib::embed(new_graph)?;
-        debug_assert!(rotation.is_planar_embedding());
-
-        let (certification, splice) = if self.cfg.certify {
-            ctx.enter(Phase::Cert);
-            let scratch = build_certificates(new_graph, &rotation)
+        // The shared epilogue, certifying a splice of the resident
+        // certificate set against a scratch build.
+        let mut splice = None;
+        let (rotation, certification) = run_epilogue(new_graph, &self.cfg, ctx, |rotation| {
+            let scratch = build_certificates(new_graph, rotation)
                 .map_err(|e| EmbedError::Internal(format!("certification: {e}")))?;
             let old = self
                 .certification
@@ -547,32 +477,75 @@ impl ResidentEmbedding {
                 Some(v) => splice_certificates_shifted(old, scratch, v.index()),
                 None => splice_certificates(old, scratch),
             };
-            let cert = certify_with_certificates(new_graph, &rotation, spliced, &self.cfg)?;
-            ctx.charge(&cert.report.metrics);
-            if !cert.accepted() {
-                return Err(EmbedError::Internal(format!(
-                    "distributed certification rejected the re-embedding: rejections {:?}, incomplete {:?}",
-                    cert.report.rejections, cert.report.incomplete
-                )));
-            }
-            (Some(cert), Some(stats))
-        } else {
-            (None, None)
-        };
+            splice = Some(stats);
+            certify_with_certificates(new_graph, rotation, spliced, &self.cfg)
+        })?;
 
-        Ok(Box::new(Overlay {
+        let path = ReembedPath::Incremental {
+            class: repair.class,
+            dirty_region: repair.dirty_region(),
+            recomputed_partitions: counts.recomputed_partitions,
+            reused_partitions: counts.reused_partitions,
+            recomputed_merges: counts.recomputed_merges,
+            reused_merges: counts.reused_merges,
+            splice,
+        };
+        let overlay = Overlay {
+            tree: repair.tree,
             nodes,
             rotation,
             certification,
-            splice,
-            counts,
-        }))
+        };
+        Ok((overlay, path))
     }
+}
+
+/// The full path, staged: the driver's shared prologue and epilogue.
+fn stage_full(
+    graph: &Graph,
+    cfg: &EmbedderConfig,
+    ctx: &mut ExecutionContext<'_>,
+) -> Result<Overlay, EmbedError> {
+    let (tree, nodes, _, _) = run_recursion_retained(graph, cfg, ctx)?;
+    let (rotation, certification) = run_epilogue(graph, cfg, ctx, |rotation| {
+        certify_embedding(graph, rotation, cfg)
+    })?;
+    Ok(Overlay {
+        tree,
+        nodes,
+        rotation,
+        certification,
+    })
+}
+
+/// [`crate::Scheduler::Sequential`]: the rebuild walker with no old arena.
+/// Every subtree counts as dirty and there is nothing to adopt, so every
+/// subproblem is partitioned and merged through the kernel, depth first,
+/// one full-graph kernel run per phase — the conformance oracle for the
+/// level-synchronous walker.
+pub(crate) fn solve_depth_first(
+    tree: &GlobalTree,
+    cfg: &EmbedderConfig,
+    ctx: &mut ExecutionContext<'_>,
+) -> Result<Vec<RecNode>, EmbedError> {
+    let n = tree.parent.len();
+    let rebuild = Rebuild {
+        old_nodes: &[],
+        old_at: HashMap::new(),
+        tree,
+        removed: None,
+        has_dirty: vec![true; n],
+        has_tree_dirty: vec![true; n],
+        nodes: Vec::new(),
+        counts: ReuseCounts::default(),
+    };
+    Ok(rebuild.run(ctx, cfg)?.0)
 }
 
 /// The dirty-region arena rebuild. Walks the repaired tree top-down,
 /// adopting clean sub-arenas from the old one and re-running partitions
-/// and merges only along the dirty chains.
+/// and merges only along the dirty chains. With no old arena it is the
+/// depth-first walker ([`solve_depth_first`]).
 struct Rebuild<'a> {
     old_nodes: &'a [RecNode],
     /// Old arena index by subproblem root, in new (post-renumbering) ids.
@@ -592,6 +565,18 @@ struct Rebuild<'a> {
 }
 
 impl Rebuild<'_> {
+    /// Walks the whole recursion from the tree root; returns the new arena
+    /// and its reuse accounting.
+    fn run(
+        mut self,
+        ctx: &mut ExecutionContext<'_>,
+        cfg: &EmbedderConfig,
+    ) -> Result<(Vec<RecNode>, ReuseCounts), EmbedError> {
+        let root_ni = self.build(ctx, cfg, self.tree.root, 0)?;
+        debug_assert_eq!(root_ni, 0);
+        Ok((self.nodes, self.counts))
+    }
+
     fn phi(&self, x: VertexId) -> VertexId {
         match self.removed {
             Some(r) if x > r => VertexId(x.0 - 1),
@@ -676,15 +661,7 @@ impl Rebuild<'_> {
             }
         }
         let ni = self.nodes.len();
-        self.nodes.push(RecNode {
-            root,
-            level,
-            children: Vec::new(),
-            partition: None,
-            part: None,
-            metrics: Metrics::new(),
-            merge_stats: None,
-        });
+        self.nodes.push(RecNode::new(root, level));
         let size = self.tree.subtree_size[ri] as usize;
         if size == 1 {
             // Leaf subproblems are graph-independent.
@@ -744,69 +721,6 @@ impl Rebuild<'_> {
         node.merge_stats = Some(merged.stats);
         Ok(ni)
     }
-}
-
-/// One full retained run: recursion with the arena kept, centralized
-/// epilogue, optional certification. Returns the cache even on error so
-/// the caller's warm buffers survive a rejected delta.
-type FullPassOk = (
-    GlobalTree,
-    Vec<RecNode>,
-    RotationSystem,
-    Option<Certification>,
-    usize,
-    KernelCache,
-);
-
-fn full_pass(
-    graph: &Graph,
-    cfg: &EmbedderConfig,
-    cache: KernelCache,
-) -> Result<FullPassOk, (EmbedError, KernelCache)> {
-    let mut ctx = ExecutionContext::with_kernel_cache(graph, cfg, cache);
-    let result = run_full(graph, cfg, &mut ctx);
-    let rounds = ctx.rounds_used();
-    let cache = ctx.into_kernel_cache();
-    match result {
-        Ok((tree, nodes, rotation, certification)) => {
-            Ok((tree, nodes, rotation, certification, rounds, cache))
-        }
-        Err(e) => Err((e, cache)),
-    }
-}
-
-#[allow(clippy::type_complexity)]
-fn run_full(
-    graph: &Graph,
-    cfg: &EmbedderConfig,
-    ctx: &mut ExecutionContext<'_>,
-) -> Result<
-    (
-        GlobalTree,
-        Vec<RecNode>,
-        RotationSystem,
-        Option<Certification>,
-    ),
-    EmbedError,
-> {
-    let (tree, nodes, _metrics, _stats) = run_recursion_retained(graph, cfg, ctx)?;
-    let rotation = planar_lib::embed(graph)?;
-    debug_assert!(rotation.is_planar_embedding());
-    let certification = if cfg.certify {
-        ctx.enter(Phase::Cert);
-        let cert = certify_embedding(graph, &rotation, cfg)?;
-        ctx.charge(&cert.report.metrics);
-        if !cert.accepted() {
-            return Err(EmbedError::Internal(format!(
-                "distributed certification rejected the embedding: rejections {:?}, incomplete {:?}",
-                cert.report.rejections, cert.report.incomplete
-            )));
-        }
-        Some(cert)
-    } else {
-        None
-    };
-    Ok((tree, nodes, rotation, certification))
 }
 
 #[cfg(test)]

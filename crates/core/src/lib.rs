@@ -98,8 +98,7 @@ pub use certify::{
 };
 pub use congest_sim::protocols::ReliableConfig;
 pub use driver::{
-    embed_distributed, embed_recursion, embed_recursion_with_memory, EmbedderConfig,
-    EmbeddingOutcome,
+    embed_distributed, embed_recursion_with_memory, EmbedderConfig, EmbeddingOutcome,
 };
 pub use error::{DegradedCause, EmbedError};
 pub use exec::{ExecutionContext, Kernel, Scheduler};

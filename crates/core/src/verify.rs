@@ -71,6 +71,24 @@ pub fn verify_surviving_embedding(
     if crashed.is_empty() {
         return verify_embedding(g, rotation);
     }
+    let (_, restricted) = surviving_subgraph(g, rotation, crashed)?;
+    if restricted.is_planar_embedding() {
+        Ok(())
+    } else {
+        Err(EmbedError::NonPlanar)
+    }
+}
+
+/// The subgraph of `g` induced by the vertices *not* in `crashed`, and
+/// `rotation` restricted to it: survivors are compacted to `0..k` in
+/// increasing original id, and each survivor's cyclic order is filtered
+/// to surviving neighbors. Victims outside `g` are ignored, as the
+/// kernels ignore them.
+pub(crate) fn surviving_subgraph(
+    g: &Graph,
+    rotation: &RotationSystem,
+    crashed: &[VertexId],
+) -> Result<(Graph, RotationSystem), EmbedError> {
     let n = g.vertex_count();
     let mut alive = vec![true; n];
     for &v in crashed {
@@ -112,11 +130,7 @@ pub fn verify_surviving_embedding(
         })
         .collect();
     let restricted = RotationSystem::new(&sub, orders).map_err(EmbedError::Graph)?;
-    if restricted.is_planar_embedding() {
-        Ok(())
-    } else {
-        Err(EmbedError::NonPlanar)
-    }
+    Ok((sub, restricted))
 }
 
 /// Distributed planarity *test*: runs the embedding algorithm and reports

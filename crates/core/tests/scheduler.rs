@@ -1,10 +1,13 @@
 //! Scheduler conformance: [`Scheduler::LevelSync`] (batched, level-
 //! synchronous) must be observationally identical to
-//! [`Scheduler::Sequential`] (the original one-run-per-subproblem
-//! recursion, kept as the oracle) — bit-identical rotation, metrics,
+//! [`Scheduler::Sequential`] (the depth-first one-run-per-subproblem
+//! recursion, kept as the oracle; its code is the incremental rebuild
+//! walker with nothing to adopt) — bit-identical rotation, metrics,
 //! statistics, and certification verdicts, on both kernels, fault-free
 //! and under chaos with reliable delivery, with the trace auditor armed
 //! so any accounting drift or cross-instance message fails the run.
+//! Both schedulers derive their statistics from the recursion arena the
+//! same way, so those are also pinned to recorded values.
 
 use congest_sim::protocols::ReliableConfig;
 use congest_sim::{AuditSink, FaultPlan, SimConfig, TraceHandle};
@@ -169,6 +172,126 @@ fn kernels_agree_per_scheduler() {
             let fast = run_audited(&g, scheduler, Kernel::Fast, false, &label);
             let refr = run_audited(&g, scheduler, Kernel::Reference, false, &label);
             assert_conformant(&label, fast, refr);
+        }
+    }
+}
+
+/// `RecursionStats` pinned field by field for both schedulers. The
+/// values were recorded when each walker still kept its own
+/// statistics; both now derive them from the arena in one pass, so
+/// this is what guards that derivation. Level rows are `(level,
+/// problems, max_size, max_child_ratio, max_part_depth, rounds)`;
+/// merge rows are `[subtree_size, p0_len, initial_parts,
+/// retired_single, retired_double, paused_paths, final_parts,
+/// symmetry_rounds_virtual]` in DFS post-order.
+#[test]
+fn recursion_stats_are_pinned() {
+    type Levels = &'static [(usize, usize, usize, f64, usize, usize)];
+    type Merges = &'static [[usize; 8]];
+    let cases: [(Graph, Levels, Merges); 3] = [
+        (
+            gen::grid(5, 5),
+            &[
+                (0, 1, 25, 0.6, 6, 309),
+                (1, 3, 15, 0.6666666666666666, 5, 133),
+                (2, 4, 10, 0.5, 4, 86),
+                (3, 5, 5, 0.6, 2, 45),
+                (4, 3, 3, 0.6666666666666666, 1, 25),
+                (5, 2, 2, 0.5, 0, 12),
+                (6, 1, 1, 0.0, 0, 0),
+            ],
+            &[
+                [2, 1, 1, 1, 0, 0, 0, 0],
+                [4, 2, 1, 1, 0, 0, 0, 0],
+                [2, 1, 1, 1, 0, 0, 0, 0],
+                [3, 1, 1, 1, 0, 0, 0, 0],
+                [5, 2, 1, 1, 0, 0, 0, 0],
+                [2, 1, 1, 1, 0, 0, 0, 0],
+                [4, 2, 1, 1, 0, 0, 0, 0],
+                [10, 1, 2, 1, 0, 0, 0, 0],
+                [2, 1, 1, 1, 0, 0, 0, 0],
+                [4, 2, 1, 1, 0, 0, 0, 0],
+                [15, 1, 2, 1, 0, 0, 0, 0],
+                [2, 1, 1, 1, 0, 0, 0, 0],
+                [4, 2, 1, 1, 0, 0, 0, 0],
+                [25, 2, 3, 0, 0, 0, 1, 5],
+            ],
+        ),
+        (
+            gen::wheel_chain(3, 5),
+            &[
+                (0, 1, 15, 0.6666666666666666, 4, 219),
+                (1, 4, 10, 0.5, 2, 125),
+                (2, 4, 5, 0.4, 1, 37),
+                (3, 3, 2, 0.5, 0, 12),
+                (4, 1, 1, 0.0, 0, 0),
+            ],
+            &[
+                [2, 1, 1, 1, 0, 0, 0, 0],
+                [5, 1, 3, 1, 0, 0, 0, 0],
+                [10, 2, 4, 1, 0, 0, 1, 5],
+                [15, 2, 4, 1, 0, 0, 1, 5],
+            ],
+        ),
+        (
+            gen::random_outerplanar(18, 2),
+            &[
+                (0, 1, 18, 0.4444444444444444, 2, 77),
+                (1, 4, 8, 0.375, 1, 42),
+                (2, 8, 3, 0.5, 0, 17),
+                (3, 5, 1, 0.0, 0, 0),
+            ],
+            &[
+                [3, 1, 2, 1, 0, 0, 0, 0],
+                [2, 1, 1, 1, 0, 0, 0, 0],
+                [8, 1, 4, 1, 0, 0, 0, 0],
+                [2, 1, 1, 1, 0, 0, 0, 0],
+                [2, 1, 1, 1, 0, 0, 0, 0],
+                [7, 1, 4, 2, 0, 0, 0, 0],
+                [18, 1, 4, 1, 0, 0, 0, 0],
+            ],
+        ),
+    ];
+    for (g, levels, merges) in cases {
+        for scheduler in [Scheduler::LevelSync, Scheduler::Sequential] {
+            let cfg = Cfg {
+                scheduler,
+                ..Cfg::default()
+            };
+            let stats = embed_distributed(&g, &cfg).unwrap().stats;
+            let got_levels: Vec<_> = stats
+                .levels
+                .iter()
+                .map(|l| {
+                    (
+                        l.level,
+                        l.problems,
+                        l.max_size,
+                        l.max_child_ratio,
+                        l.max_part_depth,
+                        l.rounds,
+                    )
+                })
+                .collect();
+            let got_merges: Vec<_> = stats
+                .merges
+                .iter()
+                .map(|m| {
+                    [
+                        m.subtree_size,
+                        m.p0_len,
+                        m.initial_parts,
+                        m.retired_single,
+                        m.retired_double,
+                        m.paused_paths,
+                        m.final_parts,
+                        m.symmetry_rounds_virtual,
+                    ]
+                })
+                .collect();
+            assert_eq!(got_levels, levels, "{scheduler:?}: levels");
+            assert_eq!(got_merges, merges, "{scheduler:?}: merges");
+            assert_eq!(stats.depth, levels.len(), "{scheduler:?}: depth");
         }
     }
 }
