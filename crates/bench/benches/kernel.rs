@@ -12,6 +12,5 @@ fn main() {
     let rows = planar_bench::kernelbench::kernel_bench(&sizes);
     let embeds = planar_bench::kernelbench::embed_mem_stage(&[100_000, 1_000_000]);
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_kernel.json");
-    planar_bench::kernelbench::write_json(&path, &rows, &embeds).expect("write BENCH_kernel.json");
-    println!("wrote {}", path.display());
+    planar_bench::record::write(path, &planar_bench::kernelbench::record(&rows, &embeds));
 }

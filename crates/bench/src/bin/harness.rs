@@ -71,6 +71,7 @@
 //! faster than the full re-embed. `--large` doubles the per-tenant graph
 //! size. Not part of `all`.
 
+use planar_bench::record;
 use planar_bench::table::render;
 use planar_bench::*;
 
@@ -125,10 +126,10 @@ fn main() {
         let rows = planar_bench::kernelbench::kernel_bench(ns);
         println!("== embedding memory: distributed pipeline on random maximal planar ==");
         let embeds = planar_bench::kernelbench::embed_mem_stage(embed_ns);
-        let path = std::path::Path::new("BENCH_kernel.json");
-        planar_bench::kernelbench::write_json(path, &rows, &embeds)
-            .expect("write BENCH_kernel.json");
-        println!("wrote {}", path.display());
+        record::write(
+            "BENCH_kernel.json",
+            &planar_bench::kernelbench::record(&rows, &embeds),
+        );
         return;
     }
 
@@ -142,40 +143,8 @@ fn main() {
         let ns: &[usize] = if large { &[64, 256, 1024] } else { &[64, 256] };
         println!("== chaos: embedding under seeded link faults (reliable delivery on) ==");
         let rows = planar_bench::chaos::chaos_sweep(ns);
-        let data: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.family.to_string(),
-                    r.n.to_string(),
-                    format!("{}", r.rate),
-                    format!("{:.2}", r.success_rate()),
-                    r.degraded.to_string(),
-                    format!("{:.2}", r.mean_round_overhead),
-                    r.dropped.to_string(),
-                    r.retransmissions.to_string(),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            render(
-                &[
-                    "family",
-                    "n",
-                    "dropRate",
-                    "successRate",
-                    "degraded",
-                    "overhead",
-                    "dropped",
-                    "retx"
-                ],
-                &data
-            )
-        );
-        let path = std::path::Path::new("BENCH_chaos.json");
-        planar_bench::chaos::write_json(path, &rows).expect("write BENCH_chaos.json");
-        println!("wrote {}", path.display());
+        println!("{}", record::table(&rows));
+        record::write("BENCH_chaos.json", &planar_bench::chaos::record(&rows));
         return;
     }
 
@@ -184,42 +153,8 @@ fn main() {
         let ns: &[usize] = if large { &[64, 256, 1024] } else { &[64, 256] };
         println!("== cert: proof labels + O(1)-round distributed verification ==");
         let rows = planar_bench::certbench::cert_sweep(ns);
-        let data: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.family.to_string(),
-                    r.n.to_string(),
-                    r.max_degree.to_string(),
-                    r.cert_rounds.to_string(),
-                    r.max_cert_words.to_string(),
-                    format!("{:.1}", r.mean_cert_words),
-                    r.verify_words.to_string(),
-                    r.size_bound_ok.to_string(),
-                    format!("{}/{}", r.mutations_rejected, r.mutations_applied),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            render(
-                &[
-                    "family",
-                    "n",
-                    "maxDeg",
-                    "certRounds",
-                    "maxWords",
-                    "meanWords",
-                    "verifyWords",
-                    "sizeBoundOk",
-                    "mutRejected"
-                ],
-                &data
-            )
-        );
-        let path = std::path::Path::new("BENCH_cert.json");
-        planar_bench::certbench::write_json(path, &rows).expect("write BENCH_cert.json");
-        println!("wrote {}", path.display());
+        println!("{}", record::table(&rows));
+        record::write("BENCH_cert.json", &planar_bench::certbench::record(&rows));
         return;
     }
 
@@ -228,35 +163,8 @@ fn main() {
         let ns: &[usize] = if large { &[64, 256, 1024] } else { &[64, 256] };
         println!("== trace: audited per-round profile of the embedding pipeline ==");
         let rows = planar_bench::tracebench::trace_sweep(ns);
-        let data: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.family.to_string(),
-                    r.n.to_string(),
-                    r.faulty.to_string(),
-                    r.outcome.to_string(),
-                    r.segments.to_string(),
-                    r.rounds.to_string(),
-                    r.words.to_string(),
-                    r.dropped.to_string(),
-                    r.retransmissions.to_string(),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            render(
-                &[
-                    "family", "n", "faulty", "outcome", "segments", "rounds", "words", "dropped",
-                    "retx"
-                ],
-                &data
-            )
-        );
-        let path = std::path::Path::new("BENCH_trace.json");
-        planar_bench::tracebench::write_json(path, &rows).expect("write BENCH_trace.json");
-        println!("wrote {}", path.display());
+        println!("{}", record::table(&rows));
+        record::write("BENCH_trace.json", &planar_bench::tracebench::record(&rows));
         return;
     }
 
@@ -270,42 +178,8 @@ fn main() {
         };
         println!("== sched: level-synchronous scheduler vs sequential oracle ==");
         let rows = planar_bench::schedbench::sched_sweep(ns);
-        let data: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.family.to_string(),
-                    r.n.to_string(),
-                    format!("{:.4}", r.sequential_secs),
-                    format!("{:.4}", r.level_sync_secs),
-                    format!("{:.2}x", r.speedup),
-                    r.rounds.to_string(),
-                    r.sequential_rounds.to_string(),
-                    r.outputs_identical.to_string(),
-                    planar_bench::mem::fmt_bytes(r.peak_rss_bytes),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            render(
-                &[
-                    "family",
-                    "n",
-                    "seq(s)",
-                    "lvl(s)",
-                    "speedup",
-                    "rounds",
-                    "seqRounds",
-                    "identical",
-                    "peakRSS"
-                ],
-                &data
-            )
-        );
-        let path = std::path::Path::new("BENCH_sched.json");
-        planar_bench::schedbench::write_json(path, &rows).expect("write BENCH_sched.json");
-        println!("wrote {}", path.display());
+        println!("{}", record::table(&rows));
+        record::write("BENCH_sched.json", &planar_bench::schedbench::record(&rows));
         // Regression gate (CI). Outputs are asserted bit-identical inside
         // every cell; here we gate the timings: at the largest cell of each
         // family, the level-synchronous scheduler must not be slower than
@@ -594,17 +468,7 @@ fn run_mem() {
     const N: usize = 250_000;
 
     println!("== mem: n = {N} random-maximal-planar embedding, peak-RSS gate ==");
-    let row = planar_bench::kernelbench::embed_mem(N);
-    println!(
-        "embed/{} n={} rounds={} secs={:.3} kernel={} ({:.1} B/node) rss={}",
-        row.family,
-        row.n,
-        row.rounds,
-        row.secs,
-        planar_bench::mem::fmt_bytes(row.kernel_bytes),
-        row.bytes_per_node(),
-        planar_bench::mem::fmt_bytes(row.peak_rss_bytes),
-    );
+    let row = planar_bench::kernelbench::embed_mem_stage(&[N]).remove(0);
     if row.peak_rss_bytes == 0 {
         println!("peak-RSS probe unavailable on this platform; ceiling not gated");
         return;
@@ -706,11 +570,9 @@ fn run_dst(args: &[String]) {
         let path = dir.join(format!("dst_{}.json", run.seed));
         std::fs::write(&path, planar_dst::run_artifact(run)).expect("write run artifact");
     }
-    let summary = std::path::Path::new("BENCH_dst.json");
-    std::fs::write(summary, report.to_json()).expect("write BENCH_dst.json");
+    record::write("BENCH_dst.json", &report.summary());
     println!(
-        "wrote {} and {} artifacts under {}",
-        summary.display(),
+        "wrote {} artifacts under {}",
         report.runs.len(),
         dir.display()
     );
@@ -798,71 +660,13 @@ fn run_service(args: &[String], large: bool) {
         opts.fleet, opts.deltas, opts.tenant_n
     );
     let report = planar_bench::servicebench::service_soak(&opts);
-    let data: Vec<Vec<String>> = report
-        .rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.family.to_string(),
-                r.tenants.to_string(),
-                r.applied.to_string(),
-                r.incremental.to_string(),
-                r.tree_preserving.to_string(),
-                r.tree_repairable.to_string(),
-                r.vertex_set.to_string(),
-                r.full_fallbacks.to_string(),
-                r.rejected_nonplanar.to_string(),
-                format!("{:.0}", r.p50_service_us),
-                format!("{:.0}", r.p99_service_us),
-                format!("{:.0}", r.p50_incremental_us),
-                format!("{:.0}", r.p50_full_us),
-                format!("{:.2}x", r.speedup_p50),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render(
-            &[
-                "family", "tenants", "applied", "incr", "treeP", "treeR", "vset", "fallback",
-                "rejected", "p50(us)", "p99(us)", "incrP50", "fullP50", "speedup"
-            ],
-            &data
-        )
+    println!("{}", record::table(&report.rows));
+    println!("{}", record::table(&report.classes));
+    println!("{}", record::line("service", &report));
+    record::write(
+        "BENCH_service.json",
+        &planar_bench::servicebench::record(&report),
     );
-    let class_data: Vec<Vec<String>> = report
-        .classes
-        .iter()
-        .map(|c| {
-            vec![
-                c.class.code().to_string(),
-                c.count.to_string(),
-                format!("{:.0}", c.p50_incremental_us),
-                format!("{:.0}", c.p50_full_us),
-                format!("{:.2}x", c.speedup_p50),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render(
-            &["class", "count", "incrP50", "fullP50", "speedup"],
-            &class_data
-        )
-    );
-    println!(
-        "fleet: {} tenants, {} embeddings in {:.2}s service time = {:.0} embeddings/sec, \
-         incremental coverage {:.1}% (baseline {:.0}%)",
-        report.fleet,
-        report.total_embeddings,
-        report.service_secs,
-        report.embeddings_per_sec,
-        report.incremental_coverage * 100.0,
-        min_coverage * 100.0
-    );
-    let path = std::path::Path::new("BENCH_service.json");
-    planar_bench::servicebench::write_json(path, &report).expect("write BENCH_service.json");
-    println!("wrote {}", path.display());
 
     if report.divergences > 0 {
         eprintln!(

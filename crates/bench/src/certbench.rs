@@ -25,6 +25,7 @@ use planar_graph::Graph;
 use planar_lib::gen;
 
 use crate::parallel::par_map;
+use crate::record::{self, Fields, Json, Row};
 
 /// Substrate families swept.
 pub const FAMILIES: [&str; 4] = ["grid", "tri-grid", "outerplanar", "random-planar"];
@@ -57,6 +58,25 @@ pub struct CertRow {
     /// Mutations that drew at least one rejecting node (must equal
     /// `mutations_applied`).
     pub mutations_rejected: usize,
+}
+
+impl Row for CertRow {
+    fn fields(&self) -> Fields {
+        vec![
+            ("family", self.family.into()),
+            ("n", self.n.into()),
+            ("max_degree", self.max_degree.into()),
+            ("embed_rounds", self.embed_rounds.into()),
+            ("cert_rounds", self.cert_rounds.into()),
+            ("max_cert_words", self.max_cert_words.into()),
+            ("mean_cert_words", self.mean_cert_words.into()),
+            ("verify_words", self.verify_words.into()),
+            ("accepted", self.accepted.into()),
+            ("size_bound_ok", self.size_bound_ok.into()),
+            ("mutations_applied", self.mutations_applied.into()),
+            ("mutations_rejected", self.mutations_rejected.into()),
+        ]
+    }
 }
 
 fn substrate(family: &'static str, n: usize) -> Graph {
@@ -155,77 +175,28 @@ pub fn cert_cell(family: &'static str, fam_idx: usize, n: usize) -> CertRow {
 }
 
 /// Runs the full sweep (`FAMILIES` × `sizes`), fanning the cells out
-/// through [`par_map`], printing one line per row. Deterministic: repeat
-/// calls return identical rows.
+/// through [`par_map`]. Deterministic: repeat calls return identical rows.
 pub fn cert_sweep(sizes: &[usize]) -> Vec<CertRow> {
     let cells: Vec<(&'static str, usize, usize)> = FAMILIES
         .into_iter()
         .enumerate()
         .flat_map(|(fam_idx, family)| sizes.iter().map(move |&n| (family, fam_idx, n)))
         .collect();
-    let rows = par_map(cells, |(family, fam_idx, n)| cert_cell(family, fam_idx, n));
-    for r in &rows {
-        println!(
-            "cert/{:<13} n={:<6} deg={:<3} certRounds={} maxWords={} meanWords={:.1} verifyWords={} mutations={}/{}",
-            r.family,
-            r.n,
-            r.max_degree,
-            r.cert_rounds,
-            r.max_cert_words,
-            r.mean_cert_words,
-            r.verify_words,
-            r.mutations_rejected,
-            r.mutations_applied,
-        );
-    }
-    rows
+    par_map(cells, |(family, fam_idx, n)| cert_cell(family, fam_idx, n))
 }
 
-/// Renders rows as the `BENCH_cert.json` document (hand-rolled JSON, as
-/// `BENCH_chaos.json`: every field numeric or a known-safe literal).
-pub fn to_json(rows: &[CertRow]) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"benchmark\": \"embedding-certification\",\n");
-    s.push_str(
-        "  \"metric\": \"per-node certificate size (words, <= 10 + 2*deg) and O(1)-round \
-         distributed verification cost; per-class mutation soundness spot-check\",\n",
-    );
-    s.push_str("  \"cells\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            concat!(
-                "    {{\"family\": \"{}\", \"n\": {}, \"max_degree\": {}, ",
-                "\"embed_rounds\": {}, \"cert_rounds\": {}, ",
-                "\"max_cert_words\": {}, \"mean_cert_words\": {:.2}, ",
-                "\"verify_words\": {}, \"accepted\": {}, \"size_bound_ok\": {}, ",
-                "\"mutations_applied\": {}, \"mutations_rejected\": {}}}{}\n"
-            ),
-            r.family,
-            r.n,
-            r.max_degree,
-            r.embed_rounds,
-            r.cert_rounds,
-            r.max_cert_words,
-            r.mean_cert_words,
-            r.verify_words,
-            r.accepted,
-            r.size_bound_ok,
-            r.mutations_applied,
-            r.mutations_rejected,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// Writes [`to_json`] to `path`.
-///
-/// # Errors
-///
-/// Propagates the underlying I/O error.
-pub fn write_json(path: &std::path::Path, rows: &[CertRow]) -> std::io::Result<()> {
-    std::fs::write(path, to_json(rows))
+/// The `BENCH_cert.json` document.
+pub fn record(rows: &[CertRow]) -> Json {
+    Json::obj([
+        ("benchmark", "embedding-certification".into()),
+        (
+            "metric",
+            "per-node certificate size (words, <= 10 + 2*deg) and O(1)-round \
+             distributed verification cost; per-class mutation soundness spot-check"
+                .into(),
+        ),
+        ("cells", record::array(rows)),
+    ])
 }
 
 #[cfg(test)]
@@ -258,11 +229,12 @@ mod tests {
     }
 
     #[test]
-    fn json_record_is_well_formed_enough() {
-        let rows = vec![cert_cell("tri-grid", 1, 36)];
-        let j = to_json(&rows);
-        assert!(j.contains("\"max_cert_words\""));
-        assert!(j.contains("\"mutations_rejected\""));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
+    fn json_record_carries_every_cell_field() {
+        let doc = record(&[cert_cell("tri-grid", 1, 36)]);
+        let cell = &doc["cells"][0];
+        assert!(matches!(cell["max_cert_words"], Json::U64(_)));
+        assert!(matches!(cell["mean_cert_words"], Json::F64(_)));
+        assert!(matches!(cell["mutations_rejected"], Json::U64(_)));
+        assert_eq!(cell["accepted"], Json::Bool(true));
     }
 }

@@ -23,6 +23,7 @@ use planar_graph::Graph;
 use planar_lib::gen;
 
 use crate::parallel::par_map;
+use crate::record::{self, Fields, Json, Row};
 
 /// The drop rates swept (duplicate rate is half, delay rate is equal, max
 /// delay 3 rounds). Rate 0.0 measures the pure overhead of the reliable
@@ -60,10 +61,24 @@ pub struct ChaosRow {
     pub retransmissions: usize,
 }
 
-impl ChaosRow {
-    /// Fraction of trials ending in a verified embedding.
-    pub fn success_rate(&self) -> f64 {
-        self.successes as f64 / self.trials as f64
+impl Row for ChaosRow {
+    fn fields(&self) -> Fields {
+        vec![
+            ("family", self.family.into()),
+            ("n", self.n.into()),
+            ("drop_rate", self.rate.into()),
+            ("trials", self.trials.into()),
+            ("successes", self.successes.into()),
+            ("degraded", self.degraded.into()),
+            (
+                "success_rate",
+                (self.successes as f64 / self.trials as f64).into(),
+            ),
+            ("baseline_rounds", self.baseline_rounds.into()),
+            ("mean_round_overhead", self.mean_round_overhead.into()),
+            ("dropped", self.dropped.into()),
+            ("retransmissions", self.retransmissions.into()),
+        ]
     }
 }
 
@@ -178,8 +193,8 @@ pub fn chaos_cell(family: &'static str, fam_idx: usize, n: usize, rate_idx: usiz
 }
 
 /// Runs the full sweep (`RATES` × substrates × `sizes`), fanning the cells
-/// out through [`par_map`], printing one line per row. Deterministic:
-/// repeat calls return identical rows.
+/// out through [`par_map`]. Deterministic: repeat calls return identical
+/// rows.
 pub fn chaos_sweep(sizes: &[usize]) -> Vec<ChaosRow> {
     let cells: Vec<(&'static str, usize, usize, usize)> = ["grid", "tri-grid"]
         .into_iter()
@@ -190,72 +205,24 @@ pub fn chaos_sweep(sizes: &[usize]) -> Vec<ChaosRow> {
             })
         })
         .collect();
-    let rows = par_map(cells, |(family, fam_idx, n, rate_idx)| {
+    par_map(cells, |(family, fam_idx, n, rate_idx)| {
         chaos_cell(family, fam_idx, n, rate_idx)
-    });
-    for r in &rows {
-        println!(
-            "chaos/{:<9} n={:<6} rate={:<5} success={}/{} degraded={} overhead={:.2}x dropped={} retx={}",
-            r.family,
-            r.n,
-            r.rate,
-            r.successes,
-            r.trials,
-            r.degraded,
-            r.mean_round_overhead,
-            r.dropped,
-            r.retransmissions,
-        );
-    }
-    rows
+    })
 }
 
-/// Renders rows as the `BENCH_chaos.json` document (hand-rolled JSON, as
-/// `BENCH_kernel.json`: every field numeric or a known-safe literal).
-pub fn to_json(rows: &[ChaosRow]) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"benchmark\": \"embedding-chaos\",\n");
-    s.push_str(
-        "  \"metric\": \"success rate and round overhead under seeded link faults \
-         (drop/duplicate/delay), reliable delivery on\",\n",
-    );
-    s.push_str(&format!(
-        "  \"trials_per_cell\": {TRIALS},\n  \"cells\": [\n"
-    ));
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            concat!(
-                "    {{\"family\": \"{}\", \"n\": {}, \"drop_rate\": {}, ",
-                "\"trials\": {}, \"successes\": {}, \"degraded\": {}, ",
-                "\"success_rate\": {:.3}, \"baseline_rounds\": {}, ",
-                "\"mean_round_overhead\": {:.4}, \"dropped\": {}, ",
-                "\"retransmissions\": {}}}{}\n"
-            ),
-            r.family,
-            r.n,
-            r.rate,
-            r.trials,
-            r.successes,
-            r.degraded,
-            r.success_rate(),
-            r.baseline_rounds,
-            r.mean_round_overhead,
-            r.dropped,
-            r.retransmissions,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// Writes [`to_json`] to `path`.
-///
-/// # Errors
-///
-/// Propagates the underlying I/O error.
-pub fn write_json(path: &std::path::Path, rows: &[ChaosRow]) -> std::io::Result<()> {
-    std::fs::write(path, to_json(rows))
+/// The `BENCH_chaos.json` document.
+pub fn record(rows: &[ChaosRow]) -> Json {
+    Json::obj([
+        ("benchmark", "embedding-chaos".into()),
+        (
+            "metric",
+            "success rate and round overhead under seeded link faults \
+             (drop/duplicate/delay), reliable delivery on"
+                .into(),
+        ),
+        ("trials_per_cell", TRIALS.into()),
+        ("cells", record::array(rows)),
+    ])
 }
 
 #[cfg(test)]
@@ -302,11 +269,13 @@ mod tests {
     }
 
     #[test]
-    fn json_record_is_well_formed_enough() {
-        let rows = vec![chaos_cell("grid", 0, 64, 1)];
-        let j = to_json(&rows);
-        assert!(j.contains("\"success_rate\""));
-        assert!(j.contains("\"mean_round_overhead\""));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
+    fn json_record_carries_every_cell_field() {
+        let doc = record(&[chaos_cell("grid", 0, 64, 1)]);
+        assert_eq!(doc["trials_per_cell"], Json::U64(TRIALS as u64));
+        let cell = &doc["cells"][0];
+        assert_eq!(cell["drop_rate"], Json::F64(RATES[1]));
+        assert!(matches!(cell["success_rate"], Json::F64(_)));
+        assert!(matches!(cell["mean_round_overhead"], Json::F64(_)));
+        assert!(matches!(cell["retransmissions"], Json::U64(_)));
     }
 }

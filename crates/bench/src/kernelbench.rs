@@ -35,9 +35,9 @@
 //! worst case, and it exercises not one byte of the state this stage
 //! measures.
 //!
-//! Entry points: [`kernel_bench`] produces rows, [`write_json`] emits the
-//! `BENCH_kernel.json` record (hand-rolled JSON; `serde_json` is not
-//! available offline, see `shims/README.md`). Reachable via
+//! Entry points: [`kernel_bench`] produces rows, [`record`] builds the
+//! `BENCH_kernel.json` document from their [`Row::fields`] (rendered by
+//! the canonical [`Json`] writer, see [`crate::record`]). Reachable via
 //! `cargo run -p planar-bench --bin harness -- bench-kernel` and
 //! `cargo bench -p planar-bench --bench kernel`.
 
@@ -50,6 +50,7 @@ use planar_graph::{Graph, VertexId};
 use planar_lib::gen;
 
 use crate::mem;
+use crate::record::{self, Fields, Json, Row};
 
 /// Single-source flood: node 0 announces in round 0; every other node
 /// forwards one word to its whole neighborhood on first receipt.
@@ -113,24 +114,32 @@ pub struct KernelBenchRow {
 }
 
 impl KernelBenchRow {
-    /// Delivered messages per second, fast kernel.
-    pub fn fast_mps(&self) -> f64 {
-        self.messages as f64 / self.fast_secs
-    }
-
-    /// Delivered messages per second, reference kernel.
-    pub fn reference_mps(&self) -> f64 {
-        self.messages as f64 / self.reference_secs
-    }
-
-    /// Throughput ratio fast / reference.
-    pub fn speedup(&self) -> f64 {
-        self.fast_mps() / self.reference_mps()
-    }
-
     /// Retained kernel bytes per vertex.
     pub fn bytes_per_node(&self) -> f64 {
         self.kernel_bytes as f64 / self.n as f64
+    }
+}
+
+impl Row for KernelBenchRow {
+    fn fields(&self) -> Fields {
+        let fast_mps = self.messages as f64 / self.fast_secs;
+        let reference_mps = self.messages as f64 / self.reference_secs;
+        vec![
+            ("family", self.family.into()),
+            ("n", self.n.into()),
+            ("edges", self.edges.into()),
+            ("rounds", self.rounds.into()),
+            ("messages", self.messages.into()),
+            ("iters", self.iters.into()),
+            ("fast_secs", self.fast_secs.into()),
+            ("reference_secs", self.reference_secs.into()),
+            ("fast_msgs_per_sec", fast_mps.into()),
+            ("reference_msgs_per_sec", reference_mps.into()),
+            ("speedup", (fast_mps / reference_mps).into()),
+            ("kernel_bytes", self.kernel_bytes.into()),
+            ("bytes_per_node", self.bytes_per_node().into()),
+            ("peak_rss_bytes", self.peak_rss_bytes.into()),
+        ]
     }
 }
 
@@ -226,20 +235,7 @@ pub fn kernel_bench(sizes: &[usize]) -> Vec<KernelBenchRow> {
             ("rmp", gen::random_maximal_planar(n, RMP_SEED)),
         ] {
             let row = measure(family, &g, iters_for(g.vertex_count()));
-            println!(
-                "flood/{:<9} n={:<7} rounds={:<4} msgs={:<8} fast={:>10.6}s ref={:>10.6}s  {:>8.0} vs {:>8.0} msg/s  speedup {:.2}x  {:>5.1} B/node  rss={}",
-                row.family,
-                row.n,
-                row.rounds,
-                row.messages,
-                row.fast_secs,
-                row.reference_secs,
-                row.fast_mps(),
-                row.reference_mps(),
-                row.speedup(),
-                row.bytes_per_node(),
-                mem::fmt_bytes(row.peak_rss_bytes),
-            );
+            println!("{}", record::line("flood", &row));
             rows.push(row);
         }
     }
@@ -273,6 +269,21 @@ impl EmbedMemRow {
     /// Retained kernel-cache bytes per vertex.
     pub fn bytes_per_node(&self) -> f64 {
         self.kernel_bytes as f64 / self.n as f64
+    }
+}
+
+impl Row for EmbedMemRow {
+    fn fields(&self) -> Fields {
+        vec![
+            ("family", self.family.into()),
+            ("n", self.n.into()),
+            ("edges", self.edges.into()),
+            ("rounds", self.rounds.into()),
+            ("secs", self.secs.into()),
+            ("kernel_bytes", self.kernel_bytes.into()),
+            ("bytes_per_node", self.bytes_per_node().into()),
+            ("peak_rss_bytes", self.peak_rss_bytes.into()),
+        ]
     }
 }
 
@@ -314,94 +325,24 @@ pub fn embed_mem_stage(sizes: &[usize]) -> Vec<EmbedMemRow> {
         .iter()
         .map(|&n| {
             let row = embed_mem(n);
-            println!(
-                "embed/{:<9} n={:<8} rounds={:<8} secs={:>9.3}  kernel={} ({:.1} B/node)  rss={}",
-                row.family,
-                row.n,
-                row.rounds,
-                row.secs,
-                mem::fmt_bytes(row.kernel_bytes),
-                row.bytes_per_node(),
-                mem::fmt_bytes(row.peak_rss_bytes),
-            );
+            println!("{}", record::line("embed", &row));
             row
         })
         .collect()
 }
 
-/// Renders rows as the `BENCH_kernel.json` document. Hand-rolled: every
-/// field is numeric or a known-safe literal, so no escaping is needed.
-pub fn to_json(rows: &[KernelBenchRow], embeds: &[EmbedMemRow]) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"benchmark\": \"congest-kernel-flood\",\n");
-    s.push_str("  \"metric\": \"delivered messages per second (best of N runs)\",\n");
-    s.push_str(&format!(
-        "  \"budget_words\": {},\n  \"workloads\": [\n",
-        SimConfig::default().budget_words
-    ));
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            concat!(
-                "    {{\"family\": \"{}\", \"n\": {}, \"edges\": {}, ",
-                "\"rounds\": {}, \"messages\": {}, \"iters\": {}, ",
-                "\"fast_secs\": {:.9}, \"reference_secs\": {:.9}, ",
-                "\"fast_msgs_per_sec\": {:.1}, \"reference_msgs_per_sec\": {:.1}, ",
-                "\"speedup\": {:.3}, ",
-                "\"kernel_bytes\": {}, \"bytes_per_node\": {:.1}, ",
-                "\"peak_rss_bytes\": {}}}{}\n"
-            ),
-            r.family,
-            r.n,
-            r.edges,
-            r.rounds,
-            r.messages,
-            r.iters,
-            r.fast_secs,
-            r.reference_secs,
-            r.fast_mps(),
-            r.reference_mps(),
-            r.speedup(),
-            r.kernel_bytes,
-            r.bytes_per_node(),
-            r.peak_rss_bytes,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ],\n  \"embeddings\": [\n");
-    for (i, r) in embeds.iter().enumerate() {
-        s.push_str(&format!(
-            concat!(
-                "    {{\"family\": \"{}\", \"n\": {}, \"edges\": {}, ",
-                "\"rounds\": {}, \"secs\": {:.3}, ",
-                "\"kernel_bytes\": {}, \"bytes_per_node\": {:.1}, ",
-                "\"peak_rss_bytes\": {}}}{}\n"
-            ),
-            r.family,
-            r.n,
-            r.edges,
-            r.rounds,
-            r.secs,
-            r.kernel_bytes,
-            r.bytes_per_node(),
-            r.peak_rss_bytes,
-            if i + 1 < embeds.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// Writes [`to_json`] to `path`.
-///
-/// # Errors
-///
-/// Propagates the underlying I/O error.
-pub fn write_json(
-    path: &std::path::Path,
-    rows: &[KernelBenchRow],
-    embeds: &[EmbedMemRow],
-) -> std::io::Result<()> {
-    std::fs::write(path, to_json(rows, embeds))
+/// The `BENCH_kernel.json` document: flood rows and embedding memory rows.
+pub fn record(rows: &[KernelBenchRow], embeds: &[EmbedMemRow]) -> Json {
+    Json::obj([
+        ("benchmark", "congest-kernel-flood".into()),
+        (
+            "metric",
+            "delivered messages per second (best of N runs)".into(),
+        ),
+        ("budget_words", SimConfig::default().budget_words.into()),
+        ("workloads", record::array(rows)),
+        ("embeddings", record::array(embeds)),
+    ])
 }
 
 #[cfg(test)]
@@ -446,17 +387,22 @@ mod tests {
     }
 
     #[test]
-    fn json_record_is_well_formed_enough() {
+    fn json_record_carries_every_section() {
         let g = gen::grid(4, 4);
         let rows = vec![measure("grid", &g, 1)];
         let embeds = vec![embed_mem(64)];
-        let j = to_json(&rows, &embeds);
-        assert!(j.contains("\"fast_msgs_per_sec\""));
-        assert!(j.contains("\"reference_msgs_per_sec\""));
-        assert!(j.contains("\"speedup\""));
-        assert!(j.contains("\"bytes_per_node\""));
-        assert!(j.contains("\"peak_rss_bytes\""));
-        assert!(j.contains("\"embeddings\""));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
+        let doc = record(&rows, &embeds);
+        assert_eq!(doc["budget_words"], Json::U64(8));
+        let flood = &doc["workloads"][0];
+        for key in [
+            "fast_msgs_per_sec",
+            "reference_msgs_per_sec",
+            "speedup",
+            "bytes_per_node",
+        ] {
+            assert!(matches!(flood[key], Json::F64(_)), "{key}");
+        }
+        assert!(matches!(flood["peak_rss_bytes"], Json::U64(_)));
+        assert_eq!(doc["embeddings"][0]["n"], Json::U64(64));
     }
 }

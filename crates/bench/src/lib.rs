@@ -33,7 +33,9 @@
 //! level-synchronous scheduler against the sequential oracle and emits
 //! `BENCH_sched.json`; [`servicebench`] soaks the multi-tenant embedding
 //! service under seeded churn with the full re-embed oracle armed and
-//! emits `BENCH_service.json`.
+//! emits `BENCH_service.json`. Every record takes one path,
+//! [`record`]: each row type lists its fields once, and the record, the
+//! harness table and the progress line all derive from that list.
 //!
 //! Run everything with `cargo run --release -p planar-bench --bin harness`.
 
@@ -48,6 +50,7 @@ pub mod experiments;
 pub mod kernelbench;
 pub mod mem;
 pub mod parallel;
+pub mod record;
 pub mod schedbench;
 pub mod servicebench;
 pub mod table;

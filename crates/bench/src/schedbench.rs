@@ -27,6 +27,7 @@ use congest_sim::Metrics;
 use planar_embedding::{embed_recursion_with_memory, EmbedderConfig, RecursionStats, Scheduler};
 use planar_lib::gen;
 
+use crate::record::{self, Fields, Json, Row};
 use crate::timing::bench;
 
 /// One cell of the scheduler sweep.
@@ -55,6 +56,23 @@ pub struct SchedRow {
     /// Monotone across rows — the last cell of a sweep bounds the whole
     /// sweep; per-n deltas bound the marginal cost of a cell.
     pub peak_rss_bytes: usize,
+}
+
+impl Row for SchedRow {
+    fn fields(&self) -> Fields {
+        vec![
+            ("family", self.family.into()),
+            ("n", self.n.into()),
+            ("iters", self.iters.into()),
+            ("sequential_secs", self.sequential_secs.into()),
+            ("level_sync_secs", self.level_sync_secs.into()),
+            ("speedup", self.speedup.into()),
+            ("rounds", self.rounds.into()),
+            ("sequential_rounds", self.sequential_rounds.into()),
+            ("outputs_identical", self.outputs_identical.into()),
+            ("peak_rss_bytes", self.peak_rss_bytes.into()),
+        ]
+    }
 }
 
 fn substrate(family: &'static str, n: usize) -> planar_graph::Graph {
@@ -141,51 +159,21 @@ pub fn sched_sweep(sizes: &[usize]) -> Vec<SchedRow> {
     rows
 }
 
-/// Renders rows as the `BENCH_sched.json` document (hand-rolled JSON, as
-/// the other BENCH files: every field numeric or a known-safe literal).
-pub fn to_json(rows: &[SchedRow]) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"benchmark\": \"scheduler\",\n");
-    s.push_str(
-        "  \"metric\": \"host wall time of the distributed pipeline \
-         (embed_recursion_with_memory: setup + partition/merge recursion) under \
-         the level-synchronous scheduler vs the sequential oracle; metrics and \
-         statistics asserted bit-identical per cell; simulated rounds are \
-         scheduler-independent\",\n",
-    );
-    s.push_str("  \"cells\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            concat!(
-                "    {{\"family\": \"{}\", \"n\": {}, \"iters\": {}, ",
-                "\"sequential_secs\": {:.6}, \"level_sync_secs\": {:.6}, ",
-                "\"speedup\": {:.3}, \"rounds\": {}, \"sequential_rounds\": {}, ",
-                "\"outputs_identical\": {}, \"peak_rss_bytes\": {}}}{}\n"
-            ),
-            r.family,
-            r.n,
-            r.iters,
-            r.sequential_secs,
-            r.level_sync_secs,
-            r.speedup,
-            r.rounds,
-            r.sequential_rounds,
-            r.outputs_identical,
-            r.peak_rss_bytes,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// Writes [`to_json`] to `path`.
-///
-/// # Errors
-///
-/// Propagates the underlying I/O error.
-pub fn write_json(path: &std::path::Path, rows: &[SchedRow]) -> std::io::Result<()> {
-    std::fs::write(path, to_json(rows))
+/// The `BENCH_sched.json` document.
+pub fn record(rows: &[SchedRow]) -> Json {
+    Json::obj([
+        ("benchmark", "scheduler".into()),
+        (
+            "metric",
+            "host wall time of the distributed pipeline \
+             (embed_recursion_with_memory: setup + partition/merge recursion) under \
+             the level-synchronous scheduler vs the sequential oracle; metrics and \
+             statistics asserted bit-identical per cell; simulated rounds are \
+             scheduler-independent"
+                .into(),
+        ),
+        ("cells", record::array(rows)),
+    ])
 }
 
 #[cfg(test)]
@@ -202,11 +190,12 @@ mod tests {
     }
 
     #[test]
-    fn json_document_is_well_formed_enough() {
-        let rows = vec![sched_cell("tri-grid", 64)];
-        let s = to_json(&rows);
-        assert!(s.contains("\"benchmark\": \"scheduler\""));
-        assert!(s.contains("\"outputs_identical\": true"));
-        assert_eq!(s.matches('{').count(), s.matches('}').count());
+    fn json_document_carries_every_cell_field() {
+        let doc = record(&[sched_cell("tri-grid", 64)]);
+        assert_eq!(doc["benchmark"], Json::Str("scheduler".into()));
+        let cell = &doc["cells"][0];
+        assert_eq!(cell["outputs_identical"], Json::Bool(true));
+        assert!(matches!(cell["speedup"], Json::F64(_)));
+        assert!(matches!(cell["sequential_rounds"], Json::U64(_)));
     }
 }

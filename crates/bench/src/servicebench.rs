@@ -29,6 +29,8 @@ use planar_service::{
     ChurnGen, DeltaClass, DeltaOutcome, OracleMode, ServiceConfig, ServiceState, TenantId,
 };
 
+use crate::record::{self, Fields, Json, Row};
+
 /// Families the fleet cycles through: the deterministic substrates the
 /// other sweeps use plus the seeded planar/outerplanar samplers, so both
 /// rigid and irregular tenants are resident at once.
@@ -110,6 +112,30 @@ pub struct ServiceFamilyRow {
     pub divergences: usize,
 }
 
+impl Row for ServiceFamilyRow {
+    fn fields(&self) -> Fields {
+        vec![
+            ("family", self.family.into()),
+            ("tenants", self.tenants.into()),
+            ("deltas", self.deltas.into()),
+            ("applied", self.applied.into()),
+            ("incremental", self.incremental.into()),
+            ("tree_preserving", self.tree_preserving.into()),
+            ("tree_repairable", self.tree_repairable.into()),
+            ("vertex_set", self.vertex_set.into()),
+            ("full_fallbacks", self.full_fallbacks.into()),
+            ("rejected_nonplanar", self.rejected_nonplanar.into()),
+            ("p50_service_us", self.p50_service_us.into()),
+            ("p99_service_us", self.p99_service_us.into()),
+            ("p50_incremental_us", self.p50_incremental_us.into()),
+            ("p50_full_us", self.p50_full_us.into()),
+            ("p99_full_us", self.p99_full_us.into()),
+            ("speedup_p50", self.speedup_p50.into()),
+            ("divergences", self.divergences.into()),
+        ]
+    }
+}
+
 /// Fleet-wide aggregates for one [`DeltaClass`] claiming the incremental
 /// path: how often the planner took it and what dividend it paid versus
 /// the full re-embed the oracle ran on the very same deltas.
@@ -126,6 +152,18 @@ pub struct ServiceClassRow {
     /// `p50_full_us / p50_incremental_us` — the class's incremental
     /// dividend (0 when the class never fired).
     pub speedup_p50: f64,
+}
+
+impl Row for ServiceClassRow {
+    fn fields(&self) -> Fields {
+        vec![
+            ("class", self.class.code().into()),
+            ("count", self.count.into()),
+            ("p50_incremental_us", self.p50_incremental_us.into()),
+            ("p50_full_us", self.p50_full_us.into()),
+            ("speedup_p50", self.speedup_p50.into()),
+        ]
+    }
 }
 
 /// The full soak record.
@@ -163,6 +201,23 @@ impl ServiceBenchReport {
     /// comparison). The harness gates on its speedup.
     pub fn headline(&self) -> Option<&ServiceFamilyRow> {
         self.rows.iter().max_by_key(|r| r.incremental)
+    }
+}
+
+/// The fleet-wide scalars (the per-class and per-family rows are
+/// separate record sections).
+impl Row for ServiceBenchReport {
+    fn fields(&self) -> Fields {
+        vec![
+            ("fleet", self.fleet.into()),
+            ("deltas_per_tenant", self.deltas_per_tenant.into()),
+            ("tenant_n", self.tenant_n.into()),
+            ("total_embeddings", self.total_embeddings.into()),
+            ("service_secs", self.service_secs.into()),
+            ("embeddings_per_sec", self.embeddings_per_sec.into()),
+            ("divergences", self.divergences.into()),
+            ("incremental_coverage", self.incremental_coverage.into()),
+        ]
     }
 }
 
@@ -356,107 +411,18 @@ pub fn service_soak(opts: &ServiceBenchOptions) -> ServiceBenchReport {
     }
 }
 
-/// Renders the report as the `BENCH_service.json` document (hand-rolled
-/// JSON like the other BENCH files: numeric fields and known-safe
-/// literals only).
-pub fn to_json(report: &ServiceBenchReport) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"benchmark\": \"service\",\n");
-    s.push_str(
-        "  \"metric\": \"multi-tenant churn soak: service-side delta latency (validation + \
-         pre-flight gate + incremental re-embedding) vs full re-embed of the same mutated \
-         graph, oracle-checked bit-identical per delta; embeddings/sec over admissions + \
-         applied deltas\",\n",
-    );
-    s.push_str(&format!("  \"fleet\": {},\n", report.fleet));
-    s.push_str(&format!(
-        "  \"deltas_per_tenant\": {},\n",
-        report.deltas_per_tenant
-    ));
-    s.push_str(&format!("  \"tenant_n\": {},\n", report.tenant_n));
-    s.push_str(&format!(
-        "  \"total_embeddings\": {},\n",
-        report.total_embeddings
-    ));
-    s.push_str(&format!(
-        "  \"service_secs\": {:.6},\n",
-        report.service_secs
-    ));
-    s.push_str(&format!(
-        "  \"embeddings_per_sec\": {:.1},\n",
-        report.embeddings_per_sec
-    ));
-    s.push_str(&format!("  \"divergences\": {},\n", report.divergences));
-    s.push_str(&format!(
-        "  \"incremental_coverage\": {:.4},\n",
-        report.incremental_coverage
-    ));
-    s.push_str("  \"classes\": [\n");
-    for (i, c) in report.classes.iter().enumerate() {
-        s.push_str(&format!(
-            concat!(
-                "    {{\"class\": \"{}\", \"count\": {}, ",
-                "\"p50_incremental_us\": {:.1}, \"p50_full_us\": {:.1}, ",
-                "\"speedup_p50\": {:.2}}}{}\n"
-            ),
-            c.class.code(),
-            c.count,
-            c.p50_incremental_us,
-            c.p50_full_us,
-            c.speedup_p50,
-            if i + 1 < report.classes.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"families\": [\n");
-    for (i, r) in report.rows.iter().enumerate() {
-        s.push_str(&format!(
-            concat!(
-                "    {{\"family\": \"{}\", \"tenants\": {}, \"deltas\": {}, ",
-                "\"applied\": {}, \"incremental\": {}, ",
-                "\"tree_preserving\": {}, \"tree_repairable\": {}, \"vertex_set\": {}, ",
-                "\"full_fallbacks\": {}, ",
-                "\"rejected_nonplanar\": {}, ",
-                "\"p50_service_us\": {:.1}, \"p99_service_us\": {:.1}, ",
-                "\"p50_incremental_us\": {:.1}, ",
-                "\"p50_full_us\": {:.1}, \"p99_full_us\": {:.1}, ",
-                "\"speedup_p50\": {:.2}, \"divergences\": {}}}{}\n"
-            ),
-            r.family,
-            r.tenants,
-            r.deltas,
-            r.applied,
-            r.incremental,
-            r.tree_preserving,
-            r.tree_repairable,
-            r.vertex_set,
-            r.full_fallbacks,
-            r.rejected_nonplanar,
-            r.p50_service_us,
-            r.p99_service_us,
-            r.p50_incremental_us,
-            r.p50_full_us,
-            r.p99_full_us,
-            r.speedup_p50,
-            r.divergences,
-            if i + 1 < report.rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// Writes [`to_json`] to `path`.
-///
-/// # Errors
-///
-/// Propagates the underlying I/O error.
-pub fn write_json(path: &std::path::Path, report: &ServiceBenchReport) -> std::io::Result<()> {
-    std::fs::write(path, to_json(report))
+/// The `BENCH_service.json` document.
+pub fn record(report: &ServiceBenchReport) -> Json {
+    let metric = "multi-tenant churn soak: service-side delta latency (validation + \
+        pre-flight gate + incremental re-embedding) vs full re-embed of the same mutated \
+        graph, oracle-checked bit-identical per delta; embeddings/sec over admissions + \
+        applied deltas";
+    Json::obj(report.fields().into_iter().chain([
+        ("benchmark", "service".into()),
+        ("metric", metric.into()),
+        ("classes", record::array(&report.classes)),
+        ("families", record::array(&report.rows)),
+    ]))
 }
 
 #[cfg(test)]
@@ -503,24 +469,27 @@ mod tests {
     }
 
     #[test]
-    fn json_document_is_well_formed_enough() {
+    fn json_document_carries_every_section() {
         let report = service_soak(&ServiceBenchOptions {
             fleet: 4,
             deltas: 1,
             tenant_n: 12,
             seed: 1,
         });
-        let s = to_json(&report);
-        assert!(s.contains("\"benchmark\": \"service\""));
-        assert!(s.contains("\"families\": ["));
-        assert!(s.contains("\"divergences\": 0"));
-        assert!(s.contains("\"incremental_coverage\": "));
-        assert!(s.contains("\"classes\": ["));
-        assert!(s.contains("\"class\": \"tree-preserving\""));
-        assert!(s.contains("\"class\": \"tree-repairable\""));
-        assert!(s.contains("\"class\": \"vertex-set\""));
-        assert!(s.contains("\"tree_preserving\": "));
-        assert_eq!(s.matches('{').count(), s.matches('}').count());
+        let doc = record(&report);
+        assert_eq!(doc["benchmark"], Json::Str("service".into()));
+        assert_eq!(doc["divergences"], Json::U64(0));
+        assert!(matches!(doc["incremental_coverage"], Json::F64(_)));
+        assert!(matches!(
+            doc["families"][0]["tree_preserving"],
+            Json::U64(_)
+        ));
+        for (i, class) in ["tree-preserving", "tree-repairable", "vertex-set"]
+            .into_iter()
+            .enumerate()
+        {
+            assert_eq!(doc["classes"][i]["class"], Json::Str(class.into()));
+        }
     }
 
     #[test]

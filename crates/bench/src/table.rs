@@ -37,7 +37,7 @@ pub fn render(header: &[&str], rows: &[Vec<String>]) -> String {
     let header_cells: Vec<String> = header.iter().map(|s| s.to_string()).collect();
     out.push_str(&fmt_row(&header_cells, &widths));
     out.push('\n');
-    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (cols - 1)));
+    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * cols.saturating_sub(1)));
     out.push('\n');
     for row in rows {
         out.push_str(&fmt_row(row, &widths));

@@ -19,6 +19,7 @@ use planar_embedding::{embed_distributed, EmbedError, EmbedderConfig, ReliableCo
 use planar_lib::gen;
 
 use crate::parallel::par_map;
+use crate::record::{self, Fields, Json, Row};
 
 /// Drop rate of the faulty cells (duplicate = rate/2, delay = rate, max
 /// delay 3 rounds) — the mid rate of the chaos sweep.
@@ -53,6 +54,36 @@ pub struct TraceRow {
     pub phases: Vec<(&'static str, usize)>,
     /// Per-round rows across all segments, in stream order.
     pub profile: Vec<RoundProfile>,
+}
+
+impl Row for TraceRow {
+    fn fields(&self) -> Fields {
+        let phases = self.phases.iter().map(|&(p, r)| (p, r.into()));
+        let profile = self.profile.iter().map(|p| {
+            let cols = [p.segment, p.round, p.messages, p.words, p.max_words_edge];
+            Json::Arr(
+                [p.phase.into()]
+                    .into_iter()
+                    .chain(cols.map(Json::from))
+                    .collect(),
+            )
+        });
+        vec![
+            ("family", self.family.into()),
+            ("n", self.n.into()),
+            ("faulty", self.faulty.into()),
+            ("outcome", self.outcome.into()),
+            ("segments", self.segments.into()),
+            ("aborted_segments", self.aborted_segments.into()),
+            ("rounds", self.rounds.into()),
+            ("messages", self.messages.into()),
+            ("words", self.words.into()),
+            ("dropped", self.dropped.into()),
+            ("retransmissions", self.retransmissions.into()),
+            ("phase_rounds", Json::obj(phases)),
+            ("profile", Json::Arr(profile.collect())),
+        ]
+    }
 }
 
 fn substrate(family: &'static str, n: usize) -> planar_graph::Graph {
@@ -124,7 +155,7 @@ pub fn trace_cell(family: &'static str, n: usize, faulty: bool) -> TraceRow {
 }
 
 /// Runs the full sweep (substrates × `sizes` × fault-free/faulty) through
-/// [`par_map`], printing one summary line per cell. Deterministic.
+/// [`par_map`]. Deterministic.
 pub fn trace_sweep(sizes: &[usize]) -> Vec<TraceRow> {
     let cells: Vec<(&'static str, usize, bool)> = ["grid", "tri-grid"]
         .into_iter()
@@ -134,90 +165,27 @@ pub fn trace_sweep(sizes: &[usize]) -> Vec<TraceRow> {
                 .flat_map(move |&n| [false, true].map(|faulty| (family, n, faulty)))
         })
         .collect();
-    let rows = par_map(cells, |(family, n, faulty)| trace_cell(family, n, faulty));
-    for r in &rows {
-        println!(
-            "trace/{:<9} n={:<6} faulty={:<5} {:<8} segments={} rounds={} words={} retx={} phases={:?}",
-            r.family, r.n, r.faulty, r.outcome, r.segments, r.rounds, r.words, r.retransmissions, r.phases,
-        );
-    }
-    rows
+    par_map(cells, |(family, n, faulty)| trace_cell(family, n, faulty))
 }
 
-/// Renders rows as the `BENCH_trace.json` document (hand-rolled JSON, as
-/// the other BENCH files: every field numeric or a known-safe literal).
-pub fn to_json(rows: &[TraceRow]) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"benchmark\": \"embedding-trace\",\n");
-    s.push_str(
-        "  \"metric\": \"audited per-round profile of the full embedding pipeline; \
-         every cell's kernel metrics verified against an independent recomputation \
-         from its trace\",\n",
-    );
-    s.push_str("  \"cells\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            concat!(
-                "    {{\"family\": \"{}\", \"n\": {}, \"faulty\": {}, ",
-                "\"outcome\": \"{}\", \"segments\": {}, \"aborted_segments\": {}, ",
-                "\"rounds\": {}, \"messages\": {}, \"words\": {}, \"dropped\": {}, ",
-                "\"retransmissions\": {},\n     \"phase_rounds\": {{"
-            ),
-            r.family,
-            r.n,
-            r.faulty,
-            r.outcome,
-            r.segments,
-            r.aborted_segments,
-            r.rounds,
-            r.messages,
-            r.words,
-            r.dropped,
-            r.retransmissions,
-        ));
-        for (j, (phase, rounds)) in r.phases.iter().enumerate() {
-            s.push_str(&format!(
-                "\"{phase}\": {rounds}{}",
-                if j + 1 < r.phases.len() { ", " } else { "" }
-            ));
-        }
-        s.push_str("},\n     \"profile\": [");
-        for (j, p) in r.profile.iter().enumerate() {
-            if j % 4 == 0 {
-                s.push_str("\n      ");
-            }
-            s.push_str(&format!(
-                "[\"{}\",{},{},{},{},{}]{}",
-                p.phase,
-                p.segment,
-                p.round,
-                p.messages,
-                p.words,
-                p.max_words_edge,
-                if j + 1 < r.profile.len() { "," } else { "" }
-            ));
-        }
-        s.push_str(&format!(
-            "]}}{}\n",
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(
-        "  \"profile_columns\": [\"phase\", \"segment\", \"round\", \"messages\", \
-         \"words\", \"max_words_edge\"]\n",
-    );
-    s.push_str("}\n");
-    s
-}
-
-/// Writes [`to_json`] to `path`.
-///
-/// # Errors
-///
-/// Propagates the underlying I/O error.
-pub fn write_json(path: &std::path::Path, rows: &[TraceRow]) -> std::io::Result<()> {
-    std::fs::write(path, to_json(rows))
+/// The `BENCH_trace.json` document.
+pub fn record(rows: &[TraceRow]) -> Json {
+    let columns = "phase segment round messages words max_words_edge".split(' ');
+    Json::obj([
+        ("benchmark", "embedding-trace".into()),
+        (
+            "metric",
+            "audited per-round profile of the full embedding pipeline; \
+             every cell's kernel metrics verified against an independent recomputation \
+             from its trace"
+                .into(),
+        ),
+        ("cells", record::array(rows)),
+        (
+            "profile_columns",
+            Json::Arr(columns.map(Json::from).collect()),
+        ),
+    ])
 }
 
 #[cfg(test)]
@@ -254,12 +222,17 @@ mod tests {
     }
 
     #[test]
-    fn json_record_is_well_formed_enough() {
-        let rows = vec![trace_cell("grid", 64, false)];
-        let j = to_json(&rows);
-        assert!(j.contains("\"phase_rounds\""));
-        assert!(j.contains("\"profile\""));
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
+    fn json_record_carries_phases_and_profile() {
+        let row = trace_cell("grid", 64, false);
+        let doc = record(std::slice::from_ref(&row));
+        let cell = &doc["cells"][0];
+        assert_eq!(cell["rounds"], Json::U64(row.rounds as u64));
+        assert!(matches!(cell["phase_rounds"]["cert"], Json::U64(_)));
+        let Json::Arr(profile) = &cell["profile"] else {
+            panic!("profile must be an array");
+        };
+        assert_eq!(profile.len(), row.profile.len());
+        assert_eq!(profile[0][0], Json::Str(row.profile[0].phase.into()));
+        assert!(matches!(doc["profile_columns"][5], Json::Str(_)));
     }
 }

@@ -335,8 +335,9 @@ impl TraceSink for MemorySink {
 }
 
 /// Renders one event as a single JSON object (the JSONL line format of
-/// [`JsonlSink`]). Hand-rolled like the workspace's `BENCH_*.json` writers:
-/// every value is numeric or a known-safe literal.
+/// [`JsonlSink`]). Hand-rolled, because the canonical `Json` writer lives
+/// in `planar-dst`, above this crate: every value is numeric or a
+/// known-safe literal.
 pub fn event_json(ev: &TraceEvent) -> String {
     match ev {
         TraceEvent::RunStart {

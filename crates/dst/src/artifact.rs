@@ -1,11 +1,13 @@
 //! Canonical artifacts: sorted-key JSON rendering and result digests.
 //!
-//! Every DST run writes machine-diffable JSON. The renderer is hand-rolled
-//! (the workspace's `serde` is an offline shim) and **canonical**: object
-//! keys come from a `BTreeMap`, so they are always emitted in sorted
-//! order, floats use Rust's shortest-roundtrip formatting, and rendering
-//! the same value twice yields byte-identical text — `diff` on two
-//! artifacts means the runs actually differed.
+//! [`Json`] is the workspace's one JSON writer: every DST artifact and
+//! every `BENCH_*.json` record renders through it. It is hand-rolled (the
+//! workspace's `serde` is an offline shim) and **canonical**: object keys
+//! come from a `BTreeMap`, so they are always emitted in sorted order,
+//! floats are rounded to six significant digits, a container of scalars
+//! stays on one line, and rendering the same value twice yields
+//! byte-identical text — `diff` on two artifacts means the runs actually
+//! differed.
 
 use std::collections::BTreeMap;
 
@@ -26,7 +28,7 @@ pub enum Json {
     Bool(bool),
     /// Unsigned integer.
     U64(u64),
-    /// Finite float (rendered with shortest-roundtrip formatting).
+    /// Finite float (rendered at six significant digits).
     F64(f64),
     /// String (escaped on render).
     Str(String),
@@ -44,8 +46,19 @@ impl Json {
         Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 
-    /// Renders the canonical pretty form (2-space indent, sorted keys,
-    /// trailing newline at the top level is the caller's choice).
+    /// Whether this value renders without line breaks: a scalar or an
+    /// empty container.
+    fn is_flat(&self) -> bool {
+        match self {
+            Json::Arr(items) => items.is_empty(),
+            Json::Obj(map) => map.is_empty(),
+            _ => true,
+        }
+    }
+
+    /// Renders the canonical pretty form (2-space indent, sorted keys; a
+    /// container of flat members stays on one line; trailing newline at
+    /// the top level is the caller's choice).
     pub fn render(&self) -> String {
         let mut s = String::new();
         self.write(&mut s, 0);
@@ -59,47 +72,60 @@ impl Json {
             Json::U64(n) => out.push_str(&n.to_string()),
             Json::F64(f) => {
                 debug_assert!(f.is_finite(), "canonical JSON holds finite floats only");
-                out.push_str(&format!("{f}"));
+                out.push_str(&round_sig6(*f).to_string());
             }
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    push_indent(out, indent + 1);
-                    item.write(out, indent + 1);
-                    if i + 1 < items.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                push_indent(out, indent);
-                out.push(']');
+                write_members(out, indent, ['[', ']'], items.iter().map(|v| (None, v)))
             }
-            Json::Obj(map) => {
-                if map.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push_str("{\n");
-                for (i, (k, v)) in map.iter().enumerate() {
-                    push_indent(out, indent + 1);
-                    write_escaped(out, k);
-                    out.push_str(": ");
-                    v.write(out, indent + 1);
-                    if i + 1 < map.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                push_indent(out, indent);
-                out.push('}');
-            }
+            Json::Obj(map) => write_members(
+                out,
+                indent,
+                ['{', '}'],
+                map.iter().map(|(k, v)| (Some(k.as_str()), v)),
+            ),
         }
     }
+}
+
+/// Rounds to six significant digits, so timings and ratios print at a
+/// fixed precision while short decimals (fault rates k/1000) survive
+/// unchanged.
+fn round_sig6(f: f64) -> f64 {
+    format!("{f:.5e}")
+        .parse()
+        .expect("scientific notation parses")
+}
+
+/// Writes container members: all on one line when every member is flat,
+/// else one member per line at `indent + 1`.
+fn write_members<'a>(
+    out: &mut String,
+    indent: usize,
+    [open, close]: [char; 2],
+    members: impl Iterator<Item = (Option<&'a str>, &'a Json)> + Clone,
+) {
+    let flat = members.clone().all(|(_, v)| v.is_flat());
+    out.push(open);
+    for (i, (key, value)) in members.enumerate() {
+        if i > 0 {
+            out.push_str(if flat { ", " } else { "," });
+        }
+        if !flat {
+            out.push('\n');
+            push_indent(out, indent + 1);
+        }
+        if let Some(key) = key {
+            write_escaped(out, key);
+            out.push_str(": ");
+        }
+        value.write(out, indent + 1);
+    }
+    if !flat {
+        out.push('\n');
+        push_indent(out, indent);
+    }
+    out.push(close);
 }
 
 fn push_indent(out: &mut String, levels: usize) {
@@ -122,6 +148,55 @@ fn write_escaped(out: &mut String, s: &str) {
         }
     }
     out.push('"');
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<usize> for Json {
+    fn from(n: usize) -> Json {
+        Json::U64(n as u64)
+    }
+}
+
+impl From<f64> for Json {
+    fn from(f: f64) -> Json {
+        Json::F64(f)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.into())
+    }
+}
+
+impl std::ops::Index<&str> for Json {
+    type Output = Json;
+
+    /// The member `key` of an object; `Null` for a missing key or a
+    /// non-object.
+    fn index(&self, key: &str) -> &Json {
+        match self {
+            Json::Obj(map) => map.get(key).unwrap_or(&Json::Null),
+            _ => &Json::Null,
+        }
+    }
+}
+
+impl std::ops::Index<usize> for Json {
+    type Output = Json;
+
+    /// Element `i` of an array; `Null` out of range or for a non-array.
+    fn index(&self, i: usize) -> &Json {
+        match self {
+            Json::Arr(items) => items.get(i).unwrap_or(&Json::Null),
+            _ => &Json::Null,
+        }
+    }
 }
 
 /// Stable names for the kernel dimension in artifacts.
@@ -200,7 +275,7 @@ fn link_faults_json(f: &congest_sim::LinkFaults) -> Json {
         ("drop", Json::F64(f.drop)),
         ("duplicate", Json::F64(f.duplicate)),
         ("delay", Json::F64(f.delay)),
-        ("max_delay", Json::U64(f.max_delay as u64)),
+        ("max_delay", f.max_delay.into()),
     ])
 }
 
@@ -233,7 +308,7 @@ pub fn fault_plan_json(plan: &FaultPlan) -> Json {
                     .map(|(v, round)| {
                         Json::obj([
                             ("node", Json::U64(u64::from(v.0))),
-                            ("round", Json::U64(*round as u64)),
+                            ("round", (*round).into()),
                         ])
                     })
                     .collect(),
@@ -248,8 +323,8 @@ pub fn fault_plan_json(plan: &FaultPlan) -> Json {
                         Json::obj([
                             ("from", Json::U64(u64::from(w.from.0))),
                             ("to", Json::U64(u64::from(w.to.0))),
-                            ("start", Json::U64(w.start as u64)),
-                            ("end", Json::U64(w.end as u64)),
+                            ("start", w.start.into()),
+                            ("end", w.end.into()),
                         ])
                     })
                     .collect(),
@@ -264,41 +339,41 @@ pub fn scenario_json(sc: &Scenario) -> Json {
     Json::obj([
         ("seed", Json::U64(sc.seed)),
         ("family", Json::Str(sc.family.to_string())),
-        ("requested_n", Json::U64(sc.requested_n as u64)),
+        ("requested_n", sc.requested_n.into()),
         ("graph_seed", Json::U64(sc.graph_seed)),
         ("faults", fault_plan_json(&sc.faults)),
         (
             "reliability",
             match &sc.reliability {
                 Some(r) => Json::obj([
-                    ("retransmit_after", Json::U64(r.retransmit_after as u64)),
-                    ("max_retries", Json::U64(r.max_retries as u64)),
+                    ("retransmit_after", r.retransmit_after.into()),
+                    ("max_retries", r.max_retries.into()),
                 ]),
                 None => Json::Null,
             },
         ),
-        ("kernel", Json::Str(kernel_code(sc.kernel).into())),
-        ("scheduler", Json::Str(scheduler_code(sc.scheduler).into())),
+        ("kernel", kernel_code(sc.kernel).into()),
+        ("scheduler", scheduler_code(sc.scheduler).into()),
         ("certify", Json::Bool(sc.certify)),
-        ("churn_deltas", Json::U64(sc.churn_deltas as u64)),
+        ("churn_deltas", sc.churn_deltas.into()),
         ("churn_seed", Json::U64(sc.churn_seed)),
     ])
 }
 
 fn run_summary_json(run: &RunSummary) -> Json {
     Json::obj([
-        ("class", Json::Str(run.class.code().into())),
-        ("rounds", Json::U64(run.rounds as u64)),
-        ("messages", Json::U64(run.messages as u64)),
-        ("dropped", Json::U64(run.dropped as u64)),
+        ("class", run.class.code().into()),
+        ("rounds", run.rounds.into()),
+        ("messages", run.messages.into()),
+        ("dropped", run.dropped.into()),
         (
             "degraded",
             match run.degraded {
                 Some((surviving, rounds, verified, cause)) => Json::obj([
-                    ("surviving_nodes", Json::U64(surviving as u64)),
-                    ("rounds_used", Json::U64(rounds as u64)),
+                    ("surviving_nodes", surviving.into()),
+                    ("rounds_used", rounds.into()),
                     ("verified", Json::Bool(verified)),
-                    ("cause", Json::Str(cause.into())),
+                    ("cause", cause.into()),
                 ]),
                 None => Json::Null,
             },
@@ -309,24 +384,24 @@ fn run_summary_json(run: &RunSummary) -> Json {
 
 fn churn_summary_json(c: &ChurnSummary) -> Json {
     Json::obj([
-        ("applied", Json::U64(c.applied as u64)),
-        ("incremental", Json::U64(c.incremental as u64)),
-        ("tree_preserving", Json::U64(c.tree_preserving as u64)),
-        ("tree_repairable", Json::U64(c.tree_repairable as u64)),
-        ("vertex_set", Json::U64(c.vertex_set as u64)),
-        ("full_fallbacks", Json::U64(c.full_fallbacks as u64)),
-        ("rejected_nonplanar", Json::U64(c.rejected_nonplanar as u64)),
-        ("divergences", Json::U64(c.divergences as u64)),
+        ("applied", c.applied.into()),
+        ("incremental", c.incremental.into()),
+        ("tree_preserving", c.tree_preserving.into()),
+        ("tree_repairable", c.tree_repairable.into()),
+        ("vertex_set", c.vertex_set.into()),
+        ("full_fallbacks", c.full_fallbacks.into()),
+        ("rejected_nonplanar", c.rejected_nonplanar.into()),
+        ("divergences", c.divergences.into()),
     ])
 }
 
 fn violation_json(v: &Violation) -> Json {
     Json::obj([
-        ("kind", Json::Str(v.kind.code().into())),
+        ("kind", v.kind.code().into()),
         (
             "shadow",
             match v.shadow {
-                Some(s) => Json::Str(s.into()),
+                Some(s) => s.into(),
                 None => Json::Null,
             },
         ),
@@ -340,8 +415,8 @@ pub fn report_json(report: &ScenarioReport) -> Json {
     Json::obj([
         ("schema", Json::U64(1)),
         ("scenario", scenario_json(&report.scenario)),
-        ("n", Json::U64(report.n as u64)),
-        ("edges", Json::U64(report.edges as u64)),
+        ("n", report.n.into()),
+        ("edges", report.edges.into()),
         ("primary", run_summary_json(&report.primary)),
         (
             "shadows",
@@ -404,6 +479,38 @@ mod tests {
         assert!(text.contains("{}"));
         assert_eq!(text.matches('{').count(), text.matches('}').count());
         assert_eq!(text.matches('[').count(), text.matches(']').count());
+    }
+
+    #[test]
+    fn flat_containers_render_on_one_line() {
+        let row = Json::obj([
+            ("n", 64usize.into()),
+            ("family", "grid".into()),
+            ("empty", Json::Arr(vec![])),
+        ]);
+        assert_eq!(row.render(), r#"{"empty": [], "family": "grid", "n": 64}"#);
+        let arr = Json::Arr(vec!["setup".into(), 0usize.into(), true.into()]);
+        assert_eq!(arr.render(), r#"["setup", 0, true]"#);
+    }
+
+    #[test]
+    fn nested_containers_render_one_member_per_line() {
+        let doc = Json::obj([
+            ("cells", Json::Arr(vec![Json::obj([("n", 1usize.into())])])),
+            ("metric", "m".into()),
+        ]);
+        let expect = "{\n  \"cells\": [\n    {\"n\": 1}\n  ],\n  \"metric\": \"m\"\n}";
+        assert_eq!(doc.render(), expect);
+        assert_eq!(doc["cells"][0]["n"], Json::U64(1));
+        assert_eq!(doc["missing"][3], Json::Null);
+    }
+
+    #[test]
+    fn floats_render_at_six_significant_digits() {
+        let render = |f: f64| Json::F64(f).render();
+        assert_eq!(render(0.000333668123), "0.000333668");
+        assert_eq!(render(2.4503817), "2.45038");
+        assert_eq!(render(0.05), "0.05");
     }
 
     #[test]

@@ -136,8 +136,15 @@ impl SwarmReport {
         hist
     }
 
-    /// The swarm summary as canonical JSON (`BENCH_dst.json`).
+    /// The swarm summary as canonical JSON text (`BENCH_dst.json`).
     pub fn to_json(&self) -> String {
+        let mut text = self.summary().render();
+        text.push('\n');
+        text
+    }
+
+    /// The swarm summary document.
+    pub fn summary(&self) -> Json {
         let runs = self
             .runs
             .iter()
@@ -145,21 +152,18 @@ impl SwarmReport {
                 let sc = &run.report.scenario;
                 Json::obj([
                     ("seed", Json::U64(run.seed)),
-                    ("family", Json::Str(sc.family.into())),
-                    ("n", Json::U64(run.report.n as u64)),
+                    ("family", sc.family.into()),
+                    ("n", run.report.n.into()),
                     ("faulty", Json::Bool(sc.faulty())),
-                    (
-                        "kernel",
-                        Json::Str(crate::artifact::kernel_code(sc.kernel).into()),
-                    ),
+                    ("kernel", crate::artifact::kernel_code(sc.kernel).into()),
                     (
                         "scheduler",
-                        Json::Str(crate::artifact::scheduler_code(sc.scheduler).into()),
+                        crate::artifact::scheduler_code(sc.scheduler).into(),
                     ),
                     ("certify", Json::Bool(sc.certify)),
                     ("reliability", Json::Bool(sc.reliability.is_some())),
-                    ("class", Json::Str(run.report.primary.class.code().into())),
-                    ("rounds", Json::U64(run.report.primary.rounds as u64)),
+                    ("class", run.report.primary.class.code().into()),
+                    ("rounds", run.report.primary.rounds.into()),
                     (
                         "digest",
                         Json::Str(format!("{:016x}", run.report.primary.digest)),
@@ -170,7 +174,7 @@ impl SwarmReport {
                             run.report
                                 .violations
                                 .iter()
-                                .map(|v| Json::Str(v.kind.code().into()))
+                                .map(|v| v.kind.code().into())
                                 .collect(),
                         ),
                     ),
@@ -190,30 +194,27 @@ impl SwarmReport {
                 .map(|(code, count)| (code.to_string(), Json::U64(count)))
                 .collect(),
         );
-        let doc = Json::obj([
-            ("benchmark", Json::Str("dst-swarm".into())),
+        Json::obj([
+            ("benchmark", "dst-swarm".into()),
             ("schema", Json::U64(1)),
             ("base_seed", Json::U64(self.options.base_seed)),
-            ("count", Json::U64(self.options.count as u64)),
+            ("count", self.options.count.into()),
             ("canary_skew", Json::U64(self.options.canary_skew)),
             ("classes", classes),
-            ("violations", Json::U64(self.violating() as u64)),
+            ("violations", self.violating().into()),
             (
                 "violating_seeds",
                 Json::Arr(self.violating_seeds().into_iter().map(Json::U64).collect()),
             ),
             ("runs", Json::Arr(runs)),
-        ]);
-        let mut text = doc.render();
-        text.push('\n');
-        text
+        ])
     }
 }
 
 fn minimized_json(m: &Minimized) -> Json {
     Json::obj([
-        ("kind", Json::Str(m.kind.code().into())),
-        ("runs", Json::U64(m.runs as u64)),
+        ("kind", m.kind.code().into()),
+        ("runs", m.runs.into()),
         (
             "steps",
             Json::Arr(m.steps.iter().map(|s| Json::Str(s.clone())).collect()),
