@@ -1,51 +1,56 @@
-//! The experiment harness: regenerates every table of EXPERIMENTS.md.
+//! The experiment harness: regenerates every table of EXPERIMENTS.md and
+//! every committed `BENCH_*.json` record.
 //!
 //! Usage (the authoritative list lives in [`planar_bench::cli`]; run with
 //! an unknown subcommand for the full listing):
 //!
 //! ```text
-//! harness [all|t1|t2|t3|t4|t5|t6|fobs|fsafe|ablate|bench-kernel|mem|chaos|cert|trace|sched|dst|service] [--large]
+//! harness [paper|bench-kernel|mem|chaos|cert|trace|sched|dst|service] [--large]
 //! ```
 //!
 //! `--large` extends the sweeps to larger instances (minutes instead of
 //! seconds).
+//!
+//! `paper` (the default) runs every paper experiment (T1–T6, F-obs32,
+//! F-safe, the budget ablation), prints one table per experiment, and
+//! writes the deterministic record `BENCH_paper.json`. The committed file
+//! is the default-size run; `--large` writes more rows to the same file.
 //!
 //! `bench-kernel` times the simulation kernel against the preserved seed
 //! kernel (flood throughput on grid / tri-grid / random-maximal-planar
 //! substrates, with per-row kernel-arena bytes and peak RSS), runs the
 //! distributed-pipeline embedding memory stage (`--large` includes the
 //! n = 1,000,000 random-maximal-planar acceptance point), and writes the
-//! record to `BENCH_kernel.json` in the current directory. It is not part
-//! of `all`; run it explicitly (ideally under `--release`).
+//! record to `BENCH_kernel.json` in the current directory (run it under
+//! `--release`).
 //!
 //! `mem` is the CI memory gate: one n = 250,000 random-maximal-planar
 //! graph through the distributed pipeline, failing if process peak RSS
-//! exceeds its ceiling. Also not part of `all`.
+//! exceeds its ceiling.
 //!
 //! `chaos` sweeps the embedder under seeded link faults (drop / duplicate /
 //! delay at several rates, reliable delivery on) over grid and tri-grid
 //! substrates and writes `BENCH_chaos.json` (success rate and round
-//! overhead vs the fault-free baseline per cell). Also not part of `all`.
+//! overhead vs the fault-free baseline per cell).
 //!
 //! `cert` sweeps the distributed certification layer (per-node certificate
 //! size, O(1)-round verification cost, per-class mutation soundness
 //! spot-check) over grid / tri-grid / outerplanar / random-planar
-//! substrates and writes `BENCH_cert.json`. Also not part of `all`.
+//! substrates and writes `BENCH_cert.json`.
 //!
 //! `trace` runs the full embedding pipeline (certification on) under the
 //! trace auditor, fault-free and under seeded faults with reliable
 //! delivery: every kernel segment's reported metrics are checked against
 //! an independent recomputation from its event stream (any drift panics),
-//! and the per-round profile is written to `BENCH_trace.json`. Also not
-//! part of `all`.
+//! and the per-round profile is written to `BENCH_trace.json`.
 //!
 //! `sched` times the distributed pipeline (`embed_recursion_with_memory`:
 //! setup + partition/merge recursion — the unit the scheduler controls)
 //! under the level-synchronous scheduler against the sequential oracle
 //! (bit-identical metrics and statistics asserted per cell) over grid and
 //! tri-grid substrates and writes host wall time, speedup, and the
-//! simulated round counts to `BENCH_sched.json`. Also not part of `all`;
-//! run it under `--release` (`--large` extends to n = 100,000).
+//! simulated round counts to `BENCH_sched.json`. Run it under `--release`
+//! (`--large` extends to n = 100,000).
 //!
 //! `dst` runs the deterministic-simulation-testing swarm (`crates/dst`):
 //! `--swarm <count> --seed <base>` checks `count` seeded scenarios against
@@ -56,7 +61,7 @@
 //! single scenario bit-identically and prints its full artifact.
 //! `--canary` arms the test-only broken-fate canary (divergences are then
 //! the *expected* outcome — a self-test of the oracles and the
-//! minimizer). Not part of `all`.
+//! minimizer).
 //!
 //! `service` soaks the multi-tenant embedding service (`crates/service`):
 //! `--fleet <count>` tenant graphs (default 1024) are admitted round-robin
@@ -69,11 +74,9 @@
 //! committed baseline (default 50%, `--min-coverage` to override), or if
 //! any class with enough evidence — headline family included — is not
 //! faster than the full re-embed. `--large` doubles the per-tenant graph
-//! size. Not part of `all`.
+//! size.
 
 use planar_bench::record;
-use planar_bench::table::render;
-use planar_bench::*;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -82,13 +85,7 @@ fn main() {
         .iter()
         .find(|a| !a.starts_with("--"))
         .map(String::as_str)
-        .unwrap_or("all");
-    let sizes: &[usize] = if large {
-        &[64, 256, 1024, 4096, 16384]
-    } else {
-        &[64, 256, 1024]
-    };
-    let run_all = which == "all";
+        .unwrap_or("paper");
 
     if planar_bench::cli::subcommand(which).is_none() {
         eprintln!("unknown experiment `{which}`");
@@ -197,257 +194,19 @@ fn main() {
         return;
     }
 
-    if run_all || which == "t1" {
-        println!("== T1: Theorem 1.1 scaling (rounds vs n, ours vs trivial baseline) ==");
-        let rows = t1_scaling(sizes);
-        let data: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.family.to_string(),
-                    r.n.to_string(),
-                    r.d.to_string(),
-                    r.ours_rounds.to_string(),
-                    r.baseline_rounds.to_string(),
-                    format!("{:.2}", r.normalized),
-                    r.depth.to_string(),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            render(
-                &[
-                    "family",
-                    "n",
-                    "D",
-                    "ours",
-                    "baseline",
-                    "ours/(D*min(lg n,D))",
-                    "depth"
-                ],
-                &data
-            )
-        );
-    }
+    run_paper(large);
+}
 
-    if run_all || which == "t2" {
-        let area = if large { 16384 } else { 4096 };
-        println!("== T2: rounds vs D at fixed n = {area} (grid aspect sweep) ==");
-        let rows = t2_diameter(area);
-        let data: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.instance.clone(),
-                    r.n.to_string(),
-                    r.d.to_string(),
-                    r.ours_rounds.to_string(),
-                    r.baseline_rounds.to_string(),
-                    format!("{:.1}", r.rounds_per_d),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            render(&["instance", "n", "D", "ours", "baseline", "ours/D"], &data)
-        );
+/// `harness paper`: every paper experiment, one table each, and the
+/// deterministic record `BENCH_paper.json` (the CI round-drift gate
+/// regenerates it and diffs it against the committed file).
+fn run_paper(large: bool) {
+    let sections = planar_bench::paper(large);
+    for s in &sections {
+        println!("== {} ==", s.title);
+        println!("{}", s.table);
     }
-
-    if run_all || which == "t3" {
-        println!("== T3: Lemmas 4.2/4.3 (recursion depth, part ratios, final parts) ==");
-        let rows = t3_partition(sizes);
-        let data: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.family.to_string(),
-                    r.n.to_string(),
-                    r.depth.to_string(),
-                    format!("{:.1}", r.depth_bound),
-                    format!("{:.3}", r.max_child_ratio),
-                    r.max_final_parts.to_string(),
-                    r.d.to_string(),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            render(
-                &[
-                    "family",
-                    "n",
-                    "depth",
-                    "log3/2(n)",
-                    "max|Pi|/|Ts|",
-                    "maxFinalParts",
-                    "D"
-                ],
-                &data
-            )
-        );
-    }
-
-    if run_all || which == "t4" {
-        println!("== T4: Lemma 5.3 symmetry breaking (outerplanar, proper coloring) ==");
-        let sweep: &[usize] = if large {
-            &[16, 64, 256, 1024, 4096, 16384]
-        } else {
-            &[16, 64, 256, 1024]
-        };
-        let rows = t4_symmetry(sweep);
-        let data: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.n.to_string(),
-                    r.rounds.to_string(),
-                    r.stars.to_string(),
-                    format!("{:.2}", r.merged_fraction),
-                    r.long_paths.to_string(),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            render(&["n", "rounds", "stars", "mergedFrac", "longPaths"], &data)
-        );
-    }
-
-    if run_all || which == "t5" {
-        println!("== T5: Omega(D) lower-bound instance (subdivided K4) ==");
-        let lens: &[usize] = if large {
-            &[4, 8, 16, 32, 64, 128]
-        } else {
-            &[4, 8, 16, 32]
-        };
-        let rows = t5_lower_bound(lens);
-        let data: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.len.to_string(),
-                    r.n.to_string(),
-                    r.d.to_string(),
-                    r.ours_rounds.to_string(),
-                    r.at_least_d.to_string(),
-                    r.consistent.to_string(),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            render(&["L", "n", "D", "ours", "rounds>=D", "consistent"], &data)
-        );
-    }
-
-    if run_all || which == "t6" {
-        println!("== T6: CONGEST discipline audit ==");
-        let rows = t6_congestion(sizes);
-        let data: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.family.to_string(),
-                    r.n.to_string(),
-                    r.budget_words.to_string(),
-                    r.max_words_edge_round.to_string(),
-                    r.messages.to_string(),
-                    r.bits.to_string(),
-                    r.within_budget.to_string(),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            render(
-                &[
-                    "family",
-                    "n",
-                    "budget",
-                    "maxW/edge/rd",
-                    "messages",
-                    "bits",
-                    "ok"
-                ],
-                &data
-            )
-        );
-    }
-
-    if run_all || which == "fobs" {
-        println!("== F-obs32: Observation 3.2 interface characterization ==");
-        let rows = fobs_interface();
-        let data: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.instance.to_string(),
-                    r.achievable_orders.to_string(),
-                    r.predicted_orders.to_string(),
-                    r.summary_blocks.to_string(),
-                    r.summary_words.to_string(),
-                    r.matches.to_string(),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            render(
-                &[
-                    "instance",
-                    "achievable",
-                    "predicted",
-                    "blocks",
-                    "words",
-                    "match"
-                ],
-                &data
-            )
-        );
-    }
-
-    if run_all || which == "ablate" {
-        let n = if large { 1024 } else { 256 };
-        println!("== Ablation: per-edge word budget B vs rounds (n = {n}) ==");
-        let rows = ablate_budget(n);
-        let data: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.family.to_string(),
-                    r.budget_words.to_string(),
-                    r.ours_rounds.to_string(),
-                    r.baseline_rounds.to_string(),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            render(&["family", "B(words)", "ours", "baseline"], &data)
-        );
-    }
-
-    if run_all || which == "fsafe" {
-        println!("== F-safe: Definition 3.1 safety, full invariant checking ==");
-        let sweep: &[usize] = if large { &[64, 256] } else { &[48, 96] };
-        let rows = fsafe(sweep);
-        let data: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.family.to_string(),
-                    r.n.to_string(),
-                    r.all_invariants_held.to_string(),
-                    r.merges_checked.to_string(),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            render(&["family", "n", "invariantsHeld", "mergesChecked"], &data)
-        );
-    }
+    record::write("BENCH_paper.json", &planar_bench::paper_record(&sections));
 }
 
 /// `harness mem`: the CI memory gate. Runs an n = 250,000

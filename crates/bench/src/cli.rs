@@ -19,44 +19,9 @@ pub struct Subcommand {
 /// Every subcommand the harness accepts, in display order.
 pub const SUBCOMMANDS: &[Subcommand] = &[
     Subcommand {
-        name: "all",
-        description: "run every EXPERIMENTS.md table (t1-t6, fobs, fsafe, ablate); the default",
-    },
-    Subcommand {
-        name: "t1",
-        description: "Theorem 1.1 scaling: rounds vs n, ours vs trivial baseline",
-    },
-    Subcommand {
-        name: "t2",
-        description: "rounds vs diameter at fixed n (grid aspect sweep)",
-    },
-    Subcommand {
-        name: "t3",
-        description: "Lemmas 4.2/4.3: recursion depth, part ratios, final parts",
-    },
-    Subcommand {
-        name: "t4",
-        description: "Lemma 5.3 symmetry breaking on outerplanar graphs",
-    },
-    Subcommand {
-        name: "t5",
-        description: "Omega(D) lower-bound instance (subdivided K4)",
-    },
-    Subcommand {
-        name: "t6",
-        description: "CONGEST discipline audit (words per edge per round)",
-    },
-    Subcommand {
-        name: "fobs",
-        description: "Observation 3.2 interface characterization (exhaustive)",
-    },
-    Subcommand {
-        name: "fsafe",
-        description: "Definition 3.1 partition safety with full invariant checking",
-    },
-    Subcommand {
-        name: "ablate",
-        description: "per-edge word budget vs rounds ablation",
+        name: "paper",
+        description: "every paper experiment (T1-T6, F-obs32, F-safe, ablation) -> \
+                      BENCH_paper.json; the default",
     },
     Subcommand {
         name: "bench-kernel",
@@ -138,16 +103,7 @@ mod tests {
         assert_eq!(
             names,
             [
-                "all",
-                "t1",
-                "t2",
-                "t3",
-                "t4",
-                "t5",
-                "t6",
-                "fobs",
-                "fsafe",
-                "ablate",
+                "paper",
                 "bench-kernel",
                 "mem",
                 "chaos",

@@ -1,8 +1,12 @@
 //! The experiment implementations (see crate docs and DESIGN.md §4).
 //!
 //! Every function is deterministic (fixed seeds) and returns typed rows so
-//! the harness can render tables and the integration tests can assert the
-//! paper's claims on the same data.
+//! the harness and the integration tests see the same data. Each row type
+//! lists its fields once ([`Row::fields`]); [`paper`] runs every
+//! experiment and [`paper_record`] assembles `BENCH_paper.json`. No row
+//! carries a wall time, so the record is deterministic: regenerating it
+//! and diffing against the committed file is an exact gate on the
+//! simulated round counts.
 //!
 //! Each sweep is a cross product of independent trials (family × size,
 //! aspect ratio, budget, …); the trial list is fanned out through
@@ -11,17 +15,17 @@
 //! `tests/parallel_determinism.rs`).
 
 use crate::parallel::par_map;
-use congest_sim::SimConfig;
+use crate::record::{self, Fields, Json, Row};
+use congest_sim::{Phase, PhaseRounds, SimConfig};
 use planar_embedding::interface::{achievable_boundary_orders, InterfaceSummary};
 use planar_embedding::symmetry::symmetry_break;
 use planar_embedding::{embed_baseline, embed_distributed, EmbedderConfig};
 use planar_graph::traversal::diameter_exact;
 use planar_graph::{Graph, VertexId};
 use planar_lib::gen;
-use serde::Serialize;
 
 /// The workload families used across experiments.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Family {
     /// Square grid (`D ~ 2 sqrt(n)`).
     Grid,
@@ -101,51 +105,112 @@ fn family_size_trials(sizes: &[usize]) -> Vec<(Family, usize)> {
         .collect()
 }
 
-/// One row of the T1 scaling table.
-#[derive(Clone, Debug, PartialEq, Serialize)]
-pub struct T1Row {
+/// One cell of the `family × size` sweep: a single embedding run that
+/// feeds T1 (Theorem 1.1 scaling), T3 (Lemmas 4.2/4.3 structure) and T6
+/// (the CONGEST audit), plus the per-phase round profile.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SweepRow {
     /// Workload family.
     pub family: &'static str,
     /// Actual vertex count.
     pub n: usize,
     /// Exact diameter.
     pub d: u32,
+    /// Recursion depth reached.
+    pub depth: usize,
     /// Rounds of the distributed algorithm (Theorem 1.1).
     pub ours_rounds: usize,
     /// Rounds of the trivial gather baseline (footnote 2).
     pub baseline_rounds: usize,
     /// `ours / (D * min(log2 n, D))` — should be a family-dependent constant.
     pub normalized: f64,
-    /// Recursion depth.
-    pub depth: usize,
+    /// The bound `log_{3/2} n` of Lemma 4.3.
+    pub depth_bound: f64,
+    /// Largest `|P_i| / |T_s|` (Lemma 4.2: `<= 2/3`).
+    pub max_child_ratio: f64,
+    /// Largest number of parts at any restricted merge (bounded `O(D)`).
+    pub max_final_parts: usize,
+    /// The configured per-edge word budget.
+    pub budget_words: usize,
+    /// Max words observed on any directed edge in any round.
+    pub max_words_edge_round: usize,
+    /// Total messages.
+    pub messages: usize,
+    /// Total bits (`words * ceil(log2 n)`).
+    pub bits: usize,
+    /// Whether the CONGEST discipline held throughout.
+    pub within_budget: bool,
+    /// Kernel rounds tallied sequentially across phases.
+    pub sequential_rounds: usize,
+    /// Per-phase attribution of `sequential_rounds` (sums to it exactly).
+    pub phases: PhaseRounds,
 }
 
-/// One T1 trial (used by both the parallel sweep and the determinism test).
-pub fn t1_trial(family: Family, n: usize) -> T1Row {
+impl Row for SweepRow {
+    fn fields(&self) -> Fields {
+        let phases = Phase::ALL.map(|p| (p.name(), self.phases.bucket(p).into()));
+        vec![
+            ("family", self.family.into()),
+            ("n", self.n.into()),
+            ("d", Json::U64(self.d.into())),
+            ("depth", self.depth.into()),
+            ("ours_rounds", self.ours_rounds.into()),
+            ("baseline_rounds", self.baseline_rounds.into()),
+            ("normalized", self.normalized.into()),
+            ("depth_bound", self.depth_bound.into()),
+            ("max_child_ratio", self.max_child_ratio.into()),
+            ("max_final_parts", self.max_final_parts.into()),
+            ("budget_words", self.budget_words.into()),
+            ("max_words_edge_round", self.max_words_edge_round.into()),
+            ("messages", self.messages.into()),
+            ("bits", self.bits.into()),
+            ("within_budget", self.within_budget.into()),
+            ("sequential_rounds", self.sequential_rounds.into()),
+            ("phases", Json::obj(phases)),
+        ]
+    }
+}
+
+/// One sweep trial (used by both the parallel sweep and the determinism
+/// test).
+pub fn sweep_trial(family: Family, n: usize) -> SweepRow {
     let g = family.instantiate(n, 42);
     let d = diameter_exact(&g).expect("connected instance");
     let ours = embed_distributed(&g, &fast_config()).expect("planar instance");
     let base = embed_baseline(&g, &SimConfig::default()).expect("planar instance");
     let nn = g.vertex_count() as f64;
     let denom = (d as f64).max(1.0) * nn.log2().min(d as f64).max(1.0);
-    T1Row {
+    let budget = SimConfig::default().budget_words;
+    SweepRow {
         family: family.name(),
         n: g.vertex_count(),
         d,
+        depth: ours.stats.depth,
         ours_rounds: ours.metrics.rounds,
         baseline_rounds: base.metrics.rounds,
         normalized: ours.metrics.rounds as f64 / denom,
-        depth: ours.stats.depth,
+        depth_bound: nn.ln() / 1.5f64.ln(),
+        max_child_ratio: ours.stats.max_child_ratio(),
+        max_final_parts: ours.stats.max_final_parts(),
+        budget_words: budget,
+        max_words_edge_round: ours.metrics.max_words_edge_round,
+        messages: ours.metrics.messages,
+        bits: ours.metrics.bits(g.vertex_count()),
+        within_budget: ours.metrics.max_words_edge_round <= budget,
+        sequential_rounds: ours.stats.sequential_rounds,
+        phases: ours.stats.phase_rounds,
     }
 }
 
-/// T1 — Theorem 1.1 scaling sweep over families and sizes.
-pub fn t1_scaling(sizes: &[usize]) -> Vec<T1Row> {
-    par_map(family_size_trials(sizes), |(family, n)| t1_trial(family, n))
+/// T1/T3/T6 — the `family × size` sweep: one embedding per cell.
+pub fn sweep(sizes: &[usize]) -> Vec<SweepRow> {
+    par_map(family_size_trials(sizes), |(family, n)| {
+        sweep_trial(family, n)
+    })
 }
 
 /// One row of the T2 diameter-sweep table.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct T2Row {
     /// Instance description.
     pub instance: String,
@@ -160,6 +225,19 @@ pub struct T2Row {
     /// `ours / D` — should grow like `min(log n, D)`, i.e. stay ~flat
     /// within the sweep once `D >= log n`.
     pub rounds_per_d: f64,
+}
+
+impl Row for T2Row {
+    fn fields(&self) -> Fields {
+        vec![
+            ("instance", self.instance.as_str().into()),
+            ("n", self.n.into()),
+            ("d", Json::U64(self.d.into())),
+            ("ours_rounds", self.ours_rounds.into()),
+            ("baseline_rounds", self.baseline_rounds.into()),
+            ("rounds_per_d", self.rounds_per_d.into()),
+        ]
+    }
 }
 
 /// T2 — round growth in `D` at (near-)fixed `n`: grids of fixed area and
@@ -187,45 +265,8 @@ pub fn t2_diameter(area: usize) -> Vec<T2Row> {
     })
 }
 
-/// One row of the T3 structural table (Lemmas 4.2/4.3).
-#[derive(Clone, Debug, PartialEq, Serialize)]
-pub struct T3Row {
-    /// Workload family.
-    pub family: &'static str,
-    /// Vertex count.
-    pub n: usize,
-    /// Recursion depth reached.
-    pub depth: usize,
-    /// The bound `log_{3/2} n` of Lemma 4.3.
-    pub depth_bound: f64,
-    /// Largest `|P_i| / |T_s|` (Lemma 4.2: `<= 2/3`).
-    pub max_child_ratio: f64,
-    /// Largest number of parts at any restricted merge (bounded `O(D)`).
-    pub max_final_parts: usize,
-    /// Exact diameter, for the `O(D)` comparison.
-    pub d: u32,
-}
-
-/// T3 — partition structure across families.
-pub fn t3_partition(sizes: &[usize]) -> Vec<T3Row> {
-    par_map(family_size_trials(sizes), |(family, n)| {
-        let g = family.instantiate(n, 7);
-        let d = diameter_exact(&g).expect("connected instance");
-        let out = embed_distributed(&g, &fast_config()).expect("planar instance");
-        T3Row {
-            family: family.name(),
-            n: g.vertex_count(),
-            depth: out.stats.depth,
-            depth_bound: (g.vertex_count() as f64).ln() / 1.5f64.ln(),
-            max_child_ratio: out.stats.max_child_ratio(),
-            max_final_parts: out.stats.max_final_parts(),
-            d,
-        }
-    })
-}
-
 /// One row of the T4 symmetry-breaking table (Lemma 5.3).
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct T4Row {
     /// Vertex count of the outerplanar instance.
     pub n: usize,
@@ -237,6 +278,18 @@ pub struct T4Row {
     pub merged_fraction: f64,
     /// Number of long (>= 3) monotone paths set aside.
     pub long_paths: usize,
+}
+
+impl Row for T4Row {
+    fn fields(&self) -> Fields {
+        vec![
+            ("n", self.n.into()),
+            ("rounds", self.rounds.into()),
+            ("stars", self.stars.into()),
+            ("merged_fraction", self.merged_fraction.into()),
+            ("long_paths", self.long_paths.into()),
+        ]
+    }
 }
 
 /// T4 — Lemma 5.3 on random maximal outerplanar graphs with greedy proper
@@ -280,7 +333,7 @@ pub fn greedy_coloring(g: &Graph) -> Vec<u32> {
 }
 
 /// One row of the T5 lower-bound table (footnote 1).
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct T5Row {
     /// Subdivision length `L` (each `K_4` edge becomes an `L`-edge path).
     pub len: usize,
@@ -295,6 +348,19 @@ pub struct T5Row {
     /// The output is a genus-0 embedding — the global consistency the
     /// lower-bound argument is about.
     pub consistent: bool,
+}
+
+impl Row for T5Row {
+    fn fields(&self) -> Fields {
+        vec![
+            ("len", self.len.into()),
+            ("n", self.n.into()),
+            ("d", Json::U64(self.d.into())),
+            ("ours_rounds", self.ours_rounds.into()),
+            ("at_least_d", self.at_least_d.into()),
+            ("consistent", self.consistent.into()),
+        ]
+    }
 }
 
 /// T5 — the `Omega(D)` instance: subdivided `K_4` with growing `L`.
@@ -314,45 +380,8 @@ pub fn t5_lower_bound(lens: &[usize]) -> Vec<T5Row> {
     })
 }
 
-/// One row of the T6 congestion audit.
-#[derive(Clone, Debug, PartialEq, Serialize)]
-pub struct T6Row {
-    /// Workload family.
-    pub family: &'static str,
-    /// Vertex count.
-    pub n: usize,
-    /// The configured per-edge word budget.
-    pub budget_words: usize,
-    /// Max words observed on any directed edge in any round.
-    pub max_words_edge_round: usize,
-    /// Total messages.
-    pub messages: usize,
-    /// Total bits (`words * ceil(log2 n)`).
-    pub bits: usize,
-    /// Whether the CONGEST discipline held throughout.
-    pub within_budget: bool,
-}
-
-/// T6 — CONGEST discipline audit across families.
-pub fn t6_congestion(sizes: &[usize]) -> Vec<T6Row> {
-    let budget = SimConfig::default().budget_words;
-    par_map(family_size_trials(sizes), move |(family, n)| {
-        let g = family.instantiate(n, 3);
-        let out = embed_distributed(&g, &fast_config()).expect("planar instance");
-        T6Row {
-            family: family.name(),
-            n: g.vertex_count(),
-            budget_words: budget,
-            max_words_edge_round: out.metrics.max_words_edge_round,
-            messages: out.metrics.messages,
-            bits: out.metrics.bits(g.vertex_count()),
-            within_budget: out.metrics.max_words_edge_round <= budget,
-        }
-    })
-}
-
 /// One row of the F-obs32 interface-characterization experiment.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FobsRow {
     /// Instance description.
     pub instance: &'static str,
@@ -367,6 +396,19 @@ pub struct FobsRow {
     pub summary_words: usize,
     /// Whether prediction matches the brute force exactly.
     pub matches: bool,
+}
+
+impl Row for FobsRow {
+    fn fields(&self) -> Fields {
+        vec![
+            ("instance", self.instance.into()),
+            ("achievable_orders", self.achievable_orders.into()),
+            ("predicted_orders", self.predicted_orders.into()),
+            ("summary_blocks", self.summary_blocks.into()),
+            ("summary_words", self.summary_words.into()),
+            ("matches", self.matches.into()),
+        ]
+    }
 }
 
 /// One F-obs32 catalog entry: (name, edges, half-edge attachments,
@@ -436,7 +478,7 @@ pub fn fobs_interface() -> Vec<FobsRow> {
 }
 
 /// One row of the F-safe experiment.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FsafeRow {
     /// Workload family.
     pub family: &'static str,
@@ -448,6 +490,17 @@ pub struct FsafeRow {
     /// Number of merges performed (each one re-verified Definition 3.1's
     /// consequence).
     pub merges_checked: usize,
+}
+
+impl Row for FsafeRow {
+    fn fields(&self) -> Fields {
+        vec![
+            ("family", self.family.into()),
+            ("n", self.n.into()),
+            ("all_invariants_held", self.all_invariants_held.into()),
+            ("merges_checked", self.merges_checked.into()),
+        ]
+    }
 }
 
 /// F-safe — runs the embedder with full invariant checking (Definition 3.1
@@ -477,79 +530,31 @@ pub fn fsafe(sizes: &[usize]) -> Vec<FsafeRow> {
     })
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn t1_small_sweep_has_expected_shape() {
-        let rows = t1_scaling(&[64]);
-        assert_eq!(rows.len(), Family::ALL.len());
-        for r in &rows {
-            assert!(r.ours_rounds > 0);
-            assert!(r.normalized > 0.0);
-        }
-    }
-
-    #[test]
-    fn t4_rounds_are_constant() {
-        for r in t4_symmetry(&[16, 64, 256]) {
-            assert_eq!(r.rounds, 5);
-            assert!(r.merged_fraction > 0.0);
-        }
-    }
-
-    #[test]
-    fn t5_lower_bound_respected() {
-        for r in t5_lower_bound(&[4, 8]) {
-            assert!(r.at_least_d);
-            assert!(r.consistent);
-        }
-    }
-
-    #[test]
-    fn t6_budget_never_violated() {
-        for r in t6_congestion(&[48]) {
-            assert!(r.within_budget, "{:?}", r);
-        }
-    }
-
-    #[test]
-    fn fobs_matches_predictions() {
-        for r in fobs_interface() {
-            assert!(r.matches, "{:?}", r);
-        }
-    }
-
-    #[test]
-    fn fsafe_small() {
-        for r in fsafe(&[32]) {
-            assert!(r.all_invariants_held, "{:?}", r);
-            assert!(r.merges_checked > 0 || r.n <= 2);
-        }
-    }
-
-    #[test]
-    fn family_instantiation_is_planar_connected() {
-        for f in Family::ALL {
-            let g = f.instantiate(60, 1);
-            assert!(g.is_connected(), "{}", f.name());
-            assert!(planar_lib::is_planar(&g), "{}", f.name());
-        }
-    }
-}
-
 /// One row of the budget-ablation experiment.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AblateRow {
     /// Workload family.
     pub family: &'static str,
+    /// Vertex count.
+    pub n: usize,
     /// Per-edge budget in words (message size = budget * ceil(log2 n) bits).
     pub budget_words: usize,
     /// Rounds of the distributed algorithm under that budget.
     pub ours_rounds: usize,
     /// Rounds of the trivial baseline under that budget.
     pub baseline_rounds: usize,
+}
+
+impl Row for AblateRow {
+    fn fields(&self) -> Fields {
+        vec![
+            ("family", self.family.into()),
+            ("n", self.n.into()),
+            ("budget_words", self.budget_words.into()),
+            ("ours_rounds", self.ours_rounds.into()),
+            ("baseline_rounds", self.baseline_rounds.into()),
+        ]
+    }
 }
 
 /// Ablation: how the per-edge word budget `B` (the constant inside the
@@ -578,9 +583,195 @@ pub fn ablate_budget(n: usize) -> Vec<AblateRow> {
         let base = embed_baseline(&g, &sim).expect("planar instance");
         AblateRow {
             family: family.name(),
+            n: g.vertex_count(),
             budget_words: budget,
             ours_rounds: ours.metrics.rounds,
             baseline_rounds: base.metrics.rounds,
         }
     })
+}
+
+/// One section of the paper record: its record key, its harness heading,
+/// and its rows, both as the record array and as the rendered table.
+pub struct Section {
+    /// Key of the section in `BENCH_paper.json`.
+    pub key: &'static str,
+    /// Heading printed above the harness table.
+    pub title: &'static str,
+    /// The rows as a record array.
+    pub rows: Json,
+    /// The rows as a harness table.
+    pub table: String,
+}
+
+impl Section {
+    fn new<R: Row>(key: &'static str, title: &'static str, rows: &[R]) -> Section {
+        Section {
+            key,
+            title,
+            rows: record::array(rows),
+            table: record::table(rows),
+        }
+    }
+}
+
+/// Runs every paper experiment, in harness display order. `large`
+/// extends the sweeps to larger instances (minutes instead of seconds).
+pub fn paper(large: bool) -> Vec<Section> {
+    let sizes: &[usize] = if large {
+        &[64, 256, 1024, 4096, 16384]
+    } else {
+        &[64, 256, 1024]
+    };
+    let t4_sizes: &[usize] = if large {
+        &[16, 64, 256, 1024, 4096, 16384]
+    } else {
+        &[16, 64, 256, 1024]
+    };
+    let t5_lens: &[usize] = if large {
+        &[4, 8, 16, 32, 64, 128]
+    } else {
+        &[4, 8, 16, 32]
+    };
+    let fsafe_sizes: &[usize] = if large { &[64, 256] } else { &[48, 96] };
+    vec![
+        Section::new(
+            "t1",
+            "T1/T3/T6: Theorem 1.1 scaling, Lemmas 4.2/4.3 structure, CONGEST audit",
+            &sweep(sizes),
+        ),
+        Section::new(
+            "t2",
+            "T2: rounds vs D at fixed n (grid aspect sweep)",
+            &t2_diameter(if large { 16384 } else { 4096 }),
+        ),
+        Section::new(
+            "t4",
+            "T4: Lemma 5.3 symmetry breaking (outerplanar, proper coloring)",
+            &t4_symmetry(t4_sizes),
+        ),
+        Section::new(
+            "t5",
+            "T5: Omega(D) lower-bound instance (subdivided K4)",
+            &t5_lower_bound(t5_lens),
+        ),
+        Section::new(
+            "fobs",
+            "F-obs32: Observation 3.2 interface characterization",
+            &fobs_interface(),
+        ),
+        Section::new(
+            "fsafe",
+            "F-safe: Definition 3.1 safety, full invariant checking",
+            &fsafe(fsafe_sizes),
+        ),
+        Section::new(
+            "ablate",
+            "Ablation: per-edge word budget B vs rounds",
+            &ablate_budget(if large { 1024 } else { 256 }),
+        ),
+    ]
+}
+
+/// The `BENCH_paper.json` document: one key per section.
+pub fn paper_record(sections: &[Section]) -> Json {
+    let header = [
+        ("benchmark", "paper".into()),
+        (
+            "metric",
+            "simulated CONGEST rounds, messages and structural statistics of the \
+             paper's experiments; no wall time, so the record is deterministic and \
+             any change to it is a change in behaviour"
+                .into(),
+        ),
+    ];
+    Json::obj(
+        header
+            .into_iter()
+            .chain(sections.iter().map(|s| (s.key, s.rows.clone()))),
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn t1_small_sweep_has_expected_shape() {
+        let rows = sweep(&[64]);
+        assert_eq!(rows.len(), Family::ALL.len());
+        for r in &rows {
+            assert!(r.ours_rounds > 0);
+            assert!(r.normalized > 0.0);
+        }
+    }
+
+    #[test]
+    fn t4_rounds_are_constant() {
+        for r in t4_symmetry(&[16, 64, 256]) {
+            assert_eq!(r.rounds, 5);
+            assert!(r.merged_fraction > 0.0);
+        }
+    }
+
+    #[test]
+    fn t5_lower_bound_respected() {
+        for r in t5_lower_bound(&[4, 8]) {
+            assert!(r.at_least_d);
+            assert!(r.consistent);
+        }
+    }
+
+    #[test]
+    fn t6_budget_never_violated() {
+        for r in sweep(&[48]) {
+            assert!(r.within_budget, "{:?}", r);
+        }
+    }
+
+    /// The record's phase profile is the sequential tally's exact
+    /// attribution (`stats.phase_rounds`), not the parallel-composed upper
+    /// bound in `metrics.phase_rounds`.
+    #[test]
+    fn sweep_phases_sum_to_sequential_rounds() {
+        for r in sweep(&[48, 96]) {
+            let phases = &record::array(std::slice::from_ref(&r))[0]["phases"];
+            let Json::Obj(phases) = phases else {
+                panic!("phases is not an object: {phases:?}");
+            };
+            let sum: u64 = phases
+                .values()
+                .map(|v| match v {
+                    Json::U64(n) => *n,
+                    other => panic!("non-integer phase count {other:?}"),
+                })
+                .sum();
+            assert_eq!(phases.len(), Phase::ALL.len(), "{r:?}");
+            assert_eq!(sum, r.sequential_rounds as u64, "{r:?}");
+        }
+    }
+
+    #[test]
+    fn fobs_matches_predictions() {
+        for r in fobs_interface() {
+            assert!(r.matches, "{:?}", r);
+        }
+    }
+
+    #[test]
+    fn fsafe_small() {
+        for r in fsafe(&[32]) {
+            assert!(r.all_invariants_held, "{:?}", r);
+            assert!(r.merges_checked > 0 || r.n <= 2);
+        }
+    }
+
+    #[test]
+    fn family_instantiation_is_planar_connected() {
+        for f in Family::ALL {
+            let g = f.instantiate(60, 1);
+            assert!(g.is_connected(), "{}", f.name());
+            assert!(planar_lib::is_planar(&g), "{}", f.name());
+        }
+    }
 }

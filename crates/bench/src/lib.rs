@@ -23,6 +23,11 @@
 //! * **F-safe** — Definition 3.1 / Figure 6: partitions are safe at every
 //!   recursion level (run with invariant checking on).
 //!
+//! T1, T3 and T6 share one embedding per `family × size` cell ([`sweep`]).
+//! [`paper`] runs every experiment and [`paper_record`] assembles the
+//! deterministic `BENCH_paper.json` (no wall time, so CI regenerates it
+//! and fails on any diff).
+//!
 //! Independent trials of a sweep are fanned out through [`parallel::par_map`]
 //! (deterministic, input-order results). [`kernelbench`] measures the
 //! simulation kernel's message throughput against the preserved seed kernel
@@ -37,7 +42,8 @@
 //! [`record`]: each row type lists its fields once, and the record, the
 //! harness table and the progress line all derive from that list.
 //!
-//! Run everything with `cargo run --release -p planar-bench --bin harness`.
+//! Run the paper experiments with `cargo run --release -p planar-bench
+//! --bin harness paper` (the default subcommand).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -4,23 +4,23 @@
 
 use planar_bench::chaos::{chaos_cell, chaos_sweep};
 use planar_bench::parallel::par_map;
-use planar_bench::{t1_scaling, t1_trial, t5_lower_bound, Family};
+use planar_bench::{sweep, sweep_trial, t5_lower_bound, Family};
 
-/// The parallel T1 sweep equals the same trials mapped sequentially, and
-/// reruns are identical.
+/// The parallel family × size sweep equals the same trials mapped
+/// sequentially, and reruns are identical.
 #[test]
 fn t1_parallel_matches_sequential() {
     let sizes = [48usize, 96];
     let sequential: Vec<_> = Family::ALL
         .into_iter()
-        .flat_map(|f| sizes.iter().map(move |&n| t1_trial(f, n)))
+        .flat_map(|f| sizes.iter().map(move |&n| sweep_trial(f, n)))
         .collect();
-    let parallel = t1_scaling(&sizes);
+    let parallel = sweep(&sizes);
     assert_eq!(
         parallel, sequential,
         "parallel sweep diverged from sequential"
     );
-    assert_eq!(t1_scaling(&sizes), parallel, "rerun diverged");
+    assert_eq!(sweep(&sizes), parallel, "rerun diverged");
 }
 
 /// Same check on a sweep whose trial axis is not family × size.
