@@ -39,6 +39,7 @@ use congest_sim::{
 };
 use planar_graph::Graph;
 
+use crate::merge::MergeScratch;
 use crate::resilience::wrapped_budget;
 use crate::EmbedderConfig;
 
@@ -92,6 +93,10 @@ pub struct ExecutionContext<'g> {
     reliability: Option<ReliableConfig>,
     kernel: Kernel,
     tally: Tally,
+    /// The merge phase's vertex tables, lent to each merge in turn. Driver
+    /// scratch, not kernel arena: [`memory_bytes`](Self::memory_bytes)
+    /// leaves it out.
+    pub(crate) merge_scratch: MergeScratch,
 }
 
 impl<'g> ExecutionContext<'g> {
@@ -117,6 +122,7 @@ impl<'g> ExecutionContext<'g> {
                 phases: PhaseRounds::default(),
                 phase: Phase::Setup,
             },
+            merge_scratch: MergeScratch::default(),
         }
     }
 
@@ -130,17 +136,11 @@ impl<'g> ExecutionContext<'g> {
     /// (`run_setup`, `partition_subtree`, `merge_parts`, `symmetry_break`)
     /// use this to keep their historical `(&Graph, &SimConfig)` signatures.
     pub fn with_sim(g: &'g Graph, sim: &SimConfig) -> Self {
-        ExecutionContext {
-            session: SimSession::new(g),
+        let cfg = EmbedderConfig {
             sim: sim.clone(),
-            reliability: None,
-            kernel: Kernel::Fast,
-            tally: Tally {
-                rounds: 0,
-                phases: PhaseRounds::default(),
-                phase: Phase::Setup,
-            },
-        }
+            ..EmbedderConfig::default()
+        };
+        ExecutionContext::new(g, &cfg)
     }
 
     /// The session graph every [`run_phase`](Self::run_phase) executes on.
@@ -261,11 +261,7 @@ impl<'g> ExecutionContext<'g> {
                 Kernel::Reference => run_reference(self.session.graph(), programs, &self.sim),
             },
             Some(rel) => {
-                let wrapped_cfg = {
-                    let mut cfg = self.sim.clone();
-                    cfg.budget_words = wrapped_budget(cfg.budget_words);
-                    cfg
-                };
+                let wrapped_cfg = self.widened();
                 let wrapped = wrap_programs(programs, rel);
                 let out = match self.kernel {
                     Kernel::Fast => self.session.run(wrapped, &wrapped_cfg)?,
@@ -337,11 +333,7 @@ impl<'g> ExecutionContext<'g> {
                 Kernel::Reference => run_reference_many(self.session.graph(), instances, &self.sim),
             },
             Some(rel) => {
-                let wrapped_cfg = {
-                    let mut cfg = self.sim.clone();
-                    cfg.budget_words = wrapped_budget(cfg.budget_words);
-                    cfg
-                };
+                let wrapped_cfg = self.widened();
                 let wrapped = wrap_instances(instances, rel);
                 let out = match self.kernel {
                     Kernel::Fast => self.session.run_many(wrapped, &wrapped_cfg)?,

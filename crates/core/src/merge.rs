@@ -25,7 +25,7 @@
 //! ([`planar_lib::embed_pinned`]); per Observation 3.2 the charged summaries
 //! carry exactly the information that solver needs.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use congest_sim::routing::{schedule, Transfer};
 use congest_sim::{Metrics, Phase, PhaseRounds, SimConfig};
@@ -55,15 +55,81 @@ enum Status {
     Retired,
 }
 
+/// Absent entry in a [`MergeScratch`] vertex table.
+const NONE: u32 = u32::MAX;
+
+/// Host-side tables of one merge, indexed by vertex (`part_stamp`: by part
+/// index). An [`ExecutionContext`] owns one and lends it to each merge it
+/// runs. The tables are sized to the graph once; a merge fills `p0_pos` and
+/// `part_of` over its own `H` and clears them on the way out, and every BFS
+/// bumps `epoch` instead of clearing, so a merge costs `O(|H| + vol(H))`.
+#[derive(Debug, Default)]
+pub(crate) struct MergeScratch {
+    /// `P_0` position of a vertex, or [`NONE`].
+    p0_pos: Vec<u32>,
+    /// Index of the hanging part holding a vertex, or [`NONE`].
+    part_of: Vec<u32>,
+    /// Per vertex: epoch of its last BFS visit, predecessor, depth.
+    visit: Vec<(u32, u32, u32)>,
+    /// Per part: the epoch that last marked it into a routing region.
+    part_stamp: Vec<u32>,
+    epoch: u32,
+    /// BFS queue, read by a head index in FIFO order.
+    queue: Vec<VertexId>,
+}
+
+impl MergeScratch {
+    /// Starts a new epoch whose routing region is parts `idxs` plus `P_0`.
+    fn mark(&mut self, idxs: &[usize]) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.visit.fill((0, NONE, 0));
+            self.part_stamp.fill(0);
+            self.epoch = 1;
+        }
+        for &i in idxs {
+            self.part_stamp[i] = self.epoch;
+        }
+    }
+
+    /// Whether `v` lies in a part marked in the current epoch.
+    fn in_marked_part(&self, v: VertexId) -> bool {
+        let j = self.part_of[v.index()];
+        j != NONE && self.part_stamp[j as usize] == self.epoch
+    }
+
+    /// BFS from `from` within the current routing region, stopping at the
+    /// first sight of `to`; returns the vertex `to` was seen from.
+    fn bfs(&mut self, g: &Graph, from: VertexId, to: Option<VertexId>) -> Option<VertexId> {
+        self.queue.clear();
+        self.queue.push(from);
+        self.visit[from.index()] = (self.epoch, NONE, 0);
+        let mut head = 0;
+        while let Some(&v) = self.queue.get(head) {
+            head += 1;
+            let d = self.visit[v.index()].2 + 1;
+            for &w in g.neighbors(v) {
+                if Some(w) == to {
+                    return Some(v);
+                }
+                let fresh = self.visit[w.index()].0 != self.epoch;
+                if fresh && (self.p0_pos[w.index()] != NONE || self.in_marked_part(w)) {
+                    self.visit[w.index()] = (self.epoch, v.0, d);
+                    self.queue.push(w);
+                }
+            }
+        }
+        None
+    }
+}
+
 struct MergeCtx<'a, 'g> {
     exec: &'a mut ExecutionContext<'g>,
     g: &'g Graph,
     p0: Vec<VertexId>,
-    p0_pos: HashMap<VertexId, usize>,
-    h_set: HashSet<VertexId>,
+    t: MergeScratch,
     parts: Vec<PartState>,
     status: Vec<Status>,
-    part_of: HashMap<VertexId, usize>,
     check: bool,
     metrics: Metrics,
     stats: MergeStats,
@@ -101,7 +167,6 @@ pub fn merge_parts_ctx(
     hanging: Vec<PartState>,
     check: bool,
 ) -> Result<MergeOutcome, EmbedError> {
-    let g = exec.graph();
     let mut h_members: Vec<VertexId> = p0.clone();
     for p in &hanging {
         h_members.extend_from_slice(&p.members);
@@ -109,27 +174,7 @@ pub fn merge_parts_ctx(
     h_members.sort();
     h_members.dedup();
 
-    let p0_pos: HashMap<VertexId, usize> = p0.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-    let h_set: HashSet<VertexId> = h_members.iter().copied().collect();
-    let mut part_of = HashMap::new();
-    for (i, p) in hanging.iter().enumerate() {
-        for &v in &p.members {
-            part_of.insert(v, i);
-        }
-    }
-    let mut ctx = MergeCtx {
-        exec,
-        g,
-        p0,
-        p0_pos,
-        h_set,
-        status: vec![Status::Active; hanging.len()],
-        parts: hanging,
-        part_of,
-        check,
-        metrics: Metrics::new(),
-        stats: MergeStats::default(),
-    };
+    let mut ctx = MergeCtx::new(exec, p0, hanging, check);
     ctx.stats.subtree_size = h_members.len();
     ctx.stats.p0_len = ctx.p0.len();
     ctx.stats.initial_parts = ctx.parts.len();
@@ -142,6 +187,11 @@ pub fn merge_parts_ctx(
     }
     ctx.steps_3_to_5()?; // two-connection parts
     let part = ctx.step_6(&h_members)?; // restricted path-coordinated merge
+    for &v in &h_members {
+        ctx.t.p0_pos[v.index()] = NONE;
+        ctx.t.part_of[v.index()] = NONE;
+    }
+    ctx.exec.merge_scratch = ctx.t;
 
     // Attribute every round not already claimed by the symmetry-breaking
     // sub-step to the merge phase, so the breakdown sums to `rounds`.
@@ -155,14 +205,54 @@ pub fn merge_parts_ctx(
     })
 }
 
-impl MergeCtx<'_, '_> {
+impl<'a, 'g> MergeCtx<'a, 'g> {
+    /// Borrows the context's scratch and fills its vertex tables for `P_0`
+    /// and the hanging parts.
+    fn new(
+        exec: &'a mut ExecutionContext<'g>,
+        p0: Vec<VertexId>,
+        hanging: Vec<PartState>,
+        check: bool,
+    ) -> Self {
+        let g = exec.graph();
+        let mut t = std::mem::take(&mut exec.merge_scratch);
+        // One graph per context: only the first merge grows the tables.
+        t.p0_pos.resize(g.vertex_count(), NONE);
+        t.part_of.resize(g.vertex_count(), NONE);
+        t.visit.resize(g.vertex_count(), (0, NONE, 0));
+        t.part_stamp.resize(hanging.len(), 0);
+        for (i, &v) in p0.iter().enumerate() {
+            t.p0_pos[v.index()] = i as u32;
+        }
+        for (i, p) in hanging.iter().enumerate() {
+            for &v in &p.members {
+                // The region test `p0_pos[v] != NONE || part_of[v] ∈ idxs`
+                // relies on P_0 and the hanging parts being disjoint.
+                debug_assert!(t.p0_pos[v.index()] == NONE && t.part_of[v.index()] == NONE);
+                t.part_of[v.index()] = i as u32;
+            }
+        }
+        MergeCtx {
+            exec,
+            g,
+            p0,
+            t,
+            status: vec![Status::Active; hanging.len()],
+            parts: hanging,
+            check,
+            metrics: Metrics::new(),
+            stats: MergeStats::default(),
+        }
+    }
+
     /// Indices of the `P_0` vertices a part connects to.
     fn connections(&self, idx: usize) -> BTreeSet<usize> {
         let mut out = BTreeSet::new();
         for &v in &self.parts[idx].members {
             for &w in self.g.neighbors(v) {
-                if let Some(&pos) = self.p0_pos.get(&w) {
-                    out.insert(pos);
+                let pos = self.t.p0_pos[w.index()];
+                if pos != NONE {
+                    out.insert(pos as usize);
                 }
             }
         }
@@ -174,10 +264,9 @@ impl MergeCtx<'_, '_> {
         let mut out = BTreeSet::new();
         for &v in &self.parts[idx].members {
             for &w in self.g.neighbors(v) {
-                if let Some(&j) = self.part_of.get(&w) {
-                    if j != idx && self.status[j] != Status::Retired {
-                        out.insert(j);
-                    }
+                let j = self.t.part_of[w.index()] as usize;
+                if j != NONE as usize && j != idx && self.status[j] != Status::Retired {
+                    out.insert(j);
                 }
             }
         }
@@ -186,10 +275,12 @@ impl MergeCtx<'_, '_> {
 
     /// Whether the part has a half-embedded edge leaving `H` entirely.
     fn has_outside(&self, idx: usize) -> bool {
-        self.parts[idx]
-            .members
-            .iter()
-            .any(|&v| self.g.neighbors(v).iter().any(|w| !self.h_set.contains(w)))
+        self.parts[idx].members.iter().any(|&v| {
+            self.g
+                .neighbors(v)
+                .iter()
+                .any(|w| self.t.p0_pos[w.index()] == NONE && self.t.part_of[w.index()] == NONE)
+        })
     }
 
     /// The part's attachment vertices adjacent to `P_0` position `pos`.
@@ -203,89 +294,69 @@ impl MergeCtx<'_, '_> {
             .collect()
     }
 
-    /// The part's attachment vertices adjacent to any vertex of `targets` —
-    /// the *merge-relevant* attachments whose interface structure must be
-    /// shipped (the compressed-PQ-tree principle: a merge summary carries
-    /// only the degrees of freedom the merge actually touches).
-    fn attachments_toward(&self, idx: usize, targets: &HashSet<VertexId>) -> Vec<VertexId> {
+    /// The part's attachment vertices adjacent to `coord` or to another
+    /// part of `group` — the *merge-relevant* attachments whose interface
+    /// structure must be shipped (the compressed-PQ-tree principle: a merge
+    /// summary carries only the degrees of freedom the merge actually
+    /// touches).
+    fn attachments_toward(
+        &mut self,
+        idx: usize,
+        coord: Option<VertexId>,
+        group: &[usize],
+    ) -> Vec<VertexId> {
+        self.t.mark(group);
+        let t = &self.t;
         self.parts[idx]
             .members
             .iter()
             .copied()
-            .filter(|&v| self.g.neighbors(v).iter().any(|w| targets.contains(w)))
+            .filter(|&v| {
+                self.g.neighbors(v).iter().any(|&w| {
+                    Some(w) == coord
+                        || (t.in_marked_part(w) && t.part_of[w.index()] as usize != idx)
+                })
+            })
             .collect()
     }
 
-    /// BFS path from `from` to `to` within `allowed ∪ {from, to}`.
+    /// BFS path from `from` to `to` within the routing region of parts
+    /// `idxs` (their members plus the `P_0` spine — the coordinator copies
+    /// of step 2e make the spine usable by every part), plus `{from, to}`.
     fn path_within(
-        &self,
-        allowed: &HashSet<VertexId>,
+        &mut self,
+        idxs: &[usize],
         from: VertexId,
         to: VertexId,
     ) -> Result<Vec<VertexId>, EmbedError> {
         if from == to {
             return Ok(vec![from]);
         }
-        let mut pred: HashMap<VertexId, VertexId> = HashMap::new();
-        let mut queue = VecDeque::from([from]);
-        let mut seen: HashSet<VertexId> = HashSet::from([from]);
-        while let Some(v) = queue.pop_front() {
-            for &w in self.g.neighbors(v) {
-                if w == to {
-                    let mut path = vec![to, v];
-                    let mut cur = v;
-                    while let Some(&p) = pred.get(&cur) {
-                        path.push(p);
-                        cur = p;
-                    }
-                    path.reverse();
-                    return Ok(path);
-                }
-                if allowed.contains(&w) && seen.insert(w) {
-                    pred.insert(w, v);
-                    queue.push_back(w);
-                }
-            }
+        self.t.mark(idxs);
+        let mut cur = self.t.bfs(self.g, from, Some(to)).ok_or_else(|| {
+            EmbedError::Internal(format!("no route from {from} to {to} within part"))
+        })?;
+        let mut path = vec![to, cur];
+        while self.t.visit[cur.index()].1 != NONE {
+            cur = VertexId(self.t.visit[cur.index()].1);
+            path.push(cur);
         }
-        Err(EmbedError::Internal(format!(
-            "no route from {from} to {to} within part"
-        )))
-    }
-
-    /// Routing region of a part: its members plus the `P_0` spine (the
-    /// coordinator copies of step 2e make the spine usable by every part).
-    fn region(&self, idxs: &[usize]) -> HashSet<VertexId> {
-        let mut allowed: HashSet<VertexId> = self.p0.iter().copied().collect();
-        for &i in idxs {
-            allowed.extend(self.parts[i].members.iter().copied());
-        }
-        allowed
+        path.reverse();
+        Ok(path)
     }
 
     /// Depth bound of a part's communication region (for Remark 1
     /// housekeeping charges): BFS depth from the leader within the region.
-    fn region_depth(&self, idxs: &[usize]) -> usize {
-        let allowed = self.region(idxs);
-        let leader = self.parts[idxs[0]].leader;
-        let mut depth: HashMap<VertexId, usize> = HashMap::from([(leader, 0)]);
-        let mut queue = VecDeque::from([leader]);
-        let mut max = 0;
-        while let Some(v) = queue.pop_front() {
-            let d = depth[&v];
-            for &w in self.g.neighbors(v) {
-                if allowed.contains(&w) && !depth.contains_key(&w) {
-                    depth.insert(w, d + 1);
-                    max = max.max(d + 1);
-                    queue.push_back(w);
-                }
-            }
-        }
-        max
+    fn region_depth(&mut self, idxs: &[usize]) -> usize {
+        self.t.mark(idxs);
+        self.t.bfs(self.g, self.parts[idxs[0]].leader, None);
+        let last = self.t.queue[self.t.queue.len() - 1];
+        self.t.visit[last.index()].2 as usize
     }
 
     /// Charges the Remark 1 per-part housekeeping: one upcast + one downcast
     /// on the part's BFS tree.
-    fn housekeeping(&self, idxs: &[usize]) -> Metrics {
+    fn housekeeping(&mut self, idxs: &[usize]) -> Metrics {
         let size: usize = idxs.iter().map(|&i| self.parts[i].len()).sum();
         Metrics {
             rounds: 2 * self.region_depth(idxs) + 2,
@@ -307,7 +378,7 @@ impl MergeCtx<'_, '_> {
         }
         let keep = idxs[0];
         for &v in &merged.members {
-            self.part_of.insert(v, keep);
+            self.t.part_of[v.index()] = keep as u32;
         }
         self.parts[keep] = merged;
         for &i in &idxs[1..] {
@@ -378,23 +449,14 @@ impl MergeCtx<'_, '_> {
                 // Relevant attachments: those toward the coordinator and
                 // toward the other parts of the component.
                 let coord = self.p0[low];
-                let mut targets: HashSet<VertexId> = HashSet::from([coord]);
-                for &i in &comp {
-                    targets.extend(self.parts[i].members.iter().copied());
-                }
                 for &i in &comp {
                     let atts = self.attachments_to(i, low);
                     let att = atts.first().copied().ok_or_else(|| {
                         EmbedError::Internal("low-connection without attachment".into())
                     })?;
-                    let region = self.region(&[i]);
-                    let mut path = self.path_within(&region, self.parts[i].leader, att)?;
+                    let mut path = self.path_within(&[i], self.parts[i].leader, att)?;
                     path.push(coord);
-                    let mut others = targets.clone();
-                    for &v in &self.parts[i].members {
-                        others.remove(&v);
-                    }
-                    let relevant = self.attachments_toward(i, &others);
+                    let relevant = self.attachments_toward(i, Some(coord), &comp);
                     let words = summary_words(self.g, &self.parts[i].members, &relevant);
                     let rev: Vec<VertexId> = path.iter().rev().copied().collect();
                     transfers.push(Transfer::new(path, words));
@@ -436,11 +498,7 @@ impl MergeCtx<'_, '_> {
             for att in self.attachments_to(i, pos) {
                 transfers.push(Transfer::new(vec![att, coord], 2));
             }
-            if self.has_outside(i) {
-                self.stats.retired_single += 1; // 2d
-            } else {
-                self.stats.retired_single += 1; // 2c
-            }
+            self.stats.retired_single += 1; // 2c or 2d alike
             self.status[i] = Status::Retired;
         }
         self.metrics.add(step);
@@ -528,19 +586,10 @@ impl MergeCtx<'_, '_> {
             // Charge: each satellite ships its summary to the group head and
             // receives decisions back, routed within the union region.
             let head = group[0];
-            let region = self.region(&group);
-            let mut group_vertices: HashSet<VertexId> = HashSet::new();
-            for &i in &group {
-                group_vertices.extend(self.parts[i].members.iter().copied());
-            }
             for &i in &group[1..] {
                 let path =
-                    self.path_within(&region, self.parts[i].leader, self.parts[head].leader)?;
-                let mut others = group_vertices.clone();
-                for &v in &self.parts[i].members {
-                    others.remove(&v);
-                }
-                let relevant = self.attachments_toward(i, &others);
+                    self.path_within(&group, self.parts[i].leader, self.parts[head].leader)?;
+                let relevant = self.attachments_toward(i, None, &group);
                 let words = summary_words(self.g, &self.parts[i].members, &relevant);
                 let rev: Vec<VertexId> = path.iter().rev().copied().collect();
                 transfers.push(Transfer::new(path, words));
@@ -611,7 +660,6 @@ impl MergeCtx<'_, '_> {
     fn step_6(&mut self, h_members: &[VertexId]) -> Result<PartState, EmbedError> {
         let remaining = self.active_indices();
         self.stats.final_parts = remaining.len();
-        let s = self.p0[0];
         let mut transfers: Vec<Transfer> = Vec::new();
         let mut step = Metrics::new();
         for &i in &remaining {
@@ -622,8 +670,7 @@ impl MergeCtx<'_, '_> {
             let atts = self.attachments_to(i, low);
             let att = atts[0];
             // Summary: leader -> low coordinator -> pipelined along P_0 to s.
-            let region = self.region(&[i]);
-            let mut path = self.path_within(&region, self.parts[i].leader, att)?;
+            let mut path = self.path_within(&[i], self.parts[i].leader, att)?;
             for pos in (0..=low).rev() {
                 path.push(self.p0[pos]);
             }
@@ -656,7 +703,6 @@ impl MergeCtx<'_, '_> {
         self.metrics.add(step);
         self.metrics
             .add(schedule(self.g, &transfers, self.exec.sim().budget_words)?);
-        let _ = s;
 
         let merged = PartState::new(h_members.to_vec());
         if self.check {
@@ -672,20 +718,152 @@ mod tests {
     use crate::partition::partition_subtree;
     use crate::setup::run_setup;
     use planar_lib::gen;
+    use std::collections::VecDeque;
 
-    /// Runs setup + one partition + the merge of that partition's parts
-    /// (each hanging part used as-is, unrecursed — valid because merge only
-    /// needs member sets).
-    fn merge_one_level(g: &Graph) -> MergeOutcome {
+    /// Runs setup + one partition and returns `P_0` and the hanging parts
+    /// (each used as-is, unrecursed — valid because merge only needs member
+    /// sets).
+    fn one_level(g: &Graph) -> (Vec<VertexId>, Vec<PartState>) {
         let cfg = SimConfig::default();
         let (setup, _) = run_setup(g, &cfg).unwrap();
         let p = partition_subtree(g, &setup.tree, setup.tree.root, &cfg).unwrap();
-        let hanging: Vec<PartState> = p
+        let hanging = p
             .parts
             .iter()
             .map(|q| PartState::new(q.members.clone()))
             .collect();
-        merge_parts(g, p.p0.clone(), hanging, &cfg, true).unwrap()
+        (p.p0, hanging)
+    }
+
+    /// Runs setup + one partition + the merge of that partition's parts.
+    fn merge_one_level(g: &Graph) -> MergeOutcome {
+        let (p0, hanging) = one_level(g);
+        merge_parts(g, p0, hanging, &SimConfig::default(), true).unwrap()
+    }
+
+    /// The hash-set routing region the vertex tables replaced: `P_0` plus
+    /// the members of parts `idxs`.
+    fn oracle_region(ctx: &MergeCtx, idxs: &[usize]) -> HashSet<VertexId> {
+        let mut allowed: HashSet<VertexId> = ctx.p0.iter().copied().collect();
+        for &i in idxs {
+            allowed.extend(ctx.parts[i].members.iter().copied());
+        }
+        allowed
+    }
+
+    /// The hash-map BFS `path_within` replaced, kept as its oracle.
+    fn oracle_path(
+        g: &Graph,
+        allowed: &HashSet<VertexId>,
+        from: VertexId,
+        to: VertexId,
+    ) -> Option<Vec<VertexId>> {
+        if from == to {
+            return Some(vec![from]);
+        }
+        let mut pred: HashMap<VertexId, VertexId> = HashMap::new();
+        let mut queue = VecDeque::from([from]);
+        let mut seen: HashSet<VertexId> = HashSet::from([from]);
+        while let Some(v) = queue.pop_front() {
+            for &w in g.neighbors(v) {
+                if w == to {
+                    let mut path = vec![to, v];
+                    let mut cur = v;
+                    while let Some(&p) = pred.get(&cur) {
+                        path.push(p);
+                        cur = p;
+                    }
+                    path.reverse();
+                    return Some(path);
+                }
+                if allowed.contains(&w) && seen.insert(w) {
+                    pred.insert(w, v);
+                    queue.push_back(w);
+                }
+            }
+        }
+        None
+    }
+
+    /// The hash-map BFS `region_depth` replaced, kept as its oracle.
+    fn oracle_depth(g: &Graph, allowed: &HashSet<VertexId>, leader: VertexId) -> usize {
+        let mut depth: HashMap<VertexId, usize> = HashMap::from([(leader, 0)]);
+        let mut queue = VecDeque::from([leader]);
+        let mut max = 0;
+        while let Some(v) = queue.pop_front() {
+            let d = depth[&v];
+            for &w in g.neighbors(v) {
+                if allowed.contains(&w) && !depth.contains_key(&w) {
+                    depth.insert(w, d + 1);
+                    max = max.max(d + 1);
+                    queue.push_back(w);
+                }
+            }
+        }
+        max
+    }
+
+    /// Checks `region_depth` and `path_within` against the oracles for
+    /// every live part, alone and paired with the next live part.
+    fn assert_tables_match_oracle(ctx: &mut MergeCtx, label: &str) {
+        let live: Vec<usize> = (0..ctx.parts.len())
+            .filter(|&i| !ctx.parts[i].is_empty())
+            .collect();
+        for (k, &i) in live.iter().enumerate() {
+            let leader = ctx.parts[i].leader;
+            let region = oracle_region(ctx, &[i]);
+            assert_eq!(
+                ctx.region_depth(&[i]),
+                oracle_depth(ctx.g, &region, leader),
+                "{label}: depth of part {i}"
+            );
+            let mut targets = vec![ctx.p0[0], ctx.p0[ctx.p0.len() - 1]];
+            if let Some(&low) = ctx.connections(i).iter().next() {
+                targets.extend(ctx.attachments_to(i, low).first().copied());
+            }
+            let mut groups = vec![vec![i]];
+            if let Some(&j) = live.get(k + 1) {
+                targets.push(ctx.parts[j].leader);
+                groups.push(vec![j, i]);
+            }
+            for group in groups {
+                let region = oracle_region(ctx, &group);
+                for &to in &targets {
+                    assert_eq!(
+                        ctx.path_within(&group, leader, to).ok(),
+                        oracle_path(ctx.g, &region, leader, to),
+                        "{label}: path from {leader} to {to} within {group:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn vertex_tables_match_hash_set_oracle() {
+        for family in gen::FAMILIES {
+            for n in [60, 200] {
+                let g = (family.build)(n, 5);
+                let (p0, hanging) = one_level(&g);
+                let mut exec = ExecutionContext::with_sim(&g, &SimConfig::default());
+                let mut ctx = MergeCtx::new(&mut exec, p0.clone(), hanging.clone(), false);
+                let label = format!("{} n={n}", family.name);
+                assert_tables_match_oracle(&mut ctx, &label);
+                for _iteration in 0..2 {
+                    ctx.step_a_and_b().unwrap();
+                    assert_tables_match_oracle(&mut ctx, &label);
+                    ctx.step_c_d().unwrap();
+                    ctx.step_f_to_i().unwrap();
+                    assert_tables_match_oracle(&mut ctx, &label);
+                }
+                ctx.steps_3_to_5().unwrap();
+                assert_tables_match_oracle(&mut ctx, &label);
+                // A whole merge hands the scratch back with its tables clear.
+                merge_parts_ctx(&mut exec, p0, hanging, false).unwrap();
+                let t = &exec.merge_scratch;
+                assert!(t.p0_pos.iter().chain(&t.part_of).all(|&x| x == NONE));
+            }
+        }
     }
 
     #[test]

@@ -192,3 +192,58 @@ fn facade_crate_reexports_work() {
     let out = planar_networks::embedding::embed_distributed(&g, &Default::default()).unwrap();
     assert!(out.rotation.is_planar_embedding());
 }
+
+/// Pins the exact simulated counts of the two graphs the repo benchmark's
+/// embed workloads run, under the benchmark's embedder configuration. A
+/// pure speed change to any phase must leave every number here unchanged.
+#[test]
+fn benchmark_graph_counts_are_pinned() {
+    use congest_sim::{mix_seed, PhaseRounds};
+    use planar_embedding::{Kernel, Scheduler};
+
+    let cfg = EmbedderConfig {
+        check_invariants: false,
+        certify: true,
+        kernel: Kernel::Fast,
+        scheduler: Scheduler::LevelSync,
+        ..EmbedderConfig::default()
+    };
+    let build = |name: &str, n: usize, seed: u64| {
+        (gen::family(name).expect("registered family").build)(n, seed)
+    };
+    let cases = [
+        (
+            build("wheel-chain", 500, 1),
+            7942,
+            [1002, 581, 2060, 4297, 2],
+            204_220,
+            432_803,
+            12,
+        ),
+        (
+            build("random-maximal-planar", 400, mix_seed(1, &[0])),
+            1489,
+            [32, 99, 60, 1296, 2],
+            30_160,
+            73_066,
+            71,
+        ),
+    ];
+    for (g, rounds, [setup, partition, symmetry, merge, cert], messages, words, merges) in cases {
+        let out = embed_distributed(&g, &cfg).unwrap();
+        assert_eq!(out.stats.sequential_rounds, rounds);
+        assert_eq!(
+            out.stats.phase_rounds,
+            PhaseRounds {
+                setup,
+                partition,
+                symmetry,
+                merge,
+                cert
+            }
+        );
+        assert_eq!(out.metrics.messages, messages);
+        assert_eq!(out.metrics.words, words);
+        assert_eq!(out.stats.merges.len(), merges);
+    }
+}
