@@ -18,8 +18,9 @@
 //! a conformance check.
 //!
 //! Every row also records the memory the run costs: `kernel_bytes` is the
-//! fast kernel's retained arena (chain tables, bit-packed payload pool,
-//! scratch — exact, via [`Simulator::memory_bytes`]), reported per node in
+//! fast kernel's retained arena (chain tables, the message pool with its
+//! register-width payload slots, per-vertex tables, outbox and scratch —
+//! exact, via [`Simulator::memory_bytes`]), reported per node in
 //! the printed table, and `peak_rss_bytes` is the process high-water mark
 //! after the row ([`crate::mem::peak_rss_bytes`]).
 //!
@@ -62,22 +63,25 @@ pub struct Flood {
 impl NodeProgram for Flood {
     type Msg = u32;
 
-    fn init(&mut self, ctx: &NodeCtx<'_>) -> Vec<(VertexId, u32)> {
+    fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, u32)>) {
         if ctx.id == VertexId(0) {
             self.seen = true;
-            ctx.neighbors.iter().map(|&w| (w, 0)).collect()
-        } else {
-            Vec::new()
+            out.extend(ctx.neighbors.iter().map(|&w| (w, 0)));
         }
     }
 
-    fn on_round(&mut self, ctx: &NodeCtx<'_>, inbox: &[(VertexId, u32)]) -> Vec<(VertexId, u32)> {
+    fn on_round(
+        &mut self,
+        ctx: &NodeCtx<'_>,
+        inbox: &[(VertexId, u32)],
+        out: &mut Vec<(VertexId, u32)>,
+    ) {
         if self.seen || inbox.is_empty() {
-            return Vec::new();
+            return;
         }
         self.seen = true;
         let hop = inbox.iter().map(|&(_, h)| h).min().unwrap_or(0) + 1;
-        ctx.neighbors.iter().map(|&w| (w, hop)).collect()
+        out.extend(ctx.neighbors.iter().map(|&w| (w, hop)));
     }
 }
 
@@ -106,7 +110,8 @@ pub struct KernelBenchRow {
     /// Fastest wall-clock run of the seed reference kernel, seconds.
     pub reference_secs: f64,
     /// Retained arena of the fast kernel after the runs: mailbox chain
-    /// tables, bit-packed payload pool, per-vertex tables, scratch
+    /// tables, message pool (register-width payload slots plus the native
+    /// side table), per-vertex tables, outbox, scratch
     /// (exact, from [`Simulator::memory_bytes`]).
     pub kernel_bytes: usize,
     /// Process peak RSS after this row, bytes (0 = probe unavailable).

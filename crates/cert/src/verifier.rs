@@ -319,7 +319,7 @@ impl CertVerifier {
 impl NodeProgram for CertVerifier {
     type Msg = CertMsg;
 
-    fn init(&mut self, ctx: &NodeCtx<'_>) -> Vec<(VertexId, Self::Msg)> {
+    fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, Self::Msg)>) {
         self.local_checks(ctx);
         if ctx.neighbors.is_empty() {
             // Degree-0 node: nothing to exchange; the verdict is local.
@@ -334,40 +334,38 @@ impl NodeProgram for CertVerifier {
             }
             self.euler_check();
             self.done = true;
-            return Vec::new();
+            return;
         }
         let fallback = (ctx.id, ctx.id);
-        ctx.neighbors
-            .iter()
-            .map(|&w| {
-                // Open the label of the arc towards w. A corrupt rotation
-                // may not mention w (or mention it twice — first position
-                // wins); send a placeholder so neighbors still terminate.
-                // This node already recorded RotationNotPermutation.
-                let label = self
-                    .rotation
-                    .iter()
-                    .position(|&x| x == w)
-                    .and_then(|p| self.cert.labels.get(p).copied())
-                    .unwrap_or(fallback);
-                (
-                    w,
-                    CertMsg::Opening {
-                        root: self.cert.root,
-                        parent: self.cert.parent,
-                        depth: self.cert.depth,
-                        label,
-                    },
-                )
-            })
-            .collect()
+        out.extend(ctx.neighbors.iter().map(|&w| {
+            // Open the label of the arc towards w. A corrupt rotation
+            // may not mention w (or mention it twice — first position
+            // wins); send a placeholder so neighbors still terminate.
+            // This node already recorded RotationNotPermutation.
+            let label = self
+                .rotation
+                .iter()
+                .position(|&x| x == w)
+                .and_then(|p| self.cert.labels.get(p).copied())
+                .unwrap_or(fallback);
+            (
+                w,
+                CertMsg::Opening {
+                    root: self.cert.root,
+                    parent: self.cert.parent,
+                    depth: self.cert.depth,
+                    label,
+                },
+            )
+        }));
     }
 
     fn on_round(
         &mut self,
         ctx: &NodeCtx<'_>,
         inbox: &[(VertexId, Self::Msg)],
-    ) -> Vec<(VertexId, Self::Msg)> {
+        out: &mut Vec<(VertexId, Self::Msg)>,
+    ) {
         for (from, msg) in inbox {
             match *msg {
                 // First delivery wins; duplicates (possible under fault
@@ -393,7 +391,6 @@ impl NodeProgram for CertVerifier {
                 }
             }
         }
-        let mut out = Vec::new();
         if !self.sent_counters {
             self.sent_counters = true;
             let msg = CertMsg::Counters {
@@ -410,7 +407,6 @@ impl NodeProgram for CertVerifier {
             self.neighborhood_checks(ctx);
             self.done = true;
         }
-        out
     }
 }
 

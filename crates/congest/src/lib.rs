@@ -74,7 +74,7 @@ pub mod trace;
 pub use faults::{
     mix_seed, splitmix64, CrashPolicy, Fate, FaultPlan, FaultPlanError, LinkDown, LinkFaults,
 };
-pub use message::{word_bits, BitReader, BitSink, Words};
+pub use message::{word_bits, Words};
 pub use metrics::{Metrics, Phase, PhaseRounds};
 pub use network::{
     run, run_many, Instance, InstanceOutcome, MultiOutcome, NodeCtx, NodeProgram, SimConfig,

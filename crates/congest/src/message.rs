@@ -8,141 +8,52 @@
 //!
 //! # Word packing
 //!
-//! The budget machinery charges messages per declared word; since the
-//! million-node memory refactor the fast kernel's mailbox arena can also
-//! *store* them that way. A type opts in by implementing
-//! [`Words::pack`]/[`Words::unpack`]: `pack` appends exactly `words()`
-//! B-bit words to a [`BitSink`] (B = `word_bits(n)` for the run's graph)
-//! and may refuse (return `false`) when a field does not fit in B bits —
-//! the kernel then falls back to storing that message natively, so packing
-//! is always lossless and outcome-invariant. `unpack` must be the exact
-//! inverse. The primitive word types below all pack; protocol enums keep
-//! the `false` default and cost nothing.
+//! The budget machinery charges messages per declared word, and the fast
+//! kernel's mailbox arena *stores* them that way too. A type opts in by
+//! implementing [`Words::pack`]/[`Words::unpack`]: `pack` returns the
+//! value as exactly `words()` B-bit words in the low `words() · B` bits of
+//! one `u64` register (B = `word_bits(n)` for the run's graph), or `None`
+//! when a field is wider than B bits or the whole message is over 63
+//! bits. The kernel then stores that message natively, so packing is
+//! always lossless and outcome-invariant. `unpack` must be the exact
+//! inverse. Fields are laid out first-field-lowest: a composite packs its
+//! first component into the low bits and shifts each later one above the
+//! words before it, so `unpack` reads fields in order by shifting right.
+//! The primitive word types below and their `Option`, pair, triple and
+//! `Vec` composites all pack; protocol enums keep the `None` default and
+//! cost nothing.
 
 use planar_graph::{EdgeId, VertexId};
 
-/// Append-only bit buffer for B-bit word packing (see [`Words::pack`]).
-///
-/// Bits are appended little-endian within 64-bit backing words; a value
-/// written with [`BitSink::push_bits`] at offset `o` is read back by a
-/// [`BitReader`] positioned at `o`.
-#[derive(Clone, Debug, Default)]
-pub struct BitSink {
-    words: Vec<u64>,
-    len: usize,
+/// Bit width of `words` B-bit words, or `None` when it is over 63 (the
+/// kernel's packed slots keep bit 63 for their tag).
+fn width(words: usize, b: u32) -> Option<u32> {
+    let bits = (words as u64).checked_mul(u64::from(b))?;
+    (bits <= 63).then_some(bits as u32)
 }
 
-impl BitSink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        BitSink::default()
-    }
-
-    /// Number of bits written so far.
-    pub fn len_bits(&self) -> usize {
-        self.len
-    }
-
-    /// Clears the sink, keeping capacity.
-    pub fn clear(&mut self) {
-        self.words.clear();
-        self.len = 0;
-    }
-
-    /// Rewinds to `bits` (must not exceed [`len_bits`](Self::len_bits)) —
-    /// used to discard a partial `pack` that bailed midway.
-    pub fn truncate(&mut self, bits: usize) {
-        assert!(bits <= self.len, "cannot truncate forward");
-        self.words.truncate(bits.div_ceil(64));
-        if !bits.is_multiple_of(64) {
-            if let Some(last) = self.words.last_mut() {
-                *last &= (1u64 << (bits % 64)) - 1;
-            }
-        }
-        self.len = bits;
-    }
-
-    /// Appends the low `width` bits of `value` (`1..=64`; higher bits of
-    /// `value` must be zero).
-    pub fn push_bits(&mut self, value: u64, width: u32) {
-        debug_assert!((1..=64).contains(&width));
-        debug_assert!(width == 64 || value >> width == 0, "value wider than width");
-        let off = self.len % 64;
-        if off == 0 {
-            self.words.push(value);
-        } else {
-            *self.words.last_mut().expect("off != 0 implies a word") |= value << off;
-            if (64 - off) < width as usize {
-                self.words.push(value >> (64 - off));
-            }
-        }
-        self.len += width as usize;
-    }
-
-    /// Heap bytes backing the sink (capacity, not length).
-    pub fn memory_bytes(&self) -> usize {
-        self.words.capacity() * 8
-    }
-
-    /// A reader positioned at bit `offset`.
-    pub fn reader_at(&self, offset: usize) -> BitReader<'_> {
-        debug_assert!(offset <= self.len);
-        BitReader {
-            words: &self.words,
-            pos: offset,
-        }
-    }
+/// `value` as `words` B-bit words, or `None` if it does not fit.
+fn pack_field(value: u64, words: usize, b: u32) -> Option<u64> {
+    let w = width(words, b)?;
+    (value >> w == 0).then_some(value)
 }
 
-/// Cursor reading back values written by [`BitSink::push_bits`].
-#[derive(Debug)]
-pub struct BitReader<'a> {
-    words: &'a [u64],
-    pos: usize,
+/// The low `words` B-bit words of `v` (inverse of [`pack_field`]).
+fn unpack_field(words: usize, b: u32, v: u64) -> Option<u64> {
+    let w = width(words, b)?;
+    Some(v & ((1u64 << w) - 1))
 }
 
-impl BitReader<'_> {
-    /// Reads the next `width` bits (`1..=64`).
-    pub fn read_bits(&mut self, width: u32) -> u64 {
-        debug_assert!((1..=64).contains(&width));
-        let w = self.pos / 64;
-        let off = self.pos % 64;
-        let mut v = self.words[w] >> off;
-        if off != 0 && (64 - off) < width as usize {
-            v |= self.words[w + 1] << (64 - off);
-        }
-        if width < 64 {
-            v &= (1u64 << width) - 1;
-        }
-        self.pos += width as usize;
-        v
-    }
+/// Packs `hi` (`hi_words` words) above `lo` (`lo_words` words), or `None`
+/// if the two together are over 63 bits.
+fn join(lo: u64, lo_words: usize, hi: u64, hi_words: usize, b: u32) -> Option<u64> {
+    width(lo_words + hi_words, b)?;
+    Some(lo | hi << width(lo_words, b)?)
 }
 
-/// Packs `value` as `words` consecutive B-bit words (most-significant word
-/// first), or returns `false` if it does not fit.
-fn pack_uint(value: u64, words: u32, b: u32, sink: &mut BitSink) -> bool {
-    let total = words * b;
-    if total < 64 && value >> total != 0 {
-        return false;
-    }
-    for i in (0..words).rev() {
-        let shift = i * b;
-        let w = if shift >= 64 { 0 } else { value >> shift };
-        let mask = if b == 64 { u64::MAX } else { (1u64 << b) - 1 };
-        sink.push_bits(w & mask, b);
-    }
-    true
-}
-
-/// Inverse of [`pack_uint`].
-fn unpack_uint(words: u32, b: u32, src: &mut BitReader<'_>) -> u64 {
-    let mut v: u64 = 0;
-    for _ in 0..words {
-        let w = src.read_bits(b);
-        v = if b >= 64 { w } else { (v << b) | w };
-    }
-    v
+/// `v` with the low `words` B-bit words shifted out: the next field.
+fn skip(v: u64, words: usize, b: u32) -> Option<u64> {
+    Some(v >> width(words, b)?)
 }
 
 /// Types whose on-wire size is a known number of `O(log n)`-bit words.
@@ -155,24 +66,24 @@ pub trait Words {
     /// Number of `O(log n)`-bit words this value occupies on the wire.
     fn words(&self) -> usize;
 
-    /// Appends this value as exactly [`words`](Self::words) B-bit words to
-    /// `sink` and returns `true`, or returns `false` (possibly after
-    /// writing a partial prefix — the caller rewinds) when the value does
-    /// not fit in B-bit words or the type has no packed form (the
-    /// default). Must be a pure function of the value and `b`.
-    fn pack(&self, b: u32, sink: &mut BitSink) -> bool {
-        let _ = (b, sink);
-        false
+    /// This value as exactly [`words`](Self::words) B-bit words in the low
+    /// `words() · b` bits of one register, or `None` when a field does not
+    /// fit in B bits, the total is over 63 bits, or the type has no packed
+    /// form (the default). Must be a pure function of the value and `b`.
+    fn pack(&self, b: u32) -> Option<u64> {
+        let _ = b;
+        None
     }
 
     /// Exact inverse of [`pack`](Self::pack) for values that packed at the
-    /// same `b`. Only called on bits `pack` produced; `None` from a
-    /// packing type indicates corruption (the kernel treats it as a bug).
-    fn unpack(b: u32, src: &mut BitReader<'_>) -> Option<Self>
+    /// same `b`. Reads only its own low `words() · b` bits of `v`; `None`
+    /// from a packing type indicates corruption (the kernel treats it as a
+    /// bug).
+    fn unpack(b: u32, v: u64) -> Option<Self>
     where
         Self: Sized,
     {
-        let _ = (b, src);
+        let _ = (b, v);
         None
     }
 }
@@ -182,12 +93,12 @@ impl Words for u32 {
         1
     }
 
-    fn pack(&self, b: u32, sink: &mut BitSink) -> bool {
-        pack_uint(u64::from(*self), 1, b, sink)
+    fn pack(&self, b: u32) -> Option<u64> {
+        pack_field(u64::from(*self), 1, b)
     }
 
-    fn unpack(b: u32, src: &mut BitReader<'_>) -> Option<Self> {
-        u32::try_from(unpack_uint(1, b, src)).ok()
+    fn unpack(b: u32, v: u64) -> Option<Self> {
+        u32::try_from(unpack_field(1, b, v)?).ok()
     }
 }
 
@@ -199,12 +110,12 @@ impl Words for u64 {
         2
     }
 
-    fn pack(&self, b: u32, sink: &mut BitSink) -> bool {
-        pack_uint(*self, 2, b, sink)
+    fn pack(&self, b: u32) -> Option<u64> {
+        pack_field(*self, 2, b)
     }
 
-    fn unpack(b: u32, src: &mut BitReader<'_>) -> Option<Self> {
-        Some(unpack_uint(2, b, src))
+    fn unpack(b: u32, v: u64) -> Option<Self> {
+        unpack_field(2, b, v)
     }
 }
 
@@ -213,12 +124,12 @@ impl Words for usize {
         1
     }
 
-    fn pack(&self, b: u32, sink: &mut BitSink) -> bool {
-        pack_uint(*self as u64, 1, b, sink)
+    fn pack(&self, b: u32) -> Option<u64> {
+        pack_field(u64::try_from(*self).ok()?, 1, b)
     }
 
-    fn unpack(b: u32, src: &mut BitReader<'_>) -> Option<Self> {
-        usize::try_from(unpack_uint(1, b, src)).ok()
+    fn unpack(b: u32, v: u64) -> Option<Self> {
+        usize::try_from(unpack_field(1, b, v)?).ok()
     }
 }
 
@@ -227,12 +138,12 @@ impl Words for bool {
         1
     }
 
-    fn pack(&self, b: u32, sink: &mut BitSink) -> bool {
-        pack_uint(u64::from(*self), 1, b, sink)
+    fn pack(&self, b: u32) -> Option<u64> {
+        pack_field(u64::from(*self), 1, b)
     }
 
-    fn unpack(b: u32, src: &mut BitReader<'_>) -> Option<Self> {
-        match unpack_uint(1, b, src) {
+    fn unpack(b: u32, v: u64) -> Option<Self> {
+        match unpack_field(1, b, v)? {
             0 => Some(false),
             1 => Some(true),
             _ => None,
@@ -245,12 +156,12 @@ impl Words for VertexId {
         1
     }
 
-    fn pack(&self, b: u32, sink: &mut BitSink) -> bool {
-        pack_uint(u64::from(self.0), 1, b, sink)
+    fn pack(&self, b: u32) -> Option<u64> {
+        pack_field(u64::from(self.0), 1, b)
     }
 
-    fn unpack(b: u32, src: &mut BitReader<'_>) -> Option<Self> {
-        u32::try_from(unpack_uint(1, b, src)).ok().map(VertexId)
+    fn unpack(b: u32, v: u64) -> Option<Self> {
+        u32::try_from(unpack_field(1, b, v)?).ok().map(VertexId)
     }
 }
 
@@ -260,6 +171,7 @@ impl Words for EdgeId {
     }
 }
 
+/// `Option<T>`: a one-word tag (0 = `None`, 1 = `Some`), then `T`.
 impl<T: Words> Words for Option<T> {
     fn words(&self) -> usize {
         match self {
@@ -268,38 +180,52 @@ impl<T: Words> Words for Option<T> {
         }
     }
 
-    fn pack(&self, b: u32, sink: &mut BitSink) -> bool {
+    fn pack(&self, b: u32) -> Option<u64> {
         match self {
-            None => pack_uint(0, 1, b, sink),
-            Some(t) => pack_uint(1, 1, b, sink) && t.pack(b, sink),
+            None => pack_field(0, 1, b),
+            Some(t) => join(pack_field(1, 1, b)?, 1, t.pack(b)?, t.words(), b),
         }
     }
 
-    fn unpack(b: u32, src: &mut BitReader<'_>) -> Option<Self> {
-        match unpack_uint(1, b, src) {
+    fn unpack(b: u32, v: u64) -> Option<Self> {
+        match unpack_field(1, b, v)? {
             0 => Some(None),
-            1 => T::unpack(b, src).map(Some),
+            1 => T::unpack(b, skip(v, 1, b)?).map(Some),
             _ => None,
         }
     }
 }
 
+/// `Vec<T>`: a one-word length, then the elements in order.
 impl<T: Words> Words for Vec<T> {
     fn words(&self) -> usize {
         1 + self.iter().map(Words::words).sum::<usize>()
     }
 
-    fn pack(&self, b: u32, sink: &mut BitSink) -> bool {
-        pack_uint(self.len() as u64, 1, b, sink) && self.iter().all(|t| t.pack(b, sink))
+    fn pack(&self, b: u32) -> Option<u64> {
+        let mut packed = pack_field(self.len() as u64, 1, b)?;
+        let mut words = 1;
+        for t in self {
+            packed = join(packed, words, t.pack(b)?, t.words(), b)?;
+            words += t.words();
+        }
+        Some(packed)
     }
 
-    fn unpack(b: u32, src: &mut BitReader<'_>) -> Option<Self> {
-        let len = usize::try_from(unpack_uint(1, b, src)).ok()?;
-        let mut v = Vec::with_capacity(len);
+    fn unpack(b: u32, v: u64) -> Option<Self> {
+        let len = unpack_field(1, b, v)?;
+        let mut rest = skip(v, 1, b)?;
+        let mut words = 1;
+        let mut out = Vec::new();
         for _ in 0..len {
-            v.push(T::unpack(b, src)?);
+            let t = T::unpack(b, rest)?;
+            words += t.words();
+            // A corrupt length cannot run past the register.
+            width(words, b)?;
+            rest = skip(rest, t.words(), b)?;
+            out.push(t);
         }
-        Some(v)
+        Some(out)
     }
 }
 
@@ -308,12 +234,20 @@ impl<A: Words, B: Words> Words for (A, B) {
         self.0.words() + self.1.words()
     }
 
-    fn pack(&self, b: u32, sink: &mut BitSink) -> bool {
-        self.0.pack(b, sink) && self.1.pack(b, sink)
+    fn pack(&self, b: u32) -> Option<u64> {
+        join(
+            self.0.pack(b)?,
+            self.0.words(),
+            self.1.pack(b)?,
+            self.1.words(),
+            b,
+        )
     }
 
-    fn unpack(b: u32, src: &mut BitReader<'_>) -> Option<Self> {
-        Some((A::unpack(b, src)?, B::unpack(b, src)?))
+    fn unpack(b: u32, v: u64) -> Option<Self> {
+        let a = A::unpack(b, v)?;
+        let rest = skip(v, a.words(), b)?;
+        Some((a, B::unpack(b, rest)?))
     }
 }
 
@@ -322,12 +256,24 @@ impl<A: Words, B: Words, C: Words> Words for (A, B, C) {
         self.0.words() + self.1.words() + self.2.words()
     }
 
-    fn pack(&self, b: u32, sink: &mut BitSink) -> bool {
-        self.0.pack(b, sink) && self.1.pack(b, sink) && self.2.pack(b, sink)
+    fn pack(&self, b: u32) -> Option<u64> {
+        let ab = join(
+            self.0.pack(b)?,
+            self.0.words(),
+            self.1.pack(b)?,
+            self.1.words(),
+            b,
+        )?;
+        let ab_words = self.0.words() + self.1.words();
+        join(ab, ab_words, self.2.pack(b)?, self.2.words(), b)
     }
 
-    fn unpack(b: u32, src: &mut BitReader<'_>) -> Option<Self> {
-        Some((A::unpack(b, src)?, B::unpack(b, src)?, C::unpack(b, src)?))
+    fn unpack(b: u32, v: u64) -> Option<Self> {
+        let a = A::unpack(b, v)?;
+        let v = skip(v, a.words(), b)?;
+        let bb = B::unpack(b, v)?;
+        let c = C::unpack(b, skip(v, bb.words(), b)?)?;
+        Some((a, bb, c))
     }
 }
 
@@ -362,96 +308,109 @@ mod tests {
         assert!(word_bits(0) >= 1);
     }
 
-    fn roundtrip<T: Words + PartialEq + std::fmt::Debug>(v: &T, b: u32) {
-        let mut sink = BitSink::new();
-        let before = sink.len_bits();
-        assert!(v.pack(b, &mut sink), "{v:?} should fit at b={b}");
+    /// Whether a `words`-word field holding `x` fits at `b` bits per word.
+    fn field_fits(x: u64, words: usize, b: u32) -> bool {
+        width(words, b).is_some_and(|w| x >> w == 0)
+    }
+
+    /// `v` packs at `b` exactly when `fits`; a packed value stays below
+    /// `2^(words·b)` and unpacks to `v`.
+    fn check<T: Words + PartialEq + std::fmt::Debug>(v: &T, b: u32, fits: bool) {
+        match v.pack(b) {
+            Some(p) => {
+                assert!(fits, "{v:?} must decline at b={b}, packed {p:#x}");
+                let w = v.words() as u32 * b;
+                assert!(
+                    w <= 63 && p >> w == 0,
+                    "{v:?} at b={b}: {p:#x} wider than {w} bits"
+                );
+                assert_eq!(T::unpack(b, p).as_ref(), Some(v), "b={b}, packed {p:#x}");
+            }
+            None => assert!(!fits, "{v:?} must pack at b={b}"),
+        }
+    }
+
+    /// 0, 1, `2^(words·b) − 1`, `2^(words·b)` and `u64::MAX`.
+    fn boundaries(words: usize, b: u32) -> Vec<u64> {
+        let mut v = vec![0, 1, u64::MAX];
+        if let Some(top) = 1u64.checked_shl(words as u32 * b) {
+            v.extend([top - 1, top]);
+        }
+        v
+    }
+
+    /// Every packing type at every `b` in `1..=32`, over boundary values:
+    /// what fits round-trips exactly, what is wider than its declared
+    /// words or over 63 bits in total declines.
+    #[test]
+    fn pack_roundtrips_exhaustively() {
+        for b in 1..=32u32 {
+            let one = boundaries(1, b);
+            let smalls: Vec<u32> = one
+                .iter()
+                .filter_map(|&x| u32::try_from(x).ok())
+                .chain([u32::MAX])
+                .collect();
+            for &x in &smalls {
+                let fits = field_fits(u64::from(x), 1, b);
+                check(&x, b, fits);
+                check(&VertexId(x), b, fits);
+                check(&Some(x), b, fits && 2 * b <= 63);
+                for &y in &smalls {
+                    let both = fits && field_fits(u64::from(y), 1, b);
+                    check(&(VertexId(x), y), b, both && 2 * b <= 63);
+                    for flag in [false, true] {
+                        check(&(flag, x as usize, Some(y)), b, both && 4 * b <= 63);
+                    }
+                }
+            }
+            for &x in one.iter().chain(&[usize::MAX as u64]) {
+                if let Ok(x) = usize::try_from(x) {
+                    check(&x, b, field_fits(x as u64, 1, b));
+                }
+            }
+            for &x in boundaries(2, b).iter().chain(&one) {
+                let fits = field_fits(x, 2, b);
+                check(&x, b, fits);
+                check(&Some(x), b, fits && 3 * b <= 63);
+            }
+            check(&false, b, true);
+            check(&true, b, true);
+            check(&None::<u32>, b, true);
+            check(&None::<u64>, b, true);
+            for len in 0..=3usize {
+                for &x in &smalls {
+                    let v = vec![x; len];
+                    let fits = field_fits(len as u64, 1, b)
+                        && (len == 0 || field_fits(u64::from(x), 1, b))
+                        && (1 + len) as u32 * b <= 63;
+                    check(&v, b, fits);
+                }
+            }
+        }
+        // Over 63 bits in total declines even when every field fits.
+        assert_eq!(0u64.pack(32), None);
+        assert_eq!(u64::MAX.pack(32), None);
+        assert_eq!((VertexId(0), 0u32).pack(32), None);
+        assert_eq!((VertexId(1), 1u32).pack(31), Some(1 | 1 << 31));
+    }
+
+    #[test]
+    fn pack_lays_fields_out_first_field_lowest() {
+        assert_eq!((VertexId(5), 3u32).pack(4), Some(5 | 3 << 4));
+        assert_eq!(Some(VertexId(2)).pack(3), Some(1 | 2 << 3));
+        assert_eq!(vec![1u32, 2].pack(2), Some(2 | 1 << 2 | 2 << 4));
+        // Mixed widths inside a composite: a two-word u64 after a flag.
+        let v = (true, 9u64, VertexId(1));
+        assert_eq!(v.pack(4), Some(1 | 9 << 4 | 1 << 12));
         assert_eq!(
-            sink.len_bits() - before,
-            v.words() * b as usize,
-            "pack must emit exactly words()*b bits"
+            <(bool, u64, VertexId)>::unpack(4, 1 | 9 << 4 | 1 << 12),
+            Some(v)
         );
-        let got = T::unpack(b, &mut sink.reader_at(before)).expect("unpack");
-        assert_eq!(&got, v);
-    }
-
-    #[test]
-    fn pack_roundtrips_primitives() {
-        for b in [1u32, 3, 7, 10, 17, 32, 33, 63, 64] {
-            let max_1w: u64 = if b >= 64 { u64::MAX } else { (1 << b) - 1 };
-            for v in [0u64, 1, max_1w / 2, max_1w] {
-                if let Ok(v32) = u32::try_from(v) {
-                    roundtrip(&v32, b);
-                    roundtrip(&VertexId(v32), b);
-                }
-                if let Ok(vus) = usize::try_from(v) {
-                    roundtrip(&vus, b);
-                }
-            }
-            roundtrip(&false, b);
-            roundtrip(&true, b);
-        }
-        // u64 spans two words.
-        for b in [10u32, 17, 32, 33, 64] {
-            let max_2w: u64 = if b >= 32 {
-                u64::MAX
-            } else {
-                (1 << (2 * b)) - 1
-            };
-            for v in [0u64, 1, max_2w / 3, max_2w] {
-                roundtrip(&v, b);
-            }
-        }
-    }
-
-    #[test]
-    fn pack_roundtrips_compounds() {
-        let b = 11;
-        roundtrip(&None::<VertexId>, b);
-        roundtrip(&Some(VertexId(2047)), b);
-        roundtrip(&vec![1u32, 2, 2047], b);
-        roundtrip(&Vec::<u32>::new(), b);
-        roundtrip(&(VertexId(7), 100u32), b);
-        roundtrip(&(true, 3usize, Some(9u32)), b);
-    }
-
-    #[test]
-    fn pack_refuses_oversized_values() {
-        let mut sink = BitSink::new();
-        // 2^10 does not fit in 10 bits.
-        assert!(!1024u32.pack(10, &mut sink));
-        assert!(!VertexId(1 << 12).pack(10, &mut sink));
-        // A compound may leave a partial prefix behind; callers rewind.
-        sink.clear();
-        let v = vec![1u32, 5000, 2];
-        assert!(!v.pack(10, &mut sink));
-        sink.truncate(0);
-        assert_eq!(sink.len_bits(), 0);
-        // A two-word u64 at b=10 holds 20 bits.
-        assert!(!(1u64 << 20).pack(10, &mut sink));
-        assert!((1u64 << 19).pack(10, &mut sink));
-    }
-
-    #[test]
-    fn bit_sink_truncate_discards_partial_writes() {
-        let mut sink = BitSink::new();
-        sink.push_bits(0b101, 3);
-        let mark = sink.len_bits();
-        sink.push_bits(0x3FF, 10);
-        sink.push_bits(0x7F, 7);
-        sink.truncate(mark);
-        // Writes after a rewind must not see stale bits from the discarded
-        // region.
-        sink.push_bits(0, 10);
-        let mut r = sink.reader_at(0);
-        assert_eq!(r.read_bits(3), 0b101);
-        assert_eq!(r.read_bits(10), 0);
     }
 
     #[test]
     fn edge_id_falls_back_to_native() {
-        let mut sink = BitSink::new();
-        assert!(!EdgeId::new(VertexId(0), VertexId(1)).pack(16, &mut sink));
-        assert_eq!(sink.len_bits(), 0);
+        assert_eq!(EdgeId::new(VertexId(0), VertexId(1)).pack(16), None);
     }
 }

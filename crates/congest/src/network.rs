@@ -24,9 +24,11 @@
 //!   Because an arc has exactly one sender, per-arc queues preserve
 //!   emission order, and the in-arcs of a node — enumerated through the
 //!   reverse-arc table in slot order — arrive already sorted by sender id.
-//!   Each queue keeps its head message inline in a flat `head` array (see
-//!   `MailPlane`), so the budget-typical one-message-per-arc round never
-//!   allocates and the hot working set stays compact.
+//!   A queue is a chain through one shared message arena (`MsgPool`); an
+//!   arc's state is its `u32` chain head and `u32` word count (see
+//!   `MailPlane`). A message whose [`Words::pack`] fits in 63 bits lives in
+//!   the entry's own `u64` slot word (register-width payloads, no side
+//!   buffer); anything else goes to a native side table.
 //!   Inboxes are therefore deterministic *by construction*: the seed
 //!   kernel's per-round `recipients.sort()` + per-inbox `sort_by_key` are
 //!   gone, yet inbox contents are byte-identical (adjacency lists are
@@ -35,11 +37,17 @@
 //!   time; touched arcs are tracked in a dirty list and only those entries
 //!   are reset after delivery, so quiet regions of a large graph cost
 //!   nothing.
-//! * **Destination validation** — an epoch-stamped slot table
-//!   (`slot_epoch`/`slot_val`, one entry per vertex): before a node's sends
-//!   are recorded, its neighbor slots are stamped with a fresh epoch, making
-//!   each subsequent lookup `O(1)` instead of the seed kernel's per-message
-//!   binary search. An unstamped destination is a non-neighbor.
+//! * **Outbox** — programs push their sends onto a `&mut Vec` the kernel
+//!   owns ([`NodeProgram::init`], [`NodeProgram::on_round`]); one buffer
+//!   per `Simulator` is drained after every step, so stepping a node
+//!   allocates nothing.
+//! * **Destination validation** — a merge walk over the sender's sorted
+//!   CSR neighbor block: a cursor sits one slot past the previous send, so
+//!   a destination equal to the cursor's neighbor (every broadcast, and
+//!   replies in inbox order) costs one compare. Any other destination
+//!   falls back to a binary search of the block
+//!   ([`ArcIndex::neighbor_slot`]); a miss is a non-neighbor. No
+//!   per-vertex table and no per-sender stamping pass.
 //! * **Recipient schedule** — nodes are appended to a recipient list the
 //!   first time a message is addressed to them (deduplicated by an epoch
 //!   stamp) and processed in that order. Processing order cannot influence
@@ -69,7 +77,7 @@ use std::fmt;
 use planar_graph::{ArcId, ArcIndex, Graph, VertexId};
 
 use crate::faults::{CrashPolicy, Fate, FaultPlan};
-use crate::message::{BitSink, Words};
+use crate::message::Words;
 use crate::metrics::Metrics;
 use crate::trace::{TraceEvent, TraceHandle};
 
@@ -98,17 +106,19 @@ pub trait NodeProgram {
     /// The message type exchanged by this program.
     type Msg: Clone + Words;
 
-    /// Called once before the first round; returns initial messages as
-    /// `(neighbor, message)` pairs.
-    fn init(&mut self, ctx: &NodeCtx<'_>) -> Vec<(VertexId, Self::Msg)>;
+    /// Called once before the first round; pushes initial messages onto
+    /// `out` as `(neighbor, message)` pairs. `out` is the kernel's outbox
+    /// and is empty on entry.
+    fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, Self::Msg)>);
 
-    /// Called whenever the node receives at least one message; returns
-    /// messages to send this round.
+    /// Called whenever the node receives at least one message; pushes the
+    /// messages to send this round onto `out` (empty on entry).
     fn on_round(
         &mut self,
         ctx: &NodeCtx<'_>,
         inbox: &[(VertexId, Self::Msg)],
-    ) -> Vec<(VertexId, Self::Msg)>;
+        out: &mut Vec<(VertexId, Self::Msg)>,
+    );
 
     /// Whether the node wants [`NodeProgram::on_round`] called with an
     /// *empty* inbox while it has internal timers pending (e.g. the
@@ -252,10 +262,10 @@ pub enum SimError {
         round: usize,
     },
     /// The graph exceeds the fast kernel's `u32`-indexed layout (vertex
-    /// ids, arc ids, chain links and slot tables all reserve `u32::MAX` as
-    /// a sentinel). Checked at run setup, so an oversized graph is a typed
-    /// error instead of silent index truncation. The reference kernel has
-    /// no such bound (`usize` throughout).
+    /// ids, arc ids, chain links and instance tables all reserve
+    /// `u32::MAX` as a sentinel). Checked at run setup, so an oversized
+    /// graph is a typed error instead of silent index truncation. The
+    /// reference kernel has no such bound (`usize` throughout).
     CapacityExceeded {
         /// Vertices in the offending graph.
         nodes: usize,
@@ -434,33 +444,31 @@ pub struct MultiOutcome<P> {
 /// Chain-link / index sentinel of the struct-of-arrays mailbox layout.
 const NIL: u32 = u32::MAX;
 
-/// `MsgPool` payload locator flag (one `u64` per entry): bit 63 set =
-/// packed, the low bits are a bit offset into the pool's [`BitSink`];
-/// clear = the low bits index `native`.
+/// `MsgPool` slot tag (one `u64` per entry): bit 63 set = the low 63 bits
+/// are the packed payload itself; clear = the low bits index `native`.
 const POOL_PACKED: u64 = 1 << 63;
 
 /// Per-round message arena: every queued message of one mailbox plane, in a
 /// single struct-of-arrays pool instead of one heap queue per arc.
 ///
-/// An entry is a `u32` chain link (`next`) plus a `u64` payload locator
-/// (`slot`). Payload words are *bit-packed to the run's declared B-bit word
-/// width* (`B = ceil(log2 n)`, [`crate::message::word_bits`]) whenever the
-/// message's [`Words::pack`] accepts — the budget machinery charges per
-/// B-bit word, so storage finally matches the charge: a 2-word adjacency
-/// message at n=1M costs 40 bits here instead of a heap-backed enum. A
-/// message whose fields exceed B bits (or whose type has no packed form)
-/// falls back to the `native` side table, so packing is lossless by
-/// construction and invisible to outcomes.
+/// An entry is a `u32` chain link (`next`) plus a `u64` `slot` word. When
+/// the message's [`Words::pack`] accepts at the run's word width
+/// (`B = ceil(log2 n)`, [`crate::message::word_bits`]) the slot *is* the
+/// payload — `words() · B` bits, at most 63, under the `POOL_PACKED` tag —
+/// so storage matches the budget's charge: a 2-word `(leader, distance)`
+/// flood message at n=1M is 40 bits of one register, with no side buffer
+/// to append to or decode from. A message whose fields exceed B bits, that
+/// is over 63 bits in total, or whose type has no packed form goes to the
+/// `native` side table, so packing is lossless by construction and
+/// invisible to outcomes.
 struct MsgPool<M> {
     /// Next entry in the same arc's FIFO chain (`NIL` = tail).
     next: Vec<u32>,
-    /// Payload locator per entry (see `POOL_PACKED`).
+    /// Packed payload or `native` index per entry (see `POOL_PACKED`).
     slot: Vec<u64>,
     /// Natively stored payloads (packing declined). `Option` so delivery
     /// can move messages out without shifting.
     native: Vec<Option<M>>,
-    /// B-bit packed payload words of all packed entries, in push order.
-    bits: BitSink,
     /// The run's word width: `ceil(log2 n)` bits.
     word_bits: u32,
 }
@@ -471,7 +479,6 @@ impl<M: Words> MsgPool<M> {
             next: Vec::new(),
             slot: Vec::new(),
             native: Vec::new(),
-            bits: BitSink::new(),
             word_bits: 1,
         }
     }
@@ -481,7 +488,6 @@ impl<M: Words> MsgPool<M> {
         self.next.clear();
         self.slot.clear();
         self.native.clear();
-        self.bits.clear();
     }
 
     /// Appends `msg` as a fresh chain tail and returns its entry index.
@@ -496,29 +502,29 @@ impl<M: Words> MsgPool<M> {
         );
         let e = self.next.len() as u32;
         self.next.push(NIL);
-        let mark = self.bits.len_bits();
-        if msg.pack(self.word_bits, &mut self.bits) {
-            debug_assert_eq!(
-                self.bits.len_bits() - mark,
-                msg.words() * self.word_bits as usize,
-                "pack must emit exactly words()*B bits"
-            );
-            self.slot.push(POOL_PACKED | mark as u64);
-        } else {
-            self.bits.truncate(mark); // discard a partial pack
-            self.slot.push(self.native.len() as u64);
-            self.native.push(Some(msg));
+        match msg.pack(self.word_bits) {
+            Some(packed) => {
+                let width = msg.words() as u64 * u64::from(self.word_bits);
+                debug_assert!(
+                    width <= 63 && packed >> width == 0,
+                    "pack must fit in words()*B <= 63 bits"
+                );
+                self.slot.push(POOL_PACKED | packed);
+            }
+            None => {
+                self.slot.push(self.native.len() as u64);
+                self.native.push(Some(msg));
+            }
         }
         e
     }
 
     /// Moves entry `e` out (delivery drains in place; packed entries
-    /// decode, native entries move without a clone).
+    /// decode from the slot word, native entries move without a clone).
     fn take(&mut self, e: u32) -> M {
         let s = self.slot[e as usize];
         if s & POOL_PACKED != 0 {
-            let mut r = self.bits.reader_at((s & !POOL_PACKED) as usize);
-            M::unpack(self.word_bits, &mut r).expect("packed payload round-trips")
+            M::unpack(self.word_bits, s & !POOL_PACKED).expect("packed payload round-trips")
         } else {
             self.native[s as usize]
                 .take()
@@ -531,7 +537,6 @@ impl<M: Words> MsgPool<M> {
         self.next.capacity() * 4
             + self.slot.capacity() * 8
             + self.native.capacity() * std::mem::size_of::<Option<M>>()
-            + self.bits.memory_bytes()
     }
 }
 
@@ -656,8 +661,8 @@ impl<M: Words> MailPlane<M> {
 }
 
 /// A reusable simulation kernel (see module docs): all round state —
-/// mailbox planes, slot tables, scratch buffers — allocated before round 1
-/// and only growing buffer capacities afterwards.
+/// mailbox planes, per-vertex tables, the outbox, scratch buffers —
+/// allocated before round 1 and only growing buffer capacities afterwards.
 ///
 /// A `Simulator` can be reused across runs (over different graphs, programs
 /// and configs of the same message type): every [`Simulator::run`] fully
@@ -670,13 +675,9 @@ pub struct Simulator<M> {
     cur: MailPlane<M>,
     /// Sends accumulating for the next round.
     nxt: MailPlane<M>,
-    /// Epoch-stamped `O(1)` neighbor-slot table: `slot_val[v]` is valid iff
-    /// `slot_epoch[v]` equals the current sender's epoch.
-    slot_epoch: Vec<u64>,
-    /// Slot of `v` in the current sender's neighbor list.
-    slot_val: Vec<u32>,
-    /// Monotone counter distinguishing senders' stamping passes.
-    sender_epoch: u64,
+    /// The outbox every program step pushes its sends onto; drained by
+    /// `record_sends` after each step, so it is empty between steps.
+    outbox: Vec<(VertexId, M)>,
     /// `recipient_round[v] == r` iff `v` is already scheduled to receive in
     /// round `r` (rounds increase strictly, so no clearing is needed).
     recipient_round: Vec<usize>,
@@ -755,9 +756,7 @@ impl<M: Words + Clone> Simulator<M> {
         Simulator {
             cur: MailPlane::new(),
             nxt: MailPlane::new(),
-            slot_epoch: Vec::new(),
-            slot_val: Vec::new(),
-            sender_epoch: 0,
+            outbox: Vec::new(),
             recipient_round: Vec::new(),
             pending_overflow: None,
             inbox_buf: Vec::new(),
@@ -786,11 +785,7 @@ impl<M: Words + Clone> Simulator<M> {
         let word_bits = crate::message::word_bits(n) as u32;
         self.cur.prepare(arcs, word_bits);
         self.nxt.prepare(arcs, word_bits);
-        self.slot_epoch.clear();
-        self.slot_epoch.resize(n, 0);
-        self.slot_val.clear();
-        self.slot_val.resize(n, 0);
-        self.sender_epoch = 0;
+        self.outbox.clear();
         self.recipient_round.clear();
         self.recipient_round.resize(n, usize::MAX);
         self.pending_overflow = None;
@@ -836,9 +831,7 @@ impl<M: Words + Clone> Simulator<M> {
     /// simulator is cached for reuse, see [`crate::session::KernelCache`]).
     /// The bench harness divides this by `n` for its bytes/node column.
     pub fn memory_bytes(&self) -> usize {
-        let per_vertex = self.slot_epoch.capacity() * 8
-            + self.slot_val.capacity() * 4
-            + self.recipient_round.capacity() * 8
+        let per_vertex = self.recipient_round.capacity() * 8
             + self.crashed_at.capacity() * 8
             + self.ran_round.capacity() * 8
             + self.inst_of.capacity() * 4
@@ -847,7 +840,8 @@ impl<M: Words + Clone> Simulator<M> {
             + self.att_seq.capacity() * 4
             + self.att_dirty.capacity() * 4
             + self.delayed.capacity() * std::mem::size_of::<DelayedMsg<M>>();
-        let scratch = self.inbox_buf.capacity() * std::mem::size_of::<(VertexId, M)>()
+        let scratch = (self.inbox_buf.capacity() + self.outbox.capacity())
+            * std::mem::size_of::<(VertexId, M)>()
             + self.inbox_bounds.capacity() * 4;
         self.cur.memory_bytes() + self.nxt.memory_bytes() + per_vertex + fault + scratch
     }
@@ -868,19 +862,23 @@ impl<M: Words + Clone> Simulator<M> {
         plane.push(recipient_round, a, dest, deliver_round, msg);
     }
 
-    /// Records `from`'s outgoing messages (sent during `round`, delivered in
-    /// `round + 1`) into the `nxt` plane; in fault mode, resolves each
-    /// message's fate first (see [`crate::faults`]).
+    /// Records the sends `from` left in the outbox (sent during `round`,
+    /// delivered in `round + 1`) into the `nxt` plane and empties the
+    /// outbox; in fault mode, resolves each message's fate first (see
+    /// [`crate::faults`]).
+    ///
+    /// Destinations are validated by a merge walk over `from`'s sorted
+    /// neighbor block (see module docs): the cursor's neighbor costs one
+    /// compare, any other destination one binary search.
     fn record_sends(
         &mut self,
         idx: &ArcIndex,
         cfg: &SimConfig,
         from: VertexId,
         round: usize,
-        out: Vec<(VertexId, M)>,
         metrics: &mut Metrics,
     ) -> Result<(), SimError> {
-        if out.is_empty() {
+        if self.outbox.is_empty() {
             return Ok(());
         }
         // Batched runs enforce instance isolation per send; `u32::MAX`
@@ -890,18 +888,18 @@ impl<M: Words + Clone> Simulator<M> {
         } else {
             self.inst_of[from.index()]
         };
-        // Stamp this sender's neighbor slots: every later lookup is O(1).
-        self.sender_epoch += 1;
-        for (slot, _, w) in idx.out_arcs(from) {
-            self.slot_epoch[w.index()] = self.sender_epoch;
-            self.slot_val[w.index()] = slot as u32;
-        }
-        for (dest, msg) in out {
-            if dest.index() >= self.slot_epoch.len()
-                || self.slot_epoch[dest.index()] != self.sender_epoch
-            {
-                return Err(SimError::InvalidDestination { from, to: dest });
-            }
+        let first = idx.first_arc(from).index();
+        let degree = idx.degree(from);
+        let mut cursor = 0;
+        let mut out = std::mem::take(&mut self.outbox);
+        // An error stops the walk; dropping the drain empties the outbox.
+        let result = out.drain(..).try_for_each(|(dest, msg)| {
+            let slot = if cursor < degree && idx.head(ArcId((first + cursor) as u32)) == dest {
+                cursor
+            } else {
+                idx.neighbor_slot(from, dest)
+                    .ok_or(SimError::InvalidDestination { from, to: dest })?
+            };
             if from_inst != u32::MAX && self.inst_of[dest.index()] != from_inst {
                 return Err(SimError::CrossInstanceSend {
                     from,
@@ -909,12 +907,11 @@ impl<M: Words + Clone> Simulator<M> {
                     round,
                 });
             }
-            let a = idx
-                .arc_at(from, self.slot_val[dest.index()] as usize)
-                .index();
-            self.queue_resolved(cfg, from, a, dest, round, msg, metrics)?;
-        }
-        Ok(())
+            cursor = slot + 1;
+            self.queue_resolved(cfg, from, first + slot, dest, round, msg, metrics)
+        });
+        self.outbox = out;
+        result
     }
 
     /// Queues one validated message from `from` on arc `a` to `dest`: trace
@@ -1141,7 +1138,7 @@ impl<M: Words + Clone> Simulator<M> {
     /// `nxt` plane, never `cur`, so gathering a block ahead of stepping it
     /// is invisible to programs; `Deliver` trace events are emitted at
     /// step time, so the event stream interleaves exactly like an
-    /// unblocked loop. `step(instance, slot, ctx, inbox)` runs the
+    /// unblocked loop. `step(instance, slot, ctx, inbox, outbox)` runs the
     /// recipient's `on_round`: a plain run passes instance 0 and the
     /// vertex index as the slot, a batched run the vertex's `inst_of` and
     /// `inst_slot` entries.
@@ -1155,7 +1152,7 @@ impl<M: Words + Clone> Simulator<M> {
         metrics: &mut Metrics,
     ) -> Result<(), SimError>
     where
-        F: FnMut(usize, usize, &NodeCtx<'_>, &[(VertexId, M)]) -> Vec<(VertexId, M)>,
+        F: FnMut(usize, usize, &NodeCtx<'_>, &[(VertexId, M)], &mut Vec<(VertexId, M)>),
     {
         let tracing = cfg.trace.is_on();
         let nrec = self.cur.recipients.len();
@@ -1212,8 +1209,8 @@ impl<M: Words + Clone> Simulator<M> {
                     neighbors: g.neighbors(v),
                     round,
                 };
-                let out = step(inst, slot, &ctx, inbox);
-                if let Err(e) = self.record_sends(idx, cfg, v, round, out, metrics) {
+                step(inst, slot, &ctx, inbox, &mut self.outbox);
+                if let Err(e) = self.record_sends(idx, cfg, v, round, metrics) {
                     result = Err(e);
                     break 'blocks;
                 }
@@ -1306,8 +1303,8 @@ impl<M: Words + Clone> Simulator<M> {
                 neighbors: g.neighbors(v),
                 round: 0,
             };
-            let out = program.init(&ctx);
-            kernel.record_sends(idx, cfg, v, 0, out, &mut metrics)?;
+            program.init(&ctx, &mut kernel.outbox);
+            kernel.record_sends(idx, cfg, v, 0, &mut metrics)?;
         }
         // Does any live node still want empty-inbox wakeups next round?
         let mut tick_pending = kernel.fault_mode
@@ -1405,7 +1402,7 @@ impl<M: Words + Clone> Simulator<M> {
                 idx,
                 cfg,
                 round,
-                |_, i, ctx, inbox| programs[i].on_round(ctx, inbox),
+                |_, i, ctx, inbox, out| programs[i].on_round(ctx, inbox, out),
                 &mut metrics,
             )?;
             if kernel.fault_mode {
@@ -1427,8 +1424,8 @@ impl<M: Words + Clone> Simulator<M> {
                         neighbors: g.neighbors(v),
                         round,
                     };
-                    let out = program.on_round(&ctx, &[]);
-                    kernel.record_sends(idx, cfg, v, round, out, &mut metrics)?;
+                    program.on_round(&ctx, &[], &mut kernel.outbox);
+                    kernel.record_sends(idx, cfg, v, round, &mut metrics)?;
                 }
                 tick_pending = programs
                     .iter()
@@ -1580,8 +1577,8 @@ impl<M: Words + Clone> Simulator<M> {
                     neighbors: g.neighbors(v),
                     round: 0,
                 };
-                let out = program.init(&ctx);
-                kernel.record_sends(idx, cfg, v, 0, out, &mut metrics)?;
+                program.init(&ctx, &mut kernel.outbox);
+                kernel.record_sends(idx, cfg, v, 0, &mut metrics)?;
             }
         }
         let mut tick_pending = false;
@@ -1700,7 +1697,9 @@ impl<M: Words + Clone> Simulator<M> {
                 idx,
                 cfg,
                 round,
-                |inst, slot, ctx, inbox| instances[inst].programs[slot].on_round(ctx, inbox),
+                |inst, slot, ctx, inbox, out| {
+                    instances[inst].programs[slot].on_round(ctx, inbox, out)
+                },
                 &mut metrics,
             )?;
             if kernel.fault_mode {
@@ -1723,8 +1722,8 @@ impl<M: Words + Clone> Simulator<M> {
                             neighbors: g.neighbors(v),
                             round,
                         };
-                        let out = program.on_round(&ctx, &[]);
-                        kernel.record_sends(idx, cfg, v, round, out, &mut metrics)?;
+                        program.on_round(&ctx, &[], &mut kernel.outbox);
+                        kernel.record_sends(idx, cfg, v, round, &mut metrics)?;
                     }
                 }
                 tick_pending = false;
@@ -1843,23 +1842,22 @@ mod tests {
     impl NodeProgram for MaxFlood {
         type Msg = u32;
 
-        fn init(&mut self, ctx: &NodeCtx<'_>) -> Vec<(VertexId, u32)> {
+        fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, u32)>) {
             self.announced = true;
-            ctx.neighbors.iter().map(|&w| (w, self.best)).collect()
+            out.extend(ctx.neighbors.iter().map(|&w| (w, self.best)));
         }
 
         fn on_round(
             &mut self,
             ctx: &NodeCtx<'_>,
             inbox: &[(VertexId, u32)],
-        ) -> Vec<(VertexId, u32)> {
+            out: &mut Vec<(VertexId, u32)>,
+        ) {
             let incoming = inbox.iter().map(|&(_, v)| v).max().unwrap_or(0);
             if incoming > self.best || !self.announced {
                 self.best = self.best.max(incoming);
                 self.announced = true;
-                ctx.neighbors.iter().map(|&w| (w, self.best)).collect()
-            } else {
-                Vec::new()
+                out.extend(ctx.neighbors.iter().map(|&w| (w, self.best)));
             }
         }
     }
@@ -1895,19 +1893,17 @@ mod tests {
         struct Blaster;
         impl NodeProgram for Blaster {
             type Msg = Vec<u32>;
-            fn init(&mut self, ctx: &NodeCtx<'_>) -> Vec<(VertexId, Vec<u32>)> {
+            fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, Vec<u32>)>) {
                 if ctx.id == VertexId(0) {
-                    vec![(VertexId(1), vec![0; 100])]
-                } else {
-                    Vec::new()
+                    out.push((VertexId(1), vec![0; 100]));
                 }
             }
             fn on_round(
                 &mut self,
                 _: &NodeCtx<'_>,
                 _: &[(VertexId, Vec<u32>)],
-            ) -> Vec<(VertexId, Vec<u32>)> {
-                Vec::new()
+                _: &mut Vec<(VertexId, Vec<u32>)>,
+            ) {
             }
         }
         let g = path(2);
@@ -1921,15 +1917,17 @@ mod tests {
         struct Wild;
         impl NodeProgram for Wild {
             type Msg = u32;
-            fn init(&mut self, ctx: &NodeCtx<'_>) -> Vec<(VertexId, u32)> {
+            fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, u32)>) {
                 if ctx.id == VertexId(0) {
-                    vec![(VertexId(2), 1)] // not a neighbor on a path of 3
-                } else {
-                    Vec::new()
+                    out.push((VertexId(2), 1)); // not a neighbor on a path of 3
                 }
             }
-            fn on_round(&mut self, _: &NodeCtx<'_>, _: &[(VertexId, u32)]) -> Vec<(VertexId, u32)> {
-                Vec::new()
+            fn on_round(
+                &mut self,
+                _: &NodeCtx<'_>,
+                _: &[(VertexId, u32)],
+                _: &mut Vec<(VertexId, u32)>,
+            ) {
             }
         }
         let g = path(3);
@@ -1949,15 +1947,17 @@ mod tests {
         struct Wilder;
         impl NodeProgram for Wilder {
             type Msg = u32;
-            fn init(&mut self, ctx: &NodeCtx<'_>) -> Vec<(VertexId, u32)> {
+            fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, u32)>) {
                 if ctx.id == VertexId(0) {
-                    vec![(VertexId(99), 1)] // beyond the vertex range
-                } else {
-                    Vec::new()
+                    out.push((VertexId(99), 1)); // beyond the vertex range
                 }
             }
-            fn on_round(&mut self, _: &NodeCtx<'_>, _: &[(VertexId, u32)]) -> Vec<(VertexId, u32)> {
-                Vec::new()
+            fn on_round(
+                &mut self,
+                _: &NodeCtx<'_>,
+                _: &[(VertexId, u32)],
+                _: &mut Vec<(VertexId, u32)>,
+            ) {
             }
         }
         let g = path(2);
@@ -1978,19 +1978,18 @@ mod tests {
         struct PingPong;
         impl NodeProgram for PingPong {
             type Msg = u32;
-            fn init(&mut self, ctx: &NodeCtx<'_>) -> Vec<(VertexId, u32)> {
+            fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, u32)>) {
                 if ctx.id == VertexId(0) {
-                    vec![(VertexId(1), 0)]
-                } else {
-                    Vec::new()
+                    out.push((VertexId(1), 0));
                 }
             }
             fn on_round(
                 &mut self,
                 _: &NodeCtx<'_>,
                 inbox: &[(VertexId, u32)],
-            ) -> Vec<(VertexId, u32)> {
-                inbox.iter().map(|&(from, v)| (from, v + 1)).collect()
+                out: &mut Vec<(VertexId, u32)>,
+            ) {
+                out.extend(inbox.iter().map(|&(from, v)| (from, v + 1)));
             }
         }
         let g = path(2);
@@ -2013,23 +2012,20 @@ mod tests {
         struct Relay;
         impl NodeProgram for Relay {
             type Msg = u32;
-            fn init(&mut self, ctx: &NodeCtx<'_>) -> Vec<(VertexId, u32)> {
+            fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, u32)>) {
                 if ctx.id == VertexId(0) {
-                    vec![(VertexId(1), 0)]
-                } else {
-                    Vec::new()
+                    out.push((VertexId(1), 0));
                 }
             }
             fn on_round(
                 &mut self,
                 ctx: &NodeCtx<'_>,
                 _: &[(VertexId, u32)],
-            ) -> Vec<(VertexId, u32)> {
+                out: &mut Vec<(VertexId, u32)>,
+            ) {
                 let next = VertexId(ctx.id.0 + 1);
                 if ctx.neighbors.contains(&next) {
-                    vec![(next, 0)]
-                } else {
-                    Vec::new()
+                    out.push((next, 0));
                 }
             }
         }
@@ -2059,11 +2055,13 @@ mod tests {
         struct Silent;
         impl NodeProgram for Silent {
             type Msg = u32;
-            fn init(&mut self, _: &NodeCtx<'_>) -> Vec<(VertexId, u32)> {
-                Vec::new()
-            }
-            fn on_round(&mut self, _: &NodeCtx<'_>, _: &[(VertexId, u32)]) -> Vec<(VertexId, u32)> {
-                Vec::new()
+            fn init(&mut self, _: &NodeCtx<'_>, _: &mut Vec<(VertexId, u32)>) {}
+            fn on_round(
+                &mut self,
+                _: &NodeCtx<'_>,
+                _: &[(VertexId, u32)],
+                _: &mut Vec<(VertexId, u32)>,
+            ) {
             }
         }
         let g = path(4);

@@ -67,7 +67,7 @@ impl CentroidWalk {
 
     /// Walk step: if some child subtree is heavier than `2/3 · total`, the
     /// token moves there; otherwise this node is the splitter.
-    fn step(&mut self) -> Vec<(VertexId, bool)> {
+    fn step(&mut self, out: &mut Vec<(VertexId, bool)>) {
         self.on_path = true;
         let heavy = self
             .children_sizes
@@ -75,11 +75,8 @@ impl CentroidWalk {
             .find(|&(_, &s)| 3 * s > 2 * self.total)
             .map(|(&c, _)| c);
         match heavy {
-            Some(c) => vec![(c, true)],
-            None => {
-                self.is_centroid = true;
-                Vec::new()
-            }
+            Some(c) => out.push((c, true)),
+            None => self.is_centroid = true,
         }
     }
 }
@@ -87,11 +84,9 @@ impl CentroidWalk {
 impl NodeProgram for CentroidWalk {
     type Msg = bool; // the walk token, 1 word
 
-    fn init(&mut self, _ctx: &NodeCtx<'_>) -> Vec<(VertexId, bool)> {
+    fn init(&mut self, _ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, bool)>) {
         if self.is_root && self.total > 0 {
-            self.step()
-        } else {
-            Vec::new()
+            self.step(out);
         }
     }
 
@@ -99,11 +94,11 @@ impl NodeProgram for CentroidWalk {
         &mut self,
         _ctx: &NodeCtx<'_>,
         inbox: &[(VertexId, bool)],
-    ) -> Vec<(VertexId, bool)> {
-        if inbox.is_empty() {
-            return Vec::new();
+        out: &mut Vec<(VertexId, bool)>,
+    ) {
+        if !inbox.is_empty() {
+            self.step(out);
         }
-        self.step()
     }
 }
 

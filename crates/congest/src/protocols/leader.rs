@@ -78,37 +78,39 @@ impl LeaderBfs {
         }
         better
     }
+
+    /// Broadcasts the best `(leader, distance)` to every allowed neighbor.
+    fn announce(&self, out: &mut Vec<(VertexId, (VertexId, u32))>) {
+        let announce = (self.best_leader, self.best_dist);
+        out.extend(self.allowed.iter().map(|&w| (w, announce)));
+    }
 }
 
 impl NodeProgram for LeaderBfs {
     /// `(leader id, distance)` — 2 words.
     type Msg = (VertexId, u32);
 
-    fn init(&mut self, _ctx: &NodeCtx<'_>) -> Vec<(VertexId, Self::Msg)> {
-        if !self.active {
-            return Vec::new();
+    fn init(&mut self, _ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, Self::Msg)>) {
+        if self.active {
+            self.announce(out);
         }
-        let announce = (self.best_leader, 0);
-        self.allowed.iter().map(|&w| (w, announce)).collect()
     }
 
     fn on_round(
         &mut self,
         _ctx: &NodeCtx<'_>,
         inbox: &[(VertexId, Self::Msg)],
-    ) -> Vec<(VertexId, Self::Msg)> {
+        out: &mut Vec<(VertexId, Self::Msg)>,
+    ) {
         if !self.active {
-            return Vec::new();
+            return;
         }
         let mut improved = false;
         for &(from, (leader, dist)) in inbox {
             improved |= self.offer(from, leader, dist.saturating_add(1));
         }
         if improved {
-            let announce = (self.best_leader, self.best_dist);
-            self.allowed.iter().map(|&w| (w, announce)).collect()
-        } else {
-            Vec::new()
+            self.announce(out);
         }
     }
 }

@@ -179,19 +179,20 @@ impl<P: NodeProgram> Reliable<P> {
 impl<P: NodeProgram> NodeProgram for Reliable<P> {
     type Msg = RelMsg<P::Msg>;
 
-    fn init(&mut self, ctx: &NodeCtx<'_>) -> Vec<(VertexId, Self::Msg)> {
-        let out = self.inner.init(ctx);
-        out.into_iter()
-            .map(|(to, m)| self.send_data(to, m, ctx.round))
-            .collect()
+    fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, Self::Msg)>) {
+        let mut inner_out = Vec::new();
+        self.inner.init(ctx, &mut inner_out);
+        for (to, m) in inner_out {
+            out.push(self.send_data(to, m, ctx.round));
+        }
     }
 
     fn on_round(
         &mut self,
         ctx: &NodeCtx<'_>,
         inbox: &[(VertexId, Self::Msg)],
-    ) -> Vec<(VertexId, Self::Msg)> {
-        let mut out: Vec<(VertexId, Self::Msg)> = Vec::new();
+        out: &mut Vec<(VertexId, Self::Msg)>,
+    ) {
         // The inbox the inner program would have seen on a perfect network:
         // deduplicated, per-sender in-order (the kernel's sender grouping is
         // preserved because sequence release is contiguous per sender).
@@ -233,7 +234,8 @@ impl<P: NodeProgram> NodeProgram for Reliable<P> {
             out.push((from, RelMsg::Ack { seq: upto }));
         }
         if !inner_inbox.is_empty() {
-            let inner_out = self.inner.on_round(ctx, &inner_inbox);
+            let mut inner_out = Vec::new();
+            self.inner.on_round(ctx, &inner_inbox, &mut inner_out);
             for (to, m) in inner_out {
                 out.push(self.send_data(to, m, ctx.round));
             }
@@ -262,7 +264,6 @@ impl<P: NodeProgram> NodeProgram for Reliable<P> {
             }
             i += 1;
         }
-        out
     }
 
     fn wants_tick(&self) -> bool {
@@ -465,12 +466,10 @@ mod tests {
     impl NodeProgram for Relay {
         type Msg = u32;
 
-        fn init(&mut self, ctx: &NodeCtx<'_>) -> Vec<(VertexId, u32)> {
+        fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, u32)>) {
             if ctx.id == VertexId(0) {
                 self.got = true;
-                vec![(VertexId(1), 7)]
-            } else {
-                Vec::new()
+                out.push((VertexId(1), 7));
             }
         }
 
@@ -478,8 +477,8 @@ mod tests {
             &mut self,
             ctx: &NodeCtx<'_>,
             inbox: &[(VertexId, u32)],
-        ) -> Vec<(VertexId, u32)> {
-            let mut out = Vec::new();
+            out: &mut Vec<(VertexId, u32)>,
+        ) {
             for &(_, v) in inbox {
                 if !self.got {
                     self.got = true;
@@ -489,7 +488,6 @@ mod tests {
                     }
                 }
             }
-            out
         }
     }
 
@@ -570,11 +568,9 @@ mod tests {
     impl NodeProgram for DripPinger {
         type Msg = u32;
 
-        fn init(&mut self, ctx: &NodeCtx<'_>) -> Vec<(VertexId, u32)> {
+        fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, u32)>) {
             if ctx.id == VertexId(2) {
-                vec![(VertexId(0), 0)]
-            } else {
-                Vec::new()
+                out.push((VertexId(0), 0));
             }
         }
 
@@ -582,27 +578,19 @@ mod tests {
             &mut self,
             ctx: &NodeCtx<'_>,
             inbox: &[(VertexId, u32)],
-        ) -> Vec<(VertexId, u32)> {
+            out: &mut Vec<(VertexId, u32)>,
+        ) {
+            let heard = |v| inbox.iter().any(|&(f, _)| f == v);
             match ctx.id {
-                VertexId(0) => {
-                    let mut out = Vec::new();
-                    if inbox.iter().any(|&(f, _)| f == VertexId(2)) && self.pings_left > 0 {
-                        self.pings_left -= 1;
-                        out.push((VertexId(1), 0));
-                        if self.pings_left > 0 {
-                            out.push((VertexId(2), 0));
-                        }
-                    }
-                    out
-                }
-                VertexId(2) => {
-                    if inbox.iter().any(|&(f, _)| f == VertexId(0)) {
-                        vec![(VertexId(0), 0)]
-                    } else {
-                        Vec::new()
+                VertexId(0) if heard(VertexId(2)) && self.pings_left > 0 => {
+                    self.pings_left -= 1;
+                    out.push((VertexId(1), 0));
+                    if self.pings_left > 0 {
+                        out.push((VertexId(2), 0));
                     }
                 }
-                _ => Vec::new(),
+                VertexId(2) if heard(VertexId(0)) => out.push((VertexId(0), 0)),
+                _ => {}
             }
         }
     }
@@ -670,23 +658,21 @@ mod tests {
         }
         impl NodeProgram for WidePing {
             type Msg = Vec<u32>;
-            fn init(&mut self, ctx: &NodeCtx<'_>) -> Vec<(VertexId, Vec<u32>)> {
+            fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, Vec<u32>)>) {
                 if ctx.id == VertexId(0) {
                     // words() = 1 + len = 8 = DEFAULT_BUDGET_WORDS.
-                    vec![(VertexId(1), vec![7; 7])]
-                } else {
-                    Vec::new()
+                    out.push((VertexId(1), vec![7; 7]));
                 }
             }
             fn on_round(
                 &mut self,
                 _: &NodeCtx<'_>,
                 inbox: &[(VertexId, Vec<u32>)],
-            ) -> Vec<(VertexId, Vec<u32>)> {
+                _: &mut Vec<(VertexId, Vec<u32>)>,
+            ) {
                 for (_, payload) in inbox {
                     self.got = Some(payload.clone());
                 }
-                Vec::new()
             }
         }
         let payload = vec![7u32; 7];

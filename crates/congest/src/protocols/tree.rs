@@ -37,18 +37,16 @@ impl ChildNotify {
 impl NodeProgram for ChildNotify {
     type Msg = bool; // 1 word "I am your child" flag
 
-    fn init(&mut self, _ctx: &NodeCtx<'_>) -> Vec<(VertexId, bool)> {
-        match self.parent {
-            Some(p) => vec![(p, true)],
-            None => Vec::new(),
-        }
+    fn init(&mut self, _ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, bool)>) {
+        out.extend(self.parent.map(|p| (p, true)));
     }
 
     fn on_round(
         &mut self,
         _ctx: &NodeCtx<'_>,
         inbox: &[(VertexId, bool)],
-    ) -> Vec<(VertexId, bool)> {
+        _out: &mut Vec<(VertexId, bool)>,
+    ) {
         for &(from, _) in inbox {
             self.children.push(from);
         }
@@ -56,7 +54,6 @@ impl NodeProgram for ChildNotify {
         // Duplication faults on a bare run deliver the same notify twice;
         // a child is a child once.
         self.children.dedup();
-        Vec::new()
     }
 }
 
@@ -145,13 +142,11 @@ impl Convergecast {
         self.result
     }
 
-    fn fire(&mut self) -> Vec<(VertexId, u64)> {
+    fn fire(&mut self, out: &mut Vec<(VertexId, u64)>) {
+        self.fired = true;
         match self.parent {
-            Some(p) => vec![(p, self.acc)],
-            None => {
-                self.result = Some(self.acc);
-                Vec::new()
-            }
+            Some(p) => out.push((p, self.acc)),
+            None => self.result = Some(self.acc),
         }
     }
 }
@@ -159,21 +154,20 @@ impl Convergecast {
 impl NodeProgram for Convergecast {
     type Msg = u64; // one aggregate value (2 words, conservatively)
 
-    fn init(&mut self, _ctx: &NodeCtx<'_>) -> Vec<(VertexId, u64)> {
-        if !self.participates {
-            return Vec::new();
-        }
-        if self.pending_children == 0 {
-            self.fired = true;
-            self.fire()
-        } else {
-            Vec::new()
+    fn init(&mut self, _ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, u64)>) {
+        if self.participates && self.pending_children == 0 {
+            self.fire(out);
         }
     }
 
-    fn on_round(&mut self, _ctx: &NodeCtx<'_>, inbox: &[(VertexId, u64)]) -> Vec<(VertexId, u64)> {
+    fn on_round(
+        &mut self,
+        _ctx: &NodeCtx<'_>,
+        inbox: &[(VertexId, u64)],
+        out: &mut Vec<(VertexId, u64)>,
+    ) {
         if !self.participates {
-            return Vec::new();
+            return;
         }
         let mut fresh = false;
         for &(from, v) in inbox {
@@ -195,10 +189,7 @@ impl NodeProgram for Convergecast {
             fresh = true;
         }
         if self.pending_children == 0 && fresh && !self.fired {
-            self.fired = true;
-            self.fire()
-        } else {
-            Vec::new()
+            self.fire(out);
         }
     }
 }
@@ -232,22 +223,24 @@ impl Downcast {
 impl NodeProgram for Downcast {
     type Msg = u32;
 
-    fn init(&mut self, _ctx: &NodeCtx<'_>) -> Vec<(VertexId, u32)> {
-        match self.label {
-            Some(l) => self.children.iter().map(|&c| (c, l)).collect(),
-            None => Vec::new(),
+    fn init(&mut self, _ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, u32)>) {
+        if let Some(l) = self.label {
+            out.extend(self.children.iter().map(|&c| (c, l)));
         }
     }
 
-    fn on_round(&mut self, _ctx: &NodeCtx<'_>, inbox: &[(VertexId, u32)]) -> Vec<(VertexId, u32)> {
+    fn on_round(
+        &mut self,
+        _ctx: &NodeCtx<'_>,
+        inbox: &[(VertexId, u32)],
+        out: &mut Vec<(VertexId, u32)>,
+    ) {
         if self.label.is_some() {
-            return Vec::new(); // already labelled; ignore duplicates
+            return; // already labelled; ignore duplicates
         }
         if let Some(&(_, l)) = inbox.first() {
             self.label = Some(l);
-            self.children.iter().map(|&c| (c, l)).collect()
-        } else {
-            Vec::new()
+            out.extend(self.children.iter().map(|&c| (c, l)));
         }
     }
 }

@@ -14,7 +14,10 @@
 //!   measured against, recorded in `BENCH_kernel.json`.
 //!
 //! Do not optimize this module; its value is that it stays obviously
-//! correct.
+//! correct. The one change since the seed is the program interface:
+//! programs push their sends onto an outbox, and this kernel hands each
+//! step a fresh `Vec` (`init_sends`/`round_sends`) where the fast kernel
+//! reuses one.
 //!
 //! # Fault injection
 //!
@@ -36,6 +39,25 @@ use crate::network::{
     Instance, InstanceOutcome, MultiOutcome, NodeCtx, NodeProgram, SimConfig, SimError, SimOutcome,
 };
 use crate::trace::TraceEvent;
+
+/// `p`'s initial sends, collected into a fresh `Vec` (the fast kernel
+/// reuses one outbox instead).
+fn init_sends<P: NodeProgram>(p: &mut P, ctx: &NodeCtx<'_>) -> Vec<(VertexId, P::Msg)> {
+    let mut out = Vec::new();
+    p.init(ctx, &mut out);
+    out
+}
+
+/// `p`'s sends for one round, collected into a fresh `Vec`.
+fn round_sends<P: NodeProgram>(
+    p: &mut P,
+    ctx: &NodeCtx<'_>,
+    inbox: &[(VertexId, P::Msg)],
+) -> Vec<(VertexId, P::Msg)> {
+    let mut out = Vec::new();
+    p.on_round(ctx, inbox, &mut out);
+    out
+}
 
 /// Runs `programs` to quiescence with the original quadratic-allocation
 /// kernel (see module docs). Semantics are identical to [`crate::run`],
@@ -91,7 +113,7 @@ fn run_fault_free<P: NodeProgram>(
             neighbors: g.neighbors(v),
             round: 0,
         };
-        for (dest, msg) in program.init(&ctx) {
+        for (dest, msg) in init_sends(program, &ctx) {
             validate_dest(g, v, dest)?;
             if tracing {
                 cfg.trace.emit(TraceEvent::Send {
@@ -167,7 +189,7 @@ fn run_fault_free<P: NodeProgram>(
                 neighbors: g.neighbors(v),
                 round,
             };
-            for (dest, msg) in programs[v.index()].on_round(&ctx, &inbox) {
+            for (dest, msg) in round_sends(&mut programs[v.index()], &ctx, &inbox) {
                 validate_dest(g, v, dest)?;
                 if tracing {
                     cfg.trace.emit(TraceEvent::Send {
@@ -436,7 +458,7 @@ fn run_faulty<P: NodeProgram>(
             neighbors: g.neighbors(v),
             round: 0,
         };
-        let out = program.init(&ctx);
+        let out = init_sends(program, &ctx);
         record_faulty(g, cfg, &crashed_at, &mut st, &mut metrics, v, 0, out)?;
     }
     let mut tick_pending =
@@ -529,7 +551,7 @@ fn run_faulty<P: NodeProgram>(
                 neighbors: g.neighbors(v),
                 round,
             };
-            let out = programs[v.index()].on_round(&ctx, &inbox);
+            let out = round_sends(&mut programs[v.index()], &ctx, &inbox);
             record_faulty(g, cfg, &crashed_at, &mut st, &mut metrics, v, round, out)?;
         }
         // Timer ticks: live non-recipients that asked for empty-inbox
@@ -548,7 +570,7 @@ fn run_faulty<P: NodeProgram>(
                     neighbors: g.neighbors(v),
                     round,
                 };
-                let out = programs[i].on_round(&ctx, &[]);
+                let out = round_sends(&mut programs[i], &ctx, &[]);
                 record_faulty(g, cfg, &crashed_at, &mut st, &mut metrics, v, round, out)?;
             }
             tick_pending = (0..n).any(|i| crashed_at[i] > round + 1 && programs[i].wants_tick());
@@ -656,7 +678,7 @@ pub fn run_reference_many<P: NodeProgram>(
                 neighbors: g.neighbors(v),
                 round: 0,
             };
-            let out = inst.programs[slot].init(&ctx);
+            let out = init_sends(&mut inst.programs[slot], &ctx);
             record_faulty(g, cfg, &crashed_at, &mut st, &mut metrics, v, 0, out)?;
         }
     }
@@ -789,7 +811,7 @@ pub fn run_reference_many<P: NodeProgram>(
                 .members
                 .binary_search(&v)
                 .expect("recipient is an instance member");
-            let out = instances[inst].programs[slot].on_round(&ctx, &inbox);
+            let out = round_sends(&mut instances[inst].programs[slot], &ctx, &inbox);
             record_faulty(g, cfg, &crashed_at, &mut st, &mut metrics, v, round, out)?;
         }
         // Timer ticks: live non-recipient members that asked for
@@ -810,7 +832,7 @@ pub fn run_reference_many<P: NodeProgram>(
                         neighbors: g.neighbors(v),
                         round,
                     };
-                    let out = inst.programs[slot].on_round(&ctx, &[]);
+                    let out = round_sends(&mut inst.programs[slot], &ctx, &[]);
                     record_faulty(g, cfg, &crashed_at, &mut st, &mut metrics, v, round, out)?;
                 }
             }

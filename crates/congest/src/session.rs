@@ -212,19 +212,20 @@ mod tests {
     struct Relay;
     impl NodeProgram for Relay {
         type Msg = u32;
-        fn init(&mut self, ctx: &NodeCtx<'_>) -> Vec<(VertexId, u32)> {
+        fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, u32)>) {
             if ctx.id == VertexId(0) {
-                vec![(VertexId(1), 7)]
-            } else {
-                Vec::new()
+                out.push((VertexId(1), 7));
             }
         }
-        fn on_round(&mut self, ctx: &NodeCtx<'_>, _: &[(VertexId, u32)]) -> Vec<(VertexId, u32)> {
+        fn on_round(
+            &mut self,
+            ctx: &NodeCtx<'_>,
+            _: &[(VertexId, u32)],
+            out: &mut Vec<(VertexId, u32)>,
+        ) {
             let next = VertexId(ctx.id.0 + 1);
             if ctx.neighbors.contains(&next) {
-                vec![(next, 7)]
-            } else {
-                Vec::new()
+                out.push((next, 7));
             }
         }
     }

@@ -26,17 +26,20 @@ struct MaxFlood {
 impl NodeProgram for MaxFlood {
     type Msg = u32;
 
-    fn init(&mut self, ctx: &NodeCtx<'_>) -> Vec<(VertexId, u32)> {
-        ctx.neighbors.iter().map(|&w| (w, self.best)).collect()
+    fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, u32)>) {
+        out.extend(ctx.neighbors.iter().map(|&w| (w, self.best)));
     }
 
-    fn on_round(&mut self, ctx: &NodeCtx<'_>, inbox: &[(VertexId, u32)]) -> Vec<(VertexId, u32)> {
+    fn on_round(
+        &mut self,
+        ctx: &NodeCtx<'_>,
+        inbox: &[(VertexId, u32)],
+        out: &mut Vec<(VertexId, u32)>,
+    ) {
         let incoming = inbox.iter().map(|&(_, v)| v).max().unwrap_or(0);
         if incoming > self.best {
             self.best = incoming;
-            ctx.neighbors.iter().map(|&w| (w, self.best)).collect()
-        } else {
-            Vec::new()
+            out.extend(ctx.neighbors.iter().map(|&w| (w, self.best)));
         }
     }
 }
@@ -52,22 +55,24 @@ struct Transcript {
 impl NodeProgram for Transcript {
     type Msg = u64;
 
-    fn init(&mut self, ctx: &NodeCtx<'_>) -> Vec<(VertexId, u64)> {
-        ctx.neighbors
-            .iter()
-            .map(|&w| (w, u64::from(ctx.id.0) << 8))
-            .collect()
+    fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, u64)>) {
+        out.extend(ctx.neighbors.iter().map(|&w| (w, u64::from(ctx.id.0) << 8)));
     }
 
-    fn on_round(&mut self, ctx: &NodeCtx<'_>, inbox: &[(VertexId, u64)]) -> Vec<(VertexId, u64)> {
+    fn on_round(
+        &mut self,
+        ctx: &NodeCtx<'_>,
+        inbox: &[(VertexId, u64)],
+        out: &mut Vec<(VertexId, u64)>,
+    ) {
         for &(from, v) in inbox {
             self.log.push((ctx.round, from.0, v));
         }
         if ctx.round >= usize::from(self.hops as u16) {
-            return Vec::new();
+            return;
         }
         let min = inbox.iter().map(|&(_, v)| v).min().unwrap_or(0);
-        ctx.neighbors.iter().map(|&w| (w, min + 1)).collect()
+        out.extend(ctx.neighbors.iter().map(|&w| (w, min + 1)));
     }
 }
 
@@ -80,19 +85,21 @@ struct Gated<P>(Option<P>);
 impl<P: NodeProgram> NodeProgram for Gated<P> {
     type Msg = P::Msg;
 
-    fn init(&mut self, ctx: &NodeCtx<'_>) -> Vec<(VertexId, Self::Msg)> {
-        self.0.as_mut().map(|p| p.init(ctx)).unwrap_or_default()
+    fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, Self::Msg)>) {
+        if let Some(p) = &mut self.0 {
+            p.init(ctx, out);
+        }
     }
 
     fn on_round(
         &mut self,
         ctx: &NodeCtx<'_>,
         inbox: &[(VertexId, Self::Msg)],
-    ) -> Vec<(VertexId, Self::Msg)> {
-        self.0
-            .as_mut()
-            .map(|p| p.on_round(ctx, inbox))
-            .unwrap_or_default()
+        out: &mut Vec<(VertexId, Self::Msg)>,
+    ) {
+        if let Some(p) = &mut self.0 {
+            p.on_round(ctx, inbox, out);
+        }
     }
 
     fn wants_tick(&self) -> bool {

@@ -26,17 +26,20 @@ struct MaxFlood {
 impl NodeProgram for MaxFlood {
     type Msg = u32;
 
-    fn init(&mut self, ctx: &NodeCtx<'_>) -> Vec<(VertexId, u32)> {
-        ctx.neighbors.iter().map(|&w| (w, self.best)).collect()
+    fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, u32)>) {
+        out.extend(ctx.neighbors.iter().map(|&w| (w, self.best)));
     }
 
-    fn on_round(&mut self, ctx: &NodeCtx<'_>, inbox: &[(VertexId, u32)]) -> Vec<(VertexId, u32)> {
+    fn on_round(
+        &mut self,
+        ctx: &NodeCtx<'_>,
+        inbox: &[(VertexId, u32)],
+        out: &mut Vec<(VertexId, u32)>,
+    ) {
         let incoming = inbox.iter().map(|&(_, v)| v).max().unwrap_or(0);
         if incoming > self.best {
             self.best = incoming;
-            ctx.neighbors.iter().map(|&w| (w, self.best)).collect()
-        } else {
-            Vec::new()
+            out.extend(ctx.neighbors.iter().map(|&w| (w, self.best)));
         }
     }
 }
@@ -53,23 +56,25 @@ struct Transcript {
 impl NodeProgram for Transcript {
     type Msg = u64;
 
-    fn init(&mut self, ctx: &NodeCtx<'_>) -> Vec<(VertexId, u64)> {
-        ctx.neighbors
-            .iter()
-            .map(|&w| (w, u64::from(ctx.id.0) << 8))
-            .collect()
+    fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, u64)>) {
+        out.extend(ctx.neighbors.iter().map(|&w| (w, u64::from(ctx.id.0) << 8)));
     }
 
-    fn on_round(&mut self, ctx: &NodeCtx<'_>, inbox: &[(VertexId, u64)]) -> Vec<(VertexId, u64)> {
+    fn on_round(
+        &mut self,
+        ctx: &NodeCtx<'_>,
+        inbox: &[(VertexId, u64)],
+        out: &mut Vec<(VertexId, u64)>,
+    ) {
         for &(from, v) in inbox {
             self.log.push((ctx.round, from.0, v));
         }
         if ctx.round >= usize::from(self.hops as u16) {
-            return Vec::new();
+            return;
         }
         // Forward a decremented copy of the smallest value to all neighbors.
         let min = inbox.iter().map(|&(_, v)| v).min().unwrap_or(0);
-        ctx.neighbors.iter().map(|&w| (w, min + 1)).collect()
+        out.extend(ctx.neighbors.iter().map(|&w| (w, min + 1)));
     }
 }
 
@@ -192,15 +197,17 @@ fn simulator_reuse_matches_fresh_runs() {
     struct Overflow;
     impl NodeProgram for Overflow {
         type Msg = u32;
-        fn init(&mut self, ctx: &NodeCtx<'_>) -> Vec<(VertexId, u32)> {
+        fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, u32)>) {
             if ctx.id == VertexId(1) {
-                (0..50).map(|i| (VertexId(0), i)).collect()
-            } else {
-                Vec::new()
+                out.extend((0..50).map(|i| (VertexId(0), i)));
             }
         }
-        fn on_round(&mut self, _: &NodeCtx<'_>, _: &[(VertexId, u32)]) -> Vec<(VertexId, u32)> {
-            Vec::new()
+        fn on_round(
+            &mut self,
+            _: &NodeCtx<'_>,
+            _: &[(VertexId, u32)],
+            _: &mut Vec<(VertexId, u32)>,
+        ) {
         }
     }
 
@@ -244,22 +251,23 @@ fn budget_exceeded_matches_reference() {
     }
     impl NodeProgram for Burst {
         type Msg = u32;
-        fn init(&mut self, ctx: &NodeCtx<'_>) -> Vec<(VertexId, u32)> {
+        fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, u32)>) {
             if ctx.id == VertexId(0) {
-                vec![(VertexId(1), 1)]
-            } else {
-                Vec::new()
+                out.push((VertexId(1), 1));
             }
         }
-        fn on_round(&mut self, ctx: &NodeCtx<'_>, _: &[(VertexId, u32)]) -> Vec<(VertexId, u32)> {
+        fn on_round(
+            &mut self,
+            ctx: &NodeCtx<'_>,
+            _: &[(VertexId, u32)],
+            out: &mut Vec<(VertexId, u32)>,
+        ) {
             if ctx.id == VertexId(1) && ctx.round == self.fire_round {
-                (0..self.volume).map(|i| (VertexId(2), i as u32)).collect()
+                out.extend((0..self.volume).map(|i| (VertexId(2), i as u32)));
             } else if ctx.id == VertexId(1) && ctx.round < self.fire_round {
-                vec![(VertexId(0), 0)] // keep the run alive until fire_round
+                out.push((VertexId(0), 0)); // keep the run alive until fire_round
             } else if ctx.id == VertexId(0) && ctx.round < self.fire_round {
-                vec![(VertexId(1), 0)]
-            } else {
-                Vec::new()
+                out.push((VertexId(1), 0));
             }
         }
     }
@@ -442,20 +450,21 @@ struct BadSender;
 impl NodeProgram for BadSender {
     type Msg = u32;
 
-    fn init(&mut self, ctx: &NodeCtx<'_>) -> Vec<(VertexId, u32)> {
-        ctx.neighbors.iter().map(|&w| (w, 1)).collect()
+    fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, u32)>) {
+        out.extend(ctx.neighbors.iter().map(|&w| (w, 1)));
     }
 
-    fn on_round(&mut self, ctx: &NodeCtx<'_>, _inbox: &[(VertexId, u32)]) -> Vec<(VertexId, u32)> {
+    fn on_round(
+        &mut self,
+        ctx: &NodeCtx<'_>,
+        _inbox: &[(VertexId, u32)],
+        out: &mut Vec<(VertexId, u32)>,
+    ) {
         if ctx.round == 2 && ctx.id == VertexId(0) {
-            let mut out: Vec<(VertexId, u32)> = ctx.neighbors.iter().map(|&w| (w, 9)).collect();
+            out.extend(ctx.neighbors.iter().map(|&w| (w, 9)));
             out.push((VertexId(u32::MAX - 1), 9));
-            return out;
-        }
-        if ctx.round < 4 {
-            ctx.neighbors.iter().map(|&w| (w, 2)).collect()
-        } else {
-            Vec::new()
+        } else if ctx.round < 4 {
+            out.extend(ctx.neighbors.iter().map(|&w| (w, 2)));
         }
     }
 }
@@ -468,15 +477,17 @@ fn error_surfaces_match_reference() {
     struct Wild;
     impl NodeProgram for Wild {
         type Msg = u32;
-        fn init(&mut self, ctx: &NodeCtx<'_>) -> Vec<(VertexId, u32)> {
+        fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, u32)>) {
             if ctx.id == VertexId(2) {
-                vec![(VertexId(0), 1)] // 0 is not adjacent to 2 on a path
-            } else {
-                Vec::new()
+                out.push((VertexId(0), 1)); // 0 is not adjacent to 2 on a path
             }
         }
-        fn on_round(&mut self, _: &NodeCtx<'_>, _: &[(VertexId, u32)]) -> Vec<(VertexId, u32)> {
-            Vec::new()
+        fn on_round(
+            &mut self,
+            _: &NodeCtx<'_>,
+            _: &[(VertexId, u32)],
+            _: &mut Vec<(VertexId, u32)>,
+        ) {
         }
     }
     let g = path(4);
@@ -520,15 +531,18 @@ fn error_surfaces_match_reference() {
     struct PingPong;
     impl NodeProgram for PingPong {
         type Msg = u32;
-        fn init(&mut self, ctx: &NodeCtx<'_>) -> Vec<(VertexId, u32)> {
+        fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, u32)>) {
             if ctx.id == VertexId(0) {
-                vec![(VertexId(1), 0)]
-            } else {
-                Vec::new()
+                out.push((VertexId(1), 0));
             }
         }
-        fn on_round(&mut self, _: &NodeCtx<'_>, inbox: &[(VertexId, u32)]) -> Vec<(VertexId, u32)> {
-            inbox.iter().map(|&(from, v)| (from, v + 1)).collect()
+        fn on_round(
+            &mut self,
+            _: &NodeCtx<'_>,
+            inbox: &[(VertexId, u32)],
+            out: &mut Vec<(VertexId, u32)>,
+        ) {
+            out.extend(inbox.iter().map(|&(from, v)| (from, v + 1)));
         }
     }
     let g = path(2);
@@ -541,4 +555,160 @@ fn error_surfaces_match_reference() {
         run(&g, vec![PingPong; 2], &cfg).unwrap_err(),
         run_reference(&g, vec![PingPong; 2], &cfg).unwrap_err(),
     );
+}
+
+/// Sends off the fast kernel's destination fast path (the slot after the
+/// previous send). While `round < horizon`, every node sends to its
+/// neighbors in reverse slot order, sends its first neighbor a second
+/// message (two words on one edge, within budget), and answers each inbox
+/// sender once, in inbox order. `bad = Some((r, to))` makes node 0 also
+/// send to `to` in round `r`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Scatter {
+    log: Vec<(usize, u32, u32)>,
+    horizon: usize,
+    bad: Option<(usize, VertexId)>,
+}
+
+impl Scatter {
+    fn send(&self, ctx: &NodeCtx<'_>, inbox: &[(VertexId, u32)], out: &mut Vec<(VertexId, u32)>) {
+        if ctx.round >= self.horizon {
+            return;
+        }
+        let tag = ctx.round as u32;
+        out.extend(ctx.neighbors.iter().rev().map(|&w| (w, tag)));
+        out.extend(ctx.neighbors.first().map(|&w| (w, tag + 100)));
+        let mut last = None;
+        for &(from, v) in inbox {
+            if last != Some(from) {
+                out.push((from, v + 1));
+                last = Some(from);
+            }
+        }
+        match self.bad {
+            Some((r, to)) if r == ctx.round && ctx.id == VertexId(0) => out.push((to, tag)),
+            _ => {}
+        }
+    }
+}
+
+impl NodeProgram for Scatter {
+    type Msg = u32;
+
+    fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, u32)>) {
+        self.send(ctx, &[], out);
+    }
+
+    fn on_round(
+        &mut self,
+        ctx: &NodeCtx<'_>,
+        inbox: &[(VertexId, u32)],
+        out: &mut Vec<(VertexId, u32)>,
+    ) {
+        for &(from, v) in inbox {
+            self.log.push((ctx.round, from.0, v));
+        }
+        self.send(ctx, inbox, out);
+    }
+}
+
+/// A star's centre passes one token per step to the next leaf in a
+/// stride order (so each send misses the cursor and takes the search
+/// fallback); each leaf hands it straight back.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Spoke {
+    log: Vec<(usize, u32, u32)>,
+    horizon: u32,
+}
+
+impl Spoke {
+    fn pass(&self, ctx: &NodeCtx<'_>, token: u32, out: &mut Vec<(VertexId, u32)>) {
+        if token < self.horizon {
+            let leaves = ctx.neighbors.len() as u32;
+            out.push((ctx.neighbors[(token * 7 % leaves) as usize], token + 1));
+        }
+    }
+}
+
+impl NodeProgram for Spoke {
+    type Msg = u32;
+
+    fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, u32)>) {
+        if ctx.id == VertexId(0) {
+            self.pass(ctx, 0, out);
+        }
+    }
+
+    fn on_round(
+        &mut self,
+        ctx: &NodeCtx<'_>,
+        inbox: &[(VertexId, u32)],
+        out: &mut Vec<(VertexId, u32)>,
+    ) {
+        for &(from, token) in inbox {
+            self.log.push((ctx.round, from.0, token));
+            if ctx.id == VertexId(0) {
+                self.pass(ctx, token, out);
+            } else {
+                out.push((from, token));
+            }
+        }
+    }
+}
+
+/// The destination check agrees with the reference kernel off its fast
+/// path: out-of-order sends, a repeated destination and replies agree on
+/// final states and `Metrics`; a send to a non-neighbor, to the sender
+/// itself or to an out-of-range id fails with the same
+/// `InvalidDestination` on both kernels.
+#[test]
+fn destination_checks_match_reference() {
+    let cfg = SimConfig::default();
+    for (name, g) in workloads() {
+        let n = g.vertex_count();
+        let programs = |bad| {
+            vec![
+                Scatter {
+                    log: Vec::new(),
+                    horizon: 4,
+                    bad,
+                };
+                n
+            ]
+        };
+        let (states, metrics) = run_pair(name, &g, programs(None), &cfg);
+        assert!(states.iter().all(|s| !s.log.is_empty()), "{name}");
+        assert!(metrics.max_words_edge_round >= 2, "{name}");
+
+        let far = g
+            .vertices()
+            .find(|&v| v != VertexId(0) && !g.neighbors(VertexId(0)).contains(&v));
+        let out_of_range = VertexId(n as u32 + 5);
+        for to in far.into_iter().chain([VertexId(0), out_of_range]) {
+            let fast = run(&g, programs(Some((2, to))), &cfg).unwrap_err();
+            let slow = run_reference(&g, programs(Some((2, to))), &cfg).unwrap_err();
+            assert_eq!(fast, slow, "{name}: send to {to}");
+            assert_eq!(
+                fast,
+                SimError::InvalidDestination {
+                    from: VertexId(0),
+                    to
+                },
+                "{name}: send to {to}"
+            );
+        }
+    }
+
+    let g = star(65);
+    let programs = vec![
+        Spoke {
+            log: Vec::new(),
+            horizon: 40,
+        };
+        65
+    ];
+    let (states, metrics) = run_pair("star65-spoke", &g, programs, &cfg);
+    // Forty tokens out from the centre, forty back.
+    assert_eq!(states[0].log.len(), 40);
+    assert_eq!(metrics.messages, 80);
 }

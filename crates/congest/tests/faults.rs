@@ -19,24 +19,27 @@ struct Flood {
 impl NodeProgram for Flood {
     type Msg = u32;
 
-    fn init(&mut self, ctx: &NodeCtx<'_>) -> Vec<(VertexId, u32)> {
+    fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, u32)>) {
         if ctx.id == VertexId(0) {
             self.seen = true;
-            ctx.neighbors.iter().map(|&w| (w, 1)).collect()
-        } else {
-            Vec::new()
+            out.extend(ctx.neighbors.iter().map(|&w| (w, 1)));
         }
     }
 
-    fn on_round(&mut self, ctx: &NodeCtx<'_>, inbox: &[(VertexId, u32)]) -> Vec<(VertexId, u32)> {
+    fn on_round(
+        &mut self,
+        ctx: &NodeCtx<'_>,
+        inbox: &[(VertexId, u32)],
+        out: &mut Vec<(VertexId, u32)>,
+    ) {
         for &(from, _) in inbox {
             self.heard_from.push(from);
         }
         if self.seen || inbox.is_empty() {
-            return Vec::new();
+            return;
         }
         self.seen = true;
-        ctx.neighbors.iter().map(|&w| (w, 1)).collect()
+        out.extend(ctx.neighbors.iter().map(|&w| (w, 1)));
     }
 }
 

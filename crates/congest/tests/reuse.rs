@@ -2,10 +2,10 @@
 //!
 //! A [`KernelCache`] outlives the graph it was warmed on: the embedding
 //! service rebinds one cache per tenant across edge deltas, and the
-//! struct-of-arrays kernel retains mailbox arenas, chain tables and the
-//! bit-packed payload pool between runs. The contract under test is that
-//! *only capacity* survives a rebind — every logical table (chain heads,
-//! word tallies, sentinel/slot epochs, fault state, bit pool) is fully
+//! struct-of-arrays kernel retains mailbox arenas, chain tables, the
+//! message pool and the outbox between runs. The contract under test is
+//! that *only capacity* survives a rebind — every logical table (chain
+//! heads, word tallies, recipient stamps, fault state, message pool) is fully
 //! reinitialized for the graph at hand, so a warm run over a smaller,
 //! larger, or differently-shaped graph is bit-identical to a cold one-shot
 //! run. Each test walks a shrink-then-grow size sequence because stale
@@ -40,20 +40,23 @@ impl Flood {
 impl NodeProgram for Flood {
     type Msg = u32;
 
-    fn init(&mut self, ctx: &NodeCtx<'_>) -> Vec<(VertexId, u32)> {
-        ctx.neighbors.iter().map(|&w| (w, self.best)).collect()
+    fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, u32)>) {
+        out.extend(ctx.neighbors.iter().map(|&w| (w, self.best)));
     }
 
-    fn on_round(&mut self, ctx: &NodeCtx<'_>, inbox: &[(VertexId, u32)]) -> Vec<(VertexId, u32)> {
+    fn on_round(
+        &mut self,
+        ctx: &NodeCtx<'_>,
+        inbox: &[(VertexId, u32)],
+        out: &mut Vec<(VertexId, u32)>,
+    ) {
         for &(from, v) in inbox {
             self.log.push((from.0, v));
         }
         let incoming = inbox.iter().map(|&(_, v)| v).max().unwrap_or(0);
         if incoming > self.best {
             self.best = incoming;
-            ctx.neighbors.iter().map(|&w| (w, self.best)).collect()
-        } else {
-            Vec::new()
+            out.extend(ctx.neighbors.iter().map(|&w| (w, self.best)));
         }
     }
 }
@@ -141,25 +144,27 @@ impl Confined {
         }
     }
 
-    fn clip(&self, sends: Vec<(VertexId, u32)>) -> Vec<(VertexId, u32)> {
-        sends
-            .into_iter()
-            .filter(|(w, _)| (self.lo..self.hi).contains(&w.0))
-            .collect()
+    fn clip(&self, sends: &mut Vec<(VertexId, u32)>) {
+        sends.retain(|(w, _)| (self.lo..self.hi).contains(&w.0));
     }
 }
 
 impl NodeProgram for Confined {
     type Msg = u32;
 
-    fn init(&mut self, ctx: &NodeCtx<'_>) -> Vec<(VertexId, u32)> {
-        let sends = self.inner.init(ctx);
-        self.clip(sends)
+    fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, u32)>) {
+        self.inner.init(ctx, out);
+        self.clip(out);
     }
 
-    fn on_round(&mut self, ctx: &NodeCtx<'_>, inbox: &[(VertexId, u32)]) -> Vec<(VertexId, u32)> {
-        let sends = self.inner.on_round(ctx, inbox);
-        self.clip(sends)
+    fn on_round(
+        &mut self,
+        ctx: &NodeCtx<'_>,
+        inbox: &[(VertexId, u32)],
+        out: &mut Vec<(VertexId, u32)>,
+    ) {
+        self.inner.on_round(ctx, inbox, out);
+        self.clip(out);
     }
 }
 
@@ -212,22 +217,21 @@ fn reuse_after_error_is_clean() {
     }
     impl NodeProgram for Blaster {
         type Msg = Vec<u32>;
-        fn init(&mut self, ctx: &NodeCtx<'_>) -> Vec<(VertexId, Vec<u32>)> {
-            ctx.neighbors.iter().map(|&w| (w, vec![ctx.id.0])).collect()
+        fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, Vec<u32>)>) {
+            out.extend(ctx.neighbors.iter().map(|&w| (w, vec![ctx.id.0])));
         }
         fn on_round(
             &mut self,
             ctx: &NodeCtx<'_>,
             _: &[(VertexId, Vec<u32>)],
-        ) -> Vec<(VertexId, Vec<u32>)> {
+            out: &mut Vec<(VertexId, Vec<u32>)>,
+        ) {
             self.round += 1;
             if self.round < 2 {
                 // Keep every mailbox hot so the abort lands mid-flight.
-                ctx.neighbors.iter().map(|&w| (w, vec![ctx.id.0])).collect()
+                out.extend(ctx.neighbors.iter().map(|&w| (w, vec![ctx.id.0])));
             } else if self.round == 2 && ctx.id == VertexId(0) {
-                vec![(ctx.neighbors[0], vec![7; 4096])]
-            } else {
-                Vec::new()
+                out.push((ctx.neighbors[0], vec![7; 4096]));
             }
         }
     }

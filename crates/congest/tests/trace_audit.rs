@@ -31,17 +31,20 @@ struct MaxFlood {
 impl NodeProgram for MaxFlood {
     type Msg = u32;
 
-    fn init(&mut self, ctx: &NodeCtx<'_>) -> Vec<(VertexId, u32)> {
-        ctx.neighbors.iter().map(|&w| (w, self.best)).collect()
+    fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, u32)>) {
+        out.extend(ctx.neighbors.iter().map(|&w| (w, self.best)));
     }
 
-    fn on_round(&mut self, ctx: &NodeCtx<'_>, inbox: &[(VertexId, u32)]) -> Vec<(VertexId, u32)> {
+    fn on_round(
+        &mut self,
+        ctx: &NodeCtx<'_>,
+        inbox: &[(VertexId, u32)],
+        out: &mut Vec<(VertexId, u32)>,
+    ) {
         let incoming = inbox.iter().map(|&(_, v)| v).max().unwrap_or(0);
         if incoming > self.best {
             self.best = incoming;
-            ctx.neighbors.iter().map(|&w| (w, self.best)).collect()
-        } else {
-            Vec::new()
+            out.extend(ctx.neighbors.iter().map(|&w| (w, self.best)));
         }
     }
 }

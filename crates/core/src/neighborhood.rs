@@ -127,35 +127,33 @@ impl PeelProgram {
         !self.peeled && self.alive_neighbors.len() <= self.threshold
     }
 
-    fn peel_now(&mut self) -> Vec<(VertexId, PeelMsg)> {
-        self.peeled = true;
-        self.out = self.alive_neighbors.clone();
-        self.alive_neighbors
-            .iter()
-            .map(|&w| (w, PeelMsg::Peel))
-            .collect()
+    /// One synchronous iteration: peel now if the residual degree allows,
+    /// else keep the iterations ticking.
+    fn step(&mut self, sends: &mut Vec<(VertexId, PeelMsg)>) {
+        let msg = if self.wants_to_peel() {
+            self.peeled = true;
+            self.out = self.alive_neighbors.clone();
+            PeelMsg::Peel
+        } else {
+            PeelMsg::Tick
+        };
+        sends.extend(self.alive_neighbors.iter().map(|&w| (w, msg.clone())));
     }
 }
 
 impl NodeProgram for PeelProgram {
     type Msg = PeelMsg;
 
-    fn init(&mut self, _ctx: &NodeCtx<'_>) -> Vec<(VertexId, PeelMsg)> {
-        if self.wants_to_peel() {
-            self.peel_now()
-        } else {
-            self.alive_neighbors
-                .iter()
-                .map(|&w| (w, PeelMsg::Tick))
-                .collect()
-        }
+    fn init(&mut self, _ctx: &NodeCtx<'_>, sends: &mut Vec<(VertexId, PeelMsg)>) {
+        self.step(sends);
     }
 
     fn on_round(
         &mut self,
         _ctx: &NodeCtx<'_>,
         inbox: &[(VertexId, PeelMsg)],
-    ) -> Vec<(VertexId, PeelMsg)> {
+        sends: &mut Vec<(VertexId, PeelMsg)>,
+    ) {
         let mut changed = false;
         for (from, msg) in inbox {
             if matches!(msg, PeelMsg::Peel) {
@@ -169,17 +167,8 @@ impl NodeProgram for PeelProgram {
             }
         }
         let _ = changed;
-        if self.peeled {
-            return Vec::new();
-        }
-        if self.wants_to_peel() {
-            self.peel_now()
-        } else {
-            // Keep the synchronous iterations ticking.
-            self.alive_neighbors
-                .iter()
-                .map(|&w| (w, PeelMsg::Tick))
-                .collect()
+        if !self.peeled {
+            self.step(sends);
         }
     }
 }
@@ -225,19 +214,17 @@ struct LearnProgram {
 impl NodeProgram for LearnProgram {
     type Msg = Vec<VertexId>;
 
-    fn init(&mut self, ctx: &NodeCtx<'_>) -> Vec<(VertexId, Vec<VertexId>)> {
+    fn init(&mut self, ctx: &NodeCtx<'_>, sends: &mut Vec<(VertexId, Vec<VertexId>)>) {
         self.neighbors = ctx.neighbors.to_vec();
-        ctx.neighbors
-            .iter()
-            .map(|&w| (w, self.out.clone()))
-            .collect()
+        sends.extend(ctx.neighbors.iter().map(|&w| (w, self.out.clone())));
     }
 
     fn on_round(
         &mut self,
         ctx: &NodeCtx<'_>,
         inbox: &[(VertexId, Vec<VertexId>)],
-    ) -> Vec<(VertexId, Vec<VertexId>)> {
+        _sends: &mut Vec<(VertexId, Vec<VertexId>)>,
+    ) {
         let nbrs: HashSet<VertexId> = ctx.neighbors.iter().copied().collect();
         for (from, out_list) in inbox {
             for &w in out_list {
@@ -250,7 +237,6 @@ impl NodeProgram for LearnProgram {
         }
         self.learned.sort();
         self.learned.dedup();
-        Vec::new()
     }
 }
 

@@ -83,8 +83,26 @@ struct SlotProgram {
 }
 
 impl SlotProgram {
-    fn broadcast(&self, msg: MatchMsg) -> Vec<(VertexId, MatchMsg)> {
-        self.neighbors.iter().map(|&w| (w, msg.clone())).collect()
+    fn broadcast(&self, out: &mut Vec<(VertexId, MatchMsg)>, msg: MatchMsg) {
+        out.extend(self.neighbors.iter().map(|&w| (w, msg.clone())));
+    }
+
+    /// Sends `msg` to every neighbor outside `special` (in neighbor order),
+    /// then `special_msg` to each of `special` (in its order).
+    fn broadcast_but(
+        &self,
+        out: &mut Vec<(VertexId, MatchMsg)>,
+        msg: MatchMsg,
+        special: &[VertexId],
+        special_msg: MatchMsg,
+    ) {
+        out.extend(
+            self.neighbors
+                .iter()
+                .filter(|w| !special.contains(w))
+                .map(|&w| (w, msg.clone())),
+        );
+        out.extend(special.iter().map(|&w| (w, special_msg.clone())));
     }
 
     /// One Cole–Vishkin step: new color from the lowest bit differing from
@@ -107,41 +125,36 @@ impl SlotProgram {
         self.color = new;
     }
 
-    fn turn_messages(&mut self) -> Vec<(VertexId, MatchMsg)> {
+    fn turn_messages(&mut self, out: &mut Vec<(VertexId, MatchMsg)>) {
         // Sub-round structure per turn: 0 = propose, 1 = accept, 2 = settle.
         match self.round_in_turn {
             0 => {
-                let mut msgs = self.broadcast(MatchMsg::Tick);
-                if !self.matched && self.color == self.turn {
-                    if let Some(h) = self.succ {
-                        if !self.nbr_matched.get(&h).copied().unwrap_or(false) {
-                            msgs.retain(|(w, _)| *w != h);
-                            msgs.push((h, MatchMsg::Propose));
-                        }
-                    }
-                }
-                msgs
+                let target = self.succ.filter(|h| {
+                    !self.matched
+                        && self.color == self.turn
+                        && !self.nbr_matched.get(h).copied().unwrap_or(false)
+                });
+                self.broadcast_but(out, MatchMsg::Tick, target.as_slice(), MatchMsg::Propose);
             }
             1 => {
-                let mut msgs = self.broadcast(MatchMsg::Tick);
                 if !self.matched && !self.proposals.is_empty() {
                     let winner = *self.proposals.iter().min().expect("non-empty");
                     self.matched = true;
                     self.matched_edge = Some(EdgeId::new(self.id, winner));
-                    msgs = self.broadcast(MatchMsg::Matched);
-                    msgs.retain(|(w, _)| *w != winner);
-                    msgs.push((winner, MatchMsg::Accept));
+                    self.broadcast_but(out, MatchMsg::Matched, &[winner], MatchMsg::Accept);
+                } else {
+                    self.broadcast(out, MatchMsg::Tick);
                 }
                 self.proposals.clear();
-                msgs
             }
             _ => {
                 // Settle: accepted proposers announce they are matched.
                 if self.matched_edge.map(|e| e.contains(self.id)) == Some(true) && !self.matched {
                     self.matched = true;
-                    return self.broadcast(MatchMsg::Matched);
+                    self.broadcast(out, MatchMsg::Matched);
+                } else {
+                    self.broadcast(out, MatchMsg::Tick);
                 }
-                self.broadcast(MatchMsg::Tick)
             }
         }
     }
@@ -150,23 +163,20 @@ impl SlotProgram {
 impl NodeProgram for SlotProgram {
     type Msg = MatchMsg;
 
-    fn init(&mut self, ctx: &NodeCtx<'_>) -> Vec<(VertexId, MatchMsg)> {
+    fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, MatchMsg)>) {
         self.neighbors = ctx.neighbors.to_vec();
         // Round 1: announce the successor relation — a Color message to the
         // successor marks the sender as one of its predecessors.
-        let mut msgs = self.broadcast(MatchMsg::Tick);
-        if let Some(h) = self.succ {
-            msgs.retain(|(w, _)| *w != h);
-            msgs.push((h, MatchMsg::Color(self.color)));
-        }
-        msgs
+        let color = MatchMsg::Color(self.color);
+        self.broadcast_but(out, MatchMsg::Tick, self.succ.as_slice(), color);
     }
 
     fn on_round(
         &mut self,
         _ctx: &NodeCtx<'_>,
         inbox: &[(VertexId, MatchMsg)],
-    ) -> Vec<(VertexId, MatchMsg)> {
+        out: &mut Vec<(VertexId, MatchMsg)>,
+    ) {
         // Record incoming information.
         for (from, msg) in inbox {
             match msg {
@@ -193,12 +203,9 @@ impl NodeProgram for SlotProgram {
         // initial color — they are exactly the vertices that need it.
         if !self.announced {
             self.announced = true;
-            let mut msgs = self.broadcast(MatchMsg::Tick);
-            for p in self.preds.clone() {
-                msgs.retain(|(w, _)| *w != p);
-                msgs.push((p, MatchMsg::Color(self.color)));
-            }
-            return msgs;
+            let color = MatchMsg::Color(self.color);
+            self.broadcast_but(out, MatchMsg::Tick, &self.preds, color);
+            return;
         }
         // Phase 1: CV iterations, one per round, everyone in lockstep: the
         // color received this round is the successor's value from the same
@@ -206,27 +213,23 @@ impl NodeProgram for SlotProgram {
         if self.cv_done < CV_ITERS {
             self.cv_step();
             self.cv_done += 1;
-            let mut msgs = self.broadcast(MatchMsg::Tick);
-            for p in self.preds.clone() {
-                msgs.retain(|(w, _)| *w != p);
-                msgs.push((p, MatchMsg::Color(self.color)));
-            }
-            return msgs;
+            let color = MatchMsg::Color(self.color);
+            self.broadcast_but(out, MatchMsg::Tick, &self.preds, color);
+            return;
         }
         // Phase 2: color turns.
         if self.turn >= COLOR_TURNS {
-            return Vec::new();
+            return;
         }
-        let msgs = self.turn_messages();
+        self.turn_messages(out);
         self.round_in_turn += 1;
         if self.round_in_turn == 3 {
             self.round_in_turn = 0;
             self.turn += 1;
             if self.turn >= COLOR_TURNS {
-                return Vec::new(); // quiesce after the final settle
+                out.clear(); // quiesce after the final settle
             }
         }
-        msgs
     }
 }
 

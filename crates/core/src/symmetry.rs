@@ -136,23 +136,24 @@ impl SymmetryBreak {
         &self.children
     }
 
-    fn broadcast(&self, ctx: &NodeCtx<'_>, msg: SymMsg) -> Vec<(VertexId, SymMsg)> {
-        ctx.neighbors.iter().map(|&w| (w, msg.clone())).collect()
+    fn broadcast(ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, SymMsg)>, msg: SymMsg) {
+        out.extend(ctx.neighbors.iter().map(|&w| (w, msg.clone())));
     }
 }
 
 impl NodeProgram for SymmetryBreak {
     type Msg = SymMsg;
 
-    fn init(&mut self, ctx: &NodeCtx<'_>) -> Vec<(VertexId, SymMsg)> {
-        self.broadcast(ctx, SymMsg::Hello { color: self.color })
+    fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, SymMsg)>) {
+        Self::broadcast(ctx, out, SymMsg::Hello { color: self.color });
     }
 
     fn on_round(
         &mut self,
         ctx: &NodeCtx<'_>,
         inbox: &[(VertexId, SymMsg)],
-    ) -> Vec<(VertexId, SymMsg)> {
+        out: &mut Vec<(VertexId, SymMsg)>,
+    ) {
         // Event-driven: record every arrival in its per-type buffer, then
         // advance through the phases as soon as a phase's messages are
         // complete (one from every neighbor). On a perfect network this
@@ -185,7 +186,6 @@ impl NodeProgram for SymmetryBreak {
             }
         }
         let deg = ctx.neighbors.len();
-        let mut out = Vec::new();
         if self.phase == 0 && self.nbr_color.len() == deg {
             self.phase = 1;
             // Point at the smallest-(color, id) strictly smaller-colored
@@ -196,13 +196,13 @@ impl NodeProgram for SymmetryBreak {
                 .filter(|&(_, &c)| c < self.color)
                 .min_by_key(|&(&w, &c)| (c, w))
                 .map(|(&w, _)| w);
-            out.extend(self.broadcast(ctx, SymMsg::Pointer { to: self.pointer }));
+            Self::broadcast(ctx, out, SymMsg::Pointer { to: self.pointer });
         }
         if self.phase == 1 && self.nbr_pointer.len() == deg {
             self.phase = 2;
             self.children.sort();
             self.is_leaf = self.children.is_empty() && self.pointer.is_some();
-            out.extend(self.broadcast(ctx, SymMsg::LeafStatus { leaf: self.is_leaf }));
+            Self::broadcast(ctx, out, SymMsg::LeafStatus { leaf: self.is_leaf });
         }
         if self.phase == 2 && self.nbr_leaf.len() == deg {
             self.phase = 3;
@@ -218,28 +218,19 @@ impl NodeProgram for SymmetryBreak {
                     self.joined = self.pointer;
                 }
             }
-            out.extend(self.broadcast(
-                ctx,
-                SymMsg::Join {
-                    target: self.joined,
-                },
-            ));
+            let target = self.joined;
+            Self::broadcast(ctx, out, SymMsg::Join { target });
         }
         if self.phase == 3 && self.nbr_join.len() == deg {
             self.phase = 4;
             self.joiners.sort();
             self.consumed = self.joined.is_some() || !self.joiners.is_empty();
-            out.extend(self.broadcast(
-                ctx,
-                SymMsg::Consumed {
-                    consumed: self.consumed,
-                },
-            ));
+            let consumed = self.consumed;
+            Self::broadcast(ctx, out, SymMsg::Consumed { consumed });
         }
         if self.phase == 4 && self.nbr_consumed.len() == deg {
             self.phase = 5; // done; quiescence follows
         }
-        out
     }
 }
 

@@ -145,9 +145,9 @@ impl ArcIndex {
     }
 
     /// Position of `v` in `u`'s sorted neighbor list, or `None` when
-    /// `(u, v)` is not an arc. `O(log deg u)`; the kernel amortizes this to
-    /// `O(1)` with an epoch-stamped slot table, see
-    /// `congest_sim::network`.
+    /// `(u, v)` is not an arc. `O(log deg u)`; the kernel's destination
+    /// check tries the slot after the previous send first and falls back
+    /// to this search, see `congest_sim::network`.
     pub fn neighbor_slot(&self, u: VertexId, v: VertexId) -> Option<usize> {
         let block = &self.head[self.start[u.index()]..self.start[u.index() + 1]];
         block.binary_search(&v).ok()
