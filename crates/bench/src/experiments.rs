@@ -18,6 +18,7 @@ use crate::parallel::par_map;
 use crate::record::{self, Fields, Json, Row};
 use congest_sim::{Phase, PhaseRounds, SimConfig};
 use planar_embedding::interface::{achievable_boundary_orders, InterfaceSummary};
+use planar_embedding::ruling::{is_valid_ruling_set, peel_orientation, ruling_edge_set};
 use planar_embedding::symmetry::symmetry_break;
 use planar_embedding::{embed_baseline, embed_distributed, EmbedderConfig};
 use planar_graph::traversal::diameter_exact;
@@ -278,6 +279,15 @@ pub struct T4Row {
     pub merged_fraction: f64,
     /// Number of long (>= 3) monotone paths set aside.
     pub long_paths: usize,
+    /// Kernel rounds of the distributed peeling orientation (threshold 2)
+    /// the ruling set runs over; grows with `n`.
+    pub orientation_rounds: usize,
+    /// Kernel rounds of the log* ruling edge set itself (constant in `n`).
+    pub ruling_rounds: usize,
+    /// Edges in the ruling set (a maximal matching).
+    pub matching_size: usize,
+    /// Whether the ruling set passes [`is_valid_ruling_set`].
+    pub is_valid_ruling_set: bool,
 }
 
 impl Row for T4Row {
@@ -288,18 +298,28 @@ impl Row for T4Row {
             ("stars", self.stars.into()),
             ("merged_fraction", self.merged_fraction.into()),
             ("long_paths", self.long_paths.into()),
+            ("orientation_rounds", self.orientation_rounds.into()),
+            ("ruling_rounds", self.ruling_rounds.into()),
+            ("matching_size", self.matching_size.into()),
+            ("is_valid_ruling_set", self.is_valid_ruling_set.into()),
         ]
     }
 }
 
 /// T4 — Lemma 5.3 on random maximal outerplanar graphs with greedy proper
-/// colorings.
+/// colorings, plus its log* extension (a ruling edge set over a peeling
+/// orientation) on the same graphs.
 pub fn t4_symmetry(sizes: &[usize]) -> Vec<T4Row> {
     par_map(sizes.to_vec(), |n| {
         let g = gen::random_outerplanar(n, 11);
         let colors = greedy_coloring(&g);
-        let out = symmetry_break(&g, &colors, &SimConfig::default())
+        let sim = SimConfig::default();
+        let out = symmetry_break(&g, &colors, &sim)
             .expect("symmetry breaking never fails on valid input");
+        let (orientation, peel) =
+            peel_orientation(&g, 2, &sim).expect("outerplanar graphs peel at threshold 2");
+        let ruling = ruling_edge_set(&g, &orientation, &sim)
+            .expect("ruling set never fails on a covering orientation");
         let merged: usize = out.stars.iter().map(|(_, l)| l.len() + 1).sum::<usize>()
             + out
                 .chains
@@ -313,6 +333,10 @@ pub fn t4_symmetry(sizes: &[usize]) -> Vec<T4Row> {
             stars: out.stars.len(),
             merged_fraction: merged as f64 / n as f64,
             long_paths: out.chains.iter().filter(|c| c.len() >= 3).count(),
+            orientation_rounds: peel.rounds,
+            ruling_rounds: ruling.metrics.rounds,
+            matching_size: ruling.edges.len(),
+            is_valid_ruling_set: is_valid_ruling_set(&g, &ruling.edges),
         }
     })
 }
@@ -647,7 +671,7 @@ pub fn paper(large: bool) -> Vec<Section> {
         ),
         Section::new(
             "t4",
-            "T4: Lemma 5.3 symmetry breaking (outerplanar, proper coloring)",
+            "T4: Lemma 5.3 symmetry breaking and its log* ruling edge set (outerplanar)",
             &t4_symmetry(t4_sizes),
         ),
         Section::new(
@@ -708,9 +732,12 @@ mod tests {
 
     #[test]
     fn t4_rounds_are_constant() {
-        for r in t4_symmetry(&[16, 64, 256]) {
+        let rows = t4_symmetry(&[16, 64, 256]);
+        for r in &rows {
             assert_eq!(r.rounds, 5);
             assert!(r.merged_fraction > 0.0);
+            assert!(r.is_valid_ruling_set, "{r:?}");
+            assert_eq!(r.ruling_rounds, rows[0].ruling_rounds, "{r:?}");
         }
     }
 

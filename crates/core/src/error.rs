@@ -115,20 +115,6 @@ impl Error for DegradedCause {
     }
 }
 
-impl EmbedError {
-    /// For [`EmbedError::Degraded`], whether the surviving embedding was
-    /// re-verified successfully; `None` for every other error.
-    ///
-    /// `Some(true)` is the only value under which a degraded result may be
-    /// treated as a certified embedding of the surviving subgraph.
-    pub fn degraded_verified(&self) -> Option<bool> {
-        match self {
-            EmbedError::Degraded { verified, .. } => Some(*verified),
-            _ => None,
-        }
-    }
-}
-
 impl fmt::Display for EmbedError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -245,14 +231,13 @@ mod tests {
     }
 
     #[test]
-    fn degraded_verified_accessor() {
+    fn degraded_display_reports_verification() {
         let v = EmbedError::Degraded {
             surviving_nodes: 5,
             rounds_used: 10,
             verified: true,
             cause: DegradedCause::SurvivorsOnly,
         };
-        assert_eq!(v.degraded_verified(), Some(true));
         assert!(v.to_string().contains("survivors verified"));
         let u = EmbedError::Degraded {
             surviving_nodes: 5,
@@ -260,9 +245,7 @@ mod tests {
             verified: false,
             cause: DegradedCause::OutputUnverified,
         };
-        assert_eq!(u.degraded_verified(), Some(false));
         assert!(u.to_string().contains("survivors not verified"));
-        assert_eq!(EmbedError::NonPlanar.degraded_verified(), None);
     }
 
     #[test]

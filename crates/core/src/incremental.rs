@@ -293,13 +293,6 @@ impl ResidentEmbedding {
         self.cfg.kernel
     }
 
-    /// Heap bytes held warm by the resident kernel cache between deltas
-    /// (zero while a re-embed is in flight and the cache is loaned to the
-    /// execution context). The service layer reports this per tenant.
-    pub fn kernel_memory_bytes(&self) -> usize {
-        self.cache.as_ref().map_or(0, |c| c.memory_bytes())
-    }
-
     /// Re-embeds onto `new_graph` (the resident graph after one or more
     /// deltas), incrementally when the delta planner finds a local repair
     /// and by a full retained re-run otherwise (recorded in the report).

@@ -18,15 +18,11 @@
 //! * [`partition`] — the recursive BFS-subtree/centroid-path partition
 //!   (Section 4, Lemmas 4.1–4.3).
 //! * [`symmetry`] — the O(1)-round symmetry breaking of Lemma 5.3.
-//! * [`patterns`] — the Section 5.2 merge patterns (pairwise, star,
-//!   vertex-coordinated) as standalone, individually costed operations.
 //! * [`merge`] — the unrestricted path-coordinated merge, step by step per
 //!   Section 5.3.
-//! * [`neighborhood`] — O(1)-round neighborhood learning on
-//!   everywhere-sparse graphs (the Section 7.1.3 substitute) and
-//!   degeneracy orientations.
 //! * [`ruling`] — the log* extension: a deterministic ruling edge set
-//!   (independent in `L(G)`, dominating in `L(G)^2`) via Cole-Vishkin.
+//!   (independent in `L(G)`, dominating in `L(G)^2`) via Cole-Vishkin,
+//!   over an edge orientation from distributed degeneracy peeling.
 //! * [`resilience`] — fault-tolerance policy: reliable-delivery budget
 //!   widening, watchdog policy, and the [`EmbedError::Degraded`]
 //!   degradation semantics for runs under injected faults.
@@ -78,11 +74,9 @@ mod exec;
 pub mod incremental;
 pub mod interface;
 pub mod merge;
-pub mod neighborhood;
 pub mod outcome;
 pub mod partition;
 pub mod parts;
-pub mod patterns;
 pub mod planner;
 pub mod resilience;
 pub mod ruling;

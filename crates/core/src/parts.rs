@@ -44,11 +44,6 @@ impl PartState {
         self.members.is_empty()
     }
 
-    /// Membership test (binary search).
-    pub fn contains(&self, v: VertexId) -> bool {
-        self.members.binary_search(&v).is_ok()
-    }
-
     /// Merges several parts into one.
     pub fn union(parts: &[&PartState]) -> PartState {
         let mut members = Vec::new();
@@ -193,8 +188,6 @@ mod tests {
         let p = PartState::new(vec![VertexId(3), VertexId(1), VertexId(3)]);
         assert_eq!(p.members, vec![VertexId(1), VertexId(3)]);
         assert_eq!(p.leader, VertexId(3));
-        assert!(p.contains(VertexId(1)));
-        assert!(!p.contains(VertexId(2)));
         assert_eq!(p.len(), 2);
     }
 

@@ -48,38 +48,6 @@ impl GlobalTree {
             .unwrap_or(0)
     }
 
-    /// The unique tree path from `a` to `b` (inclusive), via their lowest
-    /// common ancestor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` and `b` are in different trees (cannot happen for a
-    /// connected network).
-    pub fn tree_path(&self, a: VertexId, b: VertexId) -> Vec<VertexId> {
-        let mut up_a = vec![a];
-        let mut up_b = vec![b];
-        let (mut x, mut y) = (a, b);
-        while self.depth[x.index()] > self.depth[y.index()] {
-            x = self.parent[x.index()].expect("deeper vertex has a parent");
-            up_a.push(x);
-        }
-        while self.depth[y.index()] > self.depth[x.index()] {
-            y = self.parent[y.index()].expect("deeper vertex has a parent");
-            up_b.push(y);
-        }
-        while x != y {
-            x = self.parent[x.index()].expect("vertices share a root");
-            y = self.parent[y.index()].expect("vertices share a root");
-            up_a.push(x);
-            up_b.push(y);
-        }
-        // up_a ends at the LCA; up_b ends at the LCA too.
-        up_b.pop();
-        up_b.reverse();
-        up_a.extend(up_b);
-        up_a
-    }
-
     /// The path from `v` up to its ancestor `anc` (inclusive).
     ///
     /// # Panics
@@ -260,20 +228,6 @@ mod tests {
         assert_eq!(t.subtree_depth(VertexId(2)), 2);
         assert_eq!(t.subtree_depth(VertexId(0)), 0);
         assert_eq!(t.tree_depth(), 4);
-    }
-
-    #[test]
-    fn tree_path_through_lca() {
-        let t = path_tree();
-        assert_eq!(
-            t.tree_path(VertexId(0), VertexId(3)),
-            vec![VertexId(0), VertexId(1), VertexId(2), VertexId(3)]
-        );
-        assert_eq!(t.tree_path(VertexId(2), VertexId(2)), vec![VertexId(2)]);
-        assert_eq!(
-            t.tree_path(VertexId(3), VertexId(1)),
-            vec![VertexId(3), VertexId(2), VertexId(1)]
-        );
     }
 
     #[test]
