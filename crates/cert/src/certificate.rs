@@ -23,9 +23,7 @@
 //! the CONGEST word model; [`Certificate::words`] reports the exact wire
 //! size used by the size benchmarks.
 
-use std::collections::VecDeque;
-
-use planar_graph::{Graph, RotationSystem, VertexId};
+use planar_graph::{ArcId, Graph, RotationSystem, VertexId};
 use serde::{Deserialize, Serialize};
 
 use crate::error::CertError;
@@ -67,106 +65,115 @@ type FaceLabelTables = (Vec<Vec<(VertexId, VertexId)>>, Vec<u64>);
 
 /// Per-vertex face labels (rotation order) and face-leader counts,
 /// computed by tracing every face orbit once over the arc index.
+///
+/// Rotation entries share the arcs' CSR numbering: entry `first_arc(v) +
+/// p` is the arc from `v` to the `p`-th vertex of its rotation, so each
+/// vertex's labels come out as one contiguous run of the label table. An
+/// arc `(u, w)` is keyed `u << 32 | w`, so the lexicographic minimum of an
+/// orbit is its numeric minimum.
 fn face_labels(g: &Graph, rot: &RotationSystem) -> Result<FaceLabelTables, CertError> {
     let ai = g.arc_index();
     let two_m = ai.arc_count();
-    // Flat tables indexed by arc id / rotation position.
-    let mut rot_arc = vec![0u32; two_m]; // arc at rotation position p of v
-    let mut pos_of = vec![0usize; two_m]; // rotation position of an arc at its tail
-    let mut tail_of = vec![VertexId(0); two_m];
+    let key = |u: VertexId, w: VertexId| u64::from(u.0) << 32 | u64::from(w.0);
+    // `slot_of[w]`: position of `w` in the sorted neighbor list of the
+    // vertex being scanned (stale for non-neighbors, hence the check).
+    let mut slot_of = vec![0u32; g.vertex_count()];
+    let mut arc_of_entry = vec![0u32; two_m];
+    let mut entry_of_arc = vec![0u32; two_m];
+    let mut keys = vec![0u64; two_m];
     for v in g.vertices() {
+        let nbrs = g.neighbors(v);
         let order = rot.order_at(v);
-        if order.len() != g.degree(v) {
+        if order.len() != nbrs.len() {
             return Err(CertError::BadInput(format!(
                 "rotation at {v} has {} entries, vertex has degree {}",
                 order.len(),
-                g.degree(v)
+                nbrs.len()
             )));
         }
-        let base = ai.first_arc(v).index();
+        for (s, &w) in nbrs.iter().enumerate() {
+            slot_of[w.index()] = s as u32;
+        }
+        let base = ai.first_arc(v).0;
         for (p, &w) in order.iter().enumerate() {
-            let a = ai.arc(v, w).ok_or_else(|| {
-                CertError::BadInput(format!("rotation at {v} names non-neighbor {w}"))
-            })?;
-            rot_arc[base + p] = a.0;
-            pos_of[a.index()] = p;
-            tail_of[a.index()] = v;
+            let s = slot_of.get(w.index()).copied();
+            let s = s
+                .filter(|&s| nbrs.get(s as usize) == Some(&w))
+                .ok_or_else(|| {
+                    CertError::BadInput(format!("rotation at {v} names non-neighbor {w}"))
+                })?;
+            let e = base + p as u32;
+            arc_of_entry[e as usize] = base + s;
+            entry_of_arc[(base + s) as usize] = e;
+            keys[e as usize] = key(v, w);
+        }
+    }
+    // The face successor of the arc (v, w) is (w, x), where x follows v in
+    // the rotation at w.
+    let mut next = vec![0u32; two_m];
+    for v in g.vertices() {
+        for e in ai.first_arc(v).index()..ai.first_arc(v).index() + ai.degree(v) {
+            let a = ArcId(arc_of_entry[e]);
+            let w = ai.head(a);
+            let twin = entry_of_arc[ai.rev(a).index()] + 1;
+            let end = ai.first_arc(w).0 + ai.degree(w) as u32;
+            next[e] = if twin == end { ai.first_arc(w).0 } else { twin };
         }
     }
 
-    // Trace each face orbit once; every arc's label is the orbit's
-    // lexicographically minimal (tail, head) pair.
-    let mut label = vec![(VertexId(0), VertexId(0)); two_m];
-    let mut visited = vec![false; two_m];
-    let mut orbit = Vec::new();
-    for a0 in 0..two_m {
-        if visited[a0] {
+    // Trace each face orbit twice: once for its minimal key, once to label
+    // every arc with it.
+    const UNSET: u64 = u64::MAX;
+    let mut label = vec![UNSET; two_m];
+    for e0 in 0..two_m {
+        if label[e0] != UNSET {
             continue;
         }
-        orbit.clear();
-        let mut a = a0;
-        let mut min_pair = (tail_of[a0], ai.head(planar_graph::ArcId(a0 as u32)));
-        loop {
-            visited[a] = true;
-            orbit.push(a);
-            let aid = planar_graph::ArcId(a as u32);
-            let pair = (tail_of[a], ai.head(aid));
-            if pair < min_pair {
-                min_pair = pair;
-            }
-            // Successor of (u, v): the arc (v, w) with w following u in the
-            // rotation at v.
-            let v = ai.head(aid);
-            let p = pos_of[ai.rev(aid).index()];
-            let d = ai.degree(v);
-            a = rot_arc[ai.first_arc(v).index() + (p + 1) % d] as usize;
-            if a == a0 {
-                break;
-            }
+        let mut min = keys[e0];
+        let mut e = next[e0] as usize;
+        while e != e0 {
+            min = min.min(keys[e]);
+            e = next[e] as usize;
         }
-        for &b in &orbit {
-            label[b] = min_pair;
+        label[e0] = min;
+        let mut e = next[e0] as usize;
+        while e != e0 {
+            label[e] = min;
+            e = next[e] as usize;
         }
     }
 
-    let mut labels = Vec::with_capacity(g.vertex_count());
     let mut leaders = vec![0u64; g.vertex_count()];
-    for v in g.vertices() {
-        let base = ai.first_arc(v).index();
-        let order = rot.order_at(v);
-        let mut per_v = Vec::with_capacity(order.len());
-        for (p, &w) in order.iter().enumerate() {
-            let l = label[rot_arc[base + p] as usize];
-            if l == (v, w) {
-                leaders[v.index()] += 1;
-            }
-            per_v.push(l);
-        }
-        labels.push(per_v);
-    }
+    let labels = g
+        .vertices()
+        .map(|v| {
+            let run = ai.first_arc(v).index()..ai.first_arc(v).index() + ai.degree(v);
+            leaders[v.index()] = run.clone().filter(|&e| label[e] == keys[e]).count() as u64;
+            label[run]
+                .iter()
+                .map(|&k| (VertexId((k >> 32) as u32), VertexId(k as u32)))
+                .collect()
+        })
+        .collect();
     Ok((labels, leaders))
 }
 
 /// Assembles certificates from a validated spanning forest plus the face
-/// labels of the rotation.
+/// labels of the rotation. `top_down` lists every vertex after its parent.
 fn assemble(
     g: &Graph,
     labels: Vec<Vec<(VertexId, VertexId)>>,
     leaders: &[u64],
-    parent: &[Option<VertexId>],
-    depth: &[u32],
-    root_of: &[VertexId],
+    (parent, depth, root_of): (&[Option<VertexId>], &[u32], &[VertexId]),
+    top_down: &[usize],
 ) -> Vec<Certificate> {
-    let n = g.vertex_count();
-    // Leaf-up aggregation: process vertices by decreasing depth so every
-    // child is folded into its parent exactly once.
+    // Leaf-up aggregation: every child is folded into its parent exactly
+    // once, before the parent is folded into its own.
     let mut sub: Vec<(u64, u64, u64)> = g
         .vertices()
         .map(|v| (1u64, g.degree(v) as u64, leaders[v.index()]))
         .collect();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&v| std::cmp::Reverse(depth[v]));
-    for &v in &order {
+    for &v in top_down.iter().rev() {
         if let Some(p) = parent[v] {
             let (a, b, c) = sub[v];
             let t = &mut sub[p.index()];
@@ -215,7 +222,8 @@ pub fn build_certificates(g: &Graph, rot: &RotationSystem) -> Result<Vec<Certifi
     let mut depth = vec![0u32; n];
     let mut root_of = vec![VertexId(0); n];
     let mut seen = vec![false; n];
-    let mut queue = VecDeque::new();
+    // The BFS queue, kept whole: every vertex comes after its parent.
+    let mut queue = Vec::with_capacity(n);
     for vi in (0..n).rev() {
         if seen[vi] {
             continue;
@@ -223,21 +231,24 @@ pub fn build_certificates(g: &Graph, rot: &RotationSystem) -> Result<Vec<Certifi
         let s = VertexId::from_index(vi);
         seen[vi] = true;
         root_of[vi] = s;
-        queue.push_back(s);
-        while let Some(u) = queue.pop_front() {
-            for &w in g.neighbors(u) {
+        let mut head = queue.len();
+        queue.push(vi);
+        while let Some(&u) = queue.get(head) {
+            head += 1;
+            for &w in g.neighbors(VertexId::from_index(u)) {
                 if !seen[w.index()] {
                     seen[w.index()] = true;
-                    parent[w.index()] = Some(u);
-                    depth[w.index()] = depth[u.index()] + 1;
+                    parent[w.index()] = Some(VertexId::from_index(u));
+                    depth[w.index()] = depth[u] + 1;
                     root_of[w.index()] = s;
-                    queue.push_back(w);
+                    queue.push(w.index());
                 }
             }
         }
     }
     let (labels, leaders) = face_labels(g, rot)?;
-    Ok(assemble(g, labels, &leaders, &parent, &depth, &root_of))
+    let forest = (&parent[..], &depth[..], &root_of[..]);
+    Ok(assemble(g, labels, &leaders, forest, &queue))
 }
 
 /// [`build_certificates`] with a caller-supplied spanning forest — e.g.
@@ -311,7 +322,13 @@ pub fn build_certificates_with_tree(
         }
     }
     let (labels, leaders) = face_labels(g, rot)?;
-    Ok(assemble(g, labels, &leaders, parent, depth, &root_of))
+    Ok(assemble(
+        g,
+        labels,
+        &leaders,
+        (parent, depth, &root_of),
+        &order,
+    ))
 }
 
 #[cfg(test)]

@@ -23,8 +23,6 @@
 //! node that never hears from every neighbor simply stays
 //! [`Verdict::Incomplete`], which the report treats as non-acceptance.
 
-use std::collections::BTreeMap;
-
 use congest_sim::protocols::{run_reliable, Reliable, ReliableConfig};
 use congest_sim::{reference, run, Metrics, NodeCtx, NodeProgram, SimConfig, SimOutcome, Words};
 use planar_graph::{Graph, RotationSystem, VertexId};
@@ -128,30 +126,73 @@ pub enum Verdict {
 /// label of the connecting arc)`.
 type OpeningFields = (VertexId, Option<VertexId>, u32, (VertexId, VertexId));
 
-/// Per-node verifier program. Construct one per vertex with that vertex's
-/// rotation order and certificate, then run on any kernel.
+/// What a node knows about one neighbor, kept at the neighbor's slot in
+/// the node's sorted neighbor list.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Slot {
+    /// First position of the neighbor in the claimed rotation, or
+    /// `ABSENT`.
+    rotation_pos: u32,
+    /// Which messages arrived, whether the neighbor is a child, and the
+    /// checks its opening failed (the `Slot::*` bits).
+    flags: u8,
+    /// The neighbor's claimed subtree counters.
+    counters: (u64, u64, u64),
+}
+
+/// Marks a neighbor the claimed rotation does not mention.
+const ABSENT: u32 = u32::MAX;
+
+impl Slot {
+    const OPENED: u8 = 1;
+    const COUNTED: u8 = 1 << 1;
+    const CHILD: u8 = 1 << 2;
+    const ROOT_MISMATCH: u8 = 1 << 3;
+    const FACE_CLOSURE: u8 = 1 << 4;
+    const CHILD_DEPTH: u8 = 1 << 5;
+}
+
+/// Per-node verifier program. Construct one per vertex from that vertex's
+/// rotation order and certificate (both borrowed), then run on any
+/// kernel.
+///
+/// Its state is one slot per neighbor, indexed by the neighbor's
+/// position in the sorted neighbor list. `init` checks the permutation
+/// once and records each neighbor's rotation position; a message is filed
+/// by a binary search for its sender, and an opening is checked when it
+/// arrives. The failed checks are reported in neighbor order when the
+/// exchange completes, so arrival order changes nothing.
 #[derive(Clone, Debug, PartialEq)]
-pub struct CertVerifier {
-    rotation: Vec<VertexId>,
-    cert: Certificate,
-    openings: BTreeMap<VertexId, OpeningFields>,
-    counters: BTreeMap<VertexId, (u64, u64, u64)>,
+pub struct CertVerifier<'a> {
+    rotation: &'a [VertexId],
+    cert: &'a Certificate,
+    slots: Vec<Slot>,
+    /// Whether the rotation is usable for positional lookups: a
+    /// permutation of the true neighbors, with one label per entry.
+    rotation_ok: bool,
+    /// The claimed depth the parent opened with.
+    parent_depth: Option<u32>,
+    openings: usize,
+    counters: usize,
     sent_counters: bool,
     done: bool,
     violations: Vec<Violation>,
 }
 
-impl CertVerifier {
+impl<'a> CertVerifier<'a> {
     /// Creates the verifier for one node from its local embedding output
     /// (claimed clockwise rotation order) and its certificate. The
     /// rotation is taken as claimed — checking it against the true
     /// neighbor set is the verifier's first job.
-    pub fn new(rotation: Vec<VertexId>, cert: Certificate) -> Self {
+    pub fn new(rotation: &'a [VertexId], cert: &'a Certificate) -> Self {
         CertVerifier {
             rotation,
             cert,
-            openings: BTreeMap::new(),
-            counters: BTreeMap::new(),
+            slots: Vec::new(),
+            rotation_ok: false,
+            parent_depth: None,
+            openings: 0,
+            counters: 0,
             sent_counters: false,
             done: false,
             violations: Vec::new(),
@@ -174,26 +215,31 @@ impl CertVerifier {
         &self.violations
     }
 
-    /// Whether the rotation is usable for positional lookups (a
-    /// permutation of the true neighbors, with one label per entry).
-    fn rotation_ok(&self, neighbors: &[VertexId]) -> bool {
-        let mut sorted = self.rotation.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        sorted.len() == self.rotation.len()
-            && sorted == neighbors
-            && self.cert.labels.len() == self.rotation.len()
-    }
-
     /// Local (round-0) checks: everything decidable from the node's own
-    /// rotation and certificate.
+    /// rotation and certificate. Builds the neighbor slots and records
+    /// where each neighbor first appears in the rotation.
     fn local_checks(&mut self, ctx: &NodeCtx<'_>) {
-        let mut sorted = self.rotation.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        if sorted.len() != self.rotation.len() || sorted != ctx.neighbors {
+        let blank = Slot {
+            rotation_pos: ABSENT,
+            flags: 0,
+            counters: (0, 0, 0),
+        };
+        self.slots = vec![blank; ctx.neighbors.len()];
+        // A list of the neighbors' length that names only neighbors, none
+        // twice, is a permutation of them.
+        let mut permutes = self.rotation.len() == ctx.neighbors.len();
+        for (p, w) in self.rotation.iter().enumerate() {
+            match ctx.neighbors.binary_search(w) {
+                Ok(s) if self.slots[s].rotation_pos == ABSENT => {
+                    self.slots[s].rotation_pos = p as u32;
+                }
+                _ => permutes = false,
+            }
+        }
+        if !permutes {
             self.violations.push(Violation::RotationNotPermutation);
         }
+        self.rotation_ok = permutes && self.cert.labels.len() == self.rotation.len();
         if self.cert.labels.len() != self.rotation.len() {
             self.violations.push(Violation::LabelCountMismatch);
         } else {
@@ -225,44 +271,76 @@ impl CertVerifier {
         }
     }
 
-    /// Neighborhood checks, run once both messages have arrived from every
-    /// neighbor.
-    fn neighborhood_checks(&mut self, ctx: &NodeCtx<'_>) {
+    /// Files the first opening from the neighbor at slot `s` and runs the
+    /// checks it enables.
+    fn open(&mut self, ctx: &NodeCtx<'_>, s: usize, (root, parent, depth, label): OpeningFields) {
         let deg = ctx.neighbors.len();
-        let rotation_ok = self.rotation_ok(ctx.neighbors);
-        let mut viols = Vec::new();
-        for (&nb, &(root, nb_parent, nb_depth, label)) in &self.openings {
-            if root != self.cert.root {
-                viols.push(Violation::RootMismatch { neighbor: nb });
-            }
-            // Face closure: the label opened on the incoming arc (nb, v)
-            // must equal this node's label for that arc's face successor
-            // (v, w), where w follows nb in the rotation at v.
-            if rotation_ok {
-                let p = self
-                    .rotation
-                    .iter()
-                    .position(|&x| x == nb)
-                    .expect("rotation_ok guarantees membership");
-                if label != self.cert.labels[(p + 1) % deg] {
-                    viols.push(Violation::FaceClosure { from: nb });
-                }
-            }
-            if nb_parent == Some(ctx.id) && nb_depth != self.cert.depth.wrapping_add(1) {
-                viols.push(Violation::ChildDepth { child: nb });
+        let slot = &mut self.slots[s];
+        if slot.flags & Slot::OPENED != 0 {
+            return;
+        }
+        slot.flags |= Slot::OPENED;
+        self.openings += 1;
+        if root != self.cert.root {
+            slot.flags |= Slot::ROOT_MISMATCH;
+        }
+        // Face closure: the label opened on the incoming arc (nb, v) must
+        // equal this node's label for that arc's face successor (v, w),
+        // where w follows nb in the rotation at v.
+        if self.rotation_ok {
+            let p = slot.rotation_pos as usize;
+            if label != self.cert.labels[(p + 1) % deg] {
+                slot.flags |= Slot::FACE_CLOSURE;
             }
         }
-        if let Some(p) = self.cert.parent {
-            match self.openings.get(&p) {
-                Some(&(_, _, p_depth, _)) if p_depth.checked_add(1) == Some(self.cert.depth) => {}
-                _ => viols.push(Violation::ParentDepth),
+        if parent == Some(ctx.id) {
+            slot.flags |= Slot::CHILD;
+            if depth != self.cert.depth.wrapping_add(1) {
+                slot.flags |= Slot::CHILD_DEPTH;
             }
+        }
+        if self.cert.parent == Some(ctx.neighbors[s]) {
+            self.parent_depth = Some(depth);
+        }
+    }
+
+    /// Files the first counters from the neighbor at slot `s`.
+    fn count(&mut self, s: usize, counters: (u64, u64, u64)) {
+        let slot = &mut self.slots[s];
+        if slot.flags & Slot::COUNTED != 0 {
+            return;
+        }
+        slot.flags |= Slot::COUNTED;
+        slot.counters = counters;
+        self.counters += 1;
+    }
+
+    /// Neighborhood checks, run once both messages have arrived from every
+    /// neighbor: the per-neighbor failures in neighbor order, then the
+    /// parent's depth and the counters.
+    fn neighborhood_checks(&mut self, ctx: &NodeCtx<'_>) {
+        for (&nb, slot) in ctx.neighbors.iter().zip(&self.slots) {
+            if slot.flags & Slot::ROOT_MISMATCH != 0 {
+                self.violations
+                    .push(Violation::RootMismatch { neighbor: nb });
+            }
+            if slot.flags & Slot::FACE_CLOSURE != 0 {
+                self.violations.push(Violation::FaceClosure { from: nb });
+            }
+            if slot.flags & Slot::CHILD_DEPTH != 0 {
+                self.violations.push(Violation::ChildDepth { child: nb });
+            }
+        }
+        if self.cert.parent.is_some()
+            && self.parent_depth.and_then(|d| d.checked_add(1)) != Some(self.cert.depth)
+        {
+            self.violations.push(Violation::ParentDepth);
         }
         // Counter consistency: the claimed subtree must equal this node's
         // own contribution plus the claims of every neighbor naming it as
         // parent. Wrapping arithmetic: corrupt claims may sit near
         // `u64::MAX` and must produce a mismatch, not a panic.
-        let leaders = if rotation_ok {
+        let leaders = if self.rotation_ok {
             self.rotation
                 .iter()
                 .zip(self.cert.labels.iter())
@@ -271,10 +349,10 @@ impl CertVerifier {
         } else {
             0
         };
-        let mut sum = (1u64, deg as u64, leaders);
-        for (&nb, &(_, nb_parent, _, _)) in &self.openings {
-            if nb_parent == Some(ctx.id) {
-                let (a, b, c) = self.counters[&nb];
+        let mut sum = (1u64, ctx.neighbors.len() as u64, leaders);
+        for slot in &self.slots {
+            if slot.flags & Slot::CHILD != 0 {
+                let (a, b, c) = slot.counters;
                 sum.0 = sum.0.wrapping_add(a);
                 sum.1 = sum.1.wrapping_add(b);
                 sum.2 = sum.2.wrapping_add(c);
@@ -287,9 +365,8 @@ impl CertVerifier {
                 self.cert.sub_faces,
             )
         {
-            viols.push(Violation::CounterMismatch);
+            self.violations.push(Violation::CounterMismatch);
         }
-        self.violations.append(&mut viols);
         if self.cert.parent.is_none() && ctx.id == self.cert.root {
             self.euler_check();
         }
@@ -316,7 +393,7 @@ impl CertVerifier {
     }
 }
 
-impl NodeProgram for CertVerifier {
+impl NodeProgram for CertVerifier<'_> {
     type Msg = CertMsg;
 
     fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, Self::Msg)>) {
@@ -337,16 +414,16 @@ impl NodeProgram for CertVerifier {
             return;
         }
         let fallback = (ctx.id, ctx.id);
-        out.extend(ctx.neighbors.iter().map(|&w| {
+        out.extend(ctx.neighbors.iter().zip(&self.slots).map(|(&w, slot)| {
             // Open the label of the arc towards w. A corrupt rotation
             // may not mention w (or mention it twice — first position
             // wins); send a placeholder so neighbors still terminate.
             // This node already recorded RotationNotPermutation.
             let label = self
-                .rotation
-                .iter()
-                .position(|&x| x == w)
-                .and_then(|p| self.cert.labels.get(p).copied())
+                .cert
+                .labels
+                .get(slot.rotation_pos as usize)
+                .copied()
                 .unwrap_or(fallback);
             (
                 w,
@@ -366,29 +443,32 @@ impl NodeProgram for CertVerifier {
         inbox: &[(VertexId, Self::Msg)],
         out: &mut Vec<(VertexId, Self::Msg)>,
     ) {
+        // Inboxes usually arrive sorted by sender, so the slot after the
+        // previous sender is tried before the binary search.
+        let mut next = 0;
         for (from, msg) in inbox {
+            let s = if ctx.neighbors.get(next) == Some(from) {
+                next
+            } else if let Ok(s) = ctx.neighbors.binary_search(from) {
+                s
+            } else {
+                continue;
+            };
+            next = s + 1;
+            // First delivery wins; duplicates (possible under fault
+            // injection) are ignored, keeping the program idempotent.
             match *msg {
-                // First delivery wins; duplicates (possible under fault
-                // injection) are ignored, keeping the program idempotent.
                 CertMsg::Opening {
                     root,
                     parent,
                     depth,
                     label,
-                } => {
-                    self.openings
-                        .entry(*from)
-                        .or_insert((root, parent, depth, label));
-                }
+                } => self.open(ctx, s, (root, parent, depth, label)),
                 CertMsg::Counters {
                     vertices,
                     arcs,
                     faces,
-                } => {
-                    self.counters
-                        .entry(*from)
-                        .or_insert((vertices, arcs, faces));
-                }
+                } => self.count(s, (vertices, arcs, faces)),
             }
         }
         if !self.sent_counters {
@@ -401,8 +481,8 @@ impl NodeProgram for CertVerifier {
             out.extend(ctx.neighbors.iter().map(|&w| (w, msg.clone())));
         }
         if !self.done
-            && self.openings.len() == ctx.neighbors.len()
-            && self.counters.len() == ctx.neighbors.len()
+            && self.openings == ctx.neighbors.len()
+            && self.counters == ctx.neighbors.len()
         {
             self.neighborhood_checks(ctx);
             self.done = true;
@@ -456,17 +536,37 @@ pub fn verify_orders_with(
     reliability: Option<&ReliableConfig>,
     kernel: Kernel,
 ) -> Result<VerifyReport, CertError> {
-    let n = g.vertex_count();
-    if orders.len() != n || certs.len() != n {
+    if orders.len() != g.vertex_count() {
         return Err(CertError::BadInput(format!(
-            "graph has {n} vertices, rotation orders {}, certificates {}",
+            "graph has {} vertices, rotation orders {}, certificates {}",
+            g.vertex_count(),
             orders.len(),
             certs.len()
         )));
     }
-    let programs: Vec<CertVerifier> = g
+    verify_with(g, |v| &orders[v.index()], certs, cfg, reliability, kernel)
+}
+
+/// The verifier run shared by both entry points: `order_at` lends each
+/// node its claimed rotation.
+fn verify_with<'a>(
+    g: &Graph,
+    order_at: impl Fn(VertexId) -> &'a [VertexId],
+    certs: &'a [Certificate],
+    cfg: &SimConfig,
+    reliability: Option<&ReliableConfig>,
+    kernel: Kernel,
+) -> Result<VerifyReport, CertError> {
+    let n = g.vertex_count();
+    if certs.len() != n {
+        return Err(CertError::BadInput(format!(
+            "graph has {n} vertices, rotation orders {n}, certificates {}",
+            certs.len()
+        )));
+    }
+    let programs: Vec<CertVerifier<'a>> = g
         .vertices()
-        .map(|v| CertVerifier::new(orders[v.index()].clone(), certs[v.index()].clone()))
+        .map(|v| CertVerifier::new(order_at(v), &certs[v.index()]))
         .collect();
     let out = run_verifier_kernel(g, programs, cfg, reliability, kernel)?;
 
@@ -517,20 +617,19 @@ pub fn verify_distributed_with(
             rot.vertex_count()
         )));
     }
-    let orders: Vec<Vec<VertexId>> = g.vertices().map(|v| rot.order_at(v).to_vec()).collect();
-    verify_orders_with(g, &orders, certs, cfg, reliability, kernel)
+    verify_with(g, |v| rot.order_at(v), certs, cfg, reliability, kernel)
 }
 
 /// Dispatches to the chosen kernel, wrapping in [`Reliable`] when
 /// requested (budget widened to `3B + 2`, retransmissions folded into the
 /// metrics — the same lift [`run_reliable`] performs for the fast kernel).
-fn run_verifier_kernel(
+fn run_verifier_kernel<'a>(
     g: &Graph,
-    programs: Vec<CertVerifier>,
+    programs: Vec<CertVerifier<'a>>,
     cfg: &SimConfig,
     reliability: Option<&ReliableConfig>,
     kernel: Kernel,
-) -> Result<SimOutcome<CertVerifier>, CertError> {
+) -> Result<SimOutcome<CertVerifier<'a>>, CertError> {
     match (kernel, reliability) {
         (Kernel::Fast, None) => Ok(run(g, programs, cfg)?),
         (Kernel::Reference, None) => Ok(reference::run_reference(g, programs, cfg)?),
@@ -542,7 +641,7 @@ fn run_verifier_kernel(
         (Kernel::Reference, Some(rel)) => {
             let mut wrapped_cfg = cfg.clone();
             wrapped_cfg.budget_words = 3 * cfg.budget_words + 2;
-            let wrapped: Vec<Reliable<CertVerifier>> = programs
+            let wrapped: Vec<Reliable<CertVerifier<'a>>> = programs
                 .into_iter()
                 .map(|p| Reliable::new(p, rel.clone()))
                 .collect();
@@ -595,6 +694,7 @@ pub fn verify_distributed_reference(
 mod tests {
     use super::*;
     use crate::certificate::build_certificates;
+    use crate::Certificate;
 
     fn ring(n: u32) -> (Graph, RotationSystem) {
         let g = Graph::from_edges(n as usize, (0..n).map(|i| (i, (i + 1) % n))).unwrap();
@@ -659,6 +759,139 @@ mod tests {
         let certs = build_certificates(&g, &rot).unwrap();
         let report = verify_distributed(&g, &rot, &certs, &SimConfig::default()).unwrap();
         assert!(report.accepted, "rejections: {:?}", report.rejections);
+    }
+
+    /// Honest certificates for a triangle, whose root 2 is the parent of
+    /// 0 and 1, and the messages the neighbors of `node` send it:
+    /// `(sender, opening, counters)`.
+    type Driven = (Vec<Certificate>, Vec<(VertexId, CertMsg, CertMsg)>);
+
+    fn triangle_inputs(node: VertexId) -> Driven {
+        let (g, rot) = ring(3);
+        let certs = build_certificates(&g, &rot).unwrap();
+        let mut to_node = Vec::new();
+        for &v in g.neighbors(node) {
+            let mut p = CertVerifier::new(rot.order_at(v), &certs[v.index()]);
+            let mut out = Vec::new();
+            p.init(&ctx_of(&g, v), &mut out);
+            let (_, opening) = out.into_iter().find(|(to, _)| *to == node).unwrap();
+            let c = &certs[v.index()];
+            let counters = CertMsg::Counters {
+                vertices: c.sub_vertices,
+                arcs: c.sub_arcs,
+                faces: c.sub_faces,
+            };
+            to_node.push((v, opening, counters));
+        }
+        (certs, to_node)
+    }
+
+    fn ctx_of(g: &Graph, v: VertexId) -> NodeCtx<'_> {
+        NodeCtx {
+            id: v,
+            neighbors: g.neighbors(v),
+            round: 0,
+        }
+    }
+
+    #[test]
+    fn duplicate_deliveries_keep_the_first() {
+        let (g, rot) = ring(3);
+        let node = VertexId(2);
+        let (certs, msgs) = triangle_inputs(node);
+        let ctx = ctx_of(&g, node);
+        let rotation = rot.order_at(node);
+        // Child 1 claims another root and a subtree it does not have.
+        let forged_opening = CertMsg::Opening {
+            root: VertexId(1),
+            parent: Some(node),
+            depth: 1,
+            label: (VertexId(0), VertexId(0)),
+        };
+        let forged_counters = CertMsg::Counters {
+            vertices: 99,
+            arcs: 99,
+            faces: 99,
+        };
+        let v1 = VertexId(1);
+        // Honest first, forged duplicates later: accepted.
+        let mut p = CertVerifier::new(rotation, &certs[2]);
+        let mut out = Vec::new();
+        p.init(&ctx, &mut out);
+        let round1: Vec<_> = msgs.iter().map(|(v, o, _)| (*v, o.clone())).collect();
+        out.clear();
+        p.on_round(&ctx, &round1, &mut out);
+        assert_eq!(out.len(), 2, "counters go to both neighbors once");
+        let mut round2: Vec<_> = vec![(v1, forged_opening.clone())];
+        round2.extend(msgs.iter().map(|(v, _, c)| (*v, c.clone())));
+        round2.push((v1, forged_counters.clone()));
+        out.clear();
+        p.on_round(&ctx, &round2, &mut out);
+        assert!(out.is_empty());
+        assert_eq!(p.verdict(), Verdict::Accept, "{:?}", p.violations());
+
+        // Forged first: the honest duplicates cannot repair it.
+        let mut p = CertVerifier::new(rotation, &certs[2]);
+        p.init(&ctx, &mut Vec::new());
+        let mut round1 = vec![(v1, forged_opening), (v1, forged_counters)];
+        round1.extend(msgs.iter().map(|(v, o, _)| (*v, o.clone())));
+        round1.extend(msgs.iter().map(|(v, _, c)| (*v, c.clone())));
+        p.on_round(&ctx, &round1, &mut Vec::new());
+        assert_eq!(p.verdict(), Verdict::Reject);
+        assert!(p
+            .violations()
+            .contains(&Violation::RootMismatch { neighbor: v1 }));
+        assert!(p.violations().contains(&Violation::CounterMismatch));
+    }
+
+    #[test]
+    fn counters_before_openings_complete_on_the_last_opening() {
+        let (g, rot) = ring(3);
+        let node = VertexId(2);
+        let (certs, msgs) = triangle_inputs(node);
+        let ctx = ctx_of(&g, node);
+        let mut p = CertVerifier::new(rot.order_at(node), &certs[2]);
+        p.init(&ctx, &mut Vec::new());
+        let counters: Vec<_> = msgs.iter().map(|(v, _, c)| (*v, c.clone())).collect();
+        p.on_round(&ctx, &counters, &mut Vec::new());
+        assert_eq!(p.verdict(), Verdict::Incomplete);
+        p.on_round(&ctx, &[(msgs[1].0, msgs[1].1.clone())], &mut Vec::new());
+        assert_eq!(p.verdict(), Verdict::Incomplete);
+        p.on_round(&ctx, &[(msgs[0].0, msgs[0].1.clone())], &mut Vec::new());
+        assert_eq!(p.verdict(), Verdict::Accept, "{:?}", p.violations());
+    }
+
+    #[test]
+    fn repeated_neighbor_opens_once_per_neighbor_and_rejects() {
+        let (g, _) = ring(3);
+        // Neighbor 1 twice, neighbor 2 missing.
+        let rotation = [VertexId(1), VertexId(1)];
+        let (certs, msgs) = triangle_inputs(VertexId(0));
+        let ctx = ctx_of(&g, VertexId(0));
+        let mut p = CertVerifier::new(&rotation, &certs[0]);
+        let mut out = Vec::new();
+        p.init(&ctx, &mut out);
+        let label_of = |to: u32| {
+            let (_, msg) = out.iter().find(|(w, _)| *w == VertexId(to)).unwrap();
+            match msg {
+                CertMsg::Opening { label, .. } => *label,
+                CertMsg::Counters { .. } => unreachable!("init only opens"),
+            }
+        };
+        assert_eq!(out.len(), 2, "one opening per neighbor: {out:?}");
+        assert_eq!(label_of(1), certs[0].labels[0], "first position wins");
+        assert_eq!(label_of(2), (VertexId(0), VertexId(0)), "placeholder label");
+        let all: Vec<_> = msgs
+            .iter()
+            .flat_map(|(v, o, c)| [(*v, o.clone()), (*v, c.clone())])
+            .collect();
+        p.on_round(&ctx, &all, &mut Vec::new());
+        assert_eq!(p.verdict(), Verdict::Reject);
+        assert_eq!(p.violations()[0], Violation::RotationNotPermutation);
+        assert!(!p
+            .violations()
+            .iter()
+            .any(|v| matches!(v, Violation::FaceClosure { .. })));
     }
 
     #[test]

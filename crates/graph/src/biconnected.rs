@@ -37,9 +37,9 @@ use crate::{EdgeId, Graph, VertexId};
 #[derive(Clone, Debug)]
 pub struct BiconnectedDecomposition {
     blocks: Vec<Vec<EdgeId>>,
-    block_of_edge: HashMap<EdgeId, usize>,
-    blocks_of_vertex: Vec<Vec<usize>>,
-    is_cut: Vec<bool>,
+    /// The blocks at vertex `v` are `block_at[vertex_start[v]..vertex_start[v + 1]]`.
+    vertex_start: Vec<usize>,
+    block_at: Vec<usize>,
 }
 
 impl BiconnectedDecomposition {
@@ -121,29 +121,39 @@ impl BiconnectedDecomposition {
             }
         }
 
-        let mut block_of_edge = HashMap::new();
-        let mut blocks_of_vertex: Vec<Vec<usize>> = vec![Vec::new(); n];
+        // Blocks at each vertex in CSR form: `block_at[vertex_start[v]..
+        // vertex_start[v + 1]]`, ascending. Blocks are visited in order, so
+        // the last block recorded at a vertex detects repeats.
+        let mut last = vec![usize::MAX; n];
+        let mut vertex_start = vec![0usize; n + 1];
         for (i, block) in blocks.iter().enumerate() {
-            for &e in block {
-                block_of_edge.insert(e, i);
-                for v in [e.lo(), e.hi()] {
-                    if blocks_of_vertex[v.index()].last() != Some(&i)
-                        && !blocks_of_vertex[v.index()].contains(&i)
-                    {
-                        blocks_of_vertex[v.index()].push(i);
-                    }
+            for v in block.iter().flat_map(|e| [e.lo(), e.hi()]) {
+                if last[v.index()] != i {
+                    last[v.index()] = i;
+                    vertex_start[v.index() + 1] += 1;
                 }
             }
         }
-        // A vertex is a cut vertex iff it lies in >= 2 blocks (the paper's
-        // own criterion in Section 3).
-        let is_cut: Vec<bool> = (0..n).map(|v| blocks_of_vertex[v].len() >= 2).collect();
+        for v in 0..n {
+            vertex_start[v + 1] += vertex_start[v];
+        }
+        let mut block_at = vec![0usize; vertex_start[n]];
+        let mut fill = vertex_start[..n].to_vec();
+        last.fill(usize::MAX);
+        for (i, block) in blocks.iter().enumerate() {
+            for v in block.iter().flat_map(|e| [e.lo(), e.hi()]) {
+                if last[v.index()] != i {
+                    last[v.index()] = i;
+                    block_at[fill[v.index()]] = i;
+                    fill[v.index()] += 1;
+                }
+            }
+        }
 
         BiconnectedDecomposition {
             blocks,
-            block_of_edge,
-            blocks_of_vertex,
-            is_cut,
+            vertex_start,
+            block_at,
         }
     }
 
@@ -173,26 +183,47 @@ impl BiconnectedDecomposition {
     }
 
     /// The block containing edge `e`, if `e` exists in the graph.
+    ///
+    /// Two blocks share at most one vertex, so at most one block holds
+    /// both ends of `e`; it contains `e` exactly when `e` is an edge.
+    /// `O(|blocks at each end| + |block|)`.
     pub fn block_of_edge(&self, e: EdgeId) -> Option<usize> {
-        self.block_of_edge.get(&e).copied()
+        let at = |v: VertexId| {
+            if v.index() < self.vertex_count() {
+                self.blocks_of_vertex(v)
+            } else {
+                &[]
+            }
+        };
+        let hi = at(e.hi());
+        at(e.lo())
+            .iter()
+            .copied()
+            .find(|b| hi.contains(b))
+            .filter(|&b| self.blocks[b].contains(&e))
     }
 
     /// Indices of the blocks containing vertex `v` (empty for isolated
     /// vertices).
     pub fn blocks_of_vertex(&self, v: VertexId) -> &[usize] {
-        &self.blocks_of_vertex[v.index()]
+        &self.block_at[self.vertex_start[v.index()]..self.vertex_start[v.index() + 1]]
     }
 
-    /// Returns `true` if `v` is a cut vertex (belongs to two or more blocks).
+    fn vertex_count(&self) -> usize {
+        self.vertex_start.len() - 1
+    }
+
+    /// Returns `true` if `v` is a cut vertex (belongs to two or more blocks,
+    /// the paper's own criterion in Section 3).
     pub fn is_cut_vertex(&self, v: VertexId) -> bool {
-        self.is_cut[v.index()]
+        self.blocks_of_vertex(v).len() >= 2
     }
 
     /// All cut vertices in ascending order.
     pub fn cut_vertices(&self) -> Vec<VertexId> {
-        (0..self.is_cut.len())
-            .filter(|&v| self.is_cut[v])
+        (0..self.vertex_count())
             .map(VertexId::from_index)
+            .filter(|&v| self.is_cut_vertex(v))
             .collect()
     }
 
@@ -320,6 +351,13 @@ mod tests {
             }
         }
         assert_eq!(counted, g.edge_count());
+        // Non-edges have no block, also between two vertices of one block.
+        for (u, v) in [(3, 5), (4, 6), (0, 7), (1, 3), (2, 9)] {
+            assert_eq!(
+                bc.block_of_edge(EdgeId::new(VertexId(u), VertexId(v))),
+                None
+            );
+        }
     }
 
     #[test]

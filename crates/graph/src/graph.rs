@@ -57,8 +57,41 @@ impl Graph {
     where
         I: IntoIterator<Item = (u32, u32)>,
     {
+        let edges: Vec<(u32, u32)> = edges.into_iter().collect();
+        // One pass: count degrees, size every adjacency list once, fill,
+        // sort. Invalid input (a self-loop, an out-of-range end or a
+        // duplicate) replays the edges through `add_edge`, which reports
+        // the first failing edge in input order.
+        let mut degree = vec![0usize; n];
+        for &(u, v) in &edges {
+            if u == v || u as usize >= n || v as usize >= n {
+                return Self::insert_each(n, &edges);
+            }
+            degree[u as usize] += 1;
+            degree[v as usize] += 1;
+        }
+        let mut adj: Vec<Vec<VertexId>> = degree.iter().map(|&d| Vec::with_capacity(d)).collect();
+        for &(u, v) in &edges {
+            adj[u as usize].push(VertexId(v));
+            adj[v as usize].push(VertexId(u));
+        }
+        for nbrs in &mut adj {
+            nbrs.sort_unstable();
+            if nbrs.windows(2).any(|w| w[0] == w[1]) {
+                return Self::insert_each(n, &edges);
+            }
+        }
+        Ok(Graph {
+            adj,
+            m: edges.len(),
+        })
+    }
+
+    /// Builds a graph by inserting `edges` one at a time: the reference
+    /// semantics of [`Graph::from_edges`], used for its error path.
+    fn insert_each(n: usize, edges: &[(u32, u32)]) -> Result<Self, GraphError> {
         let mut g = Graph::new(n);
-        for (u, v) in edges {
+        for &(u, v) in edges {
             g.add_edge(VertexId(u), VertexId(v))?;
         }
         Ok(g)
@@ -312,6 +345,54 @@ mod tests {
             Graph::from_edges(3, [(0, 7)]),
             Err(GraphError::VertexOutOfRange { .. })
         ));
+    }
+
+    /// Every ordering of `items` (Heap's algorithm).
+    fn permutations<T: Clone>(items: &[T]) -> Vec<Vec<T>> {
+        fn go<T: Clone>(k: usize, a: &mut Vec<T>, out: &mut Vec<Vec<T>>) {
+            if k <= 1 {
+                out.push(a.clone());
+                return;
+            }
+            for i in 0..k {
+                go(k - 1, a, out);
+                a.swap(if k.is_multiple_of(2) { i } else { 0 }, k - 1);
+            }
+        }
+        let mut out = Vec::new();
+        go(items.len(), &mut items.to_vec(), &mut out);
+        out
+    }
+
+    #[test]
+    fn from_edges_reports_the_first_failing_edge() {
+        // A self-loop, an out-of-range end, a duplicate and a reversed
+        // duplicate of the valid edges, in every input order: the one-pass
+        // build must agree with inserting edge by edge.
+        let items = [(0, 1), (1, 2), (2, 2), (1, 9), (0, 1), (2, 1)];
+        for order in permutations(&items) {
+            for len in 0..=order.len() {
+                let edges = &order[..len];
+                assert_eq!(
+                    Graph::from_edges(4, edges.iter().copied()),
+                    Graph::insert_each(4, edges),
+                    "edges {edges:?}"
+                );
+            }
+        }
+        assert_eq!(
+            Graph::from_edges(3, [(0, 1), (2, 2), (1, 0)]),
+            Err(GraphError::SelfLoop {
+                vertex: VertexId(2)
+            })
+        );
+        assert_eq!(
+            Graph::from_edges(3, [(0, 1), (1, 0), (2, 2)]),
+            Err(GraphError::ParallelEdge {
+                u: VertexId(1),
+                v: VertexId(0)
+            })
+        );
     }
 
     #[test]

@@ -63,11 +63,26 @@ impl RotationSystem {
                 ),
             });
         }
+        // `mark[w] == v + 1` while `w` is a neighbor of `v` not yet seen in
+        // its rotation: a list of the right length that names only marked
+        // vertices, each once, is a permutation of the neighbors.
+        let n = g.vertex_count();
+        let mut mark = vec![0u32; n];
         for v in g.vertices() {
-            let mut sorted = rot[v.index()].clone();
-            sorted.sort();
-            sorted.dedup();
-            if sorted.len() != rot[v.index()].len() || sorted != g.neighbors(v) {
+            let order = &rot[v.index()];
+            let stamp = v.0 + 1;
+            for &w in g.neighbors(v) {
+                mark[w.index()] = stamp;
+            }
+            let permutes = order.len() == g.degree(v)
+                && order.iter().all(|&w| {
+                    let hit = w.index() < n && mark[w.index()] == stamp;
+                    if hit {
+                        mark[w.index()] = 0;
+                    }
+                    hit
+                });
+            if !permutes {
                 return Err(GraphError::InvalidRotation {
                     reason: format!("rotation at {v} is not a permutation of its neighbors"),
                 });
@@ -300,6 +315,27 @@ mod tests {
             ],
         );
         assert!(matches!(bad, Err(GraphError::InvalidRotation { .. })));
+        // A repeat, a non-neighbor, an out-of-range id, an extra entry.
+        let v = VertexId;
+        for order in [
+            vec![v(1), v(1)],
+            vec![v(1), v(0)],
+            vec![v(1), v(7)],
+            vec![v(1), v(2), v(1)],
+        ] {
+            let bad = RotationSystem::new(&g, vec![order, vec![v(2), v(0)], vec![v(0), v(1)]]);
+            assert_eq!(
+                bad,
+                Err(GraphError::InvalidRotation {
+                    reason: "rotation at v0 is not a permutation of its neighbors".into()
+                })
+            );
+        }
+        assert!(RotationSystem::new(
+            &g,
+            vec![vec![v(2), v(1)], vec![v(0), v(2)], vec![v(1), v(0)]]
+        )
+        .is_ok());
     }
 
     #[test]

@@ -40,23 +40,35 @@ pub fn embed(g: &Graph) -> Result<RotationSystem, PlanarityError> {
         return Err(PlanarityError::TooManyEdges { n, m });
     }
     let bc = BiconnectedDecomposition::compute(g);
-    let mut rot: Vec<Vec<VertexId>> = vec![Vec::new(); n];
-    // Index of each vertex in the block being built (stale between blocks).
-    let mut local = vec![VertexId(0); n];
-    for b in 0..bc.block_count() {
-        let verts = bc.block_vertices(b);
-        for (i, &v) in verts.iter().enumerate() {
-            local[v.index()] = VertexId::from_index(i);
+    let mut rot: Vec<Vec<VertexId>> = g
+        .vertices()
+        .map(|v| Vec::with_capacity(g.degree(v)))
+        .collect();
+    if bc.block_count() == 1 && g.vertices().all(|v| g.degree(v) > 0) {
+        // One block spans the graph: it is `g` itself.
+        let block = embed_biconnected(g)?;
+        for v in g.vertices() {
+            rot[v.index()].extend(block.order(v));
         }
-        let mut sub = Graph::new(verts.len());
-        for &e in bc.block_edges(b) {
-            sub.add_edge(local[e.lo().index()], local[e.hi().index()])
-                .expect("block edges are unique");
-        }
-        let sub_rot = embed_biconnected(&sub)?;
-        for (i, order) in sub_rot.into_iter().enumerate() {
-            let global = verts[i];
-            rot[global.index()].extend(order.into_iter().map(|w| verts[w.index()]));
+    } else {
+        // Index of each vertex in the block being built (stale between blocks).
+        let mut local = vec![0u32; n];
+        for b in 0..bc.block_count() {
+            let verts = bc.block_vertices(b);
+            for (i, &v) in verts.iter().enumerate() {
+                local[v.index()] = i as u32;
+            }
+            let edges = bc.block_edges(b).iter();
+            let sub = Graph::from_edges(
+                verts.len(),
+                edges.map(|e| (local[e.lo().index()], local[e.hi().index()])),
+            )
+            .expect("block edges are unique");
+            let block = embed_biconnected(&sub)?;
+            for (i, &global) in verts.iter().enumerate() {
+                let order = block.order(VertexId::from_index(i));
+                rot[global.index()].extend(order.map(|w| verts[w.index()]));
+            }
         }
     }
     Ok(RotationSystem::new(g, rot).expect("block composition yields valid rotations"))
