@@ -32,7 +32,7 @@ fn bench_kernel_leader_bfs() {
             || {
                 let programs: Vec<LeaderBfs> = g
                     .vertices()
-                    .map(|v| LeaderBfs::new(v, g.neighbors(v).to_vec()))
+                    .map(|v| LeaderBfs::new(v, g.neighbors(v)))
                     .collect();
                 run(&g, programs, &SimConfig::default())
                     .unwrap()

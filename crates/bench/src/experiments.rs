@@ -320,19 +320,18 @@ pub fn t4_symmetry(sizes: &[usize]) -> Vec<T4Row> {
             peel_orientation(&g, 2, &sim).expect("outerplanar graphs peel at threshold 2");
         let ruling = ruling_edge_set(&g, &orientation, &sim)
             .expect("ruling set never fails on a covering orientation");
-        let merged: usize = out.stars.iter().map(|(_, l)| l.len() + 1).sum::<usize>()
+        let merged: usize = out.stars().map(|(_, l)| l.len() + 1).sum::<usize>()
             + out
-                .chains
-                .iter()
+                .chains()
                 .filter(|c| c.len() == 2)
                 .map(|_| 2)
                 .sum::<usize>();
         T4Row {
             n,
             rounds: out.rounds,
-            stars: out.stars.len(),
+            stars: out.stars().count(),
             merged_fraction: merged as f64 / n as f64,
-            long_paths: out.chains.iter().filter(|c| c.len() >= 3).count(),
+            long_paths: out.chains().filter(|c| c.len() >= 3).count(),
             orientation_rounds: peel.rounds,
             ruling_rounds: ruling.metrics.rounds,
             matching_size: ruling.edges.len(),

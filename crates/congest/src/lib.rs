@@ -50,7 +50,7 @@
 //! let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
 //! let programs: Vec<LeaderBfs> = g
 //!     .vertices()
-//!     .map(|v| LeaderBfs::new(v, g.neighbors(v).to_vec()))
+//!     .map(|v| LeaderBfs::new(v, g.neighbors(v)))
 //!     .collect();
 //! let out = run(&g, programs, &SimConfig::default())?;
 //! assert!(out.programs.iter().all(|p| p.leader() == VertexId(3)));

@@ -368,16 +368,14 @@ impl<P> Instance<P> {
     /// Panics if the same node appears twice.
     pub fn new(nodes: Vec<(VertexId, P)>) -> Self {
         let mut nodes = nodes;
-        nodes.sort_by_key(|&(v, _)| v);
+        // Unstable is exact here (members are distinct) and sorts in place.
+        nodes.sort_unstable_by_key(|&(v, _)| v);
         for pair in nodes.windows(2) {
             assert_ne!(pair[0].0, pair[1].0, "duplicate instance member");
         }
-        let mut members = Vec::with_capacity(nodes.len());
-        let mut programs = Vec::with_capacity(nodes.len());
-        for (v, p) in nodes {
-            members.push(v);
-            programs.push(p);
-        }
+        let members = nodes.iter().map(|&(v, _)| v).collect();
+        // Collected in place: the programs reuse the pairs' allocation.
+        let programs = nodes.into_iter().map(|(_, p)| p).collect();
         Instance { members, programs }
     }
 

@@ -9,8 +9,6 @@
 //! takes `depth(T_s)` rounds ("it can be computed distributedly in O(d)
 //! time where d = depth(T_s)").
 
-use std::collections::HashMap;
-
 use planar_graph::VertexId;
 
 use crate::network::{NodeCtx, NodeProgram};
@@ -18,7 +16,9 @@ use crate::network::{NodeCtx, NodeProgram};
 /// Per-node state of the centroid walk.
 #[derive(Clone, Debug)]
 pub struct CentroidWalk {
-    children_sizes: HashMap<VertexId, u64>,
+    /// The child whose subtree holds more than `2/3 · total` nodes, if any
+    /// (at most one can).
+    heavy: Option<VertexId>,
     total: u64,
     is_root: bool,
     on_path: bool,
@@ -29,12 +29,20 @@ impl CentroidWalk {
     /// Creates the program for one tree node.
     ///
     /// * `children_sizes` — subtree size of each child (from the
-    ///   convergecast phase);
+    ///   convergecast phase); the node keeps only the heavy one;
     /// * `total` — `|T_s|`, known tree-wide after the size broadcast;
     /// * `is_root` — whether this node is `s`, the walk's origin.
-    pub fn new(children_sizes: HashMap<VertexId, u64>, total: u64, is_root: bool) -> Self {
+    pub fn new(
+        children_sizes: impl IntoIterator<Item = (VertexId, u64)>,
+        total: u64,
+        is_root: bool,
+    ) -> Self {
+        let heavy = children_sizes
+            .into_iter()
+            .find(|&(_, s)| 3 * s > 2 * total)
+            .map(|(c, _)| c);
         CentroidWalk {
-            children_sizes,
+            heavy,
             total,
             is_root,
             on_path: false,
@@ -45,7 +53,7 @@ impl CentroidWalk {
     /// A node not participating in any walk.
     pub fn inactive() -> Self {
         CentroidWalk {
-            children_sizes: HashMap::new(),
+            heavy: None,
             total: 0,
             is_root: false,
             on_path: false,
@@ -69,12 +77,7 @@ impl CentroidWalk {
     /// token moves there; otherwise this node is the splitter.
     fn step(&mut self, out: &mut Vec<(VertexId, bool)>) {
         self.on_path = true;
-        let heavy = self
-            .children_sizes
-            .iter()
-            .find(|&(_, &s)| 3 * s > 2 * self.total)
-            .map(|(&c, _)| c);
-        match heavy {
+        match self.heavy {
             Some(c) => out.push((c, true)),
             None => self.is_centroid = true,
         }
@@ -122,7 +125,13 @@ mod tests {
         let total = sizes[root.index()].result().unwrap();
         let walkers: Vec<CentroidWalk> = g
             .vertices()
-            .map(|v| CentroidWalk::new(sizes[v.index()].child_values().clone(), total, v == root))
+            .map(|v| {
+                let child_sizes = tree
+                    .children(v)
+                    .into_iter()
+                    .map(|c| (c, sizes[c.index()].subtree_value()));
+                CentroidWalk::new(child_sizes, total, v == root)
+            })
             .collect();
         let out = run(g, walkers, &SimConfig::default()).unwrap();
         let centroid = g
@@ -203,10 +212,7 @@ mod tests {
     fn single_vertex_tree() {
         let g = Graph::from_edges(2, [(0, 1)]).unwrap();
         // Tree = just vertex 0 (vertex 1 inactive, total = 1).
-        let walkers = vec![
-            CentroidWalk::new(HashMap::new(), 1, true),
-            CentroidWalk::inactive(),
-        ];
+        let walkers = vec![CentroidWalk::new([], 1, true), CentroidWalk::inactive()];
         let out = run(&g, walkers, &SimConfig::default()).unwrap();
         assert!(out.programs[0].is_centroid());
         assert_eq!(out.metrics.rounds, 0);

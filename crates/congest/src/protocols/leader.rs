@@ -13,9 +13,10 @@ use crate::network::{NodeCtx, NodeProgram};
 
 /// Per-node state of the leader-election / BFS-tree flood.
 #[derive(Clone, Debug)]
-pub struct LeaderBfs {
-    /// Neighbors participating in this node's group (scoping, see module doc).
-    allowed: Vec<VertexId>,
+pub struct LeaderBfs<'a> {
+    /// Neighbors participating in this node's group (scoping, see module
+    /// doc), borrowed from the caller's adjacency.
+    allowed: &'a [VertexId],
     /// Whether this node participates at all.
     active: bool,
     best_leader: VertexId,
@@ -23,11 +24,11 @@ pub struct LeaderBfs {
     parent: Option<VertexId>,
 }
 
-impl LeaderBfs {
+impl<'a> LeaderBfs<'a> {
     /// Creates the program for one node with the given participating
     /// neighbor set (`allowed` must be a subset of the node's real
     /// neighbors; `id` is the node's own id).
-    pub fn new(id: VertexId, allowed: Vec<VertexId>) -> Self {
+    pub fn new(id: VertexId, allowed: &'a [VertexId]) -> Self {
         LeaderBfs {
             allowed,
             active: true,
@@ -40,7 +41,7 @@ impl LeaderBfs {
     /// Creates an inactive program (the node is not part of any group).
     pub fn inactive(id: VertexId) -> Self {
         LeaderBfs {
-            allowed: Vec::new(),
+            allowed: &[],
             active: false,
             best_leader: id,
             best_dist: 0,
@@ -86,7 +87,7 @@ impl LeaderBfs {
     }
 }
 
-impl NodeProgram for LeaderBfs {
+impl NodeProgram for LeaderBfs<'_> {
     /// `(leader id, distance)` — 2 words.
     type Msg = (VertexId, u32);
 
@@ -121,10 +122,10 @@ mod tests {
     use crate::network::{run, SimConfig};
     use planar_graph::Graph;
 
-    fn run_leader_bfs(g: &Graph) -> (Vec<LeaderBfs>, usize) {
+    fn run_leader_bfs(g: &Graph) -> (Vec<LeaderBfs<'_>>, usize) {
         let programs: Vec<LeaderBfs> = g
             .vertices()
-            .map(|v| LeaderBfs::new(v, g.neighbors(v).to_vec()))
+            .map(|v| LeaderBfs::new(v, g.neighbors(v)))
             .collect();
         let out = run(g, programs, &SimConfig::default()).unwrap();
         (out.programs, out.metrics.rounds)
@@ -177,10 +178,10 @@ mod tests {
         // middle edge (1,2) is excluded from both groups.
         let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
         let programs = vec![
-            LeaderBfs::new(VertexId(0), vec![VertexId(1)]),
-            LeaderBfs::new(VertexId(1), vec![VertexId(0)]),
-            LeaderBfs::new(VertexId(2), vec![VertexId(3)]),
-            LeaderBfs::new(VertexId(3), vec![VertexId(2)]),
+            LeaderBfs::new(VertexId(0), &[VertexId(1)]),
+            LeaderBfs::new(VertexId(1), &[VertexId(0)]),
+            LeaderBfs::new(VertexId(2), &[VertexId(3)]),
+            LeaderBfs::new(VertexId(3), &[VertexId(2)]),
         ];
         let out = run(&g, programs, &SimConfig::default()).unwrap();
         assert_eq!(out.programs[0].leader(), VertexId(1));

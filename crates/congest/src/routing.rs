@@ -14,28 +14,75 @@
 //! decision logic of a merge may run at a coordinator, but all information
 //! it consumes and produces is paid for here.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 
-use planar_graph::{Graph, VertexId};
+use planar_graph::{ArcIndex, Graph, VertexId};
 
 use crate::metrics::Metrics;
 
 /// A point-to-point transfer along an explicit routing path.
+///
+/// The path is either owned ([`Transfer::new`]) or borrowed from the
+/// caller's route storage ([`Transfer::along`], [`Transfer::back`]), so a
+/// summary and its reply can share one stored route.
 #[derive(Clone, Debug)]
-pub struct Transfer {
-    /// The route: consecutive entries must be adjacent in the network; the
-    /// first entry is the source, the last the destination.
-    pub path: Vec<VertexId>,
+pub struct Transfer<'a> {
+    /// The route: consecutive entries must be adjacent in the network. The
+    /// payload travels from the first entry to the last, or from the last
+    /// to the first when [`reversed`](Self::reversed) is set.
+    pub path: Cow<'a, [VertexId]>,
+    /// Whether the payload travels `path` backwards.
+    pub reversed: bool,
     /// Payload size in `O(log n)`-bit words.
     pub words: usize,
 }
 
-impl Transfer {
-    /// Creates a transfer of `words` words along `path`.
+impl Transfer<'static> {
+    /// Creates a transfer of `words` words along an owned `path`.
     pub fn new(path: Vec<VertexId>, words: usize) -> Self {
-        Transfer { path, words }
+        Transfer {
+            path: Cow::Owned(path),
+            reversed: false,
+            words,
+        }
+    }
+}
+
+impl<'a> Transfer<'a> {
+    /// A transfer of `words` words along a borrowed `path`, first entry to
+    /// last.
+    pub fn along(path: &'a [VertexId], words: usize) -> Self {
+        Transfer {
+            path: Cow::Borrowed(path),
+            reversed: false,
+            words,
+        }
+    }
+
+    /// A transfer of `words` words along a borrowed `path`, last entry to
+    /// first: the reply to [`Transfer::along`] on the same route.
+    pub fn back(path: &'a [VertexId], words: usize) -> Self {
+        Transfer {
+            path: Cow::Borrowed(path),
+            reversed: true,
+            words,
+        }
+    }
+
+    /// The hops of the route in travel order.
+    fn hops(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
+        let path = &self.path[..];
+        let k = path.len().saturating_sub(1);
+        let reversed = self.reversed;
+        (0..k).map(move |i| {
+            if reversed {
+                (path[k - i], path[k - i - 1])
+            } else {
+                (path[i], path[i + 1])
+            }
+        })
     }
 }
 
@@ -74,83 +121,154 @@ impl Error for RoutingError {}
 /// the schedule is work-conserving, so the returned round count is an
 /// honest (if not necessarily optimal) CONGEST execution of the transfers.
 ///
+/// One-shot wrapper around [`Router::schedule`]: it builds `g`'s arc index
+/// and fresh tables per call. Callers that schedule repeatedly over one
+/// graph hold a [`Router`] and the graph's [`ArcIndex`] instead.
+///
 /// # Errors
 ///
 /// Returns [`RoutingError`] if any path is empty or uses a non-edge.
 pub fn schedule(
     g: &Graph,
-    transfers: &[Transfer],
+    transfers: &[Transfer<'_>],
     budget_words: usize,
 ) -> Result<Metrics, RoutingError> {
-    assert!(budget_words >= 1, "budget must allow at least one word");
-    // Validate paths.
-    for t in transfers {
-        if t.path.is_empty() {
-            return Err(RoutingError::EmptyPath);
-        }
-        for w in t.path.windows(2) {
-            if !g.has_edge(w[0], w[1]) {
-                return Err(RoutingError::NonAdjacentHop { a: w[0], b: w[1] });
+    let views = transfers.iter().map(|t| Transfer {
+        path: Cow::Borrowed(&t.path[..]),
+        reversed: t.reversed,
+        words: t.words,
+    });
+    Router::default().schedule(&g.arc_index(), views, budget_words)
+}
+
+/// One packet of a transfer: its hops are `Router::hop_arcs[first..first +
+/// hops]`, of which the first `pos` are done.
+#[derive(Clone, Copy, Debug)]
+struct Packet {
+    first: usize,
+    hops: usize,
+    pos: usize,
+    words: usize,
+}
+
+/// The tables of [`schedule`], kept between calls so that repeated
+/// scheduling over one graph allocates nothing once they have grown: every
+/// hop is resolved to its directed arc once, when its path is validated,
+/// and per-round edge loads live in a flat per-arc table that is reset
+/// through the list of arcs the round touched.
+#[derive(Debug, Default)]
+pub struct Router {
+    hop_arcs: Vec<u32>,
+    packets: Vec<Packet>,
+    live: Vec<usize>,
+    still_live: Vec<usize>,
+    /// Words carried per directed arc in the current round.
+    load: Vec<u32>,
+    /// Arcs with a nonzero `load` this round.
+    touched: Vec<u32>,
+}
+
+impl Router {
+    /// [`schedule`] over the graph `idx` was built from, reusing this
+    /// router's tables. Outcome-invariant: only buffer capacity survives
+    /// between calls.
+    ///
+    /// # Errors
+    ///
+    /// As [`schedule`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `budget_words` is zero or exceeds `u32::MAX`.
+    pub fn schedule<'t>(
+        &mut self,
+        idx: &ArcIndex,
+        transfers: impl IntoIterator<Item = Transfer<'t>>,
+        budget_words: usize,
+    ) -> Result<Metrics, RoutingError> {
+        assert!(budget_words >= 1, "budget must allow at least one word");
+        assert!(
+            u32::try_from(budget_words).is_ok(),
+            "budget must fit the per-arc load table"
+        );
+        let n = idx.vertex_count();
+        // Validate each path, resolving every hop to its directed arc, and
+        // split the transfer into packets of at most `budget_words` words.
+        // The first invalid path aborts the call before anything moves.
+        self.hop_arcs.clear();
+        self.packets.clear();
+        for t in transfers {
+            if t.path.is_empty() {
+                return Err(RoutingError::EmptyPath);
+            }
+            let first = self.hop_arcs.len();
+            for (a, b) in t.hops() {
+                let arc = (a.index() < n).then(|| idx.arc(a, b)).flatten();
+                let arc = arc.ok_or(RoutingError::NonAdjacentHop { a, b })?;
+                self.hop_arcs.push(arc.0);
+            }
+            let hops = self.hop_arcs.len() - first;
+            if hops == 0 {
+                continue; // already delivered
+            }
+            let mut remaining = t.words;
+            while remaining > 0 {
+                let w = remaining.min(budget_words);
+                self.packets.push(Packet {
+                    first,
+                    hops,
+                    pos: 0,
+                    words: w,
+                });
+                remaining -= w;
             }
         }
-    }
 
-    // Split transfers into packets of at most `budget_words` words.
-    struct Packet {
-        path_idx: usize,
-        pos: usize, // current vertex index within the path
-        words: usize,
-    }
-    let mut packets: Vec<Packet> = Vec::new();
-    for (i, t) in transfers.iter().enumerate() {
-        if t.path.len() == 1 || t.words == 0 {
-            continue; // already delivered / nothing to send
+        if self.load.len() < idx.arc_count() {
+            self.load.resize(idx.arc_count(), 0);
         }
-        let mut remaining = t.words;
-        while remaining > 0 {
-            let w = remaining.min(budget_words);
-            packets.push(Packet {
-                path_idx: i,
-                pos: 0,
-                words: w,
-            });
-            remaining -= w;
-        }
-    }
-
-    let mut metrics = Metrics::new();
-    let mut live: Vec<usize> = (0..packets.len()).collect();
-    while !live.is_empty() {
-        metrics.rounds += 1;
-        let mut edge_load: HashMap<(VertexId, VertexId), usize> = HashMap::new();
-        let mut round_max = 0usize;
-        let mut still_live = Vec::with_capacity(live.len());
-        let mut moved_any = false;
-        for &pi in &live {
-            let p = &mut packets[pi];
-            let path = &transfers[p.path_idx].path;
-            let from = path[p.pos];
-            let to = path[p.pos + 1];
-            let load = edge_load.entry((from, to)).or_insert(0);
-            if *load + p.words <= budget_words {
-                *load += p.words;
-                round_max = round_max.max(*load);
-                p.pos += 1;
-                moved_any = true;
-                metrics.messages += 1;
-                metrics.words += p.words;
-                if p.pos + 1 < path.len() {
-                    still_live.push(pi);
+        let mut metrics = Metrics::new();
+        self.live.clear();
+        self.live.extend(0..self.packets.len());
+        while !self.live.is_empty() {
+            metrics.rounds += 1;
+            let mut round_max = 0usize;
+            let mut moved_any = false;
+            self.still_live.clear();
+            for &pi in &self.live {
+                let p = &mut self.packets[pi];
+                let arc = self.hop_arcs[p.first + p.pos];
+                let load = &mut self.load[arc as usize];
+                if *load == 0 {
+                    self.touched.push(arc);
                 }
-            } else {
-                still_live.push(pi);
+                // The budget fits a u32 (asserted above), so a load that
+                // passes this test does too.
+                let after = *load as usize + p.words;
+                if after <= budget_words {
+                    *load = after as u32;
+                    round_max = round_max.max(after);
+                    p.pos += 1;
+                    moved_any = true;
+                    metrics.messages += 1;
+                    metrics.words += p.words;
+                    if p.pos < p.hops {
+                        self.still_live.push(pi);
+                    }
+                } else {
+                    self.still_live.push(pi);
+                }
             }
+            debug_assert!(moved_any, "work-conserving schedule always advances");
+            for &arc in &self.touched {
+                self.load[arc as usize] = 0;
+            }
+            self.touched.clear();
+            metrics.max_words_edge_round = metrics.max_words_edge_round.max(round_max);
+            std::mem::swap(&mut self.live, &mut self.still_live);
         }
-        debug_assert!(moved_any, "work-conserving schedule always advances");
-        metrics.max_words_edge_round = metrics.max_words_edge_round.max(round_max);
-        live = still_live;
+        Ok(metrics)
     }
-    Ok(metrics)
 }
 
 #[cfg(test)]
@@ -246,6 +364,78 @@ mod tests {
         assert_eq!(
             schedule(&g, &[Transfer::new(Vec::new(), 1)], 8),
             Err(RoutingError::EmptyPath)
+        );
+    }
+
+    /// First-fit, FIFO by id: a packet that does not fit its edge this
+    /// round waits, and a later, smaller packet that does fit goes ahead.
+    #[test]
+    fn first_fit_lets_a_small_packet_pass_a_blocked_one() {
+        let g = path_graph(2);
+        let ts = vec![
+            Transfer::new(vpath(&[0, 1]), 6),
+            Transfer::new(vpath(&[0, 1]), 6),
+            Transfer::new(vpath(&[0, 1]), 2),
+        ];
+        let m = schedule(&g, &ts, 8).unwrap();
+        assert_eq!(m.rounds, 2);
+        assert_eq!(m.max_words_edge_round, 8);
+        assert_eq!(m.messages, 3);
+        assert_eq!(m.words, 14);
+    }
+
+    /// The multi-hop version: the 2-word packet passes the blocked 6-word
+    /// packet on the shared first edge and stays a hop ahead of it, and the
+    /// blocked one then pipelines to its end.
+    #[test]
+    fn blocked_packet_is_overtaken_on_a_multi_hop_route() {
+        let g = path_graph(4);
+        let ts = vec![
+            Transfer::new(vpath(&[0, 1]), 6),
+            Transfer::new(vpath(&[0, 1, 2, 3]), 6),
+            Transfer::new(vpath(&[0, 1, 2]), 2),
+        ];
+        let m = schedule(&g, &ts, 8).unwrap();
+        assert_eq!(m.rounds, 4);
+        assert_eq!(m.messages, 6);
+        assert_eq!(m.words, 6 + 3 * 6 + 2 * 2);
+        assert_eq!(m.max_words_edge_round, 8);
+    }
+
+    /// Borrowed routes cost what owned ones do, a reply on a shared route
+    /// costs what an owned reversed copy does, and a reused router repeats
+    /// a fresh one.
+    #[test]
+    fn borrowed_and_reused_routes_match_owned_ones() {
+        let g = path_graph(5);
+        let route = vpath(&[0, 1, 2, 3]);
+        let back: Vec<VertexId> = route.iter().rev().copied().collect();
+        let owned = vec![
+            Transfer::new(route.clone(), 11),
+            Transfer::new(back, 11),
+            Transfer::new(vpath(&[2, 3, 4]), 5),
+        ];
+        let borrowed = vec![
+            Transfer::along(&route, 11),
+            Transfer::back(&route, 11),
+            Transfer::new(vpath(&[2, 3, 4]), 5),
+        ];
+        let expected = schedule(&g, &owned, 8).unwrap();
+        assert_eq!(schedule(&g, &borrowed, 8).unwrap(), expected);
+        let idx = g.arc_index();
+        let mut router = Router::default();
+        for _ in 0..2 {
+            let again = borrowed.iter().cloned();
+            assert_eq!(router.schedule(&idx, again, 8).unwrap(), expected);
+            let tail = owned[2..].iter().cloned();
+            assert_eq!(router.schedule(&idx, tail, 3).unwrap().rounds, 3);
+        }
+        assert_eq!(
+            schedule(&g, &[Transfer::back(&vpath(&[0, 2]), 1)], 8),
+            Err(RoutingError::NonAdjacentHop {
+                a: VertexId(2),
+                b: VertexId(0)
+            })
         );
     }
 

@@ -155,6 +155,33 @@ impl<'g> SimSession<'g> {
         sim_for::<P::Msg>(&mut cache.sims).run_with_index(g, idx, programs, cfg)
     }
 
+    /// Runs `programs` over a *foreign* graph `g` — one that is not the
+    /// session graph, such as a virtual graph built by the caller — on the
+    /// session's cached kernel for the message type. Outcome-invariant
+    /// versus a one-shot [`run`](crate::run) by the cache's contract (a
+    /// cached simulator is graph-independent); only `g`'s arc index is
+    /// built per call.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`SimError`] like [`Simulator::run`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `programs.len()` differs from `g`'s vertex count.
+    pub fn run_on<P>(
+        &mut self,
+        g: &Graph,
+        programs: Vec<P>,
+        cfg: &SimConfig,
+    ) -> Result<SimOutcome<P>, SimError>
+    where
+        P: NodeProgram,
+        P::Msg: 'static,
+    {
+        sim_for::<P::Msg>(&mut self.cache.sims).run(g, programs, cfg)
+    }
+
     /// Runs vertex-disjoint instances in one shared round lattice over the
     /// session graph (see [`Simulator::run_many`]), reusing the session's
     /// arc index and cached kernel.

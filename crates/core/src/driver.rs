@@ -282,7 +282,7 @@ pub(crate) fn density_guard(g: &Graph) -> Result<(), EmbedError> {
 /// instead of asserting (found by the DST swarm, `crates/dst`). A
 /// fault-free run can never trip this — there it is a genuine bug report.
 pub(crate) fn check_root_covers(nodes: &[RecNode], n: usize) -> Result<(), EmbedError> {
-    let merged = nodes[0].part.as_ref().map_or(0, PartState::len);
+    let merged = nodes[0].solved().map_or(0, <[VertexId]>::len);
     if merged != n {
         return Err(EmbedError::Internal(format!(
             "recursion merged only {merged} of {n} vertices"
@@ -299,12 +299,14 @@ pub(crate) fn check_root_covers(nodes: &[RecNode], n: usize) -> Result<(), Embed
 /// rotation — the O(1)-round proof-labeling verifier on the same
 /// simulated network (same fault plan, reliability, and kernel) — whose
 /// cost lands in the tally like any other phase, and which must accept.
+/// The recursion is over by now, so its host tables are released first.
 pub(crate) fn run_epilogue(
     g: &Graph,
     cfg: &EmbedderConfig,
     ctx: &mut ExecutionContext<'_>,
     certify: impl FnOnce(&RotationSystem) -> Result<Certification, EmbedError>,
 ) -> Result<(RotationSystem, Option<Certification>), EmbedError> {
+    ctx.release_recursion_tables();
     let rotation = planar_lib::embed(g)?;
     debug_assert!(rotation.is_planar_embedding());
     if !cfg.certify {
@@ -380,12 +382,13 @@ fn embed_inner(
 /// sense.
 pub(crate) fn validate_partition(
     g: &Graph,
+    tree: &GlobalTree,
     size: usize,
     partition: &Partition,
     cfg: &EmbedderConfig,
 ) -> Result<(), EmbedError> {
     for part in &partition.parts {
-        let ratio = part.members.len() as f64 / size as f64;
+        let ratio = part.size as f64 / size as f64;
         if ratio > 2.0 / 3.0 + 1e-9 {
             return Err(EmbedError::Internal(format!(
                 "Lemma 4.2 violated: part ratio {ratio}"
@@ -393,8 +396,11 @@ pub(crate) fn validate_partition(
         }
     }
     if cfg.check_invariants {
-        let mut all_parts: Vec<Vec<VertexId>> =
-            partition.parts.iter().map(|p| p.members.clone()).collect();
+        let mut all_parts: Vec<Vec<VertexId>> = partition
+            .parts
+            .iter()
+            .map(|p| tree.subtree_members(p.root))
+            .collect();
         all_parts.push(partition.p0.clone());
         if !partition_is_safe(g, &all_parts) {
             return Err(EmbedError::Internal(
@@ -420,8 +426,8 @@ pub(crate) struct RecNode {
     pub(crate) children: Vec<usize>,
     /// `Some` for internal nodes once partitioned.
     pub(crate) partition: Option<Partition>,
-    /// The solved part; set for leaves immediately, for internal nodes by
-    /// their merge.
+    /// The merged part of an internal node, set by its merge. A leaf's
+    /// part is its root alone and is not stored (see [`RecNode::solved`]).
     pub(crate) part: Option<PartState>,
     /// Parallel-composed cost of this subtree (partition + children in
     /// parallel + merge); zero for leaves.
@@ -443,6 +449,17 @@ impl RecNode {
             merge_stats: None,
         }
     }
+
+    /// The node's solved members, sorted: the merged part of an internal
+    /// node, the root alone for a leaf, `None` for an internal node not
+    /// merged yet.
+    pub(crate) fn solved(&self) -> Option<&[VertexId]> {
+        match (&self.part, &self.partition) {
+            (Some(part), _) => Some(&part.members),
+            (None, None) => Some(std::slice::from_ref(&self.root)),
+            (None, Some(_)) => None,
+        }
+    }
 }
 
 /// [`Scheduler::LevelSync`]: the level-synchronous recursion. Top-down,
@@ -459,37 +476,42 @@ fn solve_level_sync_retained(
     let mut nodes = vec![RecNode::new(tree.root, 0)];
 
     // Top-down: partition every level in one batched kernel invocation.
-    let mut frontier: Vec<usize> = vec![0];
+    // A level's nodes are the contiguous run of `nodes` pushed while
+    // partitioning the level above; leaves (single-vertex subtrees) are
+    // solved as they are.
+    let mut level_start = 0;
     let mut level = 0usize;
-    while !frontier.is_empty() {
-        let mut internal: Vec<usize> = Vec::new();
-        for &ni in &frontier {
-            let root = nodes[ni].root;
-            if tree.subtree_size[root.index()] as usize == 1 {
-                nodes[ni].part = Some(PartState::new(vec![root]));
-            } else {
-                internal.push(ni);
-            }
-        }
-        let mut next_frontier: Vec<usize> = Vec::new();
-        if !internal.is_empty() {
+    let mut roots: Vec<VertexId> = Vec::new();
+    while level_start < nodes.len() {
+        let level_end = nodes.len();
+        roots.clear();
+        roots.extend(
+            nodes[level_start..level_end]
+                .iter()
+                .map(|node| node.root)
+                .filter(|r| tree.subtree_size[r.index()] != 1),
+        );
+        if !roots.is_empty() {
             ctx.enter(Phase::Partition);
-            let roots: Vec<VertexId> = internal.iter().map(|&ni| nodes[ni].root).collect();
-            let partitions = partition_level(ctx, tree, &roots)?;
-            for (&ni, partition) in internal.iter().zip(partitions) {
+            let mut partitions = partition_level(ctx, tree, &roots)?.into_iter();
+            for ni in level_start..level_end {
+                if tree.subtree_size[nodes[ni].root.index()] == 1 {
+                    continue;
+                }
+                let partition = partitions.next().expect("one partition per root");
                 ctx.charge(&partition.metrics);
                 let size = tree.subtree_size[nodes[ni].root.index()] as usize;
-                validate_partition(ctx.graph(), size, &partition, cfg)?;
+                validate_partition(ctx.graph(), tree, size, &partition, cfg)?;
+                nodes[ni].children.reserve_exact(partition.parts.len());
                 for sub in &partition.parts {
                     let ci = nodes.len();
                     nodes.push(RecNode::new(sub.root, level + 1));
                     nodes[ni].children.push(ci);
-                    next_frontier.push(ci);
                 }
                 nodes[ni].partition = Some(partition);
             }
         }
-        frontier = next_frontier;
+        level_start = level_end;
         level += 1;
     }
 
@@ -497,24 +519,24 @@ fn solve_level_sync_retained(
     // Merges stay per-subproblem (their cost is charged analytically and
     // their symmetry breaking runs on per-merge virtual graphs).
     for ni in (0..nodes.len()).rev() {
-        // Retained arena: clone what the merge consumes instead of
-        // `take()`ing it, so the node keeps its partition and the children
-        // keep their parts after the pass.
-        let Some((p0, partition_metrics)) = nodes[ni]
-            .partition
-            .as_ref()
-            .map(|p| (p.p0.clone(), p.metrics))
-        else {
+        // Retained arena: the merge borrows `P_0` and the children's parts
+        // (it copies their members into the context's tables), so the node
+        // keeps its partition and the children keep their parts after the
+        // pass.
+        let Some(partition) = nodes[ni].partition.as_ref() else {
             continue; // leaf: already solved
         };
         let mut children_metrics = Metrics::new();
-        let mut hanging = Vec::with_capacity(nodes[ni].children.len());
-        for ci in nodes[ni].children.clone() {
+        for &ci in &nodes[ni].children {
             children_metrics.join_parallel(nodes[ci].metrics);
-            hanging.push(nodes[ci].part.clone().expect("child solved before parent"));
         }
+        let hanging = nodes[ni]
+            .children
+            .iter()
+            .map(|&ci| nodes[ci].solved().expect("child solved before parent"));
         ctx.enter(Phase::Merge);
-        let merged = merge_parts_ctx(ctx, p0, hanging, cfg.check_invariants)?;
+        let merged = merge_parts_ctx(ctx, &partition.p0, hanging, cfg.check_invariants)?;
+        let partition_metrics = partition.metrics;
         ctx.charge(&merged.metrics);
         nodes[ni].merge_stats = Some(merged.stats);
 
@@ -539,6 +561,7 @@ fn recursion_stats(tree: &GlobalTree, nodes: &[RecNode], cfg: &EmbedderConfig) -
         safety_checked: cfg.check_invariants,
         ..Default::default()
     };
+    let part_depth = tree.subtree_depths();
     let mut stack: Vec<(usize, bool)> = vec![(0, false)];
     while let Some((ni, visited)) = stack.pop() {
         let node = &nodes[ni];
@@ -560,11 +583,11 @@ fn recursion_stats(tree: &GlobalTree, nodes: &[RecNode], cfg: &EmbedderConfig) -
         lvl.max_size = lvl.max_size.max(size);
         lvl.rounds = lvl.rounds.max(node.metrics.rounds);
         for part in node.partition.iter().flat_map(|p| &p.parts) {
-            let ratio = part.members.len() as f64 / size as f64;
+            let ratio = part.size as f64 / size as f64;
             lvl.max_child_ratio = lvl.max_child_ratio.max(ratio);
             lvl.max_part_depth = lvl
                 .max_part_depth
-                .max(tree.subtree_depth(part.root) as usize);
+                .max(part_depth[part.root.index()] as usize);
         }
     }
     stats.depth = stats.levels.len();

@@ -29,17 +29,18 @@
 //! certification verdicts (pinned by `tests/scheduler.rs`).
 
 use congest_sim::protocols::{
-    run_reliable, unwrap_reliable, unwrap_reliable_many, wrap_instances, wrap_programs,
-    ReliableConfig,
+    unwrap_reliable, unwrap_reliable_many, wrap_instances, wrap_programs, ReliableConfig,
 };
 use congest_sim::reference::{run_reference, run_reference_many};
+use congest_sim::routing::{Router, RoutingError, Transfer};
 use congest_sim::{
-    run, Instance, KernelCache, Metrics, MultiOutcome, NodeProgram, Phase, PhaseRounds, SimConfig,
+    Instance, KernelCache, Metrics, MultiOutcome, NodeProgram, Phase, PhaseRounds, SimConfig,
     SimError, SimOutcome, SimSession, TraceEvent,
 };
 use planar_graph::Graph;
 
 use crate::merge::MergeScratch;
+use crate::partition::PartitionScratch;
 use crate::resilience::wrapped_budget;
 use crate::EmbedderConfig;
 
@@ -95,8 +96,12 @@ pub struct ExecutionContext<'g> {
     tally: Tally,
     /// The merge phase's vertex tables, lent to each merge in turn. Driver
     /// scratch, not kernel arena: [`memory_bytes`](Self::memory_bytes)
-    /// leaves it out.
+    /// leaves it out, like the two below.
     pub(crate) merge_scratch: MergeScratch,
+    /// The partition phase's vertex tables and subtree enumeration buffer.
+    pub(crate) partition_scratch: PartitionScratch,
+    /// The tables [`schedule`](Self::schedule) charges transfers with.
+    router: Router,
 }
 
 impl<'g> ExecutionContext<'g> {
@@ -123,7 +128,18 @@ impl<'g> ExecutionContext<'g> {
                 phase: Phase::Setup,
             },
             merge_scratch: MergeScratch::default(),
+            partition_scratch: PartitionScratch::default(),
+            router: Router::default(),
         }
+    }
+
+    /// Releases the recursion's host tables (partition and merge scratch,
+    /// routing tables) once the recursion is over, so that the epilogue
+    /// does not carry them. A later phase that needs them grows them anew.
+    pub(crate) fn release_recursion_tables(&mut self) {
+        self.merge_scratch = MergeScratch::default();
+        self.partition_scratch = PartitionScratch::default();
+        self.router = Router::default();
     }
 
     /// Closes the context, recovering the kernel cache for a later run.
@@ -229,6 +245,21 @@ impl<'g> ExecutionContext<'g> {
         );
     }
 
+    /// Charges `transfers` (in order) over the session graph under the
+    /// configured budget: [`congest_sim::routing::schedule`] on the
+    /// session's arc index and the context's reused routing tables.
+    ///
+    /// # Errors
+    ///
+    /// As [`congest_sim::routing::schedule`].
+    pub fn schedule<'t>(
+        &mut self,
+        transfers: impl IntoIterator<Item = Transfer<'t>>,
+    ) -> Result<Metrics, RoutingError> {
+        self.router
+            .schedule(self.session.arc_index(), transfers, self.sim.budget_words)
+    }
+
     /// The widened configuration reliable-wrapped kernel runs execute
     /// under (see [`wrapped_budget`]).
     fn widened(&self) -> SimConfig {
@@ -277,8 +308,10 @@ impl<'g> ExecutionContext<'g> {
     /// Runs one protocol phase over a *foreign* graph — the virtual
     /// inter-part graphs of the symmetry-breaking step, which are built
     /// per merge and share nothing with the session graph. Same kernel and
-    /// reliability treatment as [`run_phase`](Self::run_phase), without
-    /// session reuse.
+    /// reliability treatment as [`run_phase`](Self::run_phase). The fast
+    /// kernel is served from the session's [`KernelCache`], which is
+    /// graph-independent by contract, so only `g`'s arc index is built per
+    /// call; the outcome equals a one-shot [`congest_sim::run`].
     ///
     /// # Errors
     ///
@@ -290,14 +323,20 @@ impl<'g> ExecutionContext<'g> {
     ) -> Result<SimOutcome<P>, SimError>
     where
         P: NodeProgram,
+        P::Msg: 'static,
     {
-        match (&self.reliability, self.kernel) {
-            (None, Kernel::Fast) => run(g, programs, &self.sim),
-            (None, Kernel::Reference) => run_reference(g, programs, &self.sim),
-            (Some(rel), Kernel::Fast) => run_reliable(g, programs, &self.widened(), rel),
-            (Some(rel), Kernel::Reference) => {
+        match &self.reliability {
+            None => match self.kernel {
+                Kernel::Fast => self.session.run_on(g, programs, &self.sim),
+                Kernel::Reference => run_reference(g, programs, &self.sim),
+            },
+            Some(rel) => {
                 let wrapped_cfg = self.widened();
-                let out = run_reference(g, wrap_programs(programs, rel), &wrapped_cfg)?;
+                let wrapped = wrap_programs(programs, rel);
+                let out = match self.kernel {
+                    Kernel::Fast => self.session.run_on(g, wrapped, &wrapped_cfg)?,
+                    Kernel::Reference => run_reference(g, wrapped, &wrapped_cfg)?,
+                };
                 Ok(unwrap_reliable(out, &wrapped_cfg))
             }
         }
@@ -351,13 +390,13 @@ impl<'g> ExecutionContext<'g> {
 mod tests {
     use super::*;
     use congest_sim::protocols::LeaderBfs;
-    use congest_sim::FaultPlan;
+    use congest_sim::{run, FaultPlan};
     use planar_graph::VertexId;
     use planar_lib::gen;
 
-    fn leader_programs(g: &Graph) -> Vec<LeaderBfs> {
+    fn leader_programs(g: &Graph) -> Vec<LeaderBfs<'_>> {
         g.vertices()
-            .map(|v| LeaderBfs::new(v, g.neighbors(v).to_vec()))
+            .map(|v| LeaderBfs::new(v, g.neighbors(v)))
             .collect()
     }
 
@@ -414,6 +453,65 @@ mod tests {
             assert!(out.programs.iter().all(|p| p.leader() == VertexId(8)));
             assert!(out.metrics.dropped > 0);
         }
+    }
+
+    /// `run_phase_on` serves foreign graphs from the session's kernel
+    /// cache: two different virtual graphs in a row on one context (and on
+    /// a context whose cache the session graph already warmed) give the
+    /// outcomes and metrics of fresh one-shot runs on both kernels.
+    #[test]
+    fn warm_foreign_graph_runs_match_fresh_runs() {
+        let host = gen::grid(4, 4);
+        let cfg = SimConfig::default();
+        let view = |o: &SimOutcome<LeaderBfs>| {
+            o.programs
+                .iter()
+                .map(|p| (p.leader(), p.parent(), p.dist()))
+                .collect::<Vec<_>>()
+        };
+        let foreign = [
+            gen::random_outerplanar(13, 3),
+            gen::path(5),
+            gen::triangulated_grid(3, 5),
+        ];
+        for kernel in [Kernel::Fast, Kernel::Reference] {
+            let mut ctx = bare(&host, &cfg, kernel, None);
+            ctx.run_phase(leader_programs(&host)).unwrap();
+            for gv in &foreign {
+                let warm = ctx.run_phase_on(gv, leader_programs(gv)).unwrap();
+                let fresh = run(gv, leader_programs(gv), &cfg).unwrap();
+                let reference = run_reference(gv, leader_programs(gv), &cfg).unwrap();
+                assert_eq!(view(&warm), view(&fresh));
+                assert_eq!(view(&warm), view(&reference));
+                assert_eq!(warm.metrics, fresh.metrics);
+                assert_eq!(warm.metrics, reference.metrics);
+            }
+        }
+        // The symmetry step itself, through the context and one-shot.
+        let mut ctx = ExecutionContext::with_sim(&host, &cfg);
+        for gv in &foreign {
+            let colors: Vec<u32> = gv.vertices().map(|v| v.0 % 3 + v.0 / 3).collect();
+            let colors = proper(gv, colors);
+            let warm = crate::symmetry::symmetry_break_ctx(&mut ctx, gv, &colors).unwrap();
+            let fresh = crate::symmetry::symmetry_break(gv, &colors, &cfg).unwrap();
+            assert!(warm.stars().eq(fresh.stars()));
+            assert!(warm.chains().eq(fresh.chains()));
+            assert_eq!(warm.rounds, fresh.rounds);
+        }
+    }
+
+    /// Greedy repair of `colors` into a proper coloring of `g`.
+    fn proper(g: &Graph, mut colors: Vec<u32>) -> Vec<u32> {
+        for v in g.vertices() {
+            while g
+                .neighbors(v)
+                .iter()
+                .any(|w| w < &v && colors[w.index()] == colors[v.index()])
+            {
+                colors[v.index()] += 1;
+            }
+        }
+        colors
     }
 
     #[test]

@@ -591,7 +591,7 @@ impl Rebuild<'_> {
                 .iter()
                 .map(|s| SubProblem {
                     root: self.phi(s.root),
-                    members: s.members.iter().map(|&v| self.phi(v)).collect(),
+                    size: s.size,
                 })
                 .collect(),
             metrics: p.metrics,
@@ -658,7 +658,6 @@ impl Rebuild<'_> {
         let size = self.tree.subtree_size[ri] as usize;
         if size == 1 {
             // Leaf subproblems are graph-independent.
-            self.nodes[ni].part = Some(PartState::new(vec![root]));
             return Ok(ni);
         }
 
@@ -682,7 +681,7 @@ impl Rebuild<'_> {
                 ctx.enter(Phase::Partition);
                 let p = partition_subtree_ctx(ctx, self.tree, root)?;
                 ctx.charge(&p.metrics);
-                validate_partition(ctx.graph(), size, &p, cfg)?;
+                validate_partition(ctx.graph(), self.tree, size, &p, cfg)?;
                 self.counts.recomputed_partitions += 1;
                 p
             }
@@ -693,13 +692,14 @@ impl Rebuild<'_> {
             kids.push(self.build(ctx, cfg, sub.root, level + 1)?);
         }
         let mut children_metrics = Metrics::new();
-        let mut hanging = Vec::with_capacity(kids.len());
         for &ci in &kids {
             children_metrics.join_parallel(self.nodes[ci].metrics);
-            hanging.push(self.nodes[ci].part.clone().expect("child solved"));
         }
+        let hanging = kids
+            .iter()
+            .map(|&ci| self.nodes[ci].solved().expect("child solved"));
         ctx.enter(Phase::Merge);
-        let merged = merge_parts_ctx(ctx, partition.p0.clone(), hanging, cfg.check_invariants)?;
+        let merged = merge_parts_ctx(ctx, &partition.p0, hanging, cfg.check_invariants)?;
         ctx.charge(&merged.metrics);
         self.counts.recomputed_merges += 1;
 

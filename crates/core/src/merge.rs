@@ -25,9 +25,7 @@
 //! ([`planar_lib::embed_pinned`]); per Observation 3.2 the charged summaries
 //! carry exactly the information that solver needs.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-
-use congest_sim::routing::{schedule, Transfer};
+use congest_sim::routing::Transfer;
 use congest_sim::{Metrics, Phase, PhaseRounds, SimConfig};
 use planar_graph::{Graph, VertexId};
 
@@ -55,14 +53,42 @@ enum Status {
     Retired,
 }
 
-/// Absent entry in a [`MergeScratch`] vertex table.
+/// Absent entry in a [`MergeScratch`] vertex or part table.
 const NONE: u32 = u32::MAX;
 
-/// Host-side tables of one merge, indexed by vertex (`part_stamp`: by part
-/// index). An [`ExecutionContext`] owns one and lends it to each merge it
-/// runs. The tables are sized to the graph once; a merge fills `p0_pos` and
+/// One part of a merge: its members are `MergeScratch::members[start..
+/// start + len]`, sorted ascending (`len == 0` once merged into another).
+#[derive(Clone, Copy, Debug)]
+struct Part {
+    start: usize,
+    len: usize,
+    /// The maximum-id member, the endpoint of all summary transfers.
+    leader: VertexId,
+    status: Status,
+    /// BFS depth of the part's routing region from its leader, or [`NONE`]
+    /// until computed; a union resets it.
+    depth: u32,
+}
+
+/// A charged transfer of `words` words along `hops[start..end]`, with the
+/// reply back along the same route when `round_trip` is set.
+#[derive(Clone, Copy, Debug)]
+struct Route {
+    start: usize,
+    end: usize,
+    words: usize,
+    round_trip: bool,
+}
+
+/// Host-side tables of one merge. Vertex tables (`p0_pos`, `part_of`,
+/// `visit`) are sized to the graph once; part tables are sized per merge;
+/// the rest are buffers whose capacity survives. An [`ExecutionContext`]
+/// owns one and lends it to each merge it runs. A merge fills `p0_pos` and
 /// `part_of` over its own `H` and clears them on the way out, and every BFS
 /// bumps `epoch` instead of clearing, so a merge costs `O(|H| + vol(H))`.
+/// Once the buffers have grown, a merge allocates only its output, the
+/// virtual graph and outcome of each symmetry step, and the summaries it
+/// charges (`summary_words`).
 #[derive(Debug, Default)]
 pub(crate) struct MergeScratch {
     /// `P_0` position of a vertex, or [`NONE`].
@@ -76,6 +102,29 @@ pub(crate) struct MergeScratch {
     epoch: u32,
     /// BFS queue, read by a head index in FIFO order.
     queue: Vec<VertexId>,
+    /// Member arena of the parts; a union appends the merged list.
+    members: Vec<VertexId>,
+    parts: Vec<Part>,
+    /// Per part: a step's group key (low connection or virtual-graph
+    /// index), [`NONE`] outside the step.
+    key: Vec<u32>,
+    /// Per part: visited by the step-2b component search.
+    seen: Vec<bool>,
+    /// Routes charged by the current step, over the `hops` arena.
+    routes: Vec<Route>,
+    hops: Vec<VertexId>,
+    /// Step-local lists: active parts, sorted connections or neighbors
+    /// (two), relevant attachments, search stack, and groups (flat, with
+    /// ends).
+    actives: Vec<usize>,
+    list: Vec<usize>,
+    nbrs: Vec<usize>,
+    relevant: Vec<VertexId>,
+    stack: Vec<usize>,
+    groups: Vec<usize>,
+    group_ends: Vec<usize>,
+    /// Steps 3–5: `(a, b, part)` per two-connection part.
+    doubles: Vec<(usize, usize, usize)>,
 }
 
 impl MergeScratch {
@@ -121,15 +170,63 @@ impl MergeScratch {
         }
         None
     }
+
+    /// The members of part `i`.
+    fn members(&self, i: usize) -> &[VertexId] {
+        let p = &self.parts[i];
+        &self.members[p.start..p.start + p.len]
+    }
+
+    /// Records the hops pushed since `start` as a charged route.
+    fn end_route(&mut self, start: usize, words: usize, round_trip: bool) {
+        self.routes.push(Route {
+            start,
+            end: self.hops.len(),
+            words,
+            round_trip,
+        });
+    }
+
+    /// Records the one-hop route `from -> to`.
+    fn hop(&mut self, from: VertexId, to: VertexId, words: usize) {
+        let start = self.hops.len();
+        self.hops.extend([from, to]);
+        self.end_route(start, words, false);
+    }
+
+    /// Records a one-hop route between each attachment of part `i` adjacent
+    /// to `coord` and `coord`: toward `coord` when `up`, away otherwise.
+    fn attachment_hops(&mut self, g: &Graph, i: usize, coord: VertexId, words: usize, up: bool) {
+        let p = self.parts[i];
+        for k in p.start..p.start + p.len {
+            let att = self.members[k];
+            if g.has_edge(att, coord) {
+                if up {
+                    self.hop(att, coord, words);
+                } else {
+                    self.hop(coord, att, words);
+                }
+            }
+        }
+    }
+
+    /// Group `k` of the flat `groups` list.
+    fn group(&self, k: usize) -> std::ops::Range<usize> {
+        let start = if k == 0 { 0 } else { self.group_ends[k - 1] };
+        start..self.group_ends[k]
+    }
+
+    /// Closes the group pushed onto `groups` since the previous one.
+    fn end_group(&mut self) {
+        self.group_ends.push(self.groups.len());
+    }
 }
 
 struct MergeCtx<'a, 'g> {
     exec: &'a mut ExecutionContext<'g>,
     g: &'g Graph,
-    p0: Vec<VertexId>,
+    p0: &'a [VertexId],
     t: MergeScratch,
-    parts: Vec<PartState>,
-    status: Vec<Status>,
     check: bool,
     metrics: Metrics,
     stats: MergeStats,
@@ -150,34 +247,35 @@ pub fn merge_parts(
     cfg: &SimConfig,
     check: bool,
 ) -> Result<MergeOutcome, EmbedError> {
-    merge_parts_ctx(&mut ExecutionContext::with_sim(g, cfg), p0, hanging, check)
+    let members = hanging.iter().map(|p| &p.members[..]);
+    merge_parts_ctx(&mut ExecutionContext::with_sim(g, cfg), &p0, members, check)
 }
 
 /// [`merge_parts`] against a full [`ExecutionContext`]: the one kernel
 /// protocol it runs (the symmetry-breaking step) executes on the context's
 /// kernel with its reliability policy; the routed summary movements are
-/// charged analytically and need no protection.
+/// charged analytically and need no protection. `P_0` and the hanging
+/// parts' member lists (each sorted ascending, its last member the part
+/// leader) are borrowed: the merge copies them into the context's tables.
 ///
 /// # Errors
 ///
 /// As [`merge_parts`].
-pub fn merge_parts_ctx(
+pub fn merge_parts_ctx<'h>(
     exec: &mut ExecutionContext<'_>,
-    p0: Vec<VertexId>,
-    hanging: Vec<PartState>,
+    p0: &[VertexId],
+    hanging: impl IntoIterator<Item = &'h [VertexId]>,
     check: bool,
 ) -> Result<MergeOutcome, EmbedError> {
-    let mut h_members: Vec<VertexId> = p0.clone();
-    for p in &hanging {
-        h_members.extend_from_slice(&p.members);
-    }
-    h_members.sort();
-    h_members.dedup();
-
     let mut ctx = MergeCtx::new(exec, p0, hanging, check);
+    let mut h_members: Vec<VertexId> = Vec::with_capacity(p0.len() + ctx.t.members.len());
+    h_members.extend_from_slice(p0);
+    h_members.extend_from_slice(&ctx.t.members);
+    h_members.sort_unstable();
+    h_members.dedup();
     ctx.stats.subtree_size = h_members.len();
     ctx.stats.p0_len = ctx.p0.len();
-    ctx.stats.initial_parts = ctx.parts.len();
+    ctx.stats.initial_parts = ctx.t.parts.len();
 
     // Step 2: two functionally identical iterations.
     for _iteration in 0..2 {
@@ -186,10 +284,14 @@ pub fn merge_parts_ctx(
         ctx.step_f_to_i()?; // symmetry breaking + star merges + pausing
     }
     ctx.steps_3_to_5()?; // two-connection parts
-    let part = ctx.step_6(&h_members)?; // restricted path-coordinated merge
+    ctx.step_6()?; // restricted path-coordinated merge
     for &v in &h_members {
         ctx.t.p0_pos[v.index()] = NONE;
         ctx.t.part_of[v.index()] = NONE;
+    }
+    let part = PartState::from_sorted(h_members);
+    if ctx.check {
+        verify_part(ctx.g, &part.members)?;
     }
     ctx.exec.merge_scratch = ctx.t;
 
@@ -206,12 +308,12 @@ pub fn merge_parts_ctx(
 }
 
 impl<'a, 'g> MergeCtx<'a, 'g> {
-    /// Borrows the context's scratch and fills its vertex tables for `P_0`
-    /// and the hanging parts.
-    fn new(
+    /// Borrows the context's scratch and fills its tables for `P_0` and
+    /// the hanging parts.
+    fn new<'h>(
         exec: &'a mut ExecutionContext<'g>,
-        p0: Vec<VertexId>,
-        hanging: Vec<PartState>,
+        p0: &'a [VertexId],
+        hanging: impl IntoIterator<Item = &'h [VertexId]>,
         check: bool,
     ) -> Self {
         let g = exec.graph();
@@ -220,62 +322,115 @@ impl<'a, 'g> MergeCtx<'a, 'g> {
         t.p0_pos.resize(g.vertex_count(), NONE);
         t.part_of.resize(g.vertex_count(), NONE);
         t.visit.resize(g.vertex_count(), (0, NONE, 0));
-        t.part_stamp.resize(hanging.len(), 0);
         for (i, &v) in p0.iter().enumerate() {
             t.p0_pos[v.index()] = i as u32;
         }
-        for (i, p) in hanging.iter().enumerate() {
-            for &v in &p.members {
+        t.members.clear();
+        t.parts.clear();
+        for (i, members) in hanging.into_iter().enumerate() {
+            debug_assert!(members.windows(2).all(|w| w[0] < w[1]));
+            for &v in members {
                 // The region test `p0_pos[v] != NONE || part_of[v] ∈ idxs`
                 // relies on P_0 and the hanging parts being disjoint.
                 debug_assert!(t.p0_pos[v.index()] == NONE && t.part_of[v.index()] == NONE);
                 t.part_of[v.index()] = i as u32;
             }
+            t.parts.push(Part {
+                start: t.members.len(),
+                len: members.len(),
+                leader: *members.last().expect("parts are non-empty"),
+                status: Status::Active,
+                depth: NONE,
+            });
+            t.members.extend_from_slice(members);
         }
+        let k = t.parts.len();
+        t.part_stamp.clear();
+        t.part_stamp.resize(k, 0);
+        t.key.clear();
+        t.key.resize(k, NONE);
+        t.seen.clear();
+        t.seen.resize(k, false);
         MergeCtx {
             exec,
             g,
             p0,
             t,
-            status: vec![Status::Active; hanging.len()],
-            parts: hanging,
             check,
             metrics: Metrics::new(),
             stats: MergeStats::default(),
         }
     }
 
-    /// Indices of the `P_0` vertices a part connects to.
-    fn connections(&self, idx: usize) -> BTreeSet<usize> {
-        let mut out = BTreeSet::new();
-        for &v in &self.parts[idx].members {
+    fn leader(&self, i: usize) -> VertexId {
+        self.t.parts[i].leader
+    }
+
+    fn is_empty(&self, i: usize) -> bool {
+        self.t.parts[i].len == 0
+    }
+
+    /// Sorted indices of the `P_0` vertices a part connects to, in `out`.
+    fn connections(&self, idx: usize, out: &mut Vec<usize>) {
+        out.clear();
+        for &v in self.t.members(idx) {
             for &w in self.g.neighbors(v) {
                 let pos = self.t.p0_pos[w.index()];
                 if pos != NONE {
-                    out.insert(pos as usize);
+                    out.push(pos as usize);
                 }
             }
         }
-        out
+        out.sort_unstable();
+        out.dedup();
     }
 
-    /// Indices of other non-retired parts a part shares an edge with.
-    fn part_neighbors(&self, idx: usize) -> BTreeSet<usize> {
-        let mut out = BTreeSet::new();
-        for &v in &self.parts[idx].members {
+    /// The lowest-numbered `P_0` vertex a part connects to.
+    fn low_connection(&self, idx: usize) -> Option<usize> {
+        self.t
+            .members(idx)
+            .iter()
+            .flat_map(|&v| self.g.neighbors(v))
+            .map(|w| self.t.p0_pos[w.index()])
+            .filter(|&pos| pos != NONE)
+            .min()
+            .map(|pos| pos as usize)
+    }
+
+    /// Whether part `j` is another non-retired part than `idx`.
+    fn is_other_live(&self, idx: usize, j: u32) -> bool {
+        j != NONE && j as usize != idx && self.t.parts[j as usize].status != Status::Retired
+    }
+
+    /// Sorted indices of other non-retired parts a part shares an edge
+    /// with, in `out`.
+    fn part_neighbors(&self, idx: usize, out: &mut Vec<usize>) {
+        out.clear();
+        for &v in self.t.members(idx) {
             for &w in self.g.neighbors(v) {
-                let j = self.t.part_of[w.index()] as usize;
-                if j != NONE as usize && j != idx && self.status[j] != Status::Retired {
-                    out.insert(j);
+                let j = self.t.part_of[w.index()];
+                if self.is_other_live(idx, j) {
+                    out.push(j as usize);
                 }
             }
         }
-        out
+        out.sort_unstable();
+        out.dedup();
+    }
+
+    /// Whether a part shares an edge with another non-retired part.
+    fn has_part_neighbor(&self, idx: usize) -> bool {
+        self.t.members(idx).iter().any(|&v| {
+            self.g
+                .neighbors(v)
+                .iter()
+                .any(|w| self.is_other_live(idx, self.t.part_of[w.index()]))
+        })
     }
 
     /// Whether the part has a half-embedded edge leaving `H` entirely.
     fn has_outside(&self, idx: usize) -> bool {
-        self.parts[idx].members.iter().any(|&v| {
+        self.t.members(idx).iter().any(|&v| {
             self.g
                 .neighbors(v)
                 .iter()
@@ -283,83 +438,84 @@ impl<'a, 'g> MergeCtx<'a, 'g> {
         })
     }
 
-    /// The part's attachment vertices adjacent to `P_0` position `pos`.
-    fn attachments_to(&self, idx: usize, pos: usize) -> Vec<VertexId> {
+    /// The part's first attachment vertex adjacent to `P_0` position `pos`.
+    fn first_attachment_to(&self, idx: usize, pos: usize) -> Option<VertexId> {
         let coord = self.p0[pos];
-        self.parts[idx]
-            .members
+        self.t
+            .members(idx)
             .iter()
             .copied()
-            .filter(|&v| self.g.has_edge(v, coord))
-            .collect()
+            .find(|&v| self.g.has_edge(v, coord))
     }
 
-    /// The part's attachment vertices adjacent to `coord` or to another
-    /// part of `group` — the *merge-relevant* attachments whose interface
-    /// structure must be shipped (the compressed-PQ-tree principle: a merge
-    /// summary carries only the degrees of freedom the merge actually
-    /// touches).
-    fn attachments_toward(
-        &mut self,
-        idx: usize,
-        coord: Option<VertexId>,
-        group: &[usize],
-    ) -> Vec<VertexId> {
+    /// The charged size of part `idx`'s summary toward `coord` and the
+    /// other parts of `group`: its attachment vertices adjacent to `coord`
+    /// or to another part of `group` are the *merge-relevant* attachments
+    /// whose interface structure must be shipped (the compressed-PQ-tree
+    /// principle: a merge summary carries only the degrees of freedom the
+    /// merge actually touches).
+    fn summary_toward(&mut self, idx: usize, coord: Option<VertexId>, group: &[usize]) -> usize {
         self.t.mark(group);
+        let mut relevant = std::mem::take(&mut self.t.relevant);
+        relevant.clear();
         let t = &self.t;
-        self.parts[idx]
-            .members
-            .iter()
-            .copied()
-            .filter(|&v| {
-                self.g.neighbors(v).iter().any(|&w| {
-                    Some(w) == coord
-                        || (t.in_marked_part(w) && t.part_of[w.index()] as usize != idx)
-                })
+        relevant.extend(t.members(idx).iter().copied().filter(|&v| {
+            self.g.neighbors(v).iter().any(|&w| {
+                Some(w) == coord || (t.in_marked_part(w) && t.part_of[w.index()] as usize != idx)
             })
-            .collect()
+        }));
+        let words = summary_words(self.g, t.members(idx), &relevant);
+        self.t.relevant = relevant;
+        words
     }
 
-    /// BFS path from `from` to `to` within the routing region of parts
-    /// `idxs` (their members plus the `P_0` spine — the coordinator copies
-    /// of step 2e make the spine usable by every part), plus `{from, to}`.
+    /// Appends to `hops` the BFS path from `from` to `to` within the
+    /// routing region of parts `idxs` (their members plus the `P_0` spine —
+    /// the coordinator copies of step 2e make the spine usable by every
+    /// part), plus `{from, to}`.
     fn path_within(
         &mut self,
         idxs: &[usize],
         from: VertexId,
         to: VertexId,
-    ) -> Result<Vec<VertexId>, EmbedError> {
+    ) -> Result<(), EmbedError> {
         if from == to {
-            return Ok(vec![from]);
+            self.t.hops.push(from);
+            return Ok(());
         }
         self.t.mark(idxs);
         let mut cur = self.t.bfs(self.g, from, Some(to)).ok_or_else(|| {
             EmbedError::Internal(format!("no route from {from} to {to} within part"))
         })?;
-        let mut path = vec![to, cur];
+        let start = self.t.hops.len();
+        self.t.hops.extend([to, cur]);
         while self.t.visit[cur.index()].1 != NONE {
             cur = VertexId(self.t.visit[cur.index()].1);
-            path.push(cur);
+            self.t.hops.push(cur);
         }
-        path.reverse();
-        Ok(path)
+        self.t.hops[start..].reverse();
+        Ok(())
     }
 
     /// Depth bound of a part's communication region (for Remark 1
-    /// housekeeping charges): BFS depth from the leader within the region.
-    fn region_depth(&mut self, idxs: &[usize]) -> usize {
-        self.t.mark(idxs);
-        self.t.bfs(self.g, self.parts[idxs[0]].leader, None);
-        let last = self.t.queue[self.t.queue.len() - 1];
-        self.t.visit[last.index()].2 as usize
+    /// housekeeping charges): BFS depth from the leader within the region,
+    /// computed once per part and kept until a union changes the part.
+    fn region_depth(&mut self, idx: usize) -> usize {
+        if self.t.parts[idx].depth == NONE {
+            self.t.mark(&[idx]);
+            self.t.bfs(self.g, self.leader(idx), None);
+            let last = self.t.queue[self.t.queue.len() - 1];
+            self.t.parts[idx].depth = self.t.visit[last.index()].2;
+        }
+        self.t.parts[idx].depth as usize
     }
 
     /// Charges the Remark 1 per-part housekeeping: one upcast + one downcast
     /// on the part's BFS tree.
-    fn housekeeping(&mut self, idxs: &[usize]) -> Metrics {
-        let size: usize = idxs.iter().map(|&i| self.parts[i].len()).sum();
+    fn housekeeping(&mut self, idx: usize) -> Metrics {
+        let size = self.t.parts[idx].len;
         Metrics {
-            rounds: 2 * self.region_depth(idxs) + 2,
+            rounds: 2 * self.region_depth(idx) + 2,
             messages: 2 * size,
             words: 2 * size,
             max_words_edge_round: 1,
@@ -367,111 +523,161 @@ impl<'a, 'g> MergeCtx<'a, 'g> {
         }
     }
 
+    /// Charges every route recorded since the last charge, each as one
+    /// packet-scheduled transfer (plus its reply on round trips), and
+    /// clears them.
+    fn charge_routes(&mut self) -> Result<(), EmbedError> {
+        let t = &self.t;
+        let transfers = t.routes.iter().flat_map(|r| {
+            let path = &t.hops[r.start..r.end];
+            let back = r.round_trip.then(|| Transfer::back(path, r.words));
+            std::iter::once(Transfer::along(path, r.words)).chain(back)
+        });
+        let m = self.exec.schedule(transfers)?;
+        self.metrics.add(m);
+        self.t.routes.clear();
+        self.t.hops.clear();
+        Ok(())
+    }
+
     /// Merges the given parts (indices) into one; updates `part_of`; retains
     /// the merged part at `idxs[0]` and tombstones the rest.
     fn union_parts(&mut self, idxs: &[usize]) -> Result<usize, EmbedError> {
         debug_assert!(idxs.len() >= 2);
-        let refs: Vec<&PartState> = idxs.iter().map(|&i| &self.parts[i]).collect();
-        let merged = PartState::union(&refs);
+        let t = &mut self.t;
+        let start = t.members.len();
+        for &i in idxs {
+            let p = t.parts[i];
+            t.members.extend_from_within(p.start..p.start + p.len);
+        }
+        // Parts are disjoint, so the unstable sort is exact.
+        t.members[start..].sort_unstable();
         if self.check {
-            verify_part(self.g, &merged.members)?;
+            verify_part(self.g, &t.members[start..])?;
         }
         let keep = idxs[0];
-        for &v in &merged.members {
-            self.t.part_of[v.index()] = keep as u32;
+        for &v in &t.members[start..] {
+            t.part_of[v.index()] = keep as u32;
         }
-        self.parts[keep] = merged;
+        let merged = &mut t.parts[keep];
+        merged.start = start;
+        merged.len = t.members.len() - start;
+        merged.leader = *t.members.last().expect("parts are non-empty");
+        merged.depth = NONE;
         for &i in &idxs[1..] {
-            self.parts[i] = PartState::new(vec![self.parts[i].leader]);
-            self.parts[i].members.clear(); // tombstone
-            self.status[i] = Status::Retired;
+            t.parts[i].len = 0; // tombstone
+            t.parts[i].status = Status::Retired;
         }
         Ok(keep)
     }
 
-    fn active_indices(&self) -> Vec<usize> {
-        (0..self.parts.len())
-            .filter(|&i| self.status[i] == Status::Active && !self.parts[i].is_empty())
-            .collect()
+    /// Fills the scratch's `actives` with the active, non-empty parts.
+    fn collect_actives(&mut self) {
+        let t = &mut self.t;
+        t.actives.clear();
+        t.actives.extend(
+            (0..t.parts.len())
+                .filter(|&i| t.parts[i].status == Status::Active && t.parts[i].len > 0),
+        );
     }
 
     /// Steps 2a + 2b: per-part low-connection computation, then a
     /// vertex-coordinated merge at every `P_0` vertex.
     fn step_a_and_b(&mut self) -> Result<(), EmbedError> {
-        let actives = self.active_indices();
+        self.collect_actives();
+        let actives = std::mem::take(&mut self.t.actives);
+        let out = self.merge_by_low_connection(&actives);
+        self.t.actives = actives;
+        out
+    }
+
+    fn merge_by_low_connection(&mut self, actives: &[usize]) -> Result<(), EmbedError> {
         if actives.is_empty() {
             return Ok(());
         }
         // (a) Each part computes its lowest-numbered P_0 connection:
         // one convergecast + one downcast per part, in parallel.
         let mut step = Metrics::new();
-        for &i in &actives {
-            step.join_parallel(self.housekeeping(&[i]));
+        for &i in actives {
+            step.join_parallel(self.housekeeping(i));
         }
         self.metrics.add(step);
 
-        // (b) Group by low connection; merge connected subsets.
-        let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for &i in &actives {
-            let low = *self
-                .connections(i)
-                .iter()
-                .next()
+        // (b) Group by low connection (ascending, parts ascending within a
+        // group); merge connected subsets.
+        let mut order = std::mem::take(&mut self.t.list);
+        order.clear();
+        for &i in actives {
+            let low = self
+                .low_connection(i)
                 .ok_or_else(|| EmbedError::Internal("part without P_0 connection".into()))?;
-            groups.entry(low).or_default().push(i);
+            self.t.key[i] = low as u32;
+            order.push(i);
         }
-        let mut transfers: Vec<Transfer> = Vec::new();
-        let mut merges: Vec<Vec<usize>> = Vec::new();
-        for (&low, group) in &groups {
-            // Connected components of the group under direct part adjacency.
-            let group_set: HashSet<usize> = group.iter().copied().collect();
-            let mut seen: HashSet<usize> = HashSet::new();
-            for &start in group {
-                if seen.contains(&start) {
-                    continue;
-                }
-                let mut comp = vec![start];
-                seen.insert(start);
-                let mut stack = vec![start];
-                while let Some(x) = stack.pop() {
-                    for nb in self.part_neighbors(x) {
-                        if group_set.contains(&nb) && seen.insert(nb) {
-                            comp.push(nb);
-                            stack.push(nb);
-                        }
+        order.sort_unstable_by_key(|&i| (self.t.key[i], i));
+        let mut nbrs = std::mem::take(&mut self.t.nbrs);
+        self.t.groups.clear();
+        self.t.group_ends.clear();
+        for &start in &order {
+            if self.t.seen[start] {
+                continue;
+            }
+            // Connected component of `start`'s group (same low connection)
+            // under direct part adjacency.
+            let low = self.t.key[start];
+            let first = self.t.groups.len();
+            self.t.groups.push(start);
+            self.t.seen[start] = true;
+            self.t.stack.clear();
+            self.t.stack.push(start);
+            while let Some(x) = self.t.stack.pop() {
+                self.part_neighbors(x, &mut nbrs);
+                for &nb in &nbrs {
+                    if self.t.key[nb] == low && !self.t.seen[nb] {
+                        self.t.seen[nb] = true;
+                        self.t.groups.push(nb);
+                        self.t.stack.push(nb);
                     }
                 }
-                if comp.len() < 2 {
-                    continue; // nothing to merge: the lone part stays silent
-                }
-                // Charge: every component member ships its merge-relevant
-                // summary to the coordinator and receives decisions back.
-                // Relevant attachments: those toward the coordinator and
-                // toward the other parts of the component.
-                let coord = self.p0[low];
-                for &i in &comp {
-                    let atts = self.attachments_to(i, low);
-                    let att = atts.first().copied().ok_or_else(|| {
-                        EmbedError::Internal("low-connection without attachment".into())
-                    })?;
-                    let mut path = self.path_within(&[i], self.parts[i].leader, att)?;
-                    path.push(coord);
-                    let relevant = self.attachments_toward(i, Some(coord), &comp);
-                    let words = summary_words(self.g, &self.parts[i].members, &relevant);
-                    let rev: Vec<VertexId> = path.iter().rev().copied().collect();
-                    transfers.push(Transfer::new(path, words));
-                    transfers.push(Transfer::new(rev, words));
-                }
-                merges.push(comp);
             }
+            if self.t.groups.len() - first < 2 {
+                // Nothing to merge: the lone part stays silent.
+                self.t.groups.truncate(first);
+                continue;
+            }
+            self.t.end_group();
+            // Charge: every component member ships its merge-relevant
+            // summary to the coordinator and receives decisions back.
+            // Relevant attachments: those toward the coordinator and
+            // toward the other parts of the component.
+            let coord = self.p0[low as usize];
+            let comp = std::mem::take(&mut self.t.groups);
+            for &i in &comp[first..] {
+                let att = self.first_attachment_to(i, low as usize).ok_or_else(|| {
+                    EmbedError::Internal("low-connection without attachment".into())
+                })?;
+                let route = self.t.hops.len();
+                self.path_within(&[i], self.leader(i), att)?;
+                self.t.hops.push(coord);
+                let words = self.summary_toward(i, Some(coord), &comp[first..]);
+                self.t.end_route(route, words, true);
+            }
+            self.t.groups = comp;
         }
-        self.metrics
-            .add(schedule(self.g, &transfers, self.exec.sim().budget_words)?);
+        for &i in &order {
+            self.t.key[i] = NONE;
+            self.t.seen[i] = false;
+        }
+        self.t.list = order;
+        self.t.nbrs = nbrs;
+        self.charge_routes()?;
+        let groups = std::mem::take(&mut self.t.groups);
         let mut step = Metrics::new();
-        for comp in merges {
-            let kept = self.union_parts(&comp)?;
-            step.join_parallel(self.housekeeping(&[kept]));
+        for k in 0..self.t.group_ends.len() {
+            let kept = self.union_parts(&groups[self.t.group(k)])?;
+            step.join_parallel(self.housekeeping(kept));
         }
+        self.t.groups = groups;
         self.metrics.add(step);
         Ok(())
     }
@@ -481,56 +687,69 @@ impl<'a, 'g> MergeCtx<'a, 'g> {
     /// for good; with one (2d) they only rejoin at the very last step —
     /// either way they stop participating in the merge reduction.
     fn step_c_d(&mut self) -> Result<(), EmbedError> {
-        let mut transfers: Vec<Transfer> = Vec::new();
+        self.collect_actives();
+        let actives = std::mem::take(&mut self.t.actives);
+        let mut conns = std::mem::take(&mut self.t.list);
         let mut step = Metrics::new();
-        for i in self.active_indices() {
-            let conns = self.connections(i);
-            if conns.len() != 1 || !self.part_neighbors(i).is_empty() {
+        for &i in &actives {
+            self.connections(i, &mut conns);
+            if conns.len() != 1 || self.has_part_neighbor(i) {
                 continue;
             }
-            let pos = *conns.iter().next().expect("one connection");
+            let pos = conns[0];
             let coord = self.p0[pos];
             // The part computes one fixed embedding (a pairwise merge with
             // {i}): housekeeping; then delivers the order of its connecting
             // edges to the coordinator: one word per connecting edge, in
             // parallel over those edges (plus the outside flag for 2d).
-            step.join_parallel(self.housekeeping(&[i]));
-            for att in self.attachments_to(i, pos) {
-                transfers.push(Transfer::new(vec![att, coord], 2));
-            }
+            step.join_parallel(self.housekeeping(i));
+            self.t.attachment_hops(self.g, i, coord, 2, true);
             self.stats.retired_single += 1; // 2c or 2d alike
-            self.status[i] = Status::Retired;
+            self.t.parts[i].status = Status::Retired;
         }
+        self.t.list = conns;
+        self.t.actives = actives;
         self.metrics.add(step);
-        self.metrics
-            .add(schedule(self.g, &transfers, self.exec.sim().budget_words)?);
-        Ok(())
+        self.charge_routes()
     }
 
     /// Steps 2e–2i: coordinator copies (free — routing already may use the
     /// spine), symmetry breaking on the inter-part graph, star merges, and
     /// pausing of long monotone paths.
     fn step_f_to_i(&mut self) -> Result<(), EmbedError> {
-        let actives = self.active_indices();
+        self.collect_actives();
+        let actives = std::mem::take(&mut self.t.actives);
+        let out = self.break_and_merge(&actives);
+        self.t.actives = actives;
+        out
+    }
+
+    fn break_and_merge(&mut self, actives: &[usize]) -> Result<(), EmbedError> {
         if actives.len() < 2 {
             return Ok(());
         }
         // Build the virtual inter-part graph, colored by low connection.
-        let vidx: HashMap<usize, usize> =
-            actives.iter().enumerate().map(|(vi, &i)| (i, vi)).collect();
-        let mut gv = Graph::new(actives.len());
-        let mut colors = vec![0u32; actives.len()];
         for (vi, &i) in actives.iter().enumerate() {
-            colors[vi] = *self.connections(i).iter().next().unwrap_or(&0) as u32;
-            for nb in self.part_neighbors(i) {
-                if let Some(&vj) = vidx.get(&nb) {
-                    if vi < vj {
-                        gv.add_edge(VertexId::from_index(vi), VertexId::from_index(vj))
-                            .ok();
-                    }
+            self.t.key[i] = vi as u32;
+        }
+        let mut colors = vec![0u32; actives.len()];
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        let mut nbrs = std::mem::take(&mut self.t.list);
+        for (vi, &i) in actives.iter().enumerate() {
+            colors[vi] = self.low_connection(i).unwrap_or(0) as u32;
+            self.part_neighbors(i, &mut nbrs);
+            for &nb in &nbrs {
+                let vj = self.t.key[nb];
+                if vj != NONE && (vi as u32) < vj {
+                    edges.push((vi as u32, vj));
                 }
             }
         }
+        self.t.list = nbrs;
+        for &i in actives {
+            self.t.key[i] = NONE;
+        }
+        let gv = Graph::from_edges(actives.len(), edges).expect("part adjacency is simple");
         // The symmetry-breaking segments run on the *virtual* inter-part
         // graph; enter the symmetry phase around them so the trace auditor
         // attributes the kernel segments to their own phase and a run
@@ -541,12 +760,11 @@ impl<'a, 'g> MergeCtx<'a, 'g> {
         self.exec.enter(Phase::Merge);
         self.stats.symmetry_rounds_virtual += outcome.rounds;
         // Remark 1: each virtual round costs O(part diameter) real rounds.
-        let max_depth = actives
-            .iter()
-            .map(|&i| self.region_depth(&[i]))
-            .max()
-            .unwrap_or(0);
-        let sizes: usize = actives.iter().map(|&i| self.parts[i].len()).sum();
+        let mut max_depth = 0;
+        for &i in actives {
+            max_depth = max_depth.max(self.region_depth(i));
+        }
+        let sizes: usize = actives.iter().map(|&i| self.t.parts[i].len).sum();
         let symmetry_rounds = outcome.rounds * (2 * max_depth + 2);
         self.metrics.add(Metrics {
             rounds: symmetry_rounds,
@@ -561,45 +779,48 @@ impl<'a, 'g> MergeCtx<'a, 'g> {
         });
 
         // (g)/(h): star merges (stars from the lemma plus 2-chains).
-        let mut merge_groups: Vec<Vec<usize>> = Vec::new();
-        for (center, leaves) in &outcome.stars {
-            let mut group = vec![actives[center.index()]];
-            group.extend(leaves.iter().map(|l| actives[l.index()]));
-            merge_groups.push(group);
+        let t = &mut self.t;
+        t.groups.clear();
+        t.group_ends.clear();
+        for (center, leaves) in outcome.stars() {
+            t.groups.push(actives[center.index()]);
+            t.groups.extend(leaves.iter().map(|l| actives[l.index()]));
+            t.end_group();
         }
-        for chain in &outcome.chains {
+        for chain in outcome.chains() {
             match chain.len() {
-                2 => merge_groups.push(chain.iter().map(|c| actives[c.index()]).collect()),
+                2 => {
+                    t.groups.extend(chain.iter().map(|c| actives[c.index()]));
+                    t.end_group();
+                }
                 l if l >= 3 => {
                     // (i): set aside; these skip the next iteration.
                     self.stats.paused_paths += 1;
                     for c in chain {
-                        self.status[actives[c.index()]] = Status::Paused;
+                        t.parts[actives[c.index()]].status = Status::Paused;
                     }
                 }
                 _ => {}
             }
         }
-        let mut transfers: Vec<Transfer> = Vec::new();
+        let groups = std::mem::take(&mut self.t.groups);
         let mut step = Metrics::new();
-        for group in merge_groups {
+        for k in 0..self.t.group_ends.len() {
             // Charge: each satellite ships its summary to the group head and
             // receives decisions back, routed within the union region.
-            let head = group[0];
+            let group = &groups[self.t.group(k)];
+            let head = self.leader(group[0]);
             for &i in &group[1..] {
-                let path =
-                    self.path_within(&group, self.parts[i].leader, self.parts[head].leader)?;
-                let relevant = self.attachments_toward(i, None, &group);
-                let words = summary_words(self.g, &self.parts[i].members, &relevant);
-                let rev: Vec<VertexId> = path.iter().rev().copied().collect();
-                transfers.push(Transfer::new(path, words));
-                transfers.push(Transfer::new(rev, words));
+                let route = self.t.hops.len();
+                self.path_within(group, self.leader(i), head)?;
+                let words = self.summary_toward(i, None, group);
+                self.t.end_route(route, words, true);
             }
-            let kept = self.union_parts(&group)?;
-            step.join_parallel(self.housekeeping(&[kept]));
+            let kept = self.union_parts(group)?;
+            step.join_parallel(self.housekeeping(kept));
         }
-        self.metrics
-            .add(schedule(self.g, &transfers, self.exec.sim().budget_words)?);
+        self.t.groups = groups;
+        self.charge_routes()?;
         self.metrics.add(step);
         Ok(())
     }
@@ -610,88 +831,90 @@ impl<'a, 'g> MergeCtx<'a, 'g> {
     /// highest-id part per `(i, j)` pair stays for step 6 (step 5).
     fn steps_3_to_5(&mut self) -> Result<(), EmbedError> {
         // Paused paths rejoin from here on.
-        for s in self.status.iter_mut() {
-            if *s == Status::Paused {
-                *s = Status::Active;
+        for p in &mut self.t.parts {
+            if p.status == Status::Paused {
+                p.status = Status::Active;
             }
         }
-        let mut doubles: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
-        let mut transfers: Vec<Transfer> = Vec::new();
+        self.collect_actives();
+        let actives = std::mem::take(&mut self.t.actives);
+        let mut conns = std::mem::take(&mut self.t.list);
+        let mut doubles = std::mem::take(&mut self.t.doubles);
+        doubles.clear();
         let mut step = Metrics::new();
-        for i in self.active_indices() {
-            let conns = self.connections(i);
-            if conns.len() != 2 || !self.part_neighbors(i).is_empty() || self.has_outside(i) {
+        for &i in &actives {
+            self.connections(i, &mut conns);
+            if conns.len() != 2 || self.has_part_neighbor(i) || self.has_outside(i) {
                 continue;
             }
-            let mut it = conns.iter();
-            let (a, b) = (*it.next().unwrap(), *it.next().unwrap());
+            let (a, b) = (conns[0], conns[1]);
             // Step 3: report the part id and both connection numbers to both
             // coordinators, then embed via two pairwise merges.
             for pos in [a, b] {
-                for att in self.attachments_to(i, pos) {
-                    transfers.push(Transfer::new(vec![att, self.p0[pos]], 3));
-                }
+                self.t.attachment_hops(self.g, i, self.p0[pos], 3, true);
             }
-            step.join_parallel(self.housekeeping(&[i]));
-            doubles.entry((a, b)).or_default().push(i);
+            step.join_parallel(self.housekeeping(i));
+            doubles.push((a, b, i));
         }
+        self.t.list = conns;
+        self.t.actives = actives;
         self.metrics.add(step);
-        self.metrics
-            .add(schedule(self.g, &transfers, self.exec.sim().budget_words)?);
+        self.charge_routes()?;
         // Step 5: keep only the highest-leader part per (i, j) pair.
-        for (_, group) in doubles {
-            let keep = group
+        doubles.sort_unstable();
+        for pair in doubles.chunk_by(|x, y| (x.0, x.1) == (y.0, y.1)) {
+            let keep = pair
                 .iter()
-                .copied()
-                .max_by_key(|&i| self.parts[i].leader)
+                .map(|&(_, _, i)| i)
+                .max_by_key(|&i| self.leader(i))
                 .expect("non-empty group");
-            for i in group {
+            for &(_, _, i) in pair {
                 if i != keep {
-                    self.status[i] = Status::Retired;
+                    self.t.parts[i].status = Status::Retired;
                     self.stats.retired_double += 1;
                 }
             }
         }
+        self.t.doubles = doubles;
         Ok(())
     }
 
     /// Step 6: the restricted path-coordinated merge with `P_0` as the
-    /// coordinator, producing the fully merged part.
-    fn step_6(&mut self, h_members: &[VertexId]) -> Result<PartState, EmbedError> {
-        let remaining = self.active_indices();
+    /// coordinator; the caller assembles the fully merged part.
+    fn step_6(&mut self) -> Result<(), EmbedError> {
+        self.collect_actives();
+        let remaining = std::mem::take(&mut self.t.actives);
+        let mut conns = std::mem::take(&mut self.t.list);
         self.stats.final_parts = remaining.len();
-        let mut transfers: Vec<Transfer> = Vec::new();
         let mut step = Metrics::new();
         for &i in &remaining {
-            let conns = self.connections(i);
-            let low = *conns.iter().next().ok_or_else(|| {
+            self.connections(i, &mut conns);
+            let low = *conns.first().ok_or_else(|| {
                 EmbedError::Internal("remaining part without P_0 connection".into())
             })?;
-            let atts = self.attachments_to(i, low);
-            let att = atts[0];
+            let att = self
+                .first_attachment_to(i, low)
+                .expect("a connection has an attachment");
             // Summary: leader -> low coordinator -> pipelined along P_0 to s.
-            let mut path = self.path_within(&[i], self.parts[i].leader, att)?;
-            for pos in (0..=low).rev() {
-                path.push(self.p0[pos]);
-            }
-            let words = 4 + conns.len();
-            let rev: Vec<VertexId> = path.iter().rev().copied().collect();
-            transfers.push(Transfer::new(path, words));
-            transfers.push(Transfer::new(rev, words));
-            step.join_parallel(self.housekeeping(&[i]));
+            let route = self.t.hops.len();
+            self.path_within(&[i], self.leader(i), att)?;
+            self.t.hops.extend(self.p0[..=low].iter().rev());
+            self.t.end_route(route, 4 + conns.len(), true);
+            step.join_parallel(self.housekeeping(i));
         }
         // Every part (including retired ones) receives its final rotation
         // slots: one word per connecting edge, in parallel.
-        for i in 0..self.parts.len() {
-            if self.parts[i].is_empty() {
+        for i in 0..self.t.parts.len() {
+            if self.is_empty(i) {
                 continue;
             }
-            for pos in self.connections(i) {
-                for att in self.attachments_to(i, pos) {
-                    transfers.push(Transfer::new(vec![self.p0[pos], att], 1));
-                }
+            self.connections(i, &mut conns);
+            for &pos in &conns {
+                self.t.attachment_hops(self.g, i, self.p0[pos], 1, false);
             }
         }
+        self.t.list = conns;
+        self.t.actives = remaining;
         // P_0's own sweep: one token pass along the path.
         step.join_parallel(Metrics {
             rounds: self.p0.len(),
@@ -701,14 +924,7 @@ impl<'a, 'g> MergeCtx<'a, 'g> {
             ..Metrics::default()
         });
         self.metrics.add(step);
-        self.metrics
-            .add(schedule(self.g, &transfers, self.exec.sim().budget_words)?);
-
-        let merged = PartState::new(h_members.to_vec());
-        if self.check {
-            verify_part(self.g, &merged.members)?;
-        }
-        Ok(merged)
+        self.charge_routes()
     }
 }
 
@@ -718,7 +934,7 @@ mod tests {
     use crate::partition::partition_subtree;
     use crate::setup::run_setup;
     use planar_lib::gen;
-    use std::collections::VecDeque;
+    use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
     /// Runs setup + one partition and returns `P_0` and the hanging parts
     /// (each used as-is, unrecursed — valid because merge only needs member
@@ -730,7 +946,7 @@ mod tests {
         let hanging = p
             .parts
             .iter()
-            .map(|q| PartState::new(q.members.clone()))
+            .map(|q| PartState::new(setup.tree.subtree_members(q.root)))
             .collect();
         (p.p0, hanging)
     }
@@ -746,9 +962,22 @@ mod tests {
     fn oracle_region(ctx: &MergeCtx, idxs: &[usize]) -> HashSet<VertexId> {
         let mut allowed: HashSet<VertexId> = ctx.p0.iter().copied().collect();
         for &i in idxs {
-            allowed.extend(ctx.parts[i].members.iter().copied());
+            allowed.extend(ctx.t.members(i).iter().copied());
         }
         allowed
+    }
+
+    /// `path_within` as a fresh `Vec`, leaving the route arena as it was.
+    fn path_of(
+        ctx: &mut MergeCtx,
+        idxs: &[usize],
+        from: VertexId,
+        to: VertexId,
+    ) -> Option<Vec<VertexId>> {
+        let start = ctx.t.hops.len();
+        let found = ctx.path_within(idxs, from, to).is_ok();
+        let path = ctx.t.hops.split_off(start);
+        found.then_some(path)
     }
 
     /// The hash-map BFS `path_within` replaced, kept as its oracle.
@@ -803,34 +1032,66 @@ mod tests {
         max
     }
 
-    /// Checks `region_depth` and `path_within` against the oracles for
-    /// every live part, alone and paired with the next live part.
+    /// Checks `region_depth` (cached and recomputed) and `path_within`
+    /// against the oracles for every live part, alone and paired with the
+    /// next live part, and the part lists against their definitions.
     fn assert_tables_match_oracle(ctx: &mut MergeCtx, label: &str) {
-        let live: Vec<usize> = (0..ctx.parts.len())
-            .filter(|&i| !ctx.parts[i].is_empty())
+        let live: Vec<usize> = (0..ctx.t.parts.len())
+            .filter(|&i| !ctx.is_empty(i))
             .collect();
+        let mut list = Vec::new();
         for (k, &i) in live.iter().enumerate() {
-            let leader = ctx.parts[i].leader;
+            let leader = ctx.leader(i);
+            assert_eq!(Some(&leader), ctx.t.members(i).iter().max());
             let region = oracle_region(ctx, &[i]);
+            let cached = ctx.region_depth(i);
+            ctx.t.parts[i].depth = NONE;
             assert_eq!(
-                ctx.region_depth(&[i]),
+                cached,
+                ctx.region_depth(i),
+                "{label}: stale depth of part {i}"
+            );
+            assert_eq!(
+                cached,
                 oracle_depth(ctx.g, &region, leader),
                 "{label}: depth of part {i}"
             );
+            ctx.connections(i, &mut list);
+            let conns: BTreeSet<usize> = ctx
+                .t
+                .members(i)
+                .iter()
+                .flat_map(|&v| ctx.g.neighbors(v))
+                .filter_map(|w| ctx.p0.iter().position(|p| p == w))
+                .collect();
+            assert!(list.iter().eq(conns.iter()), "{label}: connections of {i}");
+            assert_eq!(ctx.low_connection(i), conns.first().copied());
+            ctx.part_neighbors(i, &mut list);
+            let nbrs: BTreeSet<usize> = ctx
+                .t
+                .members(i)
+                .iter()
+                .flat_map(|&v| ctx.g.neighbors(v))
+                .map(|w| ctx.t.part_of[w.index()])
+                .filter(|&j| ctx.is_other_live(i, j))
+                .map(|j| j as usize)
+                .collect();
+            assert!(list.iter().eq(nbrs.iter()), "{label}: neighbors of {i}");
+            assert_eq!(ctx.has_part_neighbor(i), !nbrs.is_empty());
             let mut targets = vec![ctx.p0[0], ctx.p0[ctx.p0.len() - 1]];
-            if let Some(&low) = ctx.connections(i).iter().next() {
-                targets.extend(ctx.attachments_to(i, low).first().copied());
+            if let Some(&low) = conns.first() {
+                targets.extend(ctx.first_attachment_to(i, low));
             }
             let mut groups = vec![vec![i]];
             if let Some(&j) = live.get(k + 1) {
-                targets.push(ctx.parts[j].leader);
+                targets.push(ctx.leader(j));
                 groups.push(vec![j, i]);
             }
             for group in groups {
                 let region = oracle_region(ctx, &group);
                 for &to in &targets {
                     assert_eq!(
-                        ctx.path_within(&group, leader, to).ok(),
+                        path_of(ctx, &group, leader, to),
                         oracle_path(ctx.g, &region, leader, to),
                         "{label}: path from {leader} to {to} within {group:?}"
                     );
@@ -846,7 +1107,8 @@ mod tests {
                 let g = (family.build)(n, 5);
                 let (p0, hanging) = one_level(&g);
                 let mut exec = ExecutionContext::with_sim(&g, &SimConfig::default());
-                let mut ctx = MergeCtx::new(&mut exec, p0.clone(), hanging.clone(), false);
+                let members = || hanging.iter().map(|p| &p.members[..]);
+                let mut ctx = MergeCtx::new(&mut exec, &p0, members(), false);
                 let label = format!("{} n={n}", family.name);
                 assert_tables_match_oracle(&mut ctx, &label);
                 for _iteration in 0..2 {
@@ -859,7 +1121,7 @@ mod tests {
                 ctx.steps_3_to_5().unwrap();
                 assert_tables_match_oracle(&mut ctx, &label);
                 // A whole merge hands the scratch back with its tables clear.
-                merge_parts_ctx(&mut exec, p0, hanging, false).unwrap();
+                merge_parts_ctx(&mut exec, &p0, members(), false).unwrap();
                 let t = &exec.merge_scratch;
                 assert!(t.p0_pos.iter().chain(&t.part_of).all(|&x| x == NONE));
             }
@@ -915,7 +1177,7 @@ mod tests {
         let hanging: Vec<PartState> = p
             .parts
             .iter()
-            .map(|q| PartState::new(q.members.clone()))
+            .map(|q| PartState::new(setup.tree.subtree_members(q.root)))
             .collect();
         let out = merge_parts(&g, p.p0, hanging, &cfg, true).unwrap();
         assert_eq!(out.part.len(), 2);

@@ -10,10 +10,8 @@
 //! bit-identical to the one-at-a-time runs, and the kernel enforces that
 //! sibling subtrees never exchange a message.
 
-use std::collections::HashMap;
-
 use congest_sim::protocols::{CentroidWalk, Downcast};
-use congest_sim::routing::{schedule, Transfer};
+use congest_sim::routing::Transfer;
 use congest_sim::{Instance, Metrics, SimConfig};
 use planar_graph::{Graph, VertexId};
 
@@ -21,13 +19,14 @@ use crate::error::EmbedError;
 use crate::exec::ExecutionContext;
 use crate::tree::GlobalTree;
 
-/// A subproblem of the recursion: a full BFS subtree.
-#[derive(Clone, Debug)]
+/// A subproblem of the recursion: a full BFS subtree. Its members are
+/// [`GlobalTree::subtree_members`] of `root`.
+#[derive(Clone, Copy, Debug)]
 pub struct SubProblem {
     /// Root of the subtree.
     pub root: VertexId,
-    /// All vertices of the subtree.
-    pub members: Vec<VertexId>,
+    /// Number of vertices of the subtree.
+    pub size: usize,
 }
 
 /// The result of partitioning one subtree.
@@ -40,6 +39,100 @@ pub struct Partition {
     pub parts: Vec<SubProblem>,
     /// Kernel cost of computing the partition.
     pub metrics: Metrics,
+}
+
+/// A vertex's role in the part-label downcast: relaying (the default),
+/// inert on `P_0`, or a part root injecting its own id.
+const RELAY: u8 = 0;
+const ON_P0: u8 = 1;
+const PART_ROOT: u8 = 2;
+
+/// Host-side tables of the partition phase, indexed by vertex. An
+/// [`ExecutionContext`] owns one and lends it to each partition call; the
+/// tables are sized to the graph once.
+///
+/// The subtrees being partitioned are enumerated once per call into
+/// `order`, each in the preorder of [`GlobalTree::subtree_members`], which
+/// lists every subtree contiguously: the hanging part rooted at `r` is
+/// `order[pos[r]..]`, of length `len[r]`.
+#[derive(Debug, Default)]
+pub(crate) struct PartitionScratch {
+    order: Vec<VertexId>,
+    /// Per subtree of the call: its range in `order`.
+    spans: Vec<(usize, usize)>,
+    /// Position of a vertex in `order`.
+    pos: Vec<u32>,
+    /// Size of a vertex's subtree, counted over the children lists.
+    len: Vec<u32>,
+    /// Downcast role of a vertex ([`RELAY`] outside the current spines).
+    role: Vec<u8>,
+    /// `mark[v] == epoch` iff `v` lies in a subtree of the current call.
+    mark: Vec<u32>,
+    epoch: u32,
+    stack: Vec<VertexId>,
+    /// Two-vertex routes of the part-root notifications.
+    hops: Vec<VertexId>,
+}
+
+impl PartitionScratch {
+    /// Enumerates the subtrees rooted at `roots` (vertex-disjoint) into
+    /// `order`, filling `spans`, `pos`, `len` and the membership marks.
+    fn enumerate(&mut self, tree: &GlobalTree, roots: &[VertexId]) {
+        let n = tree.parent.len();
+        self.pos.resize(n, 0);
+        self.len.resize(n, 0);
+        self.role.resize(n, RELAY);
+        self.mark.resize(n, 0);
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.mark.fill(0);
+            self.epoch = 1;
+        }
+        self.order.clear();
+        self.spans.clear();
+        for &root in roots {
+            // The stack discipline of `GlobalTree::subtree_members`.
+            let start = self.order.len();
+            self.stack.clear();
+            self.stack.push(root);
+            while let Some(x) = self.stack.pop() {
+                self.pos[x.index()] = self.order.len() as u32;
+                self.mark[x.index()] = self.epoch;
+                self.order.push(x);
+                self.stack.extend_from_slice(&tree.children[x.index()]);
+            }
+            for &x in self.order[start..].iter().rev() {
+                let below: u32 = tree.children[x.index()]
+                    .iter()
+                    .map(|c| self.len[c.index()])
+                    .sum();
+                self.len[x.index()] = below + 1;
+            }
+            self.spans.push((start, self.order.len()));
+        }
+    }
+
+    /// The members of the `i`-th enumerated subtree.
+    fn members(&self, i: usize) -> &[VertexId] {
+        let (start, end) = self.spans[i];
+        &self.order[start..end]
+    }
+
+    /// Whether `v` lies in a subtree of the current call.
+    fn contains(&self, v: VertexId) -> bool {
+        self.mark[v.index()] == self.epoch
+    }
+
+    /// The label-downcast program a subtree member runs: `P_0` vertices are
+    /// inert, part roots inject their own id, everyone else relays to its
+    /// tree children.
+    fn downcaster<'t>(&self, tree: &'t GlobalTree, v: VertexId) -> Downcast<'t> {
+        match self.role[v.index()] {
+            ON_P0 => Downcast::new(&[], None),
+            PART_ROOT => Downcast::new(&tree.children[v.index()], Some(v.0)),
+            _ => Downcast::new(&tree.children[v.index()], None),
+        }
+    }
 }
 
 /// Runs the distributed partition of the subtree rooted at `root`.
@@ -75,20 +168,20 @@ pub fn partition_subtree_ctx(
     root: VertexId,
 ) -> Result<Partition, EmbedError> {
     let g = ctx.graph();
-    let members = tree.subtree_members(root);
+    let mut t = std::mem::take(&mut ctx.partition_scratch);
+    t.enumerate(tree, &[root]);
     let total = tree.subtree_size[root.index()];
-    debug_assert_eq!(members.len() as u64, total);
+    debug_assert_eq!(t.members(0).len() as u64, total);
     let mut metrics = Metrics::new();
 
     // 1. Centroid walk (Lemma 4.2's splitter), message-level. Nodes outside
     //    the subtree participate as completely inert fillers, so this
     //    full-graph run costs exactly what an instance-scoped run over the
     //    members costs.
-    let in_subtree: HashMap<VertexId, ()> = members.iter().map(|&v| (v, ())).collect();
     let walkers: Vec<CentroidWalk> = g
         .vertices()
         .map(|v| {
-            if in_subtree.contains_key(&v) {
+            if t.contains(v) {
                 centroid_walker(tree, v, total, root)
             } else {
                 CentroidWalk::inactive()
@@ -97,29 +190,30 @@ pub fn partition_subtree_ctx(
         .collect();
     let out = ctx.run_phase(walkers)?;
     metrics.add(out.metrics);
-    let centroid = members
+    let centroid = t
+        .members(0)
         .iter()
         .copied()
         .find(|v| out.programs[v.index()].is_centroid())
         .ok_or_else(|| EmbedError::Internal("centroid walk did not terminate".into()))?;
 
-    let spine = PartitionSpine::from_centroid(g, tree, root, centroid, ctx.sim(), &mut metrics)?;
+    let mut partition = spine(ctx, &mut t, tree, root, centroid, metrics)?;
 
     // 3. Part-label downcast inside every hanging subtree (all in parallel).
     let programs: Vec<Downcast> = g
         .vertices()
         .map(|v| {
-            if in_subtree.contains_key(&v) {
-                spine.downcaster(tree, v)
+            if t.contains(v) {
+                t.downcaster(tree, v)
             } else {
                 Downcast::new(&[], None)
             }
         })
         .collect();
     let out = ctx.run_phase(programs)?;
-    metrics.add(out.metrics);
-
-    Ok(spine.finish(tree, metrics))
+    finish(&mut t, &mut partition, out.metrics);
+    ctx.partition_scratch = t;
+    Ok(partition)
 }
 
 /// Partitions every subtree in `roots` — the same-level subproblems of the
@@ -146,15 +240,16 @@ pub fn partition_level(
     if roots.is_empty() {
         return Ok(Vec::new());
     }
-    let g = ctx.graph();
-    let memberships: Vec<Vec<VertexId>> = roots.iter().map(|&r| tree.subtree_members(r)).collect();
+    let mut t = std::mem::take(&mut ctx.partition_scratch);
+    t.enumerate(tree, roots);
 
     // 1. All centroid walks, one shared round lattice.
     let walk_instances: Vec<Instance<CentroidWalk>> = roots
         .iter()
-        .zip(&memberships)
-        .map(|(&root, members)| {
+        .enumerate()
+        .map(|(i, &root)| {
             let total = tree.subtree_size[root.index()];
+            let members = t.members(i);
             debug_assert_eq!(members.len() as u64, total);
             Instance::new(
                 members
@@ -167,144 +262,108 @@ pub fn partition_level(
     let walk_out = ctx.run_phase_many(walk_instances)?;
 
     // 2. Per subtree: splitter, P_0, part roots, charged notification.
-    let mut spines = Vec::with_capacity(roots.len());
-    let mut metrics: Vec<Metrics> = Vec::with_capacity(roots.len());
-    for (i, (&root, members)) in roots.iter().zip(&memberships).enumerate() {
+    let mut partitions = Vec::with_capacity(roots.len());
+    for (i, &root) in roots.iter().enumerate() {
         let inst = &walk_out.instances[i];
-        let mut m = Metrics::new();
-        m.add(inst.metrics);
-        let centroid = members
+        let centroid = t
+            .members(i)
             .iter()
             .copied()
             .find(|&v| inst.program(v).is_some_and(CentroidWalk::is_centroid))
             .ok_or_else(|| EmbedError::Internal("centroid walk did not terminate".into()))?;
-        spines.push(PartitionSpine::from_centroid(
-            g,
-            tree,
-            root,
-            centroid,
-            ctx.sim(),
-            &mut m,
-        )?);
-        metrics.push(m);
+        partitions.push(spine(ctx, &mut t, tree, root, centroid, inst.metrics)?);
     }
 
     // 3. All part-label downcasts, one shared round lattice.
-    let down_instances: Vec<Instance<Downcast>> = spines
-        .iter()
-        .zip(&memberships)
-        .map(|(spine, members)| {
+    let down_instances: Vec<Instance<Downcast>> = (0..roots.len())
+        .map(|i| {
             Instance::new(
-                members
+                t.members(i)
                     .iter()
-                    .map(|&v| (v, spine.downcaster(tree, v)))
+                    .map(|&v| (v, t.downcaster(tree, v)))
                     .collect(),
             )
         })
         .collect();
     let down_out = ctx.run_phase_many(down_instances)?;
-
-    Ok(spines
-        .into_iter()
-        .zip(metrics)
-        .zip(&down_out.instances)
-        .map(|((spine, mut m), inst)| {
-            m.add(inst.metrics);
-            spine.finish(tree, m)
-        })
-        .collect())
+    for (partition, inst) in partitions.iter_mut().zip(&down_out.instances) {
+        finish(&mut t, partition, inst.metrics);
+    }
+    ctx.partition_scratch = t;
+    Ok(partitions)
 }
 
 /// The subtree's centroid-walk program: every member knows its tree
 /// children's subtree sizes and the subtree total.
 fn centroid_walker(tree: &GlobalTree, v: VertexId, total: u64, root: VertexId) -> CentroidWalk {
-    let child_sizes: HashMap<VertexId, u64> = tree.children[v.index()]
+    let child_sizes = tree.children[v.index()]
         .iter()
-        .map(|&c| (c, tree.subtree_size[c.index()]))
-        .collect();
+        .map(|&c| (c, tree.subtree_size[c.index()]));
     CentroidWalk::new(child_sizes, total, v == root)
 }
 
-/// The host-side skeleton of one partition between the centroid walk and
-/// the label downcast: `P_0`, the part roots, and the downcast labels.
-/// Shared verbatim by the sequential and the batched path so both derive
-/// the identical partition from the identical walk outcome.
-struct PartitionSpine {
-    p0: Vec<VertexId>,
-    on_p0: HashMap<VertexId, ()>,
-    part_roots: Vec<VertexId>,
-    root_label: HashMap<VertexId, u32>,
-}
+/// The host-side skeleton of one partition, derived from the walk's
+/// splitter between the centroid walk and the label downcast: `P_0` and
+/// the hanging parts, whose downcast roles sit in the [`PartitionScratch`]
+/// until [`finish`]. `metrics` holds the walk's cost; the one-round
+/// part-root notification is charged on top. Shared verbatim by the
+/// sequential and the batched path so both derive the identical partition
+/// from the identical walk outcome.
+fn spine(
+    ctx: &mut ExecutionContext<'_>,
+    t: &mut PartitionScratch,
+    tree: &GlobalTree,
+    root: VertexId,
+    centroid: VertexId,
+    mut metrics: Metrics,
+) -> Result<Partition, EmbedError> {
+    // P_0 = path from s down to the splitter.
+    let below = tree.depth[centroid.index()].saturating_sub(tree.depth[root.index()]);
+    let mut p0 = Vec::with_capacity(below as usize + 1);
+    p0.push(centroid);
+    let mut cur = centroid;
+    while cur != root {
+        cur = tree.parent[cur.index()].expect("the subtree root is an ancestor");
+        p0.push(cur);
+    }
+    p0.reverse();
+    for &v in &p0 {
+        t.role[v.index()] = ON_P0;
+    }
 
-impl PartitionSpine {
-    /// Derives `P_0` and the part roots from the walk's splitter and
-    /// charges the one-round part-root notification to `metrics`.
-    fn from_centroid(
-        g: &Graph,
-        tree: &GlobalTree,
-        root: VertexId,
-        centroid: VertexId,
-        cfg: &SimConfig,
-        metrics: &mut Metrics,
-    ) -> Result<Self, EmbedError> {
-        // P_0 = path from s down to the splitter.
-        let mut p0 = tree.path_to_ancestor(centroid, root);
-        p0.reverse();
-        let on_p0: HashMap<VertexId, ()> = p0.iter().map(|&v| (v, ())).collect();
-
-        // Part roots: children of P_0 vertices that are not on P_0
-        // themselves. One charged round: each P_0 vertex tells those
-        // children.
-        let mut part_roots: Vec<VertexId> = Vec::new();
-        let mut notify: Vec<Transfer> = Vec::new();
-        for &p in &p0 {
-            for &c in &tree.children[p.index()] {
-                if !on_p0.contains_key(&c) {
-                    part_roots.push(c);
-                    notify.push(Transfer::new(vec![p, c], 1));
-                }
+    // Part roots: children of P_0 vertices that are not on P_0 themselves.
+    // One charged round: each P_0 vertex tells those children.
+    t.hops.clear();
+    for &p in &p0 {
+        for &c in &tree.children[p.index()] {
+            if t.role[c.index()] != ON_P0 {
+                t.role[c.index()] = PART_ROOT;
+                t.hops.extend([p, c]);
             }
         }
-        metrics.add(schedule(g, &notify, cfg.budget_words)?);
-
-        let root_label: HashMap<VertexId, u32> = part_roots.iter().map(|&r| (r, r.0)).collect();
-        Ok(PartitionSpine {
-            p0,
-            on_p0,
-            part_roots,
-            root_label,
+    }
+    let parts = t
+        .hops
+        .chunks(2)
+        .map(|hop| SubProblem {
+            root: hop[1],
+            size: t.len[hop[1].index()] as usize,
         })
-    }
+        .collect();
+    metrics.add(ctx.schedule(t.hops.chunks(2).map(|hop| Transfer::along(hop, 1)))?);
+    Ok(Partition { p0, parts, metrics })
+}
 
-    /// The label-downcast program a subtree member runs: `P_0` vertices are
-    /// inert, part roots inject their own id, everyone else relays to its
-    /// tree children.
-    fn downcaster(&self, tree: &GlobalTree, v: VertexId) -> Downcast {
-        if self.on_p0.contains_key(&v) {
-            Downcast::new(&[], None)
-        } else {
-            Downcast::new(&tree.children[v.index()], self.root_label.get(&v).copied())
-        }
+/// Completes a [`spine`] with the downcast's cost: clears its downcast
+/// roles and stamps the phase attribution.
+fn finish(t: &mut PartitionScratch, partition: &mut Partition, downcast: Metrics) {
+    let roots = partition.parts.iter().map(|part| part.root);
+    for v in partition.p0.iter().copied().chain(roots) {
+        t.role[v.index()] = RELAY;
     }
-
-    /// Materializes the hanging parts and stamps the phase attribution.
-    fn finish(self, tree: &GlobalTree, mut metrics: Metrics) -> Partition {
-        let parts: Vec<SubProblem> = self
-            .part_roots
-            .into_iter()
-            .map(|r| SubProblem {
-                root: r,
-                members: tree.subtree_members(r),
-            })
-            .collect();
-        // All rounds above belong to the partition phase.
-        metrics.phase_rounds.partition = metrics.rounds;
-        Partition {
-            p0: self.p0,
-            parts,
-            metrics,
-        }
-    }
+    partition.metrics.add(downcast);
+    // All rounds above belong to the partition phase.
+    partition.metrics.phase_rounds.partition = partition.metrics.rounds;
 }
 
 #[cfg(test)]
@@ -327,10 +386,10 @@ mod tests {
         assert_eq!(p.p0[0], tree.root);
         // Every hanging part has size <= 2n/3 (Lemma 4.2).
         for part in &p.parts {
-            assert!(3 * part.members.len() <= 2 * n);
+            assert!(3 * part.size <= 2 * n);
         }
         // Parts + P_0 partition the subtree.
-        let covered: usize = p.p0.len() + p.parts.iter().map(|q| q.members.len()).sum::<usize>();
+        let covered: usize = p.p0.len() + p.parts.iter().map(|q| q.size).sum::<usize>();
         assert_eq!(covered, n);
         // Part diameter (tree depth within part) < depth(T_s) (Lemma 4.2).
         let depth_ts = tree.tree_depth();
@@ -349,7 +408,7 @@ mod tests {
         assert_eq!(p.p0, vec![VertexId(8), VertexId(7), VertexId(6)]);
         assert_eq!(p.parts.len(), 1);
         assert_eq!(p.parts[0].root, VertexId(5));
-        assert_eq!(p.parts[0].members.len(), 6);
+        assert_eq!(p.parts[0].size, 6);
     }
 
     #[test]
@@ -361,7 +420,7 @@ mod tests {
         assert_eq!(p.p0, vec![VertexId(6), VertexId(0)]);
         assert_eq!(p.parts.len(), 5);
         for part in &p.parts {
-            assert_eq!(part.members.len(), 1);
+            assert_eq!(part.size, 1);
         }
     }
 
@@ -394,7 +453,7 @@ mod tests {
         let roots: Vec<VertexId> = top
             .parts
             .iter()
-            .filter(|p| p.members.len() > 1)
+            .filter(|p| p.size > 1)
             .map(|p| p.root)
             .collect();
         assert!(roots.len() > 1, "grid should split into several parts");
@@ -404,9 +463,38 @@ mod tests {
             let solo = partition_subtree(&g, &tree, root, &cfg).unwrap();
             assert_eq!(batched[i].p0, solo.p0);
             assert_eq!(batched[i].metrics, solo.metrics);
-            let b_parts: Vec<_> = batched[i].parts.iter().map(|p| p.root).collect();
-            let s_parts: Vec<_> = solo.parts.iter().map(|p| p.root).collect();
+            let b_parts: Vec<_> = batched[i].parts.iter().map(|p| (p.root, p.size)).collect();
+            let s_parts: Vec<_> = solo.parts.iter().map(|p| (p.root, p.size)).collect();
             assert_eq!(b_parts, s_parts);
+        }
+    }
+
+    /// Part sizes read off the shared subtree enumeration equal the
+    /// subtrees `GlobalTree::subtree_members` lists, at every level of the
+    /// recursion, and the one-pass subtree depths equal the per-vertex
+    /// walk.
+    #[test]
+    fn part_sizes_and_depths_match_the_tree() {
+        for family in gen::FAMILIES {
+            let g = (family.build)(120, 3);
+            let tree = setup_tree(&g);
+            let depths = tree.subtree_depths();
+            for v in g.vertices() {
+                assert_eq!(depths[v.index()], tree.subtree_depth(v), "{}", family.name);
+            }
+            let mut ctx = ExecutionContext::with_sim(&g, &SimConfig::default());
+            let mut roots = vec![tree.root];
+            while !roots.is_empty() {
+                let partitions = partition_level(&mut ctx, &tree, &roots).unwrap();
+                roots.clear();
+                for part in partitions.iter().flat_map(|p| &p.parts) {
+                    let members = tree.subtree_members(part.root);
+                    assert_eq!(part.size, members.len(), "{}", family.name);
+                    if part.size > 1 {
+                        roots.push(part.root);
+                    }
+                }
+            }
         }
     }
 }

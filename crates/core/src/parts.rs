@@ -28,8 +28,15 @@ pub struct PartState {
 impl PartState {
     /// Creates a part from an arbitrary member list (sorted and deduped).
     pub fn new(mut members: Vec<VertexId>) -> Self {
-        members.sort();
+        members.sort_unstable();
         members.dedup();
+        PartState::from_sorted(members)
+    }
+
+    /// Creates a part from a member list that is already sorted and free
+    /// of duplicates.
+    pub(crate) fn from_sorted(members: Vec<VertexId>) -> Self {
+        debug_assert!(members.windows(2).all(|w| w[0] < w[1]));
         let leader = *members.last().expect("parts are non-empty");
         PartState { members, leader }
     }

@@ -50,7 +50,7 @@ pub fn run_setup_ctx(ctx: &mut ExecutionContext<'_>) -> Result<(Setup, Metrics),
     // 1. Leader election + BFS by flooding.
     let programs: Vec<LeaderBfs> = g
         .vertices()
-        .map(|v| LeaderBfs::new(v, g.neighbors(v).to_vec()))
+        .map(|v| LeaderBfs::new(v, g.neighbors(v)))
         .collect();
     let out = ctx.run_phase(programs)?;
     metrics.add(out.metrics);
@@ -68,7 +68,11 @@ pub fn run_setup_ctx(ctx: &mut ExecutionContext<'_>) -> Result<(Setup, Metrics),
     let programs: Vec<ChildNotify> = parent.iter().map(|&p| ChildNotify::new(p)).collect();
     let out = ctx.run_phase(programs)?;
     metrics.add(out.metrics);
-    let children: Vec<Vec<VertexId>> = out.programs.iter().map(|p| p.children().to_vec()).collect();
+    let children: Vec<Vec<VertexId>> = out
+        .programs
+        .into_iter()
+        .map(ChildNotify::into_children)
+        .collect();
 
     // 3. Subtree sizes by convergecast (each node contributes 1).
     let programs: Vec<Convergecast> = g

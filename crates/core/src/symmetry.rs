@@ -21,8 +21,6 @@
 //!
 //! Exactly five kernel rounds are used, independent of the graph size.
 
-use std::collections::HashMap;
-
 use congest_sim::{run, NodeCtx, NodeProgram, SimConfig, SimError, Words};
 use planar_graph::{Graph, VertexId};
 
@@ -59,6 +57,20 @@ pub enum SymMsg {
     },
 }
 
+impl SymMsg {
+    /// The message's phase, `0..5`: its bit in [`Slot::heard`] and its
+    /// counter in [`SymmetryBreak::heard`].
+    fn phase(&self) -> usize {
+        match self {
+            SymMsg::Hello { .. } => 0,
+            SymMsg::Pointer { .. } => 1,
+            SymMsg::LeafStatus { .. } => 2,
+            SymMsg::Join { .. } => 3,
+            SymMsg::Consumed { .. } => 4,
+        }
+    }
+}
+
 impl Words for SymMsg {
     fn words(&self) -> usize {
         match self {
@@ -71,43 +83,54 @@ impl Words for SymMsg {
     }
 }
 
+/// What a node heard from one neighbor. A node's slots are aligned with
+/// its sorted neighbor list and borrowed from one table per run.
+#[derive(Clone, Copy, Debug, Default)]
+struct Slot {
+    /// Bit `k` is set once the neighbor's phase-`k` message arrived.
+    heard: u8,
+    color: u32,
+    pointer: Option<VertexId>,
+    leaf: bool,
+    /// The neighbor points at this node (it is a pointer-forest child).
+    child: bool,
+    /// The neighbor joined this node's star.
+    joiner: bool,
+}
+
 /// Per-node state of the Lemma 5.3 protocol.
-#[derive(Clone, Debug)]
-pub struct SymmetryBreak {
+#[derive(Debug)]
+pub struct SymmetryBreak<'a> {
     id: VertexId,
     color: u32,
     phase: u8,
     pointer: Option<VertexId>,
-    nbr_color: HashMap<VertexId, u32>,
-    nbr_pointer: HashMap<VertexId, Option<VertexId>>,
-    nbr_leaf: HashMap<VertexId, bool>,
-    children: Vec<VertexId>,
+    /// The node's sorted neighbors, aligned with `slots`.
+    neighbors: &'a [VertexId],
+    slots: &'a mut [Slot],
+    /// Distinct neighbors heard from, per phase.
+    heard: [usize; 5],
     is_leaf: bool,
     joined: Option<VertexId>,
-    joiners: Vec<VertexId>,
     consumed: bool,
-    nbr_consumed: HashMap<VertexId, bool>,
-    nbr_join: HashMap<VertexId, Option<VertexId>>,
 }
 
-impl SymmetryBreak {
-    /// Creates the program for a node with the given proper color.
-    pub fn new(id: VertexId, color: u32) -> Self {
+impl<'a> SymmetryBreak<'a> {
+    /// Creates the program for a node with the given proper color, its
+    /// sorted `neighbors` and one default slot per neighbor.
+    fn new(id: VertexId, color: u32, neighbors: &'a [VertexId], slots: &'a mut [Slot]) -> Self {
+        debug_assert_eq!(neighbors.len(), slots.len());
         SymmetryBreak {
             id,
             color,
             phase: 0,
             pointer: None,
-            nbr_color: HashMap::new(),
-            nbr_pointer: HashMap::new(),
-            nbr_leaf: HashMap::new(),
-            children: Vec::new(),
+            neighbors,
+            slots,
+            heard: [0; 5],
             is_leaf: false,
             joined: None,
-            joiners: Vec::new(),
             consumed: false,
-            nbr_consumed: HashMap::new(),
-            nbr_join: HashMap::new(),
         }
     }
 
@@ -116,9 +139,9 @@ impl SymmetryBreak {
         self.joined
     }
 
-    /// The leaves that joined this node as a star center.
-    pub fn joiners(&self) -> &[VertexId] {
-        &self.joiners
+    /// The leaves that joined this node as a star center, ascending.
+    pub fn joiners(&self) -> impl Iterator<Item = VertexId> + '_ {
+        self.flagged(|s| s.joiner)
     }
 
     /// Whether this node ended up in a star.
@@ -131,9 +154,17 @@ impl SymmetryBreak {
         self.pointer
     }
 
-    /// Children in the pointer forest.
-    pub fn children(&self) -> &[VertexId] {
-        &self.children
+    /// Children in the pointer forest, ascending.
+    pub fn children(&self) -> impl Iterator<Item = VertexId> + '_ {
+        self.flagged(|s| s.child)
+    }
+
+    fn flagged(&self, flag: fn(&Slot) -> bool) -> impl Iterator<Item = VertexId> + '_ {
+        self.neighbors
+            .iter()
+            .zip(self.slots.iter())
+            .filter(move |(_, s)| flag(s))
+            .map(|(&w, _)| w)
     }
 
     fn broadcast(ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, SymMsg)>, msg: SymMsg) {
@@ -141,7 +172,7 @@ impl SymmetryBreak {
     }
 }
 
-impl NodeProgram for SymmetryBreak {
+impl NodeProgram for SymmetryBreak<'_> {
     type Msg = SymMsg;
 
     fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, SymMsg)>) {
@@ -154,66 +185,67 @@ impl NodeProgram for SymmetryBreak {
         inbox: &[(VertexId, SymMsg)],
         out: &mut Vec<(VertexId, SymMsg)>,
     ) {
-        // Event-driven: record every arrival in its per-type buffer, then
+        // Event-driven: record every arrival in the sender's slot, then
         // advance through the phases as soon as a phase's messages are
         // complete (one from every neighbor). On a perfect network this
         // transitions in lockstep — exactly the original five rounds — but
         // it also stays correct when retransmissions (the fault-mode
         // [`Reliable`](congest_sim::protocols::Reliable) wrapper) spread a
-        // phase's arrivals over several rounds. The `is_none()` guards keep
-        // duplicated deliveries (unwrapped faulty runs) idempotent.
+        // phase's arrivals over several rounds. Only the first copy of a
+        // phase's message from a sender counts, so duplicated deliveries
+        // (unwrapped faulty runs) stay idempotent.
         for (from, msg) in inbox {
-            match msg {
-                SymMsg::Hello { color } => {
-                    self.nbr_color.insert(*from, *color);
-                }
+            let Ok(k) = self.neighbors.binary_search(from) else {
+                continue;
+            };
+            let phase = msg.phase();
+            let slot = &mut self.slots[k];
+            if slot.heard & (1 << phase) != 0 {
+                continue;
+            }
+            slot.heard |= 1 << phase;
+            self.heard[phase] += 1;
+            match *msg {
+                SymMsg::Hello { color } => slot.color = color,
                 SymMsg::Pointer { to } => {
-                    if self.nbr_pointer.insert(*from, *to).is_none() && *to == Some(self.id) {
-                        self.children.push(*from);
-                    }
+                    slot.pointer = to;
+                    slot.child = to == Some(self.id);
                 }
-                SymMsg::LeafStatus { leaf } => {
-                    self.nbr_leaf.insert(*from, *leaf);
-                }
-                SymMsg::Join { target } => {
-                    if self.nbr_join.insert(*from, *target).is_none() && *target == Some(self.id) {
-                        self.joiners.push(*from);
-                    }
-                }
-                SymMsg::Consumed { consumed } => {
-                    self.nbr_consumed.insert(*from, *consumed);
-                }
+                SymMsg::LeafStatus { leaf } => slot.leaf = leaf,
+                SymMsg::Join { target } => slot.joiner = target == Some(self.id),
+                SymMsg::Consumed { .. } => {}
             }
         }
         let deg = ctx.neighbors.len();
-        if self.phase == 0 && self.nbr_color.len() == deg {
+        if self.phase == 0 && self.heard[0] == deg {
             self.phase = 1;
             // Point at the smallest-(color, id) strictly smaller-colored
             // neighbor.
             self.pointer = self
-                .nbr_color
+                .neighbors
                 .iter()
-                .filter(|&(_, &c)| c < self.color)
-                .min_by_key(|&(&w, &c)| (c, w))
+                .zip(self.slots.iter())
+                .filter(|(_, s)| s.color < self.color)
+                .min_by_key(|&(&w, s)| (s.color, w))
                 .map(|(&w, _)| w);
             Self::broadcast(ctx, out, SymMsg::Pointer { to: self.pointer });
         }
-        if self.phase == 1 && self.nbr_pointer.len() == deg {
+        if self.phase == 1 && self.heard[1] == deg {
             self.phase = 2;
-            self.children.sort();
-            self.is_leaf = self.children.is_empty() && self.pointer.is_some();
+            self.is_leaf = !self.slots.iter().any(|s| s.child) && self.pointer.is_some();
             Self::broadcast(ctx, out, SymMsg::LeafStatus { leaf: self.is_leaf });
         }
-        if self.phase == 2 && self.nbr_leaf.len() == deg {
+        if self.phase == 2 && self.heard[2] == deg {
             self.phase = 3;
             if self.is_leaf {
                 // Accept unless an adjacent sibling leaf with smaller id
                 // exists (ties among adjacent siblings broken by id so
                 // the star stays induced).
-                let blocked = self.nbr_leaf.iter().any(|(&w, &leaf)| {
-                    leaf && w < self.id
-                        && self.nbr_pointer.get(&w).copied().flatten() == self.pointer
-                });
+                let blocked = self
+                    .neighbors
+                    .iter()
+                    .zip(self.slots.iter())
+                    .any(|(&w, s)| s.leaf && w < self.id && s.pointer == self.pointer);
                 if !blocked {
                     self.joined = self.pointer;
                 }
@@ -221,30 +253,52 @@ impl NodeProgram for SymmetryBreak {
             let target = self.joined;
             Self::broadcast(ctx, out, SymMsg::Join { target });
         }
-        if self.phase == 3 && self.nbr_join.len() == deg {
+        if self.phase == 3 && self.heard[3] == deg {
             self.phase = 4;
-            self.joiners.sort();
-            self.consumed = self.joined.is_some() || !self.joiners.is_empty();
+            self.consumed = self.joined.is_some() || self.slots.iter().any(|s| s.joiner);
             let consumed = self.consumed;
             Self::broadcast(ctx, out, SymMsg::Consumed { consumed });
         }
-        if self.phase == 4 && self.nbr_consumed.len() == deg {
+        if self.phase == 4 && self.heard[4] == deg {
             self.phase = 5; // done; quiescence follows
         }
     }
 }
 
-/// The orchestrated outcome of one symmetry-breaking run.
+/// The orchestrated outcome of one symmetry-breaking run: every node of
+/// the virtual graph in exactly one star or chain, stored flat.
 #[derive(Clone, Debug)]
 pub struct SymmetryOutcome {
+    /// The stars' nodes (each center, then its leaves ascending), then the
+    /// chains' nodes.
+    nodes: Vec<VertexId>,
+    /// End offset in `nodes` of each star, then of each chain.
+    ends: Vec<usize>,
+    /// Number of stars (the first `stars` entries of `ends`).
+    stars: usize,
+    /// Kernel rounds used (constant: five).
+    pub rounds: usize,
+}
+
+impl SymmetryOutcome {
     /// Disjoint induced stars of size >= 2: `(center, leaves)`.
-    pub stars: Vec<(VertexId, Vec<VertexId>)>,
+    pub fn stars(&self) -> impl Iterator<Item = (VertexId, &[VertexId])> + '_ {
+        self.groups(0..self.stars).map(|s| (s[0], &s[1..]))
+    }
+
     /// Color-monotone chains of the unconsumed nodes (length 1 =
     /// singleton, length 2 = pair to star-merge, length >= 3 = set-aside
     /// path, step 2i of the paper's algorithm).
-    pub chains: Vec<Vec<VertexId>>,
-    /// Kernel rounds used (constant: five).
-    pub rounds: usize,
+    pub fn chains(&self) -> impl Iterator<Item = &[VertexId]> + '_ {
+        self.groups(self.stars..self.ends.len())
+    }
+
+    fn groups(&self, range: std::ops::Range<usize>) -> impl Iterator<Item = &[VertexId]> + '_ {
+        range.map(|k| {
+            let start = if k == 0 { 0 } else { self.ends[k - 1] };
+            &self.nodes[start..self.ends[k]]
+        })
+    }
 }
 
 /// Runs Lemma 5.3 on the (virtual) graph `gv` with a proper coloring.
@@ -261,9 +315,9 @@ pub fn symmetry_break(
     colors: &[u32],
     cfg: &SimConfig,
 ) -> Result<SymmetryOutcome, SimError> {
-    assert_eq!(colors.len(), gv.vertex_count());
-    let out = run(gv, symmetry_programs(gv, colors), cfg)?;
-    extract_outcome(gv, out.programs, out.metrics.rounds)
+    let mut slots = Vec::new();
+    let out = run(gv, symmetry_programs(gv, colors, &mut slots), cfg)?;
+    Ok(extract_outcome(gv, &out.programs, out.metrics.rounds))
 }
 
 /// [`symmetry_break`] against a full [`ExecutionContext`]: the one kernel
@@ -284,82 +338,97 @@ pub fn symmetry_break_ctx(
     gv: &Graph,
     colors: &[u32],
 ) -> Result<SymmetryOutcome, SimError> {
-    assert_eq!(colors.len(), gv.vertex_count());
-    let out = ctx.run_phase_on(gv, symmetry_programs(gv, colors))?;
-    extract_outcome(gv, out.programs, out.metrics.rounds)
+    let mut slots = Vec::new();
+    let out = ctx.run_phase_on(gv, symmetry_programs(gv, colors, &mut slots))?;
+    Ok(extract_outcome(gv, &out.programs, out.metrics.rounds))
 }
 
-/// The per-vertex Lemma 5.3 programs for a properly colored `gv`.
-fn symmetry_programs(gv: &Graph, colors: &[u32]) -> Vec<SymmetryBreak> {
+/// The per-vertex Lemma 5.3 programs for a properly colored `gv`, each
+/// borrowing its neighbors' slots from `slots` (one table per run).
+fn symmetry_programs<'a>(
+    gv: &'a Graph,
+    colors: &[u32],
+    slots: &'a mut Vec<Slot>,
+) -> Vec<SymmetryBreak<'a>> {
+    assert_eq!(colors.len(), gv.vertex_count());
+    slots.clear();
+    slots.resize(2 * gv.edge_count(), Slot::default());
+    let mut rest = &mut slots[..];
     gv.vertices()
-        .map(|v| SymmetryBreak::new(v, colors[v.index()]))
+        .map(|v| {
+            let (mine, tail) = std::mem::take(&mut rest).split_at_mut(gv.degree(v));
+            rest = tail;
+            SymmetryBreak::new(v, colors[v.index()], gv.neighbors(v), mine)
+        })
         .collect()
 }
 
 /// Reads stars and chains out of the quiesced programs.
-fn extract_outcome(
-    gv: &Graph,
-    programs: Vec<SymmetryBreak>,
-    rounds: usize,
-) -> Result<SymmetryOutcome, SimError> {
-    let ps = &programs;
-
-    let mut stars = Vec::new();
+fn extract_outcome(gv: &Graph, ps: &[SymmetryBreak<'_>], rounds: usize) -> SymmetryOutcome {
+    let mut out = SymmetryOutcome {
+        nodes: Vec::with_capacity(gv.vertex_count()),
+        ends: Vec::new(),
+        stars: 0,
+        rounds,
+    };
     for v in gv.vertices() {
-        let p = &ps[v.index()];
-        if !p.joiners().is_empty() {
-            stars.push((v, p.joiners().to_vec()));
+        let start = out.nodes.len();
+        out.nodes.push(v);
+        out.nodes.extend(ps[v.index()].joiners());
+        if out.nodes.len() - start > 1 {
+            out.ends.push(out.nodes.len());
+        } else {
+            out.nodes.truncate(start);
         }
     }
+    out.stars = out.ends.len();
 
     // Chain links among unconsumed nodes: v -> pointer(v) when the pointer
-    // is unconsumed and v is its unique unconsumed child.
-    let remaining: Vec<VertexId> = gv
-        .vertices()
-        .filter(|v| !ps[v.index()].consumed())
-        .collect();
-    let mut next: HashMap<VertexId, VertexId> = HashMap::new();
-    let mut has_incoming: HashMap<VertexId, usize> = HashMap::new();
-    for &v in &remaining {
-        let p = &ps[v.index()];
-        if let Some(ptr) = p.pointer() {
+    // is unconsumed and v is its unique unconsumed child. Per node: the
+    // link and whether some node links to it.
+    let remaining = || gv.vertices().filter(|v| !ps[v.index()].consumed());
+    let mut link: Vec<(Option<VertexId>, bool)> = vec![(None, false); gv.vertex_count()];
+    for v in remaining() {
+        if let Some(ptr) = ps[v.index()].pointer() {
             if !ps[ptr.index()].consumed() {
                 let unconsumed_children = ps[ptr.index()]
                     .children()
-                    .iter()
                     .filter(|c| !ps[c.index()].consumed())
                     .count();
                 if unconsumed_children == 1 {
-                    next.insert(v, ptr);
-                    *has_incoming.entry(ptr).or_insert(0) += 1;
+                    link[v.index()].0 = Some(ptr);
+                    link[ptr.index()].1 = true;
                 }
             }
         }
     }
-    let mut chains = Vec::new();
-    for &v in &remaining {
-        if has_incoming.contains_key(&v) {
+    for v in remaining() {
+        if link[v.index()].1 {
             continue; // not a chain tail
         }
-        let mut chain = vec![v];
+        out.nodes.push(v);
         let mut cur = v;
-        while let Some(&nxt) = next.get(&cur) {
-            chain.push(nxt);
+        while let Some(nxt) = link[cur.index()].0 {
+            out.nodes.push(nxt);
             cur = nxt;
         }
-        chains.push(chain);
+        out.ends.push(out.nodes.len());
     }
-    Ok(SymmetryOutcome {
-        stars,
-        chains,
-        rounds,
-    })
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use planar_lib::gen;
+
+    fn stars(out: &SymmetryOutcome) -> Vec<(VertexId, Vec<VertexId>)> {
+        out.stars().map(|(c, l)| (c, l.to_vec())).collect()
+    }
+
+    fn chains(out: &SymmetryOutcome) -> Vec<Vec<VertexId>> {
+        out.chains().map(<[VertexId]>::to_vec).collect()
+    }
 
     /// Greedy proper coloring by ascending id.
     fn greedy_coloring(g: &Graph) -> Vec<u32> {
@@ -382,19 +451,19 @@ mod tests {
         // Stars are induced, of size >= 2, and disjoint from each other and
         // from chains.
         let mut seen = std::collections::HashSet::new();
-        for (center, leaves) in &out.stars {
+        for (center, leaves) in out.stars() {
             assert!(!leaves.is_empty());
-            assert!(seen.insert(*center), "star center reused");
+            assert!(seen.insert(center), "star center reused");
             for (i, &l) in leaves.iter().enumerate() {
                 assert!(seen.insert(l), "star leaf reused");
-                assert!(g.has_edge(*center, l), "leaf must touch center");
+                assert!(g.has_edge(center, l), "leaf must touch center");
                 for &l2 in &leaves[i + 1..] {
                     assert!(!g.has_edge(l, l2), "star must be induced");
                 }
             }
         }
         // Chains are color-monotone paths in g covering everything else.
-        for chain in &out.chains {
+        for chain in out.chains() {
             for w in chain.windows(2) {
                 assert!(g.has_edge(w[0], w[1]), "chain steps must be edges");
                 assert!(
@@ -416,10 +485,10 @@ mod tests {
         let colors: Vec<u32> = (0..n as u32).collect();
         let out = symmetry_break(&g, &colors, &SimConfig::default()).unwrap();
         check_outcome(&g, &out, &colors);
-        assert_eq!(out.stars.len(), 1);
-        assert_eq!(out.stars[0], (VertexId(6), vec![VertexId(7)]));
-        assert_eq!(out.chains.len(), 1);
-        assert_eq!(out.chains[0].len(), n - 2);
+        assert_eq!(stars(&out).len(), 1);
+        assert_eq!(stars(&out)[0], (VertexId(6), vec![VertexId(7)]));
+        assert_eq!(chains(&out).len(), 1);
+        assert_eq!(chains(&out)[0].len(), n - 2);
     }
 
     #[test]
@@ -428,9 +497,9 @@ mod tests {
         let colors = vec![0, 1, 1, 1, 1, 1];
         let out = symmetry_break(&g, &colors, &SimConfig::default()).unwrap();
         check_outcome(&g, &out, &colors);
-        assert_eq!(out.stars.len(), 1);
-        assert_eq!(out.stars[0].1.len(), 5);
-        assert!(out.chains.is_empty());
+        assert_eq!(stars(&out).len(), 1);
+        assert_eq!(stars(&out)[0].1.len(), 5);
+        assert!(chains(&out).is_empty());
     }
 
     #[test]
@@ -440,8 +509,8 @@ mod tests {
         let out = symmetry_break(&g, &colors, &SimConfig::default()).unwrap();
         check_outcome(&g, &out, &colors);
         // 1 and 2 both point at 0 and are adjacent leaves: only 1 joins.
-        assert_eq!(out.stars, vec![(VertexId(0), vec![VertexId(1)])]);
-        assert_eq!(out.chains, vec![vec![VertexId(2)]]);
+        assert_eq!(stars(&out), vec![(VertexId(0), vec![VertexId(1)])]);
+        assert_eq!(chains(&out), vec![vec![VertexId(2)]]);
     }
 
     #[test]
@@ -466,10 +535,9 @@ mod tests {
             let colors = greedy_coloring(&g);
             let out = symmetry_break(&g, &colors, &SimConfig::default()).unwrap();
             check_outcome(&g, &out, &colors);
-            merged += out.stars.iter().map(|(_, l)| l.len() + 1).sum::<usize>();
+            merged += out.stars().map(|(_, l)| l.len() + 1).sum::<usize>();
             merged += out
-                .chains
-                .iter()
+                .chains()
                 .filter(|c| c.len() == 2)
                 .map(|_| 2)
                 .sum::<usize>();
@@ -485,7 +553,7 @@ mod tests {
     fn empty_and_single_node_graphs() {
         let g = Graph::new(1);
         let out = symmetry_break(&g, &[0], &SimConfig::default()).unwrap();
-        assert!(out.stars.is_empty());
-        assert_eq!(out.chains, vec![vec![VertexId(0)]]);
+        assert!(stars(&out).is_empty());
+        assert_eq!(chains(&out), vec![vec![VertexId(0)]]);
     }
 }

@@ -48,6 +48,29 @@ impl GlobalTree {
             .unwrap_or(0)
     }
 
+    /// [`subtree_depth`](Self::subtree_depth) of every vertex reachable
+    /// from the root through the children lists, in one `O(n)` pass.
+    pub(crate) fn subtree_depths(&self) -> Vec<u32> {
+        let mut order = Vec::with_capacity(self.parent.len());
+        order.push(self.root);
+        let mut head = 0;
+        while let Some(&v) = order.get(head) {
+            head += 1;
+            order.extend_from_slice(&self.children[v.index()]);
+        }
+        // Deepest depth below each vertex, children before parents.
+        let mut deepest = self.depth.clone();
+        for &v in order.iter().rev() {
+            for &c in &self.children[v.index()] {
+                deepest[v.index()] = deepest[v.index()].max(deepest[c.index()]);
+            }
+        }
+        for (d, &own) in deepest.iter_mut().zip(&self.depth) {
+            *d -= own;
+        }
+        deepest
+    }
+
     /// The path from `v` up to its ancestor `anc` (inclusive).
     ///
     /// # Panics
@@ -228,6 +251,7 @@ mod tests {
         assert_eq!(t.subtree_depth(VertexId(2)), 2);
         assert_eq!(t.subtree_depth(VertexId(0)), 0);
         assert_eq!(t.tree_depth(), 4);
+        assert_eq!(t.subtree_depths(), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
