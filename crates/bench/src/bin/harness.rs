@@ -22,7 +22,10 @@
 //! distributed-pipeline embedding memory stage (`--large` includes the
 //! n = 1,000,000 random-maximal-planar acceptance point), and writes the
 //! record to `BENCH_kernel.json` in the current directory (run it under
-//! `--release`).
+//! `--release`). If a record was already there, every regenerated row's
+//! deterministic fields (graph size, rounds, messages) must equal those of
+//! its row with the same family and n, or the command exits 1 after
+//! writing; host fields are never compared.
 //!
 //! `mem` is the CI memory gate: one n = 250,000 random-maximal-planar
 //! graph through the distributed pipeline, failing if process peak RSS
@@ -119,6 +122,12 @@ fn main() {
         } else {
             &[10_000]
         };
+        // The record this run replaces, read before it is overwritten.
+        let committed = std::fs::read_to_string("BENCH_kernel.json")
+            .ok()
+            .map(|text| {
+                record::Json::parse(&text).expect("the existing BENCH_kernel.json is valid JSON")
+            });
         println!("== kernel throughput: flood, fast vs seed reference kernel ==");
         let rows = planar_bench::kernelbench::kernel_bench(ns);
         println!("== embedding memory: distributed pipeline on random maximal planar ==");
@@ -127,6 +136,20 @@ fn main() {
             "BENCH_kernel.json",
             &planar_bench::kernelbench::record(&rows, &embeds),
         );
+        if let Some(committed) = committed {
+            let drift: Vec<String> = record::drift(&committed, "workloads", &rows)
+                .into_iter()
+                .chain(record::drift(&committed, "embeddings", &embeds))
+                .collect();
+            if !drift.is_empty() {
+                eprintln!("deterministic fields differ from the previous BENCH_kernel.json:");
+                for line in &drift {
+                    eprintln!("  {line}");
+                }
+                std::process::exit(1);
+            }
+            println!("deterministic fields match the previous BENCH_kernel.json");
+        }
         return;
     }
 
@@ -219,10 +242,10 @@ fn run_paper(large: bool) {
 /// peak-RSS probe is unavailable.
 fn run_mem() {
     /// Peak-RSS ceiling for the n = 250k smoke embedding. The measured
-    /// peak on the reference host is ~480 MiB (the retained kernel
-    /// arena is ~234 MiB ≈ 983 B/node; the rest is the graph and
-    /// driver artifacts), so 2 GiB is >4x headroom without tolerating
-    /// a per-node blowup.
+    /// peak on a 2-core Xeon VM is ~340 MiB (the retained kernel arena
+    /// is ~122 MiB ≈ 510 B/node; the rest is the graph and driver
+    /// artifacts), so 2 GiB is >6x headroom without tolerating a
+    /// per-node blowup.
     const CEILING_BYTES: usize = 2 << 30;
     const N: usize = 250_000;
 

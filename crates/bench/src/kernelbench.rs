@@ -18,9 +18,9 @@
 //! a conformance check.
 //!
 //! Every row also records the memory the run costs: `kernel_bytes` is the
-//! fast kernel's retained arena (chain tables, the message pool with its
-//! register-width payload slots, per-vertex tables, outbox and scratch —
-//! exact, via [`Simulator::memory_bytes`]), reported per node in
+//! fast kernel's retained arena (the mailbox planes' register-width arc
+//! slots, spill pool and native side table, per-vertex tables, outbox and
+//! scratch — exact, via [`Simulator::memory_bytes`]), reported per node in
 //! the printed table, and `peak_rss_bytes` is the process high-water mark
 //! after the row ([`crate::mem::peak_rss_bytes`]).
 //!
@@ -51,7 +51,7 @@ use planar_graph::{Graph, VertexId};
 use planar_lib::gen;
 
 use crate::mem;
-use crate::record::{self, Fields, Json, Row};
+use crate::record::{self, Fields, Json, Kind, Row};
 
 /// Single-source flood: node 0 announces in round 0; every other node
 /// forwards one word to its whole neighborhood on first receipt.
@@ -109,10 +109,10 @@ pub struct KernelBenchRow {
     pub fast_secs: f64,
     /// Fastest wall-clock run of the seed reference kernel, seconds.
     pub reference_secs: f64,
-    /// Retained arena of the fast kernel after the runs: mailbox chain
-    /// tables, message pool (register-width payload slots plus the native
-    /// side table), per-vertex tables, outbox, scratch
-    /// (exact, from [`Simulator::memory_bytes`]).
+    /// Retained arena of the fast kernel after the runs: mailbox planes
+    /// (register-width arc slots, spill pool, native side table),
+    /// per-vertex tables, outbox, scratch (exact, from
+    /// [`Simulator::memory_bytes`]).
     pub kernel_bytes: usize,
     /// Process peak RSS after this row, bytes (0 = probe unavailable).
     pub peak_rss_bytes: usize,
@@ -145,6 +145,16 @@ impl Row for KernelBenchRow {
             ("bytes_per_node", self.bytes_per_node().into()),
             ("peak_rss_bytes", self.peak_rss_bytes.into()),
         ]
+    }
+
+    /// The graph and the flood's counts; timings, rates, RSS and the
+    /// arena's capacity (grown by the toolchain's `Vec` policy) are host
+    /// fields.
+    fn kind(name: &str) -> Kind {
+        match name {
+            "family" | "n" | "edges" | "rounds" | "messages" => Kind::Deterministic,
+            _ => Kind::Host,
+        }
     }
 }
 
@@ -289,6 +299,14 @@ impl Row for EmbedMemRow {
             ("bytes_per_node", self.bytes_per_node().into()),
             ("peak_rss_bytes", self.peak_rss_bytes.into()),
         ]
+    }
+
+    /// The graph and the embedding's rounds, as for [`KernelBenchRow`].
+    fn kind(name: &str) -> Kind {
+        match name {
+            "family" | "n" | "edges" | "rounds" => Kind::Deterministic,
+            _ => Kind::Host,
+        }
     }
 }
 

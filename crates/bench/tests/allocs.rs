@@ -120,23 +120,25 @@ fn grid_25() {
 }
 
 // Recursion bounds with ~1.1-1.25x headroom over the measured counts,
-// identical in release and debug builds (rmp: 6,775, of which 5,530 are
-// `summary_words`; wheel-chain: 6,019, of which 4,531; grid: 676, of
+// identical in release and debug builds (rmp: 6,576, of which 5,530 are
+// `summary_words`; wheel-chain: 5,812, of which 4,531; grid: 586, of
 // which 210). What is left besides `summary_words` is mostly output (the
 // tree's children lists, each partition's `P_0` and part list, each merged
 // part's member list), the batched kernel instances (three vectors each),
-// and the growth of the five message types' cold simulator buffers. A
-// per-vertex or per-part table, or a hash map per step, would cross them.
-const RECURSION_RMP: u64 = 8_500;
-const RECURSION_CHAIN: u64 = 7_500;
-const RECURSION_GRID: u64 = 740;
+// and the growth of the five message types' cold simulator buffers, which
+// the receiver-keyed mailbox cut (a single message per arc needs no pool
+// entry and no dirty list). A per-vertex or per-part table, or a hash map
+// per step, would cross them.
+const RECURSION_RMP: u64 = 8_200;
+const RECURSION_CHAIN: u64 = 7_300;
+const RECURSION_GRID: u64 = 650;
 
 // Bounds with ~1.5x headroom over the measured counts (rmp: embed 506
-// release / 518 debug, certify 953; grid: embed 101 / 108, certify 146).
+// release / 518 debug, certify 885; grid: embed 101 / 108, certify 108).
 // Most of what is left is the output itself: one rotation `Vec` and one
 // certificate label `Vec` per vertex, plus one neighbor-slot table per
 // verifier node. Per-step or per-message allocations would cross them.
 const EMBED_RMP: u64 = 750;
-const CERT_RMP: u64 = 1_400;
+const CERT_RMP: u64 = 1_330;
 const EMBED_GRID: u64 = 160;
-const CERT_GRID: u64 = 220;
+const CERT_GRID: u64 = 165;

@@ -27,18 +27,21 @@ use planar_graph::{EdgeId, VertexId};
 
 /// Bit width of `words` B-bit words, or `None` when it is over 63 (the
 /// kernel's packed slots keep bit 63 for their tag).
+#[inline]
 fn width(words: usize, b: u32) -> Option<u32> {
     let bits = (words as u64).checked_mul(u64::from(b))?;
     (bits <= 63).then_some(bits as u32)
 }
 
 /// `value` as `words` B-bit words, or `None` if it does not fit.
+#[inline]
 fn pack_field(value: u64, words: usize, b: u32) -> Option<u64> {
     let w = width(words, b)?;
     (value >> w == 0).then_some(value)
 }
 
 /// The low `words` B-bit words of `v` (inverse of [`pack_field`]).
+#[inline]
 fn unpack_field(words: usize, b: u32, v: u64) -> Option<u64> {
     let w = width(words, b)?;
     Some(v & ((1u64 << w) - 1))
@@ -46,12 +49,14 @@ fn unpack_field(words: usize, b: u32, v: u64) -> Option<u64> {
 
 /// Packs `hi` (`hi_words` words) above `lo` (`lo_words` words), or `None`
 /// if the two together are over 63 bits.
+#[inline]
 fn join(lo: u64, lo_words: usize, hi: u64, hi_words: usize, b: u32) -> Option<u64> {
     width(lo_words + hi_words, b)?;
     Some(lo | hi << width(lo_words, b)?)
 }
 
 /// `v` with the low `words` B-bit words shifted out: the next field.
+#[inline]
 fn skip(v: u64, words: usize, b: u32) -> Option<u64> {
     Some(v >> width(words, b)?)
 }
@@ -89,20 +94,24 @@ pub trait Words {
 }
 
 impl Words for u32 {
+    #[inline]
     fn words(&self) -> usize {
         1
     }
 
+    #[inline]
     fn pack(&self, b: u32) -> Option<u64> {
         pack_field(u64::from(*self), 1, b)
     }
 
+    #[inline]
     fn unpack(b: u32, v: u64) -> Option<Self> {
         u32::try_from(unpack_field(1, b, v)?).ok()
     }
 }
 
 impl Words for u64 {
+    #[inline]
     fn words(&self) -> usize {
         // A u64 counter is still poly(n)-bounded in our use; count it as one
         // word when n >= 2^32 would be required to overflow it. We charge 2
@@ -110,38 +119,46 @@ impl Words for u64 {
         2
     }
 
+    #[inline]
     fn pack(&self, b: u32) -> Option<u64> {
         pack_field(*self, 2, b)
     }
 
+    #[inline]
     fn unpack(b: u32, v: u64) -> Option<Self> {
         unpack_field(2, b, v)
     }
 }
 
 impl Words for usize {
+    #[inline]
     fn words(&self) -> usize {
         1
     }
 
+    #[inline]
     fn pack(&self, b: u32) -> Option<u64> {
         pack_field(u64::try_from(*self).ok()?, 1, b)
     }
 
+    #[inline]
     fn unpack(b: u32, v: u64) -> Option<Self> {
         usize::try_from(unpack_field(1, b, v)?).ok()
     }
 }
 
 impl Words for bool {
+    #[inline]
     fn words(&self) -> usize {
         1
     }
 
+    #[inline]
     fn pack(&self, b: u32) -> Option<u64> {
         pack_field(u64::from(*self), 1, b)
     }
 
+    #[inline]
     fn unpack(b: u32, v: u64) -> Option<Self> {
         match unpack_field(1, b, v)? {
             0 => Some(false),
@@ -152,20 +169,24 @@ impl Words for bool {
 }
 
 impl Words for VertexId {
+    #[inline]
     fn words(&self) -> usize {
         1
     }
 
+    #[inline]
     fn pack(&self, b: u32) -> Option<u64> {
         pack_field(u64::from(self.0), 1, b)
     }
 
+    #[inline]
     fn unpack(b: u32, v: u64) -> Option<Self> {
         u32::try_from(unpack_field(1, b, v)?).ok().map(VertexId)
     }
 }
 
 impl Words for EdgeId {
+    #[inline]
     fn words(&self) -> usize {
         2
     }

@@ -15,28 +15,31 @@
 //! The per-round loop performs **zero heap allocations in steady state**
 //! (after buffer capacities have warmed up over the first few rounds). All
 //! round state lives in flat vectors indexed by the graph's dense
-//! [`ArcId`]s (one per directed edge, CSR layout; see
+//! [`planar_graph::ArcId`]s (one per directed edge, CSR layout; see
 //! [`planar_graph::arcs`]) and by vertex id:
 //!
-//! * **Mailboxes** — two arc-indexed buffer sets (`cur`/`nxt`) of per-arc
-//!   message queues, swapped each round. Sends from round `r` accumulate in
-//!   `nxt`; after the swap they are this round's deliveries in `cur`.
-//!   Because an arc has exactly one sender, per-arc queues preserve
-//!   emission order, and the in-arcs of a node — enumerated through the
-//!   reverse-arc table in slot order — arrive already sorted by sender id.
-//!   A queue is a chain through one shared message arena (`MsgPool`); an
-//!   arc's state is its `u32` chain head and `u32` word count (see
-//!   `MailPlane`). A message whose [`Words::pack`] fits in 63 bits lives in
-//!   the entry's own `u64` slot word (register-width payloads, no side
-//!   buffer); anything else goes to a native side table.
-//!   Inboxes are therefore deterministic *by construction*: the seed
-//!   kernel's per-round `recipients.sort()` + per-inbox `sort_by_key` are
-//!   gone, yet inbox contents are byte-identical (adjacency lists are
-//!   sorted, so slot order *is* sender-id order).
-//! * **Budget accounting** — a flat `words[arc]` vector accumulated at send
-//!   time; touched arcs are tracked in a dirty list and only those entries
-//!   are reset after delivery, so quiet regions of a large graph cost
-//!   nothing.
+//! * **Mailboxes** — two mailbox planes (`cur`/`nxt`), swapped each round.
+//!   Sends from round `r` accumulate in `nxt`; after the swap they are this
+//!   round's deliveries in `cur`. A plane is keyed by *receiving* arc: a
+//!   message from `u` to `v` sits at `u`'s slot in `v`'s CSR block, so a
+//!   recipient's inbox is one scan of its own arc range, and it arrives
+//!   already sorted by sender id (adjacency lists are sorted, so slot order
+//!   *is* sender-id order). Because an arc has exactly one sender, per-arc
+//!   order is emission order. An arc's state is one `u64` (see
+//!   `MailPlane`): idle, the message itself when the arc carries one
+//!   message this round — a [`Words::pack`] that fits in 63 bits is stored
+//!   in the slot word (register-width payloads, no side buffer), anything
+//!   else indexes a native side table — or, once a second message arrives,
+//!   a ring in a spill pool. Inboxes are therefore deterministic *by
+//!   construction*: the seed kernel's per-round `recipients.sort()` +
+//!   per-inbox `sort_by_key` are gone, yet inbox contents are
+//!   byte-identical.
+//! * **Budget accounting** — an arc's word total is the single message's
+//!   size, or a running total kept in its spilled slot, checked against the
+//!   budget as each message lands. The round's message, word and max-words
+//!   tallies accumulate at send time too, and delivery leaves every slot it
+//!   drains idle, so no round walks its active arcs and quiet regions of a
+//!   large graph cost nothing.
 //! * **Outbox** — programs push their sends onto a `&mut Vec` the kernel
 //!   owns ([`NodeProgram::init`], [`NodeProgram::on_round`]); one buffer
 //!   per `Simulator` is drained after every step, so stepping a node
@@ -45,9 +48,9 @@
 //!   CSR neighbor block: a cursor sits one slot past the previous send, so
 //!   a destination equal to the cursor's neighbor (every broadcast, and
 //!   replies in inbox order) costs one compare. Any other destination
-//!   falls back to a binary search of the block
-//!   ([`ArcIndex::neighbor_slot`]); a miss is a non-neighbor. No
-//!   per-vertex table and no per-sender stamping pass.
+//!   falls back to a binary search of the block ([`ArcIndex::block`]); a
+//!   miss is a non-neighbor. No per-vertex table and no per-sender
+//!   stamping pass.
 //! * **Recipient schedule** — nodes are appended to a recipient list the
 //!   first time a message is addressed to them (deduplicated by an epoch
 //!   stamp) and processed in that order. Processing order cannot influence
@@ -74,7 +77,7 @@
 use std::error::Error;
 use std::fmt;
 
-use planar_graph::{ArcId, ArcIndex, Graph, VertexId};
+use planar_graph::{ArcIndex, Graph, VertexId};
 
 use crate::faults::{CrashPolicy, Fate, FaultPlan};
 use crate::message::Words;
@@ -442,218 +445,237 @@ pub struct MultiOutcome<P> {
 /// Chain-link / index sentinel of the struct-of-arrays mailbox layout.
 const NIL: u32 = u32::MAX;
 
-/// `MsgPool` slot tag (one `u64` per entry): bit 63 set = the low 63 bits
-/// are the packed payload itself; clear = the low bits index `native`.
-const POOL_PACKED: u64 = 1 << 63;
+/// Message-word tag: bit 63 set = the low 63 bits are the packed payload
+/// itself; clear = the word is `1 +` an index into the plane's `native`
+/// side table (so a message word is never 0, the idle arc).
+const PACKED: u64 = 1 << 63;
 
-/// Per-round message arena: every queued message of one mailbox plane, in a
-/// single struct-of-arrays pool instead of one heap queue per arc.
+/// Arc-slot tag (with bit 63 clear): the arc carries two or more messages
+/// this round, a ring in the spill pool whose tail entry is the low 32
+/// bits; bits 32..62 hold the arc's running word total.
+const SPILLED: u64 = 1 << 62;
+
+/// Largest word total a spilled slot records (saturating; the budget
+/// check compares the exact sum before the store).
+const TOTAL_MAX: u64 = (1 << 30) - 1;
+
+/// One direction of the double-buffered mailbox plane, keyed by
+/// *receiving* arc: a message from `u` to `v` sits at the arc `(v, u)`,
+/// `u`'s position in `v`'s CSR block, so `v`'s inbox is one scan of its
+/// own arc range and comes out in sender-id order.
 ///
-/// An entry is a `u32` chain link (`next`) plus a `u64` `slot` word. When
-/// the message's [`Words::pack`] accepts at the run's word width
-/// (`B = ceil(log2 n)`, [`crate::message::word_bits`]) the slot *is* the
-/// payload — `words() · B` bits, at most 63, under the `POOL_PACKED` tag —
-/// so storage matches the budget's charge: a 2-word `(leader, distance)`
-/// flood message at n=1M is 40 bits of one register, with no side buffer
-/// to append to or decode from. A message whose fields exceed B bits, that
-/// is over 63 bits in total, or whose type has no packed form goes to the
-/// `native` side table, so packing is lossless by construction and
-/// invisible to outcomes.
-struct MsgPool<M> {
-    /// Next entry in the same arc's FIFO chain (`NIL` = tail).
-    next: Vec<u32>,
-    /// Packed payload or `native` index per entry (see `POOL_PACKED`).
+/// Each arc holds one `u64` (8 bytes per arc per plane): `0` when idle,
+/// the message word itself when the arc carries one message this round
+/// (the common case), or a `SPILLED` reference once a second message
+/// arrives. Only then do the arc's messages move to the spill pool, a ring
+/// per arc (`next` links, entry order = emission order, since an arc has
+/// one sender), with the arc's running word total in the slot. A message
+/// word is the message's [`Words::pack`] under the `PACKED` tag when it
+/// accepts at the run's word width (`B = ceil(log2 n)`,
+/// [`crate::message::word_bits`]; at most 63 bits, so a 2-word
+/// `(leader, distance)` flood message at n=1M is 40 bits of one register)
+/// and otherwise indexes the `native` side table, so packing is lossless
+/// by construction and invisible to outcomes. The round's message, word
+/// and max-words tallies are kept as sends land, and delivery zeroes the
+/// slots it drains, so a round never walks its active arcs.
+struct MailPlane<M> {
+    /// Per receiving arc: idle, one message word, or a spilled ring.
     slot: Vec<u64>,
+    /// Spill pool: the next entry of each entry's ring.
+    next: Vec<u32>,
+    /// Spill pool: the message word of each entry.
+    spill: Vec<u64>,
     /// Natively stored payloads (packing declined). `Option` so delivery
     /// can move messages out without shifting.
     native: Vec<Option<M>>,
     /// The run's word width: `ceil(log2 n)` bits.
     word_bits: u32,
-}
-
-impl<M: Words> MsgPool<M> {
-    fn new() -> Self {
-        MsgPool {
-            next: Vec::new(),
-            slot: Vec::new(),
-            native: Vec::new(),
-            word_bits: 1,
-        }
-    }
-
-    /// Drops all entries, keeping capacity.
-    fn clear(&mut self) {
-        self.next.clear();
-        self.slot.clear();
-        self.native.clear();
-    }
-
-    /// Appends `msg` as a fresh chain tail and returns its entry index.
-    fn push(&mut self, msg: M) -> u32 {
-        // The u32 index space is the construction-time capacity guard's
-        // invariant; a round queueing 4 billion messages would have failed
-        // `check_capacity` long before (entries per round are bounded by
-        // arcs × budget plus fault copies).
-        assert!(
-            self.next.len() < NIL as usize,
-            "message pool exhausted its u32 index space"
-        );
-        let e = self.next.len() as u32;
-        self.next.push(NIL);
-        match msg.pack(self.word_bits) {
-            Some(packed) => {
-                let width = msg.words() as u64 * u64::from(self.word_bits);
-                debug_assert!(
-                    width <= 63 && packed >> width == 0,
-                    "pack must fit in words()*B <= 63 bits"
-                );
-                self.slot.push(POOL_PACKED | packed);
-            }
-            None => {
-                self.slot.push(self.native.len() as u64);
-                self.native.push(Some(msg));
-            }
-        }
-        e
-    }
-
-    /// Moves entry `e` out (delivery drains in place; packed entries
-    /// decode from the slot word, native entries move without a clone).
-    fn take(&mut self, e: u32) -> M {
-        let s = self.slot[e as usize];
-        if s & POOL_PACKED != 0 {
-            M::unpack(self.word_bits, s & !POOL_PACKED).expect("packed payload round-trips")
-        } else {
-            self.native[s as usize]
-                .take()
-                .expect("each queued message is taken exactly once")
-        }
-    }
-
-    /// Heap bytes currently reserved (capacities, not lengths).
-    fn memory_bytes(&self) -> usize {
-        self.next.capacity() * 4
-            + self.slot.capacity() * 8
-            + self.native.capacity() * std::mem::size_of::<Option<M>>()
-    }
-}
-
-/// One direction of the double-buffered mailbox plane, struct-of-arrays:
-/// the hot per-arc state is two flat `u32` vectors (`head` chain entry,
-/// `words` budget counter — 8 bytes/arc/plane, down from the pre-refactor
-/// ~80), and every payload lives in the shared [`MsgPool`] arena. A per-arc
-/// FIFO is a `NIL`-terminated chain through `pool.next`; an arc has exactly
-/// one sender, so chain order is emission order, and the in-arcs of a node
-/// — enumerated through the reverse-arc table in slot order — arrive
-/// already sorted by sender id.
-struct MailPlane<M> {
-    /// First pool entry of each arc's FIFO (`NIL` = arc idle this round).
-    head: Vec<u32>,
-    /// Word total queued per arc this round (budget + congestion metrics).
-    /// Saturating `u32`: the budget comparison happens in `u64` before the
-    /// store, and a physical arc cannot carry 4 billion words in a round.
-    words: Vec<u32>,
-    /// This round's message arena.
-    pool: MsgPool<M>,
-    /// Arc ids with at least one queued message (each exactly once).
-    touched: Vec<u32>,
     /// Recipients in first-delivery order (each exactly once).
     recipients: Vec<VertexId>,
-    /// Total queued messages across all arcs.
-    msg_count: usize,
+    /// Messages queued this round.
+    messages: usize,
+    /// Words queued this round.
+    words: usize,
+    /// Largest word total of one arc this round.
+    max_words: usize,
 }
 
 impl<M: Words> MailPlane<M> {
     fn new() -> Self {
         MailPlane {
-            head: Vec::new(),
-            words: Vec::new(),
-            pool: MsgPool::new(),
-            touched: Vec::new(),
+            slot: Vec::new(),
+            next: Vec::new(),
+            spill: Vec::new(),
+            native: Vec::new(),
+            word_bits: 1,
             recipients: Vec::new(),
-            msg_count: 0,
+            messages: 0,
+            words: 0,
+            max_words: 0,
         }
     }
 
     /// Sizes and clears the plane for a run over `arcs` arcs with
     /// `word_bits`-bit words, retaining previously allocated capacity
     /// (sequential writes over warm memory — much cheaper than fresh
-    /// page-faulting allocations).
+    /// page-faulting allocations). Every slot is rewritten, so an aborted
+    /// run's undelivered messages cannot leak into the next run.
     fn prepare(&mut self, arcs: usize, word_bits: u32) {
-        self.head.clear();
-        self.head.resize(arcs, NIL);
-        self.words.clear();
-        self.words.resize(arcs, 0);
-        self.pool.clear();
-        self.pool.word_bits = word_bits;
-        self.touched.clear();
-        self.recipients.clear();
-        self.msg_count = 0;
+        self.slot.clear();
+        self.slot.resize(arcs, 0);
+        self.word_bits = word_bits;
+        self.reset();
     }
 
-    /// Appends `msg` to arc `a`'s FIFO and schedules `dest` for
-    /// `deliver_round` (word accounting is the caller's job — the fault-free
-    /// path folds it into its budget check). The tail walk is `O(queue
-    /// length)`, which the budget bounds by a small constant.
-    fn push(
-        &mut self,
-        recipient_round: &mut [usize],
-        a: usize,
-        dest: VertexId,
-        deliver_round: usize,
-        msg: M,
-    ) {
-        let e = self.pool.push(msg);
-        if self.head[a] == NIL {
-            self.head[a] = e;
-            self.touched.push(a as u32);
-        } else {
-            let mut t = self.head[a] as usize;
-            while self.pool.next[t] != NIL {
-                t = self.pool.next[t] as usize;
+    /// Queues `msg` (`w` words) on receiving arc `b` and returns the arc's
+    /// word total this round (exact; the budget check compares it).
+    #[inline(always)]
+    fn push(&mut self, b: usize, msg: M, w: usize) -> u64 {
+        let word = match msg.pack(self.word_bits) {
+            Some(packed) => {
+                let width = w as u64 * u64::from(self.word_bits);
+                debug_assert!(
+                    width <= 63 && packed >> width == 0,
+                    "pack must fit in words()*B <= 63 bits"
+                );
+                PACKED | packed
             }
-            self.pool.next[t] = e;
-        }
-        self.msg_count += 1;
-        if recipient_round[dest.index()] != deliver_round {
-            recipient_round[dest.index()] = deliver_round;
-            self.recipients.push(dest);
+            None => {
+                assert!(
+                    self.native.len() < NIL as usize,
+                    "native side table exhausted its u32 index space"
+                );
+                self.native.push(Some(msg));
+                self.native.len() as u64
+            }
+        };
+        let s = self.slot[b];
+        let total = if s == 0 {
+            self.slot[b] = word;
+            w as u64
+        } else {
+            self.spill(b, s, word, w as u64)
+        };
+        self.messages += 1;
+        self.words += w;
+        self.max_words = self.max_words.max(total as usize);
+        total
+    }
+
+    /// Appends `word` behind arc `b`'s queued traffic `s`, moving a single
+    /// queued message into a one-entry ring first. Rare: an arc carries a
+    /// second message in a round only within a multi-message budget or
+    /// through fault copies.
+    #[cold]
+    #[inline(never)]
+    fn spill(&mut self, b: usize, s: u64, word: u64, w: u64) -> u64 {
+        let (tail, total) = if s & (PACKED | SPILLED) == SPILLED {
+            (s as u32, (s >> 32) & TOTAL_MAX)
+        } else {
+            let first = self.spill_entry(s);
+            self.next[first as usize] = first;
+            (first, self.words_of(s))
+        };
+        let e = self.spill_entry(word);
+        self.next[e as usize] = self.next[tail as usize];
+        self.next[tail as usize] = e;
+        let total = total + w;
+        self.slot[b] = SPILLED | total.min(TOTAL_MAX) << 32 | u64::from(e);
+        total
+    }
+
+    /// A fresh spill-pool entry holding `word`.
+    fn spill_entry(&mut self, word: u64) -> u32 {
+        // Entries per round are bounded by arcs × budget plus fault
+        // copies, far inside the index space `check_capacity` guards.
+        assert!(
+            self.spill.len() < NIL as usize,
+            "spill pool exhausted its u32 index space"
+        );
+        self.next.push(NIL);
+        self.spill.push(word);
+        (self.spill.len() - 1) as u32
+    }
+
+    /// Words of the queued message `word` (decoded only on a spill).
+    fn words_of(&self, word: u64) -> u64 {
+        let w = if word & PACKED != 0 {
+            M::unpack(self.word_bits, word & !PACKED)
+                .expect("packed payload round-trips")
+                .words()
+        } else {
+            self.native[word as usize - 1]
+                .as_ref()
+                .expect("queued message is present")
+                .words()
+        };
+        w as u64
+    }
+
+    /// Moves the message of `word` out (packed words decode from the
+    /// word, native ones move without a clone).
+    #[inline]
+    fn take(&mut self, word: u64) -> M {
+        if word & PACKED != 0 {
+            M::unpack(self.word_bits, word & !PACKED).expect("packed payload round-trips")
+        } else {
+            self.native[word as usize - 1]
+                .take()
+                .expect("each queued message is taken exactly once")
         }
     }
 
-    /// Messages currently queued on arc `a`.
-    fn queue_len(&self, a: usize) -> usize {
-        let mut n = 0;
-        let mut e = self.head[a];
-        while e != NIL {
-            n += 1;
-            e = self.pool.next[e as usize];
+    /// Moves receiving arc `b`'s messages, in emission order, onto
+    /// `inbox` as sent by `from`, leaving the arc idle.
+    #[inline]
+    fn drain(&mut self, b: usize, from: VertexId, inbox: &mut Vec<(VertexId, M)>) {
+        let s = self.slot[b];
+        if s == 0 {
+            return;
         }
-        n
+        self.slot[b] = 0;
+        if s & (PACKED | SPILLED) == SPILLED {
+            self.drain_ring(s as u32, from, inbox);
+        } else {
+            inbox.push((from, self.take(s)));
+        }
     }
 
-    /// Ends a round: clears every touched arc's chain head and drops the
-    /// round's pool. `O(touched)`, never `O(arcs)`; retains every buffer's
-    /// capacity. The payloads are already taken: delivery drains them into
-    /// inboxes.
+    /// [`MailPlane::drain`] for a spilled arc: its ring from the head (the
+    /// entry after `tail`) round to `tail`.
+    #[cold]
+    #[inline(never)]
+    fn drain_ring(&mut self, tail: u32, from: VertexId, inbox: &mut Vec<(VertexId, M)>) {
+        let mut e = tail;
+        loop {
+            e = self.next[e as usize];
+            let word = self.spill[e as usize];
+            inbox.push((from, self.take(word)));
+            if e == tail {
+                break;
+            }
+        }
+    }
+
+    /// Ends a round: drops the spill pool, side table, recipient list and
+    /// tallies, retaining every buffer's capacity. The slots are already
+    /// idle: delivery drained them.
     fn reset(&mut self) {
-        for &a in &self.touched {
-            let a = a as usize;
-            self.words[a] = 0;
-            self.head[a] = NIL;
-        }
-        self.pool.clear();
-        self.touched.clear();
+        self.next.clear();
+        self.spill.clear();
+        self.native.clear();
         self.recipients.clear();
-        self.msg_count = 0;
+        self.messages = 0;
+        self.words = 0;
+        self.max_words = 0;
     }
 
     /// Heap bytes currently reserved (capacities, not lengths).
     fn memory_bytes(&self) -> usize {
-        self.head.capacity() * 4
-            + self.words.capacity() * 4
-            + self.pool.memory_bytes()
-            + self.touched.capacity() * 4
+        self.slot.capacity() * 8
+            + self.next.capacity() * 4
+            + self.spill.capacity() * 8
+            + self.native.capacity() * std::mem::size_of::<Option<M>>()
             + self.recipients.capacity() * std::mem::size_of::<VertexId>()
     }
 }
@@ -724,13 +746,11 @@ pub struct Simulator<M> {
     /// Whether an instance has live tick-wanting members (batched fault
     /// mode); recomputed each round like `tick_pending`.
     inst_tick: Vec<bool>,
-    /// Scratch: which instances are live this round.
-    inst_live: Vec<bool>,
 }
 
 /// Recipients processed per block by the delivery loop: all of a
 /// block's inboxes are gathered from the `cur` plane first (a tight scan
-/// over the chain/pool arrays), then its programs step. 256 recipients ×
+/// over each recipient's own arc range), then its programs step. 256 recipients ×
 /// a budget-bounded handful of small messages keeps the block's working
 /// set inside L2 while amortizing the gather/step mode switch.
 const DELIVER_BLOCK: usize = 256;
@@ -739,7 +759,7 @@ const DELIVER_BLOCK: usize = 256;
 struct DelayedMsg<M> {
     /// Arrival round.
     round: usize,
-    /// The arc it travels on (fixes sender and slot order).
+    /// The receiving arc it travels on (fixes sender and slot order).
     arc: u32,
     /// The destination (redundant with `arc`, kept to avoid a reverse
     /// lookup on the hot injection path).
@@ -771,7 +791,6 @@ impl<M: Words + Clone> Simulator<M> {
             inst_metrics: Vec::new(),
             inst_delayed: Vec::new(),
             inst_tick: Vec::new(),
-            inst_live: Vec::new(),
         }
     }
 
@@ -799,7 +818,6 @@ impl<M: Words + Clone> Simulator<M> {
         self.inst_metrics.clear();
         self.inst_delayed.clear();
         self.inst_tick.clear();
-        self.inst_live.clear();
         self.fault_mode = !cfg.faults.is_empty();
         if self.fault_mode {
             self.crashed_at.clear();
@@ -844,20 +862,38 @@ impl<M: Words + Clone> Simulator<M> {
         self.cur.memory_bytes() + self.nxt.memory_bytes() + per_vertex + fault + scratch
     }
 
-    /// Queues one surviving message copy onto arc `a` of `plane` for
-    /// delivery in round `deliver_round` (fault mode only; the fault-free
-    /// path queues inline in [`Simulator::record_sends`]).
-    fn queue_copy(
-        plane: &mut MailPlane<M>,
-        recipient_round: &mut [usize],
-        a: usize,
+    /// Queues `msg` (`w` words) on receiving arc `b` of the current plane
+    /// (`now`) or the next one for `dest` to receive in round `deliver`,
+    /// charging it to instance `inst` (`NIL` in plain runs). Returns the
+    /// arc's word total this round.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn enqueue(
+        &mut self,
+        now: bool,
+        b: usize,
         dest: VertexId,
-        deliver_round: usize,
+        deliver: usize,
         msg: M,
-    ) {
-        plane.words[a] =
-            (u64::from(plane.words[a]) + msg.words() as u64).min(u64::from(u32::MAX)) as u32;
-        plane.push(recipient_round, a, dest, deliver_round, msg);
+        w: usize,
+        inst: u32,
+    ) -> u64 {
+        let plane = if now { &mut self.cur } else { &mut self.nxt };
+        let total = plane.push(b, msg, w);
+        if self.recipient_round[dest.index()] != deliver {
+            self.recipient_round[dest.index()] = deliver;
+            plane.recipients.push(dest);
+        }
+        if inst != NIL {
+            // The instance is live in the delivery round; its traffic
+            // tallies land with the send, like the plane's.
+            let im = &mut self.inst_metrics[inst as usize];
+            im.rounds = deliver;
+            im.messages += 1;
+            im.words += w;
+            im.max_words_edge_round = im.max_words_edge_round.max(total as usize);
+        }
+        total
     }
 
     /// Records the sends `from` left in the outbox (sent during `round`,
@@ -867,7 +903,8 @@ impl<M: Words + Clone> Simulator<M> {
     ///
     /// Destinations are validated by a merge walk over `from`'s sorted
     /// neighbor block (see module docs): the cursor's neighbor costs one
-    /// compare, any other destination one binary search.
+    /// compare, any other destination one binary search. Budget overflow
+    /// is detected here and reported at the delivery round.
     fn record_sends(
         &mut self,
         idx: &ArcIndex,
@@ -879,49 +916,84 @@ impl<M: Words + Clone> Simulator<M> {
         if self.outbox.is_empty() {
             return Ok(());
         }
-        // Batched runs enforce instance isolation per send; `u32::MAX`
-        // doubles as "not batched" (plain runs have an empty table).
+        // Batched runs enforce instance isolation per send; `NIL` doubles
+        // as "not batched" (plain runs have an empty table).
         let from_inst = if self.inst_of.is_empty() {
-            u32::MAX
+            NIL
         } else {
             self.inst_of[from.index()]
         };
-        let first = idx.first_arc(from).index();
-        let degree = idx.degree(from);
+        let tracing = cfg.trace.is_on();
+        let (first, heads, revs) = idx.block(from);
         let mut cursor = 0;
+        let mut result = Ok(());
         let mut out = std::mem::take(&mut self.outbox);
         // An error stops the walk; dropping the drain empties the outbox.
-        let result = out.drain(..).try_for_each(|(dest, msg)| {
-            let slot = if cursor < degree && idx.head(ArcId((first + cursor) as u32)) == dest {
-                cursor
-            } else {
-                idx.neighbor_slot(from, dest)
-                    .ok_or(SimError::InvalidDestination { from, to: dest })?
+        for (dest, msg) in out.drain(..) {
+            let slot = match heads.get(cursor) {
+                Some(&w) if w == dest => cursor,
+                _ => match heads.binary_search(&dest) {
+                    Ok(slot) => slot,
+                    Err(_) => {
+                        result = Err(SimError::InvalidDestination { from, to: dest });
+                        break;
+                    }
+                },
             };
-            if from_inst != u32::MAX && self.inst_of[dest.index()] != from_inst {
-                return Err(SimError::CrossInstanceSend {
+            if from_inst != NIL && self.inst_of[dest.index()] != from_inst {
+                result = Err(SimError::CrossInstanceSend {
                     from,
                     to: dest,
                     round,
                 });
+                break;
             }
             cursor = slot + 1;
-            self.queue_resolved(cfg, from, first + slot, dest, round, msg, metrics)
-        });
+            let b = revs[slot].index();
+            let w = msg.words();
+            if tracing {
+                cfg.trace.emit(TraceEvent::Send {
+                    round,
+                    from,
+                    to: dest,
+                    words: w,
+                });
+            }
+            if self.fault_mode {
+                result = self.queue_faulted(cfg, from, first + slot, b, dest, round, msg, metrics);
+                if result.is_err() {
+                    break;
+                }
+                continue;
+            }
+            // The budget comparison (and the reported total) is exact.
+            let total = self.enqueue(false, b, dest, round + 1, msg, w, from_inst);
+            if total > cfg.budget_words as u64 && self.pending_overflow.is_none() {
+                self.pending_overflow = Some(SimError::BudgetExceeded {
+                    from,
+                    to: dest,
+                    words: total as usize,
+                    budget: cfg.budget_words,
+                    round: round + 1,
+                });
+            }
+        }
         self.outbox = out;
         result
     }
 
-    /// Queues one validated message from `from` on arc `a` to `dest`: trace
-    /// emission, budget accounting, overflow detection and (in fault mode)
-    /// fate resolution. Called by [`Simulator::record_sends`] once the
-    /// destination is validated.
+    /// Fault mode's half of [`Simulator::record_sends`]: resolves the fate
+    /// of one validated message from `from` on send arc `a` (receiving arc
+    /// `b`) to `dest`, charging the *attempted* words to the sender's
+    /// bandwidth — a protocol cannot exceed its budget just because the
+    /// channel happened to drop the excess.
     #[allow(clippy::too_many_arguments)]
-    fn queue_resolved(
+    fn queue_faulted(
         &mut self,
         cfg: &SimConfig,
         from: VertexId,
         a: usize,
+        b: usize,
         dest: VertexId,
         round: usize,
         msg: M,
@@ -929,199 +1001,134 @@ impl<M: Words + Clone> Simulator<M> {
     ) -> Result<(), SimError> {
         let tracing = cfg.trace.is_on();
         let from_inst = if self.inst_of.is_empty() {
-            u32::MAX
+            NIL
         } else {
             self.inst_of[from.index()]
         };
-        {
-            if tracing {
-                cfg.trace.emit(TraceEvent::Send {
-                    round,
-                    from,
-                    to: dest,
-                    words: msg.words(),
-                });
-            }
-            if !self.fault_mode {
-                // Fault-free fast path: queue inline on the `nxt` plane.
-                // The budget comparison (and the reported total) happens in
-                // u64 before the saturating u32 store, so the observable
-                // error is exact.
-                let plane = &mut self.nxt;
-                let total = u64::from(plane.words[a]) + msg.words() as u64;
-                plane.words[a] = total.min(u64::from(u32::MAX)) as u32;
-                if total > cfg.budget_words as u64 && self.pending_overflow.is_none() {
-                    self.pending_overflow = Some(SimError::BudgetExceeded {
-                        from,
-                        to: dest,
-                        words: total as usize,
-                        budget: cfg.budget_words,
-                        round: round + 1,
-                    });
-                }
-                plane.push(&mut self.recipient_round, a, dest, round + 1, msg);
-                return Ok(());
-            }
-
-            // Fault mode. Budget accounting charges *attempted* words — a
-            // protocol cannot exceed its bandwidth just because the channel
-            // happened to drop the excess.
-            if self.att_seq[a] == 0 && self.att_words[a] == 0 {
-                self.att_dirty.push(a as u32);
-            }
-            let k = self.att_seq[a];
-            self.att_seq[a] += 1;
-            self.att_words[a] += msg.words() as u64;
-            if self.att_words[a] > cfg.budget_words as u64 && self.pending_overflow.is_none() {
-                self.pending_overflow = Some(SimError::BudgetExceeded {
-                    from,
-                    to: dest,
-                    words: self.att_words[a] as usize,
-                    budget: cfg.budget_words,
-                    round: round + 1,
-                });
-            }
-            if self.crashed_at[dest.index()] <= round {
-                match cfg.faults.on_crashed_send {
-                    CrashPolicy::DropSilently => {
-                        metrics.dropped += 1;
-                        if from_inst != u32::MAX {
-                            self.inst_metrics[from_inst as usize].dropped += 1;
-                        }
-                        if tracing {
-                            cfg.trace.emit(TraceEvent::Drop {
-                                round,
-                                from,
-                                to: dest,
-                                words: msg.words(),
-                            });
-                        }
-                        return Ok(());
-                    }
-                    CrashPolicy::Error => {
-                        return Err(SimError::DestinationCrashed {
-                            from,
-                            to: dest,
-                            round,
-                        });
-                    }
-                }
-            }
-            // `fate_canary` == `fate` unless the DST harness armed the
-            // test-only `canary_skew` divergence canary (see `faults`);
-            // the reference kernel always calls the honest `fate`.
-            match cfg.faults.fate_canary(from, dest, round, k) {
-                Fate::Dropped => {
+        let w = msg.words();
+        if self.att_seq[a] == 0 && self.att_words[a] == 0 {
+            self.att_dirty.push(a as u32);
+        }
+        let k = self.att_seq[a];
+        self.att_seq[a] += 1;
+        self.att_words[a] += w as u64;
+        if self.att_words[a] > cfg.budget_words as u64 && self.pending_overflow.is_none() {
+            self.pending_overflow = Some(SimError::BudgetExceeded {
+                from,
+                to: dest,
+                words: self.att_words[a] as usize,
+                budget: cfg.budget_words,
+                round: round + 1,
+            });
+        }
+        let drop_event = || TraceEvent::Drop {
+            round,
+            from,
+            to: dest,
+            words: w,
+        };
+        if self.crashed_at[dest.index()] <= round {
+            match cfg.faults.on_crashed_send {
+                CrashPolicy::DropSilently => {
                     metrics.dropped += 1;
-                    if from_inst != u32::MAX {
+                    if from_inst != NIL {
                         self.inst_metrics[from_inst as usize].dropped += 1;
                     }
                     if tracing {
-                        cfg.trace.emit(TraceEvent::Drop {
-                            round,
-                            from,
-                            to: dest,
-                            words: msg.words(),
-                        });
+                        cfg.trace.emit(drop_event());
                     }
+                    return Ok(());
                 }
-                Fate::Deliver { copies, delay } => {
-                    if copies > 1 {
-                        metrics.duplicated += usize::from(copies) - 1;
-                        if from_inst != u32::MAX {
-                            self.inst_metrics[from_inst as usize].duplicated +=
-                                usize::from(copies) - 1;
-                        }
-                        if tracing {
-                            for _ in 1..copies {
-                                cfg.trace.emit(TraceEvent::Duplicate {
-                                    round,
-                                    from,
-                                    to: dest,
-                                    words: msg.words(),
-                                });
-                            }
-                        }
-                    }
-                    if delay > 0 {
-                        metrics.delayed += 1;
-                        if from_inst != u32::MAX {
-                            self.inst_metrics[from_inst as usize].delayed += 1;
-                        }
-                        if tracing {
-                            cfg.trace.emit(TraceEvent::Delay {
-                                round,
-                                from,
-                                to: dest,
-                                words: msg.words(),
-                                deliver_round: round + 1 + delay,
-                            });
-                        }
-                    }
-                    let deliver = round + 1 + delay;
-                    if deliver >= self.crashed_at[dest.index()] {
-                        // Crash-stop: copies arriving at or after the
-                        // destination's crash round vanish in transit.
-                        metrics.dropped += usize::from(copies);
-                        if from_inst != u32::MAX {
-                            self.inst_metrics[from_inst as usize].dropped += usize::from(copies);
-                        }
-                        if tracing {
-                            for _ in 0..copies {
-                                cfg.trace.emit(TraceEvent::Drop {
-                                    round,
-                                    from,
-                                    to: dest,
-                                    words: msg.words(),
-                                });
-                            }
-                        }
-                        return Ok(());
-                    }
-                    // Duplicate copies travel together and stay adjacent.
-                    for _ in 1..copies {
-                        if delay == 0 {
-                            Self::queue_copy(
-                                &mut self.nxt,
-                                &mut self.recipient_round,
-                                a,
-                                dest,
-                                deliver,
-                                msg.clone(),
-                            );
-                        } else {
-                            self.delayed.push(DelayedMsg {
-                                round: deliver,
-                                arc: a as u32,
-                                dest,
-                                msg: msg.clone(),
-                            });
-                            if from_inst != u32::MAX {
-                                self.inst_delayed[from_inst as usize] += 1;
-                            }
-                        }
-                    }
-                    if delay == 0 {
-                        Self::queue_copy(
-                            &mut self.nxt,
-                            &mut self.recipient_round,
-                            a,
-                            dest,
-                            deliver,
-                            msg,
-                        );
-                    } else {
-                        self.delayed.push(DelayedMsg {
-                            round: deliver,
-                            arc: a as u32,
-                            dest,
-                            msg,
-                        });
-                        if from_inst != u32::MAX {
-                            self.inst_delayed[from_inst as usize] += 1;
-                        }
-                    }
+                CrashPolicy::Error => {
+                    return Err(SimError::DestinationCrashed {
+                        from,
+                        to: dest,
+                        round,
+                    });
                 }
+            }
+        }
+        // `fate_canary` == `fate` unless the DST harness armed the
+        // test-only `canary_skew` divergence canary (see `faults`); the
+        // reference kernel always calls the honest `fate`.
+        let (copies, delay) = match cfg.faults.fate_canary(from, dest, round, k) {
+            Fate::Dropped => {
+                metrics.dropped += 1;
+                if from_inst != NIL {
+                    self.inst_metrics[from_inst as usize].dropped += 1;
+                }
+                if tracing {
+                    cfg.trace.emit(drop_event());
+                }
+                return Ok(());
+            }
+            Fate::Deliver { copies, delay } => (usize::from(copies), delay),
+        };
+        if copies > 1 {
+            metrics.duplicated += copies - 1;
+            if from_inst != NIL {
+                self.inst_metrics[from_inst as usize].duplicated += copies - 1;
+            }
+            if tracing {
+                for _ in 1..copies {
+                    cfg.trace.emit(TraceEvent::Duplicate {
+                        round,
+                        from,
+                        to: dest,
+                        words: w,
+                    });
+                }
+            }
+        }
+        if delay > 0 {
+            metrics.delayed += 1;
+            if from_inst != NIL {
+                self.inst_metrics[from_inst as usize].delayed += 1;
+            }
+            if tracing {
+                cfg.trace.emit(TraceEvent::Delay {
+                    round,
+                    from,
+                    to: dest,
+                    words: w,
+                    deliver_round: round + 1 + delay,
+                });
+            }
+        }
+        let deliver = round + 1 + delay;
+        if deliver >= self.crashed_at[dest.index()] {
+            // Crash-stop: copies arriving at or after the destination's
+            // crash round vanish in transit.
+            metrics.dropped += copies;
+            if from_inst != NIL {
+                self.inst_metrics[from_inst as usize].dropped += copies;
+            }
+            if tracing {
+                for _ in 0..copies {
+                    cfg.trace.emit(drop_event());
+                }
+            }
+            return Ok(());
+        }
+        // Duplicate copies travel together and stay adjacent.
+        if delay == 0 {
+            for _ in 1..copies {
+                self.enqueue(false, b, dest, deliver, msg.clone(), w, from_inst);
+            }
+            self.enqueue(false, b, dest, deliver, msg, w, from_inst);
+        } else {
+            let held = |msg| DelayedMsg {
+                round: deliver,
+                arc: b as u32,
+                dest,
+                msg,
+            };
+            for _ in 1..copies {
+                self.delayed.push(held(msg.clone()));
+            }
+            self.delayed.push(held(msg));
+            if from_inst != NIL {
+                self.inst_delayed[from_inst as usize] += copies;
             }
         }
         Ok(())
@@ -1130,8 +1137,8 @@ impl<M: Words + Clone> Simulator<M> {
     /// One round of delivery, blocked over cache-sized recipient
     /// chunks ([`DELIVER_BLOCK`]): for each block, first *gather* every
     /// recipient's inbox out of the `cur` plane into one contiguous scratch
-    /// buffer (a tight pass over the chain heads and the message pool —
-    /// the cache-hostile part of the round), then *step* the block's
+    /// buffer (a scan of each recipient's own receiving-arc range — the
+    /// cache-hostile part of the round), then *step* the block's
     /// programs over their slices. Sends during the step phase land in the
     /// `nxt` plane, never `cur`, so gathering a block ahead of stepping it
     /// is invisible to programs; `Deliver` trace events are emitted at
@@ -1163,18 +1170,11 @@ impl<M: Words + Clone> Simulator<M> {
             bounds.clear();
             for r in lo..hi {
                 let v = self.cur.recipients[r];
-                // In-arcs in slot order == sender-id order (sorted
-                // adjacency); chain order per arc == emission order.
-                for (_, a, w) in idx.out_arcs(v) {
-                    let b = idx.rev(a).index();
-                    let mut e = self.cur.head[b];
-                    if e != NIL {
-                        self.cur.head[b] = NIL;
-                        while e != NIL {
-                            inboxes.push((w, self.cur.pool.take(e)));
-                            e = self.cur.pool.next[e as usize];
-                        }
-                    }
+                // Receiving arcs in slot order == sender-id order (sorted
+                // adjacency); per-arc order == emission order.
+                let (first, senders, _) = idx.block(v);
+                for (b, &w) in (first..).zip(senders) {
+                    self.cur.drain(b, w, &mut inboxes);
                 }
                 bounds.push(inboxes.len() as u32);
             }
@@ -1217,6 +1217,91 @@ impl<M: Words + Clone> Simulator<M> {
         self.inbox_buf = inboxes;
         self.inbox_bounds = bounds;
         result
+    }
+
+    /// Opens delivery round `round` once the `cur` plane holds its
+    /// traffic: the abort checks in the reference kernel's order
+    /// (watchdog, max rounds, then the budget overflow detected at send
+    /// time), the round's trace header, fault-mode bookkeeping (fresh
+    /// attempted-send tallies; delayed copies due this round join their
+    /// arcs behind the on-time traffic) and the round's traffic tallies.
+    fn open_round(
+        &mut self,
+        cfg: &SimConfig,
+        round: usize,
+        metrics: &mut Metrics,
+    ) -> Result<(), SimError> {
+        if let Some(limit) = cfg.watchdog {
+            if round > limit {
+                if cfg.trace.is_on() {
+                    cfg.trace.emit(TraceEvent::Watchdog { limit });
+                }
+                return Err(SimError::WatchdogTimeout { limit });
+            }
+        }
+        if round > cfg.max_rounds {
+            return Err(SimError::MaxRoundsExceeded {
+                limit: cfg.max_rounds,
+            });
+        }
+        if let Some(overflow) = self.pending_overflow.take() {
+            return Err(overflow);
+        }
+        if cfg.trace.is_on() {
+            // Only rounds that actually deliver get a RoundStart: the
+            // abort checks above come first, like the error ordering.
+            cfg.trace.emit(TraceEvent::RoundStart { round });
+            for (i, &r) in self.crashed_at.iter().enumerate() {
+                if r == round {
+                    cfg.trace.emit(TraceEvent::Crash {
+                        round,
+                        node: VertexId::from_index(i),
+                    });
+                }
+            }
+        }
+        if self.fault_mode {
+            for &a in &self.att_dirty {
+                self.att_words[a as usize] = 0;
+                self.att_seq[a as usize] = 0;
+            }
+            self.att_dirty.clear();
+            // Per arc, delayed copies land in `(send_round, k)` order:
+            // `delayed` is appended in send order and the sweep is stable.
+            for d in std::mem::take(&mut self.delayed) {
+                if d.round != round {
+                    self.delayed.push(d);
+                    continue;
+                }
+                let inst = if self.inst_of.is_empty() {
+                    NIL
+                } else {
+                    let i = self.inst_of[d.dest.index()];
+                    self.inst_delayed[i as usize] -= 1;
+                    i
+                };
+                let w = d.msg.words();
+                self.enqueue(true, d.arc as usize, d.dest, round, d.msg, w, inst);
+            }
+        }
+        metrics.max_words_edge_round = metrics.max_words_edge_round.max(self.cur.max_words);
+        metrics.messages += self.cur.messages;
+        metrics.words += self.cur.words;
+        Ok(())
+    }
+
+    /// Closes delivery round `round`: the trace's round summary, then the
+    /// `cur` plane's reset.
+    fn close_round(&mut self, cfg: &SimConfig, round: usize) {
+        if cfg.trace.is_on() {
+            cfg.trace.emit(TraceEvent::RoundEnd {
+                round,
+                messages: self.cur.messages,
+                words: self.cur.words,
+                max_words_edge: self.cur.max_words,
+            });
+        }
+        self.cur.reset();
     }
 
     /// Runs `programs` (one per vertex of `g`, indexed by vertex id) to
@@ -1315,83 +1400,13 @@ impl<M: Words + Clone> Simulator<M> {
         loop {
             // Sends accumulated last round become this round's deliveries.
             std::mem::swap(&mut kernel.cur, &mut kernel.nxt);
-            if kernel.cur.msg_count == 0
+            if kernel.cur.messages == 0
                 && (!kernel.fault_mode || (kernel.delayed.is_empty() && !tick_pending))
             {
                 break; // quiescence
             }
             round += 1;
-            if let Some(limit) = cfg.watchdog {
-                if round > limit {
-                    if tracing {
-                        cfg.trace.emit(TraceEvent::Watchdog { limit });
-                    }
-                    return Err(SimError::WatchdogTimeout { limit });
-                }
-            }
-            if round > cfg.max_rounds {
-                return Err(SimError::MaxRoundsExceeded {
-                    limit: cfg.max_rounds,
-                });
-            }
-            if let Some(overflow) = kernel.pending_overflow.take() {
-                return Err(overflow);
-            }
-            if tracing {
-                // Only rounds that actually deliver get a RoundStart: the
-                // abort checks above come first, like the error ordering.
-                cfg.trace.emit(TraceEvent::RoundStart { round });
-                for (i, &r) in kernel.crashed_at.iter().enumerate() {
-                    if r == round {
-                        cfg.trace.emit(TraceEvent::Crash {
-                            round,
-                            node: VertexId::from_index(i),
-                        });
-                    }
-                }
-            }
-
-            if kernel.fault_mode {
-                // Fresh attempted-send accounting for this round's sends.
-                for &a in &kernel.att_dirty {
-                    kernel.att_words[a as usize] = 0;
-                    kernel.att_seq[a as usize] = 0;
-                }
-                kernel.att_dirty.clear();
-                // Inject delay-faulted messages due this round. Per arc they
-                // land behind the on-time traffic already queued, in
-                // `(send_round, k)` order — `delayed` is appended in send
-                // order, so a stable sweep preserves it.
-                if !kernel.delayed.is_empty() {
-                    let pending = std::mem::take(&mut kernel.delayed);
-                    for d in pending {
-                        if d.round == round {
-                            Self::queue_copy(
-                                &mut kernel.cur,
-                                &mut kernel.recipient_round,
-                                d.arc as usize,
-                                d.dest,
-                                round,
-                                d.msg,
-                            );
-                        } else {
-                            kernel.delayed.push(d);
-                        }
-                    }
-                }
-            }
-
-            // Congestion accounting over the active arcs only.
-            let mut round_words = 0usize;
-            let mut round_max = 0usize;
-            for &a in &kernel.cur.touched {
-                let w = kernel.cur.words[a as usize] as usize;
-                round_words += w;
-                round_max = round_max.max(w);
-            }
-            metrics.max_words_edge_round = metrics.max_words_edge_round.max(round_max);
-            metrics.messages += kernel.cur.msg_count;
-            metrics.words += round_words;
+            kernel.open_round(cfg, round, &mut metrics)?;
 
             // Deliver and run recipients in first-delivery order (outcome
             // independent of this order; see module docs).
@@ -1430,15 +1445,7 @@ impl<M: Words + Clone> Simulator<M> {
                     .enumerate()
                     .any(|(i, p)| kernel.crashed_at[i] > round + 1 && p.wants_tick());
             }
-            if tracing {
-                cfg.trace.emit(TraceEvent::RoundEnd {
-                    round,
-                    messages: kernel.cur.msg_count,
-                    words: round_words,
-                    max_words_edge: round_max,
-                });
-            }
-            kernel.cur.reset();
+            kernel.close_round(cfg, round);
         }
         metrics.rounds = round;
         if kernel.fault_mode {
@@ -1538,7 +1545,6 @@ impl<M: Words + Clone> Simulator<M> {
         kernel.inst_metrics.resize(k, Metrics::new());
         kernel.inst_delayed.resize(k, 0);
         kernel.inst_tick.resize(k, false);
-        kernel.inst_live.resize(k, false);
         let tracing = cfg.trace.is_on();
         if tracing {
             cfg.trace.emit(TraceEvent::RunStart {
@@ -1594,101 +1600,25 @@ impl<M: Words + Clone> Simulator<M> {
         let mut round = 0usize;
         loop {
             std::mem::swap(&mut kernel.cur, &mut kernel.nxt);
-            if kernel.cur.msg_count == 0
+            if kernel.cur.messages == 0
                 && (!kernel.fault_mode || (kernel.delayed.is_empty() && !tick_pending))
             {
                 break; // quiescence of the whole batch
             }
             round += 1;
-            if let Some(limit) = cfg.watchdog {
-                if round > limit {
-                    if tracing {
-                        cfg.trace.emit(TraceEvent::Watchdog { limit });
-                    }
-                    return Err(SimError::WatchdogTimeout { limit });
-                }
-            }
-            if round > cfg.max_rounds {
-                return Err(SimError::MaxRoundsExceeded {
-                    limit: cfg.max_rounds,
-                });
-            }
-            if let Some(overflow) = kernel.pending_overflow.take() {
-                return Err(overflow);
-            }
-            // Per-instance round attribution, *before* delayed injection —
-            // the same predicate the individual run's quiescence check
-            // evaluates: an instance is live in this round iff it has
-            // deliveries queued, delayed traffic pending, or (fault mode) a
-            // live program asking for timer ticks.
-            for i in 0..k {
-                kernel.inst_live[i] = kernel.inst_delayed[i] > 0 || kernel.inst_tick[i];
-            }
-            for &a in &kernel.cur.touched {
-                let owner = kernel.inst_of[idx.head(ArcId(a)).index()];
-                kernel.inst_live[owner as usize] = true;
-            }
-            for i in 0..k {
-                if kernel.inst_live[i] {
-                    kernel.inst_metrics[i].rounds = round;
-                }
-            }
-            if tracing {
-                cfg.trace.emit(TraceEvent::RoundStart { round });
-                for (i, &r) in kernel.crashed_at.iter().enumerate() {
-                    if r == round {
-                        cfg.trace.emit(TraceEvent::Crash {
-                            round,
-                            node: VertexId::from_index(i),
-                        });
-                    }
-                }
-            }
-
+            // Per-instance round attribution: an instance is live in this
+            // round iff it has deliveries queued (charged at send time, see
+            // `enqueue`), delayed traffic pending, or (fault mode) a live
+            // program asking for timer ticks — the predicate the individual
+            // run's quiescence check evaluates.
             if kernel.fault_mode {
-                for &a in &kernel.att_dirty {
-                    kernel.att_words[a as usize] = 0;
-                    kernel.att_seq[a as usize] = 0;
-                }
-                kernel.att_dirty.clear();
-                if !kernel.delayed.is_empty() {
-                    let pending = std::mem::take(&mut kernel.delayed);
-                    for d in pending {
-                        if d.round == round {
-                            kernel.inst_delayed[kernel.inst_of[d.dest.index()] as usize] -= 1;
-                            Self::queue_copy(
-                                &mut kernel.cur,
-                                &mut kernel.recipient_round,
-                                d.arc as usize,
-                                d.dest,
-                                round,
-                                d.msg,
-                            );
-                        } else {
-                            kernel.delayed.push(d);
-                        }
+                for i in 0..k {
+                    if kernel.inst_delayed[i] > 0 || kernel.inst_tick[i] {
+                        kernel.inst_metrics[i].rounds = round;
                     }
                 }
             }
-
-            // Congestion accounting: global totals plus per-instance
-            // attribution (the delivery arc's head vertex owns the arc —
-            // isolation guarantees sender and receiver share an instance).
-            let mut round_words = 0usize;
-            let mut round_max = 0usize;
-            for &a in &kernel.cur.touched {
-                let w = kernel.cur.words[a as usize] as usize;
-                round_words += w;
-                round_max = round_max.max(w);
-                let im =
-                    &mut kernel.inst_metrics[kernel.inst_of[idx.head(ArcId(a)).index()] as usize];
-                im.messages += kernel.cur.queue_len(a as usize);
-                im.words += w;
-                im.max_words_edge_round = im.max_words_edge_round.max(w);
-            }
-            metrics.max_words_edge_round = metrics.max_words_edge_round.max(round_max);
-            metrics.messages += kernel.cur.msg_count;
-            metrics.words += round_words;
+            kernel.open_round(cfg, round, &mut metrics)?;
 
             kernel.deliver(
                 g,
@@ -1733,15 +1663,7 @@ impl<M: Words + Clone> Simulator<M> {
                     tick_pending |= kernel.inst_tick[i];
                 }
             }
-            if tracing {
-                cfg.trace.emit(TraceEvent::RoundEnd {
-                    round,
-                    messages: kernel.cur.msg_count,
-                    words: round_words,
-                    max_words_edge: round_max,
-                });
-            }
-            kernel.cur.reset();
+            kernel.close_round(cfg, round);
         }
         metrics.rounds = round;
         if kernel.fault_mode {

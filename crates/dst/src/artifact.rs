@@ -150,6 +150,159 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+impl Json {
+    /// Parses JSON text: the inverse of [`Json::render`], so a harness can
+    /// read a committed record back. A number of digits alone parses as
+    /// [`Json::U64`], any other number as [`Json::F64`] (so a float that
+    /// rendered without a fraction reads back as an integer).
+    ///
+    /// # Errors
+    ///
+    /// What was malformed, with its byte offset.
+    pub fn parse(text: &str) -> Result<Json, String> {
+        let mut p = Parser { text, i: 0 };
+        let value = p.value()?;
+        p.skip_ws();
+        if p.i < text.len() {
+            return Err(p.error("trailing text"));
+        }
+        Ok(value)
+    }
+}
+
+/// Cursor over the text [`Json::parse`] reads.
+struct Parser<'a> {
+    text: &'a str,
+    i: usize,
+}
+
+impl Parser<'_> {
+    fn error(&self, what: &str) -> String {
+        format!("{what} at byte {}", self.i)
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.i).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while self.peek().is_some_and(|c| c.is_ascii_whitespace()) {
+            self.i += 1;
+        }
+    }
+
+    /// Consumes `c` (after whitespace) if it is next.
+    fn eat(&mut self, c: u8) -> bool {
+        self.skip_ws();
+        let hit = self.peek() == Some(c);
+        self.i += usize::from(hit);
+        hit
+    }
+
+    fn value(&mut self) -> Result<Json, String> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'{') => {
+                self.i += 1;
+                let mut map = BTreeMap::new();
+                if !self.eat(b'}') {
+                    loop {
+                        self.skip_ws();
+                        let key = self.string()?;
+                        if !self.eat(b':') {
+                            return Err(self.error("expected ':'"));
+                        }
+                        map.insert(key, self.value()?);
+                        if self.eat(b'}') {
+                            break;
+                        }
+                        if !self.eat(b',') {
+                            return Err(self.error("expected ',' or '}'"));
+                        }
+                    }
+                }
+                Ok(Json::Obj(map))
+            }
+            Some(b'[') => {
+                self.i += 1;
+                let mut items = Vec::new();
+                if !self.eat(b']') {
+                    loop {
+                        items.push(self.value()?);
+                        if self.eat(b']') {
+                            break;
+                        }
+                        if !self.eat(b',') {
+                            return Err(self.error("expected ',' or ']'"));
+                        }
+                    }
+                }
+                Ok(Json::Arr(items))
+            }
+            Some(b'"') => self.string().map(Json::Str),
+            _ => {
+                let rest = &self.text[self.i..];
+                let len = rest
+                    .find(|c: char| !(c.is_ascii_alphanumeric() || "+-.".contains(c)))
+                    .unwrap_or(rest.len());
+                let token = &rest[..len];
+                let value = match token {
+                    "null" => Json::Null,
+                    "true" => Json::Bool(true),
+                    "false" => Json::Bool(false),
+                    t if t.bytes().all(|c| c.is_ascii_digit()) && !t.is_empty() => {
+                        Json::U64(t.parse().map_err(|_| self.error("integer overflow"))?)
+                    }
+                    t => Json::F64(t.parse().map_err(|_| self.error("malformed value"))?),
+                };
+                self.i += len;
+                Ok(value)
+            }
+        }
+    }
+
+    /// A string literal, escapes resolved (those [`write_escaped`] emits,
+    /// plus `\/`).
+    fn string(&mut self) -> Result<String, String> {
+        if self.peek() != Some(b'"') {
+            return Err(self.error("expected a string"));
+        }
+        self.i += 1;
+        let mut out = String::new();
+        loop {
+            let rest = &self.text[self.i..];
+            let run = rest
+                .find(['"', '\\'])
+                .ok_or_else(|| self.error("unterminated string"))?;
+            out.push_str(&rest[..run]);
+            self.i += run + 1;
+            if rest.as_bytes()[run] == b'"' {
+                return Ok(out);
+            }
+            let escape = self
+                .peek()
+                .ok_or_else(|| self.error("unterminated string"))?;
+            self.i += 1;
+            out.push(match escape {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'/' => '/',
+                b'n' => '\n',
+                b't' => '\t',
+                b'r' => '\r',
+                b'u' => {
+                    let hex = self.text.get(self.i..self.i + 4);
+                    self.i += 4;
+                    hex.and_then(|h| u32::from_str_radix(h, 16).ok())
+                        .and_then(char::from_u32)
+                        .ok_or_else(|| self.error("malformed \\u escape"))?
+                }
+                _ => return Err(self.error("unknown escape")),
+            });
+        }
+    }
+}
+
 impl From<bool> for Json {
     fn from(b: bool) -> Json {
         Json::Bool(b)
@@ -511,6 +664,33 @@ mod tests {
         assert_eq!(render(0.000333668123), "0.000333668");
         assert_eq!(render(2.4503817), "2.45038");
         assert_eq!(render(0.05), "0.05");
+    }
+
+    /// `parse` reads back what `render` writes: nested containers, every
+    /// escape, integers and floats; malformed text is an error.
+    #[test]
+    fn parse_inverts_render() {
+        let doc = Json::obj([
+            (
+                "rows",
+                Json::Arr(vec![Json::obj([("n", 1024usize.into())])]),
+            ),
+            ("name", "a \"q\" \\ \n\t\r\u{1}".into()),
+            ("ratio", 0.000333668.into()),
+            (
+                "flags",
+                Json::Arr(vec![true.into(), false.into(), Json::Null]),
+            ),
+            ("empty", Json::obj([])),
+        ]);
+        assert_eq!(Json::parse(&doc.render()), Ok(doc.clone()));
+        assert_eq!(
+            Json::parse(" [ -1.5 , 7 ] "),
+            Ok(Json::Arr(vec![Json::F64(-1.5), Json::U64(7)]))
+        );
+        for bad in ["", "[1,", "{\"a\" 1}", "[1] x", "\"open", "tru", "[01x]"] {
+            assert!(Json::parse(bad).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

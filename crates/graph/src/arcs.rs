@@ -7,12 +7,13 @@
 //! head id (inherited from the graph's sorted adjacency lists). That gives
 //! the simulation kernel everything it needs to run allocation-free:
 //!
-//! * per-arc message buffers and word budgets become flat `Vec`s indexed by
-//!   `ArcId` instead of per-round `HashMap`s;
-//! * the in-arcs of `v`, enumerated via [`ArcIndex::rev`] over `v`'s
-//!   out-arc block, arrive already sorted by sender id, so inboxes are
-//!   deterministic without sorting;
-//! * destination validation is a slot lookup instead of a binary search.
+//! * per-arc mailboxes become flat `Vec`s indexed by `ArcId` instead of
+//!   per-round `HashMap`s;
+//! * a message from `u` to `v` is keyed by the reverse arc `(v, u)`
+//!   ([`ArcIndex::rev`]), which lies in `v`'s own block, so `v`'s inbox
+//!   is one scan of that block and arrives already sorted by sender id;
+//! * destination validation walks the sender's sorted block
+//!   ([`ArcIndex::block`]) instead of hashing.
 //!
 //! The index is immutable: build it with [`ArcIndex::build`] (or the
 //! [`Graph::arc_index`] convenience) after the graph is fully constructed.
@@ -145,9 +146,7 @@ impl ArcIndex {
     }
 
     /// Position of `v` in `u`'s sorted neighbor list, or `None` when
-    /// `(u, v)` is not an arc. `O(log deg u)`; the kernel's destination
-    /// check tries the slot after the previous send first and falls back
-    /// to this search, see `congest_sim::network`.
+    /// `(u, v)` is not an arc. `O(log deg u)`.
     pub fn neighbor_slot(&self, u: VertexId, v: VertexId) -> Option<usize> {
         let block = &self.head[self.start[u.index()]..self.start[u.index() + 1]];
         block.binary_search(&v).ok()
@@ -158,11 +157,13 @@ impl ArcIndex {
         self.neighbor_slot(u, v).map(|slot| self.arc_at(u, slot))
     }
 
-    /// Iterator over `(slot, arc, head)` of `u`'s out-arcs in slot order.
-    pub fn out_arcs(&self, u: VertexId) -> impl Iterator<Item = (usize, ArcId, VertexId)> + '_ {
-        let lo = self.start[u.index()];
-        let hi = self.start[u.index() + 1];
-        (lo..hi).map(move |a| (a - lo, ArcId(a as u32), self.head[a]))
+    /// `u`'s out-arc block: its first arc id, then the heads and the
+    /// reverse arcs of its arcs in slot order, as slices a loop over the
+    /// block indexes without per-arc range checks.
+    #[inline]
+    pub fn block(&self, u: VertexId) -> (usize, &[VertexId], &[ArcId]) {
+        let (lo, hi) = (self.start[u.index()], self.start[u.index() + 1]);
+        (lo, &self.head[lo..hi], &self.rev[lo..hi])
     }
 }
 
@@ -209,14 +210,20 @@ mod tests {
                 assert_eq!(idx.head(b), u);
                 assert_eq!(idx.tail(b), v);
             }
-            // Out-arc iteration covers exactly the neighbor list in order.
-            let heads: Vec<VertexId> = idx.out_arcs(u).map(|(_, _, h)| h).collect();
+            // The block covers exactly the neighbor list in order, with
+            // each arc's reverse beside it.
+            let (first, heads, revs) = idx.block(u);
+            assert_eq!(first, idx.first_arc(u).index());
             assert_eq!(heads, g.neighbors(u));
+            for (slot, &b) in revs.iter().enumerate() {
+                assert_eq!(b, idx.rev(idx.arc_at(u, slot)));
+            }
         }
         // Arc ids are dense: every id in 0..2m is some (u, slot).
         let mut seen = vec![false; idx.arc_count()];
         for u in g.vertices() {
-            for (_, a, _) in idx.out_arcs(u) {
+            for slot in 0..idx.degree(u) {
+                let a = idx.arc_at(u, slot);
                 assert!(!seen[a.index()], "duplicate arc id");
                 seen[a.index()] = true;
             }
