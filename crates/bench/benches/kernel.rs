@@ -10,7 +10,8 @@
 fn main() {
     let sizes = [1024usize, 10_000, 100_000];
     let rows = planar_bench::kernelbench::kernel_bench(&sizes);
-    let embeds = planar_bench::kernelbench::embed_mem_stage(&[100_000, 1_000_000]);
+    let embeds = planar_bench::kernelbench::embed_mem_stage(&[10_000, 100_000, 1_000_000]);
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_kernel.json");
-    planar_bench::record::write(path, &planar_bench::kernelbench::record(&rows, &embeds));
+    let doc = planar_bench::kernelbench::record(&rows, &embeds, None);
+    planar_bench::record::write(path, &doc);
 }

@@ -115,10 +115,10 @@ fn main() {
             &[1024, 10_000]
         };
         // The memory stage: distributed-pipeline embeddings on random
-        // maximal planar substrates. --large runs the million-node
+        // maximal planar substrates. --large adds the million-node
         // acceptance point (minutes).
         let embed_ns: &[usize] = if large {
-            &[100_000, 1_000_000]
+            &[10_000, 100_000, 1_000_000]
         } else {
             &[10_000]
         };
@@ -132,9 +132,10 @@ fn main() {
         let rows = planar_bench::kernelbench::kernel_bench(ns);
         println!("== embedding memory: distributed pipeline on random maximal planar ==");
         let embeds = planar_bench::kernelbench::embed_mem_stage(embed_ns);
+        // Rows only a --large run makes stay as committed.
         record::write(
             "BENCH_kernel.json",
-            &planar_bench::kernelbench::record(&rows, &embeds),
+            &planar_bench::kernelbench::record(&rows, &embeds, committed.as_ref()),
         );
         if let Some(committed) = committed {
             let drift: Vec<String> = record::drift(&committed, "workloads", &rows)

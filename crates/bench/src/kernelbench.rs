@@ -354,8 +354,10 @@ pub fn embed_mem_stage(sizes: &[usize]) -> Vec<EmbedMemRow> {
         .collect()
 }
 
-/// The `BENCH_kernel.json` document: flood rows and embedding memory rows.
-pub fn record(rows: &[KernelBenchRow], embeds: &[EmbedMemRow]) -> Json {
+/// The `BENCH_kernel.json` document: flood rows and embedding memory rows,
+/// keeping the rows of the `old` record that this run did not measure
+/// ([`record::array_over`]).
+pub fn record(rows: &[KernelBenchRow], embeds: &[EmbedMemRow], old: Option<&Json>) -> Json {
     Json::obj([
         ("benchmark", "congest-kernel-flood".into()),
         (
@@ -363,8 +365,8 @@ pub fn record(rows: &[KernelBenchRow], embeds: &[EmbedMemRow]) -> Json {
             "delivered messages per second (best of N runs)".into(),
         ),
         ("budget_words", SimConfig::default().budget_words.into()),
-        ("workloads", record::array(rows)),
-        ("embeddings", record::array(embeds)),
+        ("workloads", record::array_over(old, "workloads", rows)),
+        ("embeddings", record::array_over(old, "embeddings", embeds)),
     ])
 }
 
@@ -414,7 +416,7 @@ mod tests {
         let g = gen::grid(4, 4);
         let rows = vec![measure("grid", &g, 1)];
         let embeds = vec![embed_mem(64)];
-        let doc = record(&rows, &embeds);
+        let doc = record(&rows, &embeds, None);
         assert_eq!(doc["budget_words"], Json::U64(8));
         let flood = &doc["workloads"][0];
         for key in [

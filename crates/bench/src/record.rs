@@ -43,6 +43,12 @@ pub trait Row {
     }
 }
 
+/// Whether two row objects describe the same measurement: the same
+/// `family` and `n`.
+fn same_row(a: &Json, b: &Json) -> bool {
+    ["family", "n"].iter().all(|&k| a[k] == b[k])
+}
+
 /// Every deterministic field of `rows` that differs from the row with the
 /// same `family` and `n` in `section` of the `committed` record, one line
 /// per difference. Rows with no committed counterpart (a size only another
@@ -54,8 +60,7 @@ pub fn drift<R: Row>(committed: &Json, section: &str, rows: &[R]) -> Vec<String>
     let mut diffs = Vec::new();
     for row in rows {
         let new = Json::obj(row.fields());
-        let same_row = |old: &&Json| ["family", "n"].iter().all(|&k| old[k] == new[k]);
-        let Some(old) = old_rows.iter().find(same_row) else {
+        let Some(old) = old_rows.iter().find(|old| same_row(old, &new)) else {
             continue;
         };
         for (name, value) in row.fields() {
@@ -76,6 +81,26 @@ pub fn drift<R: Row>(committed: &Json, section: &str, rows: &[R]) -> Vec<String>
 /// The rows as a record array, one object per row.
 pub fn array<R: Row>(rows: &[R]) -> Json {
     Json::Arr(rows.iter().map(|r| Json::obj(r.fields())).collect())
+}
+
+/// The rows as a record array that keeps every row of `section` in the
+/// `committed` record whose `family` and `n` this run did not measure, so
+/// a default-size run leaves the rows only a larger run makes in place.
+/// Rows are ordered by `n`, this run's rows first among equals.
+pub fn array_over<R: Row>(committed: Option<&Json>, section: &str, rows: &[R]) -> Json {
+    let mut out: Vec<Json> = rows.iter().map(|r| Json::obj(r.fields())).collect();
+    if let Some(Json::Arr(old_rows)) = committed.map(|c| &c[section]) {
+        for old in old_rows {
+            if !out.iter().any(|new| same_row(new, old)) {
+                out.push(old.clone());
+            }
+        }
+    }
+    out.sort_by_key(|row| match row["n"] {
+        Json::U64(n) => n,
+        _ => u64::MAX,
+    });
+    Json::Arr(out)
 }
 
 /// The scalar fields of a row (nested arrays and objects are record-only).
@@ -186,6 +211,21 @@ mod tests {
         );
         assert!(drift(&committed, "rows", &[row(128, 7, 0.5)]).is_empty());
         assert!(drift(&committed, "other", &[row(64, 101, 0.5)]).is_empty());
+    }
+
+    /// `array_over` replaces the committed rows this run measured, keeps
+    /// the others, and orders the result by `n`.
+    #[test]
+    fn array_over_keeps_rows_the_run_did_not_make() {
+        let row = |n, messages, secs| Count { n, messages, secs };
+        let committed = Json::obj([("rows", array(&[row(64, 100, 0.5), row(1024, 900, 4.0)]))]);
+        let rows = [row(16, 10, 0.1), row(64, 101, 0.25)];
+        let merged = array_over(Some(&committed), "rows", &rows);
+        assert_eq!(
+            merged,
+            array(&[row(16, 10, 0.1), row(64, 101, 0.25), row(1024, 900, 4.0)])
+        );
+        assert_eq!(array_over(None, "rows", &rows), array(&rows));
     }
 
     #[test]

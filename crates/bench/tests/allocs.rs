@@ -120,18 +120,17 @@ fn grid_25() {
 }
 
 // Recursion bounds with ~1.1-1.25x headroom over the measured counts,
-// identical in release and debug builds (rmp: 6,576, of which 5,530 are
-// `summary_words`; wheel-chain: 5,812, of which 4,531; grid: 586, of
-// which 210). What is left besides `summary_words` is mostly output (the
-// tree's children lists, each partition's `P_0` and part list, each merged
-// part's member list), the batched kernel instances (three vectors each),
-// and the growth of the five message types' cold simulator buffers, which
-// the receiver-keyed mailbox cut (a single message per arc needs no pool
-// entry and no dirty list). A per-vertex or per-part table, or a hash map
-// per step, would cross them.
-const RECURSION_RMP: u64 = 8_200;
-const RECURSION_CHAIN: u64 = 7_300;
-const RECURSION_GRID: u64 = 650;
+// identical in release and debug builds (rmp: 1,060; wheel-chain: 1,298;
+// grid: 386). Summary sizes come from an in-place block pass and allocate
+// nothing. What is left is mostly output (the tree's children lists, each
+// partition's `P_0` and part list, each merged part's member list), each
+// symmetry step's virtual graph and outcome, the batched kernel instances
+// (three vectors each), and the growth of the five message types' cold
+// simulator buffers. A per-vertex or per-part table, or a hash map per
+// step or per summary, would cross them.
+const RECURSION_RMP: u64 = 1_250;
+const RECURSION_CHAIN: u64 = 1_500;
+const RECURSION_GRID: u64 = 450;
 
 // Bounds with ~1.5x headroom over the measured counts (rmp: embed 506
 // release / 518 debug, certify 885; grid: embed 101 / 108, certify 108).

@@ -31,7 +31,7 @@ use planar_graph::{Graph, VertexId};
 
 use crate::error::EmbedError;
 use crate::exec::ExecutionContext;
-use crate::parts::{summary_words, verify_part, PartState};
+use crate::parts::{verify_part, PartState};
 use crate::stats::MergeStats;
 use crate::symmetry::symmetry_break_ctx;
 
@@ -86,9 +86,9 @@ struct Route {
 /// owns one and lends it to each merge it runs. A merge fills `p0_pos` and
 /// `part_of` over its own `H` and clears them on the way out, and every BFS
 /// bumps `epoch` instead of clearing, so a merge costs `O(|H| + vol(H))`.
-/// Once the buffers have grown, a merge allocates only its output, the
-/// virtual graph and outcome of each symmetry step, and the summaries it
-/// charges (`summary_words`).
+/// Summary sizes come from an in-place block pass over the part
+/// ([`BlockPass`]). Once the buffers have grown, a merge allocates only its
+/// output and the virtual graph and outcome of each symmetry step.
 #[derive(Debug, Default)]
 pub(crate) struct MergeScratch {
     /// `P_0` position of a vertex, or [`NONE`].
@@ -125,6 +125,130 @@ pub(crate) struct MergeScratch {
     group_ends: Vec<usize>,
     /// Steps 3–5: `(a, b, part)` per two-connection part.
     doubles: Vec<(usize, usize, usize)>,
+    /// The block pass that sizes summaries.
+    blocks: BlockPass,
+}
+
+/// The blocks (biconnected components) of the subgraph one vertex set
+/// induces, found by an iterative Hopcroft–Tarjan pass with a vertex stack.
+/// Its vertex tables are sized to the graph once and reset by walking the
+/// set, so a pass costs `O(|set| + vol(set))` and, once its buffers have
+/// grown, allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct BlockPass {
+    /// Per vertex: DFS number (0 = unvisited) and low point.
+    num: Vec<(u32, u32)>,
+    /// Per vertex: a relevant attachment of the summary being sized.
+    relevant: Vec<bool>,
+    /// The DFS path from the current root: a vertex, the index of its next
+    /// neighbor, and its position on `open`.
+    frames: Vec<(VertexId, usize, usize)>,
+    /// Visited vertices whose block has not closed yet, in DFS order.
+    open: Vec<VertexId>,
+}
+
+impl BlockPass {
+    /// Calls `block(top, rest)` once per block of the subgraph induced by
+    /// `members`, the vertices `inside` accepts: `top` is the block's vertex
+    /// nearest the DFS root and `rest` its other vertices. Blocks are those
+    /// of [`BiconnectedDecomposition`](planar_graph::biconnected::BiconnectedDecomposition):
+    /// an isolated vertex lies in no block, a bridge is a block, and a cut
+    /// vertex lies in each of its blocks.
+    fn for_each_block(
+        &mut self,
+        g: &Graph,
+        members: &[VertexId],
+        inside: impl Fn(VertexId) -> bool,
+        mut block: impl FnMut(VertexId, &[VertexId]),
+    ) {
+        self.num.resize(g.vertex_count(), (0, 0));
+        let mut clock = 0;
+        for &root in members {
+            if self.num[root.index()].0 != 0 {
+                continue;
+            }
+            clock += 1;
+            self.num[root.index()] = (clock, clock);
+            self.frames.push((root, 0, 0));
+            self.open.push(root);
+            while let Some((v, next, at)) = self.frames.last_mut() {
+                let v = *v;
+                if let Some(&w) = g.neighbors(v).get(*next) {
+                    *next += 1;
+                    if !inside(w) {
+                        continue;
+                    }
+                    let seen = self.num[w.index()].0;
+                    if seen == 0 {
+                        clock += 1;
+                        self.num[w.index()] = (clock, clock);
+                        self.frames.push((w, 0, self.open.len()));
+                        self.open.push(w);
+                    } else {
+                        // An edge to an ancestor (descendants have higher
+                        // numbers). The parent edge lowers `low[v]` to the
+                        // parent's number at most, which the `>=` test
+                        // below still accepts.
+                        let low = &mut self.num[v.index()].1;
+                        *low = (*low).min(seen);
+                    }
+                } else {
+                    let at = *at;
+                    self.frames.pop();
+                    if let Some(&(p, _, _)) = self.frames.last() {
+                        let low = self.num[v.index()].1;
+                        let (p_num, p_low) = &mut self.num[p.index()];
+                        *p_low = (*p_low).min(low);
+                        if low >= *p_num {
+                            block(p, &self.open[at..]);
+                            self.open.truncate(at);
+                        }
+                    }
+                }
+            }
+            self.open.clear();
+        }
+        for &v in members {
+            self.num[v.index()] = (0, 0);
+        }
+    }
+
+    /// The charged size, in `O(log n)` words, of the interface summary of
+    /// the part `members` (the vertices `inside` accepts) restricted to
+    /// its `relevant` attachments: constant overhead, two words per block
+    /// holding a relevant attachment (its id), and one word per relevant
+    /// attachment slot.
+    ///
+    /// This is the compressed-PQ-tree accounting of DESIGN.md §1: by
+    /// Observation 3.2 the interface is determined by the block
+    /// decomposition and per-block fixed orders, so a summary listing each
+    /// relevant block and the order of relevant attachments within it
+    /// suffices.
+    pub(crate) fn summary_size(
+        &mut self,
+        g: &Graph,
+        members: &[VertexId],
+        inside: impl Fn(VertexId) -> bool,
+        relevant: &[VertexId],
+    ) -> usize {
+        debug_assert!(relevant.iter().all(|&r| inside(r)));
+        let mut flags = std::mem::take(&mut self.relevant);
+        flags.resize(g.vertex_count(), false);
+        for &r in relevant {
+            flags[r.index()] = true;
+        }
+        let mut hit = 0;
+        self.for_each_block(g, members, inside, |top, rest| {
+            if flags[top.index()] || rest.iter().any(|v| flags[v.index()]) {
+                hit += 1;
+            }
+        });
+        for &r in relevant {
+            flags[r.index()] = false;
+        }
+        self.relevant = flags;
+        4 + 2 * hit + relevant.len()
+    }
 }
 
 impl MergeScratch {
@@ -464,8 +588,16 @@ impl<'a, 'g> MergeCtx<'a, 'g> {
                 Some(w) == coord || (t.in_marked_part(w) && t.part_of[w.index()] as usize != idx)
             })
         }));
-        let words = summary_words(self.g, t.members(idx), &relevant);
-        self.t.relevant = relevant;
+        let t = &mut self.t;
+        let p = t.parts[idx];
+        let part_of = &t.part_of;
+        let words = t.blocks.summary_size(
+            self.g,
+            &t.members[p.start..p.start + p.len],
+            |w| part_of[w.index()] as usize == idx,
+            &relevant,
+        );
+        t.relevant = relevant;
         words
     }
 
@@ -933,7 +1065,10 @@ mod tests {
     use super::*;
     use crate::partition::partition_subtree;
     use crate::setup::run_setup;
+    use planar_graph::biconnected::BiconnectedDecomposition;
     use planar_lib::gen;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
     /// Runs setup + one partition and returns `P_0` and the hanging parts
@@ -1032,9 +1167,128 @@ mod tests {
         max
     }
 
-    /// Checks `region_depth` (cached and recomputed) and `path_within`
-    /// against the oracles for every live part, alone and paired with the
-    /// next live part, and the part lists against their definitions.
+    /// The summary size the block pass replaced, kept as its oracle: it
+    /// builds the part's induced subgraph and its block decomposition.
+    fn summary_words(g: &Graph, members: &[VertexId], relevant: &[VertexId]) -> usize {
+        let (sub, map) = g.induced_subgraph(members).expect("valid members");
+        let reverse: HashMap<VertexId, VertexId> = map
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (v, VertexId::from_index(i)))
+            .collect();
+        let bc = BiconnectedDecomposition::compute(&sub);
+        let mut relevant_blocks: HashSet<usize> = HashSet::new();
+        let mut slots = 0usize;
+        for &r in relevant {
+            if let Some(&local) = reverse.get(&r) {
+                slots += 1;
+                for &b in bc.blocks_of_vertex(local) {
+                    relevant_blocks.insert(b);
+                }
+            }
+        }
+        4 + 2 * relevant_blocks.len() + slots
+    }
+
+    /// The block pass's summary size for a member set (sorted), checked
+    /// against the oracle.
+    fn checked_size(
+        pass: &mut BlockPass,
+        g: &Graph,
+        members: &[VertexId],
+        relevant: &[VertexId],
+    ) -> usize {
+        let set: HashSet<VertexId> = members.iter().copied().collect();
+        let words = pass.summary_size(g, members, |w| set.contains(&w), relevant);
+        assert_eq!(
+            words,
+            summary_words(g, members, relevant),
+            "members {members:?}, relevant {relevant:?}"
+        );
+        words
+    }
+
+    /// A random connected member set of `g` (sorted), grown one random
+    /// frontier vertex at a time, and a random subset of it.
+    fn random_part(g: &Graph, rng: &mut StdRng) -> (Vec<VertexId>, Vec<VertexId>) {
+        let n = g.vertex_count();
+        let target = rng.gen_range(1..=n);
+        let mut inside = vec![false; n];
+        let mut members = Vec::new();
+        let mut frontier = vec![VertexId::from_index(rng.gen_range(0..n))];
+        while members.len() < target && !frontier.is_empty() {
+            let v = frontier.swap_remove(rng.gen_range(0..frontier.len()));
+            if !inside[v.index()] {
+                inside[v.index()] = true;
+                members.push(v);
+                frontier.extend(g.neighbors(v).iter().filter(|w| !inside[w.index()]));
+            }
+        }
+        members.sort_unstable();
+        let keep = rng.gen_range(0..=4u32);
+        let relevant = members
+            .iter()
+            .copied()
+            .filter(|_| rng.gen_range(0..4u32) < keep)
+            .collect();
+        (members, relevant)
+    }
+
+    #[test]
+    fn block_pass_matches_bc_oracle_on_random_parts() {
+        let mut pass = BlockPass::default();
+        let mut rng = StdRng::seed_from_u64(26);
+        for family in gen::FAMILIES {
+            for n in [40, 150] {
+                let g = (family.build)(n, 3);
+                for _ in 0..25 {
+                    let (members, relevant) = random_part(&g, &mut rng);
+                    checked_size(&mut pass, &g, &members, &relevant);
+                    checked_size(&mut pass, &g, &members, &members);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn block_pass_hand_cases() {
+        let v = |ids: &[u32]| ids.iter().copied().map(VertexId).collect::<Vec<_>>();
+        let mut pass = BlockPass::default();
+        // An isolated single-vertex part has no block.
+        let path = gen::path(3);
+        assert_eq!(checked_size(&mut pass, &path, &v(&[1]), &v(&[1])), 5);
+        // A bridge is a block.
+        assert_eq!(checked_size(&mut pass, &path, &v(&[0, 1]), &v(&[0])), 7);
+        assert_eq!(checked_size(&mut pass, &path, &v(&[0, 1]), &v(&[0, 1])), 8);
+        // Two triangles sharing cut vertex 2, closed into one block of the
+        // whole graph by the outside vertex 5: the part sees two blocks,
+        // and a relevant cut vertex counts both.
+        let bowtie = Graph::from_edges(
+            6,
+            [
+                (0, 1),
+                (1, 2),
+                (0, 2),
+                (2, 3),
+                (3, 4),
+                (2, 4),
+                (0, 5),
+                (4, 5),
+            ],
+        )
+        .unwrap();
+        let part = v(&[0, 1, 2, 3, 4]);
+        assert_eq!(checked_size(&mut pass, &bowtie, &part, &v(&[2])), 9);
+        assert_eq!(checked_size(&mut pass, &bowtie, &part, &v(&[0, 1])), 8);
+        assert_eq!(checked_size(&mut pass, &bowtie, &part, &v(&[1, 3])), 10);
+        // No relevant attachment: the overhead alone.
+        assert_eq!(checked_size(&mut pass, &bowtie, &part, &[]), 4);
+    }
+
+    /// Checks `region_depth` (cached and recomputed), `path_within` and
+    /// `summary_toward` against the oracles for every live part, alone and
+    /// paired with the next live part, and the part lists against their
+    /// definitions.
     fn assert_tables_match_oracle(ctx: &mut MergeCtx, label: &str) {
         let live: Vec<usize> = (0..ctx.t.parts.len())
             .filter(|&i| !ctx.is_empty(i))
@@ -1088,6 +1342,11 @@ mod tests {
                 groups.push(vec![j, i]);
             }
             for group in groups {
+                for coord in [None, Some(ctx.p0[0])] {
+                    let words = ctx.summary_toward(i, coord, &group);
+                    let oracle = summary_words(ctx.g, ctx.t.members(i), &ctx.t.relevant);
+                    assert_eq!(words, oracle, "{label}: summary of {i} toward {group:?}");
+                }
                 let region = oracle_region(ctx, &group);
                 for &to in &targets {
                     assert_eq!(

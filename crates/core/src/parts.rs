@@ -9,7 +9,6 @@
 
 use std::collections::{HashMap, HashSet};
 
-use planar_graph::biconnected::BiconnectedDecomposition;
 use planar_graph::{Graph, VertexId};
 use planar_lib::embed_pinned;
 
@@ -155,39 +154,10 @@ pub fn partition_is_safe(g: &Graph, parts: &[Vec<VertexId>]) -> bool {
     true
 }
 
-/// The charged size, in `O(log n)` words, of a part's interface summary
-/// restricted to a set of relevant attachment vertices: constant overhead,
-/// two words per boundary block (its id), and one word per relevant
-/// attachment slot.
-///
-/// This is the compressed-PQ-tree accounting of DESIGN.md §1: by
-/// Observation 3.2 the interface is determined by the block decomposition
-/// and per-block fixed orders, so a summary listing each relevant block and
-/// the order of relevant attachments within it suffices.
-pub fn summary_words(g: &Graph, members: &[VertexId], relevant: &[VertexId]) -> usize {
-    let (sub, map) = g.induced_subgraph(members).expect("valid members");
-    let reverse: HashMap<VertexId, VertexId> = map
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| (v, VertexId::from_index(i)))
-        .collect();
-    let bc = BiconnectedDecomposition::compute(&sub);
-    let mut relevant_blocks: HashSet<usize> = HashSet::new();
-    let mut slots = 0usize;
-    for &r in relevant {
-        if let Some(&local) = reverse.get(&r) {
-            slots += 1;
-            for &b in bc.blocks_of_vertex(local) {
-                relevant_blocks.insert(b);
-            }
-        }
-    }
-    4 + 2 * relevant_blocks.len() + slots
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::merge::BlockPass;
     use planar_lib::gen;
 
     #[test]
@@ -279,9 +249,14 @@ mod tests {
         let g = gen::grid(3, 3);
         let members: Vec<VertexId> = (0..6).map(VertexId).collect(); // two grid rows
         let att = attachments(&g, &members);
-        let full = summary_words(&g, &members, &att);
-        let partial = summary_words(&g, &members, &att[..1]);
+        let mut pass = BlockPass::default();
+        let inside = |w: VertexId| w.index() < 6;
+        let full = pass.summary_size(&g, &members, inside, &att);
+        let partial = pass.summary_size(&g, &members, inside, &att[..1]);
         assert!(full > partial);
-        assert!(partial >= 4);
+        // One block (the 2x3 grid is biconnected), so one relevant slot
+        // costs 4 + 2 + 1 and none costs the overhead alone.
+        assert_eq!(partial, 7);
+        assert_eq!(pass.summary_size(&g, &members, inside, &[]), 4);
     }
 }

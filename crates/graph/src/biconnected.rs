@@ -1,5 +1,4 @@
-//! Biconnected-component (block) decomposition, cut vertices and the
-//! block–cut tree.
+//! Biconnected-component (block) decomposition and cut vertices.
 //!
 //! Section 3 of the paper characterizes the *interface* of a partial
 //! embedding through exactly this decomposition (Observation 3.2): each
@@ -7,8 +6,6 @@
 //! may be permuted freely around their shared cut vertices. The distributed
 //! representation in the paper names each block by its smallest edge ID;
 //! [`BiconnectedDecomposition::block_id`] reproduces that convention.
-
-use std::collections::HashMap;
 
 use crate::{EdgeId, Graph, VertexId};
 
@@ -232,39 +229,6 @@ impl BiconnectedDecomposition {
     pub fn block_id(&self, b: usize) -> EdgeId {
         *self.blocks[b].iter().min().expect("blocks are never empty")
     }
-
-    /// The block–cut tree: one node per block and per cut vertex, with an
-    /// edge whenever a cut vertex lies in a block.
-    ///
-    /// Returns `(tree, block_node, cut_node)` where `block_node[b]` is the
-    /// tree vertex of block `b` and `cut_node` maps each cut vertex to its
-    /// tree vertex. For a connected input graph the result is a tree.
-    pub fn block_cut_tree(&self) -> (Graph, Vec<VertexId>, HashMap<VertexId, VertexId>) {
-        let cuts = self.cut_vertices();
-        let total = self.blocks.len() + cuts.len();
-        let mut tree = Graph::new(total);
-        let block_node: Vec<VertexId> = (0..self.blocks.len()).map(VertexId::from_index).collect();
-        let mut cut_node = HashMap::new();
-        for (i, &c) in cuts.iter().enumerate() {
-            cut_node.insert(c, VertexId::from_index(self.blocks.len() + i));
-        }
-        for (i, &c) in cuts.iter().enumerate() {
-            let cn = VertexId::from_index(self.blocks.len() + i);
-            for &b in self.blocks_of_vertex(c) {
-                tree.add_edge(block_node[b], cn)
-                    .expect("block-cut incidences are unique");
-            }
-        }
-        (tree, block_node, cut_node)
-    }
-
-    /// Returns `true` if the whole graph is biconnected: connected, at least
-    /// one edge, and a single block containing every vertex.
-    pub fn is_biconnected(&self, g: &Graph) -> bool {
-        g.is_connected()
-            && self.blocks.len() == 1
-            && self.block_vertices(0).len() == g.vertex_count()
-    }
 }
 
 #[cfg(test)]
@@ -278,7 +242,8 @@ mod tests {
         let bc = BiconnectedDecomposition::compute(&g);
         assert_eq!(bc.block_count(), 1);
         assert!(bc.cut_vertices().is_empty());
-        assert!(bc.is_biconnected(&g));
+        assert_eq!(bc.blocks_of_vertex(VertexId(0)), &[0]);
+        assert_eq!(bc.blocks_of_vertex(VertexId(1)), &[0]);
     }
 
     #[test]
@@ -287,7 +252,7 @@ mod tests {
         let bc = BiconnectedDecomposition::compute(&g);
         assert_eq!(bc.block_count(), 3);
         assert_eq!(bc.cut_vertices(), vec![VertexId(1), VertexId(2)]);
-        assert!(!bc.is_biconnected(&g));
+        assert_eq!(bc.blocks_of_vertex(VertexId(1)).len(), 2);
     }
 
     #[test]
@@ -296,7 +261,7 @@ mod tests {
         let bc = BiconnectedDecomposition::compute(&g);
         assert_eq!(bc.block_count(), 1);
         assert!(bc.cut_vertices().is_empty());
-        assert!(bc.is_biconnected(&g));
+        assert!(g.vertices().all(|v| bc.blocks_of_vertex(v) == [0]));
     }
 
     #[test]
@@ -361,29 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn block_cut_tree_is_tree() {
-        let g = Graph::from_edges(
-            8,
-            [
-                (0, 1),
-                (1, 2),
-                (0, 2),
-                (2, 3),
-                (3, 4),
-                (4, 5),
-                (5, 6),
-                (6, 3),
-                (6, 7),
-            ],
-        )
-        .unwrap();
-        let bc = BiconnectedDecomposition::compute(&g);
-        let (tree, _, _) = bc.block_cut_tree();
-        assert!(tree.is_connected());
-        assert_eq!(tree.edge_count(), tree.vertex_count() - 1);
-    }
-
-    #[test]
     fn disconnected_graph_blocks_per_component() {
         let g = Graph::from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)]).unwrap();
         let bc = BiconnectedDecomposition::compute(&g);
@@ -394,7 +336,8 @@ mod tests {
     fn k4_is_biconnected() {
         let g = Graph::from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]).unwrap();
         let bc = BiconnectedDecomposition::compute(&g);
-        assert!(bc.is_biconnected(&g));
+        assert_eq!(bc.block_count(), 1);
+        assert_eq!(bc.block_vertices(0).len(), 4);
         assert!(bc.cut_vertices().is_empty());
     }
 

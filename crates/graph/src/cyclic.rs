@@ -100,19 +100,6 @@ pub fn insert_after<T: PartialEq>(seq: &mut Vec<T>, anchor: &T, item: T) {
     seq.insert(pos + 1, item);
 }
 
-/// Inserts `item` immediately before the (first) occurrence of `anchor`.
-///
-/// # Panics
-///
-/// Panics if `anchor` is not present.
-pub fn insert_before<T: PartialEq>(seq: &mut Vec<T>, anchor: &T, item: T) {
-    let pos = seq
-        .iter()
-        .position(|x| x == anchor)
-        .expect("anchor not present in cyclic sequence");
-    seq.insert(pos, item);
-}
-
 /// Returns the successor of the element at the (first) position of `x` in the
 /// cyclic sequence, or `None` if `x` is absent.
 pub fn successor<'a, T: PartialEq>(seq: &'a [T], x: &T) -> Option<&'a T> {
@@ -124,19 +111,6 @@ pub fn successor<'a, T: PartialEq>(seq: &'a [T], x: &T) -> Option<&'a T> {
 pub fn predecessor<'a, T: PartialEq>(seq: &'a [T], x: &T) -> Option<&'a T> {
     let pos = seq.iter().position(|y| y == x)?;
     Some(&seq[(pos + seq.len() - 1) % seq.len()])
-}
-
-/// Rotates `seq` in place so it starts at the first occurrence of `x`.
-///
-/// # Panics
-///
-/// Panics if `x` is not present.
-pub fn rotate_to_start<T: PartialEq>(seq: &mut [T], x: &T) {
-    let pos = seq
-        .iter()
-        .position(|y| y == x)
-        .expect("element not present");
-    seq.rotate_left(pos);
 }
 
 #[cfg(test)]
@@ -184,8 +158,6 @@ mod tests {
         let mut s = vec![1, 2, 3];
         insert_after(&mut s, &2, 9);
         assert_eq!(s, vec![1, 2, 9, 3]);
-        insert_before(&mut s, &1, 8);
-        assert_eq!(s, vec![8, 1, 2, 9, 3]);
     }
 
     #[test]
@@ -194,12 +166,5 @@ mod tests {
         assert_eq!(successor(&s, &3), Some(&1));
         assert_eq!(predecessor(&s, &1), Some(&3));
         assert_eq!(successor(&s, &7), None);
-    }
-
-    #[test]
-    fn rotate_to_start_works() {
-        let mut s = vec![1, 2, 3, 4];
-        rotate_to_start(&mut s, &3);
-        assert_eq!(s, vec![3, 4, 1, 2]);
     }
 }

@@ -290,17 +290,6 @@ impl Graph {
         }
         Ok((sub, vertices.to_vec()))
     }
-
-    /// Sum of `min(deg(u), deg(v))` over the edges of densest subgraphs is
-    /// not tracked; instead this returns the *arboricity upper bound*
-    /// `ceil(m / (n - 1))` for connected graphs, a cheap proxy used by the
-    /// everywhere-sparse checks.
-    pub fn density_bound(&self) -> usize {
-        if self.adj.len() <= 1 {
-            return 0;
-        }
-        self.m.div_ceil(self.adj.len() - 1)
-    }
 }
 
 #[cfg(test)]

@@ -10,11 +10,11 @@
 //! * [`Graph`] — a simple undirected graph with sorted adjacency lists,
 //!   canonical [`EdgeId`]s (the paper's `(min-endpoint, max-endpoint)` edge
 //!   identifiers) and cheap induced-subgraph extraction.
-//! * [`traversal`] — BFS/DFS, connected components, exact and 2-approximate
+//! * [`traversal`] — BFS, connected components, eccentricity and exact
 //!   diameter.
-//! * [`biconnected`] — Tarjan's biconnected-component decomposition, cut
-//!   vertices and the block–cut tree, which Section 3 of the paper uses to
-//!   characterize the *interface* of a partial embedding (Observation 3.2).
+//! * [`biconnected`] — Tarjan's biconnected-component decomposition and cut
+//!   vertices, which Section 3 of the paper uses to characterize the
+//!   *interface* of a partial embedding (Observation 3.2).
 //! * [`rotation`] — rotation systems (combinatorial embeddings), face
 //!   tracing and the Euler-genus planarity check that all embeddings in the
 //!   workspace are verified against.

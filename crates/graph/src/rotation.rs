@@ -243,15 +243,6 @@ impl RotationSystem {
                 .collect(),
         }
     }
-
-    /// The face (as a directed-edge cycle) containing the directed edge
-    /// `(u, v)`, or `None` if that directed edge does not exist.
-    pub fn face_of(&self, u: VertexId, v: VertexId) -> Option<Vec<(VertexId, VertexId)>> {
-        if u.index() >= self.rot.len() || !self.rot[u.index()].contains(&v) {
-            return None;
-        }
-        self.faces().into_iter().find(|f| f.contains(&(u, v)))
-    }
 }
 
 #[cfg(test)]
@@ -360,14 +351,6 @@ mod tests {
     fn to_graph_roundtrip() {
         let (g, rot) = triangle_planar();
         assert_eq!(rot.to_graph(), g);
-    }
-
-    #[test]
-    fn face_of_finds_directed_edge() {
-        let (_, rot) = triangle_planar();
-        let f = rot.face_of(VertexId(0), VertexId(1)).unwrap();
-        assert!(f.contains(&(VertexId(0), VertexId(1))));
-        assert!(rot.face_of(VertexId(0), VertexId(0)).is_none());
     }
 
     #[test]

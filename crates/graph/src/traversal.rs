@@ -1,5 +1,4 @@
-//! Breadth-first and depth-first traversal, connectivity and distance
-//! computations.
+//! Breadth-first traversal, connectivity and distance computations.
 //!
 //! The distributed algorithm of the paper is organized around a BFS tree of
 //! the network (Section 4); the centralized traversals here mirror that
@@ -57,26 +56,6 @@ impl BfsTree {
             .copied()
             .filter(|&c| self.parent[c.index()] == Some(v))
             .collect()
-    }
-
-    /// The unique tree path from `v` up to the root (inclusive of both ends).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` was not reached by the search.
-    pub fn path_to_root(&self, v: VertexId) -> Vec<VertexId> {
-        assert_ne!(
-            self.dist[v.index()],
-            UNREACHABLE,
-            "{v} unreachable from root"
-        );
-        let mut path = vec![v];
-        let mut cur = v;
-        while let Some(p) = self.parent[cur.index()] {
-            path.push(p);
-            cur = p;
-        }
-        path
     }
 
     /// Number of vertices in the subtree rooted at each vertex.
@@ -176,40 +155,6 @@ pub fn diameter_exact(g: &Graph) -> Option<u32> {
     Some(best)
 }
 
-/// 2-approximate diameter from a single BFS (the distributed estimate the
-/// paper's preliminaries assume known): `ecc(v) <= D <= 2·ecc(v)`.
-///
-/// Returns `None` for disconnected or empty graphs.
-pub fn diameter_2approx(g: &Graph) -> Option<u32> {
-    if g.vertex_count() == 0 {
-        return None;
-    }
-    eccentricity(g, VertexId(0))
-}
-
-/// Iterative depth-first search; returns vertices in preorder.
-pub fn dfs_preorder(g: &Graph, root: VertexId) -> Vec<VertexId> {
-    let n = g.vertex_count();
-    assert!(root.index() < n, "dfs root out of range");
-    let mut seen = vec![false; n];
-    let mut stack = vec![root];
-    let mut order = Vec::new();
-    while let Some(v) = stack.pop() {
-        if seen[v.index()] {
-            continue;
-        }
-        seen[v.index()] = true;
-        order.push(v);
-        // Push in reverse so that smaller-id neighbors are visited first.
-        for &w in g.neighbors(v).iter().rev() {
-            if !seen[w.index()] {
-                stack.push(w);
-            }
-        }
-    }
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,7 +170,7 @@ mod tests {
         let t = bfs(&g, VertexId(0));
         assert_eq!(t.dist, vec![0, 1, 2, 3, 4]);
         assert_eq!(t.depth(), 4);
-        assert_eq!(t.path_to_root(VertexId(4)).len(), 5);
+        assert_eq!(t.parent[4], Some(VertexId(3)));
     }
 
     #[test]
@@ -253,8 +198,6 @@ mod tests {
         let n = 8u32;
         let g = Graph::from_edges(n as usize, (0..n).map(|i| (i, (i + 1) % n))).unwrap();
         assert_eq!(diameter_exact(&g), Some(4));
-        let approx = diameter_2approx(&g).unwrap();
-        assert!((4..=8).contains(&approx));
     }
 
     #[test]
@@ -262,13 +205,5 @@ mod tests {
         let g = Graph::from_edges(4, [(0, 1)]).unwrap();
         assert_eq!(diameter_exact(&g), None);
         assert_eq!(eccentricity(&g, VertexId(0)), None);
-    }
-
-    #[test]
-    fn dfs_visits_all_reachable() {
-        let g = path(6);
-        let order = dfs_preorder(&g, VertexId(0));
-        assert_eq!(order.len(), 6);
-        assert_eq!(order[0], VertexId(0));
     }
 }
