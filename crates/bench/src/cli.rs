@@ -86,7 +86,7 @@ pub fn usage() -> String {
         "\nservice options:\n  \
          --fleet <count>        concurrent tenant graphs in the soak (default 1024)\n  \
          --deltas <count>       churn deltas applied per tenant (default 4)\n  \
-         --min-coverage <frac>  fail if incremental coverage drops below this (default 0.5)\n",
+         --min-coverage <frac>  fail if incremental coverage drops below this (default 0.95)\n",
     );
     out
 }

@@ -43,16 +43,39 @@ pub trait Row {
     }
 }
 
+/// The keys that identify a row across two runs.
+const ROW_KEYS: [&str; 3] = ["family", "n", "class"];
+
 /// Whether two row objects describe the same measurement: the same
-/// `family` and `n`.
+/// `family`, `n` and `class` (a key both rows lack matches).
 fn same_row(a: &Json, b: &Json) -> bool {
-    ["family", "n"].iter().all(|&k| a[k] == b[k])
+    ROW_KEYS.iter().all(|&k| a[k] == b[k])
+}
+
+/// Every deterministic field of `row` whose rendered value differs from
+/// the same field of the `committed` object, one line per difference,
+/// each prefixed with `label`. Values compare as rendered, so a float
+/// matches the rounded value a record holds.
+pub fn drift_fields<R: Row>(committed: &Json, label: &str, row: &R) -> Vec<String> {
+    row.fields()
+        .into_iter()
+        .filter(|&(name, ref value)| {
+            R::kind(name) == Kind::Deterministic && committed[name].render() != value.render()
+        })
+        .map(|(name, value)| {
+            format!(
+                "{label}: {name} {} -> {}",
+                committed[name].render(),
+                value.render()
+            )
+        })
+        .collect()
 }
 
 /// Every deterministic field of `rows` that differs from the row with the
-/// same `family` and `n` in `section` of the `committed` record, one line
-/// per difference. Rows with no committed counterpart (a size only another
-/// run makes) are not compared.
+/// same identifying keys (`family`, `n`, `class`) in `section` of the
+/// `committed` record, one line per difference. Rows with no committed
+/// counterpart (a size only another run makes) are not compared.
 pub fn drift<R: Row>(committed: &Json, section: &str, rows: &[R]) -> Vec<String> {
     let Json::Arr(old_rows) = &committed[section] else {
         return Vec::new();
@@ -63,17 +86,13 @@ pub fn drift<R: Row>(committed: &Json, section: &str, rows: &[R]) -> Vec<String>
         let Some(old) = old_rows.iter().find(|old| same_row(old, &new)) else {
             continue;
         };
-        for (name, value) in row.fields() {
-            if R::kind(name) == Kind::Deterministic && old[name] != value {
-                diffs.push(format!(
-                    "{section} family={} n={}: {name} {} -> {}",
-                    cell(&new["family"]),
-                    cell(&new["n"]),
-                    old[name].render(),
-                    value.render()
-                ));
-            }
-        }
+        let label = ROW_KEYS
+            .iter()
+            .filter(|&&k| new[k] != Json::Null)
+            .fold(section.to_string(), |s, &k| {
+                format!("{s} {k}={}", cell(&new[k]))
+            });
+        diffs.extend(drift_fields(old, &label, row));
     }
     diffs
 }
@@ -211,6 +230,51 @@ mod tests {
         );
         assert!(drift(&committed, "rows", &[row(128, 7, 0.5)]).is_empty());
         assert!(drift(&committed, "other", &[row(64, 101, 0.5)]).is_empty());
+    }
+
+    /// A class-keyed row without `family` or `n`: rows match on `class`,
+    /// and a float matches the rounded value the record holds.
+    struct Class {
+        class: &'static str,
+        share: f64,
+    }
+
+    impl Row for Class {
+        fn fields(&self) -> Fields {
+            vec![("class", self.class.into()), ("share", self.share.into())]
+        }
+
+        fn kind(_: &str) -> Kind {
+            Kind::Deterministic
+        }
+    }
+
+    #[test]
+    fn drift_matches_rows_on_class_and_rounded_floats() {
+        let rows = [
+            Class {
+                class: "a",
+                share: 2.0 / 3.0,
+            },
+            Class {
+                class: "b",
+                share: 0.25,
+            },
+        ];
+        let committed = Json::parse(&Json::obj([("rows", array(&rows))]).render()).unwrap();
+        assert!(drift(&committed, "rows", &rows).is_empty());
+        let moved = [Class {
+            class: "b",
+            share: 0.5,
+        }];
+        assert_eq!(
+            drift(&committed, "rows", &moved),
+            ["rows class=b: share 0.25 -> 0.5"]
+        );
+        assert_eq!(
+            drift_fields(&committed["rows"][0], "top", &moved[0]),
+            ["top: class \"a\" -> \"b\"", "top: share 0.666667 -> 0.5"]
+        );
     }
 
     /// `array_over` replaces the committed rows this run measured, keeps

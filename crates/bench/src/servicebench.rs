@@ -29,7 +29,7 @@ use planar_service::{
     ChurnGen, DeltaClass, DeltaOutcome, OracleMode, ServiceConfig, ServiceState, TenantId,
 };
 
-use crate::record::{self, Fields, Json, Row};
+use crate::record::{self, Fields, Json, Kind, Row};
 
 /// Families the fleet cycles through: the deterministic substrates the
 /// other sweeps use plus the seeded planar/outerplanar samplers, so both
@@ -134,6 +134,16 @@ impl Row for ServiceFamilyRow {
             ("divergences", self.divergences.into()),
         ]
     }
+
+    /// The delta counts are deterministic; latencies are host fields.
+    fn kind(name: &str) -> Kind {
+        match name {
+            "tenants" | "deltas" | "applied" | "incremental" | "tree_preserving"
+            | "tree_repairable" | "vertex_set" | "full_fallbacks" | "rejected_nonplanar"
+            | "divergences" => Kind::Deterministic,
+            _ => Kind::Host,
+        }
+    }
 }
 
 /// Fleet-wide aggregates for one [`DeltaClass`] claiming the incremental
@@ -163,6 +173,13 @@ impl Row for ServiceClassRow {
             ("p50_full_us", self.p50_full_us.into()),
             ("speedup_p50", self.speedup_p50.into()),
         ]
+    }
+
+    fn kind(name: &str) -> Kind {
+        match name {
+            "class" | "count" => Kind::Deterministic,
+            _ => Kind::Host,
+        }
     }
 }
 
@@ -218,6 +235,13 @@ impl Row for ServiceBenchReport {
             ("divergences", self.divergences.into()),
             ("incremental_coverage", self.incremental_coverage.into()),
         ]
+    }
+
+    fn kind(name: &str) -> Kind {
+        match name {
+            "service_secs" | "embeddings_per_sec" => Kind::Host,
+            _ => Kind::Deterministic,
+        }
     }
 }
 
@@ -425,6 +449,30 @@ pub fn record(report: &ServiceBenchReport) -> Json {
     ]))
 }
 
+/// Every deterministic field of `report` that differs from the
+/// `committed` record, one line per difference; `None` when the committed
+/// record is a soak of another shape (fleet, deltas per tenant or tenant
+/// size), which has nothing to compare against.
+pub fn drift(committed: &Json, report: &ServiceBenchReport) -> Option<Vec<String>> {
+    let shape = [
+        ("fleet", report.fleet),
+        ("deltas_per_tenant", report.deltas_per_tenant),
+        ("tenant_n", report.tenant_n),
+    ];
+    if shape
+        .iter()
+        .any(|&(k, v)| committed[k].render() != v.to_string())
+    {
+        return None;
+    }
+    let diffs = record::drift_fields(committed, "service", report)
+        .into_iter()
+        .chain(record::drift(committed, "classes", &report.classes))
+        .chain(record::drift(committed, "families", &report.rows))
+        .collect();
+    Some(diffs)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -490,6 +538,38 @@ mod tests {
         {
             assert_eq!(doc["classes"][i]["class"], Json::Str(class.into()));
         }
+    }
+
+    /// The drift gate sees a moved class count, family count or coverage,
+    /// ignores host fields, and skips a record of another soak shape.
+    #[test]
+    fn drift_gates_counts_not_timings() {
+        let report = service_soak(&ServiceBenchOptions {
+            fleet: 8,
+            deltas: 2,
+            tenant_n: 12,
+            seed: 5,
+        });
+        let committed = |r: &ServiceBenchReport| Json::parse(&record(r).render()).unwrap();
+        assert_eq!(drift(&committed(&report), &report), Some(Vec::new()));
+
+        let mut timings = report.clone();
+        timings.service_secs *= 2.0;
+        timings.classes[0].p50_incremental_us += 1.0;
+        timings.rows[0].p99_service_us += 1.0;
+        assert_eq!(drift(&committed(&timings), &report), Some(Vec::new()));
+
+        let mut counts = report.clone();
+        counts.classes[1].count += 1;
+        counts.rows[0].vertex_set += 1;
+        counts.incremental_coverage /= 2.0;
+        let diffs = drift(&committed(&counts), &report).unwrap();
+        assert_eq!(diffs.len(), 3, "{diffs:?}");
+        assert!(diffs[1].starts_with("classes class=tree-repairable: count"));
+
+        let mut shape = report.clone();
+        shape.fleet += 1;
+        assert_eq!(drift(&committed(&shape), &report), None);
     }
 
     #[test]

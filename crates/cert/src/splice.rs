@@ -47,19 +47,6 @@ pub struct SpliceStats {
     pub words_reused: u64,
 }
 
-impl SpliceStats {
-    /// Fraction of nodes whose certificate was reused (`0.0` for an
-    /// empty graph).
-    pub fn reuse_ratio(&self) -> f64 {
-        let total = self.reused + self.rebuilt;
-        if total == 0 {
-            0.0
-        } else {
-            self.reused as f64 / total as f64
-        }
-    }
-}
-
 /// Splices a resident certificate set with a freshly built scratch set:
 /// per node, keeps the old certificate when it equals the new one and
 /// adopts the scratch certificate otherwise. Returns the spliced set —
@@ -144,7 +131,6 @@ mod tests {
         assert_eq!(stats.reused, g.vertex_count());
         assert_eq!(stats.rebuilt, 0);
         assert!(stats.words_reused > 0);
-        assert_eq!(stats.reuse_ratio(), 1.0);
     }
 
     #[test]

@@ -64,11 +64,6 @@ impl<'a> LeaderBfs<'a> {
         self.best_dist
     }
 
-    /// Whether this node won the election in its group.
-    pub fn is_leader(&self, id: VertexId) -> bool {
-        self.best_leader == id
-    }
-
     fn offer(&mut self, from: VertexId, leader: VertexId, dist: u32) -> bool {
         let better =
             leader > self.best_leader || (leader == self.best_leader && dist < self.best_dist);

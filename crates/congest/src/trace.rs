@@ -645,14 +645,6 @@ impl TraceAuditor {
         &self.report
     }
 
-    /// Consumes the auditor, returning the report.
-    pub fn into_report(mut self) -> AuditReport {
-        if self.current.take().is_some() {
-            self.report.aborted_segments += 1;
-        }
-        self.report
-    }
-
     fn mismatch(&mut self, msg: String) {
         // Cap the list so a systematically broken run cannot OOM the
         // auditor; the count of further mismatches is still recorded.

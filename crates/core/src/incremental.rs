@@ -9,17 +9,14 @@
 //! their mailbox arenas. [`ResidentEmbedding::reembed`] then brings the
 //! resident state to a mutated graph at a fraction of a full run's cost:
 //!
-//! 1. **Planning** (`crate::planner`): the delta is classified into a
-//!    typed [`DeltaClass`] and the resident tree is repaired host-side —
-//!    spliced, grafted, or pruned via the `tree.rs` machinery — under the
-//!    *sticky-root* model: the tree stays rooted where the last full
-//!    build elected, and the planner maintains it as exactly the BFS tree
-//!    the deterministic kernel would build from that root (min-id parent
-//!    rule, sorted children). The staged repair must equal a from-scratch
-//!    host model of the mutated graph field-for-field before anything
-//!    else runs; a miss falls back to the full path as
-//!    [`FullCause::PlanRejected`]. No distributed setup re-runs on the
-//!    incremental path at all.
+//! 1. **Planning** (`crate::planner`): the repaired tree is measured, not
+//!    predicted. Under the *sticky-root* model the tree stays rooted where
+//!    the last full build elected; the planner computes the BFS tree the
+//!    deterministic kernel would build from that root on the mutated
+//!    graph (min-id parent rule, sorted children) and diffs it against the
+//!    resident tree. The diff and the delta's endpoints are the dirty set,
+//!    and the delta's [`DeltaClass`] follows from them. No distributed
+//!    setup re-runs on the incremental path at all.
 //! 2. **Dirty-region rebuild**: the recursion arena is rebuilt top-down
 //!    over the repaired tree. Every subproblem is the full subtree of its
 //!    root, so a node whose subtree contains neither a tree-record change
@@ -28,8 +25,11 @@
 //!    departures). A node whose subtree is only edge-dirty reuses its
 //!    retained partition (partition content is a pure function of the
 //!    tree) and re-runs just its merge; a tree-dirty node re-runs its
-//!    partition through [`ExecutionContext`] too. The dirty nodes form
-//!    the root-to-repair-site chains — `O(log n)` of the arena per delta.
+//!    partition through [`ExecutionContext`] too. For a local repair the
+//!    dirty nodes form the root-to-repair-site chains; a distance cascade
+//!    dirties every subproblem it reaches. The walk is depth first, so a
+//!    whole-tree cascade runs one kernel run per dirty subproblem rather
+//!    than the full path's level-synchronous batches.
 //! 3. **Epilogue**: the driver's own epilogue — the centralized fidelity
 //!    stand-in ([`planar_lib::embed`], see the fidelity note in
 //!    `driver.rs`) produces the rotation, and certification splices the
@@ -52,12 +52,13 @@
 //! clean subtree — and metrics/round tallies are intentionally not part
 //! of the contract.
 //!
-//! Deltas the planner cannot scope (classified [`DeltaClass::Fallback`])
-//! take a full retained re-run, which also re-elects the root (the sticky
-//! root is always the last full build's). A rejected delta (the mutated
-//! graph is non-planar) leaves the resident state *and* the resident
-//! graph untouched: all recomputation is staged in an overlay and
-//! committed only after the epilogue accepts.
+//! Deltas the planner cannot measure (a disconnected result, a root
+//! departure, a non-appended arrival, an unhinted departure; classified
+//! [`DeltaClass::Fallback`]) take a full retained re-run, which also
+//! re-elects the root (the sticky root is always the last full build's).
+//! A rejected delta (the mutated graph is non-planar) leaves the resident
+//! state *and* the resident graph untouched: all recomputation is staged
+//! in an overlay and committed only after the epilogue accepts.
 //!
 //! [`embed_distributed`]: crate::embed_distributed
 
@@ -88,18 +89,18 @@ use crate::{EmbedderConfig, Kernel};
 pub enum FullCause {
     /// The first build of the resident embedding — nothing to reuse yet.
     InitialBuild,
-    /// A vertex-set delta outside the planner's repairable shapes: a
-    /// non-appended arrival, an anchor spread wider than two levels, a
-    /// departure of the root or of an internal tree vertex, or a
-    /// departure without the explicit hint
-    /// ([`ResidentEmbedding::reembed_departure`]).
+    /// A vertex-set delta the planner cannot measure: a departure of the
+    /// root (the full run re-elects), a non-appended arrival, a departure
+    /// without the explicit hint
+    /// ([`ResidentEmbedding::reembed_departure`]) or with a hint that does
+    /// not match the graphs, or a result the sticky root does not span.
     VertexSetChanged,
-    /// An edge delta whose BFS repair would cascade: a tree-edge deletion
-    /// with no alternative parent, or an insert that shortens distances.
+    /// An edge delta whose result the sticky root does not span (the full
+    /// path reports the graph as disconnected).
     TreeChanged,
-    /// The staged repair failed its oracle-grade verification against the
-    /// from-scratch host model. This never fires in a correct build; the
-    /// DST churn oracle raises a violation when it does.
+    /// Never constructed: the planner measures its repair, so there is no
+    /// prediction to reject. Kept only because the frozen benchmark
+    /// (`perfbench`) matches on it.
     PlanRejected,
 }
 
@@ -115,7 +116,7 @@ pub enum ReembedPath {
     /// The incremental path: no distributed setup, adopted arena
     /// subtrees, and only the dirty chains re-run.
     Incremental {
-        /// The class the delta was planned (and executed) as.
+        /// The measured class the delta executed as.
         class: DeltaClass,
         /// Number of distinct dirty vertices (tree-record changes plus
         /// delta endpoints) the planner scoped the rebuild to.
@@ -140,10 +141,9 @@ pub enum ReembedPath {
 pub struct ReembedReport {
     /// Which path ran and what it reused.
     pub path: ReembedPath,
-    /// The class the planner predicted for the delta before executing
-    /// anything ([`DeltaClass::Fallback`] for initial builds). Equals
-    /// [`ReembedReport::taken`] unless the staged repair was rejected —
-    /// the DST churn oracle flags any disagreement.
+    /// Always equal to [`ReembedReport::taken`]: the planner's class is
+    /// measured, so it is the class the call executed. Kept only because
+    /// the frozen benchmark (`perfbench`) reads it.
     pub planned: DeltaClass,
     /// Sequential kernel rounds the call consumed (re-run partitions and
     /// merges plus certification for incremental; the full tally
@@ -157,8 +157,20 @@ impl ReembedReport {
         matches!(self.path, ReembedPath::Incremental { .. })
     }
 
-    /// The class the call actually executed: the planned class on the
-    /// incremental path, [`DeltaClass::Fallback`] on the full path.
+    /// A report for `path`, with [`planned`](Self::planned) set to the
+    /// class taken.
+    fn new(path: ReembedPath, rounds: usize) -> Self {
+        let mut report = ReembedReport {
+            path,
+            planned: DeltaClass::Fallback,
+            rounds,
+        };
+        report.planned = report.taken();
+        report
+    }
+
+    /// The class the call executed: the measured class on the incremental
+    /// path, [`DeltaClass::Fallback`] on the full path.
     pub fn taken(&self) -> DeltaClass {
         match &self.path {
             ReembedPath::Incremental { class, .. } => *class,
@@ -247,13 +259,12 @@ impl ResidentEmbedding {
             certification: overlay.certification,
             cache,
         };
-        let report = ReembedReport {
-            path: ReembedPath::Full {
+        let report = ReembedReport::new(
+            ReembedPath::Full {
                 cause: FullCause::InitialBuild,
             },
-            planned: DeltaClass::Fallback,
             rounds,
-        };
+        );
         Ok((resident, report))
     }
 
@@ -294,8 +305,9 @@ impl ResidentEmbedding {
     }
 
     /// Re-embeds onto `new_graph` (the resident graph after one or more
-    /// deltas), incrementally when the delta planner finds a local repair
-    /// and by a full retained re-run otherwise (recorded in the report).
+    /// deltas), incrementally when the delta planner can measure the
+    /// repaired tree and by a full retained re-run otherwise (recorded in
+    /// the report).
     ///
     /// Edge deltas and appended-vertex arrivals are planned from the
     /// graph diff alone; a departure needs the explicit
@@ -312,27 +324,15 @@ impl ResidentEmbedding {
     ///
     /// As [`embed_distributed`](crate::embed_distributed) on `new_graph`.
     pub fn reembed(&mut self, new_graph: Graph) -> Result<ReembedReport, EmbedError> {
-        let old_n = self.graph.vertex_count();
-        let new_n = new_graph.vertex_count();
-        let plan = if new_n == old_n {
-            planner::plan_edge_delta(&self.graph, &self.tree, &new_graph)
-        } else if new_n == old_n + 1 {
-            planner::plan_arrival(&self.graph, &self.tree, &new_graph)
-        } else {
-            planner::DeltaPlan {
-                planned: DeltaClass::Fallback,
-                action: PlanAction::Full(FullCause::VertexSetChanged),
-            }
-        };
-        self.reembed_planned(new_graph, plan)
+        self.plan_and_reembed(new_graph, None)
     }
 
     /// [`reembed`](Self::reembed) for a node departure: `removed` is the
     /// departed vertex's id *in the resident graph* (ids above it shift
     /// down by one in `new_graph`, as [`planar_graph::Graph::remove_vertex`]
-    /// compacts). Leaf departures take the incremental
-    /// [`DeltaClass::VertexSetChange`] path; root or internal departures
-    /// fall back.
+    /// compacts). Every departure but the root's takes the incremental
+    /// [`DeltaClass::VertexSetChange`] path; a root departure falls back
+    /// and re-elects.
     ///
     /// # Errors
     ///
@@ -342,31 +342,23 @@ impl ResidentEmbedding {
         new_graph: Graph,
         removed: VertexId,
     ) -> Result<ReembedReport, EmbedError> {
-        let plan = if self.graph.vertex_count() == new_graph.vertex_count() + 1 {
-            planner::plan_departure(&self.graph, &self.tree, &new_graph, removed)
-        } else {
-            planner::DeltaPlan {
-                planned: DeltaClass::Fallback,
-                action: PlanAction::Full(FullCause::VertexSetChanged),
-            }
-        };
-        self.reembed_planned(new_graph, plan)
+        self.plan_and_reembed(new_graph, Some(removed))
     }
 
-    /// Executes a planned delta: stages the repair or the full fallback
+    /// Plans and executes a delta: stages the repair or the full fallback
     /// (a fresh run whose tree is rooted at the new election — the new
     /// sticky root), and commits only on success. A rejected delta leaves
     /// the resident state untouched on either path; the warm kernel cache
     /// survives it.
-    fn reembed_planned(
+    fn plan_and_reembed(
         &mut self,
         new_graph: Graph,
-        plan: planner::DeltaPlan,
+        departed: Option<VertexId>,
     ) -> Result<ReembedReport, EmbedError> {
-        let planned = plan.planned;
+        let plan = planner::plan_delta(&self.graph, &self.tree, &new_graph, departed);
         let cache = self.cache.take().unwrap_or_default();
         let mut ctx = ExecutionContext::with_kernel_cache(&new_graph, &self.cfg, cache);
-        let staged = match plan.action {
+        let staged = match plan {
             PlanAction::Full(cause) => stage_full(&new_graph, &self.cfg, &mut ctx)
                 .map(|overlay| (overlay, ReembedPath::Full { cause })),
             PlanAction::Incremental(repair) => {
@@ -381,11 +373,7 @@ impl ResidentEmbedding {
         self.nodes = overlay.nodes;
         self.rotation = overlay.rotation;
         self.certification = overlay.certification;
-        Ok(ReembedReport {
-            path,
-            planned,
-            rounds,
-        })
+        Ok(ReembedReport::new(path, rounds))
     }
 
     /// The staged incremental rebuild: density guard, dirty-region arena
@@ -770,7 +758,6 @@ mod tests {
 
         let report = resident.reembed(mutated.clone()).unwrap();
         assert!(report.is_incremental(), "path: {:?}", report.path);
-        assert_eq!(report.planned, DeltaClass::TreePreserving);
         assert_eq!(report.taken(), DeltaClass::TreePreserving);
         if let ReembedPath::Incremental {
             recomputed_partitions,
@@ -832,7 +819,6 @@ mod tests {
             "path: {:?}",
             report.path
         );
-        assert_eq!(report.planned, DeltaClass::TreeRepairable);
         if let ReembedPath::Incremental {
             recomputed_partitions,
             reused_partitions,
@@ -883,7 +869,7 @@ mod tests {
         assert_eq!(resident.rotation(), &oracle.rotation);
     }
 
-    /// A pendant arrival grafts into the resident tree and takes the
+    /// A pendant arrival joins the resident tree as a leaf and takes the
     /// incremental `VertexSetChange` path, bit-identical to the oracle.
     #[test]
     fn pendant_arrival_takes_the_incremental_path() {
@@ -977,10 +963,11 @@ mod tests {
         assert_eq!(resident.rotation(), &oracle.rotation);
     }
 
-    /// A tree-edge deletion with no alternative parent cascades and falls
-    /// back as `TreeChanged`, still matching the oracle.
+    /// A tree-edge deletion with no alternative parent cascades: the
+    /// measured repair takes the incremental path, re-partitions the
+    /// re-hung path and still matches the oracle.
     #[test]
-    fn cascading_tree_edge_delta_falls_back_to_full() {
+    fn cascading_tree_edge_delta_is_incremental() {
         let g = gen::cycle(7);
         let (mut resident, _) = ResidentEmbedding::build(g.clone(), &cfg(false)).unwrap();
         // In a cycle rooted at the max id, vertex 1 hangs under 0 and has
@@ -988,14 +975,36 @@ mod tests {
         let mut mutated = g.clone();
         mutated.remove_edge(VertexId(0), VertexId(1)).unwrap();
         let report = resident.reembed(mutated.clone()).unwrap();
+        assert_eq!(
+            report.taken(),
+            DeltaClass::TreeRepairable,
+            "{:?}",
+            report.path
+        );
+        assert_eq!(report.planned, report.taken());
+        let model = planner::model_bfs(&mutated, resident.tree.root).unwrap();
+        assert_eq!(resident.tree.parent, model.parent);
+        assert_eq!(resident.tree.subtree_size, model.subtree_size);
+        let oracle = embed_distributed(&mutated, &EmbedderConfig::default()).unwrap();
+        assert_eq!(resident.rotation(), &oracle.rotation);
+    }
+
+    /// A root departure re-elects through the full path.
+    #[test]
+    fn root_departure_falls_back_to_full() {
+        let g = gen::wheel(8);
+        let (mut resident, _) = ResidentEmbedding::build(g.clone(), &cfg(false)).unwrap();
+        let root = resident.tree.root;
+        let mut mutated = g.clone();
+        mutated.remove_vertex(root).unwrap();
+        let report = resident.reembed_departure(mutated.clone(), root).unwrap();
         assert!(matches!(
             report.path,
             ReembedPath::Full {
-                cause: FullCause::TreeChanged
+                cause: FullCause::VertexSetChanged
             }
         ));
         assert_eq!(report.planned, DeltaClass::Fallback);
-        assert_eq!(report.taken(), DeltaClass::Fallback);
         let oracle = embed_distributed(&mutated, &EmbedderConfig::default()).unwrap();
         assert_eq!(resident.rotation(), &oracle.rotation);
     }
@@ -1060,6 +1069,93 @@ mod tests {
             assert_eq!(resident.graph(), &g);
             assert_eq!(resident.rotation(), &before_rotation);
         }
+    }
+
+    /// Every single delta of every connected labelled graph on n ≤ 5 (each
+    /// edge insert and delete, each pendant arrival, each hinted
+    /// departure) that leaves a connected planar graph: the resident tree
+    /// is the model BFS from the sticky root, and the rebuilt arena equals
+    /// a from-scratch depth-first build over that tree node for node. The
+    /// rotation cannot see a wrong arena (the epilogue recomputes it from
+    /// the graph), so this is what pins the measured dirty set.
+    #[test]
+    fn small_world_arenas_match_a_fresh_build() {
+        let cfg = cfg(false);
+        let mut incremental = 0;
+        for n in 1..=5u32 {
+            let pairs: Vec<(u32, u32)> = (0..n).flat_map(|v| (0..v).map(move |u| (u, v))).collect();
+            for mask in 0u32..1 << pairs.len() {
+                let edges = (0..pairs.len())
+                    .filter(|i| mask >> i & 1 == 1)
+                    .map(|i| pairs[i]);
+                let g = Graph::from_edges(n as usize, edges).unwrap();
+                if !g.is_connected() || !planar_lib::is_planar(&g) {
+                    continue;
+                }
+                let mut deltas: Vec<(Graph, Option<VertexId>)> = Vec::new();
+                for (u, v) in pairs.iter().map(|&(u, v)| (VertexId(u), VertexId(v))) {
+                    let mut m = g.clone();
+                    if m.remove_edge(u, v).is_err() {
+                        m.add_edge(u, v).unwrap();
+                    }
+                    deltas.push((m, None));
+                }
+                for v in g.vertices() {
+                    let mut m = g.clone();
+                    let fresh = m.add_vertex();
+                    m.add_edge(fresh, v).unwrap();
+                    deltas.push((m, None));
+                    let mut m = g.clone();
+                    m.remove_vertex(v).unwrap();
+                    deltas.push((m, Some(v)));
+                }
+                for (m, departed) in deltas {
+                    if m.vertex_count() == 0 || !m.is_connected() || !planar_lib::is_planar(&m) {
+                        continue;
+                    }
+                    let (mut resident, _) = ResidentEmbedding::build(g.clone(), &cfg).unwrap();
+                    let report = match departed {
+                        Some(v) => resident.reembed_departure(m.clone(), v),
+                        None => resident.reembed(m.clone()),
+                    }
+                    .unwrap();
+                    if !report.is_incremental() {
+                        continue;
+                    }
+                    incremental += 1;
+                    let tree = &resident.tree;
+                    let model = planner::model_bfs(&m, tree.root).unwrap();
+                    assert_eq!(
+                        (
+                            &tree.parent,
+                            &tree.children,
+                            &tree.depth,
+                            &tree.subtree_size
+                        ),
+                        (
+                            &model.parent,
+                            &model.children,
+                            &model.depth,
+                            &model.subtree_size
+                        ),
+                        "{g:?} -> {m:?}"
+                    );
+                    let mut ctx = ExecutionContext::new(&m, &cfg);
+                    let fresh = solve_depth_first(tree, &cfg, &mut ctx).unwrap();
+                    assert_eq!(resident.nodes.len(), fresh.len(), "{g:?} -> {m:?}");
+                    for (a, b) in resident.nodes.iter().zip(&fresh) {
+                        assert_eq!(
+                            (a.root, a.level, &a.children),
+                            (b.root, b.level, &b.children)
+                        );
+                        assert_eq!(format!("{:?}", a.partition), format!("{:?}", b.partition));
+                        assert_eq!(format!("{:?}", a.part), format!("{:?}", b.part));
+                        assert_eq!((a.metrics, &a.merge_stats), (b.metrics, &b.merge_stats));
+                    }
+                }
+            }
+        }
+        assert!(incremental > 10_000, "{incremental} incremental deltas");
     }
 
     /// Faulted configurations are rejected up front.

@@ -1,6 +1,7 @@
-//! The delta planner: classifies a graph delta against the resident BFS
-//! tree and stages the minimal tree repair, so the incremental path
-//! (`crate::incremental`) re-runs only the dirty region of the recursion.
+//! The delta planner: measures the BFS tree a graph delta leaves, diffs it
+//! against the resident tree and classifies the delta from that diff, so
+//! the incremental path (`crate::incremental`) re-runs only the dirty
+//! region of the recursion.
 //!
 //! # The sticky-root model
 //!
@@ -27,40 +28,28 @@
 //! maximum id but the root stays sticky until the next full fallback
 //! re-elects.
 //!
-//! # Classification
+//! # Planning by measurement
 //!
-//! Each delta is classified into a typed [`DeltaClass`] with a proof
-//! obligation the planner then *discharges mechanically*: it applies the
-//! predicted splice to a copy of the resident tree (via the `tree.rs`
-//! machinery) and verifies the result field-for-field against a fresh
-//! [`model_bfs`] of the mutated graph. A verification miss takes the full
-//! path (recorded as [`FullCause::PlanRejected`]) instead of committing a
-//! wrong tree — and the DST churn oracle treats any planned-vs-taken
-//! mismatch as a violation, so a planner bug cannot hide.
+//! The planner does not predict how a delta moves the tree: it measures
+//! the repaired tree directly. For an edge delta, an appended arrival, or
+//! a hinted non-root departure it computes [`model_bfs`] of the mutated
+//! graph from the sticky root (renumbered on a departure) and diffs it
+//! against the resident tree ([`tree_changes`]). That diff is the
+//! tree-dirty set; the edge-dirty set is the delta's endpoints (an
+//! arrival's anchors plus the fresh vertex, a departure's neighbours).
+//! The class follows from the measurement: an unchanged vertex set with
+//! no tree change is [`DeltaClass::TreePreserving`], an unchanged vertex
+//! set otherwise is [`DeltaClass::TreeRepairable`], and an arrival or
+//! departure is [`DeltaClass::VertexSetChange`]. The dirty-region rebuild
+//! (`crate::incremental`) handles any dirty set, so every delta that keeps
+//! the graph connected and the root resident goes incremental.
 //!
-//! The per-class repair arguments (all under the min-id parent rule):
-//!
-//! * **Edge delete, non-tree**: tree paths realize every BFS distance, so
-//!   distances survive; the deleted endpoint was never a min-id parent
-//!   candidate winner. Tree unchanged — `TreePreserving`.
-//! * **Edge delete, tree edge `{p, c}`**: if `c` keeps another neighbor
-//!   at `depth(c) − 1`, alternative equal-length paths keep every
-//!   distance; `c` re-hangs under the min-id remaining candidate —
-//!   `TreeRepairable`. No alternative ⇒ distances cascade — `Fallback`.
-//! * **Edge insert `{u, v}`**: equal depths change no candidate set —
-//!   `TreePreserving`. Depth gap 1 with the shallow endpoint id below
-//!   `parent(deep)`: the deep endpoint re-hangs — `TreeRepairable`
-//!   (otherwise `TreePreserving`). Gap ≥ 2 shortens distances —
-//!   `Fallback`.
-//! * **Arrival** (fresh max id `p`, anchors `a₁..a_k`): if the anchor
-//!   depth spread is ≤ 2, no old distance can shortcut through `p`, and
-//!   `p` grafts as a leaf under the min-id anchor of minimum depth — `p`
-//!   is the maximum id, so it never steals an existing parent slot —
-//!   `VertexSetChange`. Wider spread — `Fallback`.
-//! * **Departure of `v`**: if `v` is a tree leaf (and not the root), no
-//!   depth or parent choice changes — `v` was never a winning candidate —
-//!   and the monotone renumbering `φ(x) = x > v ? x − 1 : x` preserves
-//!   every id-order tie-break — `VertexSetChange`. Otherwise `Fallback`.
+//! Only deltas no measurement applies to take the full path: a mutated
+//! graph the sticky root does not span ([`FullCause::TreeChanged`] for an
+//! edge delta, [`FullCause::VertexSetChanged`] for a vertex delta), a
+//! departure of the root (the full run re-elects), an arrival that is not
+//! a pure append, and an unhinted or malformed departure
+//! ([`FullCause::VertexSetChanged`]).
 
 use std::collections::VecDeque;
 
@@ -69,21 +58,20 @@ use planar_graph::{EdgeId, Graph, VertexId};
 use crate::incremental::FullCause;
 use crate::tree::GlobalTree;
 
-/// Typed classification of one delta against the resident embedding —
-/// which repair the planner stages, and therefore how much of the
-/// recursion re-runs.
+/// Typed classification of one delta against the resident embedding,
+/// read off the measured tree repair.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DeltaClass {
     /// The BFS tree is untouched; every retained partition stays exact
     /// and only merges seeing a delta endpoint re-run.
     TreePreserving,
-    /// The tree is repaired by splicing the affected subtree (a
-    /// re-parent); partitions and merges along the dirty chains re-run.
+    /// The vertex set is unchanged but some tree records moved;
+    /// partitions and merges along the dirty chains re-run.
     TreeRepairable,
-    /// The vertex set changed but the tree repair is local (pendant-style
-    /// arrival graft or leaf departure prune, with monotone renumbering).
+    /// A vertex arrived or departed (a departure renumbers the ids above
+    /// it); partitions and merges along the dirty chains re-run.
     VertexSetChange,
-    /// No local repair exists; the delta takes the full retained re-run.
+    /// No measurement applies; the delta takes the full retained re-run.
     Fallback,
 }
 
@@ -118,14 +106,13 @@ impl std::fmt::Display for DeltaClass {
     }
 }
 
-/// A staged, verified tree repair: everything the incremental engine
-/// needs to rebuild only the dirty region of the recursion arena.
+/// A staged tree repair: everything the incremental engine needs to
+/// rebuild only the dirty region of the recursion arena.
 pub(crate) struct RepairPlan {
-    /// The measured class (equal to the planned class — a mismatch is
-    /// rejected before a plan is built).
+    /// The measured class.
     pub class: DeltaClass,
-    /// The repaired tree, verified against [`model_bfs`] of the mutated
-    /// graph.
+    /// The repaired tree: [`model_bfs`] of the mutated graph from the
+    /// sticky root.
     pub tree: GlobalTree,
     /// `Some(v)` for a departure: old ids above `v` shift down by one.
     pub removed: Option<VertexId>,
@@ -158,23 +145,6 @@ pub(crate) enum PlanAction {
     Full(FullCause),
     /// Run the staged incremental repair.
     Incremental(Box<RepairPlan>),
-}
-
-/// The planner's verdict: the predicted class plus the action. The
-/// predicted class and the taken path can disagree only through
-/// [`FullCause::PlanRejected`] — which the DST churn oracle flags.
-pub(crate) struct DeltaPlan {
-    pub planned: DeltaClass,
-    pub action: PlanAction,
-}
-
-impl DeltaPlan {
-    fn full(planned: DeltaClass, cause: FullCause) -> Self {
-        DeltaPlan {
-            planned,
-            action: PlanAction::Full(cause),
-        }
-    }
 }
 
 /// The host-side model of the deterministic kernel BFS: depths are BFS
@@ -241,34 +211,40 @@ pub(crate) fn model_bfs(g: &Graph, root: VertexId) -> Option<GlobalTree> {
     })
 }
 
-/// Field-wise equality of two global BFS trees — the oracle-grade check
-/// a staged repair must pass before the engine commits anything.
-pub(crate) fn same_tree(a: &GlobalTree, b: &GlobalTree) -> bool {
-    a.root == b.root
-        && a.parent == b.parent
-        && a.children == b.children
-        && a.depth == b.depth
-        && a.subtree_size == b.subtree_size
-}
-
-/// Vertices whose tree records (parent, children, depth, subtree size)
-/// differ between the two trees. Indices beyond the shorter tree count as
-/// changed, so an arrival's fresh vertex is always reported.
-pub(crate) fn tree_changes(old: &GlobalTree, new: &GlobalTree) -> Vec<VertexId> {
-    let common = old.parent.len().min(new.parent.len());
-    let longest = old.parent.len().max(new.parent.len());
+/// Vertices (new ids) whose tree records (parent, children, depth,
+/// subtree size) differ between the resident tree `old` and the repaired
+/// tree `new`. On a departure of `removed`, old ids above it are read
+/// through the monotone renumbering `x > removed ⇒ x − 1`, and a record
+/// that still names `removed` counts as changed. Vertices beyond the old
+/// tree count as changed, so an arrival's fresh vertex is always reported.
+pub(crate) fn tree_changes(
+    old: &GlobalTree,
+    new: &GlobalTree,
+    removed: Option<VertexId>,
+) -> Vec<VertexId> {
+    let phi = |x: VertexId| match removed {
+        // The departed vertex maps to an id no new vertex has.
+        Some(r) if x == r => VertexId(u32::MAX),
+        Some(r) if x > r => VertexId(x.0 - 1),
+        _ => x,
+    };
     let mut out = Vec::new();
-    for i in 0..common {
-        if old.parent[i] != new.parent[i]
-            || old.depth[i] != new.depth[i]
-            || old.subtree_size[i] != new.subtree_size[i]
-            || old.children[i] != new.children[i]
-        {
-            out.push(VertexId::from_index(i));
+    for j in 0..new.parent.len() {
+        let i = match removed {
+            Some(r) if j >= r.index() => j + 1,
+            _ => j,
+        };
+        let same = i < old.parent.len()
+            && old.depth[i] == new.depth[j]
+            && old.subtree_size[i] == new.subtree_size[j]
+            && old.parent[i].map(phi) == new.parent[j]
+            && old.children[i]
+                .iter()
+                .map(|&c| phi(c))
+                .eq(new.children[j].iter().copied());
+        if !same {
+            out.push(VertexId::from_index(j));
         }
-    }
-    for i in common..longest {
-        out.push(VertexId::from_index(i));
     }
     out
 }
@@ -309,267 +285,79 @@ pub(crate) fn edge_diff(old: &Graph, new: &Graph) -> (Vec<EdgeId>, Vec<EdgeId>) 
     (inserted, deleted)
 }
 
-/// Plans an edge delta (unchanged vertex set): prediction by the
-/// classification rules, splice repair, and model verification.
-pub(crate) fn plan_edge_delta(
+/// Plans one delta against the resident `tree` of `old_graph`.
+/// `departed` is the removed vertex's old id for a node departure (the
+/// renumbered graph alone does not recover it) and `None` otherwise.
+pub(crate) fn plan_delta(
     old_graph: &Graph,
     tree: &GlobalTree,
     new_graph: &Graph,
-) -> DeltaPlan {
-    debug_assert_eq!(old_graph.vertex_count(), new_graph.vertex_count());
-    let (inserted, deleted) = edge_diff(old_graph, new_graph);
-    let mut endpoints: Vec<VertexId> = inserted
-        .iter()
-        .chain(deleted.iter())
-        .flat_map(|e| [e.lo(), e.hi()])
-        .collect();
-    endpoints.sort_unstable();
-    endpoints.dedup();
-    if endpoints.is_empty() {
-        // A no-op delta: the entire arena is adoptable verbatim.
-        return incremental_plan(
-            DeltaClass::TreePreserving,
-            tree.clone(),
-            None,
-            Vec::new(),
-            new_graph,
-            tree,
-        );
-    }
-
-    let depth = |v: VertexId| tree.depth[v.index()];
-    let parent = |v: VertexId| tree.parent[v.index()];
-    let single = inserted.len() + deleted.len() == 1;
-    let (planned, repaired) = if single {
-        if let Some(&e) = deleted.first() {
-            let (u, v) = (e.lo(), e.hi());
-            let child = if parent(u) == Some(v) {
-                Some(u)
-            } else if parent(v) == Some(u) {
-                Some(v)
-            } else {
-                None
-            };
-            match child {
-                // Non-tree deletion: distances and parent choices survive.
-                None => (DeltaClass::TreePreserving, Some(tree.clone())),
-                Some(c) => {
-                    // Tree edge: `c` needs another up-neighbor to re-hang
-                    // from; sorted adjacency makes the first hit the
-                    // minimum id, i.e. the new deterministic parent.
-                    let want = depth(c) - 1;
-                    match new_graph
-                        .neighbors(c)
-                        .iter()
-                        .copied()
-                        .find(|&w| depth(w) == want)
-                    {
-                        Some(w) => {
-                            let mut t = tree.clone();
-                            t.splice_reparent(c, w);
-                            (DeltaClass::TreeRepairable, Some(t))
-                        }
-                        None => (DeltaClass::Fallback, None),
-                    }
-                }
-            }
+    departed: Option<VertexId>,
+) -> PlanAction {
+    let old_n = old_graph.vertex_count();
+    let new_n = new_graph.vertex_count();
+    let Some(r) = departed else {
+        let (inserted, deleted) = edge_diff(old_graph, new_graph);
+        let (cause, measurable) = if new_n == old_n {
+            (FullCause::TreeChanged, true)
         } else {
-            let e = inserted[0];
-            let (u, v) = (e.lo(), e.hi());
-            match depth(u).abs_diff(depth(v)) {
-                // Same level: neither endpoint gains a parent candidate.
-                0 => (DeltaClass::TreePreserving, Some(tree.clone())),
-                1 => {
-                    let (shallow, deep) = if depth(u) < depth(v) { (u, v) } else { (v, u) };
-                    let p = parent(deep).expect("deep endpoint is not the root");
-                    if shallow < p {
-                        // The new edge wins the min-id parent tie-break.
-                        let mut t = tree.clone();
-                        t.splice_reparent(deep, shallow);
-                        (DeltaClass::TreeRepairable, Some(t))
-                    } else {
-                        (DeltaClass::TreePreserving, Some(tree.clone()))
-                    }
-                }
-                // A gap >= 2 shortens BFS distances: the repair cascades.
-                _ => (DeltaClass::Fallback, None),
-            }
+            // An arrival appends the fresh maximum id, so every edge it
+            // adds has the fresh vertex as its larger endpoint.
+            let appended = deleted.is_empty() && inserted.iter().all(|e| e.hi().index() == old_n);
+            (FullCause::VertexSetChanged, new_n == old_n + 1 && appended)
+        };
+        if !measurable {
+            return PlanAction::Full(cause);
         }
-    } else {
-        // Multi-edge deltas (not produced by the service layer): take the
-        // incremental path only when measurement shows the tree survived.
-        match model_bfs(new_graph, tree.root) {
-            Some(model) if tree_changes(tree, &model).is_empty() => {
-                (DeltaClass::TreePreserving, Some(model))
-            }
-            _ => (DeltaClass::Fallback, None),
-        }
+        let mut edge_dirty: Vec<VertexId> = inserted
+            .iter()
+            .chain(&deleted)
+            .flat_map(|e| [e.lo(), e.hi()])
+            .collect();
+        edge_dirty.sort_unstable();
+        edge_dirty.dedup();
+        return measure(tree, new_graph, tree.root, None, edge_dirty)
+            .unwrap_or(PlanAction::Full(cause));
     };
-
-    let Some(repaired) = repaired else {
-        return DeltaPlan::full(planned, FullCause::TreeChanged);
-    };
-    incremental_plan(planned, repaired, None, endpoints, new_graph, tree)
-}
-
-/// Plans a node arrival: `new_graph` must be `old_graph` plus one
-/// appended vertex (the fresh maximum id) and its anchor edges.
-pub(crate) fn plan_arrival(old_graph: &Graph, tree: &GlobalTree, new_graph: &Graph) -> DeltaPlan {
-    debug_assert_eq!(old_graph.vertex_count() + 1, new_graph.vertex_count());
-    let fresh = VertexId::from_index(old_graph.vertex_count());
-    let mut check = new_graph.clone();
-    if check.remove_vertex(fresh).is_err() || check != *old_graph {
-        // The delta is not a pure append; nothing to address the arena by.
-        return DeltaPlan::full(DeltaClass::Fallback, FullCause::VertexSetChanged);
-    }
-    let anchors = new_graph.neighbors(fresh);
-    if anchors.is_empty() {
-        return DeltaPlan::full(DeltaClass::Fallback, FullCause::VertexSetChanged);
-    }
-    let dmin = anchors
-        .iter()
-        .map(|&a| tree.depth[a.index()])
-        .min()
-        .unwrap();
-    let dmax = anchors
-        .iter()
-        .map(|&a| tree.depth[a.index()])
-        .max()
-        .unwrap();
-    if dmax - dmin > 2 {
-        // An old vertex could shortcut through the new one: cascade.
-        return DeltaPlan::full(DeltaClass::Fallback, FullCause::VertexSetChanged);
-    }
-    // Anchors are sorted ascending, so the first at minimum depth is the
-    // min-id parent candidate; `fresh` is the maximum id, so it grafts as
-    // a leaf without stealing any existing parent slot.
-    let graft_under = anchors
-        .iter()
-        .copied()
-        .find(|&a| tree.depth[a.index()] == dmin)
-        .unwrap();
-    let mut repaired = tree.clone();
-    let grafted = repaired.graft_leaf(graft_under);
-    debug_assert_eq!(grafted, fresh);
-    let mut edge_dirty: Vec<VertexId> = anchors.to_vec();
-    edge_dirty.push(fresh);
-    incremental_plan(
-        DeltaClass::VertexSetChange,
-        repaired,
-        None,
-        edge_dirty,
-        new_graph,
-        tree,
-    )
-}
-
-/// Plans a node departure: `new_graph` must be `old_graph` with `removed`
-/// deleted (higher ids compacted down by one).
-pub(crate) fn plan_departure(
-    old_graph: &Graph,
-    tree: &GlobalTree,
-    new_graph: &Graph,
-    removed: VertexId,
-) -> DeltaPlan {
-    debug_assert_eq!(old_graph.vertex_count(), new_graph.vertex_count() + 1);
-    if removed.index() >= old_graph.vertex_count() {
-        return DeltaPlan::full(DeltaClass::Fallback, FullCause::VertexSetChanged);
+    let full = PlanAction::Full(FullCause::VertexSetChanged);
+    if new_n + 1 != old_n || r.index() >= old_n || r == tree.root {
+        return full;
     }
     let mut check = old_graph.clone();
-    if check.remove_vertex(removed).is_err() || check != *new_graph {
-        return DeltaPlan::full(DeltaClass::Fallback, FullCause::VertexSetChanged);
+    if check.remove_vertex(r).is_err() || check != *new_graph {
+        return full;
     }
-    if removed == tree.root || !tree.children[removed.index()].is_empty() {
-        // Root departures re-elect; internal departures re-hang whole
-        // subtrees. Both cascade.
-        return DeltaPlan::full(DeltaClass::Fallback, FullCause::VertexSetChanged);
-    }
-    let phi = |x: VertexId| {
-        if x > removed {
-            VertexId(x.0 - 1)
-        } else {
-            x
-        }
-    };
-    let repaired = tree.prune_leaf_renumbered(removed);
-    // A tree leaf is never a winning parent candidate, so only the
-    // ancestor chain's subtree sizes (and the old parent's children list)
-    // change; `tree_dirty` is that chain under the new ids.
-    let mut tree_dirty = Vec::new();
-    let mut x = tree.parent[removed.index()];
-    while let Some(a) = x {
-        tree_dirty.push(phi(a));
-        x = tree.parent[a.index()];
-    }
-    tree_dirty.sort_unstable();
-    let edge_dirty: Vec<VertexId> = old_graph
-        .neighbors(removed)
-        .iter()
-        .map(|&w| phi(w))
-        .collect();
-    verified_plan(
-        DeltaClass::VertexSetChange,
-        repaired,
-        Some(removed),
-        tree_dirty,
-        edge_dirty,
-        new_graph,
-    )
+    let phi = |x: VertexId| if x > r { VertexId(x.0 - 1) } else { x };
+    let edge_dirty = old_graph.neighbors(r).iter().map(|&w| phi(w)).collect();
+    measure(tree, new_graph, phi(tree.root), Some(r), edge_dirty).unwrap_or(full)
 }
 
-/// Finishes an edge/arrival plan: diffs the repaired tree against the
-/// resident one for the tree-dirty set, then verifies and packages it.
-fn incremental_plan(
-    planned: DeltaClass,
-    repaired: GlobalTree,
-    removed: Option<VertexId>,
-    edge_dirty: Vec<VertexId>,
-    new_graph: &Graph,
+/// The measured plan: the repaired tree is [`model_bfs`] of the mutated
+/// graph from `root`, and its diff against the resident tree is the
+/// tree-dirty set. `None` when `root` does not span the mutated graph.
+fn measure(
     old_tree: &GlobalTree,
-) -> DeltaPlan {
-    let tree_dirty = tree_changes(old_tree, &repaired);
-    verified_plan(
-        planned, repaired, removed, tree_dirty, edge_dirty, new_graph,
-    )
-}
-
-/// The oracle-grade gate: the staged repair must equal a from-scratch
-/// [`model_bfs`] of the mutated graph field-for-field, or the plan is
-/// rejected and the delta takes the (always-correct) full path.
-fn verified_plan(
-    planned: DeltaClass,
-    repaired: GlobalTree,
-    removed: Option<VertexId>,
-    tree_dirty: Vec<VertexId>,
-    edge_dirty: Vec<VertexId>,
     new_graph: &Graph,
-) -> DeltaPlan {
-    match model_bfs(new_graph, repaired.root) {
-        Some(model) if same_tree(&repaired, &model) => {}
-        _ => return DeltaPlan::full(planned, FullCause::PlanRejected),
-    }
-    // The measured class must match the prediction (a `TreePreserving`
-    // plan with tree changes, or vice versa, is a planner bug).
-    let measured = if planned == DeltaClass::VertexSetChange {
+    root: VertexId,
+    removed: Option<VertexId>,
+    edge_dirty: Vec<VertexId>,
+) -> Option<PlanAction> {
+    let tree = model_bfs(new_graph, root)?;
+    let tree_dirty = tree_changes(old_tree, &tree, removed);
+    let class = if tree.parent.len() != old_tree.parent.len() {
         DeltaClass::VertexSetChange
     } else if tree_dirty.is_empty() {
         DeltaClass::TreePreserving
     } else {
         DeltaClass::TreeRepairable
     };
-    if measured != planned {
-        return DeltaPlan::full(planned, FullCause::PlanRejected);
-    }
-    DeltaPlan {
-        planned,
-        action: PlanAction::Incremental(Box::new(RepairPlan {
-            class: measured,
-            tree: repaired,
-            removed,
-            tree_dirty,
-            edge_dirty,
-        })),
-    }
+    Some(PlanAction::Incremental(Box::new(RepairPlan {
+        class,
+        tree,
+        removed,
+        tree_dirty,
+        edge_dirty,
+    })))
 }
 
 #[cfg(test)]
@@ -578,6 +366,15 @@ mod tests {
     use crate::setup::run_setup;
     use congest_sim::SimConfig;
     use planar_lib::gen;
+
+    /// Field-wise equality of two global BFS trees.
+    fn same_tree(a: &GlobalTree, b: &GlobalTree) -> bool {
+        a.root == b.root
+            && a.parent == b.parent
+            && a.children == b.children
+            && a.depth == b.depth
+            && a.subtree_size == b.subtree_size
+    }
 
     /// The host-side model must reproduce the distributed setup's tree
     /// field-for-field: same root (maximum id), same min-id parents, same
@@ -631,84 +428,110 @@ mod tests {
         run_setup(g, &SimConfig::default()).unwrap().0.tree
     }
 
-    /// Deleting a non-tree edge is planned `TreePreserving` with an empty
+    /// Plans `old → new` and unwraps the incremental repair, checking that
+    /// the repaired tree is the model BFS of `new` from the sticky root
+    /// (renumbered on a departure).
+    fn measured(
+        old: &Graph,
+        tree: &GlobalTree,
+        new: &Graph,
+        departed: Option<VertexId>,
+    ) -> RepairPlan {
+        let rp = match plan_delta(old, tree, new, departed) {
+            PlanAction::Incremental(rp) => *rp,
+            PlanAction::Full(c) => panic!("expected incremental, got full: {c:?}"),
+        };
+        let root = match departed {
+            Some(r) if tree.root > r => VertexId(tree.root.0 - 1),
+            _ => tree.root,
+        };
+        assert!(same_tree(&rp.tree, &model_bfs(new, root).unwrap()));
+        assert_eq!(rp.removed, departed);
+        rp
+    }
+
+    fn full_cause(plan: PlanAction) -> FullCause {
+        match plan {
+            PlanAction::Full(c) => c,
+            PlanAction::Incremental(rp) => panic!("expected full, got {}", rp.class),
+        }
+    }
+
+    fn is_tree_edge(tree: &GlobalTree, e: EdgeId) -> bool {
+        tree.parent[e.lo().index()] == Some(e.hi()) || tree.parent[e.hi().index()] == Some(e.lo())
+    }
+
+    /// The first non-root vertex that is a tree leaf (or, with `leaf`
+    /// false, an internal tree vertex) and whose removal keeps `g`
+    /// connected.
+    fn removable(g: &Graph, tree: &GlobalTree, leaf: bool) -> VertexId {
+        g.vertices()
+            .find(|&v| {
+                tree.children[v.index()].is_empty() == leaf && v != tree.root && {
+                    let mut m = g.clone();
+                    m.remove_vertex(v).unwrap();
+                    m.is_connected()
+                }
+            })
+            .unwrap()
+    }
+
+    /// Deleting a non-tree edge measures `TreePreserving` with an empty
     /// tree-dirty set.
     #[test]
     fn non_tree_deletion_is_tree_preserving() {
         let g = gen::grid(4, 4);
         let tree = setup_tree(&g);
-        let victim = g
-            .edges()
-            .find(|e| {
-                tree.parent[e.lo().index()] != Some(e.hi())
-                    && tree.parent[e.hi().index()] != Some(e.lo())
-            })
-            .unwrap();
+        let victim = g.edges().find(|&e| !is_tree_edge(&tree, e)).unwrap();
         let mut mutated = g.clone();
         mutated.remove_edge(victim.lo(), victim.hi()).unwrap();
-        let plan = plan_edge_delta(&g, &tree, &mutated);
-        assert_eq!(plan.planned, DeltaClass::TreePreserving);
-        match plan.action {
-            PlanAction::Incremental(rp) => {
-                assert!(rp.tree_dirty.is_empty());
-                assert_eq!(rp.edge_dirty, {
-                    let mut e = vec![victim.lo(), victim.hi()];
-                    e.sort_unstable();
-                    e
-                });
-            }
-            PlanAction::Full(c) => panic!("expected incremental, got full: {c:?}"),
+        let rp = measured(&g, &tree, &mutated, None);
+        assert_eq!(rp.class, DeltaClass::TreePreserving);
+        assert!(rp.tree_dirty.is_empty());
+        assert_eq!(rp.edge_dirty, vec![victim.lo(), victim.hi()]);
+    }
+
+    /// Deleting any tree edge of a grid measures `TreeRepairable`, whether
+    /// the child keeps another up-neighbour or its distances cascade.
+    #[test]
+    fn tree_deletion_is_tree_repairable() {
+        let g = gen::grid(4, 4);
+        let tree = setup_tree(&g);
+        for e in g.edges().filter(|&e| is_tree_edge(&tree, e)) {
+            let mut mutated = g.clone();
+            mutated.remove_edge(e.lo(), e.hi()).unwrap();
+            let rp = measured(&g, &tree, &mutated, None);
+            assert_eq!(rp.class, DeltaClass::TreeRepairable, "{e:?}");
         }
     }
 
-    /// Deleting a tree edge whose child keeps another up-neighbor is
-    /// planned `TreeRepairable` and the splice survives verification.
+    /// A cycle's deep tree edge has no alternative up-neighbour: the
+    /// distances cascade, and the measured repair covers them.
     #[test]
-    fn repairable_tree_deletion_is_spliced() {
-        let g = gen::grid(4, 4);
-        let tree = setup_tree(&g);
-        let victim = g
-            .edges()
-            .find(|e| {
-                let (c, p) = if tree.parent[e.lo().index()] == Some(e.hi()) {
-                    (e.lo(), e.hi())
-                } else if tree.parent[e.hi().index()] == Some(e.lo()) {
-                    (e.hi(), e.lo())
-                } else {
-                    return false;
-                };
-                let _ = p;
-                g.neighbors(c).iter().any(|&w| {
-                    tree.depth[w.index()] + 1 == tree.depth[c.index()]
-                        && Some(w) != tree.parent[c.index()]
-                })
-            })
-            .expect("a grid has a repairable tree edge");
-        let mut mutated = g.clone();
-        mutated.remove_edge(victim.lo(), victim.hi()).unwrap();
-        let plan = plan_edge_delta(&g, &tree, &mutated);
-        assert_eq!(plan.planned, DeltaClass::TreeRepairable);
-        assert!(matches!(plan.action, PlanAction::Incremental(_)));
-    }
-
-    /// A cycle's deep tree edge has no alternative up-neighbor: fallback.
-    #[test]
-    fn unrepairable_tree_deletion_falls_back() {
+    fn cascading_tree_deletion_is_measured() {
         let g = gen::cycle(5);
         let tree = setup_tree(&g);
         // In C5 rooted at 4, vertex 1 hangs under 0; deleting {0, 1}
-        // leaves 1 with only a same-depth neighbor.
+        // leaves 1 with only a same-depth neighbour.
         let mut mutated = g.clone();
         mutated.remove_edge(VertexId(0), VertexId(1)).unwrap();
-        let plan = plan_edge_delta(&g, &tree, &mutated);
-        assert_eq!(plan.planned, DeltaClass::Fallback);
-        assert!(matches!(
-            plan.action,
-            PlanAction::Full(FullCause::TreeChanged)
-        ));
+        let rp = measured(&g, &tree, &mutated, None);
+        assert_eq!(rp.class, DeltaClass::TreeRepairable);
+        assert!(rp.tree_dirty.contains(&VertexId(1)));
     }
 
-    /// A pendant arrival grafts as a leaf under its anchor.
+    /// A disconnecting edge delta has no measurement: `TreeChanged`.
+    #[test]
+    fn disconnecting_deletion_falls_back() {
+        let g = gen::path(4);
+        let tree = setup_tree(&g);
+        let mut mutated = g.clone();
+        mutated.remove_edge(VertexId(1), VertexId(2)).unwrap();
+        let cause = full_cause(plan_delta(&g, &tree, &mutated, None));
+        assert_eq!(cause, FullCause::TreeChanged);
+    }
+
+    /// A pendant arrival measures as a leaf under its anchor.
     #[test]
     fn pendant_arrival_is_vertex_set_change() {
         let g = gen::wheel(10);
@@ -716,72 +539,87 @@ mod tests {
         let mut mutated = g.clone();
         let fresh = mutated.add_vertex();
         mutated.add_edge(fresh, VertexId(3)).unwrap();
-        let plan = plan_arrival(&g, &tree, &mutated);
-        assert_eq!(plan.planned, DeltaClass::VertexSetChange);
-        match plan.action {
-            PlanAction::Incremental(rp) => {
-                assert_eq!(rp.tree.parent[fresh.index()], Some(VertexId(3)));
-                assert!(rp.tree_dirty.contains(&fresh));
-            }
-            PlanAction::Full(c) => panic!("expected incremental, got full: {c:?}"),
-        }
+        let rp = measured(&g, &tree, &mutated, None);
+        assert_eq!(rp.class, DeltaClass::VertexSetChange);
+        assert_eq!(rp.tree.parent[fresh.index()], Some(VertexId(3)));
+        assert!(rp.tree_dirty.contains(&fresh));
+        assert_eq!(rp.edge_dirty, vec![VertexId(3), fresh]);
     }
 
-    /// A leaf departure prunes and renumbers; the plan records `removed`.
+    /// An arrival that is not a pure append (here it also drops an edge)
+    /// and an isolated arrival fall back as `VertexSetChanged`.
+    #[test]
+    fn unmeasurable_arrivals_fall_back() {
+        let g = gen::cycle(6);
+        let tree = setup_tree(&g);
+        let mut mutated = g.clone();
+        let fresh = mutated.add_vertex();
+        mutated.add_edge(fresh, VertexId(0)).unwrap();
+        mutated.remove_edge(VertexId(2), VertexId(3)).unwrap();
+        let cause = full_cause(plan_delta(&g, &tree, &mutated, None));
+        assert_eq!(cause, FullCause::VertexSetChanged);
+        let mut isolated = g.clone();
+        isolated.add_vertex();
+        let cause = full_cause(plan_delta(&g, &tree, &isolated, None));
+        assert_eq!(cause, FullCause::VertexSetChanged);
+    }
+
+    /// A leaf departure measures with the renumbering recorded.
     #[test]
     fn leaf_departure_is_vertex_set_change() {
         let g = gen::grid(4, 4);
         let tree = setup_tree(&g);
-        let leaf = g
-            .vertices()
-            .find(|&v| {
-                tree.children[v.index()].is_empty() && v != tree.root && {
-                    let mut m = g.clone();
-                    m.remove_vertex(v).unwrap();
-                    m.is_connected()
-                }
-            })
-            .expect("a grid tree has removable leaves");
+        let leaf = removable(&g, &tree, true);
         let mut mutated = g.clone();
         mutated.remove_vertex(leaf).unwrap();
-        let plan = plan_departure(&g, &tree, &mutated, leaf);
-        assert_eq!(plan.planned, DeltaClass::VertexSetChange);
-        match plan.action {
-            PlanAction::Incremental(rp) => {
-                assert_eq!(rp.removed, Some(leaf));
-                assert_eq!(rp.tree.parent.len(), g.vertex_count() - 1);
-            }
-            PlanAction::Full(c) => panic!("expected incremental, got full: {c:?}"),
+        let rp = measured(&g, &tree, &mutated, Some(leaf));
+        assert_eq!(rp.class, DeltaClass::VertexSetChange);
+        assert_eq!(rp.tree.parent.len(), g.vertex_count() - 1);
+    }
+
+    /// Departure of an internal tree vertex re-hangs its children, and
+    /// the measured repair reports each of them as tree-dirty.
+    #[test]
+    fn internal_departure_is_measured() {
+        let g = gen::grid(4, 4);
+        let tree = setup_tree(&g);
+        let internal = removable(&g, &tree, false);
+        let mut mutated = g.clone();
+        mutated.remove_vertex(internal).unwrap();
+        let rp = measured(&g, &tree, &mutated, Some(internal));
+        assert_eq!(rp.class, DeltaClass::VertexSetChange);
+        for &c in &tree.children[internal.index()] {
+            let c = VertexId(c.0 - u32::from(c > internal));
+            assert!(rp.tree_dirty.contains(&c), "re-hung child {c:?}");
         }
     }
 
-    /// Departure of an internal tree vertex falls back.
+    /// Root departures, unhinted departures and hints that do not match
+    /// the graphs fall back as `VertexSetChanged`.
     #[test]
-    fn internal_departure_falls_back() {
-        let g = gen::grid(4, 4);
+    fn unmeasurable_departures_fall_back() {
+        let g = gen::wheel(8);
         let tree = setup_tree(&g);
-        let internal = g
-            .vertices()
-            .find(|&v| {
-                !tree.children[v.index()].is_empty() && v != tree.root && {
-                    let mut m = g.clone();
-                    m.remove_vertex(v).unwrap();
-                    m.is_connected()
-                }
-            })
-            .unwrap();
-        let mut mutated = g.clone();
-        mutated.remove_vertex(internal).unwrap();
-        let plan = plan_departure(&g, &tree, &mutated, internal);
-        assert_eq!(plan.planned, DeltaClass::Fallback);
-        assert!(matches!(
-            plan.action,
-            PlanAction::Full(FullCause::VertexSetChanged)
-        ));
+        let mut no_root = g.clone();
+        no_root.remove_vertex(tree.root).unwrap();
+        let leaf = removable(&g, &tree, true);
+        let mut no_leaf = g.clone();
+        no_leaf.remove_vertex(leaf).unwrap();
+        let wrong = VertexId(u32::from(leaf.0 == 0));
+        for (mutated, hint) in [
+            (&no_root, Some(tree.root)),
+            (&no_leaf, None),
+            (&no_leaf, Some(wrong)),
+            (&no_leaf, Some(VertexId(99))),
+        ] {
+            let cause = full_cause(plan_delta(&g, &tree, mutated, hint));
+            assert_eq!(cause, FullCause::VertexSetChanged, "hint {hint:?}");
+        }
     }
 
     /// Inserting an edge between same-depth endpoints preserves the tree;
-    /// a depth-gap-2 insert falls back.
+    /// a depth-gap-2 insert shortens distances and measures as
+    /// `TreeRepairable`.
     #[test]
     fn insert_classification_follows_depth_gap() {
         let g = gen::grid(4, 4);
@@ -804,15 +642,18 @@ mod tests {
         let (u, v) = same_level.expect("grid has same-depth non-edges");
         let mut mutated = g.clone();
         mutated.add_edge(u, v).unwrap();
-        let plan = plan_edge_delta(&g, &tree, &mutated);
-        assert_eq!(plan.planned, DeltaClass::TreePreserving);
-        assert!(matches!(plan.action, PlanAction::Incremental(_)));
+        assert_eq!(
+            measured(&g, &tree, &mutated, None).class,
+            DeltaClass::TreePreserving
+        );
 
         let (u, v) = wide_gap.expect("grid has wide-gap non-edges");
         let mut mutated = g.clone();
         mutated.add_edge(u, v).unwrap();
-        let plan = plan_edge_delta(&g, &tree, &mutated);
-        assert_eq!(plan.planned, DeltaClass::Fallback);
+        let rp = measured(&g, &tree, &mutated, None);
+        assert_eq!(rp.class, DeltaClass::TreeRepairable);
+        let deep = if depth(u) > depth(v) { u } else { v };
+        assert!(rp.tree_dirty.contains(&deep), "the deep endpoint moves up");
     }
 
     /// Class codes are stable and distinct (JSON consumers rely on them).

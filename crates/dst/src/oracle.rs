@@ -57,11 +57,6 @@ pub enum ViolationKind {
     /// The service's incremental re-embedding disagreed with its full
     /// re-embed oracle under churn, or the churn pass failed internally.
     ChurnDivergence,
-    /// The delta planner executed a different [`planar_service::DeltaClass`]
-    /// than it predicted for an applied churn delta — a staged repair was
-    /// rejected by its oracle-grade verification, which a correct planner
-    /// never produces.
-    ChurnClassMismatch,
 }
 
 impl ViolationKind {
@@ -74,7 +69,6 @@ impl ViolationKind {
             ViolationKind::Certification => "certification",
             ViolationKind::Divergence => "divergence",
             ViolationKind::ChurnDivergence => "churn-divergence",
-            ViolationKind::ChurnClassMismatch => "churn-class-mismatch",
         }
     }
 }
@@ -447,29 +441,13 @@ fn check_churn(sc: &Scenario, g: &Graph, violations: &mut Vec<Violation>) -> Chu
             });
             break;
         }
-        let record = svc.tenant(id).unwrap().records().last().cloned();
-        if let Some(record) = record {
-            if let Some(diff) = &record.diverged {
-                violations.push(Violation {
-                    kind: ViolationKind::ChurnDivergence,
-                    shadow: Some("churn"),
-                    detail: format!("step {step} ({shown}): {diff}"),
-                });
-            }
-            // The planner's prediction must be the class the engine
-            // executed: a planned-vs-taken gap means a staged repair was
-            // rejected by its verification — a planner bug by contract.
-            if let (Some(planned), Some(taken)) = (record.planned, record.class) {
-                if planned != taken {
-                    violations.push(Violation {
-                        kind: ViolationKind::ChurnClassMismatch,
-                        shadow: Some("churn"),
-                        detail: format!(
-                            "step {step} ({shown}): planned {planned} but took {taken}"
-                        ),
-                    });
-                }
-            }
+        let record = svc.tenant(id).unwrap().records().last();
+        if let Some(diff) = record.and_then(|r| r.diverged.as_ref()) {
+            violations.push(Violation {
+                kind: ViolationKind::ChurnDivergence,
+                shadow: Some("churn"),
+                detail: format!("step {step} ({shown}): {diff}"),
+            });
         }
     }
     audit_check(&audit, Some("churn"), violations);
@@ -587,7 +565,6 @@ mod tests {
             ViolationKind::Certification,
             ViolationKind::Divergence,
             ViolationKind::ChurnDivergence,
-            ViolationKind::ChurnClassMismatch,
         ];
         let codes: std::collections::HashSet<_> = kinds.iter().map(|k| k.code()).collect();
         assert_eq!(codes.len(), kinds.len());

@@ -64,10 +64,9 @@ impl ChurnGen {
     /// The guaranteed-valid fallback: a pendant arrival whose single
     /// attachment *is* its anchor vertex, drawn seeded and recorded in
     /// the delta itself. A pendant arrival can never create a parallel
-    /// edge or disconnect the network, and the explicit anchor is what
-    /// the delta planner grafts the fresh leaf under — so the fallback
-    /// is deterministic for replays *and* always takes the incremental
-    /// `VertexSetChange` path.
+    /// edge or disconnect the network, and the explicit anchor keeps the
+    /// fallback deterministic for replays; like every arrival, it takes
+    /// the incremental `VertexSetChange` path.
     fn pendant_arrival(&mut self, g: &Graph) -> Delta {
         let anchor = self.pick_vertex(g);
         Delta::AddNode {
@@ -167,8 +166,7 @@ mod tests {
             assert_eq!(d, ChurnGen::new(seed).next_delta(&g));
             apply_delta(&g, &d).expect("the fallback is always valid");
         }
-        // The recorded anchor is exactly what the delta planner needs: a
-        // pendant arrival grafts incrementally instead of falling back.
+        // A pendant arrival takes the incremental path.
         let cfg = planar_embedding::EmbedderConfig::default();
         let (mut resident, _) =
             planar_embedding::ResidentEmbedding::build(g.clone(), &cfg).unwrap();

@@ -23,18 +23,17 @@
 //!   accepted as planar by minor-closedness, density-violating inserts
 //!   are rejected *without re-embedding*, co-facial witnesses promise
 //!   success; everything else defers to the embedder.
-//! * Incremental re-embedding — an applied delta is classified into a
-//!   typed [`DeltaClass`] by the delta planner
-//!   (`planar_embedding::planner`), the resident BFS tree is repaired
-//!   host-side, and only the dirty region of the level-synchronous
+//! * Incremental re-embedding — the delta planner
+//!   (`planar_embedding::planner`) measures the repaired BFS tree
+//!   host-side and classifies the applied delta into a typed
+//!   [`DeltaClass`] from that measurement; only the dirty region of the
 //!   recursion re-runs, with certificate labels spliced
 //!   (`planar_embedding::incremental`). The bit-identity contract holds
 //!   for every class: rotation, certification verdict, and planarity
 //!   outcome equal a full re-embed of the same graph. With
 //!   [`OracleMode::Always`] the service *checks* that contract on every
-//!   delta by running the full re-embed oracle and diffing; the
-//!   planned-vs-taken class pair lands in each [`DeltaRecord`] for the
-//!   DST churn oracle to audit.
+//!   delta by running the full re-embed oracle and diffing; the class
+//!   taken lands in each [`DeltaRecord`].
 //! * [`ChurnGen`] — the seeded sensor-fleet workload ([`churn`]),
 //!   shared with the DST scenario space.
 
@@ -162,11 +161,6 @@ pub struct DeltaRecord {
     /// re-run. `None` for deltas that never reached the embedder
     /// (invalid, or gate-short-circuited).
     pub class: Option<DeltaClass>,
-    /// The class the planner *predicted* before executing anything.
-    /// Disagreement with [`class`](Self::class) means a staged repair was
-    /// rejected by its oracle-grade verification — the DST churn oracle
-    /// raises a violation on any mismatch.
-    pub planned: Option<DeltaClass>,
     /// Distinct dirty vertices the planner scoped the rebuild to (0 on
     /// the full path and for deltas that never reached the embedder).
     pub dirty_region: usize,
@@ -355,11 +349,6 @@ impl ServiceState {
         Ok(id)
     }
 
-    /// Number of resident tenants.
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
-    }
-
     /// Looks up a tenant.
     pub fn tenant(&self, id: TenantId) -> Option<&Tenant> {
         self.tenants.get(id.0)
@@ -408,7 +397,6 @@ impl ServiceState {
                     delta,
                     outcome: outcome.clone(),
                     class: None,
-                    planned: None,
                     dirty_region: 0,
                     service_nanos: started.elapsed().as_nanos(),
                     oracle_nanos: None,
@@ -423,7 +411,6 @@ impl ServiceState {
         //    re-embedding entirely.
         let gate = preflight(tenant.resident.graph(), tenant.resident.rotation(), &delta);
         let mut class = None;
-        let mut planned = None;
         let mut dirty_region = 0;
         let outcome = if gate == GateVerdict::DefinitelyNonPlanar {
             tenant.stats.rejected_nonplanar += 1;
@@ -455,7 +442,6 @@ impl ServiceState {
                     }
                     tenant.stats.rounds += report.rounds;
                     class = Some(taken);
-                    planned = Some(report.planned);
                     dirty_region = report.dirty_region();
                     DeltaOutcome::Applied { report, gate }
                 }
@@ -488,7 +474,6 @@ impl ServiceState {
             delta,
             outcome: outcome.clone(),
             class,
-            planned,
             dirty_region,
             service_nanos,
             oracle_nanos,
