@@ -52,8 +52,10 @@
 //! under the level-synchronous scheduler against the sequential oracle
 //! (bit-identical metrics and statistics asserted per cell) over grid and
 //! tri-grid substrates and writes host wall time, speedup, and the
-//! simulated round counts to `BENCH_sched.json`. Run it under `--release`
-//! (`--large` extends to n = 100,000).
+//! simulated round counts to `BENCH_sched.json`, keeping the committed
+//! record's `--large`-only cells. It exits 1 if a cell's `rounds`,
+//! `sequential_rounds` or `outputs_identical` differ from the record it
+//! replaces. Run it under `--release` (`--large` extends to n = 100,000).
 //!
 //! `dst` runs the deterministic-simulation-testing swarm (`crates/dst`):
 //! `--swarm <count> --seed <base>` checks `count` seeded scenarios against
@@ -199,10 +201,19 @@ fn main() {
         } else {
             &[64, 256, 4096]
         };
+        // The record this run replaces, read before it is overwritten.
+        let committed = std::fs::read_to_string("BENCH_sched.json")
+            .ok()
+            .map(|text| {
+                record::Json::parse(&text).expect("the existing BENCH_sched.json is valid JSON")
+            });
         println!("== sched: level-synchronous scheduler vs sequential oracle ==");
         let rows = planar_bench::schedbench::sched_sweep(ns);
         println!("{}", record::table(&rows));
-        record::write("BENCH_sched.json", &planar_bench::schedbench::record(&rows));
+        record::write(
+            "BENCH_sched.json",
+            &planar_bench::schedbench::record(&rows, committed.as_ref()),
+        );
         // Regression gate (CI). Outputs are asserted bit-identical inside
         // every cell; here we gate the timings: at the largest cell of each
         // family, the level-synchronous scheduler must not be slower than
@@ -216,6 +227,19 @@ fn main() {
                 r.n,
                 r.speedup
             );
+        }
+        // Round-drift gate: simulated rounds of every cell the committed
+        // record also holds must repeat exactly.
+        if let Some(committed) = committed {
+            let drift = record::drift(&committed, "cells", &rows);
+            if !drift.is_empty() {
+                eprintln!("deterministic fields differ from the previous BENCH_sched.json:");
+                for line in &drift {
+                    eprintln!("  {line}");
+                }
+                std::process::exit(1);
+            }
+            println!("deterministic fields match the previous BENCH_sched.json");
         }
         return;
     }

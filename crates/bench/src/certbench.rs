@@ -19,7 +19,7 @@
 //! identical rows (timings are deliberately not recorded).
 
 use congest_sim::SimConfig;
-use planar_cert::{apply_mutation, mutation_classes, verify_orders_with, Kernel};
+use planar_cert::{apply_mutation, mutation_classes, verify_orders_with};
 use planar_embedding::{embed_distributed, EmbedderConfig};
 use planar_graph::Graph;
 use planar_lib::gen;
@@ -144,14 +144,9 @@ pub fn cert_cell(family: &'static str, fam_idx: usize, n: usize) -> CertRow {
             continue;
         };
         mutations_applied += 1;
-        let report = verify_orders_with(
-            &g,
-            &orders,
-            &mcerts,
-            &SimConfig::default(),
-            None,
-            Kernel::Fast,
-        )
+        let report = verify_orders_with(&g, &orders, &mcerts, |programs| {
+            congest_sim::run(&g, programs, &SimConfig::default())
+        })
         .expect("verifier runs");
         if !report.accepted && !report.rejections.is_empty() {
             mutations_rejected += 1;

@@ -51,7 +51,6 @@
 pub mod certbench;
 pub mod chaos;
 pub mod cli;
-pub mod dmpref;
 pub mod experiments;
 pub mod kernelbench;
 pub mod mem;

@@ -27,7 +27,7 @@ use congest_sim::Metrics;
 use planar_embedding::{embed_recursion_with_memory, EmbedderConfig, RecursionStats, Scheduler};
 use planar_lib::gen;
 
-use crate::record::{self, Fields, Json, Row};
+use crate::record::{self, Fields, Json, Kind, Row};
 use crate::timing::bench;
 
 /// One cell of the scheduler sweep.
@@ -72,6 +72,13 @@ impl Row for SchedRow {
             ("outputs_identical", self.outputs_identical.into()),
             ("peak_rss_bytes", self.peak_rss_bytes.into()),
         ]
+    }
+
+    fn kind(name: &str) -> Kind {
+        match name {
+            "rounds" | "sequential_rounds" | "outputs_identical" => Kind::Deterministic,
+            _ => Kind::Host,
+        }
     }
 }
 
@@ -159,8 +166,9 @@ pub fn sched_sweep(sizes: &[usize]) -> Vec<SchedRow> {
     rows
 }
 
-/// The `BENCH_sched.json` document.
-pub fn record(rows: &[SchedRow]) -> Json {
+/// The `BENCH_sched.json` document. Cells of the `committed` record this
+/// run did not measure (the `--large` sizes) stay as they were.
+pub fn record(rows: &[SchedRow], committed: Option<&Json>) -> Json {
     Json::obj([
         ("benchmark", "scheduler".into()),
         (
@@ -172,7 +180,7 @@ pub fn record(rows: &[SchedRow]) -> Json {
              scheduler-independent"
                 .into(),
         ),
-        ("cells", record::array(rows)),
+        ("cells", record::array_over(committed, "cells", rows)),
     ])
 }
 
@@ -191,11 +199,34 @@ mod tests {
 
     #[test]
     fn json_document_carries_every_cell_field() {
-        let doc = record(&[sched_cell("tri-grid", 64)]);
+        let doc = record(&[sched_cell("tri-grid", 64)], None);
         assert_eq!(doc["benchmark"], Json::Str("scheduler".into()));
         let cell = &doc["cells"][0];
         assert_eq!(cell["outputs_identical"], Json::Bool(true));
         assert!(matches!(cell["speedup"], Json::F64(_)));
         assert!(matches!(cell["sequential_rounds"], Json::U64(_)));
+    }
+
+    /// The gate reads simulated rounds and the identity flag, never
+    /// timings: one changed round fails it, a changed timing does not.
+    #[test]
+    fn drift_gates_rounds_not_timings() {
+        let cell = sched_cell("grid", 64);
+        let committed = |c: &SchedRow| {
+            let doc = record(std::slice::from_ref(c), None);
+            Json::parse(&doc.render()).unwrap()
+        };
+        let drift =
+            |old: &SchedRow| record::drift(&committed(old), "cells", std::slice::from_ref(&cell));
+        assert!(drift(&cell).is_empty());
+        let mut slower = cell.clone();
+        slower.level_sync_secs *= 2.0;
+        slower.peak_rss_bytes += 1;
+        assert!(drift(&slower).is_empty());
+        let mut moved = cell.clone();
+        moved.sequential_rounds += 1;
+        let diffs = drift(&moved);
+        assert_eq!(diffs.len(), 1, "{diffs:?}");
+        assert!(diffs[0].starts_with("cells family=grid n=64: sequential_rounds"));
     }
 }

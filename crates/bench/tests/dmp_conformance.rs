@@ -1,10 +1,11 @@
 //! The incremental DMP embedder behind `planar_lib::embed` against the
-//! frozen whole-graph-rescan oracle `planar_bench::dmpref`: identical
+//! frozen whole-graph-rescan oracle `dmpref` (beside this file): identical
 //! rotations on planar inputs and identical errors (down to the embedded
 //! edge count) on non-planar ones.
 
+mod dmpref;
+
 use congest_sim::mix_seed;
-use planar_bench::dmpref;
 use planar_graph::{Graph, VertexId};
 use planar_lib::gen;
 use rand::rngs::StdRng;

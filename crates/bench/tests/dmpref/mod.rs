@@ -6,7 +6,7 @@
 //! textbook form it replaced: every step recomputes all fragments and every
 //! face's vertex set, then scans the fragments in order. Both make the same
 //! choices, so [`embed`] here and [`planar_lib::embed`] must return identical
-//! rotations and identical errors (`tests/dmp_conformance.rs`).
+//! rotations and identical errors (`dmp_conformance.rs`, its only user).
 
 use std::collections::{HashSet, VecDeque};
 

@@ -23,7 +23,7 @@
 //! the CONGEST word model; [`Certificate::words`] reports the exact wire
 //! size used by the size benchmarks.
 
-use planar_graph::{ArcId, Graph, RotationSystem, VertexId};
+use planar_graph::{Graph, RotationSystem, VertexId};
 use serde::{Deserialize, Serialize};
 
 use crate::error::CertError;
@@ -64,7 +64,8 @@ impl Certificate {
 type FaceLabelTables = (Vec<Vec<(VertexId, VertexId)>>, Vec<u64>);
 
 /// Per-vertex face labels (rotation order) and face-leader counts,
-/// computed by tracing every face orbit once over the arc index.
+/// computed by tracing every orbit of the rotation's flat face-successor
+/// table ([`RotationSystem::face_successors`]) over the arc index.
 ///
 /// Rotation entries share the arcs' CSR numbering: entry `first_arc(v) +
 /// p` is the arc from `v` to the `p`-th vertex of its rotation, so each
@@ -74,50 +75,15 @@ type FaceLabelTables = (Vec<Vec<(VertexId, VertexId)>>, Vec<u64>);
 fn face_labels(g: &Graph, rot: &RotationSystem) -> Result<FaceLabelTables, CertError> {
     let ai = g.arc_index();
     let two_m = ai.arc_count();
+    let next = rot
+        .face_successors(&ai)
+        .map_err(|e| CertError::BadInput(e.to_string()))?;
     let key = |u: VertexId, w: VertexId| u64::from(u.0) << 32 | u64::from(w.0);
-    // `slot_of[w]`: position of `w` in the sorted neighbor list of the
-    // vertex being scanned (stale for non-neighbors, hence the check).
-    let mut slot_of = vec![0u32; g.vertex_count()];
-    let mut arc_of_entry = vec![0u32; two_m];
-    let mut entry_of_arc = vec![0u32; two_m];
     let mut keys = vec![0u64; two_m];
     for v in g.vertices() {
-        let nbrs = g.neighbors(v);
-        let order = rot.order_at(v);
-        if order.len() != nbrs.len() {
-            return Err(CertError::BadInput(format!(
-                "rotation at {v} has {} entries, vertex has degree {}",
-                order.len(),
-                nbrs.len()
-            )));
-        }
-        for (s, &w) in nbrs.iter().enumerate() {
-            slot_of[w.index()] = s as u32;
-        }
-        let base = ai.first_arc(v).0;
-        for (p, &w) in order.iter().enumerate() {
-            let s = slot_of.get(w.index()).copied();
-            let s = s
-                .filter(|&s| nbrs.get(s as usize) == Some(&w))
-                .ok_or_else(|| {
-                    CertError::BadInput(format!("rotation at {v} names non-neighbor {w}"))
-                })?;
-            let e = base + p as u32;
-            arc_of_entry[e as usize] = base + s;
-            entry_of_arc[(base + s) as usize] = e;
-            keys[e as usize] = key(v, w);
-        }
-    }
-    // The face successor of the arc (v, w) is (w, x), where x follows v in
-    // the rotation at w.
-    let mut next = vec![0u32; two_m];
-    for v in g.vertices() {
-        for e in ai.first_arc(v).index()..ai.first_arc(v).index() + ai.degree(v) {
-            let a = ArcId(arc_of_entry[e]);
-            let w = ai.head(a);
-            let twin = entry_of_arc[ai.rev(a).index()] + 1;
-            let end = ai.first_arc(w).0 + ai.degree(w) as u32;
-            next[e] = if twin == end { ai.first_arc(w).0 } else { twin };
+        let base = ai.first_arc(v).index();
+        for (p, &w) in rot.order_at(v).iter().enumerate() {
+            keys[base + p] = key(v, w);
         }
     }
 

@@ -53,6 +53,6 @@ pub use error::CertError;
 pub use mutate::{apply_mutation, mutation_classes, Mutation, MutationClass};
 pub use splice::{splice_certificates, splice_certificates_shifted, SpliceStats};
 pub use verifier::{
-    verify_distributed, verify_distributed_reference, verify_distributed_with, verify_orders_with,
-    CertMsg, CertVerifier, Kernel, Verdict, VerifyReport, Violation,
+    verify_distributed, verify_distributed_with, verify_orders_with, CertMsg, CertVerifier,
+    Verdict, VerifyReport, Violation,
 };

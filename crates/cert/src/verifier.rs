@@ -23,8 +23,7 @@
 //! node that never hears from every neighbor simply stays
 //! [`Verdict::Incomplete`], which the report treats as non-acceptance.
 
-use congest_sim::protocols::{run_reliable, Reliable, ReliableConfig};
-use congest_sim::{reference, run, Metrics, NodeCtx, NodeProgram, SimConfig, SimOutcome, Words};
+use congest_sim::{run, Metrics, NodeCtx, NodeProgram, SimConfig, SimError, SimOutcome, Words};
 use planar_graph::{Graph, RotationSystem, VertexId};
 
 use crate::certificate::Certificate;
@@ -490,16 +489,6 @@ impl NodeProgram for CertVerifier<'_> {
     }
 }
 
-/// Which simulation kernel runs the verifier.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Kernel {
-    /// The allocation-free production kernel ([`congest_sim::run`]).
-    Fast,
-    /// The seed kernel kept as executable specification
-    /// ([`congest_sim::reference::run_reference`]).
-    Reference,
-}
-
 /// Outcome of a distributed verification run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct VerifyReport {
@@ -522,19 +511,19 @@ pub struct VerifyReport {
 /// Runs the distributed verifier on *raw* per-vertex rotation orders —
 /// the general entry point, accepting corrupted rotations that
 /// [`RotationSystem::new`] would refuse to represent (the mutation
-/// soundness suite needs exactly that).
+/// soundness suite needs exactly that). `run` executes the verifier
+/// programs on `g`: a kernel entry point of the caller's choice (fast,
+/// reference, reliable-wrapped, or a warm session).
 ///
 /// # Errors
 ///
 /// [`CertError::BadInput`] if the order or certificate count does not
 /// match `g`; [`CertError::Sim`] if the kernel aborts.
-pub fn verify_orders_with(
+pub fn verify_orders_with<'a>(
     g: &Graph,
-    orders: &[Vec<VertexId>],
-    certs: &[Certificate],
-    cfg: &SimConfig,
-    reliability: Option<&ReliableConfig>,
-    kernel: Kernel,
+    orders: &'a [Vec<VertexId>],
+    certs: &'a [Certificate],
+    run: impl FnOnce(Vec<CertVerifier<'a>>) -> Result<SimOutcome<CertVerifier<'a>>, SimError>,
 ) -> Result<VerifyReport, CertError> {
     if orders.len() != g.vertex_count() {
         return Err(CertError::BadInput(format!(
@@ -544,7 +533,7 @@ pub fn verify_orders_with(
             certs.len()
         )));
     }
-    verify_with(g, |v| &orders[v.index()], certs, cfg, reliability, kernel)
+    verify_with(g, |v| &orders[v.index()], certs, run)
 }
 
 /// The verifier run shared by both entry points: `order_at` lends each
@@ -553,9 +542,7 @@ fn verify_with<'a>(
     g: &Graph,
     order_at: impl Fn(VertexId) -> &'a [VertexId],
     certs: &'a [Certificate],
-    cfg: &SimConfig,
-    reliability: Option<&ReliableConfig>,
-    kernel: Kernel,
+    run: impl FnOnce(Vec<CertVerifier<'a>>) -> Result<SimOutcome<CertVerifier<'a>>, SimError>,
 ) -> Result<VerifyReport, CertError> {
     let n = g.vertex_count();
     if certs.len() != n {
@@ -568,7 +555,7 @@ fn verify_with<'a>(
         .vertices()
         .map(|v| CertVerifier::new(order_at(v), &certs[v.index()]))
         .collect();
-    let out = run_verifier_kernel(g, programs, cfg, reliability, kernel)?;
+    let out = run(programs)?;
 
     let mut rejections = Vec::new();
     let mut incomplete = Vec::new();
@@ -595,20 +582,17 @@ fn verify_with<'a>(
     })
 }
 
-/// Runs the distributed verifier on the kernel of your choice, optionally
-/// inside the reliable-delivery wrapper (with the standard `3B + 2`
-/// widened budget, exactly like the embedding phases under faults).
+/// Runs the distributed verifier for the embedding `rot` of `g`, with
+/// `run` executing the programs (see [`verify_orders_with`]).
 ///
 /// # Errors
 ///
 /// As [`verify_orders_with`].
-pub fn verify_distributed_with(
+pub fn verify_distributed_with<'a>(
     g: &Graph,
-    rot: &RotationSystem,
-    certs: &[Certificate],
-    cfg: &SimConfig,
-    reliability: Option<&ReliableConfig>,
-    kernel: Kernel,
+    rot: &'a RotationSystem,
+    certs: &'a [Certificate],
+    run: impl FnOnce(Vec<CertVerifier<'a>>) -> Result<SimOutcome<CertVerifier<'a>>, SimError>,
 ) -> Result<VerifyReport, CertError> {
     if rot.vertex_count() != g.vertex_count() {
         return Err(CertError::BadInput(format!(
@@ -617,47 +601,7 @@ pub fn verify_distributed_with(
             rot.vertex_count()
         )));
     }
-    verify_with(g, |v| rot.order_at(v), certs, cfg, reliability, kernel)
-}
-
-/// Dispatches to the chosen kernel, wrapping in [`Reliable`] when
-/// requested (budget widened to `3B + 2`, retransmissions folded into the
-/// metrics — the same lift [`run_reliable`] performs for the fast kernel).
-fn run_verifier_kernel<'a>(
-    g: &Graph,
-    programs: Vec<CertVerifier<'a>>,
-    cfg: &SimConfig,
-    reliability: Option<&ReliableConfig>,
-    kernel: Kernel,
-) -> Result<SimOutcome<CertVerifier<'a>>, CertError> {
-    match (kernel, reliability) {
-        (Kernel::Fast, None) => Ok(run(g, programs, cfg)?),
-        (Kernel::Reference, None) => Ok(reference::run_reference(g, programs, cfg)?),
-        (Kernel::Fast, Some(rel)) => {
-            let mut wrapped_cfg = cfg.clone();
-            wrapped_cfg.budget_words = 3 * cfg.budget_words + 2;
-            Ok(run_reliable(g, programs, &wrapped_cfg, rel)?)
-        }
-        (Kernel::Reference, Some(rel)) => {
-            let mut wrapped_cfg = cfg.clone();
-            wrapped_cfg.budget_words = 3 * cfg.budget_words + 2;
-            let wrapped: Vec<Reliable<CertVerifier<'a>>> = programs
-                .into_iter()
-                .map(|p| Reliable::new(p, rel.clone()))
-                .collect();
-            let out = reference::run_reference(g, wrapped, &wrapped_cfg)?;
-            let mut metrics = out.metrics;
-            let mut inner = Vec::with_capacity(out.programs.len());
-            for w in out.programs {
-                metrics.retransmissions += w.retransmissions();
-                inner.push(w.into_inner());
-            }
-            Ok(SimOutcome {
-                programs: inner,
-                metrics,
-            })
-        }
-    }
+    verify_with(g, |v| rot.order_at(v), certs, run)
 }
 
 /// [`verify_distributed_with`] on the fast kernel without reliability —
@@ -672,22 +616,7 @@ pub fn verify_distributed(
     certs: &[Certificate],
     cfg: &SimConfig,
 ) -> Result<VerifyReport, CertError> {
-    verify_distributed_with(g, rot, certs, cfg, None, Kernel::Fast)
-}
-
-/// [`verify_distributed_with`] on the reference kernel without
-/// reliability — the conformance oracle.
-///
-/// # Errors
-///
-/// As [`verify_distributed_with`].
-pub fn verify_distributed_reference(
-    g: &Graph,
-    rot: &RotationSystem,
-    certs: &[Certificate],
-    cfg: &SimConfig,
-) -> Result<VerifyReport, CertError> {
-    verify_distributed_with(g, rot, certs, cfg, None, Kernel::Reference)
+    verify_distributed_with(g, rot, certs, |programs| run(g, programs, cfg))
 }
 
 #[cfg(test)]
@@ -720,7 +649,10 @@ mod tests {
         let (g, rot) = ring(9);
         let certs = build_certificates(&g, &rot).unwrap();
         let a = verify_distributed(&g, &rot, &certs, &SimConfig::default()).unwrap();
-        let b = verify_distributed_reference(&g, &rot, &certs, &SimConfig::default()).unwrap();
+        let b = verify_distributed_with(&g, &rot, &certs, |programs| {
+            congest_sim::reference::run_reference(&g, programs, &SimConfig::default())
+        })
+        .unwrap();
         assert_eq!(a, b);
     }
 
@@ -913,22 +845,23 @@ mod tests {
 
     #[test]
     fn reliable_wrapper_survives_lossy_verification() {
+        use congest_sim::protocols::{run_reliable, wrapped_budget, ReliableConfig};
         use congest_sim::FaultPlan;
         let (g, rot) = ring(10);
         let certs = build_certificates(&g, &rot).unwrap();
         let cfg = SimConfig {
             faults: FaultPlan::uniform(3, 0.2, 0.05, 0.1, 2),
             watchdog: Some(4096),
+            budget_words: wrapped_budget(congest_sim::DEFAULT_BUDGET_WORDS),
             ..SimConfig::default()
         };
         let rel = ReliableConfig::default();
-        let report =
-            verify_distributed_with(&g, &rot, &certs, &cfg, Some(&rel), Kernel::Fast).unwrap();
+        let reliable = |programs| run_reliable(&g, programs, &cfg, &rel);
+        let report = verify_distributed_with(&g, &rot, &certs, reliable).unwrap();
         assert!(report.accepted, "rejections: {:?}", report.rejections);
         assert!(report.metrics.dropped > 0 || report.metrics.retransmissions > 0);
         // The seeded fault schedule replays bit-identically.
-        let again =
-            verify_distributed_with(&g, &rot, &certs, &cfg, Some(&rel), Kernel::Fast).unwrap();
+        let again = verify_distributed_with(&g, &rot, &certs, reliable).unwrap();
         assert_eq!(report, again);
     }
 
@@ -955,7 +888,7 @@ mod tests {
             watchdog: Some(1024),
             ..SimConfig::default()
         };
-        let report = verify_distributed_with(&g, &rot, &certs, &cfg, None, Kernel::Fast).unwrap();
+        let report = verify_distributed(&g, &rot, &certs, &cfg).unwrap();
         assert!(!report.accepted);
         assert!(report.incomplete.contains(&VertexId(1)));
     }

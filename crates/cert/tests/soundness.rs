@@ -7,11 +7,12 @@
 //!   least one node reject, with bit-identical rejection sets on the fast
 //!   and reference kernels.
 
-use congest_sim::protocols::ReliableConfig;
-use congest_sim::{AuditSink, FaultPlan, SimConfig, TraceHandle};
+use congest_sim::protocols::{run_reliable, wrapped_budget, ReliableConfig};
+use congest_sim::reference::run_reference;
+use congest_sim::{run, AuditSink, FaultPlan, SimConfig, TraceHandle};
 use planar_cert::{
     apply_mutation, build_certificates, mutation_classes, verify_distributed_with,
-    verify_orders_with, Kernel, MutationClass,
+    verify_orders_with, MutationClass,
 };
 use planar_graph::{Graph, RotationSystem};
 use planar_lib::{embed, gen};
@@ -52,12 +53,21 @@ fn embedded(g: &Graph) -> RotationSystem {
     rot
 }
 
+/// The default configuration with the per-edge budget a reliable-wrapped
+/// run needs.
+fn wrapped() -> SimConfig {
+    SimConfig {
+        budget_words: wrapped_budget(congest_sim::DEFAULT_BUDGET_WORDS),
+        ..SimConfig::default()
+    }
+}
+
 #[test]
 fn honest_embeddings_accept_everywhere_on_both_kernels() {
     for (name, g) in suite() {
         let rot = embedded(&g);
         let certs = build_certificates(&g, &rot).unwrap();
-        for kernel in [Kernel::Fast, Kernel::Reference] {
+        for kernel in ["fast", "reference"] {
             // The verification rounds run under the trace auditor, so this
             // suite also checks the reported metrics against an
             // independent recomputation from the event stream.
@@ -66,15 +76,19 @@ fn honest_embeddings_accept_everywhere_on_both_kernels() {
                 trace: TraceHandle::to(audit.clone()),
                 ..SimConfig::default()
             };
-            let report = verify_distributed_with(&g, &rot, &certs, &cfg, None, kernel).unwrap();
+            let report = verify_distributed_with(&g, &rot, &certs, |programs| match kernel {
+                "fast" => run(&g, programs, &cfg),
+                _ => run_reference(&g, programs, &cfg),
+            })
+            .unwrap();
             assert!(
                 audit.ok(),
-                "{name} on {kernel:?}: trace audit found drift: {:?}",
+                "{name} on {kernel}: trace audit found drift: {:?}",
                 audit.report().mismatches
             );
             assert!(
                 report.accepted,
-                "{name} on {kernel:?}: rejections {:?}, incomplete {:?}",
+                "{name} on {kernel}: rejections {:?}, incomplete {:?}",
                 report.rejections, report.incomplete
             );
             assert!(
@@ -101,10 +115,12 @@ fn honest_embeddings_accept_under_chaos_with_reliable_delivery() {
                 faults: FaultPlan::uniform(seed, 0.15, 0.05, 0.1, 2),
                 watchdog: Some(8192),
                 trace: TraceHandle::to(audit.clone()),
-                ..SimConfig::default()
+                ..wrapped()
             };
-            let report =
-                verify_distributed_with(&g, &rot, &certs, &cfg, Some(&rel), Kernel::Fast).unwrap();
+            let report = verify_distributed_with(&g, &rot, &certs, |programs| {
+                run_reliable(&g, programs, &cfg, &rel)
+            })
+            .unwrap();
             assert!(
                 audit.ok(),
                 "{name} seed {seed}: trace audit found drift: {:?}",
@@ -134,8 +150,7 @@ fn every_mutation_class_is_rejected_identically_on_both_kernels() {
                     continue;
                 };
                 applied += 1;
-                let fast =
-                    verify_orders_with(&g, &orders, &mcerts, &cfg, None, Kernel::Fast).unwrap();
+                let fast = verify_orders_with(&g, &orders, &mcerts, |p| run(&g, p, &cfg)).unwrap();
                 assert!(
                     !fast.accepted,
                     "{name} / {class:?} seed {seed} accepted despite {mutation:?}"
@@ -145,7 +160,7 @@ fn every_mutation_class_is_rejected_identically_on_both_kernels() {
                     "{name} / {class:?} seed {seed}: no rejecting node for {mutation:?}"
                 );
                 let reference =
-                    verify_orders_with(&g, &orders, &mcerts, &cfg, None, Kernel::Reference)
+                    verify_orders_with(&g, &orders, &mcerts, |p| run_reference(&g, p, &cfg))
                         .unwrap();
                 assert_eq!(
                     fast, reference,
@@ -172,14 +187,14 @@ fn mutations_are_rejected_even_under_reliable_chaos() {
     let cfg = SimConfig {
         faults: FaultPlan::uniform(9, 0.15, 0.05, 0.1, 2),
         watchdog: Some(8192),
-        ..SimConfig::default()
+        ..wrapped()
     };
     for class in mutation_classes() {
         let Some((orders, mcerts, mutation)) = apply_mutation(&g, &rot, &certs, class, 2) else {
             continue;
         };
         let report =
-            verify_orders_with(&g, &orders, &mcerts, &cfg, Some(&rel), Kernel::Fast).unwrap();
+            verify_orders_with(&g, &orders, &mcerts, |p| run_reliable(&g, p, &cfg, &rel)).unwrap();
         assert!(
             !report.accepted,
             "{class:?} accepted under chaos: {mutation:?}"
@@ -201,8 +216,8 @@ fn rejection_sets_are_deterministic_across_runs() {
         let Some((orders, mcerts, _)) = apply_mutation(&g, &rot, &certs, class, 1) else {
             continue;
         };
-        let a = verify_orders_with(&g, &orders, &mcerts, &cfg, None, Kernel::Fast).unwrap();
-        let b = verify_orders_with(&g, &orders, &mcerts, &cfg, None, Kernel::Fast).unwrap();
+        let a = verify_orders_with(&g, &orders, &mcerts, |p| run(&g, p, &cfg)).unwrap();
+        let b = verify_orders_with(&g, &orders, &mcerts, |p| run(&g, p, &cfg)).unwrap();
         assert_eq!(a, b, "{class:?} replay diverged");
     }
 }

@@ -23,9 +23,9 @@
 //! cost one word; retransmissions re-charge the link. An inner protocol
 //! honest to a base budget `B` therefore puts at most `2·B + 1` wrapped
 //! words on a link per round when no retransmission fires (≤ `B` payload
-//! words + ≤ `B` sequence words + one cumulative ack); the embedding
-//! driver widens wrapped phases to `3·B + 2`, leaving `B + 1` words of
-//! slack for retransmissions colliding with fresh traffic. Cumulative acks
+//! words + ≤ `B` sequence words + one cumulative ack); wrapped runs get
+//! the [`wrapped_budget`] `3·B + 2`, leaving `B + 1` words of slack for
+//! retransmissions colliding with fresh traffic. Cumulative acks
 //! are what make this a *fixed* bound — per-frame acking would scale with
 //! the number of delayed/duplicated frames that happen to land in one
 //! round (see the ack-pile-up regression test).
@@ -319,6 +319,15 @@ where
     }
 }
 
+/// The per-edge word budget a wrapped run needs to carry the traffic a
+/// budget of `base` words carries unwrapped: `2·base + 1` covers sequence
+/// words plus the single cumulative ack, and the remaining `base + 1`
+/// words absorb retransmissions that collide with fresh traffic.
+#[must_use]
+pub const fn wrapped_budget(base: usize) -> usize {
+    3 * base + 2
+}
+
 /// Runs `programs` wrapped in [`Reliable`] and returns the *inner*
 /// programs, with the wrapper's total retransmission count folded into
 /// `Metrics::retransmissions`.
@@ -555,7 +564,7 @@ mod tests {
         assert!(!out.programs[1].inner().got);
     }
 
-    const DEFAULT_WRAPPED_BUDGET: usize = 3 * crate::network::DEFAULT_BUDGET_WORDS + 2;
+    const DEFAULT_WRAPPED_BUDGET: usize = wrapped_budget(crate::network::DEFAULT_BUDGET_WORDS);
 
     /// Star with center 0: leaf 1 is a pure sink, leaf 2 is a clock that
     /// echoes with the center so node 0 can emit one 1-word ping to node 1

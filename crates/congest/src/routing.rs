@@ -169,6 +169,13 @@ pub struct Router {
 }
 
 impl Router {
+    /// Heap bytes the tables reserve.
+    pub fn memory_bytes(&self) -> usize {
+        (self.hop_arcs.capacity() + self.load.capacity() + self.touched.capacity()) * 4
+            + self.packets.capacity() * std::mem::size_of::<Packet>()
+            + (self.live.capacity() + self.still_live.capacity()) * std::mem::size_of::<usize>()
+    }
+
     /// [`schedule`] over the graph `idx` was built from, reusing this
     /// router's tables. Outcome-invariant: only buffer capacity survives
     /// between calls.

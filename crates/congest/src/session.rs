@@ -30,7 +30,7 @@ use crate::network::{
 /// A type-erased cached [`Simulator`]: downcasting for the typed entry
 /// points plus the uniform queries the cache can answer without knowing
 /// the message type (memory accounting for the bench harness's bytes/node
-/// column and the service's per-tenant footprint).
+/// column and the service's scratch footprint).
 trait CachedSim: Any {
     fn as_any_mut(&mut self) -> &mut dyn Any;
     fn memory_bytes(&self) -> usize;
@@ -52,8 +52,8 @@ impl<M: Words + Clone + 'static> CachedSim for Simulator<M> {
 /// them — so a cache can outlive the graph it was warmed on and be
 /// rebound to a *different* graph (larger, smaller, different topology)
 /// without affecting outcomes. Long-lived callers (the embedding service
-/// re-running one tenant across edge deltas) keep a `KernelCache` per
-/// tenant and thread it through successive [`SimSession`]s via
+/// re-running its tenants across deltas) keep one `KernelCache` for every
+/// graph they serve and thread it through successive [`SimSession`]s via
 /// [`SimSession::with_cache`]/[`SimSession::into_cache`].
 #[derive(Default)]
 pub struct KernelCache {

@@ -1,7 +1,7 @@
 //! Session / kernel-cache reuse regression suite.
 //!
 //! A [`KernelCache`] outlives the graph it was warmed on: the embedding
-//! service rebinds one cache per tenant across edge deltas, and the
+//! service rebinds one cache across all its tenants' deltas, and the
 //! struct-of-arrays kernel retains its mailbox planes (per-arc slots, the
 //! spill pool, the native side table) and the outbox between runs. The
 //! contract under test is that *only capacity* survives a rebind — every

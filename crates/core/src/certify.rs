@@ -17,7 +17,7 @@ use planar_cert::{
 use planar_graph::{Graph, RotationSystem, VertexId};
 
 use crate::error::EmbedError;
-use crate::{EmbedderConfig, Kernel};
+use crate::{EmbedderConfig, ExecutionContext};
 
 /// The prover/verifier artifacts of one certification run.
 #[derive(Clone, Debug, PartialEq)]
@@ -61,8 +61,17 @@ pub fn certify_embedding(
     rotation: &RotationSystem,
     cfg: &EmbedderConfig,
 ) -> Result<Certification, EmbedError> {
-    let certificates = build_certificates(g, rotation).map_err(lift)?;
-    certify_with_certificates(g, rotation, certificates, cfg)
+    certify_in(&mut ExecutionContext::new(g, cfg), rotation)
+}
+
+/// [`certify_embedding`] on an open context: the session graph, its
+/// kernel settings and its warm simulators.
+pub(crate) fn certify_in(
+    ctx: &mut ExecutionContext<'_>,
+    rotation: &RotationSystem,
+) -> Result<Certification, EmbedError> {
+    let certificates = build_certificates(ctx.graph(), rotation).map_err(lift)?;
+    certify_with_certificates(ctx, rotation, certificates)
 }
 
 /// Runs the distributed verifier on a *pre-supplied* certificate set —
@@ -71,29 +80,21 @@ pub fn certify_embedding(
 /// ([`planar_cert::splice_certificates`]). Since a spliced set is
 /// element-wise equal to the scratch set, the verdict is identical to
 /// [`certify_embedding`]'s; what differs is only the accounting of which
-/// certificates had to be re-distributed.
+/// certificates had to be re-distributed. The verifier programs run as
+/// one phase of `ctx` ([`ExecutionContext::run_phase`]): on its session
+/// graph and arc index, its kernel, and its reliability policy.
 ///
 /// # Errors
 ///
 /// As [`certify_embedding`].
 pub fn certify_with_certificates(
-    g: &Graph,
+    ctx: &mut ExecutionContext<'_>,
     rotation: &RotationSystem,
     certificates: Vec<Certificate>,
-    cfg: &EmbedderConfig,
 ) -> Result<Certification, EmbedError> {
-    let verifier_kernel = match cfg.kernel {
-        Kernel::Fast => planar_cert::Kernel::Fast,
-        Kernel::Reference => planar_cert::Kernel::Reference,
-    };
-    let report = verify_distributed_with(
-        g,
-        rotation,
-        &certificates,
-        &cfg.sim,
-        cfg.reliability.as_ref(),
-        verifier_kernel,
-    )
+    let report = verify_distributed_with(ctx.graph(), rotation, &certificates, |programs| {
+        ctx.run_phase(programs)
+    })
     .map_err(lift)?;
     Ok(Certification {
         certificates,

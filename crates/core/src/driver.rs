@@ -39,7 +39,7 @@
 use congest_sim::{Metrics, Phase, SimConfig, SimError};
 use planar_graph::{Graph, RotationSystem, VertexId};
 
-use crate::certify::{certify_embedding, Certification};
+use crate::certify::{certify_in, Certification};
 use crate::error::{DegradedCause, EmbedError};
 use crate::exec::ExecutionContext;
 use crate::merge::merge_parts_ctx;
@@ -296,24 +296,25 @@ pub(crate) fn check_root_covers(nodes: &[RecNode], n: usize) -> Result<(), Embed
 /// edges left); see the module-level fidelity note: the rotation itself
 /// comes from the centralized solver. With [`EmbedderConfig::certify`]
 /// set, `certify` then supplies the distributed certification of that
-/// rotation — the O(1)-round proof-labeling verifier on the same
-/// simulated network (same fault plan, reliability, and kernel) — whose
+/// rotation — the O(1)-round proof-labeling verifier, run as one more
+/// phase of `ctx` (same fault plan, reliability, and kernel) — whose
 /// cost lands in the tally like any other phase, and which must accept.
-/// The recursion is over by now, so its host tables are released first.
 pub(crate) fn run_epilogue(
     g: &Graph,
     cfg: &EmbedderConfig,
     ctx: &mut ExecutionContext<'_>,
-    certify: impl FnOnce(&RotationSystem) -> Result<Certification, EmbedError>,
+    certify: impl FnOnce(
+        &mut ExecutionContext<'_>,
+        &RotationSystem,
+    ) -> Result<Certification, EmbedError>,
 ) -> Result<(RotationSystem, Option<Certification>), EmbedError> {
-    ctx.release_recursion_tables();
     let rotation = planar_lib::embed(g)?;
     debug_assert!(rotation.is_planar_embedding());
     if !cfg.certify {
         return Ok((rotation, None));
     }
     ctx.enter(Phase::Cert);
-    let cert = certify(&rotation)?;
+    let cert = certify(ctx, &rotation)?;
     ctx.charge(&cert.report.metrics);
     if !cert.accepted() {
         return Err(EmbedError::Internal(format!(
@@ -361,8 +362,10 @@ fn embed_inner(
     ctx: &mut ExecutionContext<'_>,
 ) -> Result<EmbeddingOutcome, EmbedError> {
     let (_, _, mut metrics, mut stats) = run_recursion_retained(g, cfg, ctx)?;
-    let (rotation, certification) =
-        run_epilogue(g, cfg, ctx, |rotation| certify_embedding(g, rotation, cfg))?;
+    // A one-shot run has no later recursion to keep its host tables warm
+    // for, so the epilogue does not carry them.
+    ctx.release_recursion_tables();
+    let (rotation, certification) = run_epilogue(g, cfg, ctx, certify_in)?;
     if let Some(cert) = &certification {
         metrics.add(cert.report.metrics);
     }

@@ -29,7 +29,8 @@
 //! certification verdicts (pinned by `tests/scheduler.rs`).
 
 use congest_sim::protocols::{
-    unwrap_reliable, unwrap_reliable_many, wrap_instances, wrap_programs, ReliableConfig,
+    unwrap_reliable, unwrap_reliable_many, wrap_instances, wrap_programs, wrapped_budget,
+    ReliableConfig,
 };
 use congest_sim::reference::{run_reference, run_reference_many};
 use congest_sim::routing::{Router, RoutingError, Transfer};
@@ -41,7 +42,6 @@ use planar_graph::Graph;
 
 use crate::merge::MergeScratch;
 use crate::partition::PartitionScratch;
-use crate::resilience::wrapped_budget;
 use crate::EmbedderConfig;
 
 /// Which simulation kernel executes the phases.
@@ -83,6 +83,38 @@ struct Tally {
     phase: Phase,
 }
 
+/// The graph-independent host state phases run on: one warm simulator per
+/// message type plus the merge, partition and routing tables. Every
+/// table is sized on use and reset by the phase that uses it, so one
+/// scratch serves any sequence of graphs with outcomes equal to a cold
+/// run's. A long-lived caller (the embedding service, a standalone
+/// [`ResidentEmbedding`](crate::ResidentEmbedding)) keeps one and lends it
+/// to each run ([`ExecutionContext::with_scratch`] /
+/// [`ExecutionContext::into_scratch`]); it grows to the largest graph it
+/// served, not with the number of graphs.
+#[derive(Debug, Default)]
+pub struct ExecScratch {
+    kernels: KernelCache,
+    merge: MergeScratch,
+    partition: PartitionScratch,
+    router: Router,
+}
+
+impl ExecScratch {
+    /// Heap bytes reserved by the warm simulators and the tables.
+    pub fn memory_bytes(&self) -> usize {
+        self.kernels.memory_bytes()
+            + self.merge.memory_bytes()
+            + self.partition.memory_bytes()
+            + self.router.memory_bytes()
+    }
+}
+
+/// Heap bytes `v` reserves.
+pub(crate) fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
+
 /// The execution context of one embedding run: graph session, simulation
 /// parameters, kernel/reliability selection, and the phase-attributed
 /// round tally. Every kernel invocation of every phase goes through one of
@@ -108,17 +140,21 @@ impl<'g> ExecutionContext<'g> {
     /// Opens a context over `g` with the embedder's full configuration
     /// (kernel, reliability, simulation parameters).
     pub fn new(g: &'g Graph, cfg: &EmbedderConfig) -> Self {
-        ExecutionContext::with_kernel_cache(g, cfg, KernelCache::new())
+        ExecutionContext::with_scratch(g, cfg, ExecScratch::default())
     }
 
-    /// Opens a context over `g` reusing a warm [`KernelCache`] from an
-    /// earlier run (possibly over a different graph — the cache is
-    /// graph-independent by the simulator's contract). The incremental
-    /// re-embedding path threads one cache per tenant across deltas, so
-    /// every re-run starts on warm mailbox arenas.
-    pub fn with_kernel_cache(g: &'g Graph, cfg: &EmbedderConfig, cache: KernelCache) -> Self {
+    /// Opens a context over `g` on a warm [`ExecScratch`] from an earlier
+    /// run (possibly over a different graph — the scratch is
+    /// graph-independent, so outcomes equal a cold run's).
+    pub fn with_scratch(g: &'g Graph, cfg: &EmbedderConfig, scratch: ExecScratch) -> Self {
+        let ExecScratch {
+            kernels,
+            merge,
+            partition,
+            router,
+        } = scratch;
         ExecutionContext {
-            session: SimSession::with_cache(g, cache),
+            session: SimSession::with_cache(g, kernels),
             sim: cfg.sim.clone(),
             reliability: cfg.reliability.clone(),
             kernel: cfg.kernel,
@@ -127,9 +163,9 @@ impl<'g> ExecutionContext<'g> {
                 phases: PhaseRounds::default(),
                 phase: Phase::Setup,
             },
-            merge_scratch: MergeScratch::default(),
-            partition_scratch: PartitionScratch::default(),
-            router: Router::default(),
+            merge_scratch: merge,
+            partition_scratch: partition,
+            router,
         }
     }
 
@@ -142,9 +178,14 @@ impl<'g> ExecutionContext<'g> {
         self.router = Router::default();
     }
 
-    /// Closes the context, recovering the kernel cache for a later run.
-    pub fn into_kernel_cache(self) -> KernelCache {
-        self.session.into_cache()
+    /// Closes the context, recovering its scratch for a later run.
+    pub fn into_scratch(self) -> ExecScratch {
+        ExecScratch {
+            kernels: self.session.into_cache(),
+            merge: self.merge_scratch,
+            partition: self.partition_scratch,
+            router: self.router,
+        }
     }
 
     /// Opens a bare context over `g` from simulation parameters alone: fast

@@ -95,8 +95,8 @@ pub use driver::{
     embed_distributed, embed_recursion_with_memory, EmbedderConfig, EmbeddingOutcome,
 };
 pub use error::{DegradedCause, EmbedError};
-pub use exec::{ExecutionContext, Kernel, Scheduler};
-pub use incremental::{FullCause, ReembedPath, ReembedReport, ResidentEmbedding};
+pub use exec::{ExecScratch, ExecutionContext, Kernel, Scheduler};
+pub use incremental::{FullCause, ReembedPath, ReembedReport, ResidentEmbedding, ResidentState};
 pub use outcome::{degraded_fingerprint, OutcomeClass};
 pub use planner::DeltaClass;
 pub use stats::{LevelStats, MergeStats, RecursionStats};

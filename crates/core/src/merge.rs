@@ -30,7 +30,7 @@ use congest_sim::{Metrics, Phase, PhaseRounds, SimConfig};
 use planar_graph::{Graph, VertexId};
 
 use crate::error::EmbedError;
-use crate::exec::ExecutionContext;
+use crate::exec::{vec_bytes, ExecutionContext};
 use crate::parts::{verify_part, PartState};
 use crate::stats::MergeStats;
 use crate::symmetry::symmetry_break_ctx;
@@ -81,7 +81,8 @@ struct Route {
 }
 
 /// Host-side tables of one merge. Vertex tables (`p0_pos`, `part_of`,
-/// `visit`) are sized to the graph once; part tables are sized per merge;
+/// `visit`) grow to the largest graph served; part tables are sized per
+/// merge;
 /// the rest are buffers whose capacity survives. An [`ExecutionContext`]
 /// owns one and lends it to each merge it runs. A merge fills `p0_pos` and
 /// `part_of` over its own `H` and clears them on the way out, and every BFS
@@ -252,6 +253,33 @@ impl BlockPass {
 }
 
 impl MergeScratch {
+    /// Heap bytes the tables reserve.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        vec_bytes(&self.p0_pos)
+            + vec_bytes(&self.part_of)
+            + vec_bytes(&self.visit)
+            + vec_bytes(&self.part_stamp)
+            + vec_bytes(&self.queue)
+            + vec_bytes(&self.members)
+            + vec_bytes(&self.parts)
+            + vec_bytes(&self.key)
+            + vec_bytes(&self.seen)
+            + vec_bytes(&self.routes)
+            + vec_bytes(&self.hops)
+            + vec_bytes(&self.actives)
+            + vec_bytes(&self.list)
+            + vec_bytes(&self.nbrs)
+            + vec_bytes(&self.relevant)
+            + vec_bytes(&self.stack)
+            + vec_bytes(&self.groups)
+            + vec_bytes(&self.group_ends)
+            + vec_bytes(&self.doubles)
+            + vec_bytes(&self.blocks.num)
+            + vec_bytes(&self.blocks.relevant)
+            + vec_bytes(&self.blocks.frames)
+            + vec_bytes(&self.blocks.open)
+    }
+
     /// Starts a new epoch whose routing region is parts `idxs` plus `P_0`.
     fn mark(&mut self, idxs: &[usize]) {
         self.epoch = self.epoch.wrapping_add(1);
@@ -442,7 +470,8 @@ impl<'a, 'g> MergeCtx<'a, 'g> {
     ) -> Self {
         let g = exec.graph();
         let mut t = std::mem::take(&mut exec.merge_scratch);
-        // One graph per context: only the first merge grows the tables.
+        // The tables only grow: a scratch that served a larger graph
+        // already covers this one, and every entry is back at `NONE`.
         t.p0_pos.resize(g.vertex_count(), NONE);
         t.part_of.resize(g.vertex_count(), NONE);
         t.visit.resize(g.vertex_count(), (0, NONE, 0));

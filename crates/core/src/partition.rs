@@ -16,12 +16,12 @@ use congest_sim::{Instance, Metrics, SimConfig};
 use planar_graph::{Graph, VertexId};
 
 use crate::error::EmbedError;
-use crate::exec::ExecutionContext;
+use crate::exec::{vec_bytes, ExecutionContext};
 use crate::tree::GlobalTree;
 
 /// A subproblem of the recursion: a full BFS subtree. Its members are
 /// [`GlobalTree::subtree_members`] of `root`.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SubProblem {
     /// Root of the subtree.
     pub root: VertexId,
@@ -30,7 +30,7 @@ pub struct SubProblem {
 }
 
 /// The result of partitioning one subtree.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Partition {
     /// The trivial path part `P_0`, ordered from the subtree root `s` to the
     /// splitter `v`.
@@ -49,7 +49,7 @@ const PART_ROOT: u8 = 2;
 
 /// Host-side tables of the partition phase, indexed by vertex. An
 /// [`ExecutionContext`] owns one and lends it to each partition call; the
-/// tables are sized to the graph once.
+/// tables grow to the largest graph served.
 ///
 /// The subtrees being partitioned are enumerated once per call into
 /// `order`, each in the preorder of [`GlobalTree::subtree_members`], which
@@ -75,6 +75,18 @@ pub(crate) struct PartitionScratch {
 }
 
 impl PartitionScratch {
+    /// Heap bytes the tables reserve.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        vec_bytes(&self.order)
+            + vec_bytes(&self.spans)
+            + vec_bytes(&self.pos)
+            + vec_bytes(&self.len)
+            + vec_bytes(&self.role)
+            + vec_bytes(&self.mark)
+            + vec_bytes(&self.stack)
+            + vec_bytes(&self.hops)
+    }
+
     /// Enumerates the subtrees rooted at `roots` (vertex-disjoint) into
     /// `order`, filling `spans`, `pos`, `len` and the membership marks.
     fn enumerate(&mut self, tree: &GlobalTree, roots: &[VertexId]) {

@@ -15,7 +15,7 @@ use planar_lib::embed_pinned;
 use crate::error::EmbedError;
 
 /// A part of the evolving partition, as tracked by the merge driver.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PartState {
     /// Members, sorted ascending.
     pub members: Vec<VertexId>,

@@ -8,11 +8,9 @@
 //! `V − E + F = 2` holds on every connected component. This module is the
 //! ground truth the whole workspace verifies embeddings against.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
-use crate::{Graph, GraphError, VertexId};
+use crate::{ArcId, ArcIndex, Graph, GraphError, VertexId};
 
 /// A rotation system: for every vertex, a cyclic order of its neighbors.
 ///
@@ -125,47 +123,113 @@ impl RotationSystem {
         self.rot
     }
 
+    /// The face successor of every rotation entry, on flat tables over
+    /// `idx`, the arc index of the graph the rotation embeds. Entry
+    /// `idx.first_arc(v).0 + p` is the dart from `v` to the `p`-th vertex
+    /// of its rotation, so each vertex's entries form one contiguous run
+    /// and the tail of entry `e` is `idx.tail(ArcId(e))`. `next[e]` is the
+    /// entry after `e` on its face: the successor of the dart `(v, w)` is
+    /// `(w, x)`, where `x` follows `v` in the rotation at `w` — the standard
+    /// "next edge in clockwise order" rule. Every face is one orbit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GraphError::InvalidRotation`] if a rotation list does not
+    /// name exactly its vertex's neighbors in `idx`.
+    pub fn face_successors(&self, idx: &ArcIndex) -> Result<Vec<u32>, GraphError> {
+        let invalid = |reason: String| GraphError::InvalidRotation { reason };
+        if self.rot.len() != idx.vertex_count() {
+            return Err(invalid(format!(
+                "rotation has {} vertices, graph has {}",
+                self.rot.len(),
+                idx.vertex_count()
+            )));
+        }
+        let darts = idx.arc_count();
+        let mut arc_of_entry = vec![ArcId(0); darts];
+        let mut entry_of_arc = vec![0u32; darts];
+        // `slot_of[w]`: position of `w` in the sorted neighbor list of the
+        // vertex being scanned (stale for non-neighbors, hence the check).
+        let mut slot_of = vec![0u32; self.rot.len()];
+        for (v, order) in self.rot.iter().enumerate() {
+            let v = VertexId::from_index(v);
+            let (base, nbrs, _) = idx.block(v);
+            if order.len() != nbrs.len() {
+                return Err(invalid(format!(
+                    "rotation at {v} has {} entries, vertex has degree {}",
+                    order.len(),
+                    nbrs.len()
+                )));
+            }
+            for (s, &w) in nbrs.iter().enumerate() {
+                slot_of[w.index()] = s as u32;
+            }
+            for (p, &w) in order.iter().enumerate() {
+                let s = slot_of.get(w.index()).copied();
+                let s = s
+                    .filter(|&s| nbrs.get(s as usize) == Some(&w))
+                    .ok_or_else(|| invalid(format!("rotation at {v} names non-neighbor {w}")))?;
+                let (e, a) = (base + p, base + s as usize);
+                arc_of_entry[e] = ArcId(a as u32);
+                entry_of_arc[a] = e as u32;
+            }
+        }
+        let mut next = vec![0u32; darts];
+        for v in (0..self.rot.len()).map(VertexId::from_index) {
+            let first = idx.first_arc(v).index();
+            for e in first..first + idx.degree(v) {
+                let a = arc_of_entry[e];
+                let w = idx.head(a);
+                let twin = entry_of_arc[idx.rev(a).index()] + 1;
+                let end = idx.first_arc(w).0 + idx.degree(w) as u32;
+                next[e] = if twin == end {
+                    idx.first_arc(w).0
+                } else {
+                    twin
+                };
+            }
+        }
+        Ok(next)
+    }
+
     /// Traces all faces of the embedding.
     ///
     /// Faces are returned as cyclic sequences of *directed* edges `(u, v)`;
-    /// every directed edge appears in exactly one face. The successor of
-    /// directed edge `(u, v)` is `(v, w)` where `w` follows `u` in the
-    /// rotation at `v` — the standard "next edge in clockwise order" rule.
+    /// every directed edge appears in exactly one face, and faces come in
+    /// the order of their first dart by tail, then rotation position. The
+    /// successor rule is [`face_successors`](Self::face_successors)'.
     pub fn faces(&self) -> Vec<Vec<(VertexId, VertexId)>> {
-        // Position of u within rot[v], for O(1) successor lookups.
-        let mut pos: HashMap<(VertexId, VertexId), usize> = HashMap::new();
-        for (v, order) in self.rot.iter().enumerate() {
-            let v = VertexId::from_index(v);
-            for (i, &u) in order.iter().enumerate() {
-                pos.insert((v, u), i);
-            }
-        }
-        let mut visited: HashMap<(VertexId, VertexId), bool> = HashMap::new();
         let mut faces = Vec::new();
-        for (v, order) in self.rot.iter().enumerate() {
-            let v = VertexId::from_index(v);
-            for &u in order {
-                if visited.get(&(v, u)).copied().unwrap_or(false) {
-                    continue;
+        self.each_face(&self.to_graph(), |face| faces.push(face.to_vec()));
+        faces
+    }
+
+    /// Calls `face` once per face of this embedding of `g`, with its darts
+    /// in order, in the order [`faces`](Self::faces) lists them.
+    fn each_face(&self, g: &Graph, mut face: impl FnMut(&[(VertexId, VertexId)])) {
+        let idx = g.arc_index();
+        let next = self
+            .face_successors(&idx)
+            .expect("a rotation system lists its own graph's neighbors");
+        let mut seen = vec![false; next.len()];
+        let mut darts = Vec::new();
+        for v in g.vertices() {
+            let first = idx.first_arc(v).index();
+            for e0 in first..first + idx.degree(v) {
+                // The head of a dart is the tail of its successor.
+                let (mut tail, mut e) = (v, e0);
+                darts.clear();
+                while !seen[e] {
+                    seen[e] = true;
+                    let head = self.rot[tail.index()][e - idx.first_arc(tail).index()];
+                    darts.push((tail, head));
+                    (tail, e) = (head, next[e] as usize);
                 }
-                let mut face = Vec::new();
-                let (mut a, mut b) = (v, u);
-                loop {
-                    visited.insert((a, b), true);
-                    face.push((a, b));
-                    let i = pos[&(b, a)];
-                    let order_b = &self.rot[b.index()];
-                    let w = order_b[(i + 1) % order_b.len()];
-                    a = b;
-                    b = w;
-                    if (a, b) == (v, u) {
-                        break;
-                    }
+                if !darts.is_empty() {
+                    face(&darts);
                 }
-                faces.push(face);
             }
         }
-        faces
     }
 
     /// Number of faces of the embedding.
@@ -197,10 +261,7 @@ impl RotationSystem {
         for e in g.edges() {
             edges[comp_of[e.lo().index()]] += 1;
         }
-        for face in self.faces() {
-            let (u, _) = face[0];
-            faces[comp_of[u.index()]] += 1;
-        }
+        self.each_face(&g, |face| faces[comp_of[face[0].0.index()]] += 1);
         let mut genus2 = 0i64;
         for ci in 0..comps.len() {
             if verts[ci] == 1 && edges[ci] == 0 {
@@ -292,6 +353,49 @@ mod tests {
         let faces = rot.faces();
         let total: usize = faces.iter().map(Vec::len).sum();
         assert_eq!(total, 2 * g.edge_count());
+    }
+
+    /// The flat successor tables trace the faces the textbook rule does:
+    /// start at every unvisited dart in (tail, rotation position) order
+    /// and step `(u, v) -> (v, w)`, `w` following `u` in the rotation at
+    /// `v`, looked up by position.
+    #[test]
+    fn flat_faces_match_the_textbook_rule() {
+        let textbook = |rot: &RotationSystem| {
+            let mut seen = std::collections::HashSet::new();
+            let mut faces = Vec::new();
+            for (v, order) in rot.rot.iter().enumerate() {
+                for &u in order {
+                    let (mut a, mut b) = (VertexId::from_index(v), u);
+                    let mut face = Vec::new();
+                    while seen.insert((a, b)) {
+                        face.push((a, b));
+                        let at_b = rot.order_at(b);
+                        let i = at_b.iter().position(|&x| x == a).unwrap();
+                        (a, b) = (b, at_b[(i + 1) % at_b.len()]);
+                    }
+                    if !face.is_empty() {
+                        faces.push(face);
+                    }
+                }
+            }
+            faces
+        };
+        let k4 = Graph::from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]).unwrap();
+        let grid: Vec<(u32, u32)> = (0..9u32)
+            .flat_map(|v| [(v, v + 1), (v, v + 3)])
+            .filter(|&(v, w)| w < 9 && (w == v + 3 || v % 3 != 2))
+            .collect();
+        let grid = Graph::from_edges(9, grid).unwrap();
+        let split = Graph::from_edges(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6)]).unwrap();
+        for g in [k4, grid, split] {
+            let rot = RotationSystem::sorted_default(&g);
+            for r in [rot.mirrored(), rot] {
+                assert_eq!(r.faces(), textbook(&r));
+                let idx = g.arc_index();
+                assert_eq!(r.face_successors(&idx).unwrap().len(), idx.arc_count());
+            }
+        }
     }
 
     #[test]

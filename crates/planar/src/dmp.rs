@@ -38,7 +38,7 @@
 //! the face list order are those of the whole-graph rescan, so the output
 //! rotations (and the error reported for a non-planar block) are
 //! identical to it — a frozen copy of the rescan is the test oracle of
-//! the bench crate (`planar_bench::dmpref`).
+//! the bench crate's `dmp_conformance` test (`crates/bench/tests/dmpref`).
 //!
 //! # Flat storage
 //!

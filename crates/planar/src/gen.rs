@@ -471,8 +471,15 @@ pub fn family(name: &str) -> Option<&'static Family> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{embed, is_outerplanar, is_planar};
+    use crate::{embed, embed_pinned, is_planar};
     use planar_graph::traversal::diameter_exact;
+
+    /// Whether `g` is outerplanar: planar with every vertex pinned to one
+    /// face.
+    fn is_outerplanar(g: &Graph) -> bool {
+        let all: Vec<VertexId> = g.vertices().collect();
+        embed_pinned(g, &all).is_ok()
+    }
 
     #[test]
     fn basic_families_are_planar() {
@@ -553,6 +560,21 @@ mod tests {
             assert!(is_outerplanar(&g), "seed {seed}");
             let s = sparse_outerplanar(15, 5, seed);
             assert!(is_outerplanar(&s), "seed {seed}");
+        }
+        assert!(!is_outerplanar(&grid(3, 3)));
+    }
+
+    /// Every family that declares its instances outerplanar, at the sizes
+    /// and seeds of `tests/gen_invariants.rs`.
+    #[test]
+    fn outerplanar_families_keep_their_claim() {
+        for fam in FAMILIES.iter().filter(|f| f.outerplanar) {
+            for req_n in [fam.min_n, 8, 17, 30] {
+                for seed in [0, 1, 0xC0FFEE] {
+                    let g = (fam.build)(req_n, seed);
+                    assert!(is_outerplanar(&g), "{}/n={req_n}/seed={seed}", fam.name);
+                }
+            }
         }
     }
 

@@ -37,8 +37,6 @@ mod dmp;
 mod embed;
 mod error;
 pub mod gen;
-mod outerplanar;
 
 pub use embed::{embed, embed_pinned, is_planar, PinnedEmbedding};
 pub use error::PlanarityError;
-pub use outerplanar::{embed_outerplanar, is_outerplanar, OuterplanarEmbedding};

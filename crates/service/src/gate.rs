@@ -44,15 +44,35 @@ fn density_rejects(n: usize, m: usize) -> bool {
     n >= 3 && m > 3 * n - 6
 }
 
-/// `true` if some face of `rotation` is incident to every vertex in
-/// `targets` — the witness that an edge (or a new node's attachment
-/// star) can be drawn inside that face.
-fn co_facial(rotation: &RotationSystem, targets: &[VertexId]) -> bool {
-    rotation.faces().iter().any(|face| {
-        targets
-            .iter()
-            .all(|t| face.iter().any(|&(src, _)| src == *t))
-    })
+/// `true` if some face of `rotation` (an embedding of `g`) is incident to
+/// every vertex in `targets` — the witness that an edge (or a new node's
+/// attachment star) can be drawn inside that face. Only the faces through
+/// the first target can qualify, so only they are walked.
+fn co_facial(g: &Graph, rotation: &RotationSystem, targets: &[VertexId]) -> bool {
+    let Some((&first, rest)) = targets.split_first() else {
+        return false;
+    };
+    let idx = g.arc_index();
+    let Ok(next) = rotation.face_successors(&idx) else {
+        return false;
+    };
+    // Walks the face of dart `e0` (leaving `first`) until it meets `t`;
+    // the head of a dart is the tail of its successor.
+    let on_face = |e0: usize, t: VertexId| {
+        let (mut v, mut e) = (first, e0);
+        loop {
+            if v == t {
+                return true;
+            }
+            v = rotation.order_at(v)[e - idx.first_arc(v).index()];
+            e = next[e] as usize;
+            if e == e0 {
+                return false;
+            }
+        }
+    };
+    let start = idx.first_arc(first).index();
+    (start..start + idx.degree(first)).any(|e0| rest.iter().all(|&t| on_face(e0, t)))
 }
 
 /// Judges `delta` against the resident graph and rotation. See the
@@ -70,7 +90,7 @@ pub fn preflight(g: &Graph, rotation: &RotationSystem, delta: &Delta) -> GateVer
         Delta::InsertEdge(u, v) => {
             if density_rejects(n, m + 1) {
                 GateVerdict::DefinitelyNonPlanar
-            } else if co_facial(rotation, &[*u, *v]) {
+            } else if co_facial(g, rotation, &[*u, *v]) {
                 GateVerdict::DefinitelyPlanar
             } else {
                 GateVerdict::Unknown
@@ -79,7 +99,7 @@ pub fn preflight(g: &Graph, rotation: &RotationSystem, delta: &Delta) -> GateVer
         Delta::AddNode { attach } => {
             if density_rejects(n + 1, m + attach.len()) {
                 GateVerdict::DefinitelyNonPlanar
-            } else if attach.len() <= 1 || co_facial(rotation, attach) {
+            } else if attach.len() <= 1 || co_facial(g, rotation, attach) {
                 // A pendant node is always plantable; a multi-attachment
                 // node embeds inside any face its attachments share.
                 GateVerdict::DefinitelyPlanar

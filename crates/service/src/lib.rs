@@ -9,13 +9,14 @@
 //!
 //! The moving parts:
 //!
-//! * [`ServiceState`] — the tenant table. Each [`Tenant`] owns a
-//!   [`ResidentEmbedding`](planar_embedding::ResidentEmbedding) (graph,
-//!   retained recursion arena, rotation, certificates, and a warm
-//!   per-tenant [`KernelCache`](congest_sim::KernelCache) reused across
-//!   deltas), a running [`TenantStats`], and the per-delta
-//!   [`DeltaRecord`] log the bench harness aggregates into latency
-//!   percentiles.
+//! * [`ServiceState`] — the tenant table plus one warm [`ExecScratch`]
+//!   (kernel simulators, merge, partition and routing tables) lent to
+//!   whichever tenant is being admitted or re-embedded, so the service's
+//!   execution footprint does not grow with the tenant count. Each
+//!   [`Tenant`] owns only its [`ResidentState`] (graph, BFS tree, retained
+//!   recursion arena, rotation, certificates), a running [`TenantStats`],
+//!   and the per-delta [`DeltaRecord`] log the bench harness aggregates
+//!   into latency percentiles.
 //! * [`Delta`] — the typed mutation API ([`delta`]): edge inserts and
 //!   deletes, node arrivals and departures, validated against the
 //!   resident graph before anything runs.
@@ -32,8 +33,9 @@
 //!   for every class: rotation, certification verdict, and planarity
 //!   outcome equal a full re-embed of the same graph. With
 //!   [`OracleMode::Always`] the service *checks* that contract on every
-//!   delta by running the full re-embed oracle and diffing; the class
-//!   taken lands in each [`DeltaRecord`].
+//!   delta by running the full re-embed oracle and diffing, and compares
+//!   the tenant's retained arena with a cold build from its sticky root;
+//!   the class taken lands in each [`DeltaRecord`].
 //! * [`ChurnGen`] — the seeded sensor-fleet workload ([`churn`]),
 //!   shared with the DST scenario space.
 
@@ -47,7 +49,8 @@ pub mod gate;
 use std::time::Instant;
 
 use planar_embedding::{
-    embed_distributed, EmbedError, EmbedderConfig, Kernel, ReembedReport, ResidentEmbedding,
+    embed_distributed, EmbedError, EmbedderConfig, ExecScratch, Kernel, ReembedReport,
+    ResidentState,
 };
 use planar_graph::{Graph, RotationSystem};
 
@@ -65,7 +68,10 @@ pub enum OracleMode {
     Off,
     /// On every applied or planarity-rejected delta (soaks, CI gates,
     /// property tests): run [`embed_distributed`] on the mutated graph
-    /// and diff rotation, certification verdict, and planarity outcome.
+    /// and diff rotation, certification verdict, and planarity outcome;
+    /// after an applied delta, also compare the tenant's retained tree
+    /// and arena with a cold build
+    /// ([`ResidentState::arena_divergence`]).
     Always,
 }
 
@@ -220,7 +226,7 @@ impl TenantStats {
 /// One resident client graph with its embedding and history.
 pub struct Tenant {
     label: Option<&'static str>,
-    resident: ResidentEmbedding,
+    resident: ResidentState,
     stats: TenantStats,
     records: Vec<DeltaRecord>,
 }
@@ -297,10 +303,13 @@ impl std::fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
-/// The multi-tenant embedding service: a tenant table plus the shared
-/// configuration. See the crate docs for the architecture.
+/// The multi-tenant embedding service: a tenant table, the shared
+/// configuration, and the one execution scratch every admission and
+/// delta runs on. See the crate docs for the architecture.
 pub struct ServiceState {
     cfg: ServiceConfig,
+    embedder: EmbedderConfig,
+    scratch: ExecScratch,
     tenants: Vec<Tenant>,
 }
 
@@ -308,9 +317,17 @@ impl ServiceState {
     /// An empty service under `cfg`.
     pub fn new(cfg: ServiceConfig) -> Self {
         ServiceState {
+            embedder: cfg.embedder(),
             cfg,
+            scratch: ExecScratch::default(),
             tenants: Vec::new(),
         }
+    }
+
+    /// Heap bytes held by the shared execution scratch — bounded by the
+    /// largest tenant served, not by the tenant count.
+    pub fn scratch_bytes(&self) -> usize {
+        self.scratch.memory_bytes()
     }
 
     /// The service configuration.
@@ -337,8 +354,8 @@ impl ServiceState {
         graph: Graph,
         label: Option<&'static str>,
     ) -> Result<TenantId, ServiceError> {
-        let (resident, _report) =
-            ResidentEmbedding::build(graph, &self.cfg.embedder()).map_err(ServiceError::Embed)?;
+        let (resident, _report) = ResidentState::build(graph, &self.embedder, &mut self.scratch)
+            .map_err(ServiceError::Embed)?;
         let id = TenantId(self.tenants.len());
         self.tenants.push(Tenant {
             label,
@@ -379,7 +396,7 @@ impl ServiceState {
     /// [`ServiceError::Embed`] only for internal embedder failures.
     pub fn apply(&mut self, id: TenantId, delta: Delta) -> Result<DeltaOutcome, ServiceError> {
         let oracle_on = self.cfg.oracle == OracleMode::Always;
-        let embedder = self.cfg.embedder();
+        let embedder = &self.embedder;
         let tenant = self
             .tenants
             .get_mut(id.0)
@@ -421,10 +438,13 @@ impl ServiceState {
             //    report when the delta planner finds no local repair). A
             //    departure carries the removed id as an explicit planning
             //    hint — the renumbered graph alone cannot recover it.
-            let result = match &delta {
-                Delta::RemoveNode(v) => tenant.resident.reembed_departure(mutated, *v),
-                _ => tenant.resident.reembed(mutated),
+            let departed = match &delta {
+                Delta::RemoveNode(v) => Some(*v),
+                _ => None,
             };
+            let result = tenant
+                .resident
+                .reembed(mutated, departed, embedder, &mut self.scratch);
             match result {
                 Ok(report) => {
                     tenant.stats.applied += 1;
@@ -459,10 +479,10 @@ impl ServiceState {
         let (oracle_nanos, diverged) = match oracle_graph {
             Some(g) => {
                 let t0 = Instant::now();
-                let oracle = embed_distributed(&g, &embedder);
+                let oracle = embed_distributed(&g, embedder);
                 let nanos = t0.elapsed().as_nanos();
                 tenant.stats.oracle_runs += 1;
-                let divergence = compare_with_oracle(&outcome, &oracle, tenant);
+                let divergence = compare_with_oracle(&outcome, &oracle, tenant, embedder);
                 if divergence.is_some() {
                     tenant.stats.divergences += 1;
                 }
@@ -485,17 +505,23 @@ impl ServiceState {
 
 /// Diffs one delta's outcome against the full re-embed oracle on the
 /// mutated graph: planarity outcome, rotation system, certification
-/// verdict — the bit-identity contract, nothing more (metrics and round
-/// tallies are intentionally out of scope).
+/// verdict — the bit-identity contract (metrics and round tallies are
+/// intentionally out of scope) — and, after an applied delta, the
+/// tenant's retained arena against a cold build, which the contract's
+/// outputs cannot see.
 fn compare_with_oracle(
     outcome: &DeltaOutcome,
     oracle: &Result<planar_embedding::EmbeddingOutcome, EmbedError>,
     tenant: &Tenant,
+    cfg: &EmbedderConfig,
 ) -> Option<String> {
     match (outcome, oracle) {
         (DeltaOutcome::Applied { .. }, Ok(full)) => {
             if tenant.resident.rotation() != &full.rotation {
                 return Some("rotation differs from full re-embed".into());
+            }
+            if let Some(stale) = tenant.resident.arena_divergence(cfg) {
+                return Some(stale);
             }
             let resident_cert = tenant.resident.certification();
             match (resident_cert, &full.certification) {

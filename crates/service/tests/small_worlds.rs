@@ -8,10 +8,15 @@
 //!
 //! Every applied delta must agree with the oracle, and every one must take
 //! the incremental path except a departure of the root, which re-elects
-//! through the full path.
+//! through the full path. The pre-flight gate, which walks only the faces
+//! through its first target, must give every delta the verdict a search
+//! over every face of the resident rotation gives.
 
-use planar_graph::{Graph, VertexId};
-use planar_service::{Delta, DeltaClass, DeltaOutcome, OracleMode, ServiceConfig, ServiceState};
+use planar_graph::{Graph, RotationSystem, VertexId};
+use planar_service::{
+    preflight, Delta, DeltaClass, DeltaOutcome, GateVerdict, OracleMode, ServiceConfig,
+    ServiceState,
+};
 
 /// Every connected labelled graph on `n` vertices.
 fn connected_labelled_graphs(n: usize) -> impl Iterator<Item = Graph> {
@@ -47,6 +52,26 @@ fn every_delta(g: &Graph) -> Vec<Delta> {
     deltas
 }
 
+/// The gate's verdict for a co-facial-witness delta, with the witness
+/// searched over every face of `rotation` (`None` for the deltas the gate
+/// decides without a witness).
+fn every_face_verdict(g: &Graph, rotation: &RotationSystem, delta: &Delta) -> Option<GateVerdict> {
+    let Delta::InsertEdge(u, v) = *delta else {
+        return None;
+    };
+    let n = g.vertex_count();
+    if n >= 3 && g.edge_count() + 1 > 3 * n - 6 {
+        return Some(GateVerdict::DefinitelyNonPlanar);
+    }
+    let on = |face: &[(VertexId, VertexId)], t: VertexId| face.iter().any(|&(s, _)| s == t);
+    let co_facial = rotation.faces().iter().any(|f| on(f, u) && on(f, v));
+    Some(if co_facial {
+        GateVerdict::DefinitelyPlanar
+    } else {
+        GateVerdict::Unknown
+    })
+}
+
 /// Runs every delta of every connected labelled graph on `n` vertices,
 /// each on a fresh tenant, and returns the (applied, full-path) counts.
 fn sweep(n: usize) -> (usize, usize) {
@@ -63,7 +88,17 @@ fn sweep(n: usize) -> (usize, usize) {
         let root = VertexId::from_index(n - 1);
         for delta in every_delta(&g) {
             let id = svc.create_tenant(g.clone()).unwrap();
+            let rotation = svc.tenant(id).unwrap().rotation().clone();
+            let gate = preflight(&g, &rotation, &delta);
+            if let Some(want) = every_face_verdict(&g, &rotation, &delta) {
+                assert_eq!(gate, want, "{g:?} {delta}");
+            }
             let outcome = svc.apply(id, delta.clone()).unwrap();
+            if let DeltaOutcome::Applied { gate: seen, .. }
+            | DeltaOutcome::RejectedNonPlanar { gate: seen } = &outcome
+            {
+                assert_eq!(*seen, gate, "{g:?} {delta}");
+            }
             let record = svc.tenant(id).unwrap().records().last().unwrap();
             assert!(
                 record.diverged.is_none(),
