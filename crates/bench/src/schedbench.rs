@@ -4,8 +4,8 @@
 //! For each substrate (`grid`, `tri-grid`) × size, one cell times
 //! [`embed_recursion_with_memory`] — the distributed pipeline (setup + the
 //! partition/merge recursion), the unit the scheduler actually controls —
-//! under [`Scheduler::Sequential`] (one full-graph kernel invocation per
-//! subproblem phase) and under [`Scheduler::LevelSync`] (all same-level
+//! under [`Scheduler::Sequential`] (one instance-scoped kernel invocation
+//! per subproblem phase) and under [`Scheduler::LevelSync`] (all same-level
 //! subproblems partitioned in a single batched invocation over a shared
 //! [`SimSession`] arena), asserts the two runs' metrics and statistics
 //! are bit-identical, and reports the wall-time speedup. Timing

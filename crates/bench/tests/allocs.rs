@@ -176,14 +176,15 @@ fn incremental_delta_on_a_small_tenant() {
     );
 }
 
-// Recursion bounds with ~1.1-1.25x headroom over the measured counts,
-// identical in release and debug builds (rmp: 1,060; wheel-chain: 1,298;
-// grid: 386). Summary sizes come from an in-place block pass and allocate
+// Recursion bounds with ~1.2-1.4x headroom over the measured counts,
+// identical in release and debug builds (rmp: 887; wheel-chain: 1,252;
+// grid: 336). Summary sizes come from an in-place block pass and allocate
 // nothing. What is left is mostly output (the tree's children lists, each
 // partition's `P_0` and part list, each merged part's member list), each
 // symmetry step's virtual graph and outcome, the batched kernel instances
-// (three vectors each), and the growth of the five message types' cold
-// simulator buffers. A per-vertex or per-part table, or a hash map per
+// (their program vectors; member lists are reused from the partition
+// scratch), and the growth of the five message types' cold simulator
+// buffers. A per-vertex or per-part table, or a hash map per
 // step or per summary, would cross them.
 const RECURSION_RMP: u64 = 1_250;
 const RECURSION_CHAIN: u64 = 1_500;

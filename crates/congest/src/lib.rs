@@ -61,6 +61,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod batch;
 pub mod faults;
 pub mod message;
 mod metrics;
@@ -71,6 +72,7 @@ pub mod routing;
 pub mod session;
 pub mod trace;
 
+pub use batch::Batch;
 pub use faults::{
     mix_seed, splitmix64, CrashPolicy, Fate, FaultPlan, FaultPlanError, LinkDown, LinkFaults,
 };

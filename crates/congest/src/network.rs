@@ -79,6 +79,7 @@ use std::fmt;
 
 use planar_graph::{ArcIndex, Graph, VertexId};
 
+use crate::batch::Batch;
 use crate::faults::{CrashPolicy, Fate, FaultPlan};
 use crate::message::Words;
 use crate::metrics::Metrics;
@@ -373,12 +374,25 @@ impl<P> Instance<P> {
         let mut nodes = nodes;
         // Unstable is exact here (members are distinct) and sorts in place.
         nodes.sort_unstable_by_key(|&(v, _)| v);
-        for pair in nodes.windows(2) {
-            assert_ne!(pair[0].0, pair[1].0, "duplicate instance member");
-        }
         let members = nodes.iter().map(|&(v, _)| v).collect();
         // Collected in place: the programs reuse the pairs' allocation.
         let programs = nodes.into_iter().map(|(_, p)| p).collect();
+        Instance::with_members(members, programs)
+    }
+
+    /// Builds an instance from its member list, ascending, and the
+    /// members' programs in the same order, so a caller can reuse a member
+    /// list (an [`InstanceOutcome::members`], say) without copying it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node appears twice, `members` is not ascending, or the
+    /// lengths differ.
+    pub fn with_members(members: Vec<VertexId>, programs: Vec<P>) -> Self {
+        assert_eq!(members.len(), programs.len(), "one program per member");
+        for pair in members.windows(2) {
+            assert!(pair[0] < pair[1], "duplicate or unsorted instance member");
+        }
         Instance { members, programs }
     }
 
@@ -398,12 +412,22 @@ impl<P> Instance<P> {
     }
 
     /// Maps every program through `f`, preserving the member set (used by
-    /// the reliable-delivery wrapper to wrap/unwrap whole batches).
+    /// the reliable-delivery wrapper to wrap whole batches).
     pub fn map<Q>(self, f: impl FnMut(P) -> Q) -> Instance<Q> {
         Instance {
             members: self.members,
             programs: self.programs.into_iter().map(f).collect(),
         }
+    }
+}
+
+/// The vertex in `slot` of an instance with member list `members`. A plain
+/// run's one instance leaves `members` empty: its slots are the vertex ids.
+fn member(members: &[VertexId], slot: usize) -> VertexId {
+    if members.is_empty() {
+        VertexId::from_index(slot)
+    } else {
+        members[slot]
     }
 }
 
@@ -744,7 +768,7 @@ pub struct Simulator<M> {
     /// Pending delay-faulted copies per instance (batched fault mode).
     inst_delayed: Vec<usize>,
     /// Whether an instance has live tick-wanting members (batched fault
-    /// mode); recomputed each round like `tick_pending`.
+    /// mode); recomputed each round.
     inst_tick: Vec<bool>,
 }
 
@@ -811,7 +835,7 @@ impl<M: Words + Clone> Simulator<M> {
         self.delayed.clear();
         self.att_dirty.clear();
         // Leaving a previous batch's instance table in place would drag a
-        // plain run onto the batched path; `run_many` repopulates it after
+        // plain run onto the batched path; a batched run repopulates it after
         // this reset.
         self.inst_of.clear();
         self.inst_slot.clear();
@@ -1030,10 +1054,7 @@ impl<M: Words + Clone> Simulator<M> {
         if self.crashed_at[dest.index()] <= round {
             match cfg.faults.on_crashed_send {
                 CrashPolicy::DropSilently => {
-                    metrics.dropped += 1;
-                    if from_inst != NIL {
-                        self.inst_metrics[from_inst as usize].dropped += 1;
-                    }
+                    self.tally(metrics, from_inst, |m| &mut m.dropped, 1);
                     if tracing {
                         cfg.trace.emit(drop_event());
                     }
@@ -1053,10 +1074,7 @@ impl<M: Words + Clone> Simulator<M> {
         // reference kernel always calls the honest `fate`.
         let (copies, delay) = match cfg.faults.fate_canary(from, dest, round, k) {
             Fate::Dropped => {
-                metrics.dropped += 1;
-                if from_inst != NIL {
-                    self.inst_metrics[from_inst as usize].dropped += 1;
-                }
+                self.tally(metrics, from_inst, |m| &mut m.dropped, 1);
                 if tracing {
                     cfg.trace.emit(drop_event());
                 }
@@ -1065,10 +1083,7 @@ impl<M: Words + Clone> Simulator<M> {
             Fate::Deliver { copies, delay } => (usize::from(copies), delay),
         };
         if copies > 1 {
-            metrics.duplicated += copies - 1;
-            if from_inst != NIL {
-                self.inst_metrics[from_inst as usize].duplicated += copies - 1;
-            }
+            self.tally(metrics, from_inst, |m| &mut m.duplicated, copies - 1);
             if tracing {
                 for _ in 1..copies {
                     cfg.trace.emit(TraceEvent::Duplicate {
@@ -1081,10 +1096,7 @@ impl<M: Words + Clone> Simulator<M> {
             }
         }
         if delay > 0 {
-            metrics.delayed += 1;
-            if from_inst != NIL {
-                self.inst_metrics[from_inst as usize].delayed += 1;
-            }
+            self.tally(metrics, from_inst, |m| &mut m.delayed, 1);
             if tracing {
                 cfg.trace.emit(TraceEvent::Delay {
                     round,
@@ -1099,10 +1111,7 @@ impl<M: Words + Clone> Simulator<M> {
         if deliver >= self.crashed_at[dest.index()] {
             // Crash-stop: copies arriving at or after the destination's
             // crash round vanish in transit.
-            metrics.dropped += copies;
-            if from_inst != NIL {
-                self.inst_metrics[from_inst as usize].dropped += copies;
-            }
+            self.tally(metrics, from_inst, |m| &mut m.dropped, copies);
             if tracing {
                 for _ in 0..copies {
                     cfg.trace.emit(drop_event());
@@ -1132,6 +1141,21 @@ impl<M: Words + Clone> Simulator<M> {
             }
         }
         Ok(())
+    }
+
+    /// Adds `count` to the fault counter `counter` of the run's `metrics`
+    /// and, in a batched run, of the sender's instance `inst`.
+    fn tally(
+        &mut self,
+        metrics: &mut Metrics,
+        inst: u32,
+        counter: fn(&mut Metrics) -> &mut usize,
+        count: usize,
+    ) {
+        *counter(metrics) += count;
+        if inst != NIL {
+            *counter(&mut self.inst_metrics[inst as usize]) += count;
+        }
     }
 
     /// One round of delivery, blocked over cache-sized recipient
@@ -1321,144 +1345,7 @@ impl<M: Words + Clone> Simulator<M> {
         programs: Vec<P>,
         cfg: &SimConfig,
     ) -> Result<SimOutcome<P>, SimError> {
-        let idx = g.arc_index();
-        self.run_with_index(g, &idx, programs, cfg)
-    }
-
-    /// Like [`Simulator::run`] but with a caller-provided [`ArcIndex`] for
-    /// `g`, so sessions that run many phases over one graph (see
-    /// [`crate::session::SimSession`]) build the CSR arc tables once.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError`] like [`Simulator::run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `programs.len() != g.vertex_count()` or if `idx` was not
-    /// built from `g`.
-    pub fn run_with_index<P: NodeProgram<Msg = M>>(
-        &mut self,
-        g: &Graph,
-        idx: &ArcIndex,
-        mut programs: Vec<P>,
-        cfg: &SimConfig,
-    ) -> Result<SimOutcome<P>, SimError> {
-        assert_eq!(
-            programs.len(),
-            g.vertex_count(),
-            "need exactly one program per vertex"
-        );
-        assert_eq!(
-            idx.arc_count(),
-            2 * g.edge_count(),
-            "arc index does not match the graph"
-        );
-        check_capacity(g.vertex_count(), idx.arc_count())?;
-        let mut metrics = Metrics::new();
-        self.prepare(g.vertex_count(), idx.arc_count(), cfg);
-        let kernel = self;
-        let tracing = cfg.trace.is_on();
-        if tracing {
-            cfg.trace.emit(TraceEvent::RunStart {
-                nodes: g.vertex_count(),
-                budget_words: cfg.budget_words,
-            });
-            // Round-0 crash victims never act; announce them up front.
-            for (i, &r) in kernel.crashed_at.iter().enumerate() {
-                if r == 0 {
-                    cfg.trace.emit(TraceEvent::Crash {
-                        round: 0,
-                        node: VertexId::from_index(i),
-                    });
-                }
-            }
-        }
-
-        // Init phase (round 0): sends land in the `nxt` plane for round 1.
-        for (i, program) in programs.iter_mut().enumerate() {
-            let v = VertexId::from_index(i);
-            if kernel.fault_mode && kernel.crashed_at[i] == 0 {
-                continue; // crashed before the run: never acts at all
-            }
-            let ctx = NodeCtx {
-                id: v,
-                neighbors: g.neighbors(v),
-                round: 0,
-            };
-            program.init(&ctx, &mut kernel.outbox);
-            kernel.record_sends(idx, cfg, v, 0, &mut metrics)?;
-        }
-        // Does any live node still want empty-inbox wakeups next round?
-        let mut tick_pending = kernel.fault_mode
-            && programs
-                .iter()
-                .enumerate()
-                .any(|(i, p)| kernel.crashed_at[i] > 1 && p.wants_tick());
-
-        let mut round = 0usize;
-        loop {
-            // Sends accumulated last round become this round's deliveries.
-            std::mem::swap(&mut kernel.cur, &mut kernel.nxt);
-            if kernel.cur.messages == 0
-                && (!kernel.fault_mode || (kernel.delayed.is_empty() && !tick_pending))
-            {
-                break; // quiescence
-            }
-            round += 1;
-            kernel.open_round(cfg, round, &mut metrics)?;
-
-            // Deliver and run recipients in first-delivery order (outcome
-            // independent of this order; see module docs).
-            kernel.deliver(
-                g,
-                idx,
-                cfg,
-                round,
-                |_, i, ctx, inbox, out| programs[i].on_round(ctx, inbox, out),
-                &mut metrics,
-            )?;
-            if kernel.fault_mode {
-                // Timer ticks: live non-recipients that asked for empty-inbox
-                // wakeups (ascending vertex id, matching the reference).
-                for &v in &kernel.cur.recipients {
-                    kernel.ran_round[v.index()] = round;
-                }
-                for (i, program) in programs.iter_mut().enumerate() {
-                    if kernel.ran_round[i] == round
-                        || kernel.crashed_at[i] <= round
-                        || !program.wants_tick()
-                    {
-                        continue;
-                    }
-                    let v = VertexId::from_index(i);
-                    let ctx = NodeCtx {
-                        id: v,
-                        neighbors: g.neighbors(v),
-                        round,
-                    };
-                    program.on_round(&ctx, &[], &mut kernel.outbox);
-                    kernel.record_sends(idx, cfg, v, round, &mut metrics)?;
-                }
-                tick_pending = programs
-                    .iter()
-                    .enumerate()
-                    .any(|(i, p)| kernel.crashed_at[i] > round + 1 && p.wants_tick());
-            }
-            kernel.close_round(cfg, round);
-        }
-        metrics.rounds = round;
-        if kernel.fault_mode {
-            // Count from the kernel's own crash table rather than
-            // `FaultPlan::crashed_by`: the plan may name vertices outside
-            // this graph (it is graph-agnostic), and a node that does not
-            // exist cannot crash.
-            metrics.crashed_nodes = kernel.crashed_at.iter().filter(|&&r| r <= round).count();
-        }
-        if tracing {
-            cfg.trace.emit(TraceEvent::RunEnd { metrics });
-        }
-        Ok(SimOutcome { programs, metrics })
+        programs.run_fast(self, g, &g.arc_index(), cfg)
     }
 
     /// Runs several vertex-disjoint [`Instance`]s to quiescence **in one
@@ -1495,28 +1382,27 @@ impl<M: Words + Clone> Simulator<M> {
         instances: Vec<Instance<P>>,
         cfg: &SimConfig,
     ) -> Result<MultiOutcome<P>, SimError> {
-        let idx = g.arc_index();
-        self.run_many_with_index(g, &idx, instances, cfg)
+        instances.run_fast(self, g, &g.arc_index(), cfg)
     }
 
-    /// [`Simulator::run_many`] with a caller-provided [`ArcIndex`] (see
-    /// [`Simulator::run_with_index`]).
+    /// The round loop of every run: `instances` to quiescence on one
+    /// shared lattice over `g`, whose arc index is `idx`. Returns the whole
+    /// run's metrics and, when `batched`, each instance's.
     ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError`] like [`Simulator::run_many`].
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`Simulator::run_many`], or if `idx` was not built from
-    /// `g`.
-    pub fn run_many_with_index<P: NodeProgram<Msg = M>>(
+    /// With `batched`, the kernel keeps the instance table: it asserts
+    /// disjointness, rejects cross-instance sends, tallies per-instance
+    /// metrics and brackets the trace with `Assign`/`InstanceEnd` events.
+    /// A plain run passes one instance of every vertex without it (see
+    /// `member`), so `inst_of` stays empty and no send pays for instance
+    /// bookkeeping.
+    pub(crate) fn lattice<P: NodeProgram<Msg = M>>(
         &mut self,
         g: &Graph,
         idx: &ArcIndex,
-        mut instances: Vec<Instance<P>>,
+        instances: &mut [Instance<P>],
+        batched: bool,
         cfg: &SimConfig,
-    ) -> Result<MultiOutcome<P>, SimError> {
+    ) -> Result<(Metrics, &[Metrics]), SimError> {
         let n = g.vertex_count();
         assert_eq!(
             idx.arc_count(),
@@ -1528,37 +1414,42 @@ impl<M: Words + Clone> Simulator<M> {
         let mut metrics = Metrics::new();
         self.prepare(n, idx.arc_count(), cfg);
         let kernel = self;
-        kernel.inst_of.resize(n, u32::MAX);
-        kernel.inst_slot.resize(n, u32::MAX);
-        for (i, inst) in instances.iter().enumerate() {
-            for (slot, &v) in inst.members.iter().enumerate() {
-                assert!(v.index() < n, "instance member {v} outside the graph");
-                assert_eq!(
-                    kernel.inst_of[v.index()],
-                    u32::MAX,
-                    "instances must be vertex-disjoint; {v} claimed twice"
-                );
-                kernel.inst_of[v.index()] = i as u32;
-                kernel.inst_slot[v.index()] = slot as u32;
+        if batched {
+            kernel.inst_of.resize(n, NIL);
+            kernel.inst_slot.resize(n, NIL);
+            for (i, inst) in instances.iter().enumerate() {
+                for (slot, &v) in inst.members.iter().enumerate() {
+                    assert!(v.index() < n, "instance member {v} outside the graph");
+                    assert_eq!(
+                        kernel.inst_of[v.index()],
+                        NIL,
+                        "instances must be vertex-disjoint; {v} claimed twice"
+                    );
+                    kernel.inst_of[v.index()] = i as u32;
+                    kernel.inst_slot[v.index()] = slot as u32;
+                }
             }
+            kernel.inst_metrics.resize(k, Metrics::new());
+            kernel.inst_delayed.resize(k, 0);
+            kernel.inst_tick.resize(k, false);
         }
-        kernel.inst_metrics.resize(k, Metrics::new());
-        kernel.inst_delayed.resize(k, 0);
-        kernel.inst_tick.resize(k, false);
         let tracing = cfg.trace.is_on();
         if tracing {
             cfg.trace.emit(TraceEvent::RunStart {
                 nodes: n,
                 budget_words: cfg.budget_words,
             });
-            for (i, inst) in instances.iter().enumerate() {
-                for &v in &inst.members {
-                    cfg.trace.emit(TraceEvent::Assign {
-                        instance: i,
-                        node: v,
-                    });
+            if batched {
+                for (i, inst) in instances.iter().enumerate() {
+                    for &v in &inst.members {
+                        cfg.trace.emit(TraceEvent::Assign {
+                            instance: i,
+                            node: v,
+                        });
+                    }
                 }
             }
+            // Round-0 crash victims never act; announce them up front.
             for (i, &r) in kernel.crashed_at.iter().enumerate() {
                 if r == 0 {
                     cfg.trace.emit(TraceEvent::Crash {
@@ -1569,12 +1460,14 @@ impl<M: Words + Clone> Simulator<M> {
             }
         }
 
-        // Init phase (round 0): only instance members run programs, in
-        // instance-major member order.
+        // Init phase (round 0): sends land in the `nxt` plane for round 1.
+        // Members run in instance-major member order (vertex order in a
+        // plain run).
         for inst in instances.iter_mut() {
-            for (&v, program) in inst.members.iter().zip(&mut inst.programs) {
+            for (slot, program) in inst.programs.iter_mut().enumerate() {
+                let v = member(&inst.members, slot);
                 if kernel.fault_mode && kernel.crashed_at[v.index()] == 0 {
-                    continue;
+                    continue; // crashed before the run: never acts at all
                 }
                 let ctx = NodeCtx {
                     id: v,
@@ -1585,25 +1478,17 @@ impl<M: Words + Clone> Simulator<M> {
                 kernel.record_sends(idx, cfg, v, 0, &mut metrics)?;
             }
         }
-        let mut tick_pending = false;
-        if kernel.fault_mode {
-            for (i, inst) in instances.iter().enumerate() {
-                kernel.inst_tick[i] = inst
-                    .members
-                    .iter()
-                    .zip(&inst.programs)
-                    .any(|(&v, p)| kernel.crashed_at[v.index()] > 1 && p.wants_tick());
-                tick_pending |= kernel.inst_tick[i];
-            }
-        }
+        // Does any live node still want empty-inbox wakeups next round?
+        let mut tick_pending = kernel.fault_mode && kernel.refresh_ticks(instances, 1);
 
         let mut round = 0usize;
         loop {
+            // Sends accumulated last round become this round's deliveries.
             std::mem::swap(&mut kernel.cur, &mut kernel.nxt);
             if kernel.cur.messages == 0
                 && (!kernel.fault_mode || (kernel.delayed.is_empty() && !tick_pending))
             {
-                break; // quiescence of the whole batch
+                break; // quiescence of the whole lattice
             }
             round += 1;
             // Per-instance round attribution: an instance is live in this
@@ -1611,7 +1496,7 @@ impl<M: Words + Clone> Simulator<M> {
             // `enqueue`), delayed traffic pending, or (fault mode) a live
             // program asking for timer ticks — the predicate the individual
             // run's quiescence check evaluates.
-            if kernel.fault_mode {
+            if kernel.fault_mode && batched {
                 for i in 0..k {
                     if kernel.inst_delayed[i] > 0 || kernel.inst_tick[i] {
                         kernel.inst_metrics[i].rounds = round;
@@ -1620,6 +1505,8 @@ impl<M: Words + Clone> Simulator<M> {
             }
             kernel.open_round(cfg, round, &mut metrics)?;
 
+            // Deliver and run recipients in first-delivery order (outcome
+            // independent of this order; see module docs).
             kernel.deliver(
                 g,
                 idx,
@@ -1634,11 +1521,13 @@ impl<M: Words + Clone> Simulator<M> {
                 for &v in &kernel.cur.recipients {
                     kernel.ran_round[v.index()] = round;
                 }
-                // Timer ticks, ascending vertex id within each instance
+                // Timer ticks: live non-recipients that asked for empty-inbox
+                // wakeups, ascending vertex id within each instance
                 // (instances are independent, so inter-instance order
                 // cannot influence outcomes).
                 for inst in instances.iter_mut() {
-                    for (&v, program) in inst.members.iter().zip(&mut inst.programs) {
+                    for (slot, program) in inst.programs.iter_mut().enumerate() {
+                        let v = member(&inst.members, slot);
                         if kernel.ran_round[v.index()] == round
                             || kernel.crashed_at[v.index()] <= round
                             || !program.wants_tick()
@@ -1654,48 +1543,63 @@ impl<M: Words + Clone> Simulator<M> {
                         kernel.record_sends(idx, cfg, v, round, &mut metrics)?;
                     }
                 }
-                tick_pending = false;
-                for (i, inst) in instances.iter().enumerate() {
-                    kernel.inst_tick[i] =
-                        inst.members.iter().zip(&inst.programs).any(|(&v, p)| {
-                            kernel.crashed_at[v.index()] > round + 1 && p.wants_tick()
-                        });
-                    tick_pending |= kernel.inst_tick[i];
-                }
+                tick_pending = kernel.refresh_ticks(instances, round + 1);
             }
             kernel.close_round(cfg, round);
         }
         metrics.rounds = round;
         if kernel.fault_mode {
+            // Count from the kernel's own crash table rather than
+            // `FaultPlan::crashed_by`: the plan may name vertices outside
+            // this graph (it is graph-agnostic), and a node that does not
+            // exist cannot crash.
             metrics.crashed_nodes = kernel.crashed_at.iter().filter(|&&r| r <= round).count();
-            // Mirror the individual run: it simulates the whole graph, so
-            // its crash count covers every vertex crashed by *its* final
-            // round — which for instance `i` is `inst_metrics[i].rounds`.
-            for i in 0..k {
-                let horizon = kernel.inst_metrics[i].rounds;
-                kernel.inst_metrics[i].crashed_nodes =
-                    kernel.crashed_at.iter().filter(|&&r| r <= horizon).count();
+            if batched {
+                // Mirror the individual run: it simulates the whole graph,
+                // so its crash count covers every vertex crashed by *its*
+                // final round — which for instance `i` is
+                // `inst_metrics[i].rounds`.
+                for i in 0..k {
+                    let horizon = kernel.inst_metrics[i].rounds;
+                    kernel.inst_metrics[i].crashed_nodes =
+                        kernel.crashed_at.iter().filter(|&&r| r <= horizon).count();
+                }
             }
         }
         if tracing {
-            for (i, &m) in kernel.inst_metrics.iter().enumerate() {
-                cfg.trace.emit(TraceEvent::InstanceEnd {
-                    instance: i,
-                    metrics: m,
-                });
+            if batched {
+                for (i, &m) in kernel.inst_metrics.iter().enumerate() {
+                    cfg.trace.emit(TraceEvent::InstanceEnd {
+                        instance: i,
+                        metrics: m,
+                    });
+                }
             }
             cfg.trace.emit(TraceEvent::RunEnd { metrics });
         }
-        let instances = instances
-            .into_iter()
-            .enumerate()
-            .map(|(i, inst)| InstanceOutcome {
-                programs: inst.programs,
-                members: inst.members,
-                metrics: kernel.inst_metrics[i],
-            })
-            .collect();
-        Ok(MultiOutcome { instances, metrics })
+        Ok((metrics, &kernel.inst_metrics))
+    }
+
+    /// Fault mode: whether some member is still alive in round `next` and
+    /// wants empty-inbox wakeups; a batched run also records the answer
+    /// per instance in `inst_tick` (sized in batched runs only).
+    fn refresh_ticks<P: NodeProgram<Msg = M>>(
+        &mut self,
+        instances: &[Instance<P>],
+        next: usize,
+    ) -> bool {
+        let mut any = false;
+        for (i, inst) in instances.iter().enumerate() {
+            let live = inst.programs.iter().enumerate().any(|(slot, p)| {
+                let v = member(&inst.members, slot);
+                self.crashed_at[v.index()] > next && p.wants_tick()
+            });
+            if let Some(tick) = self.inst_tick.get_mut(i) {
+                *tick = live;
+            }
+            any |= live;
+        }
+        any
     }
 }
 

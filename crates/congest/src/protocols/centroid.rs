@@ -50,17 +50,6 @@ impl CentroidWalk {
         }
     }
 
-    /// A node not participating in any walk.
-    pub fn inactive() -> Self {
-        CentroidWalk {
-            heavy: None,
-            total: 0,
-            is_root: false,
-            on_path: false,
-            is_centroid: false,
-        }
-    }
-
     /// Whether the walk token passed through (or stopped at) this node —
     /// i.e. whether the node belongs to `P_0`.
     pub fn on_path(&self) -> bool {
@@ -108,7 +97,7 @@ impl NodeProgram for CentroidWalk {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::{run, SimConfig};
+    use crate::network::{run, run_many, Instance, SimConfig};
     use crate::protocols::{AggOp, Convergecast};
     use planar_graph::traversal::bfs;
     use planar_graph::Graph;
@@ -211,10 +200,11 @@ mod tests {
     #[test]
     fn single_vertex_tree() {
         let g = Graph::from_edges(2, [(0, 1)]).unwrap();
-        // Tree = just vertex 0 (vertex 1 inactive, total = 1).
-        let walkers = vec![CentroidWalk::new([], 1, true), CentroidWalk::inactive()];
-        let out = run(&g, walkers, &SimConfig::default()).unwrap();
-        assert!(out.programs[0].is_centroid());
+        // Tree = just vertex 0 (vertex 1 a bystander, total = 1).
+        let walker = Instance::new(vec![(VertexId(0), CentroidWalk::new([], 1, true))]);
+        let out = run_many(&g, vec![walker], &SimConfig::default()).unwrap();
+        let inst = &out.instances[0];
+        assert!(inst.program(VertexId(0)).unwrap().is_centroid());
         assert_eq!(out.metrics.rounds, 0);
     }
 }

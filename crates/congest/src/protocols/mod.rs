@@ -20,8 +20,5 @@ mod tree;
 
 pub use centroid::CentroidWalk;
 pub use leader::LeaderBfs;
-pub use reliable::{
-    run_reliable, run_reliable_many, unwrap_reliable, unwrap_reliable_many, wrap_instances,
-    wrap_programs, wrapped_budget, RelMsg, Reliable, ReliableConfig,
-};
+pub use reliable::{run_reliable, wrapped_budget, RelMsg, Reliable, ReliableConfig};
 pub use tree::{AggOp, ChildNotify, Convergecast, Downcast};

@@ -34,10 +34,10 @@ use std::collections::BTreeMap;
 
 use planar_graph::{Graph, VertexId};
 
+use crate::batch::Batch;
 use crate::message::Words;
-use crate::network::{
-    run, run_many, Instance, MultiOutcome, NodeCtx, NodeProgram, SimConfig, SimError, SimOutcome,
-};
+use crate::metrics::Metrics;
+use crate::network::{NodeCtx, NodeProgram, SimConfig, SimError, Simulator};
 
 /// Retransmission parameters for [`Reliable`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -328,9 +328,9 @@ pub const fn wrapped_budget(base: usize) -> usize {
     3 * base + 2
 }
 
-/// Runs `programs` wrapped in [`Reliable`] and returns the *inner*
-/// programs, with the wrapper's total retransmission count folded into
-/// `Metrics::retransmissions`.
+/// Runs `batch` (plain or batched, see [`Batch`]) wrapped in [`Reliable`]
+/// on the fast kernel and returns the *inner* programs, with the
+/// wrapper's retransmissions folded into `Metrics::retransmissions`.
 ///
 /// # Errors
 ///
@@ -338,133 +338,60 @@ pub const fn wrapped_budget(base: usize) -> usize {
 ///
 /// # Panics
 ///
-/// Panics if `programs.len() != g.vertex_count()`.
-pub fn run_reliable<P: NodeProgram>(
+/// As [`crate::run`] or [`crate::run_many`].
+pub fn run_reliable<B: Batch>(
     g: &Graph,
-    programs: Vec<P>,
+    batch: B,
     cfg: &SimConfig,
     rel: &ReliableConfig,
-) -> Result<SimOutcome<P>, SimError> {
-    let out = run(g, wrap_programs(programs, rel), cfg)?;
-    Ok(unwrap_reliable(out, cfg))
+) -> Result<B::Outcome, SimError> {
+    let out = batch
+        .wrap(rel)
+        .run_fast(&mut Simulator::new(), g, &g.arc_index(), cfg)?;
+    Ok(B::unwrap(out, cfg))
 }
 
-/// Wraps every program in [`Reliable`] with the same retransmission
-/// parameters — the lift half of [`run_reliable`], exposed so callers can
-/// compose reliability with any kernel entry point (fast, reference, or
-/// batched).
-pub fn wrap_programs<P: NodeProgram>(programs: Vec<P>, rel: &ReliableConfig) -> Vec<Reliable<P>> {
-    programs
+/// The wrap: lifts one program into [`Reliable`] with the parameters
+/// `rel`.
+pub(crate) fn lift<P: NodeProgram>(rel: &ReliableConfig) -> impl FnMut(P) -> Reliable<P> + '_ {
+    move |p| Reliable::new(p, rel.clone())
+}
+
+/// The retransmission fold: the inner programs of `wrapped`, with their
+/// retransmissions added to `metrics`; also returns that count.
+pub(crate) fn unwrap_all<P: NodeProgram>(
+    wrapped: Vec<Reliable<P>>,
+    metrics: &mut Metrics,
+) -> (Vec<P>, usize) {
+    let mut count = 0usize;
+    let inner = wrapped
         .into_iter()
-        .map(|p| Reliable::new(p, rel.clone()))
-        .collect()
+        .map(|w| {
+            count = count.saturating_add(w.retransmissions());
+            w.into_inner()
+        })
+        .collect();
+    metrics.retransmissions = metrics.retransmissions.saturating_add(count);
+    (inner, count)
 }
 
-/// Wraps every instance's programs in [`Reliable`] — the batched
-/// counterpart of [`wrap_programs`].
-pub fn wrap_instances<P: NodeProgram>(
-    instances: Vec<Instance<P>>,
-    rel: &ReliableConfig,
-) -> Vec<Instance<Reliable<P>>> {
-    instances
-        .into_iter()
-        .map(|inst| inst.map(|p| Reliable::new(p, rel.clone())))
-        .collect()
-}
-
-/// Unwraps a wrapped run back to the inner programs, folding the wrapper's
-/// total retransmission count into `Metrics::retransmissions`.
-///
-/// The kernel cannot see retransmissions (they are wrapper state), so the
-/// trace carries them as an explicit post-run event the auditor folds into
-/// its recomputed totals.
-pub fn unwrap_reliable<P: NodeProgram>(
-    out: SimOutcome<Reliable<P>>,
-    cfg: &SimConfig,
-) -> SimOutcome<P> {
-    let mut metrics = out.metrics;
-    let mut folded = 0usize;
-    let mut inner = Vec::with_capacity(out.programs.len());
-    for w in out.programs {
-        folded = folded.saturating_add(w.retransmissions());
-        inner.push(w.into_inner());
-    }
-    metrics.retransmissions = metrics.retransmissions.saturating_add(folded);
+/// Announces a run's folded retransmissions on the trace. The kernel
+/// cannot see them (they are wrapper state), so the trace carries them as
+/// an explicit post-run event the auditor folds into its recomputed
+/// totals; a batched run's `InstanceEnd` events, emitted before the fold,
+/// keep the kernel-observable values.
+pub(crate) fn announce(cfg: &SimConfig, count: usize) {
     if cfg.trace.is_on() {
         cfg.trace
-            .emit(crate::trace::TraceEvent::Retransmissions { count: folded });
+            .emit(crate::trace::TraceEvent::Retransmissions { count });
     }
-    SimOutcome {
-        programs: inner,
-        metrics,
-    }
-}
-
-/// Unwraps a wrapped batched run: per-instance retransmissions fold into
-/// that instance's metrics, the batch total into the shared metrics (one
-/// trace event for the whole batch).
-///
-/// The kernel's `InstanceEnd` trace events were emitted *before* this fold
-/// and deliberately carry the kernel-observable values — the auditor
-/// recomputes and checks those, then folds the explicit
-/// [`Retransmissions`](crate::trace::TraceEvent) event into its totals.
-pub fn unwrap_reliable_many<P: NodeProgram>(
-    out: MultiOutcome<Reliable<P>>,
-    cfg: &SimConfig,
-) -> MultiOutcome<P> {
-    let mut metrics = out.metrics;
-    let mut folded = 0usize;
-    let mut instances = Vec::with_capacity(out.instances.len());
-    for inst in out.instances {
-        let mut inst_metrics = inst.metrics;
-        let mut inst_folded = 0usize;
-        let mut inner = Vec::with_capacity(inst.programs.len());
-        for w in inst.programs {
-            inst_folded = inst_folded.saturating_add(w.retransmissions());
-            inner.push(w.into_inner());
-        }
-        inst_metrics.retransmissions = inst_metrics.retransmissions.saturating_add(inst_folded);
-        folded = folded.saturating_add(inst_folded);
-        instances.push(crate::network::InstanceOutcome {
-            members: inst.members,
-            programs: inner,
-            metrics: inst_metrics,
-        });
-    }
-    metrics.retransmissions = metrics.retransmissions.saturating_add(folded);
-    if cfg.trace.is_on() {
-        cfg.trace
-            .emit(crate::trace::TraceEvent::Retransmissions { count: folded });
-    }
-    MultiOutcome { instances, metrics }
-}
-
-/// Runs vertex-disjoint `instances` wrapped in [`Reliable`] in one shared
-/// round lattice and returns the *inner* programs — the batched
-/// counterpart of [`run_reliable`].
-///
-/// # Errors
-///
-/// Propagates [`SimError`] exactly as [`crate::run_many`] does.
-///
-/// # Panics
-///
-/// Panics if instances overlap or name vertices outside `g`.
-pub fn run_reliable_many<P: NodeProgram>(
-    g: &Graph,
-    instances: Vec<Instance<P>>,
-    cfg: &SimConfig,
-    rel: &ReliableConfig,
-) -> Result<MultiOutcome<P>, SimError> {
-    let out = run_many(g, wrap_instances(instances, rel), cfg)?;
-    Ok(unwrap_reliable_many(out, cfg))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::faults::FaultPlan;
-    use crate::network::NodeCtx;
+    use crate::network::run;
 
     /// Forward a token along a path from node 0 to the last node.
     #[derive(Clone, Debug, PartialEq)]

@@ -2,13 +2,11 @@
 //!
 //! The embedding pipeline simulates the *same* graph many times: setup
 //! protocols, every level of the partition recursion, merges,
-//! certification. Before this module, each phase call paid for a fresh
-//! [`ArcIndex`](planar_graph::ArcIndex) build (CSR arc tables plus the
-//! reverse-arc table) and — unless the caller threaded a
-//! [`Simulator`] around by hand — a cold mailbox arena. A [`SimSession`]
-//! hoists both to per-graph scope: the arc index is built once in
-//! [`SimSession::new`], and one [`Simulator`] per *message type* is cached
-//! and reused, so repeated phases run over warm buffers.
+//! certification. A [`SimSession`] builds the graph's
+//! [`ArcIndex`](planar_graph::ArcIndex) once, in [`SimSession::new`], and
+//! caches one [`Simulator`] per *message type*, so repeated phases run
+//! over warm buffers. [`SimSession::run`] takes either run shape (see
+//! [`Batch`]).
 //!
 //! Reuse is outcome-invariant by the simulator's documented contract:
 //! every run fully reinitializes logical state and only buffer *capacity*
@@ -22,10 +20,9 @@ use std::fmt;
 
 use planar_graph::{ArcIndex, Graph};
 
+use crate::batch::Batch;
 use crate::message::Words;
-use crate::network::{
-    Instance, MultiOutcome, NodeProgram, SimConfig, SimError, SimOutcome, Simulator,
-};
+use crate::network::{NodeProgram, SimConfig, SimError, Simulator};
 
 /// A type-erased cached [`Simulator`]: downcasting for the typed entry
 /// points plus the uniform queries the cache can answer without knowing
@@ -136,26 +133,27 @@ impl<'g> SimSession<'g> {
         self.idx.memory_bytes() + self.cache.memory_bytes()
     }
 
-    /// Runs `programs` over the session graph (see [`Simulator::run`]),
-    /// reusing the session's arc index and cached kernel.
+    /// Runs `batch` (plain or batched, see [`Batch`]) over the session
+    /// graph, reusing the session's arc index and cached kernel.
     ///
     /// # Errors
     ///
-    /// Propagates [`SimError`] like [`Simulator::run`].
+    /// Propagates [`SimError`] like [`Simulator::run`] or
+    /// [`Simulator::run_many`].
     ///
     /// # Panics
     ///
-    /// Panics if `programs.len()` differs from the graph's vertex count.
-    pub fn run<P>(&mut self, programs: Vec<P>, cfg: &SimConfig) -> Result<SimOutcome<P>, SimError>
+    /// As [`Simulator::run`] or [`Simulator::run_many`].
+    pub fn run<B>(&mut self, batch: B, cfg: &SimConfig) -> Result<B::Outcome, SimError>
     where
-        P: NodeProgram,
-        P::Msg: 'static,
+        B: Batch,
+        <B::Program as NodeProgram>::Msg: 'static,
     {
         let SimSession { g, idx, cache } = self;
-        sim_for::<P::Msg>(&mut cache.sims).run_with_index(g, idx, programs, cfg)
+        batch.run_fast(sim_for(&mut cache.sims), g, idx, cfg)
     }
 
-    /// Runs `programs` over a *foreign* graph `g` — one that is not the
+    /// Runs `batch` over a *foreign* graph `g` — one that is not the
     /// session graph, such as a virtual graph built by the caller — on the
     /// session's cached kernel for the message type. Outcome-invariant
     /// versus a one-shot [`run`](crate::run) by the cache's contract (a
@@ -164,46 +162,22 @@ impl<'g> SimSession<'g> {
     ///
     /// # Errors
     ///
-    /// Propagates [`SimError`] like [`Simulator::run`].
+    /// As [`SimSession::run`].
     ///
     /// # Panics
     ///
-    /// Panics if `programs.len()` differs from `g`'s vertex count.
-    pub fn run_on<P>(
+    /// As [`SimSession::run`].
+    pub fn run_on<B>(
         &mut self,
         g: &Graph,
-        programs: Vec<P>,
+        batch: B,
         cfg: &SimConfig,
-    ) -> Result<SimOutcome<P>, SimError>
+    ) -> Result<B::Outcome, SimError>
     where
-        P: NodeProgram,
-        P::Msg: 'static,
+        B: Batch,
+        <B::Program as NodeProgram>::Msg: 'static,
     {
-        sim_for::<P::Msg>(&mut self.cache.sims).run(g, programs, cfg)
-    }
-
-    /// Runs vertex-disjoint instances in one shared round lattice over the
-    /// session graph (see [`Simulator::run_many`]), reusing the session's
-    /// arc index and cached kernel.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError`] like [`Simulator::run_many`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if instances overlap or name vertices outside the graph.
-    pub fn run_many<P>(
-        &mut self,
-        instances: Vec<Instance<P>>,
-        cfg: &SimConfig,
-    ) -> Result<MultiOutcome<P>, SimError>
-    where
-        P: NodeProgram,
-        P::Msg: 'static,
-    {
-        let SimSession { g, idx, cache } = self;
-        sim_for::<P::Msg>(&mut cache.sims).run_many_with_index(g, idx, instances, cfg)
+        batch.run_fast(sim_for(&mut self.cache.sims), g, &g.arc_index(), cfg)
     }
 }
 

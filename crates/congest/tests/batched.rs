@@ -8,11 +8,11 @@
 //! `join_parallel` maximum of the instance rounds, both kernels agree,
 //! and any cross-instance send aborts the run.
 
-use congest_sim::protocols::{run_reliable_many, Reliable, ReliableConfig};
-use congest_sim::reference::run_reference_many;
+use congest_sim::protocols::{run_reliable, wrapped_budget, Reliable, ReliableConfig};
+use congest_sim::reference::{run_reference, run_reference_many};
 use congest_sim::{
-    run, run_many, AuditSink, FaultPlan, Instance, LinkDown, MultiOutcome, NodeCtx, NodeProgram,
-    SimConfig, SimError, SimSession, TraceHandle,
+    run, run_many, AuditSink, FaultPlan, Instance, LinkDown, MemorySink, MultiOutcome, NodeCtx,
+    NodeProgram, SimConfig, SimError, SimSession, TraceEvent, TraceHandle,
 };
 use planar_graph::{Graph, VertexId};
 
@@ -367,7 +367,11 @@ fn batched_transcripts_match_individual_runs_and_replay() {
 }
 
 /// A batch of one instance is the degenerate case: identical to a plain
-/// gated run, on both kernels, including via a reused [`SimSession`].
+/// gated run, on both kernels, including via a reused [`SimSession`]. Over
+/// every vertex it is the plain run itself: equal programs and metrics on
+/// both kernels, and equal trace streams once the batch's
+/// `Assign`/`InstanceEnd` events are dropped, under a fault plan with
+/// crashes whose reliable-wrapped programs keep the timer ticks busy.
 #[test]
 fn single_instance_batch_degenerates_to_a_plain_run() {
     let (g, members) = components();
@@ -381,12 +385,65 @@ fn single_instance_batch_degenerates_to_a_plain_run() {
     assert_eq!(batch.metrics.rounds, alone_metrics.rounds);
 
     let mut session = SimSession::new(&g);
-    let via_session = session.run_many(mk(), &cfg).unwrap();
+    let via_session = session.run(mk(), &cfg).unwrap();
     assert_eq!(via_session.metrics, batch.metrics);
     assert_eq!(
         via_session.instances[0].programs,
         batch.instances[0].programs
     );
+
+    let mut faults = FaultPlan::uniform(31, 0.2, 0.1, 0.2, 2);
+    faults.crashes.push((VertexId(5), 3));
+    faults.crashes.push((VertexId(30), 0));
+    let rel = ReliableConfig::default();
+    let every: Vec<VertexId> = g.vertices().collect();
+    let pairs = || {
+        transcript_for(&every)
+            .into_iter()
+            .map(|(v, p)| (v, Reliable::new(p, rel.clone())))
+            .collect::<Vec<_>>()
+    };
+    let plain_programs = || pairs().into_iter().map(|(_, p)| p).collect::<Vec<_>>();
+    let traced = |sink| SimConfig {
+        budget_words: wrapped_budget(congest_sim::DEFAULT_BUDGET_WORDS),
+        faults: faults.clone(),
+        trace: TraceHandle::to(sink),
+        ..SimConfig::default()
+    };
+    for kernel in ["fast", "reference"] {
+        let (plain_sink, batch_sink) = (MemorySink::unbounded(), MemorySink::unbounded());
+        let (plain_cfg, batch_cfg) = (traced(plain_sink.clone()), traced(batch_sink.clone()));
+        let (plain, batch) = if kernel == "fast" {
+            let plain = run(&g, plain_programs(), &plain_cfg).unwrap();
+            (
+                plain,
+                run_many(&g, vec![Instance::new(pairs())], &batch_cfg).unwrap(),
+            )
+        } else {
+            let plain = run_reference(&g, plain_programs(), &plain_cfg).unwrap();
+            let batch = run_reference_many(&g, vec![Instance::new(pairs())], &batch_cfg);
+            (plain, batch.unwrap())
+        };
+        assert_eq!(batch.instances[0].programs, plain.programs, "{kernel}");
+        assert_eq!(batch.instances[0].metrics, plain.metrics, "{kernel}");
+        assert_eq!(batch.metrics, plain.metrics, "{kernel}");
+        assert!(plain.metrics.crashed_nodes > 0, "{kernel}: nobody crashed");
+        let retransmissions: usize = plain.programs.iter().map(Reliable::retransmissions).sum();
+        assert!(retransmissions > 0, "{kernel}: no timer tick retransmitted");
+        let plain_events = plain_sink.events();
+        let batch_events: Vec<TraceEvent> = batch_sink
+            .events()
+            .into_iter()
+            .filter(|e| {
+                !matches!(
+                    e,
+                    TraceEvent::Assign { .. } | TraceEvent::InstanceEnd { .. }
+                )
+            })
+            .collect();
+        assert!(batch_events.len() < batch_sink.events().len(), "{kernel}");
+        assert_eq!(plain_events, batch_events, "{kernel}: trace streams differ");
+    }
 }
 
 /// The reliable wrapper composes with batching: wrapped batched runs match
@@ -410,7 +467,7 @@ fn reliable_batches_match_individual_reliable_runs() {
         trace: TraceHandle::to(audit.clone()),
         ..cfg.clone()
     };
-    let batch = run_reliable_many(&g, instances, &audited, &rel).unwrap();
+    let batch = run_reliable(&g, instances, &audited, &rel).unwrap();
     assert!(
         audit.ok(),
         "reliable batch trace audit failed: {:?}",

@@ -195,7 +195,7 @@ fn shrink_then_grow_reuse_batched() {
             ]
         };
         let mut session = SimSession::with_cache(&g, cache);
-        let warm = session.run_many(mk(), &cfg).unwrap();
+        let warm = session.run(mk(), &cfg).unwrap();
         let cold = run_many(&g, mk(), &cfg).unwrap();
         assert_eq!(warm.metrics, cold.metrics, "side = {side}");
         for (w, c) in warm.instances.iter().zip(&cold.instances) {

@@ -14,11 +14,12 @@
 //!   one batched kernel invocation ([`partition_level`]) over
 //!   vertex-disjoint instances, then runs all merges bottom-up. Host-side
 //!   cost per level is proportional to the level's total subproblem size.
-//! * [`Scheduler::Sequential`] is the depth-first recursion, one
-//!   full-graph kernel run per subproblem phase — the conformance oracle.
-//!   Its code is the incremental rebuild walker (`crate::incremental`)
-//!   given no old arena, so nothing is adopted and every node is
-//!   partitioned and merged through the kernel.
+//! * [`Scheduler::Sequential`] is the depth-first recursion — the
+//!   conformance oracle. It partitions each subproblem as a level of one
+//!   ([`partition_level`] with one root), an instance scoped to the
+//!   subproblem's members. Its code is the incremental rebuild walker
+//!   (`crate::incremental`) given no old arena, so nothing is adopted and
+//!   every node is partitioned and merged through the kernel.
 //!
 //! [`RecursionStats`] is derived from the finished arena in one pass
 //! ([`recursion_stats`]), so the two walkers cannot disagree on it by
@@ -29,12 +30,15 @@
 //!
 //! **Fidelity note** (see DESIGN.md): the distributed recursion computes,
 //! charges, and validates the full partition/merge structure, but the
-//! *final* rotation handed to the caller is produced by the centralized
-//! solver [`planar_lib::embed`] on the whole graph — the stand-in for
-//! reading the rotation out of the top-level merged part, whose content
-//! the coordinator-side skeleton solver computed piecewise. The
+//! merged parts carry member sets, not embeddings. The rotation handed to
+//! the caller is produced by the centralized solver [`planar_lib::embed`]
+//! on the whole graph, in [`run_epilogue`]. The only pinned embeddings
+//! the recursion computes are the invariant checks of
+//! [`crate::parts::verify_part`] (with `check_invariants` on), whose
+//! answers are discarded. The
 //! `merged_part_covers_graph_and_matches_centralized_blocks` regression
-//! pins the agreement between the two.
+//! pins that the top-level merged part covers the graph and agrees with
+//! the centralized solver's blocks.
 
 use congest_sim::{Metrics, Phase, SimConfig, SimError};
 use planar_graph::{Graph, RotationSystem, VertexId};
@@ -291,10 +295,10 @@ pub(crate) fn check_root_covers(nodes: &[RecNode], n: usize) -> Result<(), Embed
     Ok(())
 }
 
-/// The epilogue every driver path shares. The output embedding is the
-/// content of the top-level merge (all edges embedded, no half-embedded
-/// edges left); see the module-level fidelity note: the rotation itself
-/// comes from the centralized solver. With [`EmbedderConfig::certify`]
+/// The epilogue every driver path shares. The output rotation is computed
+/// here, by the centralized solver [`planar_lib::embed`] on the whole
+/// graph; the recursion's merged parts hold member sets, not rotations
+/// (see the module-level fidelity note). With [`EmbedderConfig::certify`]
 /// set, `certify` then supplies the distributed certification of that
 /// rotation — the O(1)-round proof-labeling verifier, run as one more
 /// phase of `ctx` (same fault plan, reliability, and kernel) — whose

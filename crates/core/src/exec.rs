@@ -1,42 +1,30 @@
 //! Typed execution context: the one object threaded through every phase of
 //! the embedding pipeline.
 //!
-//! Before this module, each phase function took a loose bundle of
-//! `(&Graph, &SimConfig, Option<&ReliableConfig>)` parameters, funneled its
-//! kernel invocation through `resilience::run_phase`, and the driver kept a
-//! separate string-labeled round tally on the side. [`ExecutionContext`]
-//! replaces all of that plumbing:
-//!
 //! * one [`SimSession`] per run, so the graph's CSR arc index and the
 //!   kernel's mailbox arenas are built once and reused by every phase;
-//! * kernel selection ([`Kernel::Fast`] vs the executable-spec
-//!   [`Kernel::Reference`]) and opt-in reliable delivery applied uniformly
-//!   at the single choke point every phase already goes through;
+//! * one dispatch over the kernel ([`Kernel::Fast`] vs the executable-spec
+//!   [`Kernel::Reference`]) and opt-in reliable delivery, for both run
+//!   shapes ([`Batch`]): [`ExecutionContext::run_phase`] takes one program
+//!   per vertex or the level-synchronous scheduler's vertex-disjoint
+//!   [`Instance`](congest_sim::Instance)s, whose per-instance metrics are
+//!   bit-identical to individual runs;
 //! * the sequential round tally ([`ExecutionContext::charge`]) keyed by the
 //!   typed [`Phase`] enum, so charging rounds to an unknown phase is
-//!   unrepresentable (the old stringly-typed labels needed an
-//!   `unreachable!` arm);
-//! * batched execution ([`ExecutionContext::run_phase_many`]): the
-//!   level-synchronous scheduler hands all same-level subproblems to the
-//!   kernel as vertex-disjoint [`Instance`]s and gets per-instance metrics
-//!   that are bit-identical to individual runs.
+//!   unrepresentable.
 //!
 //! [`Scheduler`] selects how the driver walks the recursion:
 //! [`Scheduler::LevelSync`] (the default) batches sibling subproblems into
-//! one kernel invocation per level, while [`Scheduler::Sequential`] keeps
-//! the original one-kernel-run-per-subproblem recursion as the conformance
-//! oracle — both produce bit-identical rotations, metrics, statistics and
-//! certification verdicts (pinned by `tests/scheduler.rs`).
+//! one kernel invocation per level, while [`Scheduler::Sequential`] walks
+//! it depth first, one instance-scoped kernel run per subproblem phase, as
+//! the conformance oracle — both produce bit-identical rotations, metrics,
+//! statistics and certification verdicts (pinned by `tests/scheduler.rs`).
 
-use congest_sim::protocols::{
-    unwrap_reliable, unwrap_reliable_many, wrap_instances, wrap_programs, wrapped_budget,
-    ReliableConfig,
-};
-use congest_sim::reference::{run_reference, run_reference_many};
+use congest_sim::protocols::{wrapped_budget, ReliableConfig};
 use congest_sim::routing::{Router, RoutingError, Transfer};
 use congest_sim::{
-    Instance, KernelCache, Metrics, MultiOutcome, NodeProgram, Phase, PhaseRounds, SimConfig,
-    SimError, SimOutcome, SimSession, TraceEvent,
+    Batch, KernelCache, Metrics, NodeProgram, Phase, PhaseRounds, SimConfig, SimError, SimSession,
+    TraceEvent,
 };
 use planar_graph::Graph;
 
@@ -62,14 +50,17 @@ pub enum Kernel {
 pub enum Scheduler {
     /// Level-synchronous execution (the default): all same-level
     /// subproblems run their partition protocols in *one* batched kernel
-    /// invocation over vertex-disjoint [`Instance`]s, then all their merges
-    /// run, level by level. Host-side cost per level is proportional to the
+    /// invocation over vertex-disjoint
+    /// [`Instance`](congest_sim::Instance)s, then all their merges run,
+    /// level by level. Host-side cost per level is proportional to the
     /// level's total subproblem size instead of `O(n)` per subproblem.
     #[default]
     LevelSync,
-    /// The original depth-first recursion: one full-graph kernel run per
-    /// subproblem phase. Kept as the conformance oracle — bit-identical
-    /// outputs to [`Scheduler::LevelSync`] at a quadratic-ish host cost.
+    /// The depth-first recursion: one kernel run per subproblem phase,
+    /// scoped to the subproblem's members (a level of one instance). Kept
+    /// as the conformance oracle — bit-identical outputs to
+    /// [`Scheduler::LevelSync`], at one kernel invocation per subproblem
+    /// instead of one per level.
     Sequential,
 }
 
@@ -123,7 +114,10 @@ pub(crate) fn vec_bytes<T>(v: &Vec<T>) -> usize {
 pub struct ExecutionContext<'g> {
     session: SimSession<'g>,
     sim: SimConfig,
-    reliability: Option<ReliableConfig>,
+    /// Reliable delivery, with the configuration wrapped runs execute
+    /// under: `sim` with the budget widened by [`wrapped_budget`], built
+    /// once when the context opens.
+    reliable: Option<(ReliableConfig, SimConfig)>,
     kernel: Kernel,
     tally: Tally,
     /// The merge phase's vertex tables, lent to each merge in turn. Driver
@@ -156,7 +150,13 @@ impl<'g> ExecutionContext<'g> {
         ExecutionContext {
             session: SimSession::with_cache(g, kernels),
             sim: cfg.sim.clone(),
-            reliability: cfg.reliability.clone(),
+            reliable: cfg.reliability.clone().map(|rel| {
+                let wide = SimConfig {
+                    budget_words: wrapped_budget(cfg.sim.budget_words),
+                    ..cfg.sim.clone()
+                };
+                (rel, wide)
+            }),
             kernel: cfg.kernel,
             tally: Tally {
                 rounds: 0,
@@ -190,7 +190,7 @@ impl<'g> ExecutionContext<'g> {
 
     /// Opens a bare context over `g` from simulation parameters alone: fast
     /// kernel, no reliable delivery. The standalone phase entry points
-    /// (`run_setup`, `partition_subtree`, `merge_parts`, `symmetry_break`)
+    /// (`run_setup`, `merge_parts`, `symmetry_break`)
     /// use this to keep their historical `(&Graph, &SimConfig)` signatures.
     pub fn with_sim(g: &'g Graph, sim: &SimConfig) -> Self {
         let cfg = EmbedderConfig {
@@ -203,21 +203,6 @@ impl<'g> ExecutionContext<'g> {
     /// The session graph every [`run_phase`](Self::run_phase) executes on.
     pub fn graph(&self) -> &'g Graph {
         self.session.graph()
-    }
-
-    /// The simulation parameters (budget, fault plan, watchdog, trace).
-    pub fn sim(&self) -> &SimConfig {
-        &self.sim
-    }
-
-    /// The reliable-delivery configuration, if phases run wrapped.
-    pub fn reliability(&self) -> Option<&ReliableConfig> {
-        self.reliability.as_ref()
-    }
-
-    /// The kernel executing the phases.
-    pub fn kernel(&self) -> Kernel {
-        self.kernel
     }
 
     /// Heap bytes currently reserved by the context's retained arenas: the
@@ -301,49 +286,34 @@ impl<'g> ExecutionContext<'g> {
             .schedule(self.session.arc_index(), transfers, self.sim.budget_words)
     }
 
-    /// The widened configuration reliable-wrapped kernel runs execute
-    /// under (see [`wrapped_budget`]).
-    fn widened(&self) -> SimConfig {
-        let mut cfg = self.sim.clone();
-        cfg.budget_words = wrapped_budget(cfg.budget_words);
-        cfg
-    }
-
     /// Runs one protocol phase over the session graph, reliably if the
-    /// context is so configured, on the configured kernel.
+    /// context is so configured, on the configured kernel. `batch` is one
+    /// program per vertex or a level of vertex-disjoint instances (see
+    /// [`Batch`]); a batch's per-instance metrics equal what each instance
+    /// costs alone, and the kernel rejects any cross-instance message
+    /// ([`SimError::CrossInstanceSend`]).
     ///
-    /// With no reliability this is byte-for-byte [`congest_sim::run`] (the
-    /// fast kernel additionally reuses the session's arc index and warm
-    /// buffers, which is outcome-invariant by the simulator's contract).
-    /// With reliability the programs run inside the ack/retransmit wrapper
-    /// against a config whose budget is widened by [`wrapped_budget`]; the
-    /// wrapper's retransmission count is folded into the returned metrics.
+    /// With no reliability this is byte-for-byte [`congest_sim::run`] or
+    /// [`congest_sim::run_many`] (the fast kernel additionally reuses the
+    /// session's arc index and warm buffers, which is outcome-invariant by
+    /// the simulator's contract). With reliability the programs run inside
+    /// the ack/retransmit wrapper against a config whose budget is widened
+    /// by [`wrapped_budget`]; the wrapper's retransmissions are folded into
+    /// the returned metrics (per instance, for a batch).
     ///
     /// # Errors
     ///
-    /// Propagates [`SimError`] exactly as [`congest_sim::run`] does.
-    pub fn run_phase<P>(&mut self, programs: Vec<P>) -> Result<SimOutcome<P>, SimError>
+    /// Propagates [`SimError`] exactly as the kernel does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if instances overlap or name vertices outside the graph.
+    pub fn run_phase<B>(&mut self, batch: B) -> Result<B::Outcome, SimError>
     where
-        P: NodeProgram,
-        P::Msg: 'static,
+        B: Batch,
+        <B::Program as NodeProgram>::Msg: 'static,
     {
-        match &self.reliability {
-            None => match self.kernel {
-                Kernel::Fast => self.session.run(programs, &self.sim),
-                Kernel::Reference => run_reference(self.session.graph(), programs, &self.sim),
-            },
-            Some(rel) => {
-                let wrapped_cfg = self.widened();
-                let wrapped = wrap_programs(programs, rel);
-                let out = match self.kernel {
-                    Kernel::Fast => self.session.run(wrapped, &wrapped_cfg)?,
-                    Kernel::Reference => {
-                        run_reference(self.session.graph(), wrapped, &wrapped_cfg)?
-                    }
-                };
-                Ok(unwrap_reliable(out, &wrapped_cfg))
-            }
-        }
+        self.dispatch(None, batch)
     }
 
     /// Runs one protocol phase over a *foreign* graph — the virtual
@@ -356,74 +326,54 @@ impl<'g> ExecutionContext<'g> {
     ///
     /// # Errors
     ///
-    /// Propagates [`SimError`] exactly as [`congest_sim::run`] does.
-    pub fn run_phase_on<P>(
-        &mut self,
-        g: &Graph,
-        programs: Vec<P>,
-    ) -> Result<SimOutcome<P>, SimError>
+    /// As [`run_phase`](Self::run_phase).
+    pub fn run_phase_on<B>(&mut self, g: &Graph, batch: B) -> Result<B::Outcome, SimError>
     where
-        P: NodeProgram,
-        P::Msg: 'static,
+        B: Batch,
+        <B::Program as NodeProgram>::Msg: 'static,
     {
-        match &self.reliability {
-            None => match self.kernel {
-                Kernel::Fast => self.session.run_on(g, programs, &self.sim),
-                Kernel::Reference => run_reference(g, programs, &self.sim),
-            },
-            Some(rel) => {
-                let wrapped_cfg = self.widened();
-                let wrapped = wrap_programs(programs, rel);
-                let out = match self.kernel {
-                    Kernel::Fast => self.session.run_on(g, wrapped, &wrapped_cfg)?,
-                    Kernel::Reference => run_reference(g, wrapped, &wrapped_cfg)?,
-                };
-                Ok(unwrap_reliable(out, &wrapped_cfg))
-            }
-        }
+        self.dispatch(Some(g), batch)
     }
 
-    /// Runs vertex-disjoint subproblem instances in *one* shared round
-    /// lattice over the session graph — the level-synchronous scheduler's
-    /// batched entry point. Per-instance metrics are bit-identical to what
-    /// each instance would have cost running alone, and the kernel rejects
-    /// any cross-instance message ([`SimError::CrossInstanceSend`]).
-    ///
-    /// With reliability, every instance's programs are wrapped before the
-    /// batch and unwrapped after, with retransmissions folded per instance.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError`] like [`congest_sim::run_many`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if instances overlap or name vertices outside the graph.
-    pub fn run_phase_many<P>(
-        &mut self,
-        instances: Vec<Instance<P>>,
-    ) -> Result<MultiOutcome<P>, SimError>
+    /// The one kernel × reliability dispatch: `batch` on the configured
+    /// kernel over `foreign` (or the session graph), wrapped and unwrapped
+    /// around the run when reliable delivery is on.
+    fn dispatch<B>(&mut self, foreign: Option<&Graph>, batch: B) -> Result<B::Outcome, SimError>
     where
-        P: NodeProgram,
-        P::Msg: 'static,
+        B: Batch,
+        <B::Program as NodeProgram>::Msg: 'static,
     {
-        match &self.reliability {
-            None => match self.kernel {
-                Kernel::Fast => self.session.run_many(instances, &self.sim),
-                Kernel::Reference => run_reference_many(self.session.graph(), instances, &self.sim),
-            },
-            Some(rel) => {
-                let wrapped_cfg = self.widened();
-                let wrapped = wrap_instances(instances, rel);
-                let out = match self.kernel {
-                    Kernel::Fast => self.session.run_many(wrapped, &wrapped_cfg)?,
-                    Kernel::Reference => {
-                        run_reference_many(self.session.graph(), wrapped, &wrapped_cfg)?
-                    }
-                };
-                Ok(unwrap_reliable_many(out, &wrapped_cfg))
-            }
-        }
+        let Some((rel, wide)) = &self.reliable else {
+            return on_kernel(self.kernel, &mut self.session, foreign, batch, &self.sim);
+        };
+        let out = on_kernel(
+            self.kernel,
+            &mut self.session,
+            foreign,
+            batch.wrap(rel),
+            wide,
+        )?;
+        Ok(B::unwrap(out, wide))
+    }
+}
+
+/// Runs `batch` under `cfg` on `kernel`, over `foreign` or else the
+/// session graph.
+fn on_kernel<B>(
+    kernel: Kernel,
+    session: &mut SimSession<'_>,
+    foreign: Option<&Graph>,
+    batch: B,
+    cfg: &SimConfig,
+) -> Result<B::Outcome, SimError>
+where
+    B: Batch,
+    <B::Program as NodeProgram>::Msg: 'static,
+{
+    match (kernel, foreign) {
+        (Kernel::Fast, None) => session.run(batch, cfg),
+        (Kernel::Fast, Some(g)) => session.run_on(g, batch, cfg),
+        (Kernel::Reference, g) => batch.run_reference(g.unwrap_or(session.graph()), cfg),
     }
 }
 
@@ -431,7 +381,8 @@ impl<'g> ExecutionContext<'g> {
 mod tests {
     use super::*;
     use congest_sim::protocols::LeaderBfs;
-    use congest_sim::{run, FaultPlan};
+    use congest_sim::reference::run_reference;
+    use congest_sim::{run, FaultPlan, SimOutcome};
     use planar_graph::VertexId;
     use planar_lib::gen;
 
@@ -447,10 +398,13 @@ mod tests {
         kernel: Kernel,
         rel: Option<ReliableConfig>,
     ) -> ExecutionContext<'a> {
-        let mut ctx = ExecutionContext::with_sim(g, sim);
-        ctx.kernel = kernel;
-        ctx.reliability = rel;
-        ctx
+        let cfg = EmbedderConfig {
+            sim: sim.clone(),
+            kernel,
+            reliability: rel,
+            ..EmbedderConfig::default()
+        };
+        ExecutionContext::new(g, &cfg)
     }
 
     #[test]

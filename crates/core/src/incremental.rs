@@ -80,7 +80,7 @@ use crate::driver::{
 use crate::error::EmbedError;
 use crate::exec::{ExecScratch, ExecutionContext};
 use crate::merge::merge_parts_ctx;
-use crate::partition::{partition_subtree_ctx, Partition, SubProblem};
+use crate::partition::{partition_level, Partition, SubProblem};
 use crate::parts::PartState;
 use crate::planner::{self, DeltaClass, PlanAction, RepairPlan};
 use crate::tree::GlobalTree;
@@ -639,8 +639,8 @@ fn stage_full(
 /// [`crate::Scheduler::Sequential`]: the rebuild walker with no old arena.
 /// Every subtree counts as dirty and there is nothing to adopt, so every
 /// subproblem is partitioned and merged through the kernel, depth first,
-/// one full-graph kernel run per phase — the conformance oracle for the
-/// level-synchronous walker.
+/// each partition a level of one instance — the conformance oracle for
+/// the level-synchronous walker.
 pub(crate) fn solve_depth_first(
     tree: &GlobalTree,
     cfg: &EmbedderConfig,
@@ -804,7 +804,9 @@ impl Rebuild<'_> {
             }
             None => {
                 ctx.enter(Phase::Partition);
-                let p = partition_subtree_ctx(ctx, self.tree, root)?;
+                let p = partition_level(ctx, self.tree, &[root])?
+                    .pop()
+                    .expect("one partition per root");
                 ctx.charge(&p.metrics);
                 validate_partition(ctx.graph(), self.tree, size, &p, cfg)?;
                 self.counts.recomputed_partitions += 1;

@@ -20,10 +20,13 @@
 //! exactly as written, with every data movement charged — kernel rounds for
 //! the symmetry breaking, packet-scheduled transfers for summaries and
 //! order deliveries, and `O(part diameter)` housekeeping per merge event
-//! (Remark 1's upcast/downcast simulation). The *embedding content* of each
-//! merged part is computed by the coordinator-side skeleton solver
-//! ([`planar_lib::embed_pinned`]); per Observation 3.2 the charged summaries
-//! carry exactly the information that solver needs.
+//! (Remark 1's upcast/downcast simulation). A merged part carries its
+//! member set, not an embedding: no step here computes a rotation. With
+//! invariant checking on, [`verify_part`] embeds each merged part with its
+//! attachments pinned to one face ([`planar_lib::embed_pinned`]) as a
+//! planarity and safety check and discards that embedding. The output
+//! rotation comes from the centralized [`planar_lib::embed`] in the
+//! driver's epilogue.
 
 use congest_sim::routing::Transfer;
 use congest_sim::{Metrics, Phase, PhaseRounds, SimConfig};
@@ -1092,7 +1095,7 @@ impl<'a, 'g> MergeCtx<'a, 'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::partition_subtree;
+    use crate::partition::tests::partition_subtree;
     use crate::setup::run_setup;
     use planar_graph::biconnected::BiconnectedDecomposition;
     use planar_lib::gen;

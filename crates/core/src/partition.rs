@@ -2,18 +2,17 @@
 //! coordinator path `P_0 = s..v` (where `v` is the 2/3-splitter found by a
 //! distributed centroid walk) and the hanging subtree parts `P_1..P_k`.
 //!
-//! Two entry points compute the *same* partition at the same per-subtree
-//! cost: [`partition_subtree_ctx`] runs one subtree per kernel invocation
-//! (the sequential scheduler's path), while [`partition_level`] batches
-//! every same-level subtree of the recursion into one kernel invocation
-//! over vertex-disjoint [`Instance`]s — per-instance metrics are
-//! bit-identical to the one-at-a-time runs, and the kernel enforces that
-//! sibling subtrees never exchange a message.
+//! [`partition_level`] partitions a list of vertex-disjoint subtrees in one
+//! kernel invocation per protocol, each subtree an [`Instance`] over its
+//! own members: per-instance metrics are bit-identical to partitioning the
+//! subtrees one at a time, and the kernel enforces that sibling subtrees
+//! never exchange a message. The level-synchronous walker passes a whole
+//! level of the recursion; the depth-first walker passes one root.
 
 use congest_sim::protocols::{CentroidWalk, Downcast};
 use congest_sim::routing::Transfer;
-use congest_sim::{Instance, Metrics, SimConfig};
-use planar_graph::{Graph, VertexId};
+use congest_sim::{Instance, Metrics};
+use planar_graph::VertexId;
 
 use crate::error::EmbedError;
 use crate::exec::{vec_bytes, ExecutionContext};
@@ -52,26 +51,23 @@ const PART_ROOT: u8 = 2;
 /// tables grow to the largest graph served.
 ///
 /// The subtrees being partitioned are enumerated once per call into
-/// `order`, each in the preorder of [`GlobalTree::subtree_members`], which
-/// lists every subtree contiguously: the hanging part rooted at `r` is
-/// `order[pos[r]..]`, of length `len[r]`.
+/// `order`, each in the preorder of [`GlobalTree::subtree_members`], and
+/// every vertex's subtree size is counted into `len` on the way, so the
+/// size of the hanging part rooted at `r` is `len[r]`.
 #[derive(Debug, Default)]
 pub(crate) struct PartitionScratch {
     order: Vec<VertexId>,
     /// Per subtree of the call: its range in `order`.
     spans: Vec<(usize, usize)>,
-    /// Position of a vertex in `order`.
-    pos: Vec<u32>,
     /// Size of a vertex's subtree, counted over the children lists.
     len: Vec<u32>,
     /// Downcast role of a vertex ([`RELAY`] outside the current spines).
     role: Vec<u8>,
-    /// `mark[v] == epoch` iff `v` lies in a subtree of the current call.
-    mark: Vec<u32>,
-    epoch: u32,
     stack: Vec<VertexId>,
     /// Two-vertex routes of the part-root notifications.
     hops: Vec<VertexId>,
+    /// Member lists of finished calls' instances, reused by the next.
+    spare: Vec<Vec<VertexId>>,
 }
 
 impl PartitionScratch {
@@ -79,27 +75,20 @@ impl PartitionScratch {
     pub(crate) fn memory_bytes(&self) -> usize {
         vec_bytes(&self.order)
             + vec_bytes(&self.spans)
-            + vec_bytes(&self.pos)
             + vec_bytes(&self.len)
             + vec_bytes(&self.role)
-            + vec_bytes(&self.mark)
             + vec_bytes(&self.stack)
             + vec_bytes(&self.hops)
+            + vec_bytes(&self.spare)
+            + self.spare.iter().map(vec_bytes).sum::<usize>()
     }
 
     /// Enumerates the subtrees rooted at `roots` (vertex-disjoint) into
-    /// `order`, filling `spans`, `pos`, `len` and the membership marks.
+    /// `order`, filling `spans` and `len`.
     fn enumerate(&mut self, tree: &GlobalTree, roots: &[VertexId]) {
         let n = tree.parent.len();
-        self.pos.resize(n, 0);
         self.len.resize(n, 0);
         self.role.resize(n, RELAY);
-        self.mark.resize(n, 0);
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.mark.fill(0);
-            self.epoch = 1;
-        }
         self.order.clear();
         self.spans.clear();
         for &root in roots {
@@ -108,8 +97,6 @@ impl PartitionScratch {
             self.stack.clear();
             self.stack.push(root);
             while let Some(x) = self.stack.pop() {
-                self.pos[x.index()] = self.order.len() as u32;
-                self.mark[x.index()] = self.epoch;
                 self.order.push(x);
                 self.stack.extend_from_slice(&tree.children[x.index()]);
             }
@@ -130,11 +117,6 @@ impl PartitionScratch {
         &self.order[start..end]
     }
 
-    /// Whether `v` lies in a subtree of the current call.
-    fn contains(&self, v: VertexId) -> bool {
-        self.mark[v.index()] == self.epoch
-    }
-
     /// The label-downcast program a subtree member runs: `P_0` vertices are
     /// inert, part roots inject their own id, everyone else relays to its
     /// tree children.
@@ -147,103 +129,28 @@ impl PartitionScratch {
     }
 }
 
-/// Runs the distributed partition of the subtree rooted at `root`.
+/// Partitions every subtree in `roots` in **two batched kernel
+/// invocations** (one for all centroid walks, one for all label
+/// downcasts), on the context's kernel with its reliability policy; the
+/// routed part-root notification is charged analytically and needs no
+/// protection.
 ///
-/// Cost: a centroid walk (`O(depth)` rounds, measured by the kernel), one
-/// round of part-root notification (charged via routed transfers) and a
-/// label downcast into each hanging subtree (`O(depth)` rounds, measured).
+/// The subtrees must be vertex-disjoint (same-level subproblems of the
+/// recursion always are); each becomes one [`Instance`] over its members,
+/// so the returned partitions — splitter, `P_0`, parts, *and metrics* —
+/// are bit-identical to calling this once per root, and the kernel rejects
+/// any message between sibling subtrees
+/// ([`congest_sim::SimError::CrossInstanceSend`]).
+///
+/// Cost per subtree: a centroid walk (`O(depth)` rounds, measured by the
+/// kernel), one round of part-root notification (charged via routed
+/// transfers) and a label downcast into each hanging subtree (`O(depth)`
+/// rounds, measured).
 ///
 /// # Errors
 ///
 /// Propagates kernel/routing errors (which indicate internal bugs, not bad
 /// inputs).
-pub fn partition_subtree(
-    g: &Graph,
-    tree: &GlobalTree,
-    root: VertexId,
-    cfg: &SimConfig,
-) -> Result<Partition, EmbedError> {
-    partition_subtree_ctx(&mut ExecutionContext::with_sim(g, cfg), tree, root)
-}
-
-/// [`partition_subtree`] against a full [`ExecutionContext`]: the two
-/// kernel protocols (centroid walk, label downcast) run on the context's
-/// kernel with its reliability policy; the routed notification is charged
-/// analytically and needs no protection.
-///
-/// # Errors
-///
-/// As [`partition_subtree`].
-pub fn partition_subtree_ctx(
-    ctx: &mut ExecutionContext<'_>,
-    tree: &GlobalTree,
-    root: VertexId,
-) -> Result<Partition, EmbedError> {
-    let g = ctx.graph();
-    let mut t = std::mem::take(&mut ctx.partition_scratch);
-    t.enumerate(tree, &[root]);
-    let total = tree.subtree_size[root.index()];
-    debug_assert_eq!(t.members(0).len() as u64, total);
-    let mut metrics = Metrics::new();
-
-    // 1. Centroid walk (Lemma 4.2's splitter), message-level. Nodes outside
-    //    the subtree participate as completely inert fillers, so this
-    //    full-graph run costs exactly what an instance-scoped run over the
-    //    members costs.
-    let walkers: Vec<CentroidWalk> = g
-        .vertices()
-        .map(|v| {
-            if t.contains(v) {
-                centroid_walker(tree, v, total, root)
-            } else {
-                CentroidWalk::inactive()
-            }
-        })
-        .collect();
-    let out = ctx.run_phase(walkers)?;
-    metrics.add(out.metrics);
-    let centroid = t
-        .members(0)
-        .iter()
-        .copied()
-        .find(|v| out.programs[v.index()].is_centroid())
-        .ok_or_else(|| EmbedError::Internal("centroid walk did not terminate".into()))?;
-
-    let mut partition = spine(ctx, &mut t, tree, root, centroid, metrics)?;
-
-    // 3. Part-label downcast inside every hanging subtree (all in parallel).
-    let programs: Vec<Downcast> = g
-        .vertices()
-        .map(|v| {
-            if t.contains(v) {
-                t.downcaster(tree, v)
-            } else {
-                Downcast::new(&[], None)
-            }
-        })
-        .collect();
-    let out = ctx.run_phase(programs)?;
-    finish(&mut t, &mut partition, out.metrics);
-    ctx.partition_scratch = t;
-    Ok(partition)
-}
-
-/// Partitions every subtree in `roots` — the same-level subproblems of the
-/// level-synchronous scheduler — in **two batched kernel invocations**
-/// (one for all centroid walks, one for all label downcasts) instead of
-/// two per subtree.
-///
-/// The subtrees must be vertex-disjoint (same-level subproblems of the
-/// recursion always are); each becomes one [`Instance`] whose members run
-/// exactly the programs the one-at-a-time path gives them, so the returned
-/// partitions — splitter, `P_0`, parts, *and metrics* — are bit-identical
-/// to calling [`partition_subtree_ctx`] once per root, and the kernel
-/// rejects any message between sibling subtrees
-/// ([`congest_sim::SimError::CrossInstanceSend`]).
-///
-/// # Errors
-///
-/// As [`partition_subtree`].
 pub fn partition_level(
     ctx: &mut ExecutionContext<'_>,
     tree: &GlobalTree,
@@ -255,23 +162,27 @@ pub fn partition_level(
     let mut t = std::mem::take(&mut ctx.partition_scratch);
     t.enumerate(tree, roots);
 
-    // 1. All centroid walks, one shared round lattice.
+    // 1. All centroid walks, one shared round lattice. Each subtree's
+    //    member list comes from the scratch's spares and serves its
+    //    downcast too.
     let walk_instances: Vec<Instance<CentroidWalk>> = roots
         .iter()
         .enumerate()
         .map(|(i, &root)| {
             let total = tree.subtree_size[root.index()];
-            let members = t.members(i);
+            let mut members = t.spare.pop().unwrap_or_default();
+            members.clear();
+            members.extend_from_slice(t.members(i));
+            members.sort_unstable();
             debug_assert_eq!(members.len() as u64, total);
-            Instance::new(
-                members
-                    .iter()
-                    .map(|&v| (v, centroid_walker(tree, v, total, root)))
-                    .collect(),
-            )
+            let walkers = members
+                .iter()
+                .map(|&v| centroid_walker(tree, v, total, root))
+                .collect();
+            Instance::with_members(members, walkers)
         })
         .collect();
-    let walk_out = ctx.run_phase_many(walk_instances)?;
+    let walk_out = ctx.run_phase(walk_instances)?;
 
     // 2. Per subtree: splitter, P_0, part roots, charged notification.
     let mut partitions = Vec::with_capacity(roots.len());
@@ -287,19 +198,22 @@ pub fn partition_level(
     }
 
     // 3. All part-label downcasts, one shared round lattice.
-    let down_instances: Vec<Instance<Downcast>> = (0..roots.len())
-        .map(|i| {
-            Instance::new(
-                t.members(i)
-                    .iter()
-                    .map(|&v| (v, t.downcaster(tree, v)))
-                    .collect(),
-            )
+    let down_instances: Vec<Instance<Downcast>> = walk_out
+        .instances
+        .into_iter()
+        .map(|inst| {
+            let programs = inst
+                .members
+                .iter()
+                .map(|&v| t.downcaster(tree, v))
+                .collect();
+            Instance::with_members(inst.members, programs)
         })
         .collect();
-    let down_out = ctx.run_phase_many(down_instances)?;
-    for (partition, inst) in partitions.iter_mut().zip(&down_out.instances) {
+    let down_out = ctx.run_phase(down_instances)?;
+    for (partition, inst) in partitions.iter_mut().zip(down_out.instances) {
         finish(&mut t, partition, inst.metrics);
+        t.spare.push(inst.members);
     }
     ctx.partition_scratch = t;
     Ok(partitions)
@@ -318,9 +232,7 @@ fn centroid_walker(tree: &GlobalTree, v: VertexId, total: u64, root: VertexId) -
 /// splitter between the centroid walk and the label downcast: `P_0` and
 /// the hanging parts, whose downcast roles sit in the [`PartitionScratch`]
 /// until [`finish`]. `metrics` holds the walk's cost; the one-round
-/// part-root notification is charged on top. Shared verbatim by the
-/// sequential and the batched path so both derive the identical partition
-/// from the identical walk outcome.
+/// part-root notification is charged on top.
 fn spine(
     ctx: &mut ExecutionContext<'_>,
     t: &mut PartitionScratch,
@@ -379,13 +291,29 @@ fn finish(t: &mut PartitionScratch, partition: &mut Partition, downcast: Metrics
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::setup::run_setup;
+    use crate::EmbedderConfig;
+    use congest_sim::protocols::ReliableConfig;
+    use congest_sim::{FaultPlan, SimConfig};
+    use planar_graph::Graph;
     use planar_lib::gen;
 
     fn setup_tree(g: &Graph) -> GlobalTree {
         run_setup(g, &SimConfig::default()).unwrap().0.tree
+    }
+
+    /// The partition of the subtree rooted at `root`: a level of one on a
+    /// bare context.
+    pub(crate) fn partition_subtree(
+        g: &Graph,
+        tree: &GlobalTree,
+        root: VertexId,
+        cfg: &SimConfig,
+    ) -> Result<Partition, EmbedError> {
+        let mut ctx = ExecutionContext::with_sim(g, cfg);
+        Ok(partition_level(&mut ctx, tree, &[root])?.remove(0))
     }
 
     #[test]
@@ -455,13 +383,15 @@ mod tests {
         assert!(p.parts.is_empty());
     }
 
+    /// A level of several roots equals one-root levels, fault-free and
+    /// under a fault plan with reliable delivery (retransmissions and fault
+    /// counters included in the per-partition metrics).
     #[test]
     fn batched_level_matches_one_at_a_time() {
         let g = gen::grid(6, 6);
         let tree = setup_tree(&g);
-        let cfg = SimConfig::default();
         // Partition the root, then its hanging parts both ways.
-        let top = partition_subtree(&g, &tree, tree.root, &cfg).unwrap();
+        let top = partition_subtree(&g, &tree, tree.root, &SimConfig::default()).unwrap();
         let roots: Vec<VertexId> = top
             .parts
             .iter()
@@ -469,15 +399,38 @@ mod tests {
             .map(|p| p.root)
             .collect();
         assert!(roots.len() > 1, "grid should split into several parts");
-        let mut ctx = ExecutionContext::with_sim(&g, &cfg);
-        let batched = partition_level(&mut ctx, &tree, &roots).unwrap();
-        for (i, &root) in roots.iter().enumerate() {
-            let solo = partition_subtree(&g, &tree, root, &cfg).unwrap();
-            assert_eq!(batched[i].p0, solo.p0);
-            assert_eq!(batched[i].metrics, solo.metrics);
-            let b_parts: Vec<_> = batched[i].parts.iter().map(|p| (p.root, p.size)).collect();
-            let s_parts: Vec<_> = solo.parts.iter().map(|p| (p.root, p.size)).collect();
-            assert_eq!(b_parts, s_parts);
+        let chaos = EmbedderConfig {
+            sim: SimConfig {
+                faults: FaultPlan::uniform(7, 0.2, 0.05, 0.1, 2),
+                ..SimConfig::default()
+            },
+            reliability: Some(ReliableConfig::default()),
+            ..EmbedderConfig::default()
+        };
+        for cfg in [EmbedderConfig::default(), chaos] {
+            let mut ctx = ExecutionContext::new(&g, &cfg);
+            let batched = partition_level(&mut ctx, &tree, &roots).unwrap();
+            for (i, &root) in roots.iter().enumerate() {
+                let mut alone = ExecutionContext::new(&g, &cfg);
+                let solo = partition_level(&mut alone, &tree, &[root]).unwrap();
+                let solo = &solo[0];
+                assert_eq!(batched[i].p0, solo.p0);
+                assert_eq!(batched[i].metrics, solo.metrics);
+                let b_parts: Vec<_> = batched[i].parts.iter().map(|p| (p.root, p.size)).collect();
+                let s_parts: Vec<_> = solo.parts.iter().map(|p| (p.root, p.size)).collect();
+                assert_eq!(b_parts, s_parts);
+            }
+            if cfg.reliability.is_some() {
+                let m = batched.iter().map(|p| p.metrics);
+                assert!(
+                    m.clone().map(|m| m.dropped).sum::<usize>() > 0,
+                    "nothing dropped"
+                );
+                assert!(
+                    m.map(|m| m.retransmissions).sum::<usize>() > 0,
+                    "no retransmission"
+                );
+            }
         }
     }
 
