@@ -36,16 +36,16 @@
 //! worst case, and it exercises not one byte of the state this stage
 //! measures.
 //!
-//! Entry points: [`kernel_bench`] produces rows, [`record`] builds the
+//! Entry points: [`kernel_bench`] produces rows, [`record()`] builds the
 //! `BENCH_kernel.json` document from their [`Row::fields`] (rendered by
 //! the canonical [`Json`] writer, see [`crate::record`]). Reachable via
 //! `cargo run -p planar-bench --bin harness -- bench-kernel` and
 //! `cargo bench -p planar-bench --bench kernel`.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use congest_sim::reference::run_reference;
-use congest_sim::{Metrics, NodeCtx, NodeProgram, SimConfig, Simulator};
+use congest_sim::{Metrics, NodeCtx, NodeProgram, SimConfig, Simulator, BROADCAST};
 use planar_embedding::{embed_recursion_with_memory, EmbedderConfig};
 use planar_graph::{Graph, VertexId};
 use planar_lib::gen;
@@ -54,7 +54,8 @@ use crate::mem;
 use crate::record::{self, Fields, Json, Kind, Row};
 
 /// Single-source flood: node 0 announces in round 0; every other node
-/// forwards one word to its whole neighborhood on first receipt.
+/// forwards one word to its whole neighborhood on first receipt, as one
+/// [`BROADCAST`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Flood {
     seen: bool,
@@ -66,13 +67,13 @@ impl NodeProgram for Flood {
     fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, u32)>) {
         if ctx.id == VertexId(0) {
             self.seen = true;
-            out.extend(ctx.neighbors.iter().map(|&w| (w, 0)));
+            out.push((BROADCAST, 0));
         }
     }
 
     fn on_round(
         &mut self,
-        ctx: &NodeCtx<'_>,
+        _ctx: &NodeCtx<'_>,
         inbox: &[(VertexId, u32)],
         out: &mut Vec<(VertexId, u32)>,
     ) {
@@ -81,7 +82,7 @@ impl NodeProgram for Flood {
         }
         self.seen = true;
         let hop = inbox.iter().map(|&(_, h)| h).min().unwrap_or(0) + 1;
-        out.extend(ctx.neighbors.iter().map(|&w| (w, hop)));
+        out.push((BROADCAST, hop));
     }
 }
 
@@ -103,7 +104,8 @@ pub struct KernelBenchRow {
     pub rounds: usize,
     /// Messages delivered per run (identical on both kernels).
     pub messages: usize,
-    /// Measured iterations per kernel (best-of is reported).
+    /// Measured runs per kernel, as many as the row's wall budget allowed
+    /// (best-of is reported).
     pub iters: usize,
     /// Fastest wall-clock run of the arc-indexed kernel, seconds.
     pub fast_secs: f64,
@@ -168,10 +170,14 @@ fn timed(mut f: impl FnMut() -> Metrics) -> (f64, Metrics) {
 /// disagree (the determinism contract).
 ///
 /// The two kernels are timed *interleaved* (fast, reference, fast,
-/// reference, …) and best-of-`iters` is reported for each, so machine
-/// drift and allocator/cache state affect both measurements symmetrically
-/// instead of biasing whichever kernel runs last.
-pub fn measure(family: &'static str, g: &Graph, iters: usize) -> KernelBenchRow {
+/// reference, …) and the best run of each is reported, so machine drift
+/// and allocator/cache state affect both measurements symmetrically
+/// instead of biasing whichever kernel runs last. Pairs repeat until
+/// `budget` of wall time is spent, and at least `MIN_ITERS` times: a
+/// small substrate's sub-millisecond runs get thousands of tries at the
+/// best, so its row resolves a kernel change, and a large one still gets
+/// a few.
+pub fn measure(family: &'static str, g: &Graph, budget: Duration) -> KernelBenchRow {
     let cfg = SimConfig::default();
     // A repeat caller holds one Simulator; buffer capacity carries over.
     let mut sim: Simulator<u32> = Simulator::new();
@@ -193,7 +199,10 @@ pub fn measure(family: &'static str, g: &Graph, iters: usize) -> KernelBenchRow 
     );
     let mut fast_secs = f64::INFINITY;
     let mut reference_secs = f64::INFINITY;
-    for _ in 0..iters {
+    let mut iters = 0;
+    let start = Instant::now();
+    while iters < MIN_ITERS || start.elapsed() < budget {
+        iters += 1;
         let (dt, m) = timed(&mut run_fast);
         assert_eq!(
             m, fast_m,
@@ -221,17 +230,11 @@ pub fn measure(family: &'static str, g: &Graph, iters: usize) -> KernelBenchRow 
     }
 }
 
-/// Measured iterations for a substrate of `n` vertices: more for small
-/// (noisy) cases, fewer for the big ones.
-fn iters_for(n: usize) -> usize {
-    if n <= 2_000 {
-        20
-    } else if n <= 20_000 {
-        7
-    } else {
-        3
-    }
-}
+/// Fewest interleaved run pairs a row measures, whatever its budget.
+const MIN_ITERS: usize = 3;
+
+/// Wall time one row spends on run pairs (see [`measure`]).
+const ROW_BUDGET: Duration = Duration::from_secs(1);
 
 /// Seed of the random-maximal-planar substrate (fixed: rows must be
 /// reproducible run to run).
@@ -249,7 +252,7 @@ pub fn kernel_bench(sizes: &[usize]) -> Vec<KernelBenchRow> {
             ("tri-grid", gen::triangulated_grid(side, side)),
             ("rmp", gen::random_maximal_planar(n, RMP_SEED)),
         ] {
-            let row = measure(family, &g, iters_for(g.vertex_count()));
+            let row = measure(family, &g, ROW_BUDGET);
             println!("{}", record::line("flood", &row));
             rows.push(row);
         }
@@ -377,7 +380,7 @@ mod tests {
     #[test]
     fn flood_covers_graph_and_kernels_agree() {
         let g = gen::grid(8, 8);
-        let row = measure("grid", &g, 1);
+        let row = measure("grid", &g, Duration::ZERO);
         assert_eq!(row.n, 64);
         // Every node fires its out-star exactly once.
         assert_eq!(row.messages, 2 * g.edge_count());
@@ -391,7 +394,7 @@ mod tests {
     #[test]
     fn rows_report_memory() {
         let g = gen::grid(8, 8);
-        let row = measure("grid", &g, 1);
+        let row = measure("grid", &g, Duration::ZERO);
         assert!(row.kernel_bytes > 0);
         assert!(row.bytes_per_node() > 0.0);
         if cfg!(target_os = "linux") {
@@ -414,7 +417,7 @@ mod tests {
     #[test]
     fn json_record_carries_every_section() {
         let g = gen::grid(4, 4);
-        let rows = vec![measure("grid", &g, 1)];
+        let rows = vec![measure("grid", &g, Duration::ZERO)];
         let embeds = vec![embed_mem(64)];
         let doc = record(&rows, &embeds, None);
         assert_eq!(doc["budget_words"], Json::U64(8));

@@ -2,11 +2,11 @@
 //!
 //! Each benchmark row type lists its fields once, in display order
 //! ([`Row::fields`]). Everything the harness emits about a row derives
-//! from that list: the record's row objects ([`array`]), the harness
+//! from that list: the record's row objects ([`array()`]), the harness
 //! table over the scalar fields ([`table`]), and the one-line progress
-//! report of the long-running stages ([`line`]). Records render through
+//! report of the long-running stages ([`line()`]). Records render through
 //! the workspace's canonical writer ([`Json`], promoted from `planar-dst`)
-//! and reach disk through [`write`]. Each field also has a [`Kind`]: the
+//! and reach disk through [`write()`]. Each field also has a [`Kind`]: the
 //! deterministic ones are what [`drift`] compares between a regenerated
 //! record and the committed one.
 

@@ -1,7 +1,7 @@
 //! Minimal wall-clock benchmarking: a criterion stand-in for the offline
 //! build environment (criterion cannot be vendored; see `shims/README.md`).
 //!
-//! Bench targets stay `harness = false` binaries; each calls [`bench`] per
+//! Bench targets stay `harness = false` binaries; each calls [`bench()`] per
 //! case and gets a criterion-style `name  time: [min median max]` line plus
 //! a structured [`Sample`] for further aggregation (the kernel benchmark
 //! turns these into a JSON perf record).

@@ -177,21 +177,24 @@ fn incremental_delta_on_a_small_tenant() {
 }
 
 // Recursion bounds with ~1.2-1.4x headroom over the measured counts,
-// identical in release and debug builds (rmp: 887; wheel-chain: 1,252;
-// grid: 336). Summary sizes come from an in-place block pass and allocate
+// identical in release and debug builds (rmp: 893; wheel-chain: 1,277;
+// grid: 344). Summary sizes come from an in-place block pass and allocate
 // nothing. What is left is mostly output (the tree's children lists, each
 // partition's `P_0` and part list, each merged part's member list), each
 // symmetry step's virtual graph and outcome, the batched kernel instances
 // (their program vectors; member lists are reused from the partition
 // scratch), and the growth of the five message types' cold simulator
-// buffers. A per-vertex or per-part table, or a hash map per
+// buffers, the broadcast tables of the two that broadcast (setup's flood
+// and symmetry breaking) among them: each growth of a symmetry step's
+// virtual graph regrows them. A per-vertex or per-part table, or a hash
+// map per
 // step or per summary, would cross them.
 const RECURSION_RMP: u64 = 1_250;
 const RECURSION_CHAIN: u64 = 1_500;
 const RECURSION_GRID: u64 = 450;
 
 // Bounds with ~1.5x headroom over the measured counts (rmp: embed 506
-// release / 518 debug, certify 885; grid: embed 101 / 108, certify 108).
+// release / 518 debug, certify 886; grid: embed 101 / 108, certify 110).
 // Most of what is left is the output itself: one rotation `Vec` and one
 // certificate label `Vec` per vertex, plus one neighbor-slot table per
 // verifier node. Per-step or per-message allocations would cross them.
@@ -200,8 +203,8 @@ const CERT_RMP: u64 = 1_330;
 const EMBED_GRID: u64 = 160;
 const CERT_GRID: u64 = 165;
 
-// A warm service delta on a 24-node tenant: 314 allocations release /
-// 377 debug, against 402 / 501 when each tenant carried its own kernel
+// A warm service delta on a 24-node tenant: 318 allocations release /
+// 381 debug, against 402 / 501 when each tenant carried its own kernel
 // cache, re-grew the recursion tables per delta and verified on a cold
 // simulator (so the bound fails there). What is left is mostly output:
 // the mutated graph, the rebuilt arena's dirty nodes, the rotation, the

@@ -1,10 +1,10 @@
 //! The O(1)-round distributed verifier (the *verifier* side of the
 //! proof-labeling scheme).
 //!
-//! [`CertVerifier`] is an ordinary event-driven
-//! [`NodeProgram`](congest_sim::NodeProgram): it runs unchanged on the
-//! fast kernel, the reference kernel, and inside the reliable-delivery
-//! wrapper. Fault-free it takes exactly **2 rounds** regardless of `n`:
+//! [`CertVerifier`] is an ordinary event-driven [`NodeProgram`]: it runs
+//! unchanged on the fast kernel, the reference kernel, and inside the
+//! reliable-delivery wrapper. Fault-free it takes exactly **2 rounds**
+//! regardless of `n`:
 //!
 //! * **init** — purely local checks (rotation is a permutation of the true
 //!   neighbor set, label count and canonicity, root/parent/depth flag
@@ -23,7 +23,9 @@
 //! node that never hears from every neighbor simply stays
 //! [`Verdict::Incomplete`], which the report treats as non-acceptance.
 
-use congest_sim::{run, Metrics, NodeCtx, NodeProgram, SimConfig, SimError, SimOutcome, Words};
+use congest_sim::{
+    run, Metrics, NodeCtx, NodeProgram, SimConfig, SimError, SimOutcome, Words, BROADCAST,
+};
 use planar_graph::{Graph, RotationSystem, VertexId};
 
 use crate::certificate::Certificate;
@@ -477,7 +479,7 @@ impl NodeProgram for CertVerifier<'_> {
                 arcs: self.cert.sub_arcs,
                 faces: self.cert.sub_faces,
             };
-            out.extend(ctx.neighbors.iter().map(|&w| (w, msg.clone())));
+            out.push((BROADCAST, msg));
         }
         if !self.done
             && self.openings == ctx.neighbors.len()
@@ -753,7 +755,12 @@ mod tests {
         let round1: Vec<_> = msgs.iter().map(|(v, o, _)| (*v, o.clone())).collect();
         out.clear();
         p.on_round(&ctx, &round1, &mut out);
-        assert_eq!(out.len(), 2, "counters go to both neighbors once");
+        assert_eq!(
+            out.len(),
+            1,
+            "counters go to both neighbors in one broadcast"
+        );
+        assert_eq!(out[0].0, BROADCAST);
         let mut round2: Vec<_> = vec![(v1, forged_opening.clone())];
         round2.extend(msgs.iter().map(|(v, _, c)| (*v, c.clone())));
         round2.push((v1, forged_counters.clone()));

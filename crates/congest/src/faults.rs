@@ -146,8 +146,9 @@ pub enum CrashPolicy {
     /// the honest distributed-systems semantics.
     #[default]
     DropSilently,
-    /// Abort the run with [`SimError::DestinationCrashed`]
-    /// (`crate::SimError`) — a debugging aid for protocols that are supposed
+    /// Abort the run with
+    /// [`SimError::DestinationCrashed`](crate::SimError::DestinationCrashed)
+    /// — a debugging aid for protocols that are supposed
     /// to know which neighbors are alive.
     Error,
 }

@@ -80,7 +80,7 @@ pub use message::{word_bits, Words};
 pub use metrics::{Metrics, Phase, PhaseRounds};
 pub use network::{
     run, run_many, Instance, InstanceOutcome, MultiOutcome, NodeCtx, NodeProgram, SimConfig,
-    SimError, SimOutcome, Simulator, DEFAULT_BUDGET_WORDS,
+    SimError, SimOutcome, Simulator, BROADCAST, DEFAULT_BUDGET_WORDS,
 };
 pub use session::{KernelCache, SimSession};
 pub use trace::{

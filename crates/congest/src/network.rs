@@ -34,6 +34,14 @@
 //!   construction*: the seed kernel's per-round `recipients.sort()` +
 //!   per-inbox `sort_by_key` are gone, yet inbox contents are
 //!   byte-identical.
+//! * **Local broadcast** — a fault-free step whose whole outbox is one
+//!   [`BROADCAST`] is stored once, as a word in the plane's per-sender
+//!   `bcast` table, with its tallies and budget check done once; each
+//!   recipient's gather reads it at the sender's position in its arc
+//!   range, and only rounds that carry a broadcast pay that read. Any
+//!   other broadcast (beside unicasts, or in fault mode) is expanded in
+//!   place into its unicasts. DESIGN.md §7 has the sizing and clearing
+//!   rules.
 //! * **Budget accounting** — an arc's word total is the single message's
 //!   size, or a running total kept in its spilled slot, checked against the
 //!   budget as each message lands. The round's message, word and max-words
@@ -46,10 +54,11 @@
 //!   allocates nothing.
 //! * **Destination validation** — a merge walk over the sender's sorted
 //!   CSR neighbor block: a cursor sits one slot past the previous send, so
-//!   a destination equal to the cursor's neighbor (every broadcast, and
-//!   replies in inbox order) costs one compare. Any other destination
-//!   falls back to a binary search of the block ([`ArcIndex::block`]); a
-//!   miss is a non-neighbor. No per-vertex table and no per-sender
+//!   a destination equal to the cursor's neighbor (every expanded
+//!   broadcast, and replies in inbox order) costs one compare. Any other
+//!   destination falls back to a binary search of the block
+//!   ([`ArcIndex::block`]); a miss is a non-neighbor, or a broadcast to
+//!   expand. No per-vertex table and no per-sender
 //!   stamping pass.
 //! * **Recipient schedule** — nodes are appended to a recipient list the
 //!   first time a message is addressed to them (deduplicated by an epoch
@@ -77,7 +86,7 @@
 use std::error::Error;
 use std::fmt;
 
-use planar_graph::{ArcIndex, Graph, VertexId};
+use planar_graph::{ArcId, ArcIndex, Graph, VertexId};
 
 use crate::batch::Batch;
 use crate::faults::{CrashPolicy, Fate, FaultPlan};
@@ -99,6 +108,31 @@ pub struct NodeCtx<'a> {
     pub round: usize,
 }
 
+/// The destination of a local broadcast: a send `(BROADCAST, msg)` is
+/// defined as the unicasts `(w, msg.clone())` to every `w` of
+/// [`NodeCtx::neighbors`], ascending, at that position in the outbox, and
+/// both kernels and the [`Reliable`](crate::protocols::Reliable) wrapper
+/// give it exactly those metrics, traces, errors and inboxes. `u32::MAX`
+/// is no vertex id ([`SimError::CapacityExceeded`]).
+pub const BROADCAST: VertexId = VertexId(u32::MAX);
+
+/// Rewrites every [`BROADCAST`] entry of `out` as its unicasts to
+/// `neighbors`, ascending, in place; other entries keep their position.
+/// Allocates only when `out` holds a broadcast.
+pub(crate) fn expand_broadcasts<M: Clone>(out: &mut Vec<(VertexId, M)>, neighbors: &[VertexId]) {
+    if !out.iter().any(|&(dest, _)| dest == BROADCAST) {
+        return;
+    }
+    let sends = std::mem::take(out);
+    for (dest, msg) in sends {
+        if dest == BROADCAST {
+            out.extend(neighbors.iter().map(|&w| (w, msg.clone())));
+        } else {
+            out.push((dest, msg));
+        }
+    }
+}
+
 /// A distributed node program (one instance per vertex).
 ///
 /// Programs must be *event driven*: after [`NodeProgram::init`], a node may
@@ -106,17 +140,22 @@ pub struct NodeCtx<'a> {
 /// messages. The simulation ends at quiescence (a round in which no messages
 /// are in flight), which for event-driven programs implies no further state
 /// change is possible.
+///
+/// A send to every neighbor is one outbox entry addressed to
+/// [`BROADCAST`]: it means the same as one entry per neighbor, and the
+/// fast kernel stores it once per sender instead of once per arc.
 pub trait NodeProgram {
     /// The message type exchanged by this program.
     type Msg: Clone + Words;
 
     /// Called once before the first round; pushes initial messages onto
-    /// `out` as `(neighbor, message)` pairs. `out` is the kernel's outbox
-    /// and is empty on entry.
+    /// `out` as `(neighbor, message)` pairs, or `(BROADCAST, message)` for
+    /// every neighbor. `out` is the kernel's outbox and is empty on entry.
     fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, Self::Msg)>);
 
     /// Called whenever the node receives at least one message; pushes the
-    /// messages to send this round onto `out` (empty on entry).
+    /// messages to send this round onto `out` (empty on entry), addressed
+    /// as in [`NodeProgram::init`].
     fn on_round(
         &mut self,
         ctx: &NodeCtx<'_>,
@@ -242,7 +281,7 @@ pub enum SimError {
     },
     /// A node addressed a message to a neighbor that had already
     /// crash-stopped. Only reported under
-    /// [`CrashPolicy::Error`](crate::faults::CrashPolicy::Error); the
+    /// [`CrashPolicy::Error`]; the
     /// default policy drops such sends silently.
     DestinationCrashed {
         /// The sender.
@@ -502,9 +541,19 @@ const TOTAL_MAX: u64 = (1 << 30) - 1;
 /// by construction and invisible to outcomes. The round's message, word
 /// and max-words tallies are kept as sends land, and delivery zeroes the
 /// slots it drains, so a round never walks its active arcs.
+///
+/// A step whose whole outbox is one [`BROADCAST`] leaves no arc slot
+/// behind: its message word sits at the sender in `bcast`, and each
+/// recipient's gather reads it at the sender's position in its block.
 struct MailPlane<M> {
     /// Per receiving arc: idle, one message word, or a spilled ring.
     slot: Vec<u64>,
+    /// Per sending vertex: the message word of its broadcast this round,
+    /// `0` when it made none. Grown to the run's vertex count by the
+    /// plane's first broadcast, never shrunk, and zero between rounds.
+    bcast: Vec<u64>,
+    /// The vertices whose `bcast` word is set (the round-end clear list).
+    broadcasters: Vec<VertexId>,
     /// Spill pool: the next entry of each entry's ring.
     next: Vec<u32>,
     /// Spill pool: the message word of each entry.
@@ -528,6 +577,8 @@ impl<M: Words> MailPlane<M> {
     fn new() -> Self {
         MailPlane {
             slot: Vec::new(),
+            bcast: Vec::new(),
+            broadcasters: Vec::new(),
             next: Vec::new(),
             spill: Vec::new(),
             native: Vec::new(),
@@ -542,8 +593,9 @@ impl<M: Words> MailPlane<M> {
     /// Sizes and clears the plane for a run over `arcs` arcs with
     /// `word_bits`-bit words, retaining previously allocated capacity
     /// (sequential writes over warm memory — much cheaper than fresh
-    /// page-faulting allocations). Every slot is rewritten, so an aborted
-    /// run's undelivered messages cannot leak into the next run.
+    /// page-faulting allocations). Every slot is rewritten and every
+    /// broadcast word cleared, so an aborted run's undelivered messages
+    /// cannot leak into the next run.
     fn prepare(&mut self, arcs: usize, word_bits: u32) {
         self.slot.clear();
         self.slot.resize(arcs, 0);
@@ -555,7 +607,42 @@ impl<M: Words> MailPlane<M> {
     /// word total this round (exact; the budget check compares it).
     #[inline(always)]
     fn push(&mut self, b: usize, msg: M, w: usize) -> u64 {
-        let word = match msg.pack(self.word_bits) {
+        let word = self.word(msg, w);
+        let s = self.slot[b];
+        let total = if s == 0 {
+            self.slot[b] = word;
+            w as u64
+        } else {
+            self.spill(b, s, word, w as u64)
+        };
+        self.messages += 1;
+        self.words += w;
+        self.max_words = self.max_words.max(total as usize);
+        total
+    }
+
+    /// Queues `msg` (`w` words) as `from`'s broadcast to its `deg`
+    /// neighbors, with the tallies of `deg` sends; `n` is the run's vertex
+    /// count. The caller stamps the recipients.
+    fn broadcast(&mut self, from: VertexId, msg: M, w: usize, deg: usize, n: usize) {
+        let word = self.word(msg, w);
+        if self.bcast.len() < n {
+            // One allocation each: a round has at most `n` broadcasters.
+            self.bcast.resize(n, 0);
+            self.broadcasters.reserve(n);
+        }
+        self.bcast[from.index()] = word;
+        self.broadcasters.push(from);
+        self.messages += deg;
+        self.words += deg * w;
+        self.max_words = self.max_words.max(w);
+    }
+
+    /// The message word of `msg` (`w` words): its packing, or an index
+    /// into the `native` side table.
+    #[inline(always)]
+    fn word(&mut self, msg: M, w: usize) -> u64 {
+        match msg.pack(self.word_bits) {
             Some(packed) => {
                 let width = w as u64 * u64::from(self.word_bits);
                 debug_assert!(
@@ -572,18 +659,7 @@ impl<M: Words> MailPlane<M> {
                 self.native.push(Some(msg));
                 self.native.len() as u64
             }
-        };
-        let s = self.slot[b];
-        let total = if s == 0 {
-            self.slot[b] = word;
-            w as u64
-        } else {
-            self.spill(b, s, word, w as u64)
-        };
-        self.messages += 1;
-        self.words += w;
-        self.max_words = self.max_words.max(total as usize);
-        total
+        }
     }
 
     /// Appends `word` behind arc `b`'s queued traffic `s`, moving a single
@@ -665,6 +741,28 @@ impl<M: Words> MailPlane<M> {
         }
     }
 
+    /// Copies `from`'s broadcast this round, if it made one, onto `inbox`
+    /// (packed words decode; native payloads clone, since every neighbor
+    /// reads the one stored copy).
+    #[inline]
+    fn copy_broadcast(&self, from: VertexId, inbox: &mut Vec<(VertexId, M)>)
+    where
+        M: Clone,
+    {
+        let word = self.bcast[from.index()];
+        if word == 0 {
+            return;
+        }
+        let msg = if word & PACKED != 0 {
+            M::unpack(self.word_bits, word & !PACKED).expect("packed payload round-trips")
+        } else {
+            self.native[word as usize - 1]
+                .clone()
+                .expect("a broadcast payload stays until the round ends")
+        };
+        inbox.push((from, msg));
+    }
+
     /// [`MailPlane::drain`] for a spilled arc: its ring from the head (the
     /// entry after `tail`) round to `tail`.
     #[cold]
@@ -681,10 +779,13 @@ impl<M: Words> MailPlane<M> {
         }
     }
 
-    /// Ends a round: drops the spill pool, side table, recipient list and
-    /// tallies, retaining every buffer's capacity. The slots are already
-    /// idle: delivery drained them.
+    /// Ends a round: clears the broadcast words, drops the spill pool,
+    /// side table, recipient list and tallies, retaining every buffer's
+    /// capacity. The slots are already idle: delivery drained them.
     fn reset(&mut self) {
+        for v in self.broadcasters.drain(..) {
+            self.bcast[v.index()] = 0;
+        }
         self.next.clear();
         self.spill.clear();
         self.native.clear();
@@ -697,6 +798,8 @@ impl<M: Words> MailPlane<M> {
     /// Heap bytes currently reserved (capacities, not lengths).
     fn memory_bytes(&self) -> usize {
         self.slot.capacity() * 8
+            + self.bcast.capacity() * 8
+            + self.broadcasters.capacity() * std::mem::size_of::<VertexId>()
             + self.next.capacity() * 4
             + self.spill.capacity() * 8
             + self.native.capacity() * std::mem::size_of::<Option<M>>()
@@ -925,10 +1028,13 @@ impl<M: Words + Clone> Simulator<M> {
     /// outbox; in fault mode, resolves each message's fate first (see
     /// [`crate::faults`]).
     ///
-    /// Destinations are validated by a merge walk over `from`'s sorted
-    /// neighbor block (see module docs): the cursor's neighbor costs one
-    /// compare, any other destination one binary search. Budget overflow
-    /// is detected here and reported at the delivery round.
+    /// A fault-free step whose outbox is one [`BROADCAST`] is stored once
+    /// (`record_broadcast`); any other broadcast is expanded into its
+    /// unicasts where it stands. Destinations are validated by a merge walk
+    /// over `from`'s sorted neighbor block (see module docs): the cursor's
+    /// neighbor costs one compare, any other destination one binary
+    /// search. Budget overflow is detected here and reported at the
+    /// delivery round.
     fn record_sends(
         &mut self,
         idx: &ArcIndex,
@@ -947,63 +1053,168 @@ impl<M: Words + Clone> Simulator<M> {
         } else {
             self.inst_of[from.index()]
         };
-        let tracing = cfg.trace.is_on();
-        let (first, heads, revs) = idx.block(from);
+        let block = idx.block(from);
+        let heads = block.1;
+        if self.outbox.len() == 1
+            && self.outbox[0].0 == BROADCAST
+            && !self.fault_mode
+            && self.record_broadcast(cfg, from, from_inst, heads, round)
+        {
+            return Ok(());
+        }
         let mut cursor = 0;
         let mut result = Ok(());
         let mut out = std::mem::take(&mut self.outbox);
         // An error stops the walk; dropping the drain empties the outbox.
-        for (dest, msg) in out.drain(..) {
+        'sends: for (dest, msg) in out.drain(..) {
             let slot = match heads.get(cursor) {
                 Some(&w) if w == dest => cursor,
                 _ => match heads.binary_search(&dest) {
                     Ok(slot) => slot,
+                    // A broadcast recorded here is expanded in place: its
+                    // unicasts to every neighbor, ascending.
+                    Err(_) if dest == BROADCAST => {
+                        for slot in 0..heads.len() {
+                            let msg = msg.clone();
+                            result = self
+                                .record_one(cfg, from, from_inst, block, slot, msg, round, metrics);
+                            if result.is_err() {
+                                break 'sends;
+                            }
+                        }
+                        cursor = heads.len();
+                        continue;
+                    }
                     Err(_) => {
                         result = Err(SimError::InvalidDestination { from, to: dest });
                         break;
                     }
                 },
             };
-            if from_inst != NIL && self.inst_of[dest.index()] != from_inst {
-                result = Err(SimError::CrossInstanceSend {
-                    from,
-                    to: dest,
-                    round,
-                });
-                break;
-            }
             cursor = slot + 1;
-            let b = revs[slot].index();
-            let w = msg.words();
-            if tracing {
-                cfg.trace.emit(TraceEvent::Send {
-                    round,
-                    from,
-                    to: dest,
-                    words: w,
-                });
-            }
-            if self.fault_mode {
-                result = self.queue_faulted(cfg, from, first + slot, b, dest, round, msg, metrics);
-                if result.is_err() {
-                    break;
-                }
-                continue;
-            }
-            // The budget comparison (and the reported total) is exact.
-            let total = self.enqueue(false, b, dest, round + 1, msg, w, from_inst);
-            if total > cfg.budget_words as u64 && self.pending_overflow.is_none() {
-                self.pending_overflow = Some(SimError::BudgetExceeded {
-                    from,
-                    to: dest,
-                    words: total as usize,
-                    budget: cfg.budget_words,
-                    round: round + 1,
-                });
+            result = self.record_one(cfg, from, from_inst, block, slot, msg, round, metrics);
+            if result.is_err() {
+                break;
             }
         }
         self.outbox = out;
         result
+    }
+
+    /// Records one validated send of `msg` from `from` (of instance
+    /// `from_inst`) to the neighbor in `slot` of its CSR `block`: the
+    /// instance check, the trace's `Send`, then the fault fate or the
+    /// enqueue with its budget check.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn record_one(
+        &mut self,
+        cfg: &SimConfig,
+        from: VertexId,
+        from_inst: u32,
+        (first, heads, revs): (usize, &[VertexId], &[ArcId]),
+        slot: usize,
+        msg: M,
+        round: usize,
+        metrics: &mut Metrics,
+    ) -> Result<(), SimError> {
+        let dest = heads[slot];
+        if from_inst != NIL && self.inst_of[dest.index()] != from_inst {
+            return Err(SimError::CrossInstanceSend {
+                from,
+                to: dest,
+                round,
+            });
+        }
+        let b = revs[slot].index();
+        let w = msg.words();
+        if cfg.trace.is_on() {
+            cfg.trace.emit(TraceEvent::Send {
+                round,
+                from,
+                to: dest,
+                words: w,
+            });
+        }
+        if self.fault_mode {
+            return self.queue_faulted(cfg, from, first + slot, b, dest, round, msg, metrics);
+        }
+        // The budget comparison (and the reported total) is exact.
+        let total = self.enqueue(false, b, dest, round + 1, msg, w, from_inst);
+        if total > cfg.budget_words as u64 && self.pending_overflow.is_none() {
+            self.pending_overflow = Some(SimError::BudgetExceeded {
+                from,
+                to: dest,
+                words: total as usize,
+                budget: cfg.budget_words,
+                round: round + 1,
+            });
+        }
+        Ok(())
+    }
+
+    /// Records `from`'s one-broadcast outbox as one word in the `nxt`
+    /// plane and stamps its neighbors `heads` as recipients, with one
+    /// trace `Send` per neighbor. The budget is checked once: each arc
+    /// carries exactly this message (a fault-free node steps at most once
+    /// a round), and an overflow names the first neighbor, as the
+    /// expansion's would. Returns `false`, recording nothing, when a
+    /// neighbor is outside `from_inst`: the caller's expansion then raises
+    /// the `CrossInstanceSend` after the same `Send` events.
+    fn record_broadcast(
+        &mut self,
+        cfg: &SimConfig,
+        from: VertexId,
+        from_inst: u32,
+        heads: &[VertexId],
+        round: usize,
+    ) -> bool {
+        if from_inst != NIL && heads.iter().any(|w| self.inst_of[w.index()] != from_inst) {
+            return false;
+        }
+        let (_, msg) = self.outbox.pop().expect("the outbox holds one broadcast");
+        let Some(&to) = heads.first() else {
+            return true; // an isolated node's broadcast sends nothing
+        };
+        let w = msg.words();
+        let deg = heads.len();
+        if cfg.trace.is_on() {
+            for &to in heads {
+                cfg.trace.emit(TraceEvent::Send {
+                    round,
+                    from,
+                    to,
+                    words: w,
+                });
+            }
+        }
+        let deliver = round + 1;
+        self.nxt
+            .broadcast(from, msg, w, deg, self.recipient_round.len());
+        for &dest in heads {
+            let stamp = &mut self.recipient_round[dest.index()];
+            if *stamp != deliver {
+                *stamp = deliver;
+                self.nxt.recipients.push(dest);
+            }
+        }
+        if from_inst != NIL {
+            let im = &mut self.inst_metrics[from_inst as usize];
+            im.rounds = deliver;
+            im.messages += deg;
+            im.words += deg * w;
+            im.max_words_edge_round = im.max_words_edge_round.max(w);
+        }
+        if w > cfg.budget_words && self.pending_overflow.is_none() {
+            self.pending_overflow = Some(SimError::BudgetExceeded {
+                from,
+                to,
+                words: w,
+                budget: cfg.budget_words,
+                round: deliver,
+            });
+        }
+        true
     }
 
     /// Fault mode's half of [`Simulator::record_sends`]: resolves the fate
@@ -1185,6 +1396,8 @@ impl<M: Words + Clone> Simulator<M> {
     {
         let tracing = cfg.trace.is_on();
         let nrec = self.cur.recipients.len();
+        // Only a round that carries a broadcast reads the per-sender table.
+        let broadcasts = !self.cur.broadcasters.is_empty();
         let mut inboxes = std::mem::take(&mut self.inbox_buf);
         let mut bounds = std::mem::take(&mut self.inbox_bounds);
         let mut result = Ok(());
@@ -1195,10 +1408,19 @@ impl<M: Words + Clone> Simulator<M> {
             for r in lo..hi {
                 let v = self.cur.recipients[r];
                 // Receiving arcs in slot order == sender-id order (sorted
-                // adjacency); per-arc order == emission order.
+                // adjacency); per-arc order == emission order. A sender's
+                // broadcast sits at its position too: a fault-free sender
+                // that broadcast queued nothing on its arcs.
                 let (first, senders, _) = idx.block(v);
-                for (b, &w) in (first..).zip(senders) {
-                    self.cur.drain(b, w, &mut inboxes);
+                if broadcasts {
+                    for (b, &w) in (first..).zip(senders) {
+                        self.cur.drain(b, w, &mut inboxes);
+                        self.cur.copy_broadcast(w, &mut inboxes);
+                    }
+                } else {
+                    for (b, &w) in (first..).zip(senders) {
+                        self.cur.drain(b, w, &mut inboxes);
+                    }
                 }
                 bounds.push(inboxes.len() as u32);
             }

@@ -9,7 +9,7 @@
 
 use planar_graph::VertexId;
 
-use crate::network::{NodeCtx, NodeProgram};
+use crate::network::{NodeCtx, NodeProgram, BROADCAST};
 
 /// Per-node state of the leader-election / BFS-tree flood.
 #[derive(Clone, Debug)]
@@ -75,10 +75,17 @@ impl<'a> LeaderBfs<'a> {
         better
     }
 
-    /// Broadcasts the best `(leader, distance)` to every allowed neighbor.
-    fn announce(&self, out: &mut Vec<(VertexId, (VertexId, u32))>) {
+    /// Sends the best `(leader, distance)` to every allowed neighbor: one
+    /// [`BROADCAST`] when they are the whole neighborhood (`allowed` is a
+    /// subset, so equal length means equal sets), unicasts in a scoped
+    /// group.
+    fn announce(&self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, (VertexId, u32))>) {
         let announce = (self.best_leader, self.best_dist);
-        out.extend(self.allowed.iter().map(|&w| (w, announce)));
+        if self.allowed.len() == ctx.neighbors.len() {
+            out.push((BROADCAST, announce));
+        } else {
+            out.extend(self.allowed.iter().map(|&w| (w, announce)));
+        }
     }
 }
 
@@ -86,15 +93,15 @@ impl NodeProgram for LeaderBfs<'_> {
     /// `(leader id, distance)` — 2 words.
     type Msg = (VertexId, u32);
 
-    fn init(&mut self, _ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, Self::Msg)>) {
+    fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, Self::Msg)>) {
         if self.active {
-            self.announce(out);
+            self.announce(ctx, out);
         }
     }
 
     fn on_round(
         &mut self,
-        _ctx: &NodeCtx<'_>,
+        ctx: &NodeCtx<'_>,
         inbox: &[(VertexId, Self::Msg)],
         out: &mut Vec<(VertexId, Self::Msg)>,
     ) {
@@ -106,7 +113,7 @@ impl NodeProgram for LeaderBfs<'_> {
             improved |= self.offer(from, leader, dist.saturating_add(1));
         }
         if improved {
-            self.announce(out);
+            self.announce(ctx, out);
         }
     }
 }

@@ -37,7 +37,7 @@ use planar_graph::{Graph, VertexId};
 use crate::batch::Batch;
 use crate::message::Words;
 use crate::metrics::Metrics;
-use crate::network::{NodeCtx, NodeProgram, SimConfig, SimError, Simulator};
+use crate::network::{expand_broadcasts, NodeCtx, NodeProgram, SimConfig, SimError, Simulator};
 
 /// Retransmission parameters for [`Reliable`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -182,6 +182,9 @@ impl<P: NodeProgram> NodeProgram for Reliable<P> {
     fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, Self::Msg)>) {
         let mut inner_out = Vec::new();
         self.inner.init(ctx, &mut inner_out);
+        // A broadcast is its unicasts: each frame has its own link's
+        // sequence number and ack.
+        expand_broadcasts(&mut inner_out, ctx.neighbors);
         for (to, m) in inner_out {
             out.push(self.send_data(to, m, ctx.round));
         }
@@ -236,6 +239,7 @@ impl<P: NodeProgram> NodeProgram for Reliable<P> {
         if !inner_inbox.is_empty() {
             let mut inner_out = Vec::new();
             self.inner.on_round(ctx, &inner_inbox, &mut inner_out);
+            expand_broadcasts(&mut inner_out, ctx.neighbors);
             for (to, m) in inner_out {
                 out.push(self.send_data(to, m, ctx.round));
             }

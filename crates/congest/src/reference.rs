@@ -14,10 +14,12 @@
 //!   measured against, recorded in `BENCH_kernel.json`.
 //!
 //! Do not optimize this module; its value is that it stays obviously
-//! correct. The one change since the seed is the program interface:
+//! correct. The changes since the seed are the program interface:
 //! programs push their sends onto an outbox, and this kernel hands each
 //! step a fresh `Vec` (`init_sends`/`round_sends`) where the fast kernel
-//! reuses one.
+//! reuses one; and a [`BROADCAST`](crate::BROADCAST) send, which those
+//! two functions expand into its unicasts to the node's neighbors,
+//! ascending, before anything else sees the step's sends.
 //!
 //! # Fault injection
 //!
@@ -36,19 +38,22 @@ use crate::faults::{CrashPolicy, Fate};
 use crate::message::Words;
 use crate::metrics::Metrics;
 use crate::network::{
-    Instance, InstanceOutcome, MultiOutcome, NodeCtx, NodeProgram, SimConfig, SimError, SimOutcome,
+    expand_broadcasts, Instance, InstanceOutcome, MultiOutcome, NodeCtx, NodeProgram, SimConfig,
+    SimError, SimOutcome,
 };
 use crate::trace::TraceEvent;
 
 /// `p`'s initial sends, collected into a fresh `Vec` (the fast kernel
-/// reuses one outbox instead).
+/// reuses one outbox instead), broadcasts expanded.
 fn init_sends<P: NodeProgram>(p: &mut P, ctx: &NodeCtx<'_>) -> Vec<(VertexId, P::Msg)> {
     let mut out = Vec::new();
     p.init(ctx, &mut out);
+    expand_broadcasts(&mut out, ctx.neighbors);
     out
 }
 
-/// `p`'s sends for one round, collected into a fresh `Vec`.
+/// `p`'s sends for one round, collected into a fresh `Vec`, broadcasts
+/// expanded.
 fn round_sends<P: NodeProgram>(
     p: &mut P,
     ctx: &NodeCtx<'_>,
@@ -56,6 +61,7 @@ fn round_sends<P: NodeProgram>(
 ) -> Vec<(VertexId, P::Msg)> {
     let mut out = Vec::new();
     p.on_round(ctx, inbox, &mut out);
+    expand_broadcasts(&mut out, ctx.neighbors);
     out
 }
 

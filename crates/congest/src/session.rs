@@ -3,7 +3,7 @@
 //! The embedding pipeline simulates the *same* graph many times: setup
 //! protocols, every level of the partition recursion, merges,
 //! certification. A [`SimSession`] builds the graph's
-//! [`ArcIndex`](planar_graph::ArcIndex) once, in [`SimSession::new`], and
+//! [`ArcIndex`] once, in [`SimSession::new`], and
 //! caches one [`Simulator`] per *message type*, so repeated phases run
 //! over warm buffers. [`SimSession::run`] takes either run shape (see
 //! [`Batch`]).

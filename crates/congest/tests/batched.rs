@@ -8,6 +8,9 @@
 //! `join_parallel` maximum of the instance rounds, both kernels agree,
 //! and any cross-instance send aborts the run.
 
+mod common;
+
+use common::{BcastTranscript, Expanded};
 use congest_sim::protocols::{run_reliable, wrapped_budget, Reliable, ReliableConfig};
 use congest_sim::reference::{run_reference, run_reference_many};
 use congest_sim::{
@@ -545,4 +548,103 @@ fn overlapping_instances_panic() {
         ],
         &SimConfig::default(),
     );
+}
+
+/// Broadcasting transcripts for `members`; with `mixed`, even vertices
+/// also send a unicast beside each broadcast (mixed steps).
+fn bcast_instances(members: &[Vec<VertexId>], mixed: bool) -> Vec<Instance<BcastTranscript>> {
+    members
+        .iter()
+        .map(|m| {
+            Instance::new(
+                m.iter()
+                    .map(|&v| {
+                        let p = BcastTranscript {
+                            log: Vec::new(),
+                            hops: 6,
+                            extra: mixed && v.0 % 2 == 0,
+                        };
+                        (v, p)
+                    })
+                    .collect(),
+            )
+        })
+        .collect()
+}
+
+/// The unicast spelling of a broadcasting batch.
+fn expand_instances(
+    instances: Vec<Instance<BcastTranscript>>,
+) -> Vec<Instance<Expanded<BcastTranscript>>> {
+    instances.into_iter().map(|i| i.map(Expanded)).collect()
+}
+
+/// Broadcasts in a batch: every instance's states and metrics equal those
+/// of the same sends spelled as unicasts (and the reference kernel's),
+/// fault-free and under every fault plan, with one-broadcast steps alone
+/// and beside mixed steps.
+#[test]
+fn batched_broadcasts_match_their_expansion() {
+    let (g, members) = components();
+    let mut cfgs = vec![("fault_free", SimConfig::default())];
+    cfgs.extend(fault_plans().into_iter().map(|(name, plan)| {
+        (
+            name,
+            SimConfig {
+                faults: plan,
+                ..SimConfig::default()
+            },
+        )
+    }));
+    for (cfg_name, cfg) in &cfgs {
+        for mixed in [false, true] {
+            let label = format!("{cfg_name}/mixed={mixed}");
+            let mk = || bcast_instances(&members, mixed);
+            let batch = run_many_pair(&label, &g, mk, cfg);
+            let unicast = run_many_pair(&label, &g, || expand_instances(mk()), cfg);
+            assert_eq!(batch.metrics, unicast.metrics, "{label}: batch metrics");
+            for (i, (b, u)) in batch.instances.iter().zip(&unicast.instances).enumerate() {
+                let inner: Vec<BcastTranscript> = u.programs.iter().map(|p| p.0.clone()).collect();
+                assert_eq!(b.programs, inner, "{label}: instance {i} states");
+                assert_eq!(b.metrics, u.metrics, "{label}: instance {i} metrics");
+            }
+        }
+    }
+}
+
+/// A broadcast that reaches a neighbor outside the sender's instance (or a
+/// bystander) raises the same `CrossInstanceSend` as its expansion, on
+/// both kernels, after narrating the same sends.
+#[test]
+fn cross_instance_broadcasts_are_rejected_like_their_expansion() {
+    let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
+    let split: &[&[u32]] = &[&[0, 1], &[2, 3]];
+    let partial: &[&[u32]] = &[&[0, 1]];
+    for groups in [split, partial] {
+        let members: Vec<Vec<VertexId>> = groups
+            .iter()
+            .map(|m| m.iter().copied().map(VertexId).collect())
+            .collect();
+        let mk = || bcast_instances(&members, false);
+        let traced = || {
+            let sink = MemorySink::unbounded();
+            let cfg = SimConfig {
+                trace: TraceHandle::to(sink.clone()),
+                ..SimConfig::default()
+            };
+            (sink, cfg)
+        };
+        let (fast_sink, fast_cfg) = traced();
+        let (unicast_sink, unicast_cfg) = traced();
+        let fast = run_many(&g, mk(), &fast_cfg).unwrap_err();
+        let unicast = run_many(&g, expand_instances(mk()), &unicast_cfg).unwrap_err();
+        let slow = run_reference_many(&g, mk(), &SimConfig::default()).unwrap_err();
+        assert_eq!(fast, unicast, "{groups:?}");
+        assert_eq!(fast, slow, "{groups:?}");
+        assert!(
+            matches!(fast, SimError::CrossInstanceSend { .. }),
+            "{groups:?}: expected CrossInstanceSend, got {fast}"
+        );
+        assert_eq!(fast_sink.events(), unicast_sink.events(), "{groups:?}");
+    }
 }

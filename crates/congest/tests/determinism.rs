@@ -8,11 +8,14 @@
 //! nondeterminism — the property the round-count measurements in
 //! EXPERIMENTS.md depend on.
 
+mod common;
+
+use common::{bcast_floods, bcast_transcripts, expanded, Expanded};
 use congest_sim::protocols::{Reliable, ReliableConfig};
 use congest_sim::reference::run_reference;
 use congest_sim::{
     run, AuditSink, FaultPlan, LinkDown, MemorySink, Metrics, NodeCtx, NodeProgram, SimConfig,
-    SimError, Simulator, TraceEvent, TraceHandle,
+    SimError, Simulator, TraceEvent, TraceHandle, BROADCAST,
 };
 use planar_graph::{Graph, VertexId};
 
@@ -711,4 +714,242 @@ fn destination_checks_match_reference() {
     // Forty tokens out from the centre, forty back.
     assert_eq!(states[0].log.len(), 40);
     assert_eq!(metrics.messages, 80);
+}
+
+/// The inner programs of an expanded run.
+fn inner<P>(programs: Vec<Expanded<P>>) -> Vec<P> {
+    programs.into_iter().map(|p| p.0).collect()
+}
+
+/// Broadcasting programs agree with the reference kernel, and with the same
+/// sends spelled as unicasts, fault-free and under every fault plan: a
+/// one-broadcast step (stored once per sender when fault-free), a step
+/// mixing a broadcast with a unicast (expanded in place), packed and
+/// native payloads.
+#[test]
+fn broadcasts_match_reference_and_their_expansion() {
+    let mut cfgs = vec![("fault_free", SimConfig::default())];
+    cfgs.extend(fault_plans().into_iter().map(|(name, plan)| {
+        (
+            name,
+            SimConfig {
+                faults: plan,
+                ..SimConfig::default()
+            },
+        )
+    }));
+    for (cfg_name, cfg) in &cfgs {
+        for (name, g) in workloads() {
+            let n = g.vertex_count();
+            let label = format!("{name}/{cfg_name}");
+            let (states, metrics) = run_pair(&label, &g, bcast_floods(n), cfg);
+            let (unicast, unicast_metrics) = run_pair(&label, &g, expanded(bcast_floods(n)), cfg);
+            assert_eq!(states, inner(unicast), "{label}: flood states");
+            assert_eq!(metrics, unicast_metrics, "{label}: flood metrics");
+            assert!(metrics.messages > 0, "{label}");
+            for extra in [false, true] {
+                let label = format!("{label}/extra={extra}");
+                let (states, metrics) = run_pair(&label, &g, bcast_transcripts(n, extra), cfg);
+                let (unicast, unicast_metrics) =
+                    run_pair(&label, &g, expanded(bcast_transcripts(n, extra)), cfg);
+                assert_eq!(states, inner(unicast), "{label}: transcript states");
+                assert_eq!(metrics, unicast_metrics, "{label}: transcript metrics");
+            }
+        }
+    }
+}
+
+/// The reliable wrapper sends a broadcast as its unicasts, each with its
+/// own sequence number and ack: wrapped broadcasting programs under a
+/// lossy plan agree with the reference kernel and with the unicast
+/// spelling.
+#[test]
+fn reliable_broadcasts_match_reference_and_their_expansion() {
+    let cfg = SimConfig {
+        budget_words: 3 * congest_sim::DEFAULT_BUDGET_WORDS + 2,
+        faults: FaultPlan::uniform(21, 0.2, 0.1, 0.2, 2),
+        ..SimConfig::default()
+    };
+    let rel = ReliableConfig::default();
+    fn wrap<P: NodeProgram>(programs: Vec<P>, rel: &ReliableConfig) -> Vec<Reliable<P>> {
+        programs
+            .into_iter()
+            .map(|p| Reliable::new(p, rel.clone()))
+            .collect()
+    }
+    for (name, g) in workloads() {
+        let n = g.vertex_count();
+        for extra in [false, true] {
+            let label = format!("{name}/extra={extra}");
+            let (states, metrics) =
+                run_pair(&label, &g, wrap(bcast_transcripts(n, extra), &rel), &cfg);
+            let (unicast, unicast_metrics) = run_pair(
+                &label,
+                &g,
+                wrap(expanded(bcast_transcripts(n, extra)), &rel),
+                &cfg,
+            );
+            for (v, (b, u)) in states.iter().zip(&unicast).enumerate() {
+                assert_eq!(b.inner(), &u.inner().0, "{label}: node {v}");
+                assert_eq!(b.retransmissions(), u.retransmissions(), "{label}: {v}");
+            }
+            assert_eq!(metrics, unicast_metrics, "{label}: metrics");
+        }
+    }
+}
+
+/// Node 0 broadcasts a 10-word message (nine elements and a length word)
+/// at init: wider than the 8-word budget on every arc at once.
+#[derive(Clone, Debug)]
+struct WideBroadcast;
+
+impl NodeProgram for WideBroadcast {
+    type Msg = Vec<u32>;
+
+    fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, Vec<u32>)>) {
+        if ctx.id == VertexId(0) {
+            out.push((BROADCAST, vec![7; 9]));
+        }
+    }
+
+    fn on_round(
+        &mut self,
+        _: &NodeCtx<'_>,
+        _: &[(VertexId, Vec<u32>)],
+        _: &mut Vec<(VertexId, Vec<u32>)>,
+    ) {
+    }
+}
+
+/// Node 0 broadcasts in round 2 and then sends to a non-neighbor; everyone
+/// else broadcasts until round 4.
+#[derive(Clone, Debug)]
+struct BroadcastThenBad;
+
+impl NodeProgram for BroadcastThenBad {
+    type Msg = u32;
+
+    fn init(&mut self, _: &NodeCtx<'_>, out: &mut Vec<(VertexId, u32)>) {
+        out.push((BROADCAST, 1));
+    }
+
+    fn on_round(
+        &mut self,
+        ctx: &NodeCtx<'_>,
+        _: &[(VertexId, u32)],
+        out: &mut Vec<(VertexId, u32)>,
+    ) {
+        if ctx.round == 2 && ctx.id == VertexId(0) {
+            out.push((BROADCAST, 9));
+            out.push((VertexId(u32::MAX - 1), 9));
+        } else if ctx.round < 4 {
+            out.push((BROADCAST, 2));
+        }
+    }
+}
+
+/// Error paths of a broadcast raise exactly the expansion's error on both
+/// kernels: a broadcast wider than the budget overflows on the sender's
+/// first arc; a step mixing a broadcast with a unicast to the same
+/// neighbor overflows that arc; a bad unicast after a broadcast is an
+/// `InvalidDestination` whose preceding sends are narrated identically.
+#[test]
+fn broadcast_errors_match_reference_and_expansion() {
+    let check = |label: &str, fast: SimError, slow: SimError, unicast: SimError| {
+        assert_eq!(fast, slow, "{label}: fast vs reference");
+        assert_eq!(fast, unicast, "{label}: broadcast vs unicasts");
+    };
+    let cfg = SimConfig::default();
+    for (name, g) in workloads() {
+        let n = g.vertex_count();
+        let fast = run(&g, vec![WideBroadcast; n], &cfg).unwrap_err();
+        check(
+            name,
+            fast.clone(),
+            run_reference(&g, vec![WideBroadcast; n], &cfg).unwrap_err(),
+            run(&g, expanded(vec![WideBroadcast; n]), &cfg).unwrap_err(),
+        );
+        assert_eq!(
+            fast,
+            SimError::BudgetExceeded {
+                from: VertexId(0),
+                to: g.neighbors(VertexId(0))[0],
+                words: 10,
+                budget: 8,
+                round: 1,
+            },
+            "{name}"
+        );
+
+        let tight = SimConfig {
+            budget_words: 1,
+            ..SimConfig::default()
+        };
+        let mixed = || bcast_transcripts(n, true);
+        let fast = run(&g, mixed(), &tight).unwrap_err();
+        check(
+            name,
+            fast.clone(),
+            run_reference(&g, mixed(), &tight).unwrap_err(),
+            run(&g, expanded(mixed()), &tight).unwrap_err(),
+        );
+        assert!(
+            matches!(fast, SimError::BudgetExceeded { words: 2, .. }),
+            "{name}: {fast}"
+        );
+    }
+
+    let g = grid(4, 4, false);
+    let traced = || {
+        let sink = MemorySink::unbounded();
+        let cfg = SimConfig {
+            trace: TraceHandle::to(sink.clone()),
+            ..SimConfig::default()
+        };
+        (sink, cfg)
+    };
+    let sends = |events: Vec<TraceEvent>| {
+        let mut s: Vec<String> = events
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::Send { .. }))
+            .map(congest_sim::trace::event_json)
+            .collect();
+        s.sort();
+        s
+    };
+    let (fast_sink, fast_cfg) = traced();
+    let (slow_sink, slow_cfg) = traced();
+    let (unicast_sink, unicast_cfg) = traced();
+    let fast = run(&g, vec![BroadcastThenBad; 16], &fast_cfg).unwrap_err();
+    check(
+        "grid4x4",
+        fast.clone(),
+        run_reference(&g, vec![BroadcastThenBad; 16], &slow_cfg).unwrap_err(),
+        run(&g, expanded(vec![BroadcastThenBad; 16]), &unicast_cfg).unwrap_err(),
+    );
+    assert!(matches!(fast, SimError::InvalidDestination { .. }));
+    let fast_sends = sends(fast_sink.events());
+    assert!(fast_sends.iter().any(|e| e.contains("\"round\":2")));
+    assert_eq!(fast_sends, sends(slow_sink.events()));
+    assert_eq!(fast_sink.events(), unicast_sink.events());
+}
+
+/// A broadcast from an isolated node sends nothing, on both kernels.
+#[test]
+fn isolated_broadcast_sends_nothing() {
+    let g = Graph::from_edges(3, [(0, 1)]).unwrap();
+    let (states, metrics) = run_pair(
+        "isolated",
+        &g,
+        bcast_transcripts(3, false),
+        &SimConfig::default(),
+    );
+    assert!(states[2].log.is_empty());
+    let (_, unicast_metrics) = run_pair(
+        "isolated",
+        &g,
+        expanded(bcast_transcripts(3, false)),
+        &SimConfig::default(),
+    );
+    assert_eq!(metrics, unicast_metrics);
 }

@@ -13,6 +13,9 @@
 //! state hides exactly there: a buffer sized for the big graph whose tail
 //! the small graph never rewrites, then re-exposed when growing again.
 
+mod common;
+
+use common::bcast_floods;
 use congest_sim::{
     run, run_many, FaultPlan, Instance, KernelCache, NodeCtx, NodeProgram, SimConfig, SimError,
     SimSession, Simulator, Words,
@@ -457,4 +460,48 @@ fn memory_accounting_tracks_retained_capacity() {
     session.run(programs(&small), &cfg).unwrap();
     // Capacity survives the rebind: the warm arena does not shrink.
     assert!(session.memory_bytes() >= cache_bytes);
+}
+
+/// The per-sender broadcast table outlives its run and is cleared through
+/// the broadcaster lists, never rewritten whole. A broadcasting run over a
+/// large graph, runs aborted with broadcasts queued (a round cap hit with
+/// broadcasts in both mailbox planes, a budget overflow raised before the
+/// first round delivers), then a small graph and the large one again must
+/// each match a fresh simulator. After round 1 a flood broadcasts only
+/// from the nodes that improved, so a stale word left at any other node
+/// would be delivered.
+#[test]
+fn broadcast_table_reuse_is_clean() {
+    let cfg = SimConfig::default();
+    let mut sim = Simulator::new();
+    let check = |sim: &mut Simulator<u32>, g: &Graph, label: &str| {
+        let n = g.vertex_count();
+        let warm = sim.run(g, bcast_floods(n), &cfg).unwrap();
+        let cold = run(g, bcast_floods(n), &cfg).unwrap();
+        assert_eq!(warm.metrics, cold.metrics, "{label}");
+        assert_eq!(warm.programs, cold.programs, "{label}");
+        assert!(warm.metrics.rounds > 2, "{label}");
+    };
+    let large = tri_grid(12);
+    let small = tri_grid(4);
+    let n = large.vertex_count();
+    check(&mut sim, &large, "large");
+    let capped = SimConfig {
+        max_rounds: 2,
+        ..SimConfig::default()
+    };
+    let err = sim.run(&large, bcast_floods(n), &capped).unwrap_err();
+    assert_eq!(err, SimError::MaxRoundsExceeded { limit: 2 });
+    check(&mut sim, &small, "small after a capped run");
+    let starved = SimConfig {
+        budget_words: 0,
+        ..SimConfig::default()
+    };
+    let err = sim.run(&large, bcast_floods(n), &starved).unwrap_err();
+    assert!(
+        matches!(err, SimError::BudgetExceeded { round: 1, .. }),
+        "{err:?}"
+    );
+    check(&mut sim, &small, "small after an overflow");
+    check(&mut sim, &large, "large again");
 }

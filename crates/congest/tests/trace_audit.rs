@@ -14,6 +14,9 @@
 //! `Metrics` from the stream alone and diffs them against what the kernel
 //! reported.
 
+mod common;
+
+use common::{bcast_floods, bcast_transcripts, expanded};
 use congest_sim::reference::run_reference;
 use congest_sim::{
     run, AuditSink, FaultPlan, LinkDown, MemorySink, NodeCtx, NodeProgram, SimConfig, SimError,
@@ -307,5 +310,54 @@ fn watchdogged_runs_audit_as_aborted_segments() {
             5,
             "{name}: the 5 delivered rounds are still profiled"
         );
+    }
+}
+
+/// A broadcast is narrated as its unicasts: on the fast kernel the whole
+/// event stream of a broadcasting program — one `Send` per neighbor, the
+/// `Deliver`s in inbox order, round summaries, fault events — equals, in
+/// order, the stream of the same sends spelled as unicasts, fault-free and
+/// under every fault plan; and it matches the reference kernel's stream as
+/// per-round multisets.
+#[test]
+fn broadcast_streams_equal_their_expansion() {
+    let mut cfgs = vec![("fault_free", SimConfig::default())];
+    cfgs.extend(fault_plans().into_iter().map(|(name, plan)| {
+        (
+            name,
+            SimConfig {
+                faults: plan,
+                ..SimConfig::default()
+            },
+        )
+    }));
+    for (cfg_name, cfg) in &cfgs {
+        for (name, g) in workloads() {
+            let n = g.vertex_count();
+            let label = format!("{name}/{cfg_name}");
+            let fast = capture(run, &g, bcast_floods(n), cfg);
+            assert_eq!(
+                fast,
+                capture(run, &g, expanded(bcast_floods(n)), cfg),
+                "{label}: flood stream differs from its expansion"
+            );
+            assert_eq!(
+                normalize(&fast),
+                normalize(&capture(run_reference, &g, bcast_floods(n), cfg)),
+                "{label}: flood streams diverge across kernels"
+            );
+            for extra in [false, true] {
+                let fast = capture(run, &g, bcast_transcripts(n, extra), cfg);
+                assert_eq!(
+                    fast,
+                    capture(run, &g, expanded(bcast_transcripts(n, extra)), cfg),
+                    "{label}/extra={extra}: transcript stream differs from its expansion"
+                );
+                assert!(
+                    fast.iter().any(|e| matches!(e, TraceEvent::Deliver { .. })),
+                    "{label}: stream must contain deliveries"
+                );
+            }
+        }
     }
 }

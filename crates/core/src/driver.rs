@@ -35,10 +35,9 @@
 //! on the whole graph, in [`run_epilogue`]. The only pinned embeddings
 //! the recursion computes are the invariant checks of
 //! [`crate::parts::verify_part`] (with `check_invariants` on), whose
-//! answers are discarded. The
-//! `merged_part_covers_graph_and_matches_centralized_blocks` regression
-//! pins that the top-level merged part covers the graph and agrees with
-//! the centralized solver's blocks.
+//! answers are discarded. The `every_arena_node_solves_its_subproblem`
+//! regression pins that every merged part holds exactly its subproblem's
+//! members and that the top-level part covers the graph.
 
 use congest_sim::{Metrics, Phase, SimConfig, SimError};
 use planar_graph::{Graph, RotationSystem, VertexId};
@@ -606,7 +605,6 @@ mod tests {
     use super::*;
     use congest_sim::protocols::ReliableConfig;
     use congest_sim::{FaultPlan, LinkFaults};
-    use planar_graph::biconnected::BiconnectedDecomposition;
     use planar_lib::gen;
 
     fn run(g: &Graph) -> EmbeddingOutcome {
@@ -667,40 +665,39 @@ mod tests {
         }
     }
 
-    /// Satellite (fidelity regression): the distributed recursion's merged
-    /// part must cover every vertex, leave no edge half-embedded, and the
-    /// graph it covers must carry the same block structure (biconnected
-    /// components, cut vertices) as the centralized rotation the driver
-    /// hands out — pinning the documented stand-in at the `planar_lib::
-    /// embed` call against silent drift.
+    /// Fidelity regression: every node of the recursion arena, on both
+    /// schedulers, solves exactly its subproblem — a leaf its root alone,
+    /// an internal node a merged part whose members are its BFS subtree —
+    /// and the root's part covers the graph with no edge left
+    /// half-embedded.
     #[test]
-    fn merged_part_covers_graph_and_matches_centralized_blocks() {
+    fn every_arena_node_solves_its_subproblem() {
         for g in [
             gen::grid(5, 5),
             gen::wheel_chain(3, 5),
             gen::random_outerplanar(18, 2),
         ] {
-            let cfg = EmbedderConfig::default();
-            let mut ctx = ExecutionContext::new(&g, &cfg);
-            let (_, mut nodes, _, _) = run_recursion_retained(&g, &cfg, &mut ctx).unwrap();
-            let part = nodes[0].part.take().expect("root solved");
-            // Full coverage, no half-embedded edges left at the top.
-            assert_eq!(part.len(), g.vertex_count());
-            for v in g.vertices() {
-                assert!(part.members.binary_search(&v).is_ok());
+            for scheduler in [Scheduler::LevelSync, Scheduler::Sequential] {
+                let cfg = EmbedderConfig {
+                    scheduler,
+                    ..EmbedderConfig::default()
+                };
+                let mut ctx = ExecutionContext::new(&g, &cfg);
+                let (tree, nodes, _, _) = run_recursion_retained(&g, &cfg, &mut ctx).unwrap();
+                for (i, node) in nodes.iter().enumerate() {
+                    let mut subproblem = tree.subtree_members(node.root);
+                    subproblem.sort_unstable();
+                    assert_eq!(
+                        node.solved(),
+                        Some(&subproblem[..]),
+                        "{scheduler:?}: arena node {i} (root {})",
+                        node.root
+                    );
+                }
+                let root = nodes[0].solved().expect("root solved");
+                assert_eq!(root.len(), g.vertex_count());
+                assert!(crate::parts::half_embedded_edges(&g, root).is_empty());
             }
-            assert!(crate::parts::half_embedded_edges(&g, &part.members).is_empty());
-            // Block-structure agreement with the centralized embedding.
-            let rotation = planar_lib::embed(&g).unwrap();
-            let rg = rotation.to_graph();
-            assert_eq!(rg, g);
-            let a = BiconnectedDecomposition::compute(&g);
-            let b = BiconnectedDecomposition::compute(&rg);
-            assert_eq!(a.block_count(), b.block_count());
-            let cuts = |bc: &BiconnectedDecomposition| -> Vec<VertexId> {
-                g.vertices().filter(|&v| bc.is_cut_vertex(v)).collect()
-            };
-            assert_eq!(cuts(&a), cuts(&b));
         }
     }
 

@@ -4,7 +4,7 @@
 //! A [`ResidentState`] keeps everything one full run produced: the
 //! global BFS tree, the *retained* recursion arena (every subproblem's
 //! partition, solved part, metrics, and merge statistics — see
-//! [`RecNode`]), the rotation system, and the certification artifacts.
+//! `RecNode`), the rotation system, and the certification artifacts.
 //! Runs borrow an [`ExecScratch`] (warm simulators plus the merge,
 //! partition and routing tables) from the caller, so one scratch serves
 //! every resident a service holds; a standalone [`ResidentEmbedding`]

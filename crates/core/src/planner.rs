@@ -17,7 +17,7 @@
 //! * `parent(v)` = minimum-id neighbor of `v` at depth `depth(v) − 1`,
 //! * `children(v)` = sorted ascending (the kernel sorts and dedups them).
 //!
-//! [`model_bfs`] reproduces exactly this tree host-side in `O(n + m)`,
+//! `model_bfs` reproduces exactly this tree host-side in `O(n + m)`,
 //! without simulating a single kernel round. A resident embedding pins
 //! its tree to the root of its *last full build* (the "sticky root") and
 //! lets the planner repair that tree across deltas: partitions and merges
@@ -32,9 +32,9 @@
 //!
 //! The planner does not predict how a delta moves the tree: it measures
 //! the repaired tree directly. For an edge delta, an appended arrival, or
-//! a hinted non-root departure it computes [`model_bfs`] of the mutated
+//! a hinted non-root departure it computes `model_bfs` of the mutated
 //! graph from the sticky root (renumbered on a departure) and diffs it
-//! against the resident tree ([`tree_changes`]). That diff is the
+//! against the resident tree (`tree_changes`). That diff is the
 //! tree-dirty set; the edge-dirty set is the delta's endpoints (an
 //! arrival's anchors plus the fresh vertex, a departure's neighbours).
 //! The class follows from the measurement: an unchanged vertex set with

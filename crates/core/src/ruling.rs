@@ -29,7 +29,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use congest_sim::{run, Metrics, NodeCtx, NodeProgram, SimConfig, SimError, Words};
+use congest_sim::{run, Metrics, NodeCtx, NodeProgram, SimConfig, SimError, Words, BROADCAST};
 use planar_graph::{EdgeId, Graph, VertexId};
 
 /// An edge orientation given as per-vertex out-neighbor lists.
@@ -103,8 +103,10 @@ impl PeelProgram {
     }
 
     /// One synchronous iteration: peel now if the residual degree allows,
-    /// else keep the iterations ticking.
-    fn step(&mut self, sends: &mut Vec<(VertexId, PeelMsg)>) {
+    /// else keep the iterations ticking. The message goes to every alive
+    /// neighbor: one broadcast while all of the node's `degree` neighbors
+    /// are alive.
+    fn step(&mut self, degree: usize, sends: &mut Vec<(VertexId, PeelMsg)>) {
         let msg = if self.wants_to_peel() {
             self.peeled = true;
             self.out = self.alive_neighbors.clone();
@@ -112,20 +114,24 @@ impl PeelProgram {
         } else {
             PeelMsg::Tick
         };
-        sends.extend(self.alive_neighbors.iter().map(|&w| (w, msg.clone())));
+        if self.alive_neighbors.len() == degree {
+            sends.push((BROADCAST, msg));
+        } else {
+            sends.extend(self.alive_neighbors.iter().map(|&w| (w, msg.clone())));
+        }
     }
 }
 
 impl NodeProgram for PeelProgram {
     type Msg = PeelMsg;
 
-    fn init(&mut self, _ctx: &NodeCtx<'_>, sends: &mut Vec<(VertexId, PeelMsg)>) {
-        self.step(sends);
+    fn init(&mut self, ctx: &NodeCtx<'_>, sends: &mut Vec<(VertexId, PeelMsg)>) {
+        self.step(ctx.neighbors.len(), sends);
     }
 
     fn on_round(
         &mut self,
-        _ctx: &NodeCtx<'_>,
+        ctx: &NodeCtx<'_>,
         inbox: &[(VertexId, PeelMsg)],
         sends: &mut Vec<(VertexId, PeelMsg)>,
     ) {
@@ -140,7 +146,7 @@ impl NodeProgram for PeelProgram {
             }
         }
         if !self.peeled {
-            self.step(sends);
+            self.step(ctx.neighbors.len(), sends);
         }
     }
 }
@@ -229,12 +235,9 @@ struct SlotProgram {
 }
 
 impl SlotProgram {
-    fn broadcast(&self, out: &mut Vec<(VertexId, MatchMsg)>, msg: MatchMsg) {
-        out.extend(self.neighbors.iter().map(|&w| (w, msg.clone())));
-    }
-
     /// Sends `msg` to every neighbor outside `special` (in neighbor order),
-    /// then `special_msg` to each of `special` (in its order).
+    /// then `special_msg` to each of `special` (in its order): one
+    /// broadcast when `special` is empty.
     fn broadcast_but(
         &self,
         out: &mut Vec<(VertexId, MatchMsg)>,
@@ -242,6 +245,10 @@ impl SlotProgram {
         special: &[VertexId],
         special_msg: MatchMsg,
     ) {
+        if special.is_empty() {
+            out.push((BROADCAST, msg));
+            return;
+        }
         out.extend(
             self.neighbors
                 .iter()
@@ -289,7 +296,7 @@ impl SlotProgram {
                     self.matched_edge = Some(EdgeId::new(self.id, winner));
                     self.broadcast_but(out, MatchMsg::Matched, &[winner], MatchMsg::Accept);
                 } else {
-                    self.broadcast(out, MatchMsg::Tick);
+                    out.push((BROADCAST, MatchMsg::Tick));
                 }
                 self.proposals.clear();
             }
@@ -297,9 +304,9 @@ impl SlotProgram {
                 // Settle: accepted proposers announce they are matched.
                 if self.matched_edge.map(|e| e.contains(self.id)) == Some(true) && !self.matched {
                     self.matched = true;
-                    self.broadcast(out, MatchMsg::Matched);
+                    out.push((BROADCAST, MatchMsg::Matched));
                 } else {
-                    self.broadcast(out, MatchMsg::Tick);
+                    out.push((BROADCAST, MatchMsg::Tick));
                 }
             }
         }

@@ -21,7 +21,7 @@
 //!
 //! Exactly five kernel rounds are used, independent of the graph size.
 
-use congest_sim::{run, NodeCtx, NodeProgram, SimConfig, SimError, Words};
+use congest_sim::{run, NodeCtx, NodeProgram, SimConfig, SimError, Words, BROADCAST};
 use planar_graph::{Graph, VertexId};
 
 use crate::exec::ExecutionContext;
@@ -166,17 +166,13 @@ impl<'a> SymmetryBreak<'a> {
             .filter(move |(_, s)| flag(s))
             .map(|(&w, _)| w)
     }
-
-    fn broadcast(ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, SymMsg)>, msg: SymMsg) {
-        out.extend(ctx.neighbors.iter().map(|&w| (w, msg.clone())));
-    }
 }
 
 impl NodeProgram for SymmetryBreak<'_> {
     type Msg = SymMsg;
 
-    fn init(&mut self, ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, SymMsg)>) {
-        Self::broadcast(ctx, out, SymMsg::Hello { color: self.color });
+    fn init(&mut self, _ctx: &NodeCtx<'_>, out: &mut Vec<(VertexId, SymMsg)>) {
+        out.push((BROADCAST, SymMsg::Hello { color: self.color }));
     }
 
     fn on_round(
@@ -228,12 +224,12 @@ impl NodeProgram for SymmetryBreak<'_> {
                 .filter(|(_, s)| s.color < self.color)
                 .min_by_key(|&(&w, s)| (s.color, w))
                 .map(|(&w, _)| w);
-            Self::broadcast(ctx, out, SymMsg::Pointer { to: self.pointer });
+            out.push((BROADCAST, SymMsg::Pointer { to: self.pointer }));
         }
         if self.phase == 1 && self.heard[1] == deg {
             self.phase = 2;
             self.is_leaf = !self.slots.iter().any(|s| s.child) && self.pointer.is_some();
-            Self::broadcast(ctx, out, SymMsg::LeafStatus { leaf: self.is_leaf });
+            out.push((BROADCAST, SymMsg::LeafStatus { leaf: self.is_leaf }));
         }
         if self.phase == 2 && self.heard[2] == deg {
             self.phase = 3;
@@ -251,13 +247,13 @@ impl NodeProgram for SymmetryBreak<'_> {
                 }
             }
             let target = self.joined;
-            Self::broadcast(ctx, out, SymMsg::Join { target });
+            out.push((BROADCAST, SymMsg::Join { target }));
         }
         if self.phase == 3 && self.heard[3] == deg {
             self.phase = 4;
             self.consumed = self.joined.is_some() || self.slots.iter().any(|s| s.joiner);
             let consumed = self.consumed;
-            Self::broadcast(ctx, out, SymMsg::Consumed { consumed });
+            out.push((BROADCAST, SymMsg::Consumed { consumed }));
         }
         if self.phase == 4 && self.heard[4] == deg {
             self.phase = 5; // done; quiescence follows

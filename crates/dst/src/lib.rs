@@ -22,7 +22,7 @@
 //!   (rotation, certification verdict, planarity outcome).
 //!
 //! Any violation triggers automatic failing-seed minimization
-//! ([`minimize`]): greedy delta-debugging over graph size, fault-plan
+//! ([`minimize()`]): greedy delta-debugging over graph size, fault-plan
 //! entries, and configuration dimensions, keeping the violation kind
 //! reproducible. Every run renders to canonical sorted-key JSON
 //! ([`artifact::Json`]), so artifacts diff cleanly across machines, and

@@ -4,7 +4,7 @@
 //! configuration plus two shadow configurations, each with the trace
 //! auditor armed, and cross-examines the results:
 //!
-//! 1. **Trace audit** — every run's kernel-reported [`Metrics`] must
+//! 1. **Trace audit** — every run's kernel-reported [`Metrics`](congest_sim::Metrics) must
 //!    survive independent recomputation from the event stream
 //!    ([`congest_sim::AuditSink`]); drift is [`ViolationKind::AuditDrift`].
 //! 2. **Terminal lattice** — the outcome class must be allowed for the

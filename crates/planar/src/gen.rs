@@ -306,7 +306,7 @@ pub fn wheel_chain(k: usize, w: usize) -> Graph {
 /// declared invariant set, and a uniform `(n, seed)` constructor that maps
 /// any requested size onto the family's nearest valid instance.
 ///
-/// Every family in [`registry`] declares — and the seeded smoke test
+/// Every family in the registry [`FAMILIES`] declares — and the seeded smoke test
 /// `tests/gen_invariants.rs` verifies against the centralized checks — that
 /// its graphs are **connected** and **planar**; families with
 /// [`Family::outerplanar`] set are additionally outerplanar. Downstream
